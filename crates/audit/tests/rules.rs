@@ -94,7 +94,7 @@ fn determinism_fires_once_and_suppresses() {
     let rel = "crates/model/src/digest.rs";
     assert_fires_once(rel, &fixture("determinism.rs"), "determinism");
     assert_clean(rel, &fixture("determinism_allowed.rs"));
-    // Outside the digest/feature/persistence scope, clocks are fine.
+    // Outside the digest/persistence scope, clocks are fine.
     assert_clean("crates/model/src/instance.rs", &fixture("determinism.rs"));
 }
 

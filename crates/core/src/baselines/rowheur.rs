@@ -16,16 +16,7 @@ use crate::oned::{finish_plan, ProbedRow, WidthScratch};
 use crate::profit::static_profits;
 use crate::Plan1d;
 use eblow_model::{CharId, Instance, ModelError, Placement1d, Row};
-use std::cell::RefCell;
 use std::time::Instant;
-
-thread_local! {
-    /// Per-worker width-DP buffers for the row-fill probes: probes run on
-    /// pool workers when cores are free, and the DP scratch cannot be
-    /// shared across them (reusing a thread's buffers keeps the probes
-    /// allocation-free after warm-up either way).
-    static PROBE_SCRATCH: RefCell<WidthScratch> = RefCell::new(WidthScratch::default());
-}
 
 /// How many of the best-ranked rows each character probes with the exact
 /// ordering DP before being declared a leftover.
@@ -85,6 +76,8 @@ pub fn row_heuristic_1d_with_stop(
     let mut blank: Vec<u64> = vec![0; num_rows];
     let mut leftovers: Vec<usize> = Vec::new();
     let mut ranked: Vec<(u64, usize)> = Vec::with_capacity(num_rows);
+    // Width-DP buffers shared by every probe, allocation-free after warm-up.
+    let mut scratch = WidthScratch::default();
     for &i in &order {
         if stop.is_set() {
             // Deadline: whatever is not yet placed stays off the stencil.
@@ -108,20 +101,11 @@ pub fn row_heuristic_1d_with_stop(
             })
         }));
         ranked.sort_unstable();
-        // Probe the best-ranked rows with the exact ordering DP, in
-        // parallel when the pool has spare cores. Probes are pure (each
-        // worker uses its own thread-local scratch), and `find_first_index`
-        // returns the *lowest* matching probe, so the chosen row is
-        // identical to the sequential scan at any thread count.
-        let placed_row = crate::par::find_first_index(ranked.len().min(PROBE_ROWS), |p| {
-            let r = ranked[p].1;
-            PROBE_SCRATCH.with(|sc| {
-                let scratch = &mut *sc.borrow_mut();
-                row_keys[r].admits_width(instance, (s, id), 1, w, scratch)
-                    || row_keys[r].admits_width(instance, (s, id), 6, w, scratch)
-            })
-        })
-        .map(|p| ranked[p].1);
+        // Place into the best-ranked row the exact ordering DP admits.
+        let placed_row = ranked.iter().take(PROBE_ROWS).map(|&(_, r)| r).find(|&r| {
+            row_keys[r].admits_width(instance, (s, id), 1, w, &mut scratch)
+                || row_keys[r].admits_width(instance, (s, id), 6, w, &mut scratch)
+        });
         match placed_row {
             Some(r) => {
                 sets[r].push(id);

@@ -188,14 +188,14 @@ impl LpHint {
 }
 
 /// Positive-profit item indices in density order (profit per effective µm,
-/// descending; ties break by `char_index`) — the fill order of the greedy
-/// vertex and the run order [`ScaledOracle`](super::ScaledOracle) coarsens
-/// by, kept in one place so the two can never drift apart.
+/// descending; ties break by `char_index`) — the cold fill order of the
+/// greedy vertex, which the seeded sort must reproduce exactly.
 ///
 /// `total_cmp` (not `partial_cmp().unwrap()`) keeps the sort panic-free
 /// even for hostile non-finite profits; NaN profits fail the `> 0.0`
 /// filter and never enter the order at all.
-pub(crate) fn density_order(items: &[MkpItem]) -> Vec<usize> {
+#[cfg(test)]
+fn density_order(items: &[MkpItem]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..items.len())
         .filter(|&k| items[k].profit > 0.0)
         .collect();

@@ -20,7 +20,7 @@ mod rounding;
 
 pub use convergence::{fast_ilp_convergence, ConvergenceConfig, ConvergenceStats};
 pub use mkp_lp::{solve_mkp_lp, solve_mkp_lp_warm, LpHint, MkpItem, MkpLpSolution, RowBase};
-pub use oracle::{CombinatorialOracle, LpOracle, OracleError, ScaledOracle, SimplexOracle};
+pub use oracle::{CombinatorialOracle, LpOracle, OracleError, SimplexOracle};
 pub use post::{post_insert, post_swap, PostConfig};
 pub use refine::{
     brute_force_min_width, refine_row, refine_row_with_stop, refine_width, width_key, ProbedRow,
@@ -361,16 +361,6 @@ mod tests {
             plan.total_time,
             combinatorial.total_time
         );
-    }
-
-    #[test]
-    fn scaled_backend_plans_validly() {
-        let inst = eblow_gen::generate(&GenConfig::tiny_1d(4));
-        let cfg = Eblow1dConfig::default()
-            .with_oracle(Arc::new(ScaledOracle::new(SimplexOracle::default(), 12)));
-        let plan = Eblow1d::new(cfg).plan(&inst).unwrap();
-        plan.placement.validate(&inst).unwrap();
-        assert!(plan.selection.count() > 0);
     }
 
     #[test]

@@ -23,14 +23,11 @@
 //!   instances: split into per-region / per-row-band sub-instances, race
 //!   each shard on the portfolio machinery in parallel, stitch the
 //!   sub-plans back into one validated placement. Shard counts adapt to
-//!   the measured per-strategy throughput of the selection model.
-//! * [`select`] — feature-driven portfolio selection: a per-strategy
-//!   throughput/quality model ([`SelectionModel`], seeded from priors,
-//!   learning online from race reports, persisted as JSON) scores the
-//!   registry against an instance's
-//!   [`InstanceFeatures`](eblow_model::InstanceFeatures) so the
-//!   [`Planner`] spawns only the top-k predicted strategies — with a
-//!   full-registry fallback when `supports()` empties the shortlist.
+//!   the deadline window and the inner strategies' throughput.
+//!
+//! Concurrency has two levels: one OS thread per raced strategy (shard
+//! lanes included), and the shared stop flag that ends them all at the
+//! deadline. Planners themselves are single-threaded.
 //!
 //! # Quickstart
 //!
@@ -60,7 +57,6 @@ mod cache;
 mod outcome;
 mod planner;
 mod portfolio;
-pub mod select;
 pub mod shard;
 pub mod strategy;
 
@@ -69,6 +65,5 @@ pub use cache::{write_text_atomic, CacheStats, LruCache, PlanCacheKey};
 pub use outcome::{EngineError, PlanDetail, PlanOutcome};
 pub use planner::{BatchResult, Planner};
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, StrategyReport, StrategyStatus};
-pub use select::{race_with_fallback, SelectedRace, SelectionModel, Selector, StrategyStats};
 pub use shard::{Shard1dStrategy, Shard2dStrategy, ShardConfig};
 pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy, StrategyId};

@@ -285,11 +285,6 @@ impl Portfolio {
                     // runs; the span covers plan + re-validation.
                     trace::set_thread_label(strategy.name());
                     let _span = trace::span(strategy.name());
-                    // Register with the shared pool: parallel regions
-                    // inside strategies subtract the *other* race workers
-                    // from their thread budget, so the race plus the
-                    // intra-strategy pool never oversubscribe the cores.
-                    let _lease = rayon::pool::worker_lease();
                     let started = Instant::now();
                     let result = strategy
                         .plan(instance, &budget)

@@ -57,12 +57,11 @@ const MONO_REFINE_MIN_WINDOW: Duration = Duration::from_millis(100);
 /// instance and this configuration, so the plan cache (which keys on the
 /// instance digest plus the strategy name) always refers to one
 /// well-defined shard split. Deadline runs with [`ShardConfig::adaptive`]
-/// additionally fold in the selection model's measured throughput (the
-/// shard count tracks how much the inner strategies can chew within the
-/// window) — such races are only cached when they complete undegraded,
-/// exactly like any other deadline race. Custom configurations must be
-/// registered under their own strategy name — see
-/// [`Shard1dStrategy::with_config`].
+/// additionally fold in the remaining window (the shard count tracks how
+/// much the inner strategies can chew within it) — such races are only
+/// cached when they complete undegraded, exactly like any other deadline
+/// race. Custom configurations must be registered under their own strategy
+/// name — see [`Shard1dStrategy::with_config`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// `supports()` gate: instances with fewer candidates are left to the
@@ -72,13 +71,13 @@ pub struct ShardConfig {
     /// `ceil(n / target_shard_chars)` clamped to `2..=max_shards` (and to
     /// the available rows / region count). With [`ShardConfig::adaptive`]
     /// set this is only the fallback for deadline-free runs — deadline runs
-    /// derive the target from measured throughput instead.
+    /// derive the target from the inner strategies' throughput instead.
     pub target_shard_chars: usize,
-    /// Derive the per-shard candidate target from the selection model's
-    /// measured throughput (`eblow_engine::select`): a shard should hold
-    /// about as many candidates as the slowest inner strategy can chew
-    /// within the remaining deadline window, so the quality member of each
-    /// shard's race finishes instead of being cancelled mid-run. Only
+    /// Derive the per-shard candidate target from the inner strategies'
+    /// throughput (candidates per second): a shard should hold about as
+    /// many candidates as the slowest inner strategy can chew within the
+    /// remaining deadline window, so the quality member of each shard's
+    /// race finishes instead of being cancelled mid-run. Only
     /// applies when a deadline window is known; unlimited budgets use the
     /// fixed `target_shard_chars` (keeping deadline-free runs exactly
     /// reproducible).
@@ -99,16 +98,10 @@ pub struct ShardConfig {
     pub stitch_reserve: Duration,
 }
 
-/// Default `supports()` gate of the shard composites: below this many
-/// candidates the monolithic strategies are left alone. Referenced by the
-/// selection model's priors so the feature-predicted gate and the
-/// `supports()` gate cannot drift apart.
-pub const SHARD_DEFAULT_MIN_CHARS: usize = 5000;
-
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            min_chars: SHARD_DEFAULT_MIN_CHARS,
+            min_chars: 5000,
             target_shard_chars: 2000,
             adaptive: true,
             max_shards: 8,
@@ -335,22 +328,32 @@ fn split_2d(
 const ADAPTIVE_TARGET_FLOOR: usize = 256;
 const ADAPTIVE_TARGET_CEIL: usize = 1 << 20;
 
-/// The throughput-derived per-shard candidate target (the ROADMAP's
-/// "adaptive shard counts"): the number of candidates the *slowest* inner
-/// strategy — the quality member whose finish decides a shard's plan — is
-/// predicted to process within `window`, per the selection model's
-/// measured (prior-blended) throughput. Shards race in parallel, so each
+/// Candidates per second an inner strategy plans, as ranked by the paper's
+/// relative method runtimes; strategies not listed count 1000. Sizes the
+/// adaptive shards and picks the monolithic refinement lane's member.
+fn chars_per_sec(name: &str) -> f64 {
+    match name {
+        "eblow1d@combinatorial" => 800.0,
+        "eblow1d@simplex" => 500.0,
+        "heuristic1d" => 2500.0,
+        "rowheur1d" => 1200.0,
+        "greedy1d" => 2.0e6,
+        "sa2d" => 700.0,
+        "greedy2d" => 1.0e6,
+        _ => 1000.0,
+    }
+}
+
+/// The throughput-derived per-shard candidate target (adaptive shard
+/// counts): the number of candidates the *slowest* inner strategy — the
+/// quality member whose finish decides a shard's plan — processes within
+/// `window` at its [`chars_per_sec`]. Shards race in parallel, so each
 /// shard sees the full window.
-fn adaptive_target_chars(
-    inner: &Portfolio,
-    model: &crate::select::SelectionModel,
-    window: Duration,
-    fallback: usize,
-) -> usize {
+fn adaptive_target_chars(inner: &Portfolio, window: Duration, fallback: usize) -> usize {
     let throughput = inner
         .strategies()
         .iter()
-        .map(|s| model.throughput(s.name()))
+        .map(|s| chars_per_sec(s.name()))
         .fold(f64::INFINITY, f64::min);
     if !throughput.is_finite() || throughput <= 0.0 {
         return fallback;
@@ -369,27 +372,23 @@ fn resolve_target_chars(inner: &Portfolio, config: &ShardConfig, budget: &Budget
     match budget.remaining() {
         Some(remaining) => {
             let window = remaining.saturating_sub(config.stitch_reserve);
-            let model = crate::select::shared_model();
-            let guard = model.lock().expect("selection model lock");
-            adaptive_target_chars(inner, &guard, window, config.target_shard_chars)
+            adaptive_target_chars(inner, window, config.target_shard_chars)
         }
         None => config.target_shard_chars,
     }
 }
 
-/// The inner member the selection model predicts slowest — the quality
-/// member whose converged plan a stitched result has to beat — restricted
-/// to members that support the full (unsharded) instance. Ties keep
-/// portfolio order, so the choice is deterministic.
+/// The slowest inner member by [`chars_per_sec`] — the quality member
+/// whose converged plan a stitched result has to beat — restricted to
+/// members that support the full (unsharded) instance. Ties keep portfolio
+/// order, so the choice is deterministic.
 fn quality_member(inner: &Portfolio, instance: &Instance) -> Option<Arc<dyn Strategy>> {
-    let model = crate::select::shared_model();
-    let guard = model.lock().expect("selection model lock");
     let mut best: Option<(f64, &Arc<dyn Strategy>)> = None;
     for s in inner.strategies() {
         if !s.supports(instance) {
             continue;
         }
-        let t = guard.throughput(s.name());
+        let t = chars_per_sec(s.name());
         if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
             best = Some((t, s));
         }
@@ -589,7 +588,6 @@ impl Shard1dStrategy {
             "eblow1d" | "eblow1d@combinatorial" => "shard1d@eblow1d@combinatorial",
             "eblow1d-0" => "shard1d@eblow1d-0",
             "eblow1d@simplex" => "shard1d@eblow1d@simplex",
-            "eblow1d@scaled" => "shard1d@eblow1d@scaled",
             _ => return None,
         };
         let strategy = crate::strategy::strategy_by_name(inner)?;
@@ -1045,40 +1043,23 @@ mod tests {
         );
     }
 
-    /// Adaptive shard targets track measured throughput: a slower inner
-    /// portfolio (per the selection model) means smaller shards — more of
+    /// Adaptive shard targets track the slowest inner member and the
+    /// window: a slower inner portfolio means smaller shards — more of
     /// them — so the quality member of each shard's race can finish within
     /// the window.
     #[test]
     fn adaptive_target_tracks_throughput_and_window() {
-        use crate::select::SelectionModel;
-        use crate::StrategyReport;
         let inner = Portfolio::of_names(["eblow1d", "rowheur1d", "greedy1d"]).unwrap();
-        let model = SelectionModel::new();
         let window = Duration::from_secs(3);
-        let cold = adaptive_target_chars(&inner, &model, window, 2000);
-        assert!(cold >= ADAPTIVE_TARGET_FLOOR);
+        let target = adaptive_target_chars(&inner, window, 2000);
+        // eblow1d@combinatorial is the slowest member: 800 chars/s × 3 s.
+        assert_eq!(target, 2400);
         // A longer window allows bigger shards.
-        let longer = adaptive_target_chars(&inner, &model, window * 4, 2000);
-        assert!(longer > cold, "{longer} vs {cold}");
-        // Teach the model that the slowest member is much slower than its
-        // prior: targets shrink (more shards).
-        let mut slow = SelectionModel::new();
-        let features = eblow_model::InstanceFeatures::of(&small_1d());
-        for _ in 0..50 {
-            slow.observe(
-                &features,
-                &[StrategyReport {
-                    name: "eblow1d@combinatorial",
-                    status: crate::StrategyStatus::Completed,
-                    cancelled: false,
-                    total_time: Some(1000),
-                    elapsed: Duration::from_secs(2),
-                }],
-            );
-        }
-        let learned = adaptive_target_chars(&inner, &slow, window, 2000);
-        assert!(learned < cold, "{learned} vs {cold}");
+        let longer = adaptive_target_chars(&inner, window * 4, 2000);
+        assert!(longer > target, "{longer} vs {target}");
+        // Without the slow member, shards grow.
+        let fast = Portfolio::of_names(["rowheur1d", "greedy1d"]).unwrap();
+        assert!(adaptive_target_chars(&fast, window, 2000) > target);
 
         // Unlimited budgets keep the fixed target (reproducible splits).
         let config = ShardConfig::default();

@@ -13,7 +13,7 @@ use eblow_core::baselines::{
     sa_2d_with_stop, Heuristic1dConfig, Sa2dConfig,
 };
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
-use eblow_core::oned::{Eblow1d, Eblow1dConfig, ScaledOracle, SimplexOracle};
+use eblow_core::oned::{Eblow1d, Eblow1dConfig, SimplexOracle};
 use eblow_core::twod::{Eblow2d, Eblow2dConfig};
 use eblow_core::Plan1d;
 use eblow_lp::MilpStatus;
@@ -147,17 +147,6 @@ impl Eblow1dStrategy {
             name: Some("eblow1d@simplex"),
         }
     }
-
-    /// The pipeline on the width-coarsening simplex wrapper: any instance
-    /// size, at some LP optimality cost. Resolvable by name
-    /// (`eblow1d@scaled`) but not part of the default race.
-    pub fn scaled() -> Self {
-        Eblow1dStrategy {
-            config: Eblow1dConfig::default()
-                .with_oracle(Arc::new(ScaledOracle::<SimplexOracle>::default())),
-            name: Some("eblow1d@scaled"),
-        }
-    }
 }
 
 impl Strategy for Eblow1dStrategy {
@@ -238,16 +227,6 @@ impl Strategy for RowHeuristic1dStrategy {
     }
 }
 
-/// Default candidate cap of the exact 1D ILP strategy (Table 5 scale; the
-/// paper's GUROBI already needs 1510 s at 12 characters). Referenced by
-/// the selection model's priors so the feature-predicted gate and the
-/// `supports()` gate cannot drift apart.
-pub const ILP1D_DEFAULT_MAX_CHARS: usize = 14;
-
-/// Default candidate cap of the exact 2D ILP strategy (see
-/// [`ILP1D_DEFAULT_MAX_CHARS`]).
-pub const ILP2D_DEFAULT_MAX_CHARS: usize = 10;
-
 /// The exact 1D ILP (formulation (3)) via branch-and-bound. Only supports
 /// small instances (Table 5 scale) — the binary count grows quadratically.
 #[derive(Debug, Clone, Copy)]
@@ -259,9 +238,7 @@ pub struct ExactIlp1dStrategy {
 
 impl Default for ExactIlp1dStrategy {
     fn default() -> Self {
-        ExactIlp1dStrategy {
-            max_chars: ILP1D_DEFAULT_MAX_CHARS,
-        }
+        ExactIlp1dStrategy { max_chars: 14 }
     }
 }
 
@@ -378,9 +355,7 @@ pub struct ExactIlp2dStrategy {
 
 impl Default for ExactIlp2dStrategy {
     fn default() -> Self {
-        ExactIlp2dStrategy {
-            max_chars: ILP2D_DEFAULT_MAX_CHARS,
-        }
+        ExactIlp2dStrategy { max_chars: 10 }
     }
 }
 
@@ -425,11 +400,8 @@ impl Strategy for ExactIlp2dStrategy {
 /// LP-backend variants and the sharded composites: `eblow1d@combinatorial`,
 /// `eblow1d@simplex`, `eblow1d-0`, `heuristic1d`, `rowheur1d`, `greedy1d`,
 /// `ilp1d`, `shard1d`, `eblow2d`, `sa2d`, `greedy2d`, `ilp2d`, `shard2d`.
-/// (`eblow1d@scaled` is resolvable by name but intentionally outside the
-/// default race — its coarsened simplex is the slowest backend and strictly
-/// dominated on instances the others accept. The shard composites only
-/// enter races on huge instances via their `supports()` candidate-count
-/// gate.)
+/// (The shard composites only enter races on huge instances via their
+/// `supports()` candidate-count gate.)
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
@@ -452,8 +424,8 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
 ///
 /// Exact built-in names resolve first. Beyond those, the
 /// backend-parameterized forms of [`StrategyId`] are constructed on
-/// demand: `eblow1d` (the historical alias for `eblow1d@combinatorial`),
-/// `eblow1d@scaled`, and the sharded composites `shard1d@<inner>` /
+/// demand: `eblow1d` (the historical alias for `eblow1d@combinatorial`)
+/// and the sharded composites `shard1d@<inner>` /
 /// `shard2d@<inner>` (where `<inner>` is itself a registry name, e.g.
 /// `shard1d@eblow1d@simplex`). Names with a trailing `@` (an empty
 /// backend) are rejected rather than silently aliased.
@@ -467,7 +439,6 @@ pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
     let id = StrategyId::parse(name);
     match (id.base(), id.backend()) {
         ("eblow1d", None) => Some(Arc::new(Eblow1dStrategy::default())),
-        ("eblow1d", Some("scaled")) => Some(Arc::new(Eblow1dStrategy::scaled())),
         ("shard1d", Some(inner)) => crate::shard::Shard1dStrategy::with_inner(inner)
             .map(|s| Arc::new(s) as Arc<dyn Strategy>),
         ("shard2d", Some(inner)) => crate::shard::Shard2dStrategy::with_inner(inner)
@@ -525,8 +496,6 @@ mod tests {
         let names: Vec<&str> = strategies_for(&big).iter().map(|s| s.name()).collect();
         assert!(names.contains(&"eblow1d@combinatorial"));
         assert!(!names.contains(&"eblow1d@simplex"));
-        // The scaled wrapper has no cutoff and accepts it.
-        assert!(Eblow1dStrategy::scaled().supports(&big));
     }
 
     #[test]
@@ -580,7 +549,7 @@ mod tests {
 
     #[test]
     fn backend_variants_resolve_from_the_registry() {
-        for name in ["eblow1d@combinatorial", "eblow1d@simplex", "eblow1d@scaled"] {
+        for name in ["eblow1d@combinatorial", "eblow1d@simplex"] {
             let s = strategy_by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
             assert_eq!(s.name(), name);
         }

@@ -110,6 +110,13 @@ pub enum ModelError {
         /// Available extent in the parent (rows or µm).
         available: u64,
     },
+    /// A writing time or reduction sum of the instance exceeds `u64`.
+    Overflow {
+        /// The candidate whose repeats pushed the sum over.
+        char_index: usize,
+        /// The region being accumulated.
+        region: usize,
+    },
     /// Failure while parsing the text instance format.
     Parse {
         /// 1-based line number.
@@ -198,6 +205,10 @@ impl fmt::Display for ModelError {
             } => write!(
                 f,
                 "shard band [{start}, {start}+{extent}) lies outside the parent extent {available}"
+            ),
+            ModelError::Overflow { char_index, region } => write!(
+                f,
+                "writing time of character {char_index} in region {region} overflows u64"
             ),
             ModelError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")

@@ -129,9 +129,12 @@ pub struct SparseRepeat {
 /// * `vsb_time(c) == Σ_i t_ic · n_i`.
 ///
 /// All dense accessors return values identical to the pre-slab
-/// `Vec<Vec<u64>>` layout, and [`InstanceDigest`](crate::InstanceDigest) /
-/// [`InstanceFeatures`](crate::InstanceFeatures) are bit-exactly unchanged
-/// by the layout — cache keys and selection statistics survive the swap.
+/// `Vec<Vec<u64>>` layout, and [`InstanceDigest`](crate::InstanceDigest) is
+/// bit-exactly unchanged by the layout — cache keys survive the swap.
+///
+/// Every `T_VSB_c` and every `Σ_c R_ic` fits in a `u64` (construction
+/// fails with [`ModelError::Overflow`] otherwise), and `R_ic ≤ t_ic·n_i`,
+/// so per-region accounting (`T_c = T_VSB_c − Σ_i R_ic`) never overflows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     stencil: Stencil,
@@ -197,9 +200,10 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoRegions`] when `num_regions == 0` and
+    /// Returns [`ModelError::NoRegions`] when `num_regions == 0`,
     /// [`ModelError::RaggedRepeats`] when `flat.len()` is not exactly
-    /// `chars.len() · num_regions`.
+    /// `chars.len() · num_regions`, and [`ModelError::Overflow`] when a
+    /// writing time or a candidate's total reduction exceeds `u64`.
     pub fn from_flat(
         stencil: Stencil,
         chars: Vec<Character>,
@@ -244,10 +248,19 @@ impl Instance {
                 .iter()
                 .enumerate()
             {
-                vsb_times[c] += t * ch.vsb_shots();
+                let overflow = || ModelError::Overflow {
+                    char_index: i,
+                    region: c,
+                };
+                vsb_times[c] = t
+                    .checked_mul(ch.vsb_shots())
+                    .and_then(|vsb| vsb_times[c].checked_add(vsb))
+                    .ok_or_else(overflow)?;
                 if t > 0 {
+                    // `saving < vsb_shots`, so this product cannot overflow
+                    // once the one above did not.
                     let reduction = t * saving;
-                    total += reduction;
+                    total = total.checked_add(reduction).ok_or_else(overflow)?;
                     sparse.push(SparseRepeat {
                         region: c as u32,
                         repeats: t,

@@ -248,6 +248,41 @@ mod tests {
         assert!(matches!(e, ModelError::Parse { line: 5, .. }), "{e}");
     }
 
+    /// Regression: `t = shots = 2³²` used to panic with a multiply
+    /// overflow in debug builds and parse with `T_VSB = 0` in release.
+    #[test]
+    fn overflowing_writing_time_is_an_error() {
+        let big = 1u64 << 32;
+        let text = format!(
+            "EBLOW-INSTANCE v1\nstencil 100 100 40\nregions 1\nchars 1\n40 40 5 5 5 5 {big} {big}\n"
+        );
+        let e = from_str(&text).unwrap_err();
+        assert_eq!(
+            e,
+            ModelError::Overflow {
+                char_index: 0,
+                region: 0
+            },
+            "{e}"
+        );
+        // Each term fits, but their sum over the candidates does not.
+        let half = u64::MAX / 2 + 1;
+        let text = format!(
+            "EBLOW-INSTANCE v1\nstencil 100 100 40\nregions 1\nchars 2\n\
+             40 40 5 5 5 5 1 {half}\n40 40 5 5 5 5 1 {half}\n"
+        );
+        assert!(matches!(
+            from_str(&text),
+            Err(ModelError::Overflow { char_index: 1, .. })
+        ));
+        // The largest representable writing time still parses.
+        let text = format!(
+            "EBLOW-INSTANCE v1\nstencil 100 100 40\nregions 1\nchars 1\n40 40 5 5 5 5 1 {}\n",
+            u64::MAX
+        );
+        assert_eq!(from_str(&text).unwrap().vsb_time(0), u64::MAX);
+    }
+
     #[test]
     fn trailing_content_rejected() {
         let mut text = to_string(&sample());

@@ -1,7 +1,7 @@
 //! Property-based tests of the domain model's geometric and accounting
 //! invariants.
 
-use eblow_model::{overlap, simulate, Character, Instance, InstanceFeatures, Selection, Stencil};
+use eblow_model::{overlap, simulate, Character, Instance, Selection, Stencil};
 use proptest::prelude::*;
 
 /// Strategy: a legal character (blanks always fit the outline).
@@ -116,30 +116,6 @@ proptest! {
         prop_assert_eq!(inst, back);
     }
 
-    /// `InstanceFeatures` is a candidate-*set* summary: permuting the
-    /// candidate indices (with their repeat-matrix rows) must produce the
-    /// identical feature vector — the selection-model counterpart of the
-    /// digest-stability tests (the digest, in contrast, is order-sensitive
-    /// by design).
-    #[test]
-    fn features_invariant_under_candidate_reordering(inst in instance(), perm_seed in any::<u64>()) {
-        let n = inst.num_chars();
-        // Deterministic Fisher–Yates from the seed (xorshift64*).
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut state = perm_seed | 1;
-        for i in (1..n).rev() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let j = (state % (i as u64 + 1)) as usize;
-            perm.swap(i, j);
-        }
-        let chars: Vec<Character> = perm.iter().map(|&i| *inst.char(i)).collect();
-        let repeats: Vec<Vec<u64>> = perm.iter().map(|&i| inst.repeat_row(i).to_vec()).collect();
-        let shuffled = Instance::new(inst.stencil(), chars, repeats).unwrap();
-        prop_assert_eq!(InstanceFeatures::of(&inst), InstanceFeatures::of(&shuffled));
-    }
-
     /// The slab+CSR layout agrees *bit-exactly* with a reference dense
     /// recompute of every accounting quantity: `repeats`, `reduction`,
     /// `total_reduction`, `vsb_times`, and `writing_times` under arbitrary
@@ -198,7 +174,7 @@ proptest! {
     }
 
     /// `Instance::from_flat` and `Instance::new` build identical instances
-    /// (same equality, same digest, same features).
+    /// (same equality, same digest).
     #[test]
     fn from_flat_equals_nested(inst in instance()) {
         let flat: Vec<u64> = (0..inst.num_chars())
@@ -213,7 +189,6 @@ proptest! {
         .unwrap();
         prop_assert_eq!(&rebuilt, &inst);
         prop_assert_eq!(rebuilt.digest(), inst.digest());
-        prop_assert_eq!(InstanceFeatures::of(&rebuilt), InstanceFeatures::of(&inst));
     }
 }
 

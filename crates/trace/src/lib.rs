@@ -21,6 +21,8 @@
 //!   (loadable in Perfetto / `chrome://tracing` — portfolio worker
 //!   threads and shard fan-out render as swim-lanes), and an aggregated
 //!   human-readable summary.
+//! * The workspace's one JSON codec ([`json`]): the escaper the exporters
+//!   write with and a parser that reads their artifacts back.
 //!
 //! # Quickstart
 //!
@@ -47,6 +49,7 @@
 // else in the workspace keeps `#![forbid(unsafe_code)]`.
 
 pub mod export;
+pub mod json;
 mod ring;
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};

@@ -1,18 +1,17 @@
-//! Golden plan-stability gates for the columnar instance layout and the
-//! warm-started rounding loop.
+//! Golden plan-stability gates for the columnar instance layout, the
+//! warm-started rounding loop, and the single-threaded planners.
 //!
-//! The constants below were captured from the repository *before* the
-//! slab+CSR layout swap and the hot-path rewrite (PR 5). They pin three
-//! guarantees that production callers rely on:
+//! The 1T constants below were captured before the slab+CSR layout swap
+//! and the hot-path rewrite; the 1M-1 constants before the intra-strategy
+//! thread pool was removed. They pin two guarantees that production
+//! callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
 //!   artifacts; a layout change must not move a single bit.
 //! * **Planner outputs** — the full `Eblow1d` pipeline (rounding, fast ILP
-//!   convergence, refinement, post stages) must produce byte-identical
-//!   placements on the 1T reference cases, so the Tables 3/4 reproduction
+//!   convergence, refinement, post stages) and the row heuristic must
+//!   produce byte-identical placements, so the Tables 3/4 reproduction
 //!   and cached plans are unaffected.
-//! * **Features** — `InstanceFeatures` feeds the persisted selection
-//!   model; its aggregates must stay bit-exact.
 
 use eblow::gen::Family;
 use eblow::model::Fnv64;
@@ -71,6 +70,8 @@ fn plan_fingerprint(plan: &eblow::planner::Plan1d) -> u64 {
 
 #[test]
 fn reference_digests_and_planner_outputs_are_byte_stable() {
+    let tiny = eblow::gen::generate(&eblow::gen::GenConfig::tiny_1d(1));
+    assert_eq!(tiny.digest().to_hex(), "09fab18e37dc38c28fd4082a14d3a1fe");
     for (k, &(digest, total, chars, fp)) in GOLDEN_1T.iter().enumerate() {
         let inst = eblow::gen::benchmark(Family::T1(k as u8 + 1));
         assert_eq!(
@@ -96,20 +97,25 @@ fn reference_digests_and_planner_outputs_are_byte_stable() {
     }
 }
 
+/// `(total writing time, plan fingerprint)` of the full E-BLOW pipeline and
+/// of the row heuristic on 1M-1 (1000 candidates), the MCC scale at which
+/// per-candidate scoring and row-fill probes do real work.
+const GOLDEN_1M1_EBLOW: (u64, u64) = (2819, 0x189b4a4ffa40366b);
+const GOLDEN_1M1_ROWHEUR: (u64, u64) = (3976, 0x0ec78de8f5c2f02c);
+
 #[test]
-fn generated_instance_features_are_bit_stable() {
-    // Pre-refactor values for GenConfig::tiny_1d(1): every float must be
-    // bit-identical (the selection model persists on these).
-    let inst = eblow::gen::generate(&eblow::gen::GenConfig::tiny_1d(1));
-    assert_eq!(inst.digest().to_hex(), "09fab18e37dc38c28fd4082a14d3a1fe");
-    let f = eblow::model::InstanceFeatures::of(&inst);
-    assert_eq!(f.num_chars, 60);
-    assert_eq!(f.num_regions, 3);
-    assert_eq!(f.cells, 180);
-    assert_eq!(f.mean_width.to_bits(), 32.916666666666664f64.to_bits());
-    assert_eq!(f.mean_h_blank.to_bits(), 5.791666666666667f64.to_bits());
-    assert_eq!(f.max_h_blank, 10);
-    assert_eq!(f.blank_fraction.to_bits(), 0.3518987341772152f64.to_bits());
-    assert_eq!(f.profit_mean.to_bits(), 156.66666666666666f64.to_bits());
-    assert_eq!(f.profit_cv.to_bits(), 1.55863212074644f64.to_bits());
+fn mcc_scale_plans_are_byte_stable() {
+    let inst = eblow::gen::benchmark(Family::M1(1));
+    let eblow = Eblow1d::default().plan(&inst).unwrap();
+    let rowheur = eblow::planner::baselines::row_heuristic_1d(&inst).unwrap();
+    assert_eq!(
+        (eblow.total_time, plan_fingerprint(&eblow)),
+        GOLDEN_1M1_EBLOW,
+        "1M-1 E-BLOW plan changed byte-for-byte"
+    );
+    assert_eq!(
+        (rowheur.total_time, plan_fingerprint(&rowheur)),
+        GOLDEN_1M1_ROWHEUR,
+        "1M-1 row-heuristic plan changed byte-for-byte"
+    );
 }
