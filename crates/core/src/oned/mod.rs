@@ -9,9 +9,11 @@
 //!
 //! Use [`Eblow1d`] with an [`Eblow1dConfig`]; the ablation switches
 //! (`fast_ilp`, `post_insertion`) reproduce the paper's E-BLOW-0 vs
-//! E-BLOW-1 comparison (Figs. 11/12).
+//! E-BLOW-1 comparison (Figs. 11/12). [`solve_exact_1d`] certifies the
+//! optimum of instances with up to [`EXACT_1D_MAX_CHARS`] candidates.
 
 mod convergence;
+mod exact;
 mod mkp_lp;
 mod oracle;
 mod post;
@@ -19,6 +21,7 @@ mod refine;
 mod rounding;
 
 pub use convergence::{fast_ilp_convergence, ConvergenceConfig, ConvergenceStats};
+pub use exact::{solve_exact_1d, Exact1dOutcome, EXACT_1D_MAX_CHARS};
 pub use mkp_lp::{solve_mkp_lp, solve_mkp_lp_warm, LpHint, MkpItem, MkpLpSolution, RowBase};
 pub use oracle::{CombinatorialOracle, LpOracle, OracleError, SimplexOracle};
 pub use post::{post_insert, post_swap, PostConfig};

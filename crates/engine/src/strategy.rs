@@ -1,8 +1,9 @@
 //! The [`Strategy`] trait and the registry of built-in strategies.
 //!
 //! Every planner in the workspace — the E-BLOW 1D/2D flows, the exact
-//! branch-and-bound ILPs, and the greedy/heuristic baselines of the paper's
-//! Tables 3–5 — is wrapped behind one object-safe interface so the
+//! 1D enumeration, the exact branch-and-bound ILPs, and the
+//! greedy/heuristic baselines of the paper's Tables 3–5 — is wrapped
+//! behind one object-safe interface so the
 //! portfolio executor, the batch planner, and the eval harness can treat
 //! them interchangeably.
 
@@ -13,7 +14,7 @@ use eblow_core::baselines::{
     sa_2d_with_stop, Heuristic1dConfig, Sa2dConfig,
 };
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
-use eblow_core::oned::{Eblow1d, Eblow1dConfig, SimplexOracle};
+use eblow_core::oned::{solve_exact_1d, Eblow1d, Eblow1dConfig, SimplexOracle, EXACT_1D_MAX_CHARS};
 use eblow_core::twod::{Eblow2d, Eblow2dConfig};
 use eblow_core::Plan1d;
 use eblow_lp::MilpStatus;
@@ -227,8 +228,30 @@ impl Strategy for RowHeuristic1dStrategy {
     }
 }
 
+/// The exact combinatorial 1D solver ([`solve_exact_1d`]): it enumerates
+/// every selection of up to [`EXACT_1D_MAX_CHARS`] candidates and marks its
+/// plan proven optimal when the enumeration finishes, which ends the race
+/// early. This is the race's exact 1D member.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Exact1dStrategy;
+
+impl Strategy for Exact1dStrategy {
+    fn name(&self) -> &'static str {
+        "exact1d"
+    }
+    fn supports(&self, instance: &Instance) -> bool {
+        is_row_structured(instance) && instance.num_chars() <= EXACT_1D_MAX_CHARS
+    }
+    fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
+        let exact = solve_exact_1d(instance, budget.stop_flag())?;
+        Ok(PlanOutcome::from_1d(self.name(), exact.plan).with_proven_optimal(exact.proven_optimal))
+    }
+}
+
 /// The exact 1D ILP (formulation (3)) via branch-and-bound. Only supports
 /// small instances (Table 5 scale) — the binary count grows quadratically.
+/// Not in the default race ([`Exact1dStrategy`] certifies the same
+/// instances in milliseconds); resolvable by name as `ilp1d`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactIlp1dStrategy {
     /// Refuse instances with more candidates than this (paper: GUROBI
@@ -396,12 +419,13 @@ impl Strategy for ExactIlp2dStrategy {
 
 /// Every built-in strategy, 1D then 2D, strongest first within each group.
 ///
-/// The set covers the whole planner zoo of the paper's evaluation plus the
-/// LP-backend variants and the sharded composites: `eblow1d@combinatorial`,
-/// `eblow1d@simplex`, `eblow1d-0`, `heuristic1d`, `rowheur1d`, `greedy1d`,
-/// `ilp1d`, `shard1d`, `eblow2d`, `sa2d`, `greedy2d`, `ilp2d`, `shard2d`.
-/// (The shard composites only enter races on huge instances via their
-/// `supports()` candidate-count gate.)
+/// The set covers the planner zoo of the paper's evaluation plus the
+/// LP-backend variants, the exact combinatorial 1D solver and the sharded
+/// composites: `eblow1d@combinatorial`, `eblow1d@simplex`, `eblow1d-0`,
+/// `heuristic1d`, `rowheur1d`, `greedy1d`, `exact1d`, `shard1d`, `eblow2d`,
+/// `sa2d`, `greedy2d`, `ilp2d`, `shard2d`. (The shard composites only enter
+/// races on huge instances via their `supports()` candidate-count gate.)
+/// The 1D ILP `ilp1d` is not raced; [`strategy_by_name`] still builds it.
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
@@ -410,7 +434,7 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
         Arc::new(Heuristic1dStrategy::default()),
         Arc::new(RowHeuristic1dStrategy),
         Arc::new(Greedy1dStrategy),
-        Arc::new(ExactIlp1dStrategy::default()),
+        Arc::new(Exact1dStrategy),
         Arc::new(crate::shard::Shard1dStrategy::new()),
         Arc::new(Eblow2dStrategy::default()),
         Arc::new(Sa2dStrategy::default()),
@@ -422,10 +446,10 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
 
 /// Looks up a strategy by registry name.
 ///
-/// Exact built-in names resolve first. Beyond those, the
-/// backend-parameterized forms of [`StrategyId`] are constructed on
-/// demand: `eblow1d` (the historical alias for `eblow1d@combinatorial`)
-/// and the sharded composites `shard1d@<inner>` /
+/// Exact built-in names resolve first. Beyond those, strategies outside
+/// the race are constructed on demand: `ilp1d` (formulation (3), kept for
+/// the paper's Table 5), `eblow1d` (the historical alias for
+/// `eblow1d@combinatorial`), and the sharded composites `shard1d@<inner>` /
 /// `shard2d@<inner>` (where `<inner>` is itself a registry name, e.g.
 /// `shard1d@eblow1d@simplex`). Names with a trailing `@` (an empty
 /// backend) are rejected rather than silently aliased.
@@ -438,6 +462,7 @@ pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
     }
     let id = StrategyId::parse(name);
     match (id.base(), id.backend()) {
+        ("ilp1d", None) => Some(Arc::new(ExactIlp1dStrategy::default())),
         ("eblow1d", None) => Some(Arc::new(Eblow1dStrategy::default())),
         ("shard1d", Some(inner)) => crate::shard::Shard1dStrategy::with_inner(inner)
             .map(|s| Arc::new(s) as Arc<dyn Strategy>),
@@ -483,9 +508,22 @@ mod tests {
         assert!(s2.contains(&"eblow2d") && !s2.contains(&"eblow1d@combinatorial"));
         // Both LP backends fit the tiny instance (60 × 3 cells).
         assert!(s1.contains(&"eblow1d@simplex"));
-        // The exact ILPs refuse 60-candidate instances.
-        assert!(!s1.contains(&"ilp1d"));
+        // The exact solvers refuse 60-candidate instances.
+        assert!(!s1.contains(&"exact1d"));
         assert!(!s2.contains(&"ilp2d"));
+        let t1 = eblow_gen::benchmark(eblow_gen::Family::T1(5));
+        let exact: Vec<&str> = strategies_for(&t1).iter().map(|s| s.name()).collect();
+        assert!(exact.contains(&"exact1d"));
+    }
+
+    /// `ilp1d` left the race but still resolves, for Table 5 and for
+    /// callers that name it.
+    #[test]
+    fn ilp1d_resolves_by_name_outside_the_race() {
+        assert!(builtin_strategies().iter().all(|s| s.name() != "ilp1d"));
+        let ilp = strategy_by_name("ilp1d").expect("ilp1d resolves");
+        assert_eq!(ilp.name(), "ilp1d");
+        assert!(ilp.supports(&eblow_gen::benchmark(eblow_gen::Family::T1(1))));
     }
 
     #[test]

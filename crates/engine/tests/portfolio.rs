@@ -188,14 +188,14 @@ impl Strategy for Slowpoke {
     }
 }
 
-/// Optimality-aware early exit: when the exact ILP returns a
+/// Optimality-aware early exit: when the exact solver returns a
 /// proven-optimal plan, the race must raise the stop flag and return
 /// immediately instead of waiting out slower siblings (pre-change, this
 /// race burned Slowpoke's full 20 s). The early-exited race still counts
 /// as complete — nothing can beat a certificate.
-/// Small enough that the exact ILP certifies optimality in well under a
-/// second even in debug builds — the early-exit latency assertion must
-/// measure the race's reaction time, not branch-and-bound throughput.
+/// Small enough that `exact1d` certifies optimality in milliseconds even
+/// in debug builds — the early-exit latency assertion must measure the
+/// race's reaction time, not the solver's throughput.
 fn early_exit_instance(seed: u64) -> eblow_model::Instance {
     eblow_gen::generate(&GenConfig {
         n_chars: 12,
@@ -207,7 +207,10 @@ fn early_exit_instance(seed: u64) -> eblow_model::Instance {
 #[test]
 fn proven_optimal_plan_short_circuits_the_race() {
     let inst = early_exit_instance(83);
-    let portfolio = Portfolio::new(vec![Arc::new(Slowpoke), strategy_by_name("ilp1d").unwrap()]);
+    let portfolio = Portfolio::new(vec![
+        Arc::new(Slowpoke),
+        strategy_by_name("exact1d").unwrap(),
+    ]);
     let config = PortfolioConfig {
         deadline: Some(Duration::from_secs(30)),
         ..Default::default()
@@ -224,8 +227,8 @@ fn proven_optimal_plan_short_circuits_the_race() {
         elapsed < Duration::from_secs(10),
         "race took {elapsed:?}; the certificate should cut Slowpoke's 20 s wait short"
     );
-    let best = outcome.best.as_ref().expect("ilp1d plan");
-    assert_eq!(best.strategy, "ilp1d");
+    let best = outcome.best.as_ref().expect("exact1d plan");
+    assert_eq!(best.strategy, "exact1d");
     assert!(best.proven_optimal);
     best.validate(&inst).unwrap();
     let slow = outcome
@@ -244,7 +247,7 @@ fn planner_caches_early_exited_races() {
     let inst = early_exit_instance(84);
     let planner = Planner::with_portfolio(Portfolio::new(vec![
         Arc::new(Slowpoke),
-        strategy_by_name("ilp1d").unwrap(),
+        strategy_by_name("exact1d").unwrap(),
     ]))
     .with_config(PortfolioConfig {
         deadline: Some(Duration::from_secs(30)),
@@ -263,7 +266,35 @@ fn planner_caches_early_exited_races() {
         first.best.as_ref().unwrap().total_time,
         second.best.as_ref().unwrap().total_time
     );
-    assert_eq!(second.best.unwrap().strategy, "ilp1d");
+    assert_eq!(second.best.unwrap().strategy, "exact1d");
+}
+
+/// The default race on every 1T case ends on `exact1d`'s certificate:
+/// early exit, the brute-force optimum, and far inside the deadline
+/// (under 1 s even in debug builds, against a 3 s deadline).
+#[test]
+fn default_race_certifies_1t_cases_early() {
+    let planner = Planner::portfolio().with_config(PortfolioConfig {
+        deadline: Some(Duration::from_secs(3)),
+        ..Default::default()
+    });
+    for k in 1..=5u8 {
+        let inst = eblow_gen::benchmark(eblow_gen::Family::T1(k));
+        let start = Instant::now();
+        let outcome = planner.plan(&inst);
+        let elapsed = start.elapsed();
+        assert!(outcome.early_exit, "1T-{k}: no early exit");
+        let best = outcome.best.as_ref().expect("a valid plan");
+        assert_eq!(
+            best.total_time,
+            eblow_hardness::brute_force_min_row(&inst),
+            "1T-{k}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "1T-{k}: race took {elapsed:?}"
+        );
+    }
 }
 
 /// The second `plan_batch` pass over the same queue is served entirely

@@ -402,12 +402,6 @@ impl Instance {
         self.writing_times(selection).into_iter().max().unwrap_or(0)
     }
 
-    /// Sum of `T_c` over regions; a secondary statistic used by some
-    /// baselines that optimize total rather than maximal time.
-    pub fn sum_writing_time(&self, selection: &Selection) -> u64 {
-        self.writing_times(selection).into_iter().sum()
-    }
-
     /// Number of stencil rows for a 1D instance.
     ///
     /// # Errors
@@ -453,7 +447,6 @@ mod tests {
         // region 0: 48 - 3*9 - 2*6 = 9 ; region 1: 34 - 0 - 2*6 = 22
         assert_eq!(inst.writing_times(&sel), vec![9, 22]);
         assert_eq!(inst.total_writing_time(&sel), 22);
-        assert_eq!(inst.sum_writing_time(&sel), 31);
     }
 
     #[test]

@@ -56,14 +56,16 @@ pub fn paired_width(left: &Character, right: &Character) -> u64 {
 /// order, with maximal blank sharing between each adjacent pair:
 /// `Σ w_i − Σ o^h_{i,i+1}`.
 ///
-/// An empty slice has width 0.
+/// An empty slice has width 0. The width accumulates pair by pair
+/// (`Σ paired_width + w_last`, every term non-negative) and saturates at
+/// `u64::MAX`, so a row that fits a `u64` never overflows on the way.
 pub fn row_width_ordered(chars: &[&Character]) -> u64 {
-    let total: u64 = chars.iter().map(|c| c.width()).sum();
-    let shared: u64 = chars
-        .windows(2)
-        .map(|pair| h_overlap(pair[0], pair[1]))
-        .sum();
-    total - shared
+    let Some(last) = chars.last() else {
+        return 0;
+    };
+    chars.windows(2).fold(last.width(), |width, pair| {
+        width.saturating_add(paired_width(pair[0], pair[1]))
+    })
 }
 
 /// Minimum packing length for characters with **symmetric** blanks
@@ -71,6 +73,7 @@ pub fn row_width_ordered(chars: &[&Character]) -> u64 {
 ///
 /// `items` yields `(width, symmetric_blank)` pairs with `2·s_i ≤ w_i` not
 /// required but `s_i ≤ w_i` expected. Returns 0 for an empty iterator.
+/// The sum saturates at `u64::MAX`.
 ///
 /// This is the capacity formula used throughout the simplified 1D
 /// formulation (4): a row of capacity `W` fits a set `S` iff
@@ -81,11 +84,11 @@ pub fn symmetric_min_length<I: IntoIterator<Item = (u64, u64)>>(items: I) -> u64
     let mut any = false;
     for (w, s) in items {
         any = true;
-        sum += w - s.min(w);
+        sum = sum.saturating_add(w - s.min(w));
         max_s = max_s.max(s.min(w));
     }
     if any {
-        sum + max_s
+        sum.saturating_add(max_s)
     } else {
         0
     }
@@ -169,6 +172,17 @@ mod tests {
         let seq = row_width_ordered(&refs);
         let lemma = symmetric_min_length(chars.iter().map(|c| (c.width(), c.blanks().left)));
         assert_eq!(seq, lemma);
+    }
+
+    #[test]
+    fn widths_saturate_instead_of_wrapping() {
+        let half = 1u64 << 63;
+        let plain = ch(half, 0, 0);
+        assert_eq!(row_width_ordered(&[&plain, &plain]), u64::MAX);
+        assert_eq!(symmetric_min_length([(half, 0), (half, 0)]), u64::MAX);
+        // Σ w overflows, but the shared row is 3·2⁶² wide and exact.
+        let blank = ch(half, half / 2, half / 2);
+        assert_eq!(row_width_ordered(&[&blank, &blank]), 3 << 62);
     }
 
     #[test]
