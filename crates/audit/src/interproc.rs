@@ -184,7 +184,8 @@ fn trace_name_registry(ws: &WorkspaceModel, ctx: &AuditContext, out: &mut Vec<Fi
 }
 
 /// hot-loop-allocation: no allocation-shaped expressions (`Vec::new`,
-/// `clone()`, `collect()`, `to_vec()`, `format!`) inside the loops of the
+/// `Vec::with_capacity`, `vec![..]`, `clone()`, `collect()`, `to_vec()`,
+/// `format!`) inside the loops of the
 /// functions named in the committed hot-path manifest (seeded from
 /// `bench_hotpaths.rs`). Ratcheted like every other rule, so deliberate
 /// allocations can be baselined or justified.

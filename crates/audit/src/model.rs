@@ -87,7 +87,7 @@ pub struct TraceSite {
 #[derive(Debug, Clone)]
 pub struct AllocSite {
     /// What was matched: `clone()`, `collect()`, `to_vec()`, `format!`,
-    /// `Vec::new`.
+    /// `vec![..]`, `Vec::new`, `Vec::with_capacity`.
     pub what: &'static str,
     pub line: u32,
 }
@@ -460,7 +460,8 @@ fn parse_fn(toks: &[Token], k: usize, blocks: &[ImplBlock]) -> Option<(FnModel, 
 }
 
 /// Allocation-shaped patterns inside a loop body: `.clone()`,
-/// `.collect..`, `.to_vec()`, `format!`, `Vec::new`.
+/// `.collect..`, `.to_vec()`, `format!`, `vec![..]`, `Vec::new`,
+/// `Vec::with_capacity`.
 fn collect_allocs(toks: &[Token], range: std::ops::Range<usize>, out: &mut Vec<AllocSite>) {
     for k in range {
         let Some(name) = ident_at(toks, k) else {
@@ -489,15 +490,17 @@ fn collect_allocs(toks: &[Token], range: std::ops::Range<usize>, out: &mut Vec<A
                 what: "format!",
                 line,
             }),
-            "Vec"
-                if punct_at(toks, k + 1) == Some(':')
-                    && punct_at(toks, k + 2) == Some(':')
-                    && ident_at(toks, k + 3) == Some("new") =>
-            {
-                out.push(AllocSite {
-                    what: "Vec::new",
-                    line,
-                })
+            "vec" if punct_at(toks, k + 1) == Some('!') => out.push(AllocSite {
+                what: "vec![..]",
+                line,
+            }),
+            "Vec" if punct_at(toks, k + 1) == Some(':') && punct_at(toks, k + 2) == Some(':') => {
+                let what = match ident_at(toks, k + 3) {
+                    Some("new") => "Vec::new",
+                    Some("with_capacity") => "Vec::with_capacity",
+                    _ => continue,
+                };
+                out.push(AllocSite { what, line })
             }
             _ => (),
         }

@@ -67,8 +67,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "hot-loop-allocation",
-        summary: "`Vec::new`/`clone()`/`collect()`/`to_vec()`/`format!` inside a loop of an \
-                  AUDIT_hotpaths.txt function",
+        summary: "`Vec::new`/`Vec::with_capacity`/`vec![..]`/`clone()`/`collect()`/`to_vec()`/\
+                  `format!` inside a loop of an AUDIT_hotpaths.txt function",
         rationale: "the slab+CSR rewrite (PR 5) earned its speedups by hoisting per-iteration \
                     allocations out of exactly these bench_hotpaths-measured loops; fresh \
                     allocations there silently regress what the bench gate only catches later",

@@ -249,6 +249,29 @@ fn hot_loop_allocation_fires_once_and_suppresses() {
 }
 
 #[test]
+fn hot_loop_allocation_sees_with_capacity_and_vec_macro() {
+    let ctx = AuditContext {
+        readme: None,
+        hotpaths: vec!["hot_kernel".to_string()],
+    };
+    let src = fixture("hot_loop_allocation_forms.rs");
+    let f = ws_scan(&[("crates/core/src/oned/kernel.rs", &src)], &ctx);
+    let got: Vec<(u32, bool, bool)> = f
+        .iter()
+        .map(|f| {
+            assert_eq!(f.rule, "hot-loop-allocation");
+            (
+                f.line,
+                f.message.contains("`Vec::with_capacity`"),
+                f.message.contains("`vec![..]`"),
+            )
+        })
+        .collect();
+    // Only the in-loop sites; the hoisted ones on lines 6-7 are fine.
+    assert_eq!(got, [(10, true, false), (14, false, true)], "{f:?}");
+}
+
+#[test]
 fn span_guard_binding_fires_once_and_suppresses() {
     let ctx = AuditContext::default();
     let bad = fixture("span_guard_binding.rs");

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for long-running planners.
 //!
 //! Every E-BLOW pipeline stage with an unbounded or data-dependent runtime
-//! (LP rounding iterations, the residual ILP, SA plateaus, 2-opt sweeps)
+//! (LP rounding iterations, Algorithm 2, SA plateaus, 2-opt sweeps)
 //! polls a shared [`StopFlag`] and, when it is raised, finishes the cheapest
 //! valid completion of the work done so far instead of running to
 //! convergence. This gives every planner *anytime* semantics: a cancelled

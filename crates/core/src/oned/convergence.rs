@@ -1,29 +1,36 @@
 //! Fast ILP convergence (paper §3.3, Algorithm 2).
 //!
 //! When successive rounding slows down — late iterations commit only a few
-//! characters each — E-BLOW stops rounding early and finishes the remaining
-//! assignment with one *small* exact ILP: LP values below `Lth` are fixed to
-//! 0, values above `Uth` are committed to 1, and only the (few) variables in
-//! between are handed to the integer solver. Fig. 6 of the paper shows why
-//! this works: the final LP's values cluster near 0, so the residual ILP has
-//! on the order of a hundred binaries even when the LP had thousands.
+//! characters each — E-BLOW stops rounding early and settles the remaining
+//! assignment in one pass: LP values below `Lth` are fixed to 0, values
+//! above `Uth` are committed to 1, and only the (few) pairs in between go
+//! to a residual. Fig. 6 of the paper shows why this works: the final LP's
+//! values cluster near 0, so the residual holds on the order of a hundred
+//! pairs even when the LP had thousands.
+//!
+//! The paper solves that residual as a small ILP whose row capacity is the
+//! S-Blank model (4a). Near capacity (4a) accepts picks that exact
+//! admission ([`RowState::admits`]) refuses, so an ILP-optimal residual
+//! can be uncommittable. The residual is instead walked greedily in
+//! decreasing dynamic profit against the exact admission test: every pick
+//! it makes is committable by construction, and the pass costs one
+//! admission probe per pair.
 
 use super::mkp_lp::{MkpItem, MkpLpSolution, RowBase};
 use super::oracle::LpOracle;
 use super::rounding::RowState;
 use crate::cancel::StopFlag;
 use crate::profit::RegionTimes;
-use eblow_lp::{BranchBound, LpProblem, MilpConfig, Relation};
 use eblow_model::{CharId, Instance};
-use std::time::Duration;
 
-/// Residual-ILP binary variables across runs (counter `converge.ilp_vars`).
+/// Middle-band pairs handed to the residual across runs (counter
+/// `converge.ilp_vars`).
 static CONVERGE_ILP_VARS: eblow_trace::Counter = eblow_trace::Counter::new("converge.ilp_vars");
 /// Characters committed by the `a_ij > Uth` shortcut (counter
 /// `converge.by_threshold`).
 static CONVERGE_BY_THRESHOLD: eblow_trace::Counter =
     eblow_trace::Counter::new("converge.by_threshold");
-/// Characters committed by the residual ILP (counter `converge.by_ilp`).
+/// Characters committed by the residual (counter `converge.by_ilp`).
 static CONVERGE_BY_ILP: eblow_trace::Counter = eblow_trace::Counter::new("converge.by_ilp");
 
 /// Tunables for Algorithm 2.
@@ -33,10 +40,8 @@ pub struct ConvergenceConfig {
     pub lth: f64,
     /// LP values above this are committed to 1 (paper: 0.9).
     pub uth: f64,
-    /// Wall-clock budget for the residual ILP.
-    pub time_limit: Duration,
-    /// Cap on residual binary variables; the lowest-value pairs beyond the
-    /// cap are dropped (they get another chance in the post stages).
+    /// Cap on residual pairs; the lowest-value pairs beyond the cap are
+    /// dropped (they get another chance in the post stages).
     pub max_vars: usize,
 }
 
@@ -45,7 +50,6 @@ impl Default for ConvergenceConfig {
         ConvergenceConfig {
             lth: 0.1,
             uth: 0.9,
-            time_limit: Duration::from_secs(10),
             max_vars: 800,
         }
     }
@@ -56,15 +60,16 @@ impl Default for ConvergenceConfig {
 pub struct ConvergenceStats {
     /// Characters committed by the `a_ij > Uth` shortcut.
     pub committed_by_threshold: usize,
-    /// Binary variables in the residual ILP.
+    /// Middle-band `(item, row)` pairs handed to the residual (the paper's
+    /// residual ILP binaries).
     pub ilp_vars: usize,
-    /// Characters committed by the residual ILP.
+    /// Characters committed by the residual.
     pub committed_by_ilp: usize,
 }
 
-/// Runs Algorithm 2: threshold-commit, then a residual ILP over the
-/// middle-band variables. Mutates `rows` and `region_times` in place and
-/// returns the set of characters that remain unplaced plus statistics.
+/// Runs Algorithm 2: threshold-commit, then an exact-admission residual
+/// over the middle-band pairs. Mutates `rows` and `region_times` in place
+/// and returns the set of characters that remain unplaced plus statistics.
 ///
 /// `lp` is the fractional solution Algorithm 1 left behind, aligned with
 /// `items`. Pass `None` to have `oracle` solve it here from the current row
@@ -72,9 +77,11 @@ pub struct ConvergenceStats {
 /// ended without an LP (cancelled before the first iteration, or its
 /// backend refused). If that solve fails too, everything stays unplaced.
 ///
-/// When `stop` is raised the (cheap) threshold pass still runs, but the
-/// residual branch-and-bound is skipped — its candidates go back to the
-/// unplaced pool, exactly as if the ILP had found nothing in time.
+/// The residual visits the middle-band pairs in decreasing dynamic profit
+/// (ties: higher LP value, then lower pair index) and commits a pair to its
+/// LP row only when [`RowState::admits`] accepts it there. When `stop` is
+/// raised the (cheap) threshold pass still runs, and the residual ends at
+/// its next pick; the pairs it did not reach go back to the unplaced pool.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's inputs 1:1
 pub fn fast_ilp_convergence<O: LpOracle + ?Sized>(
     instance: &Instance,
@@ -128,7 +135,8 @@ pub fn fast_ilp_convergence<O: LpOracle + ?Sized>(
         }
     }
 
-    // Middle band: pairs with Lth ≤ a_kj ≤ Uth (and unplaced items).
+    // Middle band: pairs with Lth ≤ a_kj ≤ Uth (and unplaced items), the
+    // `max_vars` highest LP values kept.
     let mut pairs: Vec<(usize, usize, f64)> = Vec::new(); // (item k, row j, a)
     for k in 0..items.len() {
         if placed[k] {
@@ -144,98 +152,31 @@ pub fn fast_ilp_convergence<O: LpOracle + ?Sized>(
     pairs.truncate(config.max_vars);
 
     if !pairs.is_empty() && !stop.is_set() {
-        // Only count variables the residual ILP actually received — a
-        // cancelled run formulates and solves nothing.
+        // Only count pairs the residual actually received — a run
+        // cancelled before it starts walks nothing.
         stats.ilp_vars = pairs.len();
-        // Residual formulation (4): binaries a_kj, continuous B_j.
-        let mut milp = LpProblem::maximize();
-        let involved_rows: Vec<usize> = {
-            let mut v: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let profits_now: Vec<f64> = items
+        // Visit in decreasing dynamic profit as priced after the threshold
+        // pass (the paper's residual objective). `pairs` is already in
+        // decreasing LP value, then pair index, so the stable sort keeps
+        // both as tie-breaks.
+        let mut residual: Vec<(f64, usize, usize)> = pairs
             .iter()
-            .map(|it| region_times.profit(instance, it.char_index))
+            .map(|&(k, j, _)| (region_times.profit(instance, items[k].char_index), k, j))
             .collect();
-        let avars: Vec<_> = pairs
-            .iter()
-            .map(|&(k, _, _)| milp.add_binary(profits_now[k]))
-            .collect();
-        // B_j ∈ [current committed max blank, global max blank].
-        let max_blank_global = pairs
-            .iter()
-            .map(|&(k, _, _)| items[k].blank)
-            .max()
-            .unwrap_or(0);
-        let bvars: Vec<_> = involved_rows
-            .iter()
-            .map(|&j| {
-                milp.add_var(
-                    rows[j].max_blank as f64,
-                    rows[j].max_blank.max(max_blank_global) as f64,
-                    0.0,
-                )
-            })
-            .collect();
-        // (4a): Σ w̃_k a_kj + B_j ≤ W − eff_used_j.
-        for (ri, &j) in involved_rows.iter().enumerate() {
-            let mut terms: Vec<_> = pairs
-                .iter()
-                .zip(&avars)
-                .filter(|(&(_, pj, _), _)| pj == j)
-                .map(|(&(k, _, _), &v)| (v, items[k].eff_width as f64))
-                .collect();
-            terms.push((bvars[ri], 1.0));
-            milp.add_constraint(&terms, Relation::Le, (w - rows[j].eff_used.min(w)) as f64);
-        }
-        // (4b): B_j ≥ s_k a_kj.
-        for (pi, &(k, j, _)) in pairs.iter().enumerate() {
-            let ri = involved_rows.binary_search(&j).unwrap();
-            milp.add_constraint(
-                &[(bvars[ri], 1.0), (avars[pi], -(items[k].blank as f64))],
-                Relation::Ge,
-                0.0,
-            );
-        }
-        // (4c): Σ_j a_kj ≤ 1 per item.
-        let mut by_item: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for (pi, &(k, _, _)) in pairs.iter().enumerate() {
-            by_item.entry(k).or_default().push(pi);
-        }
-        for (_, pis) in by_item.iter() {
-            if pis.len() > 1 {
-                let terms: Vec<_> = pis.iter().map(|&pi| (avars[pi], 1.0)).collect();
-                milp.add_constraint(&terms, Relation::Le, 1.0);
+        residual.sort_by(|a, b| b.0.total_cmp(&a.0));
+        for (_, k, j) in residual {
+            if stop.is_set() {
+                break;
             }
-        }
-
-        // The stop flag reaches the branch-and-bound itself: Algorithm 2's
-        // residual ILP is the last long-running stage without it, and a
-        // fractional LP backend can hand it hundreds of binaries.
-        let sol = BranchBound::new(MilpConfig {
-            time_limit: config.time_limit,
-            ..Default::default()
-        })
-        .solve_cancellable(&milp, &avars, None, stop.as_atomic());
-
-        if matches!(
-            sol.status,
-            eblow_lp::MilpStatus::Optimal | eblow_lp::MilpStatus::Feasible
-        ) {
-            for (pi, &(k, j, _)) in pairs.iter().enumerate() {
-                if placed[k] || sol.values[avars[pi].index()] < 0.5 {
-                    continue;
-                }
-                let it = items[k];
-                let id = CharId::from(it.char_index);
-                if rows[j].admits(instance, id, w) {
-                    rows[j].commit(instance, id);
-                    region_times.select(instance, it.char_index);
-                    placed[k] = true;
-                    stats.committed_by_ilp += 1;
-                }
+            if placed[k] {
+                continue;
+            }
+            let id = CharId::from(items[k].char_index);
+            if rows[j].admits(instance, id, w) {
+                rows[j].commit(instance, id);
+                region_times.select(instance, items[k].char_index);
+                placed[k] = true;
+                stats.committed_by_ilp += 1;
             }
         }
     }
@@ -389,6 +330,102 @@ mod tests {
         );
         assert_eq!(left_a, left_b);
         assert_eq!(stats_a.ilp_vars, stats_b.ilp_vars);
+    }
+
+    /// Algorithm 1 then Algorithm 2 (with `config`) on `inst`, as the
+    /// pipeline chains them; returns the final rows and the stage's stats.
+    fn converge_after_rounding(
+        inst: &Instance,
+        config: &ConvergenceConfig,
+    ) -> (Vec<RowState>, ConvergenceStats) {
+        let eligible: Vec<usize> = (0..inst.num_chars()).collect();
+        let mut out = crate::oned::successive_rounding(
+            inst,
+            &eligible,
+            inst.num_rows().unwrap(),
+            &Default::default(),
+            &CombinatorialOracle,
+            StopFlag::NEVER,
+        );
+        let lp = out.last_lp.take().expect("rounding leaves its last LP");
+        let (_, stats) = fast_ilp_convergence(
+            inst,
+            &mut out.rows,
+            &mut out.region_times,
+            &out.last_items,
+            Some(&lp),
+            config,
+            &CombinatorialOracle,
+            StopFlag::NEVER,
+        );
+        (out.rows, stats)
+    }
+
+    #[test]
+    fn every_residual_commit_keeps_its_row_within_the_stencil() {
+        // On 1M-4 the residual commits characters that rounding left
+        // behind; each must leave its row refinable within W, so the
+        // refinement stage never has to evict it again.
+        let inst = eblow_gen::benchmark(eblow_gen::Family::M1(4));
+        let w = inst.stencil().width();
+        let (rows, stats) = converge_after_rounding(&inst, &ConvergenceConfig::default());
+        assert!(stats.committed_by_ilp > 0, "{stats:?}");
+
+        // With an empty middle band the stage stops after the threshold
+        // pass: per row, the members the residual started from.
+        let threshold_only = ConvergenceConfig {
+            lth: f64::INFINITY,
+            ..Default::default()
+        };
+        let (start, start_stats) = converge_after_rounding(&inst, &threshold_only);
+        assert_eq!(start_stats.ilp_vars, 0);
+        assert_eq!(
+            start_stats.committed_by_threshold,
+            stats.committed_by_threshold
+        );
+        let mut checked = 0;
+        for (r, (row, from)) in rows.iter().zip(&start).enumerate() {
+            let first = from.members.len();
+            assert_eq!(row.members[..first], from.members[..], "row {r}");
+            // Members are pushed in commit order, so each longer prefix is
+            // the row right after one more residual commit.
+            for len in first + 1..=row.members.len() {
+                let (_, width) = crate::oned::refine_row(&inst, &row.members[..len], 20);
+                assert!(width <= w, "row {r} after commit {len}: {width} > {w}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, stats.committed_by_ilp);
+    }
+
+    #[test]
+    fn raised_stop_skips_the_residual_but_not_the_threshold_pass() {
+        let inst = instance(8);
+        let rt = RegionTimes::new(&inst);
+        let items = items_for(&inst, &rt);
+        let bases = vec![RowBase::default(); 2];
+        let lp = solve_mkp_lp(&items, &bases, 100);
+        let run = |stop: StopFlag<'_>| {
+            let mut rows = vec![RowState::default(); 2];
+            let mut rt = rt.clone();
+            fast_ilp_convergence(
+                &inst,
+                &mut rows,
+                &mut rt,
+                &items,
+                Some(&lp),
+                &Default::default(),
+                &CombinatorialOracle,
+                stop,
+            )
+            .1
+        };
+        let raised = std::sync::atomic::AtomicBool::new(true);
+        let stopped = run(StopFlag::new(&raised));
+        let full = run(StopFlag::NEVER);
+        assert!(full.committed_by_threshold > 0, "{full:?}");
+        assert_eq!(stopped.committed_by_threshold, full.committed_by_threshold);
+        assert_eq!((stopped.ilp_vars, stopped.committed_by_ilp), (0, 0));
     }
 
     #[test]

@@ -83,10 +83,12 @@ impl Eblow1dConfig {
     /// the full pipeline, but the unsolved tail is never rescued — which is
     /// exactly the writing time the two ablated techniques buy back
     /// (Fig. 11). Note on Fig. 12: in the paper E-BLOW-1 is *faster*
-    /// because Algorithm 2 replaces many expensive GUROBI LP rounds; our LP
-    /// oracle is a microsecond-scale combinatorial solve, so the residual
-    /// branch-and-bound makes our E-BLOW-1 the slightly slower variant
-    /// instead (see EXPERIMENTS.md).
+    /// because Algorithm 2 replaces many expensive GUROBI LP rounds. Here
+    /// both variants run the same rounding rounds (the LP oracle is a
+    /// microsecond-scale combinatorial solve), so E-BLOW-1 costs E-BLOW-0's
+    /// time plus its two extra stages, Algorithm 2 (about a millisecond)
+    /// and post-insertion: 1.1–1.2× on average over the Table 3 cases
+    /// (`eblow-eval fig12`; README, *Performance*).
     pub fn eblow0() -> Self {
         Eblow1dConfig {
             fast_ilp: false,
@@ -131,8 +133,8 @@ impl Eblow1d {
 
     /// Like [`Eblow1d::plan`], but polls `stop` at stage and iteration
     /// boundaries. A cancelled run skips remaining optimization (later LP
-    /// rounds, the residual ILP, the post stages) and finishes the plan from
-    /// whatever was committed — the result still validates.
+    /// rounds, Algorithm 2's residual, the post stages) and finishes the
+    /// plan from whatever was committed — the result still validates.
     pub fn plan_with_stop(
         &self,
         instance: &Instance,

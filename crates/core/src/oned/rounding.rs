@@ -6,7 +6,7 @@
 //! their rows (capacity permitting). Committed characters leave the LP, so
 //! the model shrinks every iteration — the behaviour Fig. 5 plots.
 //!
-//! One reproduction note (see DESIGN.md): our LP oracle returns true
+//! One reproduction note: our LP oracle returns true
 //! *vertices*, which are almost fully integral, so a naïve rounding would
 //! commit nearly everything in the first iteration and skip the
 //! region-rebalancing that makes E-BLOW win on MCC. We therefore cap the
@@ -41,10 +41,11 @@ static LP_COLD: trace::Counter = trace::Counter::new("round.lp.cold");
 static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per_call");
 /// `RowState::admits` stage tallies — how often each stage of the staged
 /// admission test decided (counters `admits.*`). Stage order: clearly
-/// overfull estimate → exact symmetric estimate → beam-1 upper bound →
-/// exact width DP.
+/// overfull estimate → exact symmetric estimate → refusal memo → beam-1
+/// upper bound → exact width DP.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
 static ADMITS_ESTIMATE_EXACT: trace::Counter = trace::Counter::new("admits.estimate_exact");
+static ADMITS_MEMO_REJECT: trace::Counter = trace::Counter::new("admits.memo_reject");
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 
@@ -83,6 +84,12 @@ pub struct RowState {
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
+    /// Candidates the width DP refused since the last commit, keyed with
+    /// the probe's stencil width and kept sorted. Admission is a pure
+    /// function of the row state, so a repeated probe of an unchanged row
+    /// (every rounding iteration and Algorithm 2's threshold pass re-probe
+    /// the candidates that did not fit) answers from here.
+    refused: Vec<(CharId, u64)>,
 }
 
 impl RowState {
@@ -105,6 +112,7 @@ impl RowState {
     pub fn commit(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         self.members.push(id);
+        self.refused.clear();
         self.probed.insert(instance, id);
         self.eff_used += c.effective_width();
         self.max_blank = self.max_blank.max(c.symmetric_blank());
@@ -134,9 +142,12 @@ impl RowState {
     /// 2. an all-symmetric row (plus a symmetric candidate) is decided by
     ///    the estimate alone — Lemma 1 makes every end-insertion order pack
     ///    to exactly `Σ(w−s) + max s`, so estimate = DP width;
-    /// 3. otherwise a beam-1 greedy insertion chain gives a cheap upper
+    /// 3. a candidate the DP already refused on this exact row state (no
+    ///    commit since) is refused again from a memo — the decision is a
+    ///    pure function of the row state;
+    /// 4. otherwise a beam-1 greedy insertion chain gives a cheap upper
     ///    bound on the DP width: if one concrete order fits, the DP fits;
-    /// 4. only in the remaining near-capacity band does the exact
+    /// 5. only in the remaining near-capacity band does the exact
     ///    (width-only, allocation-free) DP run.
     pub fn admits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
         let c = instance.char(id.index());
@@ -152,6 +163,11 @@ impl RowState {
             ADMITS_ESTIMATE_EXACT.incr();
             return estimate <= stencil_w;
         }
+        let memo = self.refused.binary_search(&(id, stencil_w));
+        if memo.is_ok() {
+            ADMITS_MEMO_REJECT.incr();
+            return false;
+        }
         let key = (blank, id);
         if self
             .probed
@@ -161,8 +177,13 @@ impl RowState {
             return true;
         }
         ADMITS_DP.incr();
-        self.probed
-            .admits_width(instance, key, 8, stencil_w, &mut self.scratch)
+        let admitted = self
+            .probed
+            .admits_width(instance, key, 8, stencil_w, &mut self.scratch);
+        if let (false, Err(at)) = (admitted, memo) {
+            self.refused.insert(at, (id, stencil_w));
+        }
+        admitted
     }
 }
 
@@ -669,7 +690,10 @@ mod tests {
         };
 
         // Grow rows greedily in several interleavings; probe every
-        // candidate against every intermediate row state.
+        // candidate against every intermediate row state. A refused probe
+        // leaves the row unchanged, so the next step re-probes it from the
+        // refusal memo.
+        let mut memo_hits = 0;
         for stride in 1..=3usize {
             let mut row = RowState::default();
             for step in 0..n {
@@ -679,6 +703,7 @@ mod tests {
                     if row.members.contains(&id) {
                         continue;
                     }
+                    memo_hits += row.refused.binary_search(&(id, w)).is_ok() as usize;
                     assert_eq!(
                         row.admits(&inst, id, w),
                         reference(&row, id),
@@ -688,8 +713,10 @@ mod tests {
                 }
                 if !row.members.contains(&probe) && row.admits(&inst, probe, w) {
                     row.commit(&inst, probe);
+                    assert!(row.refused.is_empty(), "a commit changes the row");
                 }
             }
         }
+        assert!(memo_hits > 0, "the refusal memo was never exercised");
     }
 }

@@ -9,7 +9,8 @@
 //! A merged node stacks its two children in the orientation (horizontal or
 //! vertical) that wastes the least area; its blanks are the conservative
 //! minimum of the children's facing blanks, so any placement that is legal
-//! at node level is legal at character level (see DESIGN.md §4).
+//! at node level is legal at character level (a node-level overlap never
+//! exceeds a member's own facing blank).
 
 use crate::cancel::StopFlag;
 use eblow_kdtree::KdTree;

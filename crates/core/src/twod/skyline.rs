@@ -7,8 +7,10 @@
 //! with their left neighbour), and a completed shelf is lowered onto the
 //! previous one by the *conservative* vertical overlap
 //! `min(lower shelf's min top blank, upper shelf's min bottom blank)` —
-//! which keeps every character-level pair constraint satisfied (DESIGN.md
-//! §4). Simulated annealing then optimizes the insertion order.
+//! which keeps every character-level pair constraint satisfied: any two
+//! facing characters may overlap by the smaller of their own facing
+//! blanks, and that is never less than this shelf-wide minimum.
+//! Simulated annealing then optimizes the insertion order.
 
 use super::cluster::PackNode;
 

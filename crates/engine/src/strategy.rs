@@ -136,15 +136,8 @@ impl Eblow1dStrategy {
     /// The pipeline on the exact dense-simplex LP backend. Refuses (via
     /// `supports`) instances beyond the simplex size cutoff.
     pub fn simplex() -> Self {
-        let mut config = Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default()));
-        // The exact (4) relaxation is more fractional than the
-        // combinatorial fixed point, so Algorithm 2 inherits a much larger
-        // residual ILP. As a *racing* portfolio member this backend gets a
-        // tight branch-and-bound budget: better to finish and run the
-        // post-stages than to chew the whole race deadline on binaries.
-        config.convergence.time_limit = std::time::Duration::from_secs(2);
         Eblow1dStrategy {
-            config,
+            config: Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default())),
             name: Some("eblow1d@simplex"),
         }
     }

@@ -12,16 +12,15 @@
 //!   test includes bound flips), Dantzig pricing with a Bland's-rule
 //!   fallback to escape degenerate cycling.
 //! * [`BranchBound`] — a depth-first branch-and-bound MILP solver with LP
-//!   bounding, most-fractional branching and time/node limits, used exactly
-//!   where the paper uses GUROBI on small models (the fast-ILP-convergence
-//!   tail of Algorithm 2, and the exact "ILP" column of Table 5 — including
-//!   its "NA after the time limit" protocol).
+//!   bounding, most-fractional branching and time/node limits, used where
+//!   the paper uses GUROBI on small exact models: the "ILP" column of
+//!   Table 5, including its "NA after the time limit" protocol.
 //!
 //! The implementation favours robustness over speed: the tableau is dense,
 //! which is appropriate for the few-hundred-variable models E-BLOW actually
 //! sends to the exact solver. The large successive-rounding LPs never reach
 //! this crate; they are handled by the structure-exploiting oracle in
-//! `eblow-core` (see DESIGN.md §3).
+//! `eblow-core` (`CombinatorialOracle`; README, *LP oracle backends*).
 //!
 //! # Example
 //!

@@ -125,9 +125,8 @@ impl BranchBound {
     /// cooperative stop flag, polled once per branch-and-bound node. When
     /// the flag is raised the search stops exactly like a time limit: the
     /// best incumbent so far (if any) is returned as
-    /// [`MilpStatus::Feasible`], otherwise [`MilpStatus::TimedOut`]. This
-    /// is how the planners keep the residual ILP of Algorithm 2 inside a
-    /// portfolio deadline.
+    /// [`MilpStatus::Feasible`], otherwise [`MilpStatus::TimedOut`], so a
+    /// solve can be held inside a portfolio deadline.
     pub fn solve_cancellable(
         &self,
         problem: &LpProblem,

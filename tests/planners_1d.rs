@@ -156,3 +156,45 @@ fn paper_benchmark_shapes() {
         "multi-iteration rounding"
     );
 }
+
+#[test]
+fn fast_ilp_convergence_lowers_t_on_1m_4() {
+    // Algorithm 2 must commit characters that change the plan: on 1M-4
+    // its residual places pairs that rounding left behind, and the full
+    // pipeline beats the same pipeline with the stage switched off.
+    let inst = benchmark(Family::M1(4));
+    let with = Eblow1d::default().plan(&inst).unwrap();
+    let without = Eblow1d::new(Eblow1dConfig {
+        fast_ilp: false,
+        ..Default::default()
+    })
+    .plan(&inst)
+    .unwrap();
+    with.placement.validate(&inst).unwrap();
+    assert!(
+        with.total_time < without.total_time,
+        "fast ILP convergence {} vs without {}",
+        with.total_time,
+        without.total_time
+    );
+}
+
+#[test]
+fn eblow1_never_loses_to_eblow0_on_table3_cases() {
+    // Fig. 11 per case, not just in aggregate: on every 1D-k and 1M-k
+    // benchmark E-BLOW-1 reaches a writing time no worse than E-BLOW-0's.
+    let cases = (1..=4u8).map(Family::D1).chain((1..=8u8).map(Family::M1));
+    for family in cases {
+        let inst = benchmark(family);
+        let t0 = Eblow1d::new(Eblow1dConfig::eblow0())
+            .plan(&inst)
+            .unwrap()
+            .total_time;
+        let t1 = Eblow1d::default().plan(&inst).unwrap().total_time;
+        assert!(
+            t1 <= t0,
+            "{}: E-BLOW-1 ({t1}) lost to E-BLOW-0 ({t0})",
+            family.name()
+        );
+    }
+}
