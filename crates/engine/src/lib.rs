@@ -16,18 +16,18 @@
 //!   deadline, validates every returned plan against the model, and picks
 //!   the minimum-writing-time valid plan. Per-strategy reports record who
 //!   finished, who was cancelled, and who won.
-//! * [`Planner`] — the batch front-end: shards a queue of instances across
-//!   a worker pool and serves repeated requests from an
+//! * [`Planner`] — the front door: races the portfolio on one instance
+//!   and serves repeated requests from an
 //!   [`InstanceDigest`](eblow_model::InstanceDigest)-keyed LRU plan cache.
-//! * [`shard`] — the composite `shard1d`/`shard2d` strategies for huge
-//!   instances: split into per-region / per-row-band sub-instances, race
-//!   each shard on the portfolio machinery in parallel, stitch the
-//!   sub-plans back into one validated placement. Shard counts adapt to
-//!   the deadline window and the inner strategies' throughput.
+//! * [`Shard1dStrategy`] — the sharded composite `shard1d` for huge 1D
+//!   instances, outside the default race and built by name: split into
+//!   per-region / per-row-band sub-instances, race each shard in
+//!   parallel, stitch the sub-plans back into one validated placement.
 //!
-//! Concurrency has two levels: one OS thread per raced strategy (shard
-//! lanes included), and the shared stop flag that ends them all at the
-//! deadline. Planners themselves are single-threaded.
+//! Concurrency has one level: one OS thread per raced strategy, and the
+//! shared stop flag that ends them all at the deadline. Planners
+//! themselves are single-threaded. (`shard1d`, when named, adds one
+//! thread per shard, each racing its own inner portfolio.)
 //!
 //! # Quickstart
 //!
@@ -57,13 +57,13 @@ mod cache;
 mod outcome;
 mod planner;
 mod portfolio;
-pub mod shard;
+mod shard;
 pub mod strategy;
 
 pub use budget::Budget;
-pub use cache::{write_text_atomic, CacheStats, LruCache, PlanCacheKey};
+pub use cache::{CacheStats, LruCache, PlanCacheKey};
 pub use outcome::{EngineError, PlanDetail, PlanOutcome};
-pub use planner::{BatchResult, Planner};
+pub use planner::Planner;
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, StrategyReport, StrategyStatus};
-pub use shard::{Shard1dStrategy, Shard2dStrategy, ShardConfig};
-pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy, StrategyId};
+pub use shard::Shard1dStrategy;
+pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy};

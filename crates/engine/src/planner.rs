@@ -1,12 +1,11 @@
-//! The batch front-end: the unified [`Planner`] API.
+//! The unified [`Planner`] front door.
 
 use crate::cache::{CacheStats, LruCache, PlanCacheKey};
 use crate::outcome::PlanOutcome;
 use crate::portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome};
 use eblow_model::Instance;
 use eblow_trace as trace;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Plan-cache hits (counter `planner.cache.hit`).
@@ -17,23 +16,12 @@ static CACHE_MISSES: trace::Counter = trace::Counter::new("planner.cache.miss");
 /// deadline (counter `planner.cache.degraded_skip`).
 static CACHE_DEGRADED_SKIPS: trace::Counter = trace::Counter::new("planner.cache.degraded_skip");
 
-/// Result of planning one instance of a batch.
-#[derive(Debug, Clone)]
-pub struct BatchResult {
-    /// Index of the instance in the submitted batch.
-    pub index: usize,
-    /// The best valid plan found (or cached), if any strategy produced one.
-    pub outcome: Option<PlanOutcome>,
-    /// Whether this result was served from the plan cache.
-    pub from_cache: bool,
-}
-
 /// The unified planning front door.
 ///
 /// A `Planner` bundles a strategy [`Portfolio`], a [`PortfolioConfig`]
-/// (deadline + ILP cap), and a digest-keyed LRU plan cache. It serves
-/// single instances ([`Planner::plan`]) and queues
-/// ([`Planner::plan_batch`], sharded over a worker pool).
+/// (deadline + ILP cap), and a digest-keyed LRU plan cache.
+/// [`Planner::plan`] races the portfolio on one instance; a queue is a
+/// loop over `plan`, and the cache serves its repeats.
 ///
 /// The cache key is the instance's content digest *plus* a fingerprint of
 /// the strategy set, so planners configured with different portfolios never
@@ -42,7 +30,6 @@ pub struct Planner {
     portfolio: Portfolio,
     config: PortfolioConfig,
     cache: Mutex<LruCache<PlanCacheKey, PlanOutcome>>,
-    workers: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -56,15 +43,10 @@ impl Planner {
 
     /// A planner over an explicit portfolio.
     pub fn with_portfolio(portfolio: Portfolio) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(4)
-            .clamp(1, 16);
         Planner {
             portfolio,
             config: PortfolioConfig::default(),
             cache: Mutex::new(LruCache::new(1024)),
-            workers,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -79,12 +61,6 @@ impl Planner {
     /// Sets the plan-cache capacity (entries).
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
         *self.cache.lock().expect("cache lock") = LruCache::new(capacity);
-        self
-    }
-
-    /// Sets the batch worker-pool size (clamped to ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -149,79 +125,6 @@ impl Planner {
         }
         outcome
     }
-
-    /// Plans a queue of instances, sharding across the worker pool.
-    ///
-    /// Workers claim instances from a shared atomic cursor, so a queue
-    /// mixing heavy and light instances load-balances naturally. Each claim
-    /// first consults the plan cache; repeated instances (equal digests)
-    /// are served without re-solving, including repeats *within* the same
-    /// batch once the first occurrence finishes. Results come back in
-    /// submission order.
-    pub fn plan_batch(&self, instances: &[Instance]) -> Vec<BatchResult> {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<BatchResult>>> =
-            Mutex::new((0..instances.len()).map(|_| None).collect());
-        let workers = self.workers.min(instances.len()).max(1);
-
-        std::thread::scope(|scope| {
-            // audit:allow(stop-flag-coverage): spawns one claim loop per worker; each portfolio race carries its own deadline budget
-            for _ in 0..workers {
-                // audit:allow(stop-flag-coverage): batch claim loop must drain the queue; per-instance cancellation lives inside the portfolio race
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= instances.len() {
-                        break;
-                    }
-                    let instance = &instances[index];
-                    trace::instant("planner.batch.claim", index as i64, 0);
-                    let key = self.cache_key(instance);
-                    let cached = self.cache.lock().expect("cache lock").get(&key).cloned();
-                    let result = match cached {
-                        Some(outcome) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            CACHE_HITS.incr();
-                            BatchResult {
-                                index,
-                                outcome: Some(outcome),
-                                from_cache: true,
-                            }
-                        }
-                        None => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            CACHE_MISSES.incr();
-                            let raced = self.portfolio.run(instance, &self.config);
-                            // Same rule as plan(): never cache a
-                            // deadline-degraded race.
-                            if raced.complete() {
-                                if let Some(best) = &raced.best {
-                                    self.cache
-                                        .lock()
-                                        .expect("cache lock")
-                                        .insert(key, best.clone());
-                                }
-                            } else {
-                                CACHE_DEGRADED_SKIPS.incr();
-                            }
-                            BatchResult {
-                                index,
-                                outcome: raced.best,
-                                from_cache: false,
-                            }
-                        }
-                    };
-                    results.lock().expect("results lock")[index] = Some(result);
-                });
-            }
-        });
-
-        results
-            .into_inner()
-            .expect("results lock")
-            .into_iter()
-            .map(|r| r.expect("every index claimed"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -248,45 +151,6 @@ mod tests {
         assert!(second.reports.is_empty(), "cache hits skip the race");
     }
 
-    #[test]
-    fn batch_dedupes_repeated_instances() {
-        let planner = quick_planner().with_workers(1);
-        let a = eblow_gen::generate(&GenConfig::tiny_1d(31));
-        let b = eblow_gen::generate(&GenConfig::tiny_1d(32));
-        let batch = vec![a.clone(), b, a];
-        let results = planner.plan_batch(&batch);
-        assert_eq!(results.len(), 3);
-        assert!(!results[0].from_cache);
-        assert!(!results[1].from_cache);
-        assert!(results[2].from_cache, "same digest must be served cached");
-        assert_eq!(
-            results[0].outcome.as_ref().unwrap().total_time,
-            results[2].outcome.as_ref().unwrap().total_time
-        );
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.index, i);
-            r.outcome.as_ref().unwrap().validate(&batch[i]).unwrap();
-        }
-    }
-
-    #[test]
-    fn batch_handles_mixed_dimensions_in_parallel() {
-        let planner = Planner::with_portfolio(
-            Portfolio::of_names(["greedy1d", "rowheur1d", "greedy2d"]).unwrap(),
-        )
-        .with_workers(4);
-        let batch: Vec<Instance> = (0..4)
-            .map(|s| eblow_gen::generate(&GenConfig::tiny_1d(40 + s)))
-            .chain((0..4).map(|s| eblow_gen::generate(&GenConfig::tiny_2d(40 + s))))
-            .collect();
-        let results = planner.plan_batch(&batch);
-        assert_eq!(results.len(), 8);
-        for (i, r) in results.iter().enumerate() {
-            let outcome = r.outcome.as_ref().expect("plan produced");
-            outcome.validate(&batch[i]).unwrap();
-        }
-    }
-
     /// A plain planner's cache key is the instance digest plus the
     /// fingerprint of the built-in registry names, pinned so stored keys
     /// stay valid. Changing the race line-up changes it by design.
@@ -295,14 +159,7 @@ mod tests {
         let inst = eblow_gen::generate(&GenConfig::tiny_1d(1));
         let key = Planner::portfolio().cache_key(&inst);
         assert_eq!(key.digest, inst.digest());
-        assert_eq!(key.portfolio_fingerprint, 0x4fac_a1e6_fb77_264f);
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let planner = quick_planner();
-        assert!(planner.plan_batch(&[]).is_empty());
-        assert_eq!(planner.cache_stats(), CacheStats::default());
+        assert_eq!(key.portfolio_fingerprint, 0x7d41_4ea2_d87d_2bf6);
     }
 
     /// A strategy that spins until the deadline cancels it, then returns a

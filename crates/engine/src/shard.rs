@@ -1,36 +1,30 @@
-//! Sharded planning: the composite `shard1d` / `shard2d` strategies.
+//! Sharded planning: the composite `shard1d` strategy.
 //!
 //! E-BLOW's MCC formulation decomposes naturally — each CP region carries
 //! its own repeat column and candidate affinity, and the stencil splits
-//! into disjoint row bands. The shard strategies exploit this: a huge
+//! into disjoint row bands. `shard1d` exploits this: a huge row-structured
 //! instance (tens of thousands of candidates) is split into per-region /
-//! per-row-band [`SubInstance`]s, each shard races the *existing*
-//! portfolio machinery in parallel under the full remaining deadline
-//! window, and the sub-plans stitch back into one placement on the
-//! original instance (`eblow_model::shard`), followed by a reconciliation
-//! pass:
+//! per-row-band [`SubInstance`]s, each shard races a fixed inner trio
+//! (`eblow1d@combinatorial`, `rowheur1d`, `greedy1d`) in parallel under
+//! the full remaining deadline window, and the sub-plans stitch back into
+//! one placement on the original instance (`eblow_model::shard`), followed
+//! by a reconciliation pass:
 //!
 //! 1. characters selected by more than one shard keep a single stencil
 //!    slot (one slot serves every region), and
 //! 2. the freed row space is refilled greedily with the most profitable
-//!    unplaced candidates (1D).
+//!    unplaced candidates.
 //!
-//! The composite registers like any other strategy (`shard1d`, `shard2d`)
-//! and accepts an inner-strategy parameter (`shard1d@greedy1d`,
-//! `shard1d@eblow1d@simplex`, …) that reuses the [`StrategyId`] backend
-//! syntax — a size-limited inner backend such as the dense simplex can
-//! refuse the monolithic instance yet accept every shard, because
-//! `supports()` is re-evaluated per sub-instance.
-//!
-//! [`StrategyId`]: crate::strategy::StrategyId
+//! `shard1d` is not in the default race: there it never changed a plan.
+//! [`strategy_by_name`](crate::strategy_by_name) still builds it by name.
 
 use crate::budget::Budget;
 use crate::outcome::{EngineError, PlanDetail, PlanOutcome};
 use crate::portfolio::Portfolio;
 use crate::strategy::Strategy;
-use eblow_core::{Plan1d, Plan2d};
-use eblow_model::shard::{stitch_1d, stitch_2d, SubInstance};
-use eblow_model::{CharId, Instance, Placement1d, Placement2d, Selection};
+use eblow_core::Plan1d;
+use eblow_model::shard::{stitch_1d, SubInstance};
+use eblow_model::{CharId, Instance, Placement1d, Selection};
 use eblow_trace as trace;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -51,51 +45,35 @@ static MONO_REFINE_WON: trace::Counter = trace::Counter::new("shard.mono_refine_
 /// its cheapest valid completion and the stitched plan stands as-is.
 const MONO_REFINE_MIN_WINDOW: Duration = Duration::from_millis(100);
 
-/// Tunables of the shard composite strategies.
+/// Thresholds of the shard split. Only tests change them.
 ///
 /// Under an unlimited budget the split is a deterministic function of the
-/// instance and this configuration, so the plan cache (which keys on the
-/// instance digest plus the strategy name) always refers to one
-/// well-defined shard split. Deadline runs with [`ShardConfig::adaptive`]
-/// additionally fold in the remaining window (the shard count tracks how
-/// much the inner strategies can chew within it) — such races are only
-/// cached when they complete undegraded, exactly like any other deadline
-/// race. Custom configurations must be registered under their own strategy
-/// name — see [`Shard1dStrategy::with_config`].
+/// instance and this configuration. Deadline runs also fold in the
+/// remaining window (the shard count tracks how much the inner trio can
+/// plan within it); such races are only cached when they complete
+/// undegraded, like any other deadline race.
 #[derive(Debug, Clone)]
-pub struct ShardConfig {
+struct ShardConfig {
     /// `supports()` gate: instances with fewer candidates are left to the
     /// monolithic strategies (sharding overhead dominates below this).
-    pub min_chars: usize,
-    /// Preferred candidate count per shard; the shard count is
-    /// `ceil(n / target_shard_chars)` clamped to `2..=max_shards` (and to
-    /// the available rows / region count). With [`ShardConfig::adaptive`]
-    /// set this is only the fallback for deadline-free runs — deadline runs
-    /// derive the target from the inner strategies' throughput instead.
-    pub target_shard_chars: usize,
-    /// Derive the per-shard candidate target from the inner strategies'
-    /// throughput (candidates per second): a shard should hold about as
-    /// many candidates as the slowest inner strategy can chew within the
-    /// remaining deadline window, so the quality member of each shard's
-    /// race finishes instead of being cancelled mid-run. Only
-    /// applies when a deadline window is known; unlimited budgets use the
-    /// fixed `target_shard_chars` (keeping deadline-free runs exactly
-    /// reproducible).
-    pub adaptive: bool,
+    min_chars: usize,
+    /// Preferred candidate count per shard for deadline-free runs; the
+    /// shard count is `ceil(n / target)` clamped to `2..=max_shards` (and
+    /// to the available rows / region count). Deadline runs derive the
+    /// target from the window instead ([`adaptive_target_chars`]).
+    target_shard_chars: usize,
     /// Hard cap on the number of shards (each shard races the inner
-    /// portfolio on its own OS threads). Sharding needs at least two
-    /// shards to mean anything, so values below 2 disable the strategy
-    /// (`supports()` refuses every instance).
-    pub max_shards: usize,
+    /// portfolio on its own OS threads).
+    max_shards: usize,
     /// A candidate becomes a shard's candidate whenever that shard's region
     /// group holds at least this fraction of the candidate's total
     /// writing-time reduction (its best group always qualifies). Values
     /// below 1.0 duplicate border candidates into several shards; the
     /// stitch reconciliation keeps one slot per character.
-    pub duplicate_share: f64,
+    duplicate_share: f64,
     /// Wall-clock reserved out of the budget for stitching + reconciliation
     /// (the shard races see the deadline minus this reserve).
-    pub stitch_reserve: Duration,
+    stitch_reserve: Duration,
 }
 
 impl Default for ShardConfig {
@@ -103,7 +81,6 @@ impl Default for ShardConfig {
         ShardConfig {
             min_chars: 5000,
             target_shard_chars: 2000,
-            adaptive: true,
             max_shards: 8,
             duplicate_share: 0.25,
             stitch_reserve: Duration::from_millis(150),
@@ -112,16 +89,12 @@ impl Default for ShardConfig {
 }
 
 /// Sorts candidate indices by descending profit density
-/// (`total_reduction / size`, where `size` is the width for 1D and the
-/// area for 2D), index-ascending on ties. The one density definition the
-/// splits and the stitch top-up all share — a change to the density rule
-/// or the determinism tie-break lands everywhere at once.
-fn sort_by_density_desc(order: &mut [usize], instance: &Instance, size: impl Fn(usize) -> u64) {
-    order.sort_by(|&a, &b| {
-        let da = instance.total_reduction(a) as f64 / size(a).max(1) as f64;
-        let db = instance.total_reduction(b) as f64 / size(b).max(1) as f64;
-        db.total_cmp(&da).then(a.cmp(&b))
-    });
+/// (`total_reduction / width`), index-ascending on ties. The one density
+/// definition the split and the stitch top-up share.
+fn sort_by_density_desc(order: &mut [usize], instance: &Instance) {
+    let density =
+        |i: usize| instance.total_reduction(i) as f64 / instance.char(i).width().max(1) as f64;
+    order.sort_by(|&a, &b| density(b).total_cmp(&density(a)).then(a.cmp(&b)));
 }
 
 /// One shard of a 1D split: a candidate subset and a stencil row band.
@@ -130,6 +103,13 @@ struct ShardSpec1d {
     chars: Vec<usize>,
     start_row: usize,
     rows: usize,
+}
+
+/// The cheap `supports()` gate for 1D sharding. Whenever this holds,
+/// [`split_1d`] is guaranteed to produce a split, so the expensive split
+/// computation runs once, inside `plan()`, not on every registry filter.
+fn gates_1d(instance: &Instance, config: &ShardConfig) -> bool {
+    instance.num_chars() >= config.min_chars.max(2) && instance.num_rows().is_ok_and(|r| r >= 2)
 }
 
 /// Splits a 1D instance into balanced shards.
@@ -141,15 +121,6 @@ struct ShardSpec1d {
 /// in profit-density order. Stencil rows are then allocated to shards in
 /// proportion to their summed candidate width (d'Hondt largest-quotient,
 /// ≥ 1 row each).
-/// The cheap `supports()` gate for 1D sharding. Whenever this holds,
-/// [`split_1d`] is guaranteed to produce a split, so the expensive split
-/// computation runs once, inside `plan()`, not on every registry filter.
-fn gates_1d(instance: &Instance, config: &ShardConfig) -> bool {
-    config.max_shards >= 2
-        && instance.num_chars() >= config.min_chars.max(2)
-        && instance.num_rows().is_ok_and(|r| r >= 2)
-}
-
 // audit:allow(stop-flag-reachability): one pass over candidates and rows, runs once at plan start before the planning loops
 fn split_1d(
     instance: &Instance,
@@ -213,7 +184,7 @@ fn split_1d(
         // Single region: deal candidates round-robin in density order so
         // every shard gets a similar profit mix.
         let mut order: Vec<usize> = (0..n).collect();
-        sort_by_density_desc(&mut order, instance, |i| instance.char(i).width());
+        sort_by_density_desc(&mut order, instance);
         let mut shard_chars: Vec<Vec<usize>> = vec![Vec::new(); k];
         for (pos, i) in order.into_iter().enumerate() {
             shard_chars[pos % k].push(i);
@@ -262,138 +233,33 @@ fn split_1d(
     Some(specs)
 }
 
-/// One shard of a 2D split: a candidate subset and a horizontal slice.
-#[derive(Debug, Clone)]
-struct ShardSpec2d {
-    chars: Vec<usize>,
-    y_offset: u64,
-    height: u64,
-}
-
-/// Splits a 2D instance into horizontal bands tall enough for every
-/// candidate, dealing candidates round-robin in profit-density order.
-/// The cheap `supports()` gate for 2D sharding (one `O(n)` height scan);
-/// whenever this holds, [`split_2d`] is guaranteed to produce a split.
-fn gates_2d(instance: &Instance, config: &ShardConfig) -> bool {
-    config.max_shards >= 2
-        && instance.stencil().row_height().is_none()
-        && instance.num_chars() >= config.min_chars.max(2)
-        && band_cap_2d(instance).is_some_and(|cap| cap >= 2)
-}
-
-/// How many bands at least as tall as the tallest candidate fit the
-/// stencil (`None` for an instance with no candidates).
-fn band_cap_2d(instance: &Instance) -> Option<usize> {
-    let max_char_h = instance.chars().iter().map(|c| c.height()).max()?;
-    Some((instance.stencil().height() / max_char_h.max(1)) as usize)
-}
-
-fn split_2d(
-    instance: &Instance,
-    config: &ShardConfig,
-    target_chars: usize,
-) -> Option<Vec<ShardSpec2d>> {
-    if !gates_2d(instance, config) {
-        return None;
-    }
-    let n = instance.num_chars();
-    let height = instance.stencil().height();
-    let band_cap = band_cap_2d(instance)?;
-    let k = n
-        .div_ceil(target_chars.max(1))
-        .clamp(2, config.max_shards.min(band_cap));
-    let mut order: Vec<usize> = (0..n).collect();
-    sort_by_density_desc(&mut order, instance, |i| instance.char(i).area());
-    let mut shard_chars: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (pos, i) in order.into_iter().enumerate() {
-        shard_chars[pos % k].push(i);
-    }
-    let base = height / k as u64;
-    let mut specs = Vec::with_capacity(k);
-    for (g, chars) in shard_chars.into_iter().enumerate() {
-        let y_offset = g as u64 * base;
-        let band = if g == k - 1 { height - y_offset } else { base };
-        specs.push(ShardSpec2d {
-            chars,
-            y_offset,
-            height: band,
-        });
-    }
-    Some(specs)
-}
-
 /// Bounds on the adaptive per-shard candidate target: below the floor the
 /// stitch/fan-out overhead dominates any shard; the ceiling only guards
-/// against a pathological measured throughput.
+/// against a pathological window.
 const ADAPTIVE_TARGET_FLOOR: usize = 256;
 const ADAPTIVE_TARGET_CEIL: usize = 1 << 20;
 
-/// Candidates per second an inner strategy plans, as ranked by the paper's
-/// relative method runtimes; strategies not listed count 1000. Sizes the
-/// adaptive shards and picks the monolithic refinement lane's member.
-fn chars_per_sec(name: &str) -> f64 {
-    match name {
-        "eblow1d@combinatorial" => 800.0,
-        "eblow1d@simplex" => 500.0,
-        "heuristic1d" => 2500.0,
-        "rowheur1d" => 1200.0,
-        "greedy1d" => 2.0e6,
-        "sa2d" => 700.0,
-        "greedy2d" => 1.0e6,
-        _ => 1000.0,
-    }
-}
+/// Candidates per second the slowest inner member, `eblow1d@combinatorial`,
+/// plans. It is also the quality member whose finish decides a shard's
+/// plan, so it alone sizes the shards.
+const INNER_CHARS_PER_SEC: f64 = 800.0;
 
-/// The throughput-derived per-shard candidate target (adaptive shard
-/// counts): the number of candidates the *slowest* inner strategy — the
-/// quality member whose finish decides a shard's plan — processes within
-/// `window` at its [`chars_per_sec`]. Shards race in parallel, so each
-/// shard sees the full window.
-fn adaptive_target_chars(inner: &Portfolio, window: Duration, fallback: usize) -> usize {
-    let throughput = inner
-        .strategies()
-        .iter()
-        .map(|s| chars_per_sec(s.name()))
-        .fold(f64::INFINITY, f64::min);
-    if !throughput.is_finite() || throughput <= 0.0 {
-        return fallback;
-    }
+/// The per-shard candidate target of a deadline run: the number of
+/// candidates the quality member plans within `window`. Shards race in
+/// parallel, so each shard sees the full window.
+fn adaptive_target_chars(window: Duration) -> usize {
     let secs = window.as_secs_f64().max(0.05);
-    ((throughput * secs) as usize).clamp(ADAPTIVE_TARGET_FLOOR, ADAPTIVE_TARGET_CEIL)
+    ((INNER_CHARS_PER_SEC * secs) as usize).clamp(ADAPTIVE_TARGET_FLOOR, ADAPTIVE_TARGET_CEIL)
 }
 
 /// Resolves the per-shard candidate target for one `plan()` call: the
-/// throughput-adaptive value when enabled and a deadline window exists,
-/// the fixed configuration value otherwise.
-fn resolve_target_chars(inner: &Portfolio, config: &ShardConfig, budget: &Budget) -> usize {
-    if !config.adaptive {
-        return config.target_shard_chars;
-    }
+/// window-derived value under a deadline, the fixed configuration value
+/// otherwise (keeping deadline-free runs exactly reproducible).
+fn resolve_target_chars(config: &ShardConfig, budget: &Budget) -> usize {
     match budget.remaining() {
-        Some(remaining) => {
-            let window = remaining.saturating_sub(config.stitch_reserve);
-            adaptive_target_chars(inner, window, config.target_shard_chars)
-        }
+        Some(remaining) => adaptive_target_chars(remaining.saturating_sub(config.stitch_reserve)),
         None => config.target_shard_chars,
     }
-}
-
-/// The slowest inner member by [`chars_per_sec`] — the quality member
-/// whose converged plan a stitched result has to beat — restricted to
-/// members that support the full (unsharded) instance. Ties keep portfolio
-/// order, so the choice is deterministic.
-fn quality_member(inner: &Portfolio, instance: &Instance) -> Option<Arc<dyn Strategy>> {
-    let mut best: Option<(f64, &Arc<dyn Strategy>)> = None;
-    for s in inner.strategies() {
-        if !s.supports(instance) {
-            continue;
-        }
-        let t = chars_per_sec(s.name());
-        if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
-            best = Some((t, s));
-        }
-    }
-    best.map(|(_, s)| Arc::clone(s))
 }
 
 /// Whether a `plan()` call that has already stitched should spend the
@@ -499,7 +365,7 @@ fn top_up_1d(
         .iter_unselected()
         .filter(|&i| instance.total_reduction(i) > 0 && instance.char(i).height() <= row_height)
         .collect();
-    sort_by_density_desc(&mut order, instance, |i| instance.char(i).width());
+    sort_by_density_desc(&mut order, instance);
     let mut added = 0usize;
     for i in order {
         if budget.is_cancelled() {
@@ -520,28 +386,14 @@ fn top_up_1d(
     added
 }
 
-fn extract_all_1d(
-    instance: &Instance,
-    specs: &[ShardSpec1d],
-) -> Result<Vec<SubInstance>, EngineError> {
-    specs
-        .iter()
-        .map(|s| {
-            SubInstance::extract_rows(instance, &s.chars, s.start_row, s.rows)
-                .map_err(EngineError::Model)
-        })
-        .collect()
-}
-
 /// The sharded 1D composite strategy.
 ///
 /// Splits a huge row-structured instance into per-region / per-row-band
-/// shards, races the inner portfolio on each shard in parallel, and
-/// stitches the sub-plans into one validated [`Plan1d`] with duplicate
+/// shards, races the inner trio on each shard in parallel, and stitches
+/// the sub-plans into one validated [`Plan1d`] with duplicate
 /// reconciliation and a greedy top-up of freed space.
 pub struct Shard1dStrategy {
     inner: Portfolio,
-    name: &'static str,
     config: ShardConfig,
 }
 
@@ -552,11 +404,8 @@ impl Default for Shard1dStrategy {
 }
 
 impl Shard1dStrategy {
-    /// The default composite: each shard races the fast 1D trio
+    /// The composite: each shard races the fast 1D trio
     /// (`eblow1d@combinatorial`, `rowheur1d`, `greedy1d`).
-    ///
-    /// Inner strategies are constructed directly (not via the registry) so
-    /// the registry can in turn contain `shard1d` without recursion.
     pub fn new() -> Self {
         Shard1dStrategy {
             inner: Portfolio::new(vec![
@@ -564,55 +413,14 @@ impl Shard1dStrategy {
                 Arc::new(crate::strategy::RowHeuristic1dStrategy),
                 Arc::new(crate::strategy::Greedy1dStrategy),
             ]),
-            name: "shard1d",
             config: ShardConfig::default(),
         }
-    }
-
-    /// A composite whose shards each run a single named inner strategy
-    /// (`shard1d@<inner>`). The inner name reuses the registry's
-    /// [`StrategyId`](crate::strategy::StrategyId) backend syntax, so
-    /// `shard1d@eblow1d@simplex` composes the shard split with the
-    /// size-limited simplex LP backend. Returns `None` for inner names
-    /// outside the supported table (the full name must be a static string
-    /// because it keys the plan cache).
-    pub fn with_inner(inner: &str) -> Option<Self> {
-        let name = match inner {
-            "greedy1d" => "shard1d@greedy1d",
-            "rowheur1d" => "shard1d@rowheur1d",
-            "heuristic1d" => "shard1d@heuristic1d",
-            // `eblow1d` is the historical alias of `eblow1d@combinatorial`;
-            // both spellings canonicalize to one registry name so report
-            // labels and plan-cache fingerprints cannot diverge for the
-            // identical composite.
-            "eblow1d" | "eblow1d@combinatorial" => "shard1d@eblow1d@combinatorial",
-            "eblow1d-0" => "shard1d@eblow1d-0",
-            "eblow1d@simplex" => "shard1d@eblow1d@simplex",
-            _ => return None,
-        };
-        let strategy = crate::strategy::strategy_by_name(inner)?;
-        Some(Shard1dStrategy {
-            inner: Portfolio::new(vec![strategy]),
-            name,
-            config: ShardConfig::default(),
-        })
-    }
-
-    /// Overrides the shard configuration.
-    ///
-    /// The strategy keeps its registry name, which is also its plan-cache
-    /// fingerprint component — callers running multiple configurations of
-    /// the same composite in one process must use separate [`crate::Planner`]
-    /// instances (or distinct portfolios) to keep cached plans apart.
-    pub fn with_config(mut self, config: ShardConfig) -> Self {
-        self.config = config;
-        self
     }
 }
 
 impl Strategy for Shard1dStrategy {
     fn name(&self) -> &'static str {
-        self.name
+        "shard1d"
     }
 
     fn supports(&self, instance: &Instance) -> bool {
@@ -621,16 +429,19 @@ impl Strategy for Shard1dStrategy {
 
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let started = Instant::now();
-        let target = resolve_target_chars(&self.inner, &self.config, budget);
+        let target = resolve_target_chars(&self.config, budget);
         let specs = split_1d(instance, &self.config, target).ok_or_else(|| EngineError::Unsupported {
-            strategy: self.name,
+            strategy: self.name(),
             reason: format!(
                 "instance not shardable (needs a row-structured stencil with ≥ 2 rows and ≥ {} candidates)",
                 self.config.min_chars
             ),
         })?;
-        let subs = extract_all_1d(instance, &specs)?;
-        let _span = trace::span(self.name);
+        let subs: Vec<SubInstance> = specs
+            .iter()
+            .map(|s| SubInstance::extract_rows(instance, &s.chars, s.start_row, s.rows))
+            .collect::<Result<_, _>>()?;
+        let _span = trace::span(self.name());
         trace::instant_with("shard.split", subs.len() as i64, target as i64, || {
             let sizes: Vec<String> = subs
                 .iter()
@@ -657,12 +468,12 @@ impl Strategy for Shard1dStrategy {
         // a do-nothing "success" would poison the digest-keyed plan cache.
         if parts.is_empty() {
             return Err(EngineError::NoPlan {
-                strategy: self.name,
+                strategy: self.name(),
                 reason: format!("no shard produced a plan ({} shards raced)", subs.len()),
             });
         }
         let stitched = stitch_1d(instance, &parts).map_err(|e| EngineError::NoPlan {
-            strategy: self.name,
+            strategy: self.name(),
             reason: format!("stitching failed: {e}"),
         })?;
         DUPLICATES_DROPPED.add(stitched.duplicates_dropped as u64);
@@ -689,12 +500,18 @@ impl Strategy for Shard1dStrategy {
         // The core has grown fast enough that an instance past the shard
         // gate can still converge monolithically inside a deadline window
         // the fan-out no longer needs. Spend whatever is left of the
-        // budget on the quality member over the unsharded instance and
-        // keep the better plan: the composite is then no worse than its
-        // own inner on any deadline, instead of paying the stitch quality
-        // loss exactly when sharding stopped being necessary.
+        // budget on the quality member (the first inner member that takes
+        // the unsharded instance) and keep the better plan: the composite
+        // is then no worse than its own inner on any deadline, instead of
+        // paying the stitch quality loss exactly when sharding stopped
+        // being necessary.
         if mono_refine_window_open(budget) {
-            if let Some(member) = quality_member(&self.inner, instance) {
+            if let Some(member) = self
+                .inner
+                .strategies()
+                .iter()
+                .find(|s| s.supports(instance))
+            {
                 if let Ok(PlanOutcome {
                     detail: PlanDetail::OneD(mono),
                     ..
@@ -715,167 +532,15 @@ impl Strategy for Shard1dStrategy {
                 }
             }
         }
-        Ok(PlanOutcome::from_1d(self.name, plan).with_degraded(degraded))
-    }
-}
-
-/// The sharded 2D composite strategy: horizontal stencil slices, candidate
-/// round-robin by profit density, parallel inner races, stitch + validate.
-pub struct Shard2dStrategy {
-    inner: Portfolio,
-    name: &'static str,
-    config: ShardConfig,
-}
-
-impl Default for Shard2dStrategy {
-    fn default() -> Self {
-        Shard2dStrategy::new()
-    }
-}
-
-impl Shard2dStrategy {
-    /// The default composite: each shard races `eblow2d` and `greedy2d`.
-    pub fn new() -> Self {
-        Shard2dStrategy {
-            inner: Portfolio::new(vec![
-                Arc::new(crate::strategy::Eblow2dStrategy::default()),
-                Arc::new(crate::strategy::Greedy2dStrategy),
-            ]),
-            name: "shard2d",
-            config: ShardConfig::default(),
-        }
-    }
-
-    /// A composite whose shards each run a single named inner strategy
-    /// (`shard2d@<inner>`); see [`Shard1dStrategy::with_inner`].
-    pub fn with_inner(inner: &str) -> Option<Self> {
-        let name = match inner {
-            "greedy2d" => "shard2d@greedy2d",
-            "sa2d" => "shard2d@sa2d",
-            "eblow2d" => "shard2d@eblow2d",
-            _ => return None,
-        };
-        let strategy = crate::strategy::strategy_by_name(inner)?;
-        Some(Shard2dStrategy {
-            inner: Portfolio::new(vec![strategy]),
-            name,
-            config: ShardConfig::default(),
-        })
-    }
-
-    /// Overrides the shard configuration (see
-    /// [`Shard1dStrategy::with_config`] for the cache-name caveat).
-    pub fn with_config(mut self, config: ShardConfig) -> Self {
-        self.config = config;
-        self
-    }
-}
-
-impl Strategy for Shard2dStrategy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn supports(&self, instance: &Instance) -> bool {
-        gates_2d(instance, &self.config)
-    }
-
-    fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
-        let started = Instant::now();
-        let target = resolve_target_chars(&self.inner, &self.config, budget);
-        let specs = split_2d(instance, &self.config, target).ok_or_else(|| EngineError::Unsupported {
-            strategy: self.name,
-            reason: format!(
-                "instance not shardable (needs a free-form stencil ≥ 2 bands tall and ≥ {} candidates)",
-                self.config.min_chars
-            ),
-        })?;
-        let subs: Vec<SubInstance> = specs
-            .iter()
-            .map(|s| {
-                SubInstance::extract_band(instance, &s.chars, s.y_offset, s.height)
-                    .map_err(EngineError::Model)
-            })
-            .collect::<Result<_, _>>()?;
-        let _span = trace::span(self.name);
-        trace::instant_with("shard.split", subs.len() as i64, target as i64, || {
-            let sizes: Vec<String> = subs
-                .iter()
-                .map(|s| s.instance().num_chars().to_string())
-                .collect();
-            format!("sizes=[{}]", sizes.join(","))
-        });
-        let (results, degraded) =
-            race_shards(&self.inner, &subs, budget, self.config.stitch_reserve);
-        let parts: Vec<(&SubInstance, &Placement2d)> = subs
-            .iter()
-            .zip(&results)
-            .filter_map(|(sub, outcome)| match outcome {
-                Some(PlanOutcome {
-                    detail: PlanDetail::TwoD(plan),
-                    ..
-                }) => Some((sub, &plan.placement)),
-                _ => None,
-            })
-            .collect();
-        // Same rule as the 1D composite: an all-empty fan-out is a
-        // failure, not an empty "plan".
-        if parts.is_empty() {
-            return Err(EngineError::NoPlan {
-                strategy: self.name,
-                reason: format!("no shard produced a plan ({} shards raced)", subs.len()),
-            });
-        }
-        let stitched = stitch_2d(instance, &parts).map_err(|e| EngineError::NoPlan {
-            strategy: self.name,
-            reason: format!("stitching failed: {e}"),
-        })?;
-        DUPLICATES_DROPPED.add(stitched.duplicates_dropped as u64);
-        trace::instant(
-            "shard.stitch",
-            parts.len() as i64,
-            stitched.duplicates_dropped as i64,
-        );
-        let region_times = instance.writing_times(&stitched.selection);
-        let total_time = region_times.iter().copied().max().unwrap_or(0);
-        let mut plan = Plan2d {
-            placement: stitched.placement,
-            selection: stitched.selection,
-            region_times,
-            total_time,
-            elapsed: started.elapsed(),
-        };
-        // Same leftover-window monolithic refinement lane as the 1D
-        // composite (see `Shard1dStrategy::plan`).
-        if mono_refine_window_open(budget) {
-            if let Some(member) = quality_member(&self.inner, instance) {
-                if let Ok(PlanOutcome {
-                    detail: PlanDetail::TwoD(mono),
-                    ..
-                }) = member.plan(instance, budget)
-                {
-                    trace::instant(
-                        "shard.mono_refine",
-                        mono.total_time as i64,
-                        plan.total_time as i64,
-                    );
-                    if mono.total_time < plan.total_time {
-                        MONO_REFINE_WON.add(1);
-                        plan = Plan2d {
-                            elapsed: started.elapsed(),
-                            ..mono
-                        };
-                    }
-                }
-            }
-        }
-        Ok(PlanOutcome::from_2d(self.name, plan).with_degraded(degraded))
+        Ok(PlanOutcome::from_1d(self.name(), plan).with_degraded(degraded))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{Eblow1dStrategy, Greedy1dStrategy};
+    use crate::PortfolioConfig;
     use eblow_gen::GenConfig;
 
     fn test_config() -> ShardConfig {
@@ -884,6 +549,14 @@ mod tests {
             target_shard_chars: 24,
             max_shards: 4,
             ..ShardConfig::default()
+        }
+    }
+
+    /// The composite with the unit-test thresholds.
+    fn test_composite() -> Shard1dStrategy {
+        Shard1dStrategy {
+            config: test_config(),
+            ..Shard1dStrategy::new()
         }
     }
 
@@ -896,6 +569,26 @@ mod tests {
             row_height: Some(40),
             ..GenConfig::tiny_1d(5)
         })
+    }
+
+    fn mid_1d(seed: u64) -> Instance {
+        eblow_gen::generate(&GenConfig {
+            n_chars: 120,
+            n_regions: 4,
+            stencil_w: 400,
+            stencil_h: 240,
+            row_height: Some(40),
+            ..GenConfig::tiny_1d(seed)
+        })
+    }
+
+    fn mid_config() -> ShardConfig {
+        ShardConfig {
+            min_chars: 64,
+            target_shard_chars: 32,
+            max_shards: 4,
+            ..ShardConfig::default()
+        }
     }
 
     #[test]
@@ -937,7 +630,7 @@ mod tests {
     #[test]
     fn shard1d_plans_validate_and_beat_the_empty_plan() {
         let inst = small_1d();
-        let strategy = Shard1dStrategy::new().with_config(test_config());
+        let strategy = test_composite();
         assert!(strategy.supports(&inst));
         let outcome = strategy.plan(&inst, &Budget::unlimited()).unwrap();
         outcome.validate(&inst).unwrap();
@@ -949,18 +642,6 @@ mod tests {
         assert!(outcome.selection.count() > 0);
     }
 
-    #[test]
-    fn shard1d_is_deterministic_without_deadline() {
-        let inst = small_1d();
-        let strategy = Shard1dStrategy::with_inner("greedy1d")
-            .unwrap()
-            .with_config(test_config());
-        let a = strategy.plan(&inst, &Budget::unlimited()).unwrap();
-        let b = strategy.plan(&inst, &Budget::unlimited()).unwrap();
-        assert_eq!(a.total_time, b.total_time);
-        assert_eq!(a.selection, b.selection);
-    }
-
     /// Regression for the monolithic refinement lane: under a deadline
     /// with a leftover window, the composite must end up no worse than
     /// its quality member run monolithically — the lane races that
@@ -970,12 +651,11 @@ mod tests {
     #[test]
     fn leftover_deadline_window_refines_monolithically() {
         let inst = small_1d();
-        let strategy = Shard1dStrategy::new().with_config(test_config());
-        let sharded = strategy
+        let sharded = test_composite()
             .plan(&inst, &Budget::with_deadline(Duration::from_secs(30)))
             .expect("sharded plan");
         sharded.validate(&inst).expect("valid refined plan");
-        let solo = crate::strategy::Eblow1dStrategy::default()
+        let solo = Eblow1dStrategy::default()
             .plan(&inst, &Budget::unlimited())
             .expect("monolithic plan");
         assert!(
@@ -992,23 +672,6 @@ mod tests {
         assert!(!Shard1dStrategy::new().supports(&tiny), "60 chars < gate");
         let twod = eblow_gen::generate(&GenConfig::tiny_2d(1));
         assert!(!Shard1dStrategy::new().supports(&twod));
-        assert!(!Shard2dStrategy::new().supports(&twod), "60 chars < gate");
-    }
-
-    #[test]
-    fn shard2d_plans_validate() {
-        let inst = eblow_gen::generate(&GenConfig {
-            n_chars: 80,
-            n_regions: 3,
-            stencil_w: 300,
-            stencil_h: 300,
-            ..GenConfig::tiny_2d(6)
-        });
-        let strategy = Shard2dStrategy::new().with_config(test_config());
-        assert!(strategy.supports(&inst));
-        let outcome = strategy.plan(&inst, &Budget::unlimited()).unwrap();
-        outcome.validate(&inst).unwrap();
-        assert!(outcome.selection.count() > 0);
     }
 
     /// Regression: when every shard race comes back empty (here: the
@@ -1027,14 +690,15 @@ mod tests {
             row_height: Some(40),
             ..GenConfig::tiny_1d(8)
         });
-        let strategy = Shard1dStrategy::with_inner("eblow1d@simplex")
-            .unwrap()
-            .with_config(ShardConfig {
+        let strategy = Shard1dStrategy {
+            inner: Portfolio::new(vec![Arc::new(Eblow1dStrategy::simplex())]),
+            config: ShardConfig {
                 min_chars: 64,
                 target_shard_chars: 300,
                 max_shards: 2,
                 ..ShardConfig::default()
-            });
+            },
+        };
         assert!(strategy.supports(&inst));
         let err = strategy.plan(&inst, &Budget::unlimited()).unwrap_err();
         assert!(
@@ -1043,47 +707,113 @@ mod tests {
         );
     }
 
-    /// Adaptive shard targets track the slowest inner member and the
-    /// window: a slower inner portfolio means smaller shards — more of
-    /// them — so the quality member of each shard's race can finish within
-    /// the window.
+    /// Adaptive shard targets track the window: a shard holds as many
+    /// candidates as the quality member plans within it.
     #[test]
-    fn adaptive_target_tracks_throughput_and_window() {
-        let inner = Portfolio::of_names(["eblow1d", "rowheur1d", "greedy1d"]).unwrap();
+    fn adaptive_target_tracks_the_window() {
         let window = Duration::from_secs(3);
-        let target = adaptive_target_chars(&inner, window, 2000);
-        // eblow1d@combinatorial is the slowest member: 800 chars/s × 3 s.
-        assert_eq!(target, 2400);
+        // eblow1d@combinatorial: 800 chars/s × 3 s.
+        assert_eq!(adaptive_target_chars(window), 2400);
         // A longer window allows bigger shards.
-        let longer = adaptive_target_chars(&inner, window * 4, 2000);
-        assert!(longer > target, "{longer} vs {target}");
-        // Without the slow member, shards grow.
-        let fast = Portfolio::of_names(["rowheur1d", "greedy1d"]).unwrap();
-        assert!(adaptive_target_chars(&fast, window, 2000) > target);
-
+        assert!(adaptive_target_chars(window * 4) > 2400);
         // Unlimited budgets keep the fixed target (reproducible splits).
         let config = ShardConfig::default();
         assert_eq!(
-            resolve_target_chars(&inner, &config, &Budget::unlimited()),
+            resolve_target_chars(&config, &Budget::unlimited()),
             config.target_shard_chars
         );
-        // Disabled adaptivity keeps the fixed target even under deadlines.
-        let fixed = ShardConfig {
-            adaptive: false,
-            ..ShardConfig::default()
+    }
+
+    /// Stable fingerprint of a 1D plan: row orders, region times, total
+    /// time (the scheme of `tests/golden_stability.rs`).
+    fn plan_fingerprint(plan: &Plan1d) -> u64 {
+        let mut h = eblow_model::Fnv64::new();
+        for row in plan.placement.rows() {
+            h.write((row.order().len() as u64).to_le_bytes());
+            for id in row.order() {
+                h.write((id.index() as u64).to_le_bytes());
+            }
+        }
+        for &t in &plan.region_times {
+            h.write(t.to_le_bytes());
+        }
+        h.write(plan.total_time.to_le_bytes());
+        h.finish()
+    }
+
+    /// The deadline-free `shard1d` plan is pinned: split, per-shard races,
+    /// stitch and top-up must keep producing this exact placement.
+    #[test]
+    fn deadline_free_shard1d_plan_is_pinned() {
+        let inst = small_1d();
+        let outcome = test_composite().plan(&inst, &Budget::unlimited()).unwrap();
+        let PlanDetail::OneD(plan) = &outcome.detail else {
+            panic!("shard1d returns a 1D plan");
         };
-        assert_eq!(
-            resolve_target_chars(&inner, &fixed, &Budget::with_deadline(window)),
-            fixed.target_shard_chars
-        );
+        assert_eq!(plan.total_time, 537);
+        assert_eq!(plan_fingerprint(plan), 0x8a49_5821_19e0_6e18);
     }
 
     #[test]
     fn cancelled_budget_still_returns_a_valid_plan() {
         let inst = small_1d();
-        let strategy = Shard1dStrategy::new().with_config(test_config());
         let budget = Budget::with_deadline(Duration::from_millis(40));
-        let outcome = strategy.plan(&inst, &budget).unwrap();
+        let outcome = test_composite().plan(&inst, &budget).unwrap();
         outcome.validate(&inst).unwrap();
+    }
+
+    /// The composite end to end under an outer portfolio deadline: the
+    /// stitched plan must validate and arrive within the deadline margin.
+    #[test]
+    fn shard1d_races_under_a_deadline_and_validates() {
+        let inst = mid_1d(7);
+        let shard = Shard1dStrategy {
+            config: mid_config(),
+            ..Shard1dStrategy::new()
+        };
+        let portfolio = Portfolio::new(vec![Arc::new(shard)]);
+        let deadline = Duration::from_millis(1500);
+        let outcome = portfolio.run(
+            &inst,
+            &PortfolioConfig {
+                deadline: Some(deadline),
+                ..Default::default()
+            },
+        );
+        assert_eq!(outcome.supported, 1);
+        let best = outcome.best.as_ref().expect("a stitched plan");
+        best.validate(&inst).unwrap();
+        assert!(
+            outcome.elapsed <= deadline + Duration::from_millis(750),
+            "sharded race took {:?} against {:?}",
+            outcome.elapsed,
+            deadline
+        );
+    }
+
+    /// Sharding with a greedy-only inner must beat (or match) greedy run
+    /// monolithically, within a few percent — the split + per-shard race +
+    /// top-up may not destroy quality relative to a single greedy pass.
+    #[test]
+    fn shard1d_matches_or_beats_monolithic_greedy() {
+        let strategy = Shard1dStrategy {
+            inner: Portfolio::new(vec![Arc::new(Greedy1dStrategy)]),
+            config: mid_config(),
+        };
+        for seed in [11u64, 12, 13] {
+            let inst = mid_1d(seed);
+            let sharded = strategy.plan(&inst, &Budget::unlimited()).unwrap();
+            sharded.validate(&inst).unwrap();
+            let mono = eblow_core::baselines::greedy_1d(&inst).unwrap();
+            // Not a strict dominance theorem — but on these balanced
+            // instances the shard split plus top-up reconciliation should
+            // never lose more than a few percent to the monolithic greedy.
+            assert!(
+                (sharded.total_time as f64) <= mono.total_time as f64 * 1.05,
+                "seed {seed}: sharded {} ≫ monolithic {}",
+                sharded.total_time,
+                mono.total_time
+            );
+        }
     }
 }

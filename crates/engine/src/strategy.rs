@@ -4,8 +4,8 @@
 //! 1D enumeration, the exact branch-and-bound ILPs, and the
 //! greedy/heuristic baselines of the paper's Tables 3–5 — is wrapped
 //! behind one object-safe interface so the
-//! portfolio executor, the batch planner, and the eval harness can treat
-//! them interchangeably.
+//! portfolio executor, the planner, and the eval harness can treat them
+//! interchangeably.
 
 use crate::budget::Budget;
 use crate::outcome::{EngineError, PlanOutcome};
@@ -19,65 +19,7 @@ use eblow_core::twod::{Eblow2d, Eblow2dConfig};
 use eblow_core::Plan1d;
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
-use std::fmt;
 use std::sync::Arc;
-
-/// A parsed strategy identifier: a registry base name plus an optional
-/// `@backend` parameter (e.g. `eblow1d@simplex`).
-///
-/// Registry names, report labels, and plan-cache portfolio fingerprints all
-/// use the *full* form, so two backends of the same pipeline are distinct
-/// strategies end to end; `StrategyId` gives callers the structured view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StrategyId<'a> {
-    base: &'a str,
-    backend: Option<&'a str>,
-}
-
-impl<'a> StrategyId<'a> {
-    /// Splits `name` at the first `@` into base and backend.
-    ///
-    /// An empty backend (`"eblow1d@"`) is treated as no backend at all:
-    /// `Some("")` would silently create a registry name and plan-cache
-    /// fingerprint distinct from the bare base, so a trailing `@`
-    /// normalizes to `backend: None` here (and is rejected outright by
-    /// [`strategy_by_name`] and `Portfolio::of_names`).
-    pub fn parse(name: &'a str) -> Self {
-        match name.split_once('@') {
-            Some((base, backend)) if !backend.is_empty() => StrategyId {
-                base,
-                backend: Some(backend),
-            },
-            Some((base, _)) => StrategyId {
-                base,
-                backend: None,
-            },
-            None => StrategyId {
-                base: name,
-                backend: None,
-            },
-        }
-    }
-
-    /// The pipeline part of the identifier (`eblow1d` in `eblow1d@simplex`).
-    pub fn base(&self) -> &'a str {
-        self.base
-    }
-
-    /// The backend parameter, when one is present.
-    pub fn backend(&self) -> Option<&'a str> {
-        self.backend
-    }
-}
-
-impl fmt::Display for StrategyId<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.backend {
-            Some(backend) => write!(f, "{}@{}", self.base, backend),
-            None => f.write_str(self.base),
-        }
-    }
-}
 
 /// An object-safe planning strategy.
 ///
@@ -413,12 +355,10 @@ impl Strategy for ExactIlp2dStrategy {
 /// Every built-in strategy, 1D then 2D, strongest first within each group.
 ///
 /// The set covers the planner zoo of the paper's evaluation plus the
-/// LP-backend variants, the exact combinatorial 1D solver and the sharded
-/// composites: `eblow1d@combinatorial`, `eblow1d@simplex`, `eblow1d-0`,
-/// `heuristic1d`, `rowheur1d`, `greedy1d`, `exact1d`, `shard1d`, `eblow2d`,
-/// `sa2d`, `greedy2d`, `ilp2d`, `shard2d`. (The shard composites only enter
-/// races on huge instances via their `supports()` candidate-count gate.)
-/// The 1D ILP `ilp1d` is not raced; [`strategy_by_name`] still builds it.
+/// LP-backend variants and the exact combinatorial 1D solver:
+/// `eblow1d@combinatorial`, `eblow1d@simplex`, `eblow1d-0`, `heuristic1d`,
+/// `rowheur1d`, `greedy1d`, `exact1d`, `eblow2d`, `sa2d`, `greedy2d`,
+/// `ilp2d`. [`strategy_by_name`] also builds strategies outside the race.
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
@@ -428,39 +368,30 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
         Arc::new(RowHeuristic1dStrategy),
         Arc::new(Greedy1dStrategy),
         Arc::new(Exact1dStrategy),
-        Arc::new(crate::shard::Shard1dStrategy::new()),
         Arc::new(Eblow2dStrategy::default()),
         Arc::new(Sa2dStrategy::default()),
         Arc::new(Greedy2dStrategy),
         Arc::new(ExactIlp2dStrategy::default()),
-        Arc::new(crate::shard::Shard2dStrategy::new()),
     ]
 }
 
 /// Looks up a strategy by registry name.
 ///
-/// Exact built-in names resolve first. Beyond those, strategies outside
-/// the race are constructed on demand: `ilp1d` (formulation (3), kept for
-/// the paper's Table 5), `eblow1d` (the historical alias for
-/// `eblow1d@combinatorial`), and the sharded composites `shard1d@<inner>` /
-/// `shard2d@<inner>` (where `<inner>` is itself a registry name, e.g.
-/// `shard1d@eblow1d@simplex`). Names with a trailing `@` (an empty
-/// backend) are rejected rather than silently aliased.
+/// The built-in names resolve first. Three more names build strategies
+/// outside the race: `ilp1d` (formulation (3), kept for the paper's
+/// Table 5), `shard1d` (the sharded composite, see [`Shard1dStrategy`])
+/// and `eblow1d` (the historical alias for `eblow1d@combinatorial`).
+/// Every other name resolves to `None`.
+///
+/// [`Shard1dStrategy`]: crate::Shard1dStrategy
 pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
-    if name.ends_with('@') {
-        return None;
-    }
     if let Some(s) = builtin_strategies().into_iter().find(|s| s.name() == name) {
         return Some(s);
     }
-    let id = StrategyId::parse(name);
-    match (id.base(), id.backend()) {
-        ("ilp1d", None) => Some(Arc::new(ExactIlp1dStrategy::default())),
-        ("eblow1d", None) => Some(Arc::new(Eblow1dStrategy::default())),
-        ("shard1d", Some(inner)) => crate::shard::Shard1dStrategy::with_inner(inner)
-            .map(|s| Arc::new(s) as Arc<dyn Strategy>),
-        ("shard2d", Some(inner)) => crate::shard::Shard2dStrategy::with_inner(inner)
-            .map(|s| Arc::new(s) as Arc<dyn Strategy>),
+    match name {
+        "ilp1d" => Some(Arc::new(ExactIlp1dStrategy::default())),
+        "shard1d" => Some(Arc::new(crate::shard::Shard1dStrategy::new())),
+        "eblow1d" => Some(Arc::new(Eblow1dStrategy::default())),
         _ => None,
     }
 }
@@ -509,16 +440,6 @@ mod tests {
         assert!(exact.contains(&"exact1d"));
     }
 
-    /// `ilp1d` left the race but still resolves, for Table 5 and for
-    /// callers that name it.
-    #[test]
-    fn ilp1d_resolves_by_name_outside_the_race() {
-        assert!(builtin_strategies().iter().all(|s| s.name() != "ilp1d"));
-        let ilp = strategy_by_name("ilp1d").expect("ilp1d resolves");
-        assert_eq!(ilp.name(), "ilp1d");
-        assert!(ilp.supports(&eblow_gen::benchmark(eblow_gen::Family::T1(1))));
-    }
-
     #[test]
     fn simplex_backend_refuses_oversized_instances_via_supports() {
         // 1M-1: 1000 candidates × 25 rows = 25 000 cells ≫ the simplex
@@ -529,67 +450,35 @@ mod tests {
         assert!(!names.contains(&"eblow1d@simplex"));
     }
 
+    /// One table of names: the raced strategies, `ilp1d` and `shard1d`
+    /// outside the race (Table 5; perfbench's solo section and
+    /// `eblow-eval shard`), and the `eblow1d` alias. Nothing parses names,
+    /// so every other spelling resolves to `None`.
     #[test]
-    fn strategy_id_parses_backend_parameters() {
-        let id = StrategyId::parse("eblow1d@simplex");
-        assert_eq!(id.base(), "eblow1d");
-        assert_eq!(id.backend(), Some("simplex"));
-        assert_eq!(id.to_string(), "eblow1d@simplex");
-        let bare = StrategyId::parse("greedy1d");
-        assert_eq!(bare.base(), "greedy1d");
-        assert_eq!(bare.backend(), None);
-        assert_eq!(bare.to_string(), "greedy1d");
-    }
-
-    /// Regression: `parse("eblow1d@")` used to yield `backend: Some("")`,
-    /// which silently created a registry name and cache fingerprint
-    /// distinct from the bare `eblow1d`.
-    #[test]
-    fn empty_backend_normalizes_to_none_and_is_rejected_by_lookup() {
-        let id = StrategyId::parse("eblow1d@");
-        assert_eq!(id.base(), "eblow1d");
-        assert_eq!(id.backend(), None);
-        assert_eq!(id.to_string(), "eblow1d");
-        // The registry refuses the malformed spelling outright.
-        assert!(strategy_by_name("eblow1d@").is_none());
-        assert!(strategy_by_name("shard1d@").is_none());
-    }
-
-    #[test]
-    fn shard_composites_resolve_from_the_registry() {
-        for name in [
-            "shard1d",
-            "shard1d@greedy1d",
-            "shard1d@eblow1d@simplex",
-            "shard2d",
-            "shard2d@greedy2d",
+    fn registry_resolves_names_from_one_table() {
+        let raced: Vec<&str> = builtin_strategies().iter().map(|s| s.name()).collect();
+        assert_eq!(raced.len(), 11);
+        for (name, resolves_to, races) in [
+            ("eblow1d@combinatorial", Some("eblow1d@combinatorial"), true),
+            ("eblow1d@simplex", Some("eblow1d@simplex"), true),
+            ("eblow1d", Some("eblow1d@combinatorial"), false),
+            ("ilp1d", Some("ilp1d"), false),
+            ("shard1d", Some("shard1d"), false),
+            ("shard2d", None, false),
+            ("shard1d@greedy1d", None, false),
+            ("shard1d@eblow1d@simplex", None, false),
+            ("eblow1d@", None, false),
+            ("eblow1d@bogus", None, false),
         ] {
-            let s = strategy_by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
-            assert_eq!(s.name(), name);
+            assert_eq!(
+                strategy_by_name(name).map(|s| s.name()),
+                resolves_to,
+                "{name}"
+            );
+            assert_eq!(raced.contains(&name), races, "{name}");
         }
-        // Both spellings of the default LP backend canonicalize to one
-        // composite name (mirroring the bare `eblow1d` alias).
-        assert_eq!(
-            strategy_by_name("shard1d@eblow1d").unwrap().name(),
-            "shard1d@eblow1d@combinatorial"
-        );
-        assert!(strategy_by_name("shard1d@bogus").is_none());
-        assert!(strategy_by_name("shard1d@shard1d").is_none(), "no nesting");
-        assert!(strategy_by_name("shard2d@eblow1d").is_none(), "wrong dim");
-    }
-
-    #[test]
-    fn backend_variants_resolve_from_the_registry() {
-        for name in ["eblow1d@combinatorial", "eblow1d@simplex"] {
-            let s = strategy_by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
-            assert_eq!(s.name(), name);
-        }
-        // Historical alias.
-        assert_eq!(
-            strategy_by_name("eblow1d").unwrap().name(),
-            "eblow1d@combinatorial"
-        );
-        assert!(strategy_by_name("eblow1d@bogus").is_none());
+        let t1 = eblow_gen::benchmark(eblow_gen::Family::T1(1));
+        assert!(strategy_by_name("ilp1d").unwrap().supports(&t1));
     }
 
     #[test]

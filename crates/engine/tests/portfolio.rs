@@ -1,5 +1,6 @@
 //! Engine acceptance tests: determinism against direct planner calls,
-//! portfolio-race dominance, and plan-cache behaviour across batches.
+//! portfolio-race dominance, and plan-cache behaviour across repeated
+//! queues.
 
 use eblow_engine::{
     strategy_by_name, Budget, EngineError, PlanOutcome, Planner, Portfolio, PortfolioConfig,
@@ -125,9 +126,10 @@ fn lp_backend_variants_race_and_both_produce_valid_plans() {
                 "1T-{k}: {} did not produce a plan: {report}",
                 report.name
             );
-            let id = report.id();
-            assert_eq!(id.base(), "eblow1d");
-            assert!(matches!(id.backend(), Some("combinatorial" | "simplex")));
+            assert!(matches!(
+                report.name,
+                "eblow1d@combinatorial" | "eblow1d@simplex"
+            ));
         }
     }
 }
@@ -297,42 +299,40 @@ fn default_race_certifies_1t_cases_early() {
     }
 }
 
-/// The second `plan_batch` pass over the same queue is served entirely
-/// from the cache and agrees with the first pass.
+/// A second `plan` pass over the same mixed 1D/2D queue is served
+/// entirely from the cache and agrees with the first pass.
 #[test]
-fn second_plan_batch_hits_the_cache() {
+fn second_pass_over_a_queue_hits_the_cache() {
     let planner = Planner::with_portfolio(
         Portfolio::of_names(["greedy1d", "rowheur1d", "greedy2d"]).unwrap(),
-    )
-    .with_workers(2);
-    let batch: Vec<_> = (0..3)
+    );
+    let queue: Vec<_> = (0..3)
         .map(|s| eblow_gen::generate(&GenConfig::tiny_1d(90 + s)))
         .chain((0..2).map(|s| eblow_gen::generate(&GenConfig::tiny_2d(90 + s))))
         .collect();
+    let n = queue.len() as u64;
 
-    let first = planner.plan_batch(&batch);
-    assert!(first.iter().all(|r| !r.from_cache));
+    let first: Vec<PlanOutcome> = queue
+        .iter()
+        .map(|inst| planner.plan(inst).best.expect("a valid plan"))
+        .collect();
     let stats = planner.cache_stats();
-    assert_eq!(stats.misses, batch.len() as u64);
-    assert_eq!(stats.hits, 0);
+    assert_eq!((stats.hits, stats.misses), (0, n));
 
-    let second = planner.plan_batch(&batch);
-    assert!(
-        second.iter().all(|r| r.from_cache),
+    let second: Vec<PlanOutcome> = queue
+        .iter()
+        .map(|inst| planner.plan(inst).best.expect("a cached plan"))
+        .collect();
+    let stats = planner.cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (n, n),
         "pass 2 must be all hits"
     );
-    let stats = planner.cache_stats();
-    assert_eq!(stats.hits, batch.len() as u64);
-    assert_eq!(stats.misses, batch.len() as u64);
 
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(
-            a.outcome.as_ref().unwrap().total_time,
-            b.outcome.as_ref().unwrap().total_time
-        );
-        assert_eq!(
-            a.outcome.as_ref().unwrap().strategy,
-            b.outcome.as_ref().unwrap().strategy
-        );
+    for ((inst, a), b) in queue.iter().zip(&first).zip(&second) {
+        b.validate(inst).unwrap();
+        assert_eq!(a.total_time, b.total_time);
+        assert_eq!(a.strategy, b.strategy);
     }
 }

@@ -1,6 +1,6 @@
-//! Acceptance and property tests for sharded planning.
+//! Property test for sharded planning.
 //!
-//! The property test drives the model-layer split/stitch API directly
+//! It drives the model-layer split/stitch API directly
 //! (deterministic generator seeds, greedy per-shard planner) and pins the
 //! two stitching invariants the `shard1d` composite relies on:
 //!
@@ -11,12 +11,10 @@
 //!    single shard's contribution sum; reconciliation can only *drop
 //!    duplicate copies*, never a character's last copy.
 
-use eblow_engine::{Budget, Portfolio, PortfolioConfig, Shard1dStrategy, ShardConfig, Strategy};
 use eblow_gen::GenConfig;
 use eblow_model::shard::{stitch_1d, SubInstance};
 use eblow_model::{Instance, Selection};
 use proptest::prelude::*;
-use std::time::Duration;
 
 fn mid_1d(seed: u64) -> Instance {
     eblow_gen::generate(&GenConfig {
@@ -110,66 +108,5 @@ proptest! {
         }
         let empty = inst.total_writing_time(&Selection::none(n));
         prop_assert!(inst.total_writing_time(&stitched.selection) <= empty);
-    }
-}
-
-fn small_shard_config() -> ShardConfig {
-    ShardConfig {
-        min_chars: 64,
-        target_shard_chars: 32,
-        max_shards: 4,
-        ..ShardConfig::default()
-    }
-}
-
-/// The composite strategy end to end under an outer portfolio deadline:
-/// the stitched plan must validate and arrive within the deadline margin.
-#[test]
-fn shard1d_races_under_a_deadline_and_validates() {
-    let inst = mid_1d(7);
-    let shard = Shard1dStrategy::new().with_config(small_shard_config());
-    let portfolio = Portfolio::new(vec![std::sync::Arc::new(shard)]);
-    let deadline = Duration::from_millis(1500);
-    let outcome = portfolio.run(
-        &inst,
-        &PortfolioConfig {
-            deadline: Some(deadline),
-            ..Default::default()
-        },
-    );
-    assert_eq!(outcome.supported, 1);
-    let best = outcome.best.as_ref().expect("a stitched plan");
-    best.validate(&inst).unwrap();
-    assert!(
-        outcome.elapsed <= deadline + Duration::from_millis(750),
-        "sharded race took {:?} against {:?}",
-        outcome.elapsed,
-        deadline
-    );
-}
-
-/// The sharded composite must beat (or match) its own weakest inner
-/// strategy run monolithically — the split + per-shard race + top-up may
-/// not destroy quality relative to a single greedy pass.
-#[test]
-fn shard1d_matches_or_beats_monolithic_greedy() {
-    for seed in [11u64, 12, 13] {
-        let inst = mid_1d(seed);
-        let sharded = Shard1dStrategy::with_inner("greedy1d")
-            .unwrap()
-            .with_config(small_shard_config())
-            .plan(&inst, &Budget::unlimited())
-            .unwrap();
-        sharded.validate(&inst).unwrap();
-        let mono = eblow_core::baselines::greedy_1d(&inst).unwrap();
-        // Not a strict dominance theorem — but on these balanced
-        // instances the shard split plus top-up reconciliation should
-        // never lose more than a few percent to the monolithic greedy.
-        assert!(
-            (sharded.total_time as f64) <= mono.total_time as f64 * 1.05,
-            "seed {seed}: sharded {} ≫ monolithic {}",
-            sharded.total_time,
-            mono.total_time
-        );
     }
 }

@@ -11,10 +11,11 @@
 //! eblow-eval fig12                  Fig. 12  (E-BLOW-0 vs E-BLOW-1 runtime)
 //! eblow-eval portfolio [--deadline-s N] [--case NAME] [--assert-within-ms N]
 //!                                   engine portfolio race on the suites
-//!                                   (optionally one case, optionally
-//!                                   failing the process if a race misses
-//!                                   its deadline by more than the margin
-//!                                   or produces no valid plan)
+//!                                   (optionally one case — the huge 1H-1
+//!                                   and 1H-2 race only when named —
+//!                                   optionally failing the process if a
+//!                                   race misses its deadline by more than
+//!                                   the margin or produces no valid plan)
 //! eblow-eval agree [--tol-rel X]    cross-check the LP oracle backends:
 //!                                   objectives must agree within X
 //!                                   relative (default 0.05) on the
@@ -22,8 +23,8 @@
 //!                                   backends' rounded plans must validate
 //! eblow-eval shard [--deadline-s N] [--case NAME]
 //!                  [--assert-no-worse-than-monolithic] [--assert-within-ms N]
-//!                                   sharded (shard1d/shard2d) vs monolithic
-//!                                   planning on the huge (1H/2H) cases
+//!                                   sharded (shard1d) vs monolithic
+//!                                   planning on the huge 1H-1 case
 //!                                   under equal deadlines; optionally
 //!                                   failing the process if the stitched
 //!                                   plan is worse than the monolithic
@@ -68,9 +69,7 @@ use eblow_core::oned::{
     CombinatorialOracle, Eblow1d, Eblow1dConfig, LpOracle, MkpItem, RowBase, SimplexOracle,
 };
 use eblow_core::twod::Eblow2d;
-use eblow_engine::{
-    strategy_by_name, write_text_atomic, Budget, Portfolio, PortfolioConfig, StrategyStatus,
-};
+use eblow_engine::{strategy_by_name, Budget, Portfolio, PortfolioConfig, StrategyStatus};
 use eblow_gen::{table3_suite, table4_suite, Family, GenConfig};
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
@@ -198,10 +197,11 @@ fn table4() {
 /// per-strategy report — the end-to-end path a production deployment
 /// exercises.
 ///
-/// `case` restricts the run to one named case. `assert_within` turns the
-/// run into a correctness gate (used by CI): every race must produce a
-/// valid plan and return within `deadline + margin`, else the process
-/// exits non-zero.
+/// `case` restricts the run to one named case; the huge `1H-1`/`1H-2`
+/// cases are outside the default sweep and race only when named.
+/// `assert_within` turns the run into a correctness gate (used by CI):
+/// every race must produce a valid plan and return within
+/// `deadline + margin`, else the process exits non-zero.
 fn portfolio(deadline: Duration, case: Option<&str>, assert_within: Option<Duration>) {
     println!();
     println!(
@@ -213,11 +213,16 @@ fn portfolio(deadline: Duration, case: Option<&str>, assert_within: Option<Durat
         deadline: Some(deadline),
         ..Default::default()
     };
+    let huge = [Family::H1(1), Family::H1(2)]
+        .into_iter()
+        .filter(|f| case.is_some_and(|c| c == f.name()))
+        .map(|f| (f.name(), eblow_gen::benchmark(f)));
     let suites = table3_suite()
         .into_iter()
         .chain(table4_suite())
         .chain(eblow_gen::table5_suite())
-        .filter(|(name, _)| case.is_none_or(|c| c == name));
+        .filter(|(name, _)| case.is_none_or(|c| c == name))
+        .chain(huge);
     let mut ran = 0usize;
     for (name, inst) in suites {
         ran += 1;
@@ -259,10 +264,10 @@ fn portfolio(deadline: Duration, case: Option<&str>, assert_within: Option<Durat
     }
 }
 
-/// Compares sharded against monolithic planning on the huge benchmark
-/// cases under equal deadlines: the `shard1d`/`shard2d` composite races
-/// its shards in parallel while the monolithic portfolio races the
-/// classic planner zoo on the whole instance.
+/// Compares sharded against monolithic planning on the huge `1H-1` case
+/// under equal deadlines: the `shard1d` composite races its shards in
+/// parallel while the monolithic portfolio races the classic 1D planner
+/// zoo on the whole instance.
 ///
 /// With `assert_no_worse` the process exits non-zero if the stitched plan
 /// is worse (higher `T_total`) than the monolithic race's, and
@@ -275,6 +280,12 @@ fn shard_cmd(
     assert_no_worse: bool,
     assert_within: Option<Duration>,
 ) {
+    let family = Family::H1(1);
+    let name = family.name();
+    if let Some(c) = case.filter(|c| *c != name) {
+        eprintln!("FAIL: unknown case {c:?} (shard case: 1H-1)");
+        std::process::exit(2);
+    }
     println!();
     println!(
         "== Sharded vs monolithic planning (deadline {:.1}s per case) ==",
@@ -288,98 +299,76 @@ fn shard_cmd(
         deadline: Some(deadline),
         ..Default::default()
     };
-    let mut ran = 0usize;
+    let inst = eblow_gen::benchmark(family);
+    let sharded = Portfolio::of_names(["shard1d"])
+        .expect("registry name")
+        .run(&inst, &config);
+    let mono = Portfolio::of_names([
+        "eblow1d@combinatorial",
+        "heuristic1d",
+        "rowheur1d",
+        "greedy1d",
+    ])
+    .expect("registry names")
+    .run(&inst, &config);
+    let Some(shard_best) = &sharded.best else {
+        eprintln!("FAIL: {name}: shard1d produced no valid plan");
+        std::process::exit(1);
+    };
+    shard_best
+        .validate(&inst)
+        .unwrap_or_else(|e| panic!("{name}: stitched plan invalid: {e}"));
+    let (mono_t, mono_c) = match &mono.best {
+        Some(b) => (b.total_time.to_string(), b.selection.count().to_string()),
+        None => ("NA".into(), "NA".into()),
+    };
+    let ratio = mono
+        .best
+        .as_ref()
+        .map(|b| shard_best.total_time as f64 / b.total_time.max(1) as f64);
+    println!(
+        "{:6} {:>6} | {:>12} {:>6} {:>8.3} | {:>12} {:>6} {:>8.3} | {:>8}",
+        name,
+        inst.num_chars(),
+        shard_best.total_time,
+        shard_best.selection.count(),
+        sharded.elapsed.as_secs_f64(),
+        mono_t,
+        mono_c,
+        mono.elapsed.as_secs_f64(),
+        ratio.map_or("-".into(), |r| format!("{r:.3}")),
+    );
     let mut failed = false;
-    for family in [Family::H1(1), Family::H2(1)] {
-        let name = family.name();
-        if case.is_some_and(|c| c != name) {
-            continue;
-        }
-        ran += 1;
-        let inst = eblow_gen::benchmark(family);
-        let is_1d = inst.num_rows().is_ok();
-        let mono_names: &[&str] = if is_1d {
-            &[
-                "eblow1d@combinatorial",
-                "heuristic1d",
-                "rowheur1d",
-                "greedy1d",
-            ]
-        } else {
-            &["eblow2d", "sa2d", "greedy2d"]
-        };
-        let shard_name = if is_1d { "shard1d" } else { "shard2d" };
-        let sharded = Portfolio::of_names([shard_name])
-            .expect("registry name")
-            .run(&inst, &config);
-        let mono = Portfolio::of_names(mono_names.iter().copied())
-            .expect("registry names")
-            .run(&inst, &config);
-        let Some(shard_best) = &sharded.best else {
-            eprintln!("FAIL: {name}: {shard_name} produced no valid plan");
+    if let Some(margin) = assert_within {
+        let budget = deadline + margin;
+        if sharded.elapsed > budget {
+            eprintln!(
+                "FAIL: {name}: sharded race took {:.3}s, budget {:.3}s",
+                sharded.elapsed.as_secs_f64(),
+                budget.as_secs_f64()
+            );
             failed = true;
-            continue;
-        };
-        shard_best
-            .validate(&inst)
-            .unwrap_or_else(|e| panic!("{name}: stitched plan invalid: {e}"));
-        let (mono_t, mono_c) = match &mono.best {
-            Some(b) => (b.total_time.to_string(), b.selection.count().to_string()),
-            None => ("NA".into(), "NA".into()),
-        };
-        let ratio = mono
-            .best
-            .as_ref()
-            .map(|b| shard_best.total_time as f64 / b.total_time.max(1) as f64);
-        println!(
-            "{:6} {:>6} | {:>12} {:>6} {:>8.3} | {:>12} {:>6} {:>8.3} | {:>8}",
-            name,
-            inst.num_chars(),
-            shard_best.total_time,
-            shard_best.selection.count(),
-            sharded.elapsed.as_secs_f64(),
-            mono_t,
-            mono_c,
-            mono.elapsed.as_secs_f64(),
-            ratio.map_or("-".into(), |r| format!("{r:.3}")),
-        );
-        if let Some(margin) = assert_within {
-            let budget = deadline + margin;
-            if sharded.elapsed > budget {
-                eprintln!(
-                    "FAIL: {name}: sharded race took {:.3}s, budget {:.3}s",
-                    sharded.elapsed.as_secs_f64(),
-                    budget.as_secs_f64()
-                );
-                failed = true;
-            }
         }
-        if assert_no_worse {
-            match &mono.best {
-                Some(mono_best) => {
-                    if shard_best.total_time > mono_best.total_time {
-                        eprintln!(
-                            "FAIL: {name}: stitched T_total {} worse than monolithic {}",
-                            shard_best.total_time, mono_best.total_time
-                        );
-                        failed = true;
-                    }
-                }
-                // A missing baseline is a failure, not a free pass: the
-                // gate is defined *against* the monolithic race, so a
-                // regression that breaks the monolithic planners must not
-                // turn this check vacuous.
-                None => {
-                    eprintln!("FAIL: {name}: monolithic race produced no plan to compare against");
+    }
+    if assert_no_worse {
+        match &mono.best {
+            Some(mono_best) => {
+                if shard_best.total_time > mono_best.total_time {
+                    eprintln!(
+                        "FAIL: {name}: stitched T_total {} worse than monolithic {}",
+                        shard_best.total_time, mono_best.total_time
+                    );
                     failed = true;
                 }
             }
-        }
-    }
-    if let Some(c) = case {
-        if ran == 0 {
-            eprintln!("FAIL: unknown case {c:?} (huge cases: 1H-1, 2H-1)");
-            std::process::exit(2);
+            // A missing baseline is a failure, not a free pass: the gate
+            // is defined *against* the monolithic race, so a regression
+            // that breaks the monolithic planners must not turn this check
+            // vacuous.
+            None => {
+                eprintln!("FAIL: {name}: monolithic race produced no plan to compare against");
+                failed = true;
+            }
         }
     }
     if failed {
@@ -524,8 +513,7 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
         deadline.as_secs_f64(),
         rows.join(",\n"),
     );
-    write_text_atomic(std::path::Path::new(&out_path), &doc)
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path} ({} cases)", rows.len());
     if failed {
         std::process::exit(1);
@@ -554,7 +542,7 @@ fn counter_deltas_json(before: &[eblow_trace::CounterValue]) -> String {
 /// at `Level::Full` and exports the recording three ways: JSON-lines
 /// (`TRACE_<case>.jsonl`), Chrome trace-event format
 /// (`TRACE_<case>.chrome.json`, loadable in Perfetto or `chrome://tracing`
-/// — every strategy worker and shard lane renders as a swim-lane), and the
+/// — every strategy worker renders as a swim-lane), and the
 /// aggregated human summary on stdout.
 ///
 /// This is also CI's observability smoke gate, so it self-validates before
@@ -595,9 +583,10 @@ fn trace_cmd(deadline: Duration, case: Option<&str>, out_dir: Option<&str>) {
     let jsonl_path = dir.join(format!("TRACE_{case}.jsonl"));
     let chrome_path = dir.join(format!("TRACE_{case}.chrome.json"));
     let chrome = eblow_trace::export::to_chrome_trace(&snap);
-    write_text_atomic(&jsonl_path, &eblow_trace::export::to_jsonl(&snap))
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+    std::fs::write(&jsonl_path, eblow_trace::export::to_jsonl(&snap))
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", jsonl_path.display()));
-    write_text_atomic(&chrome_path, &chrome)
+    std::fs::write(&chrome_path, &chrome)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", chrome_path.display()));
 
     println!("{}", eblow_trace::export::summary(&snap));

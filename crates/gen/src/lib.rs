@@ -109,7 +109,7 @@ impl GenConfig {
     }
 
     /// A huge multi-region 1D workload (12 000 candidates, 10 CPs) — the
-    /// scale the sharded `shard1d` composite targets. Far beyond the
+    /// scale the sharded `shard1d` composite was built for. Far beyond the
     /// paper's benchmark suite, but the same character statistics.
     pub fn huge_1d(seed: u64) -> Self {
         GenConfig {
@@ -128,8 +128,8 @@ impl GenConfig {
         }
     }
 
-    /// A huge multi-region 2D workload (10 000 candidates, 10 CPs) for the
-    /// sharded `shard2d` composite.
+    /// A huge multi-region 2D workload (10 000 candidates, 10 CPs): the
+    /// largest free-form race of the bench trajectory.
     pub fn huge_2d(seed: u64) -> Self {
         GenConfig {
             n_chars: 10_000,
@@ -284,10 +284,10 @@ pub enum Family {
     /// `2T-k`, k ∈ 1..=4 — tiny 2DOSP exact-ILP cases (6..12 candidates).
     T2(u8),
     /// `1H-k`, k ∈ 1..=2 — huge 1DOSP MCC cases (12 000 candidates,
-    /// 10 CPs) for sharded planning; not part of the paper's suite.
+    /// 10 CPs); not part of the paper's suite.
     H1(u8),
     /// `2H-k`, k ∈ 1..=2 — huge 2DOSP MCC cases (10 000 candidates,
-    /// 10 CPs) for sharded planning; not part of the paper's suite.
+    /// 10 CPs); not part of the paper's suite.
     H2(u8),
 }
 

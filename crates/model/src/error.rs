@@ -100,14 +100,14 @@ pub enum ModelError {
         /// Expected length (number of characters).
         expected: usize,
     },
-    /// A shard band lies outside (or degenerately inside) its parent
-    /// instance's stencil.
+    /// A shard's row band lies outside (or degenerately inside) its
+    /// parent instance's stencil.
     ShardBand {
-        /// Start of the band (row index for 1D bands, µm for 2D slices).
+        /// First row of the band.
         start: u64,
-        /// Extent of the band (rows for 1D bands, µm for 2D slices).
+        /// Rows in the band.
         extent: u64,
-        /// Available extent in the parent (rows or µm).
+        /// Rows in the parent stencil.
         available: u64,
     },
     /// A writing time or reduction sum of the instance exceeds `u64`.

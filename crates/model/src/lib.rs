@@ -63,4 +63,4 @@ pub use instance::{Instance, SparseRepeat, Stencil};
 pub use placement1d::{Placement1d, Row};
 pub use placement2d::{PlacedChar, Placement2d};
 pub use selection::Selection;
-pub use shard::{stitch_1d, stitch_2d, Stitched1d, Stitched2d, SubInstance};
+pub use shard::{stitch_1d, Stitched1d, SubInstance};

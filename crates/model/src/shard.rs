@@ -1,10 +1,10 @@
 //! Sub-instance extraction and plan stitching for sharded planning.
 //!
 //! Very large MCC instances decompose naturally: the stencil splits into
-//! disjoint row bands (1D) or horizontal slices (2D), and the candidate
-//! pool splits into per-shard subsets. Each shard becomes a self-contained
-//! [`Instance`] — planners need no sharding awareness at all — and the
-//! per-shard plans stitch back into one placement on the original instance.
+//! disjoint row bands, and the candidate pool splits into per-shard
+//! subsets. Each shard becomes a self-contained [`Instance`] — planners
+//! need no sharding awareness at all — and the per-shard plans stitch back
+//! into one placement on the original instance.
 //!
 //! Two invariants make stitching safe:
 //!
@@ -12,33 +12,27 @@
 //!   from its local candidate indices back to the original instance, so a
 //!   shard plan's [`CharId`]s translate mechanically.
 //! * **Bands are geometric sub-regions.** A shard's stencil has the full
-//!   original width and a height that is a contiguous slice of the
-//!   original, so any placement legal inside the shard stays legal after
-//!   translation — stitching can only *fail* through overlapping bands or
-//!   duplicated candidates, both of which [`stitch_1d`]/[`stitch_2d`]
-//!   reconcile or reject.
+//!   original width and a contiguous band of the original rows, so any
+//!   placement legal inside the shard stays legal after translation —
+//!   stitching can only *fail* through overlapping bands or duplicated
+//!   candidates, both of which [`stitch_1d`] reconciles or rejects.
 //!
 //! Candidate subsets may overlap between shards (a character with repeats
 //! in several region groups is a candidate everywhere it matters); the
-//! stitchers drop all but the first placement of a duplicated character
-//! and report the count, since one stencil slot serves every region.
+//! stitcher drops all but the first placement of a duplicated character
+//! and reports the count, since one stencil slot serves every region.
 
-use crate::{
-    CharId, Instance, ModelError, PlacedChar, Placement1d, Placement2d, Row, Selection, Stencil,
-};
+use crate::{CharId, Instance, ModelError, Placement1d, Row, Selection, Stencil};
 
-/// A shard of a larger instance: a candidate subset on a stencil band,
+/// A shard of a larger instance: a candidate subset on a stencil row band,
 /// plus the bookkeeping needed to translate plans back.
 #[derive(Debug, Clone)]
 pub struct SubInstance {
     instance: Instance,
     /// `char_map[local] = original` candidate index.
     char_map: Vec<usize>,
-    /// First original stencil row covered by the band (1D; 0 for 2D).
+    /// First original stencil row covered by the band.
     row_offset: usize,
-    /// Vertical position of the band's bottom edge in the original
-    /// stencil, µm.
-    y_offset: u64,
 }
 
 impl SubInstance {
@@ -78,56 +72,6 @@ impl SubInstance {
             band_rows as u64 * row_height,
             row_height,
         )?;
-        let instance = Self::subset_instance(original, chars, stencil)?;
-        Ok(SubInstance {
-            instance,
-            char_map: chars.to_vec(),
-            row_offset: start_row,
-            y_offset: start_row as u64 * row_height,
-        })
-    }
-
-    /// Extracts a 2D shard: candidates `chars` on the horizontal slice
-    /// `[y_offset, y_offset + band_height)` of `original`'s free-form
-    /// stencil.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::ShardBand`] for empty or out-of-range slices (or a
-    /// row-structured original, which should shard by rows instead), plus
-    /// the candidate-subset errors of [`SubInstance::extract_rows`].
-    pub fn extract_band(
-        original: &Instance,
-        chars: &[usize],
-        y_offset: u64,
-        band_height: u64,
-    ) -> Result<Self, ModelError> {
-        let height = original.stencil().height();
-        if original.stencil().row_height().is_some()
-            || band_height == 0
-            || y_offset + band_height > height
-        {
-            return Err(ModelError::ShardBand {
-                start: y_offset,
-                extent: band_height,
-                available: height,
-            });
-        }
-        let stencil = Stencil::new(original.stencil().width(), band_height)?;
-        let instance = Self::subset_instance(original, chars, stencil)?;
-        Ok(SubInstance {
-            instance,
-            char_map: chars.to_vec(),
-            row_offset: 0,
-            y_offset,
-        })
-    }
-
-    fn subset_instance(
-        original: &Instance,
-        chars: &[usize],
-        stencil: Stencil,
-    ) -> Result<Instance, ModelError> {
         let regions = original.num_regions();
         let mut seen = vec![false; original.num_chars()];
         let mut sub_chars = Vec::with_capacity(chars.len());
@@ -146,7 +90,11 @@ impl SubInstance {
             sub_chars.push(*original.char(i));
             sub_repeats.extend_from_slice(original.repeat_row(i));
         }
-        Instance::from_flat(stencil, sub_chars, sub_repeats, regions)
+        Ok(SubInstance {
+            instance: Instance::from_flat(stencil, sub_chars, sub_repeats, regions)?,
+            char_map: chars.to_vec(),
+            row_offset: start_row,
+        })
     }
 
     /// The extracted shard instance.
@@ -161,16 +109,10 @@ impl SubInstance {
         &self.char_map
     }
 
-    /// First original stencil row covered by a 1D band (0 for 2D slices).
+    /// First original stencil row covered by the band.
     #[inline]
     pub fn row_offset(&self) -> usize {
         self.row_offset
-    }
-
-    /// Bottom edge of the band in the original stencil, µm.
-    #[inline]
-    pub fn y_offset(&self) -> u64 {
-        self.y_offset
     }
 
     /// Maps a local candidate index back to the original instance.
@@ -255,61 +197,6 @@ pub fn stitch_1d(
     })
 }
 
-/// A stitched sharded 2D plan, re-expressed on the original instance.
-#[derive(Debug, Clone)]
-pub struct Stitched2d {
-    /// The combined placement (validated against the original instance).
-    pub placement: Placement2d,
-    /// The induced selection over the original candidates.
-    pub selection: Selection,
-    /// Duplicate placements dropped during reconciliation.
-    pub duplicates_dropped: usize,
-}
-
-/// Stitches per-shard 2D placements back onto the original instance.
-///
-/// Every placed character is translated up by its shard's
-/// [`SubInstance::y_offset`]; duplicates keep only their first occurrence.
-/// The result is validated against `original` (pairwise separation
-/// included — bands are geometrically disjoint, but validation is the
-/// contract, not an assumption).
-///
-/// # Errors
-///
-/// [`ModelError::UnknownChar`] for broken index maps and any validation
-/// error of [`Placement2d::validate`].
-pub fn stitch_2d(
-    original: &Instance,
-    parts: &[(&SubInstance, &Placement2d)],
-) -> Result<Stitched2d, ModelError> {
-    let mut placed = Vec::new();
-    let mut seen = vec![false; original.num_chars()];
-    let mut duplicates_dropped = 0usize;
-    for (sub, placement) in parts {
-        for pc in placement.placed() {
-            let original_id = sub.to_original(pc.id.index())?;
-            if seen[original_id] {
-                duplicates_dropped += 1;
-                continue;
-            }
-            seen[original_id] = true;
-            placed.push(PlacedChar {
-                id: CharId::from(original_id),
-                x: pc.x,
-                y: pc.y + sub.y_offset() as i64,
-            });
-        }
-    }
-    let placement = Placement2d::from_placed(placed);
-    placement.validate(original)?;
-    let selection = placement.selection(original.num_chars());
-    Ok(Stitched2d {
-        placement,
-        selection,
-        duplicates_dropped,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +219,6 @@ mod tests {
         assert_eq!(sub.instance().num_rows().unwrap(), 2);
         assert_eq!(sub.char_map(), &[4, 1]);
         assert_eq!(sub.row_offset(), 2);
-        assert_eq!(sub.y_offset(), 80);
         // Local 0 is original 4: width 34, repeats [4, 2].
         assert_eq!(sub.instance().char(0).width(), 34);
         assert_eq!(sub.instance().repeat_row(0), &[4, 2]);
@@ -395,61 +281,6 @@ mod tests {
         assert!(matches!(
             stitch_1d(&inst, &[(&a, &pa)]),
             Err(ModelError::TooManyRows { .. })
-        ));
-    }
-
-    fn inst_2d() -> Instance {
-        let chars: Vec<Character> = (0..4)
-            .map(|_| Character::new(40, 40, [5, 5, 5, 5], 10).unwrap())
-            .collect();
-        let repeats = vec![vec![3]; 4];
-        Instance::new(Stencil::new(100, 200).unwrap(), chars, repeats).unwrap()
-    }
-
-    #[test]
-    fn stitch_2d_translates_bands_and_validates() {
-        let inst = inst_2d();
-        let a = SubInstance::extract_band(&inst, &[0, 1], 0, 100).unwrap();
-        let b = SubInstance::extract_band(&inst, &[2, 3], 100, 100).unwrap();
-        assert_eq!(b.y_offset(), 100);
-        let pa = Placement2d::from_placed(vec![
-            PlacedChar {
-                id: CharId(0),
-                x: 0,
-                y: 0,
-            },
-            PlacedChar {
-                id: CharId(1),
-                x: 35,
-                y: 0,
-            },
-        ]);
-        let pb = Placement2d::from_placed(vec![PlacedChar {
-            id: CharId(0), // original 2
-            x: 0,
-            y: 10,
-        }]);
-        let stitched = stitch_2d(&inst, &[(&a, &pa), (&b, &pb)]).unwrap();
-        assert_eq!(stitched.duplicates_dropped, 0);
-        assert_eq!(stitched.selection.count(), 3);
-        // Original 2 is translated up by the band offset.
-        let placed = stitched.placement.placed();
-        assert_eq!(placed[2].id, CharId(2));
-        assert_eq!(placed[2].y, 110);
-        stitched.placement.validate(&inst).unwrap();
-    }
-
-    #[test]
-    fn extract_band_rejects_row_structured_and_oversized() {
-        let inst1d = inst_1d();
-        assert!(matches!(
-            SubInstance::extract_band(&inst1d, &[0], 0, 40),
-            Err(ModelError::ShardBand { .. })
-        ));
-        let inst2d = inst_2d();
-        assert!(matches!(
-            SubInstance::extract_band(&inst2d, &[0], 150, 100),
-            Err(ModelError::ShardBand { .. })
         ));
     }
 }

@@ -1,6 +1,6 @@
 //! Portfolio planning end-to-end: race the whole planner zoo on generated
 //! 1D and 2D instances under a wall-clock deadline, then demonstrate the
-//! digest-keyed plan cache on a repeated batch.
+//! digest-keyed plan cache on a repeated queue.
 //!
 //! ```sh
 //! cargo run --release --example portfolio
@@ -72,41 +72,46 @@ fn main() {
         outcome.winner().expect("a winner")
     );
 
-    // ---- batch planning with the digest-keyed plan cache ----------------
+    // ---- a repeated queue through the digest-keyed plan cache ----------
     println!();
-    println!("== batch planning with plan cache ==");
-    let planner = Planner::with_portfolio(Portfolio::all_builtin())
-        .with_config(config)
-        .with_workers(4);
-    let batch: Vec<_> = (0..3)
+    println!("== queue planning with plan cache ==");
+    let planner = Planner::with_portfolio(Portfolio::all_builtin()).with_config(config);
+    let queue: Vec<_> = (0..3)
         .map(|s| eblow::gen::generate(&GenConfig::tiny_1d(3000 + s)))
         .chain((0..2).map(|s| eblow::gen::generate(&GenConfig::tiny_2d(3000 + s))))
         .collect();
 
+    // Pass 2 must be served entirely from the cache, with pass 1's plans.
+    let mut first_pass: Vec<(&str, u64)> = Vec::new();
     for pass in 1..=2 {
         let started = std::time::Instant::now();
-        let results = planner.plan_batch(&batch);
-        let hits = results.iter().filter(|r| r.from_cache).count();
+        let hits_before = planner.cache_stats().hits;
+        for (index, inst) in queue.iter().enumerate() {
+            let best = planner.plan(inst).best.expect("a valid plan");
+            println!(
+                "  instance {index}: {} T_total={}",
+                best.strategy, best.total_time
+            );
+            let plan = (best.strategy, best.total_time);
+            if pass == 1 {
+                first_pass.push(plan);
+            } else {
+                assert_eq!(plan, first_pass[index], "cached plan differs from pass 1");
+            }
+        }
         let stats = planner.cache_stats();
+        let hits = stats.hits - hits_before;
         println!(
-            "pass {pass}: {} instances in {:.3}s — {} served from cache \
+            "pass {pass}: {} instances in {:.3}s — {hits} served from cache \
              (cumulative: {} hits / {} misses, hit ratio {:.0}%)",
-            results.len(),
+            queue.len(),
             started.elapsed().as_secs_f64(),
-            hits,
             stats.hits,
             stats.misses,
             stats.hit_ratio() * 100.0
         );
-        for r in &results {
-            let outcome = r.outcome.as_ref().expect("plan");
-            println!(
-                "  instance {}: {} T_total={} {}",
-                r.index,
-                outcome.strategy,
-                outcome.total_time,
-                if r.from_cache { "(cache hit)" } else { "" }
-            );
+        if pass == 2 {
+            assert_eq!(hits, queue.len() as u64, "pass 2 must be all cache hits");
         }
     }
 }
