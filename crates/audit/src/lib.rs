@@ -5,7 +5,7 @@
 //! CI, but the invariants that have actually bitten this repository are
 //! ones no generic lint knows about: float comparators in planning sorts
 //! must be NaN-total, every long planning loop must poll its `StopFlag`,
-//! `unsafe` stays confined to the trace ring, digest/persistence code
+//! no crate uses `unsafe`, digest/persistence code
 //! must be bit-deterministic, and every lint suppression must say
 //! why. Each shipped as a reactive bug fix in PRs 1–5; this crate checks
 //! them on every commit instead.

@@ -31,10 +31,10 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "unsafe-confinement",
-        summary: "`unsafe` outside crates/trace/src/ring.rs, or a crate root missing \
-                  `#![forbid(unsafe_code)]`",
-        rationale: "the workspace confines `unsafe` to the trace ring's single-producer slots; \
-                    everywhere else rustc and this rule both enforce the forbid",
+        summary: "`unsafe` anywhere, or a crate root missing `#![forbid(unsafe_code)]`",
+        rationale: "the trace ring's `unsafe` slots let a snapshot clone an event its producer \
+                    was freeing; a lock replaced them, the workspace has no `unsafe` left, and \
+                    rustc and this rule both enforce the forbid",
     },
     RuleInfo {
         id: "determinism",
@@ -336,27 +336,22 @@ fn stop_flag_coverage(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
-/// unsafe-confinement: `unsafe` tokens only in crates/trace/src/ring.rs;
-/// every other crate root must carry `#![forbid(unsafe_code)]`.
+/// unsafe-confinement: no `unsafe` token anywhere; every crate root
+/// carries `#![forbid(unsafe_code)]`.
 fn unsafe_confinement(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let ring = rel == "crates/trace/src/ring.rs";
-    if !ring {
-        for t in &lexed.tokens {
-            // `unsafe_code` inside `#![forbid(unsafe_code)]` is its own
-            // ident and never matches; this arm only sees real `unsafe`.
-            if matches!(&t.tok, Tok::Ident(s) if s == "unsafe") {
-                out.push(Finding {
-                    rule: "unsafe-confinement",
-                    file: rel.to_string(),
-                    line: t.line,
-                    message: "`unsafe` outside crates/trace/src/ring.rs — the workspace confines \
-                              unsafe to the trace ring"
-                        .to_string(),
-                });
-            }
+    for t in &lexed.tokens {
+        // `unsafe_code` inside `#![forbid(unsafe_code)]` is its own
+        // ident and never matches; this arm only sees real `unsafe`.
+        if matches!(&t.tok, Tok::Ident(s) if s == "unsafe") {
+            out.push(Finding {
+                rule: "unsafe-confinement",
+                file: rel.to_string(),
+                line: t.line,
+                message: "`unsafe` in a workspace that forbids it everywhere".to_string(),
+            });
         }
     }
-    if is_crate_root(rel) && !rel.starts_with("crates/trace/") {
+    if is_crate_root(rel) {
         let has_forbid = (0..lexed.tokens.len()).any(|k| {
             ident_at(lexed, k) == Some("forbid")
                 && punct_at(lexed, k + 1) == Some('(')
@@ -367,8 +362,8 @@ fn unsafe_confinement(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                 rule: "unsafe-confinement",
                 file: rel.to_string(),
                 line: 1,
-                message: "crate root missing `#![forbid(unsafe_code)]` (every crate but \
-                          eblow-trace forbids unsafe)"
+                message: "crate root missing `#![forbid(unsafe_code)]` (every crate forbids \
+                          unsafe)"
                     .to_string(),
             });
         }

@@ -1,4 +1,4 @@
-// Fixture: an `unsafe` block outside crates/trace/src/ring.rs. Must fire
+// Fixture: an `unsafe` block, which no workspace file may hold. Must fire
 // unsafe-confinement exactly once (the mention in this comment and the
 // string below must not count).
 

@@ -186,8 +186,14 @@ impl Eblow2d {
         let scale = *instance.vsb_times().iter().max().unwrap_or(&1) as f64 * 0.05;
         // Cap the per-plateau budget so the largest MCC cases stay within
         // interactive runtimes (the shelf engine's O(n) evaluation already
-        // bounds per-move cost; this bounds move count).
-        let per_temp = (self.config.moves_factor * nodes.len().max(1)).min(2000);
+        // bounds per-move cost; this bounds move count). A plateau makes at
+        // least one move, and a huge `moves_factor` saturates into the cap.
+        let per_temp = self
+            .config
+            .moves_factor
+            .max(1)
+            .saturating_mul(nodes.len().max(1))
+            .min(2000);
         let schedule = Schedule::geometric(
             scale.max(1.0),
             self.config.alpha,
@@ -316,6 +322,24 @@ mod tests {
             .collect();
         let positions = Eblow2d::default().anneal(&inst, &nodes, StopFlag::NEVER);
         assert_eq!(positions.len(), nodes.len());
+    }
+
+    /// `moves_factor: 0` used to panic in `Schedule::geometric` (no move
+    /// per plateau), and `usize::MAX` overflowed `moves_factor × nodes`
+    /// (a panic in debug builds, a silent wrap in release builds).
+    #[test]
+    fn extreme_moves_factors_still_plan_validly() {
+        let inst = eblow_gen::generate(&GenConfig::tiny_2d(17));
+        for moves_factor in [0, usize::MAX] {
+            let plan = Eblow2d::new(Eblow2dConfig {
+                moves_factor,
+                ..Default::default()
+            })
+            .plan(&inst)
+            .unwrap();
+            plan.placement.validate(&inst).unwrap();
+            assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+        }
     }
 
     #[test]

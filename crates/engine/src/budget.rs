@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 ///
 /// A `Budget` carries two things:
 ///
-/// * an optional **wall-clock deadline**, measured from [`Budget::start`];
+/// * an optional **wall-clock deadline**, measured from the budget's
+///   construction;
 /// * a shared **stop flag**, raised either explicitly ([`Budget::cancel`])
 ///   or by the portfolio executor once the deadline passes. Strategies
 ///   poll it through [`Budget::stop_flag`] and thread it into the planner
@@ -60,16 +61,6 @@ impl Budget {
     pub fn with_ilp_time_limit(mut self, limit: Duration) -> Self {
         self.ilp_time_limit = limit;
         self
-    }
-
-    /// The instant this budget started ticking.
-    pub fn start(&self) -> Instant {
-        self.started
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
     }
 
     /// Wall-clock time left before the deadline (`None` = unbounded).

@@ -66,4 +66,4 @@ pub use outcome::{EngineError, PlanDetail, PlanOutcome};
 pub use planner::Planner;
 pub use portfolio::{Portfolio, PortfolioConfig, PortfolioOutcome, StrategyReport, StrategyStatus};
 pub use shard::Shard1dStrategy;
-pub use strategy::{builtin_strategies, strategies_for, strategy_by_name, Strategy};
+pub use strategy::{builtin_strategies, strategy_by_name, Strategy};

@@ -58,17 +58,6 @@ impl Planner {
         self
     }
 
-    /// Sets the plan-cache capacity (entries).
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        *self.cache.lock().expect("cache lock") = LruCache::new(capacity);
-        self
-    }
-
-    /// The portfolio this planner races.
-    pub fn strategies(&self) -> &Portfolio {
-        &self.portfolio
-    }
-
     /// Cumulative cache hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -79,12 +68,6 @@ impl Planner {
 
     fn cache_key(&self, instance: &Instance) -> PlanCacheKey {
         PlanCacheKey::new(instance, self.portfolio.names())
-    }
-
-    /// Races the portfolio on one instance, bypassing the cache, and
-    /// returns the full race report.
-    pub fn plan_uncached(&self, instance: &Instance) -> PortfolioOutcome {
-        self.portfolio.run(instance, &self.config)
     }
 
     /// Races the portfolio on one instance, serving and populating the
@@ -152,14 +135,14 @@ mod tests {
     }
 
     /// A plain planner's cache key is the instance digest plus the
-    /// fingerprint of the built-in registry names, pinned so stored keys
-    /// stay valid. Changing the race line-up changes it by design.
+    /// fingerprint of the nine raced names, pinned so stored keys stay
+    /// valid. Changing the race line-up changes it by design.
     #[test]
     fn portfolio_cache_key_is_byte_stable() {
         let inst = eblow_gen::generate(&GenConfig::tiny_1d(1));
         let key = Planner::portfolio().cache_key(&inst);
         assert_eq!(key.digest, inst.digest());
-        assert_eq!(key.portfolio_fingerprint, 0x7d41_4ea2_d87d_2bf6);
+        assert_eq!(key.portfolio_fingerprint, 0x3b24_2917_b73d_e9f9);
     }
 
     /// A strategy that spins until the deadline cancels it, then returns a

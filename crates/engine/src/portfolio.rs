@@ -175,27 +175,18 @@ impl Portfolio {
         Portfolio::new(crate::strategy::builtin_strategies())
     }
 
-    /// A portfolio over built-in strategies selected by registry name.
+    /// A portfolio over registered strategies selected by name (see
+    /// [`strategy_by_name`](crate::strategy_by_name)).
     ///
     /// # Errors
     ///
-    /// Returns the first unknown name. Names with a trailing `@` (an empty
-    /// backend parameter, e.g. `"eblow1d@"`) are rejected with an explicit
-    /// message rather than silently resolving to the bare base strategy —
-    /// the malformed name would otherwise leak into report labels and
-    /// plan-cache fingerprints as a distinct strategy.
+    /// Returns the first unknown name.
     pub fn of_names<'n>(names: impl IntoIterator<Item = &'n str>) -> Result<Self, String> {
-        let mut strategies = Vec::new();
-        for name in names {
-            if name.ends_with('@') {
-                return Err(format!(
-                    "{name}: empty strategy backend (remove the trailing '@' or name a backend)"
-                ));
-            }
-            strategies
-                .push(crate::strategy::strategy_by_name(name).ok_or_else(|| name.to_string())?);
-        }
-        Ok(Portfolio::new(strategies))
+        names
+            .into_iter()
+            .map(|name| crate::strategy::strategy_by_name(name).ok_or_else(|| name.to_string()))
+            .collect::<Result<_, _>>()
+            .map(Portfolio::new)
     }
 
     /// The strategies in this portfolio.
@@ -419,40 +410,41 @@ mod tests {
         assert_eq!(outcome.winner().unwrap(), best.strategy);
     }
 
+    /// On a 2D instance the seven 1D members are reported unsupported and
+    /// only `eblow2d` and `sa2d` race.
     #[test]
     fn unsupported_strategies_are_reported_not_run() {
         let inst = eblow_gen::generate(&GenConfig::tiny_2d(22));
         let outcome = Portfolio::all_builtin().run(&inst, &PortfolioConfig::default());
-        let unsupported: Vec<&str> = outcome
+        let (unsupported, raced): (Vec<&StrategyReport>, Vec<&StrategyReport>) = outcome
             .reports
             .iter()
-            .filter(|r| r.status == StrategyStatus::Unsupported)
-            .map(|r| r.name)
-            .collect();
-        assert!(unsupported.contains(&"eblow1d@combinatorial"));
-        assert!(unsupported.contains(&"eblow1d@simplex"));
-        assert!(unsupported.contains(&"ilp2d"), "60 chars > ILP cap");
+            .partition(|r| r.status == StrategyStatus::Unsupported);
+        let names = |rs: &[&StrategyReport]| rs.iter().map(|r| r.name).collect::<Vec<_>>();
+        assert_eq!(
+            names(&unsupported),
+            [
+                "eblow1d@combinatorial",
+                "eblow1d@simplex",
+                "eblow1d-0",
+                "heuristic1d",
+                "rowheur1d",
+                "greedy1d",
+                "exact1d",
+            ]
+        );
+        assert_eq!(names(&raced), ["eblow2d", "sa2d"]);
+        assert_eq!(outcome.supported, 2);
     }
 
+    /// Names are exact-match registry keys: an unknown name, a trailing
+    /// `@` included, comes back as the error.
     #[test]
     fn of_names_rejects_unknown() {
         assert!(Portfolio::of_names(["eblow1d", "greedy1d"]).is_ok());
-        assert_eq!(
-            Portfolio::of_names(["eblow1d", "bogus"]).err().unwrap(),
-            "bogus"
-        );
-    }
-
-    /// Regression: a trailing `@` used to resolve like the bare base name
-    /// while keeping the malformed spelling in labels and cache keys.
-    #[test]
-    fn of_names_rejects_trailing_at_with_a_clear_error() {
-        let err = Portfolio::of_names(["eblow1d@"]).err().unwrap();
-        assert!(
-            err.contains("empty strategy backend"),
-            "error must explain the problem, got: {err}"
-        );
-        assert!(err.contains("eblow1d@"), "error must name the offender");
+        for bad in ["bogus", "eblow1d@"] {
+            assert_eq!(Portfolio::of_names(["eblow1d", bad]).err().unwrap(), bad);
+        }
     }
 
     /// When `supports()` filters out every strategy, the outcome must be

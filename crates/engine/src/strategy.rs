@@ -15,7 +15,7 @@ use eblow_core::baselines::{
 };
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
 use eblow_core::oned::{solve_exact_1d, Eblow1d, Eblow1dConfig, SimplexOracle, EXACT_1D_MAX_CHARS};
-use eblow_core::twod::{Eblow2d, Eblow2dConfig};
+use eblow_core::twod::Eblow2d;
 use eblow_core::Plan1d;
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
@@ -53,6 +53,8 @@ fn is_row_structured(instance: &Instance) -> bool {
 /// fingerprints them separately. `supports` consults the backend's
 /// [`LpOracle::max_cells`](eblow_core::oned::LpOracle::max_cells), so a
 /// size-limited backend never enters a race it would have to refuse.
+/// `Default` is the full pipeline (the paper's E-BLOW-1) on the
+/// combinatorial backend.
 #[derive(Debug, Clone, Default)]
 pub struct Eblow1dStrategy {
     config: Eblow1dConfig,
@@ -60,12 +62,6 @@ pub struct Eblow1dStrategy {
 }
 
 impl Eblow1dStrategy {
-    /// Wraps the full pipeline (the paper's E-BLOW-1) with the default
-    /// combinatorial LP backend.
-    pub fn new(config: Eblow1dConfig) -> Self {
-        Eblow1dStrategy { config, name: None }
-    }
-
     /// The E-BLOW-0 ablation (no fast ILP convergence, no post-insertion) —
     /// a cheaper, weaker portfolio member.
     pub fn eblow0() -> Self {
@@ -187,25 +183,19 @@ impl Strategy for Exact1dStrategy {
 /// small instances (Table 5 scale) — the binary count grows quadratically.
 /// Not in the default race ([`Exact1dStrategy`] certifies the same
 /// instances in milliseconds); resolvable by name as `ilp1d`.
-#[derive(Debug, Clone, Copy)]
-pub struct ExactIlp1dStrategy {
-    /// Refuse instances with more candidates than this (paper: GUROBI
-    /// already needs 1510 s at 12 characters).
-    pub max_chars: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactIlp1dStrategy;
 
-impl Default for ExactIlp1dStrategy {
-    fn default() -> Self {
-        ExactIlp1dStrategy { max_chars: 14 }
-    }
-}
+/// `ilp1d` refuses instances with more candidates than this (paper: GUROBI
+/// already needs 1510 s at 12 characters).
+const ILP_1D_MAX_CHARS: usize = 14;
 
 impl Strategy for ExactIlp1dStrategy {
     fn name(&self) -> &'static str {
         "ilp1d"
     }
     fn supports(&self, instance: &Instance) -> bool {
-        is_row_structured(instance) && instance.num_chars() <= self.max_chars
+        is_row_structured(instance) && instance.num_chars() <= ILP_1D_MAX_CHARS
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let out = solve_ilp_1d(instance, budget.ilp_time_limit())?;
@@ -240,17 +230,8 @@ impl Strategy for ExactIlp1dStrategy {
 }
 
 /// The E-BLOW 2DOSP pipeline (pre-filter + clustering + SA packing).
-#[derive(Debug, Clone, Default)]
-pub struct Eblow2dStrategy {
-    config: Eblow2dConfig,
-}
-
-impl Eblow2dStrategy {
-    /// Wraps the 2D pipeline with a custom configuration.
-    pub fn new(config: Eblow2dConfig) -> Self {
-        Eblow2dStrategy { config }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Eblow2dStrategy;
 
 impl Strategy for Eblow2dStrategy {
     fn name(&self) -> &'static str {
@@ -260,14 +241,14 @@ impl Strategy for Eblow2dStrategy {
         !is_row_structured(instance)
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
-        let plan =
-            Eblow2d::new(self.config.clone()).plan_with_stop(instance, budget.stop_flag())?;
+        let plan = Eblow2d::default().plan_with_stop(instance, budget.stop_flag())?;
         Ok(PlanOutcome::from_2d(self.name(), plan))
     }
 }
 
 /// "Greedy in \[24\]" for 2DOSP: density-sorted shelf packing without blank
-/// sharing.
+/// sharing. Not in the default race (it never beats `eblow2d` or `sa2d`);
+/// resolvable by name as `greedy2d` for Table 4.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy2dStrategy;
 
@@ -304,25 +285,21 @@ impl Strategy for Sa2dStrategy {
 }
 
 /// The exact 2D ILP (formulation (7)) via branch-and-bound, Table 5 scale
-/// only.
-#[derive(Debug, Clone, Copy)]
-pub struct ExactIlp2dStrategy {
-    /// Refuse instances with more candidates than this.
-    pub max_chars: usize,
-}
+/// only. Not in the default race: it never beats `eblow2d` or `sa2d`, and
+/// it held every tiny 2D race it could not prove open until the deadline.
+/// Resolvable by name as `ilp2d` for Table 5.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactIlp2dStrategy;
 
-impl Default for ExactIlp2dStrategy {
-    fn default() -> Self {
-        ExactIlp2dStrategy { max_chars: 10 }
-    }
-}
+/// `ilp2d` refuses instances with more candidates than this.
+const ILP_2D_MAX_CHARS: usize = 10;
 
 impl Strategy for ExactIlp2dStrategy {
     fn name(&self) -> &'static str {
         "ilp2d"
     }
     fn supports(&self, instance: &Instance) -> bool {
-        !is_row_structured(instance) && instance.num_chars() <= self.max_chars
+        !is_row_structured(instance) && instance.num_chars() <= ILP_2D_MAX_CHARS
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let out = solve_ilp_2d(instance, budget.ilp_time_limit());
@@ -352,13 +329,14 @@ impl Strategy for ExactIlp2dStrategy {
     }
 }
 
-/// Every built-in strategy, 1D then 2D, strongest first within each group.
+/// The default race, 1D then 2D, strongest first within each group.
 ///
-/// The set covers the planner zoo of the paper's evaluation plus the
-/// LP-backend variants and the exact combinatorial 1D solver:
+/// A member stays only on a measured win: each of the seven 1D members
+/// produces the best plan alone on some instance or deadline, or certifies
+/// one (`exact1d`), and in 2D only `eblow2d` and `sa2d` ever do. The race is
 /// `eblow1d@combinatorial`, `eblow1d@simplex`, `eblow1d-0`, `heuristic1d`,
-/// `rowheur1d`, `greedy1d`, `exact1d`, `eblow2d`, `sa2d`, `greedy2d`,
-/// `ilp2d`. [`strategy_by_name`] also builds strategies outside the race.
+/// `rowheur1d`, `greedy1d`, `exact1d`, `eblow2d`, `sa2d`.
+/// [`strategy_by_name`] also builds strategies outside the race.
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
@@ -368,20 +346,19 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
         Arc::new(RowHeuristic1dStrategy),
         Arc::new(Greedy1dStrategy),
         Arc::new(Exact1dStrategy),
-        Arc::new(Eblow2dStrategy::default()),
+        Arc::new(Eblow2dStrategy),
         Arc::new(Sa2dStrategy::default()),
-        Arc::new(Greedy2dStrategy),
-        Arc::new(ExactIlp2dStrategy::default()),
     ]
 }
 
 /// Looks up a strategy by registry name.
 ///
-/// The built-in names resolve first. Three more names build strategies
-/// outside the race: `ilp1d` (formulation (3), kept for the paper's
-/// Table 5), `shard1d` (the sharded composite, see [`Shard1dStrategy`])
-/// and `eblow1d` (the historical alias for `eblow1d@combinatorial`).
-/// Every other name resolves to `None`.
+/// The raced names resolve first. Five more names build strategies
+/// outside the race: `ilp1d` and `ilp2d` (formulations (3) and (7), kept
+/// for the paper's Table 5), `greedy2d` (Table 4's greedy baseline),
+/// `shard1d` (the sharded composite, see [`Shard1dStrategy`]) and `eblow1d`
+/// (the historical alias for `eblow1d@combinatorial`). Every other name
+/// resolves to `None`.
 ///
 /// [`Shard1dStrategy`]: crate::Shard1dStrategy
 pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
@@ -389,19 +366,13 @@ pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
         return Some(s);
     }
     match name {
-        "ilp1d" => Some(Arc::new(ExactIlp1dStrategy::default())),
+        "ilp1d" => Some(Arc::new(ExactIlp1dStrategy)),
+        "ilp2d" => Some(Arc::new(ExactIlp2dStrategy)),
+        "greedy2d" => Some(Arc::new(Greedy2dStrategy)),
         "shard1d" => Some(Arc::new(crate::shard::Shard1dStrategy::new())),
         "eblow1d" => Some(Arc::new(Eblow1dStrategy::default())),
         _ => None,
     }
-}
-
-/// The built-in strategies that support `instance`, in registry order.
-pub fn strategies_for(instance: &Instance) -> Vec<Arc<dyn Strategy>> {
-    builtin_strategies()
-        .into_iter()
-        .filter(|s| s.supports(instance))
-        .collect()
 }
 
 #[cfg(test)]
@@ -422,22 +393,30 @@ mod tests {
         assert!(strategy_by_name("nonsense").is_none());
     }
 
+    /// Names of the raced strategies that support `instance`.
+    fn raced_on(instance: &Instance) -> Vec<&'static str> {
+        builtin_strategies()
+            .iter()
+            .filter(|s| s.supports(instance))
+            .map(|s| s.name())
+            .collect()
+    }
+
     #[test]
     fn support_splits_by_dimension() {
         let d1 = eblow_gen::generate(&GenConfig::tiny_1d(1));
         let d2 = eblow_gen::generate(&GenConfig::tiny_2d(1));
-        let s1: Vec<&str> = strategies_for(&d1).iter().map(|s| s.name()).collect();
-        let s2: Vec<&str> = strategies_for(&d2).iter().map(|s| s.name()).collect();
+        let s1 = raced_on(&d1);
+        let s2 = raced_on(&d2);
         assert!(s1.contains(&"eblow1d@combinatorial") && !s1.contains(&"eblow2d"));
-        assert!(s2.contains(&"eblow2d") && !s2.contains(&"eblow1d@combinatorial"));
+        assert_eq!(s2, ["eblow2d", "sa2d"]);
         // Both LP backends fit the tiny instance (60 × 3 cells).
         assert!(s1.contains(&"eblow1d@simplex"));
         // The exact solvers refuse 60-candidate instances.
         assert!(!s1.contains(&"exact1d"));
-        assert!(!s2.contains(&"ilp2d"));
+        assert!(!strategy_by_name("ilp2d").unwrap().supports(&d2));
         let t1 = eblow_gen::benchmark(eblow_gen::Family::T1(5));
-        let exact: Vec<&str> = strategies_for(&t1).iter().map(|s| s.name()).collect();
-        assert!(exact.contains(&"exact1d"));
+        assert!(raced_on(&t1).contains(&"exact1d"));
     }
 
     #[test]
@@ -445,24 +424,41 @@ mod tests {
         // 1M-1: 1000 candidates × 25 rows = 25 000 cells ≫ the simplex
         // cutoff; the backend must bow out *before* the race.
         let big = eblow_gen::benchmark(eblow_gen::Family::M1(1));
-        let names: Vec<&str> = strategies_for(&big).iter().map(|s| s.name()).collect();
-        assert!(names.contains(&"eblow1d@combinatorial"));
-        assert!(!names.contains(&"eblow1d@simplex"));
+        assert!(strategy_by_name("eblow1d@combinatorial")
+            .unwrap()
+            .supports(&big));
+        assert!(!strategy_by_name("eblow1d@simplex").unwrap().supports(&big));
     }
 
-    /// One table of names: the raced strategies, `ilp1d` and `shard1d`
-    /// outside the race (Table 5; perfbench's solo section and
-    /// `eblow-eval shard`), and the `eblow1d` alias. Nothing parses names,
-    /// so every other spelling resolves to `None`.
+    /// One table of names: the nine raced strategies; `ilp1d`, `ilp2d`,
+    /// `greedy2d` and `shard1d` outside the race (Tables 4 and 5,
+    /// perfbench's solo section and `eblow-eval shard`); and the `eblow1d`
+    /// alias. Nothing parses names, so every other spelling resolves to
+    /// `None`.
     #[test]
     fn registry_resolves_names_from_one_table() {
         let raced: Vec<&str> = builtin_strategies().iter().map(|s| s.name()).collect();
-        assert_eq!(raced.len(), 11);
+        assert_eq!(
+            raced,
+            [
+                "eblow1d@combinatorial",
+                "eblow1d@simplex",
+                "eblow1d-0",
+                "heuristic1d",
+                "rowheur1d",
+                "greedy1d",
+                "exact1d",
+                "eblow2d",
+                "sa2d",
+            ]
+        );
         for (name, resolves_to, races) in [
             ("eblow1d@combinatorial", Some("eblow1d@combinatorial"), true),
             ("eblow1d@simplex", Some("eblow1d@simplex"), true),
             ("eblow1d", Some("eblow1d@combinatorial"), false),
             ("ilp1d", Some("ilp1d"), false),
+            ("ilp2d", Some("ilp2d"), false),
+            ("greedy2d", Some("greedy2d"), false),
             ("shard1d", Some("shard1d"), false),
             ("shard2d", None, false),
             ("shard1d@greedy1d", None, false),
@@ -479,6 +475,8 @@ mod tests {
         }
         let t1 = eblow_gen::benchmark(eblow_gen::Family::T1(1));
         assert!(strategy_by_name("ilp1d").unwrap().supports(&t1));
+        let t2 = eblow_gen::benchmark(eblow_gen::Family::T2(1));
+        assert!(strategy_by_name("ilp2d").unwrap().supports(&t2));
     }
 
     #[test]

@@ -49,37 +49,57 @@ fn single_strategy_portfolio_is_deterministic() {
     assert_eq!(a.best.unwrap().selection, b.best.unwrap().selection);
 }
 
-/// The portfolio's winning time is ≤ every individual strategy's time, on
-/// both 1D and 2D instances.
+/// Every registered name: the nine raced strategies, then the by-name
+/// table (`ilp1d`, `ilp2d`, `greedy2d`, `shard1d` and the `eblow1d`
+/// alias). Listed here rather than read from the registry, so a strategy
+/// taken out of the race is still checked against it.
+const REGISTERED: [&str; 14] = [
+    "eblow1d@combinatorial",
+    "eblow1d@simplex",
+    "eblow1d-0",
+    "heuristic1d",
+    "rowheur1d",
+    "greedy1d",
+    "exact1d",
+    "eblow2d",
+    "sa2d",
+    "ilp1d",
+    "ilp2d",
+    "greedy2d",
+    "shard1d",
+    "eblow1d",
+];
+
+/// The portfolio's winning time is ≤ the solo time of every registered
+/// strategy that supports the instance, on both 1D and 2D instances. On
+/// `tiny_1d` seeds 1, 2, 7, 70 and 89 one 1D member produces the best plan
+/// alone (`eblow1d@combinatorial`, `eblow1d@simplex`, `eblow1d-0`,
+/// `rowheur1d` and `heuristic1d` respectively), so taking any of them out
+/// of the race fails here.
 #[test]
 fn race_result_dominates_every_individual_strategy() {
-    for (mk, names) in [
-        (
-            GenConfig::tiny_1d as fn(u64) -> GenConfig,
-            ["eblow1d", "heuristic1d", "rowheur1d", "greedy1d"].as_slice(),
-        ),
-        (
-            GenConfig::tiny_2d as fn(u64) -> GenConfig,
-            ["eblow2d", "sa2d", "greedy2d"].as_slice(),
-        ),
-    ] {
-        for seed in [1u64, 2, 3] {
-            let inst = eblow_gen::generate(&mk(seed));
-            let outcome = Portfolio::all_builtin().run(&inst, &PortfolioConfig::default());
-            let best = outcome.best.as_ref().expect("portfolio found a plan");
-            best.validate(&inst).unwrap();
-            for name in names {
-                let solo = strategy_by_name(name)
-                    .unwrap()
-                    .plan(&inst, &Budget::unlimited())
-                    .unwrap();
-                assert!(
-                    best.total_time <= solo.total_time,
-                    "portfolio {} > {} of {name} (seed {seed})",
-                    best.total_time,
-                    solo.total_time
-                );
+    let instances = [1u64, 2, 3, 7, 70, 89]
+        .map(GenConfig::tiny_1d)
+        .into_iter()
+        .chain([1u64, 2, 3].map(GenConfig::tiny_2d));
+    for config in instances {
+        let seed = config.seed;
+        let inst = eblow_gen::generate(&config);
+        let outcome = Portfolio::all_builtin().run(&inst, &PortfolioConfig::default());
+        let best = outcome.best.as_ref().expect("portfolio found a plan");
+        best.validate(&inst).unwrap();
+        for name in REGISTERED {
+            let strategy = strategy_by_name(name).unwrap_or_else(|| panic!("{name} unregistered"));
+            if !strategy.supports(&inst) {
+                continue;
             }
+            let solo = strategy.plan(&inst, &Budget::unlimited()).unwrap();
+            assert!(
+                best.total_time <= solo.total_time,
+                "portfolio {} > {} of {name} (seed {seed})",
+                best.total_time,
+                solo.total_time
+            );
         }
     }
 }
@@ -296,6 +316,52 @@ fn default_race_certifies_1t_cases_early() {
             elapsed < Duration::from_secs(1),
             "1T-{k}: race took {elapsed:?}"
         );
+    }
+}
+
+/// No member holds a tiny 2D race open: every 2T race ends far inside its
+/// deadline (under 1 s even in debug builds, against 3 s). Racing without
+/// `ilp2d` and `greedy2d` loses nothing: on 2T-1, where `ilp2d` proves its
+/// optimum, the race finds the same `T`; on 2T-2..4 its `T` is ≤ the `T`
+/// of each by-name 2D strategy run alone under the same deadline.
+#[test]
+fn default_race_ends_2t_races_early() {
+    let deadline = Duration::from_secs(3);
+    let planner = Planner::portfolio().with_config(PortfolioConfig {
+        deadline: Some(deadline),
+        ..Default::default()
+    });
+    for k in 1..=4u8 {
+        let inst = eblow_gen::benchmark(eblow_gen::Family::T2(k));
+        let start = Instant::now();
+        let outcome = planner.plan(&inst);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "2T-{k}: race took {elapsed:?}"
+        );
+        let best = outcome.best.as_ref().expect("a valid plan");
+        best.validate(&inst).unwrap();
+        for name in ["ilp2d", "greedy2d"] {
+            let strategy = strategy_by_name(name).unwrap();
+            if !strategy.supports(&inst) {
+                continue;
+            }
+            let solo = strategy
+                .plan(&inst, &Budget::with_deadline(deadline))
+                .unwrap();
+            if k == 1 && name == "ilp2d" {
+                assert!(solo.proven_optimal, "ilp2d proves 2T-1");
+                assert_eq!(best.total_time, solo.total_time, "2T-1");
+            } else {
+                assert!(
+                    best.total_time <= solo.total_time,
+                    "2T-{k}: race {} > {} of {name}",
+                    best.total_time,
+                    solo.total_time
+                );
+            }
+        }
     }
 }
 

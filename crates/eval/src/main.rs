@@ -4,12 +4,12 @@
 //! ```text
 //! eblow-eval table3                 Table 3  (1DOSP comparison)
 //! eblow-eval table4                 Table 4  (2DOSP comparison)
-//! eblow-eval table5 [--ilp-limit-s N]   Table 5 (exact ILP vs E-BLOW)
+//! eblow-eval table5 [--ilp-limit-s S]   Table 5 (exact ILP vs E-BLOW)
 //! eblow-eval fig5                   Fig. 5   (unsolved chars per LP iteration)
 //! eblow-eval fig6                   Fig. 6   (last-LP value histogram)
 //! eblow-eval fig11                  Fig. 11  (E-BLOW-0 vs E-BLOW-1 writing time)
 //! eblow-eval fig12                  Fig. 12  (E-BLOW-0 vs E-BLOW-1 runtime)
-//! eblow-eval portfolio [--deadline-s N] [--case NAME] [--assert-within-ms N]
+//! eblow-eval portfolio [--deadline-s S] [--case NAME] [--assert-within-ms N]
 //!                                   engine portfolio race on the suites
 //!                                   (optionally one case — the huge 1H-1
 //!                                   and 1H-2 race only when named —
@@ -21,7 +21,7 @@
 //!                                   relative (default 0.05) on the
 //!                                   reference instances, and both
 //!                                   backends' rounded plans must validate
-//! eblow-eval shard [--deadline-s N] [--case NAME]
+//! eblow-eval shard [--deadline-s S] [--case NAME]
 //!                  [--assert-no-worse-than-monolithic] [--assert-within-ms N]
 //!                                   sharded (shard1d) vs monolithic
 //!                                   planning on the huge 1H-1 case
@@ -29,7 +29,7 @@
 //!                                   failing the process if the stitched
 //!                                   plan is worse than the monolithic
 //!                                   race's or misses the deadline margin
-//! eblow-eval bench [--deadline-s N] [--out PATH] [--case NAME] [--rev LABEL]
+//! eblow-eval bench [--deadline-s S] [--out PATH] [--case NAME] [--rev LABEL]
 //!                                   races the engine on the 1T/1M/1H/2H
 //!                                   case families (3 s deadline each by
 //!                                   default) and writes a machine-readable
@@ -42,7 +42,7 @@
 //!                                   or wall-clock regression beyond N
 //!                                   percent (default 25); cases missing
 //!                                   from NEW fail, extra cases inform
-//! eblow-eval trace [--case NAME] [--deadline-s N] [--out-dir DIR]
+//! eblow-eval trace [--case NAME] [--deadline-s S] [--out-dir DIR]
 //!                                   races the full portfolio on one case
 //!                                   (default 1H-1) with the flight
 //!                                   recorder at Level::Full, writes
@@ -53,10 +53,13 @@
 //!                                   self-validates the Chrome artifact
 //!                                   (well-formed JSON, non-empty span per
 //!                                   raced strategy)
-//! eblow-eval all [--ilp-limit-s N]  everything above except shard/bench
+//! eblow-eval all [--ilp-limit-s S]  everything above except shard/bench
 //!                                   (the huge cases are not part of the
 //!                                   paper's suite)
 //! ```
+//!
+//! `S` is seconds and may be fractional (`--deadline-s 0.05`). An unknown
+//! flag or a value that does not parse exits 2.
 //!
 //! Tables 3 and 4 run every method through the `eblow-engine` strategy
 //! registry — the same entry point production callers use — so the numbers
@@ -575,8 +578,7 @@ fn trace_cmd(deadline: Duration, case: Option<&str>, out_dir: Option<&str>) {
     eblow_trace::set_level(eblow_trace::Level::Full);
     let outcome = portfolio.run(&inst, &config);
     eblow_trace::set_level(eblow_trace::Level::Off);
-    // The race has joined its workers, so the rings are quiescent — the
-    // snapshot is complete and consistent (see eblow-trace's ring docs).
+    // The race has joined its workers, so the snapshot is complete.
     let snap = eblow_trace::snapshot();
 
     let dir = std::path::Path::new(out_dir.unwrap_or("."));
@@ -950,7 +952,7 @@ fn table5(ilp_limit: Duration) {
     }
     println!(
         "(ILP time limit: {}s per case; \"NA\" = no incumbent in time, as in the paper)",
-        ilp_limit.as_secs()
+        ilp_limit.as_secs_f64()
     );
 }
 
@@ -1034,101 +1036,140 @@ fn fig11_12() {
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let ilp_limit = args
-        .iter()
-        .position(|a| a == "--ilp-limit-s")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_secs)
-        .unwrap_or(Duration::from_secs(60));
-    let deadline_arg = args
-        .iter()
-        .position(|a| a == "--deadline-s")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_secs);
-    let deadline = deadline_arg.unwrap_or(Duration::from_secs(30));
-    let case = args
-        .iter()
-        .position(|a| a == "--case")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let assert_within = args
-        .iter()
-        .position(|a| a == "--assert-within-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis);
-    let tol_rel = args
-        .iter()
-        .position(|a| a == "--tol-rel")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.05);
-    let assert_no_worse = args
-        .iter()
-        .any(|a| a == "--assert-no-worse-than-monolithic");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    let max_regress_pct = args
-        .iter()
-        .position(|a| a == "--max-regress-pct")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(25.0);
-    let rev_arg = args
-        .iter()
-        .position(|a| a == "--rev")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
+/// Usage line printed on any command-line error.
+const USAGE: &str = "usage: eblow-eval [table3|table4|table5|fig5|fig6|fig11|fig12|portfolio|agree|shard|bench|trace|all] \
+     [--ilp-limit-s S] [--deadline-s S] [--case NAME] [--assert-within-ms N] [--tol-rel X] \
+     [--assert-no-worse-than-monolithic] [--out PATH] [--out-dir DIR] [--rev LABEL]\n       \
+     eblow-eval bench-diff OLD.json NEW.json [--max-regress-pct N]";
 
-    match cmd {
+/// The parsed command line. Value flags left out stay `None`, and each
+/// subcommand applies its own default.
+#[derive(Debug, Default)]
+struct Args {
+    cmd: String,
+    /// Non-flag arguments after the command (`bench-diff`'s two paths).
+    paths: Vec<String>,
+    ilp_limit: Option<Duration>,
+    deadline: Option<Duration>,
+    case: Option<String>,
+    assert_within: Option<Duration>,
+    tol_rel: Option<f64>,
+    assert_no_worse: bool,
+    out: Option<String>,
+    out_dir: Option<String>,
+    max_regress_pct: Option<f64>,
+    rev: Option<String>,
+}
+
+/// Parses the arguments after the program name. An unknown flag, a flag
+/// without its value, or a value that does not parse is an error: a typo
+/// must never turn a gate into a no-op or a race into a 30 s default.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        cmd: args.first().map_or("all", String::as_str).to_string(),
+        ..Args::default()
+    };
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if arg == "--assert-no-worse-than-monolithic" {
+            parsed.assert_no_worse = true;
+            continue;
+        }
+        if !arg.starts_with("--") {
+            parsed.paths.push(arg.clone());
+            continue;
+        }
+        let value = rest
+            .next()
+            .ok_or_else(|| format!("{arg} needs a value"))?
+            .clone();
+        match arg.as_str() {
+            "--ilp-limit-s" => parsed.ilp_limit = Some(seconds(arg, &value)?),
+            "--deadline-s" => parsed.deadline = Some(seconds(arg, &value)?),
+            "--assert-within-ms" => {
+                let ms = value
+                    .parse()
+                    .map_err(|_| format!("{arg}: {value:?} is not a whole number of ms"))?;
+                parsed.assert_within = Some(Duration::from_millis(ms));
+            }
+            "--tol-rel" => parsed.tol_rel = Some(finite(arg, &value)?),
+            "--max-regress-pct" => parsed.max_regress_pct = Some(finite(arg, &value)?),
+            "--case" => parsed.case = Some(value),
+            "--out" => parsed.out = Some(value),
+            "--out-dir" => parsed.out_dir = Some(value),
+            "--rev" => parsed.rev = Some(value),
+            _ => return Err(format!("unknown flag {arg}")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// A finite number.
+fn finite(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| format!("{flag}: {value:?} is not a finite number"))
+}
+
+/// Non-negative, possibly fractional seconds.
+fn seconds(flag: &str, value: &str) -> Result<Duration, String> {
+    finite(flag, value).and_then(|s| {
+        Duration::try_from_secs_f64(s)
+            .map_err(|_| format!("{flag}: {value:?} is not a non-negative number of seconds"))
+    })
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
+    if args.cmd != "bench-diff" && !args.paths.is_empty() {
+        eprintln!("unexpected argument {:?}", args.paths[0]);
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+    let ilp_limit = args.ilp_limit.unwrap_or(Duration::from_secs(60));
+    let deadline = args.deadline.unwrap_or(Duration::from_secs(30));
+    let case = args.case.as_deref();
+    let tol_rel = args.tol_rel.unwrap_or(0.05);
+
+    match args.cmd.as_str() {
         "table3" => table3(),
         "table4" => table4(),
         "table5" => table5(ilp_limit),
         "fig5" => fig5(),
         "fig6" => fig6(),
         "fig11" | "fig12" => fig11_12(),
-        "portfolio" => portfolio(deadline, case, assert_within),
+        "portfolio" => portfolio(deadline, case, args.assert_within),
         "agree" => agree(tol_rel),
-        "shard" => shard_cmd(deadline, case, assert_no_worse, assert_within),
+        "shard" => shard_cmd(deadline, case, args.assert_no_worse, args.assert_within),
         // Trajectory artifacts default to a tight per-case deadline — the
         // point is comparable wall-clocks across revisions, not exhaustive
         // solves.
         "bench" => bench_cmd(
-            deadline_arg.unwrap_or(Duration::from_secs(3)),
-            out,
+            args.deadline.unwrap_or(Duration::from_secs(3)),
+            args.out.as_deref(),
             case,
-            rev_arg,
+            args.rev.as_deref(),
         ),
         // Same tight default deadline as `bench`: the trace artifact is a
         // smoke gate + debugging aid, not an exhaustive solve.
         "trace" => trace_cmd(
-            deadline_arg.unwrap_or(Duration::from_secs(3)),
+            args.deadline.unwrap_or(Duration::from_secs(3)),
             case,
-            out_dir,
+            args.out_dir.as_deref(),
         ),
         "bench-diff" => {
-            let old_path = args.get(1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("usage: eblow-eval bench-diff OLD.json NEW.json [--max-regress-pct N]");
+            let [old_path, new_path] = args.paths.as_slice() else {
+                eprintln!("{USAGE}");
                 std::process::exit(2);
-            });
-            let new_path = args.get(2).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("usage: eblow-eval bench-diff OLD.json NEW.json [--max-regress-pct N]");
-                std::process::exit(2);
-            });
-            bench_diff(old_path, new_path, max_regress_pct);
+            };
+            bench_diff(old_path, new_path, args.max_regress_pct.unwrap_or(25.0));
         }
         "all" => {
             table3();
@@ -1138,16 +1179,52 @@ fn main() {
             fig6();
             fig11_12();
             agree(tol_rel);
-            portfolio(deadline, case, assert_within);
+            portfolio(deadline, case, args.assert_within);
         }
         other => {
             eprintln!("unknown command {other:?}");
-            eprintln!(
-                "usage: eblow-eval [table3|table4|table5|fig5|fig6|fig11|fig12|portfolio|agree|shard|bench|bench-diff|trace|all] \
-                 [--ilp-limit-s N] [--deadline-s N] [--case NAME] [--assert-within-ms N] [--tol-rel X] \
-                 [--assert-no-worse-than-monolithic] [--out PATH] [--out-dir DIR] [--rev LABEL] [--max-regress-pct N]"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        let args = parse("portfolio --case 2T-2 --deadline-s 0.05 --assert-within-ms 0").unwrap();
+        assert_eq!(args.cmd, "portfolio");
+        assert_eq!(args.case.as_deref(), Some("2T-2"));
+        assert_eq!(args.deadline, Some(Duration::from_millis(50)));
+        assert_eq!(args.assert_within, Some(Duration::ZERO));
+        assert_eq!(
+            parse("table5 --ilp-limit-s 1.5").unwrap().ilp_limit,
+            Some(Duration::from_millis(1500))
+        );
+        for bad in [
+            "portfolio --assert-within-ms 2OO",
+            "portfolio --asert-within-ms 200",
+            "portfolio --deadline-s -1",
+            "portfolio --deadline-s",
+            "bench-diff a.json b.json --max-regress-pct NaN",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        let diff = parse("bench-diff a.json b.json --max-regress-pct 50").unwrap();
+        assert_eq!(diff.paths, ["a.json", "b.json"]);
+        assert_eq!(diff.max_regress_pct, Some(50.0));
+        assert_eq!(parse("").unwrap().cmd, "all");
     }
 }

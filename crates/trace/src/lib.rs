@@ -13,10 +13,10 @@
 //! * Typed [`Counter`]s and power-of-two-bucketed [`Histogram`]s declared
 //!   as `static`s at the use site and lazily registered into a global
 //!   registry on first touch (enabled at `Level::Counters` and up).
-//! * Per-thread lock-free event rings (the `ring` module) with monotonic span
+//! * Bounded per-thread event rings (the `ring` module) with monotonic span
 //!   timing ([`span`]/[`SpanGuard`]), instants, and value samples
-//!   (enabled only at `Level::Full`). Rings overwrite oldest when full
-//!   and report how many events aged out.
+//!   (enabled only at `Level::Full`). Rings drop the oldest event when
+//!   full and report how many aged out.
 //! * Three exporters ([`export`]): JSON-lines, Chrome trace-event format
 //!   (loadable in Perfetto / `chrome://tracing` — portfolio worker
 //!   threads and shard fan-out render as swim-lanes), and an aggregated
@@ -43,10 +43,8 @@
 //! trace::set_level(trace::Level::Off);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// This crate is the one place in the workspace that is allowed `unsafe`:
-// the per-thread ring (`ring.rs`) needs `UnsafeCell` slots. Everything
-// else in the workspace keeps `#![forbid(unsafe_code)]`.
 
 pub mod export;
 pub mod json;
@@ -297,8 +295,8 @@ thread_local! {
     };
 }
 
-/// Pushes onto the calling thread's ring — the single-producer guarantee
-/// the ring relies on (a thread can only reach its own `LOCAL`).
+/// Pushes onto the calling thread's ring (a thread can only reach its own
+/// `LOCAL`, so each ring has one producer).
 #[inline]
 fn local(event: Event) {
     LOCAL.with(|t| t.ring.push(event));
@@ -500,8 +498,9 @@ impl TraceSnapshot {
     }
 }
 
-/// Copies out the current recorder state. Intended at quiescence (worker
-/// threads joined); see the `ring` module for the exact consistency contract.
+/// Copies out the current recorder state. Safe to call while other threads
+/// record: each thread's events come back as a contiguous, in-order window.
+/// Taken at quiescence (worker threads joined), the snapshot is complete.
 pub fn snapshot() -> TraceSnapshot {
     let reg = registry();
     let mut threads: Vec<ThreadTrace> = reg
@@ -719,6 +718,57 @@ mod tests {
             .collect();
         merged.sort_unstable();
         assert!(merged.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// Snapshots race a producer that laps its ring several times with
+    /// heap-allocated details: every snapshot must hand back intact,
+    /// contiguous events (an overwritten event's detail used to be freed
+    /// while a snapshot cloned it).
+    #[test]
+    fn snapshot_while_a_producer_laps_its_ring() {
+        let _guard = level_lock();
+        set_level(Level::Full);
+        let total = 3 * RING_CAPACITY as i64;
+        let full = std::sync::Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let mut snapshots = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..total {
+                    // Snapshots start once the ring is full, so they race
+                    // the pushes that overwrite its oldest events.
+                    if i == RING_CAPACITY as i64 {
+                        full.wait();
+                    }
+                    instant_with("test.lap.tick", i, 0, || format!("tick-{i}"));
+                }
+                done.store(true, Ordering::Release);
+            });
+            full.wait();
+            while !done.load(Ordering::Acquire) || snapshots == 0 {
+                for t in snapshot().threads {
+                    let ticks: Vec<&Event> = t
+                        .events
+                        .iter()
+                        .filter(|e| e.name == "test.lap.tick")
+                        .collect();
+                    for e in &ticks {
+                        assert_eq!(e.detail.as_deref(), Some(format!("tick-{}", e.a).as_str()));
+                    }
+                    assert!(ticks.windows(2).all(|w| w[1].a == w[0].a + 1));
+                }
+                snapshots += 1;
+            }
+        });
+        set_level(Level::Off);
+        let producer = snapshot()
+            .threads
+            .into_iter()
+            .find(|t| t.events.iter().any(|e| e.name == "test.lap.tick"))
+            .expect("the producer's ring");
+        assert_eq!(producer.events.len(), RING_CAPACITY);
+        assert_eq!(producer.dropped, total as u64 - RING_CAPACITY as u64);
+        assert_eq!(producer.events.last().unwrap().a, total - 1);
     }
 
     #[test]

@@ -1,135 +1,74 @@
 //! Bounded per-thread event rings with overwrite-oldest (flight-recorder)
 //! semantics.
 //!
-//! Each ring has exactly **one producer** — the thread that owns it (the
-//! thread-local handle in [`crate::local`] is the only push path) — and any
-//! number of snapshot readers. The producer never blocks and never
-//! allocates beyond the event payload itself: a push is two atomic stores
-//! around a slot write. When the ring is full the oldest event is
-//! overwritten, which is exactly the flight-recorder contract: after a
-//! long run you hold the *most recent* `capacity` events plus an exact
+//! Each ring is a `Mutex<VecDeque<Event>>` with one producer — the thread
+//! that owns it (the thread-local handle in [`crate::local`] is the only
+//! push path) — and any number of snapshot readers. The lock is
+//! uncontended except while a snapshot copies the ring out, so a push is
+//! an uncontended lock plus a deque push. When the ring is full the oldest
+//! event is dropped, which is exactly the flight-recorder contract: after
+//! a long run you hold the *most recent* `capacity` events plus an exact
 //! count of how many were aged out.
 //!
-//! Snapshot consistency is sequence-validated: every slot carries the
-//! event number it holds (`2 * (index + 1)`, odd while mid-write), and
-//! [`Ring::snapshot`] skips any slot whose sequence no longer matches the
-//! window it computed from `head`. Snapshots are intended to be taken at
-//! quiescence (producers parked or joined — how both `eblow-eval trace`
-//! and the test suite use it); a concurrent producer can at worst age
-//! events out of the window, it can never corrupt the monotonic ordering
-//! of what is returned.
+//! A snapshot holds the lock while it clones, so it always returns a
+//! contiguous, in-order window of the producer's events, even while the
+//! producer keeps pushing. Taken at quiescence (producers parked or
+//! joined — how both `eblow-eval trace` and the test suite use it), it is
+//! also complete.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
 use crate::Event;
 
-/// Any odd sequence value marks a slot that is being (re)written.
-const WRITING: u64 = 1;
-
-/// A bounded single-producer event ring. See the module docs for the
-/// producer/reader protocol.
+/// A bounded single-producer event ring. See the module docs.
 pub(crate) struct Ring {
-    slots: Box<[Slot]>,
-    /// Total number of events ever pushed (monotonic, never wraps).
-    head: AtomicU64,
+    capacity: usize,
+    state: Mutex<RingState>,
 }
 
-struct Slot {
-    /// `0` = never written; odd = mid-write; `2 * (i + 1)` = holds
-    /// committed event number `i`.
-    seq: AtomicU64,
-    data: UnsafeCell<MaybeUninit<Event>>,
+struct RingState {
+    /// Retained events, oldest first; never longer than the capacity.
+    events: VecDeque<Event>,
+    /// Events aged out so far.
+    dropped: u64,
 }
-
-// SAFETY: the `UnsafeCell` payload is written only by the single owning
-// producer thread (enforced by the crate: `Ring` is crate-private and the
-// only `push` call sites go through the thread-local handle), and readers
-// validate the slot sequence before and after touching it. See module docs.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
 
 impl Ring {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(8);
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                data: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Ring {
-            slots,
-            head: AtomicU64::new(0),
+            capacity: capacity.max(8),
+            state: Mutex::new(RingState {
+                events: VecDeque::new(),
+                dropped: 0,
+            }),
         }
     }
 
-    /// Appends an event, overwriting the oldest if the ring is full.
-    ///
-    /// Must only be called from the ring's owning thread (single
-    /// producer); the crate guarantees this by routing all pushes through
-    /// the thread-local handle.
+    /// Appends an event, dropping the oldest if the ring is full.
     pub(crate) fn push(&self, event: Event) {
-        let idx = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let slot = &self.slots[(idx % cap) as usize];
-        let prev = slot.seq.swap(WRITING, Ordering::Acquire);
-        // SAFETY: single producer — no other thread writes this slot. An
-        // even non-zero `prev` means the slot holds a committed event that
-        // is being overwritten and must be dropped first.
-        unsafe {
-            let p = (*slot.data.get()).as_mut_ptr();
-            if prev != 0 {
-                std::ptr::drop_in_place(p);
-            }
-            p.write(event);
+        // No update below can leave the ring invalid, so a lock poisoned by
+        // a panicking thread is safe to recover: recording never panics.
+        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        if state.events.len() == self.capacity {
+            state.events.pop_front();
+            state.dropped += 1;
         }
-        slot.seq.store(2 * (idx + 1), Ordering::Release);
-        self.head.store(idx + 1, Ordering::Release);
+        state.events.push_back(event);
     }
 
     /// Copies out the retained events in push order, plus the number of
-    /// events that were aged out (overwritten) before this snapshot.
+    /// events that were aged out before this snapshot.
     pub(crate) fn snapshot(&self) -> (Vec<Event>, u64) {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for i in start..head {
-            let slot = &self.slots[(i % cap) as usize];
-            if slot.seq.load(Ordering::Acquire) != 2 * (i + 1) {
-                // Aged out or mid-write since `head` was read; skip.
-                continue;
-            }
-            // SAFETY: the sequence check above proves the slot committed
-            // event `i`; under the quiescent-snapshot contract (module
-            // docs) the producer cannot be rewriting it concurrently.
-            out.push(unsafe { (*slot.data.get()).assume_init_ref().clone() });
-        }
-        (out, start)
+        let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        (state.events.iter().cloned().collect(), state.dropped)
     }
 
     /// Total number of events ever pushed.
     #[cfg(test)]
     pub(crate) fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-}
-
-impl Drop for Ring {
-    fn drop(&mut self) {
-        let head = *self.head.get_mut();
-        let cap = self.slots.len() as u64;
-        for i in head.saturating_sub(cap)..head {
-            let slot = &mut self.slots[(i % cap) as usize];
-            if *slot.seq.get_mut() == 2 * (i + 1) {
-                // SAFETY: exclusive access (`&mut self`), and the sequence
-                // says the slot holds a committed, not-yet-dropped event.
-                unsafe { std::ptr::drop_in_place((*slot.data.get()).as_mut_ptr()) }
-            }
-        }
+        let state = self.state.lock().unwrap();
+        state.dropped + state.events.len() as u64
     }
 }
 
@@ -178,8 +117,7 @@ mod tests {
             (22..30).collect::<Vec<_>>(),
             "retained window is the newest `capacity` events, in order"
         );
-        // Heap payloads of overwritten events were dropped and replaced,
-        // not leaked or aliased: each survivor still owns its own detail.
+        // Each survivor still owns its own heap detail.
         for e in &events {
             assert_eq!(
                 e.detail.as_deref(),
