@@ -3,15 +3,17 @@
 //!
 //! The 1T constants below were captured before the slab+CSR layout swap
 //! and the hot-path rewrite; the 1M-1 constants before the intra-strategy
-//! thread pool was removed. They pin two guarantees that production
+//! thread pool was removed; the 2D constants before the shelf engine's
+//! incremental evaluation. They pin two guarantees that production
 //! callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
 //!   artifacts; a layout change must not move a single bit.
 //! * **Planner outputs** — the full `Eblow1d` pipeline (rounding, fast ILP
 //!   convergence, refinement, post stages) and the row heuristic must
-//!   produce byte-identical placements, so the Tables 3/4 reproduction
-//!   and cached plans are unaffected.
+//!   produce byte-identical placements, and so must the annealed 2D
+//!   planners (`eblow2d`, `sa2d`), so the Tables 3/4 reproduction and
+//!   cached plans are unaffected.
 
 use eblow::gen::Family;
 use eblow::model::Fnv64;
@@ -118,4 +120,66 @@ fn mcc_scale_plans_are_byte_stable() {
         GOLDEN_1M1_ROWHEUR,
         "1M-1 row-heuristic plan changed byte-for-byte"
     );
+}
+
+/// Stable fingerprint of a 2D plan: placed ids and coordinates in
+/// placement order, then the region times and the total time.
+fn plan_fingerprint_2d(plan: &eblow::planner::Plan2d) -> u64 {
+    let mut h = Fnv64::new();
+    h.write((plan.placement.len() as u64).to_le_bytes());
+    for pc in plan.placement.placed() {
+        h.write((pc.id.index() as u64).to_le_bytes());
+        h.write(pc.x.to_le_bytes());
+        h.write(pc.y.to_le_bytes());
+    }
+    for &t in &plan.region_times {
+        h.write(t.to_le_bytes());
+    }
+    h.write(plan.total_time.to_le_bytes());
+    h.finish()
+}
+
+/// `(total writing time, plan fingerprint)` of `eblow2d` and of the \[24\]
+/// baseline `sa2d` at unlimited budget. 2M-4 anneals on the shelf engine
+/// (`eblow2d` with the max objective, `sa2d` with the sum objective);
+/// `tiny_2d(1)` anneals on the sequence-pair engine. Both planners are
+/// deterministic under their seeds, so any change to packing, energy or
+/// the move/undo protocol that alters an SA decision moves these.
+const GOLDEN_2M4_EBLOW: (u64, u64) = (3632, 0xe8f23983abfe46a3);
+const GOLDEN_2M4_SA: (u64, u64) = (4923, 0x59a4c94a5df07145);
+const GOLDEN_TINY2D_EBLOW: (u64, u64) = (323, 0x41691aa953bd159b);
+const GOLDEN_TINY2D_SA: (u64, u64) = (323, 0xcf5642d15d0cf998);
+
+#[test]
+fn annealed_2d_plans_are_byte_stable() {
+    use eblow::planner::baselines::{sa_2d, Sa2dConfig};
+    use eblow::planner::twod::Eblow2d;
+    let cases = [
+        (
+            "2M-4",
+            eblow::gen::benchmark(Family::M2(4)),
+            GOLDEN_2M4_EBLOW,
+            GOLDEN_2M4_SA,
+        ),
+        (
+            "tiny_2d(1)",
+            eblow::gen::generate(&eblow::gen::GenConfig::tiny_2d(1)),
+            GOLDEN_TINY2D_EBLOW,
+            GOLDEN_TINY2D_SA,
+        ),
+    ];
+    for (name, inst, eblow_pin, sa_pin) in cases {
+        let eblow = Eblow2d::default().plan(&inst).unwrap();
+        let sa = sa_2d(&inst, &Sa2dConfig::default()).unwrap();
+        assert_eq!(
+            (eblow.total_time, plan_fingerprint_2d(&eblow)),
+            eblow_pin,
+            "{name} eblow2d plan changed byte-for-byte"
+        );
+        assert_eq!(
+            (sa.total_time, plan_fingerprint_2d(&sa)),
+            sa_pin,
+            "{name} sa2d plan changed byte-for-byte"
+        );
+    }
 }
