@@ -66,7 +66,11 @@ pub trait Anneal: Clone {
     /// Applies a proposed move.
     fn apply(&mut self, mv: &Self::Move);
 
-    /// Reverts a move previously applied with [`Anneal::apply`].
+    /// Reverts `mv`, which must be the *most recent* move passed to
+    /// [`Anneal::apply`]. The engine undoes a rejected move right after
+    /// applying it, so a state may keep an undo journal of its last move
+    /// only (for example the energy it had before) instead of evaluating
+    /// the restored state again.
     fn undo(&mut self, mv: &Self::Move);
 }
 

@@ -7,7 +7,10 @@
 //! The SA stage runs on one of two engines: the faithful sequence-pair
 //! floorplanner (`O(n²)` per move, as in \[24\]/Parquet) for moderate node
 //! counts, or the scalable overlap-aware shelf engine for the large MCC
-//! cases. [`PackEngine::Auto`] picks by node count.
+//! cases. [`PackEngine::Auto`] picks by node count. A shelf-engine move
+//! costs what the swap can change: it re-packs from the shelf holding the
+//! earlier swapped position up to where the stencil is full, and a
+//! rejected move is undone without packing at all.
 
 mod cluster;
 mod sa;
@@ -53,7 +56,8 @@ pub struct Eblow2dConfig {
     pub seqpair_threshold: usize,
     /// SA proposals per temperature = `moves_factor × nodes`.
     pub moves_factor: usize,
-    /// SA cooling factor per plateau.
+    /// SA cooling factor per plateau, in `(0, 1)`. Any other value, NaN
+    /// included, falls back to the default 0.8.
     pub alpha: f64,
     /// RNG seed for the annealer.
     pub seed: u64,
@@ -194,12 +198,15 @@ impl Eblow2d {
             .max(1)
             .saturating_mul(nodes.len().max(1))
             .min(2000);
-        let schedule = Schedule::geometric(
-            scale.max(1.0),
-            self.config.alpha,
-            (scale * 1e-5).max(1e-6),
-            per_temp,
-        );
+        // A cooling factor outside (0, 1) would never cool (≥ 1) or would
+        // make no sense (≤ 0, NaN): `Schedule::geometric` rejects it.
+        let alpha = if self.config.alpha > 0.0 && self.config.alpha < 1.0 {
+            self.config.alpha
+        } else {
+            Eblow2dConfig::default().alpha
+        };
+        let schedule =
+            Schedule::geometric(scale.max(1.0), alpha, (scale * 1e-5).max(1e-6), per_temp);
         let annealer = Annealer::new(schedule, self.config.seed);
 
         if use_seqpair {
@@ -339,6 +346,29 @@ mod tests {
             .unwrap();
             plan.placement.validate(&inst).unwrap();
             assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+        }
+    }
+
+    /// An `alpha` outside (0, 1), or NaN, used to panic in
+    /// `Schedule::geometric`; it falls back to the default now.
+    #[test]
+    fn out_of_range_alphas_still_plan_validly() {
+        let inst = eblow_gen::generate(&GenConfig::tiny_2d(17));
+        let default = Eblow2d::default().plan(&inst).unwrap();
+        for alpha in [0.0, 1.0, 1.5, -0.5, f64::NAN] {
+            let plan = Eblow2d::new(Eblow2dConfig {
+                alpha,
+                ..Default::default()
+            })
+            .plan(&inst)
+            .unwrap();
+            plan.placement.validate(&inst).unwrap();
+            assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+            assert_eq!(
+                plan.placement.placed(),
+                default.placement.placed(),
+                "alpha {alpha}"
+            );
         }
     }
 

@@ -7,12 +7,18 @@
 //!   nodes, `O(n²)` overlap-aware longest-path evaluation per move
 //!   (Parquet-style, as in \[24\]).
 //! * [`OrderState`] — the scalable engine: SA over the shelf-packing
-//!   insertion order, `O(n)` per evaluation, for the 4000-candidate cases.
+//!   insertion order, for the 4000-candidate cases. A swap re-packs only
+//!   from the shelf holding the earlier swapped position to the point
+//!   where the stencil is full, so its cost is what the swap can change,
+//!   not `O(n)`.
 //!
+//! In both, `undo` puts back the energy the last `apply` replaced instead
+//! of evaluating the restored state again, and the energy reads each
+//! node's per-region reduction, summed over its members once up front.
 //! Both expose the final node positions for placement extraction.
 
 use super::cluster::PackNode;
-use super::skyline::shelf_pack;
+use super::skyline::{shelf_pack, ShelfCursor, ShelfSink};
 use eblow_anneal::Anneal;
 use eblow_model::Instance;
 use eblow_seqpair::{ItemGeometry, SequencePair};
@@ -75,10 +81,27 @@ pub(crate) struct Objective<'a> {
     /// single-CP objective of \[24\], kept for the baseline (the paper notes
     /// \[24\]'s MCC port optimizes total writing time).
     pub sum_objective: bool,
+    /// Region times with nothing on the stencil (`T_VSB` per region).
+    vsb: Vec<i64>,
+    /// Each node's reduction `Σ R_ic` over its members, per region: one
+    /// row of `vsb.len()` entries per node.
+    reductions: Vec<i64>,
+    /// Scale of the overflow term: the largest VSB region time.
+    scale: f64,
 }
 
 impl<'a> Objective<'a> {
     pub fn new(instance: &'a Instance, nodes: &'a [PackNode]) -> Self {
+        let vsb: Vec<i64> = instance.vsb_times().iter().map(|&t| t as i64).collect();
+        let p = vsb.len();
+        let mut reductions = vec![0i64; nodes.len() * p];
+        for (row, node) in reductions.chunks_exact_mut(p.max(1)).zip(nodes) {
+            for &(id, _, _) in &node.members {
+                for (c, r) in row.iter_mut().enumerate().take(p) {
+                    *r += instance.reduction(id.index(), c) as i64;
+                }
+            }
+        }
         Objective {
             instance,
             nodes,
@@ -86,21 +109,24 @@ impl<'a> Objective<'a> {
             stencil_h: instance.stencil().height() as i64,
             overflow_weight: 0.05,
             sum_objective: false,
+            vsb,
+            reductions,
+            scale: *instance.vsb_times().iter().max().unwrap_or(&1) as f64,
         }
+    }
+
+    /// Node `k`'s writing-time reduction per region when it is inside.
+    fn reduction(&self, k: usize) -> &[i64] {
+        let p = self.vsb.len();
+        &self.reductions[k * p..(k + 1) * p]
     }
 
     /// Energy of a set of node positions: T_total of the in-outline nodes
     /// plus a gentle overflow pressure term (guides SA toward arrangements
     /// that pull more nodes inside).
-    // audit:allow(stop-flag-reachability): one energy evaluation, O(members·regions); the SA move loop around it polls the flag
+    // audit:allow(stop-flag-reachability): one energy evaluation, O(nodes·regions); the SA move loop around it polls the flag
     pub fn energy(&self, positions: &[Option<(i64, i64)>]) -> f64 {
-        let p = self.instance.num_regions();
-        let mut times: Vec<i64> = self
-            .instance
-            .vsb_times()
-            .iter()
-            .map(|&t| t as i64)
-            .collect();
+        let mut times = self.vsb.clone();
         let mut overflow = 0.0f64;
         for (k, pos) in positions.iter().enumerate() {
             let Some((x, y)) = *pos else { continue };
@@ -110,10 +136,8 @@ impl<'a> Objective<'a> {
                 && x + (node.width as i64) <= self.stencil_w
                 && y + (node.height as i64) <= self.stencil_h;
             if inside {
-                for &(id, _, _) in &node.members {
-                    for (c, t) in times.iter_mut().enumerate().take(p) {
-                        *t -= self.instance.reduction(id.index(), c) as i64;
-                    }
+                for (t, r) in times.iter_mut().zip(self.reduction(k)) {
+                    *t -= r;
                 }
             } else {
                 let over_x = ((x + node.width as i64 - self.stencil_w).max(0) as f64)
@@ -123,13 +147,18 @@ impl<'a> Objective<'a> {
                 overflow += over_x + over_y;
             }
         }
+        self.energy_of(&times, overflow)
+    }
+
+    /// Energy from the region times of the in-outline nodes and the summed
+    /// overflow of the others.
+    fn energy_of(&self, times: &[i64], overflow: f64) -> f64 {
         let t_total = if self.sum_objective {
             times.iter().sum::<i64>().max(0) as f64 / self.instance.num_regions().max(1) as f64
         } else {
-            times.into_iter().max().unwrap_or(0).max(0) as f64
+            times.iter().copied().max().unwrap_or(0).max(0) as f64
         };
-        let scale = *self.instance.vsb_times().iter().max().unwrap_or(&1) as f64;
-        t_total + self.overflow_weight * scale * overflow / (self.nodes.len().max(1) as f64)
+        t_total + self.overflow_weight * self.scale * overflow / (self.nodes.len().max(1) as f64)
     }
 }
 
@@ -140,6 +169,8 @@ pub struct SeqPairState<'a> {
     geometry: &'a NodeGeometry,
     sp: SequencePair,
     cached_energy: f64,
+    /// Energy before the most recent `apply`, for `undo`.
+    undo_energy: f64,
 }
 
 impl<'a> SeqPairState<'a> {
@@ -154,20 +185,11 @@ impl<'a> SeqPairState<'a> {
             geometry,
             sp,
             cached_energy: 0.0,
+            undo_energy: 0.0,
         };
-        s.cached_energy = s.recompute();
+        s.cached_energy = s.objective.energy(&s.positions());
+        s.undo_energy = s.cached_energy;
         s
-    }
-
-    fn recompute(&self) -> f64 {
-        let pack = self.sp.pack(self.geometry);
-        let positions: Vec<Option<(i64, i64)>> = pack
-            .xs
-            .iter()
-            .zip(&pack.ys)
-            .map(|(&x, &y)| Some((x, y)))
-            .collect();
-        self.objective.energy(&positions)
     }
 
     /// Final positions (all nodes; caller filters by outline).
@@ -178,6 +200,14 @@ impl<'a> SeqPairState<'a> {
             .zip(&pack.ys)
             .map(|(&x, &y)| Some((x, y)))
             .collect()
+    }
+
+    fn swap(&mut self, mv: &SpMove) {
+        match *mv {
+            SpMove::Pos(i, j) => self.sp.swap_pos(i, j),
+            SpMove::Neg(i, j) => self.sp.swap_neg(i, j),
+            SpMove::Both(a, b) => self.sp.swap_blocks(a, b),
+        }
     }
 }
 
@@ -217,52 +247,139 @@ impl Anneal for SeqPairState<'_> {
     }
 
     fn apply(&mut self, mv: &SpMove) {
-        match *mv {
-            SpMove::Pos(i, j) => self.sp.swap_pos(i, j),
-            SpMove::Neg(i, j) => self.sp.swap_neg(i, j),
-            SpMove::Both(a, b) => self.sp.swap_blocks(a, b),
-        }
-        self.cached_energy = self.recompute();
+        self.swap(mv);
+        self.undo_energy = self.cached_energy;
+        self.cached_energy = self.objective.energy(&self.positions());
     }
 
     fn undo(&mut self, mv: &SpMove) {
-        match *mv {
-            SpMove::Pos(i, j) => self.sp.swap_pos(i, j),
-            SpMove::Neg(i, j) => self.sp.swap_neg(i, j),
-            SpMove::Both(a, b) => self.sp.swap_blocks(a, b),
-        }
-        self.cached_energy = self.recompute();
+        self.swap(mv);
+        self.cached_energy = self.undo_energy;
     }
 }
 
 /// Insertion-order SA state (the scalable shelf engine).
+///
+/// It keeps a checkpoint per shelf of the current packing: the shelf
+/// cursor right after the node that opened the shelf, and the region
+/// times of the shelves below it. A swap `(i, j)` leaves every shelf
+/// opened strictly before `min(i, j)` as it was, so packing resumes from
+/// the last of them. A shelf opened *at* `min(i, j)` cannot be reused:
+/// the node there is the one that closed the shelf before it. Region times
+/// are integer sums, and every node the shelf rule places lies inside the
+/// outline (for any outline that fits `i64` coordinates), so the energy
+/// is bit-identical to `Objective::energy` of the full [`shelf_pack`].
 #[derive(Clone)]
 pub struct OrderState<'a> {
     objective: &'a Objective<'a>,
     order: Vec<usize>,
     cached_energy: f64,
+    tally: Tally,
+    /// What the most recent `apply` replaced, for `undo`.
+    journal: Journal,
+}
+
+/// The packing of an [`OrderState`], as region times per shelf.
+#[derive(Clone, Default)]
+struct Tally {
+    /// Shelf cursor right after each shelf's opening node, bottom to top.
+    marks: Vec<ShelfCursor>,
+    /// Region times below each marked shelf: one row per mark.
+    mark_times: Vec<i64>,
+    /// Region times of the shelves closed so far.
+    times: Vec<i64>,
+    /// Summed reduction of the open shelf's nodes.
+    shelf: Vec<i64>,
+}
+
+/// The undo record of one [`OrderState`] move.
+#[derive(Clone, Default)]
+struct Journal {
+    energy: f64,
+    /// Marks the move kept; the ones after it are saved below.
+    keep: usize,
+    marks: Vec<ShelfCursor>,
+    mark_times: Vec<i64>,
+}
+
+/// Tallies one packing run into a [`Tally`].
+struct Tallying<'t> {
+    tally: &'t mut Tally,
+    objective: &'t Objective<'t>,
+}
+
+impl ShelfSink for Tallying<'_> {
+    fn joined(&mut self, k: usize, _x: i64) {
+        for (s, r) in self.tally.shelf.iter_mut().zip(self.objective.reduction(k)) {
+            *s += r;
+        }
+    }
+
+    fn closed(&mut self, base: Option<i64>) {
+        if base.is_some() {
+            for (t, s) in self.tally.times.iter_mut().zip(&self.tally.shelf) {
+                *t -= s;
+            }
+        }
+    }
+
+    fn opened(&mut self, k: usize, cursor: &ShelfCursor) {
+        let tally = &mut *self.tally;
+        tally.shelf.copy_from_slice(self.objective.reduction(k));
+        tally.marks.push(*cursor);
+        tally.mark_times.extend_from_slice(&tally.times);
+    }
 }
 
 impl<'a> OrderState<'a> {
     /// Creates the state from an initial insertion order.
     pub(crate) fn new(objective: &'a Objective<'a>, order: Vec<usize>) -> Self {
+        let p = objective.vsb.len();
         let mut s = OrderState {
             objective,
             order,
             cached_energy: 0.0,
+            tally: Tally {
+                times: vec![0; p],
+                shelf: vec![0; p],
+                ..Tally::default()
+            },
+            journal: Journal::default(),
         };
-        s.cached_energy = s.recompute();
+        s.cached_energy = s.repack(0);
         s
     }
 
-    fn recompute(&self) -> f64 {
-        let pack = shelf_pack(
-            self.objective.nodes,
+    /// Re-packs from the last of the first `keep` marks (from the first
+    /// node when `keep` is 0) and returns the energy.
+    fn repack(&mut self, keep: usize) -> f64 {
+        let objective = self.objective;
+        let p = objective.vsb.len();
+        let tally = &mut self.tally;
+        tally.marks.truncate(keep);
+        tally.mark_times.truncate(keep * p);
+        let (mut cursor, from) = match tally.marks.last() {
+            Some(&mark) => {
+                tally
+                    .times
+                    .copy_from_slice(&tally.mark_times[(keep - 1) * p..]);
+                let opener = self.order[mark.start()];
+                tally.shelf.copy_from_slice(objective.reduction(opener));
+                (mark, mark.start() + 1)
+            }
+            None => {
+                tally.times.copy_from_slice(&objective.vsb);
+                let (w, h) = (objective.stencil_w as u64, objective.stencil_h as u64);
+                (ShelfCursor::new(w, h), 0)
+            }
+        };
+        cursor.run(
+            objective.nodes,
             &self.order,
-            self.objective.stencil_w as u64,
-            self.objective.stencil_h as u64,
+            from,
+            &mut Tallying { tally, objective },
         );
-        self.objective.energy(&pack.positions)
+        objective.energy_of(&self.tally.times, 0.0)
     }
 
     /// Final positions after shelf packing.
@@ -298,13 +415,31 @@ impl Anneal for OrderState<'_> {
     }
 
     fn apply(&mut self, &(i, j): &(usize, usize)) {
+        let lo = i.min(j);
+        let p = self.objective.vsb.len();
+        let keep = self.tally.marks.partition_point(|m| m.start() < lo);
+        let journal = &mut self.journal;
+        journal.energy = self.cached_energy;
+        journal.keep = keep;
+        journal.marks.clear();
+        journal.marks.extend_from_slice(&self.tally.marks[keep..]);
+        journal.mark_times.clear();
+        journal
+            .mark_times
+            .extend_from_slice(&self.tally.mark_times[keep * p..]);
         self.order.swap(i, j);
-        self.cached_energy = self.recompute();
+        self.cached_energy = self.repack(keep);
     }
 
     fn undo(&mut self, &(i, j): &(usize, usize)) {
         self.order.swap(i, j);
-        self.cached_energy = self.recompute();
+        let journal = &self.journal;
+        let p = self.objective.vsb.len();
+        self.tally.marks.truncate(journal.keep);
+        self.tally.marks.extend_from_slice(&journal.marks);
+        self.tally.mark_times.truncate(journal.keep * p);
+        self.tally.mark_times.extend_from_slice(&journal.mark_times);
+        self.cached_energy = journal.energy;
     }
 }
 
@@ -312,6 +447,7 @@ impl Anneal for OrderState<'_> {
 mod tests {
     use super::*;
     use eblow_model::{CharId, Character, Stencil};
+    use rand::SeedableRng;
 
     fn setup(n: usize) -> (Instance, Vec<PackNode>) {
         let chars: Vec<Character> = (0..n)
@@ -350,6 +486,134 @@ mod tests {
         st.apply(&mv);
         st.undo(&mv);
         assert_eq!(st.energy(), e0);
+        assert_eq!(st.sp, SequencePair::identity(4));
+        // The restored energy is the evaluated one, after accepted moves too.
+        let mut rng = StdRng::seed_from_u64(5);
+        for step in 0..200 {
+            let mv = st.propose(&mut rng).unwrap();
+            st.apply(&mv);
+            assert_eq!(st.energy().to_bits(), obj.energy(&st.positions()).to_bits());
+            if step % 3 == 0 {
+                st.undo(&mv);
+            }
+            assert_eq!(st.energy().to_bits(), obj.energy(&st.positions()).to_bits());
+        }
+    }
+
+    /// A random instance for the shelf engine: three regions, a few
+    /// merged nodes (multi-member reductions), and nodes wider or taller
+    /// than a `100 × stencil_h` outline, which the shelf rule skips.
+    fn shelf_instance(seed: u64, stencil_h: u64) -> (Instance, Vec<PackNode>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 48;
+        let chars: Vec<Character> = (0..n)
+            .map(|i| {
+                let (w, h) = match i % 16 {
+                    3 => (101 + rng.random_range(0..20u64), 30),
+                    11 => (30, stencil_h + 1 + rng.random_range(0..20u64)),
+                    _ => (rng.random_range(12..60u64), rng.random_range(12..60u64)),
+                };
+                let b = [
+                    rng.random_range(0..=w / 4),
+                    rng.random_range(0..=w / 4),
+                    rng.random_range(0..=h / 4),
+                    rng.random_range(0..=h / 4),
+                ];
+                Character::new(w, h, b, rng.random_range(2..9u64)).unwrap()
+            })
+            .collect();
+        let repeats = (0..n)
+            .map(|_| (0..3).map(|_| rng.random_range(0..6u64)).collect())
+            .collect();
+        let inst = Instance::new(Stencil::new(100, stencil_h).unwrap(), chars, repeats).unwrap();
+        let single = |i: usize| PackNode::single(&inst, CharId::from(i), 1.0);
+        let mut nodes: Vec<PackNode> = (0..n - 8).map(single).collect();
+        for i in (n - 8..n).step_by(2) {
+            nodes.push(single(i).merge(&single(i + 1)));
+        }
+        (inst, nodes)
+    }
+
+    /// `Some(lone)` when the vertical break fired: a node that fits the
+    /// outline went unplaced. `lone`: a node after it was still placed, the
+    /// one that opened the next shelf and landed alone in the final close.
+    fn break_shape(nodes: &[PackNode], order: &[usize], stencil_h: u64) -> Option<bool> {
+        let placed = shelf_pack(nodes, order, 100, stencil_h).positions;
+        let fits = |k: usize| nodes[k].width <= 100 && nodes[k].height <= stencil_h;
+        let lost = order.iter().position(|&k| fits(k) && placed[k].is_none())?;
+        Some(order[lost..].iter().any(|&k| placed[k].is_some()))
+    }
+
+    /// How often the equivalence test reached each case it must cover.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        steps: usize,
+        at_shelf_start: usize,
+        past_break: usize,
+        lone_closes: usize,
+    }
+
+    /// One move, then an accept or an `undo`, checked against the full
+    /// re-pack: same energy bits, and the same checkpoints as a state built
+    /// from scratch on the current order. A third of the moves start at a
+    /// shelf's opening position, a third lie past the break when it fired.
+    fn check_move(st: &mut OrderState<'_>, rng: &mut StdRng, stencil_h: u64, cov: &mut Coverage) {
+        let obj = st.objective;
+        let reference =
+            |order: &[usize]| obj.energy(&shelf_pack(obj.nodes, order, 100, stencil_h).positions);
+        let marks = &st.tally.marks;
+        let (n, last) = (st.order.len(), marks.last().unwrap().start());
+        let start = marks[rng.random_range(0..marks.len())].start();
+        let broke = break_shape(obj.nodes, &st.order, stencil_h).is_some();
+        let (i, j) = match rng.random_range(0..3u8) {
+            0 if start + 1 < n => (start, rng.random_range(start + 1..n)),
+            1 if broke && last + 2 < n => {
+                let i = rng.random_range(last + 1..n - 1);
+                (i, rng.random_range(i + 1..n))
+            }
+            _ => st.propose(rng).unwrap(),
+        };
+        let lo = i.min(j);
+        cov.at_shelf_start += st.tally.marks.iter().any(|m| m.start() == lo) as usize;
+        cov.past_break += (broke && lo > last) as usize;
+        st.apply(&(i, j));
+        assert_eq!(st.energy().to_bits(), reference(&st.order).to_bits());
+        if rng.random_bool(0.5) {
+            st.undo(&(i, j));
+            assert_eq!(st.energy().to_bits(), reference(&st.order).to_bits());
+        }
+        let fresh = OrderState::new(obj, st.order.clone());
+        assert_eq!(st.tally.marks, fresh.tally.marks);
+        assert_eq!(st.tally.mark_times, fresh.tally.mark_times);
+        cov.lone_closes += (break_shape(obj.nodes, &st.order, stencil_h) == Some(true)) as usize;
+        cov.steps += 1;
+    }
+
+    /// The incremental shelf evaluation equals `Objective::energy` of the
+    /// full `shelf_pack` bit for bit, under both objectives, with and
+    /// without the vertical break (stencil heights 140/160 vs 2 000).
+    #[test]
+    fn order_state_energy_matches_full_repack_bit_for_bit() {
+        let mut cov = Coverage::default();
+        for (seed, stencil_h) in [(1, 140), (2, 160), (3, 2_000)] {
+            let (inst, nodes) = shelf_instance(seed, stencil_h);
+            assert!(nodes.iter().any(|n| n.width > 100));
+            assert!(nodes.iter().any(|n| n.height > stencil_h));
+            for sum_objective in [false, true] {
+                let mut obj = Objective::new(&inst, &nodes);
+                obj.sum_objective = sum_objective;
+                let mut st = OrderState::new(&obj, (0..nodes.len()).collect());
+                let mut rng = StdRng::seed_from_u64(seed * 2 + sum_objective as u64);
+                for _ in 0..400 {
+                    check_move(&mut st, &mut rng, stencil_h, &mut cov);
+                }
+            }
+        }
+        assert!(cov.steps >= 2_000);
+        assert!(
+            cov.at_shelf_start > 0 && cov.past_break > 0 && cov.lone_closes > 0,
+            "a case went uncovered: {cov:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The sequence-pair evaluation is `O(n²)` per SA move, which is the right
 //! fidelity for moderate node counts but too slow for the 4000-candidate
-//! MCC cases. This shelf packer is the `O(n)`-per-evaluation alternative:
+//! MCC cases. This shelf packer is the `O(n)` alternative:
 //! nodes are placed left-to-right on shelves (sharing horizontal blanks
 //! with their left neighbour), and a completed shelf is lowered onto the
 //! previous one by the *conservative* vertical overlap
@@ -11,6 +11,14 @@
 //! facing characters may overlap by the smaller of their own facing
 //! blanks, and that is never less than this shelf-wide minimum.
 //! Simulated annealing then optimizes the insertion order.
+//!
+//! The rule exists once, in [`ShelfCursor`]: an allocation-free step per
+//! node, driven over an order by [`ShelfCursor::run`], which reports every
+//! node and shelf to a [`ShelfSink`]. [`shelf_pack`] records positions and
+//! shelves (for seeding and placement extraction). The SA's `OrderState`
+//! tallies region times instead and copies the cursor at every shelf it
+//! opens: the cursor is a few words, so a move can resume packing from
+//! the shelf it touches rather than from the first node.
 
 use super::cluster::PackNode;
 
@@ -26,128 +34,181 @@ pub struct ShelfPacking {
     pub shelves: Vec<(Vec<usize>, i64)>,
 }
 
+/// Receives what [`ShelfCursor::run`] does with each node and shelf.
+pub(crate) trait ShelfSink {
+    /// Node `k` joined the open shelf at `x`.
+    fn joined(&mut self, k: usize, x: i64);
+    /// The open shelf closed: at base `Some(y)` when it fits vertically;
+    /// `None` discards its nodes.
+    fn closed(&mut self, base: Option<i64>);
+    /// Node `k` opened a new shelf at x = 0. `cursor` is the state right
+    /// after it, from which packing can resume.
+    fn opened(&mut self, k: usize, cursor: &ShelfCursor);
+}
+
+/// The shelf rule's state after a prefix of the order: the open shelf and
+/// the top edge of the closed shelves below it. It is `Copy`, so a caller
+/// can checkpoint it and later resume packing from the checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ShelfCursor {
+    stencil_w: u64,
+    stencil_h: u64,
+    /// Order position of the node that opened the open shelf.
+    start: usize,
+    /// Last node of the open shelf and its x; `None` before the first shelf.
+    last: Option<(usize, i64)>,
+    min_bottom: u64,
+    min_top: u64,
+    height: u64,
+    /// y of the previous shelf's top edge (0 = ground).
+    prev_top: i64,
+    /// Min top blank of the previous shelf (0 = ground).
+    prev_min_top: u64,
+    /// A shelf did not fit vertically: only the final close is left.
+    full: bool,
+}
+
+impl ShelfCursor {
+    /// An empty `stencil_w × stencil_h` outline, before any node.
+    pub fn new(stencil_w: u64, stencil_h: u64) -> Self {
+        ShelfCursor {
+            stencil_w,
+            stencil_h,
+            start: 0,
+            last: None,
+            min_bottom: 0,
+            min_top: 0,
+            height: 0,
+            prev_top: 0,
+            prev_min_top: 0,
+            full: false,
+        }
+    }
+
+    /// Order position of the node that opened the open shelf.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Feeds node `k`, found at order position `pos`. A node wider or
+    /// taller than the stencil is skipped; one that fits beside the open
+    /// shelf's last node joins it; any other closes the shelf and opens
+    /// the next.
+    #[inline]
+    pub fn step<S: ShelfSink>(&mut self, nodes: &[PackNode], pos: usize, k: usize, sink: &mut S) {
+        let node = &nodes[k];
+        if node.width > self.stencil_w || node.height > self.stencil_h {
+            return;
+        }
+        if let Some((prev, px)) = self.last {
+            // Tentative x with sharing against the shelf's last node.
+            let ov = nodes[prev].blanks.right.min(node.blanks.left) as i64;
+            let x = px + nodes[prev].width as i64 - ov;
+            if x + (node.width as i64) <= self.stencil_w as i64 {
+                self.last = Some((k, x));
+                self.min_bottom = self.min_bottom.min(node.blanks.bottom);
+                self.min_top = self.min_top.min(node.blanks.top);
+                self.height = self.height.max(node.height);
+                sink.joined(k, x);
+                return;
+            }
+            let base = self.close();
+            sink.closed(base);
+        }
+        self.start = pos;
+        self.last = Some((k, 0));
+        self.min_bottom = node.blanks.bottom;
+        self.min_top = node.blanks.top;
+        self.height = node.height;
+        sink.opened(k, self);
+    }
+
+    /// Lowers the open shelf onto the previous one. Returns its base y, or
+    /// `None` (and marks the stencil full) when it does not fit vertically.
+    fn close(&mut self) -> Option<i64> {
+        let overlap = if self.prev_top == 0 {
+            0
+        } else {
+            self.prev_min_top.min(self.min_bottom) as i64
+        };
+        let base = self.prev_top - overlap;
+        if base + self.height as i64 > self.stencil_h as i64 {
+            self.full = true;
+            return None;
+        }
+        self.prev_top = base + self.height as i64;
+        self.prev_min_top = self.min_top;
+        Some(base)
+    }
+
+    /// Steps through `order[from..]`, then closes the last shelf. Once a
+    /// shelf does not fit vertically nothing below fits either, so the
+    /// run stops there; the node that opened the next shelf is still
+    /// tried alone in the final close.
+    pub fn run<S: ShelfSink>(
+        &mut self,
+        nodes: &[PackNode],
+        order: &[usize],
+        from: usize,
+        sink: &mut S,
+    ) {
+        for (pos, &k) in order.iter().enumerate().skip(from) {
+            if self.full {
+                break;
+            }
+            self.step(nodes, pos, k, sink);
+        }
+        if self.last.is_some() {
+            let base = self.close();
+            sink.closed(base);
+        }
+    }
+}
+
 /// Packs `nodes` in the given `order` onto a `stencil_w × stencil_h`
 /// outline. Nodes that do not fit anywhere are skipped (unplaced), matching
 /// the fixed-outline "outside ⇒ unselected" rule of \[24\].
-// audit:allow(stop-flag-reachability): one pass over the node order; callers poll between packing attempts
 pub fn shelf_pack(
     nodes: &[PackNode],
     order: &[usize],
     stencil_w: u64,
     stencil_h: u64,
 ) -> ShelfPacking {
-    let mut positions: Vec<Option<(i64, i64)>> = vec![None; nodes.len()];
-    let mut placed = 0usize;
-    let mut shelves: Vec<(Vec<usize>, i64)> = Vec::new();
+    /// Records positions and shelves; the open shelf as `(node, x)`.
+    struct Record {
+        packing: ShelfPacking,
+        shelf: Vec<(usize, i64)>,
+    }
+    impl ShelfSink for Record {
+        fn joined(&mut self, k: usize, x: i64) {
+            self.shelf.push((k, x));
+        }
+        fn closed(&mut self, base: Option<i64>) {
+            if let Some(base) = base {
+                for &(node, x) in &self.shelf {
+                    self.packing.positions[node] = Some((x, base));
+                }
+                self.packing.placed += self.shelf.len();
+                let members = self.shelf.iter().map(|&(node, _)| node).collect();
+                self.packing.shelves.push((members, base));
+            }
+            self.shelf.clear();
+        }
+        fn opened(&mut self, k: usize, _: &ShelfCursor) {
+            self.shelf.push((k, 0));
+        }
+    }
 
-    // Current shelf under construction (positions assigned at close time).
-    let mut shelf: Vec<(usize, i64)> = Vec::new(); // (node, x)
-    let mut shelf_min_bottom: u64 = u64::MAX;
-    let mut shelf_min_top: u64 = u64::MAX;
-    let mut shelf_height: u64 = 0;
-    // Previous closed shelf summary.
-    let mut prev_top: i64 = 0; // y of the previous shelf's top edge
-    let mut prev_min_top: u64 = 0; // min top blank of previous shelf (0 = ground)
-
-    let close_shelf = |shelf: &mut Vec<(usize, i64)>,
-                       shelf_min_bottom: u64,
-                       shelf_min_top: u64,
-                       shelf_height: u64,
-                       prev_top: &mut i64,
-                       prev_min_top: &mut u64,
-                       positions: &mut Vec<Option<(i64, i64)>>,
-                       placed: &mut usize,
-                       shelves: &mut Vec<(Vec<usize>, i64)>,
-                       stencil_h: u64|
-     -> bool {
-        if shelf.is_empty() {
-            return true;
-        }
-        let overlap = if *prev_top == 0 {
-            0
-        } else {
-            (*prev_min_top).min(shelf_min_bottom) as i64
-        };
-        let base = *prev_top - overlap;
-        if base + shelf_height as i64 > stencil_h as i64 {
-            // Shelf does not fit vertically: discard its contents.
-            shelf.clear();
-            return false;
-        }
-        let mut members = Vec::with_capacity(shelf.len());
-        for &(node, x) in shelf.iter() {
-            positions[node] = Some((x, base));
-            members.push(node);
-            *placed += 1;
-        }
-        shelves.push((members, base));
-        *prev_top = base + shelf_height as i64;
-        *prev_min_top = shelf_min_top;
-        shelf.clear();
-        true
+    let mut record = Record {
+        packing: ShelfPacking {
+            positions: vec![None; nodes.len()],
+            placed: 0,
+            shelves: Vec::new(),
+        },
+        shelf: Vec::new(),
     };
-
-    // audit:allow(stop-flag-coverage): one bounded O(nodes) sweep per SA evaluation; the SA plateau loop driving it polls the flag
-    for &k in order {
-        let node = &nodes[k];
-        if node.width > stencil_w || node.height > stencil_h {
-            continue;
-        }
-        // Tentative x with sharing against the current shelf's last node.
-        let x = match shelf.last() {
-            Some(&(prev, px)) => {
-                let ov = nodes[prev].blanks.right.min(node.blanks.left) as i64;
-                px + nodes[prev].width as i64 - ov
-            }
-            None => 0,
-        };
-        if x + (node.width as i64) <= stencil_w as i64 {
-            shelf.push((k, x));
-            shelf_min_bottom = shelf_min_bottom.min(node.blanks.bottom);
-            shelf_min_top = shelf_min_top.min(node.blanks.top);
-            shelf_height = shelf_height.max(node.height);
-        } else {
-            // Close the current shelf and start a new one with this node.
-            let ok = close_shelf(
-                &mut shelf,
-                shelf_min_bottom,
-                shelf_min_top,
-                shelf_height,
-                &mut prev_top,
-                &mut prev_min_top,
-                &mut positions,
-                &mut placed,
-                &mut shelves,
-                stencil_h,
-            );
-            shelf_min_bottom = node.blanks.bottom;
-            shelf_min_top = node.blanks.top;
-            shelf_height = node.height;
-            shelf.push((k, 0));
-            if !ok {
-                // Vertical space exhausted: nothing below fits either.
-                break;
-            }
-        }
-    }
-    close_shelf(
-        &mut shelf,
-        shelf_min_bottom,
-        shelf_min_top,
-        shelf_height,
-        &mut prev_top,
-        &mut prev_min_top,
-        &mut positions,
-        &mut placed,
-        &mut shelves,
-        stencil_h,
-    );
-
-    ShelfPacking {
-        positions,
-        placed,
-        shelves,
-    }
+    ShelfCursor::new(stencil_w, stencil_h).run(nodes, order, 0, &mut record);
+    record.packing
 }
 
 #[cfg(test)]
