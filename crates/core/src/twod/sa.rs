@@ -9,8 +9,8 @@
 //! * [`OrderState`] — the scalable engine: SA over the shelf-packing
 //!   insertion order, for the 4000-candidate cases. A swap re-packs only
 //!   from the shelf holding the earlier swapped position to the point
-//!   where the stencil is full, so its cost is what the swap can change,
-//!   not `O(n)`.
+//!   where the stencil is full, at a few operations per node, and reads
+//!   the region times off prefix sums in `O(P log n)`.
 //!
 //! In both, `undo` puts back the energy the last `apply` replaced instead
 //! of evaluating the restored state again, and the energy reads each
@@ -88,6 +88,8 @@ pub(crate) struct Objective<'a> {
     reductions: Vec<i64>,
     /// Scale of the overflow term: the largest VSB region time.
     scale: f64,
+    /// A row of zero reductions.
+    zeros: Vec<i64>,
 }
 
 impl<'a> Objective<'a> {
@@ -112,6 +114,7 @@ impl<'a> Objective<'a> {
             vsb,
             reductions,
             scale: *instance.vsb_times().iter().max().unwrap_or(&1) as f64,
+            zeros: vec![0; p],
         }
     }
 
@@ -119,6 +122,21 @@ impl<'a> Objective<'a> {
     fn reduction(&self, k: usize) -> &[i64] {
         let p = self.vsb.len();
         &self.reductions[k * p..(k + 1) * p]
+    }
+
+    /// The shelf rule's cursor on this outline, before any node.
+    fn cursor(&self) -> ShelfCursor {
+        ShelfCursor::new(self.stencil_w as u64, self.stencil_h as u64)
+    }
+
+    /// Node `k`'s reduction if the shelf rule can place it at all, zeros
+    /// (the VSB row's length) otherwise.
+    fn fitting_reduction(&self, cursor: &ShelfCursor, k: usize) -> &[i64] {
+        if cursor.fits(&self.nodes[k]) {
+            self.reduction(k)
+        } else {
+            &self.zeros
+        }
     }
 
     /// Energy of a set of node positions: T_total of the in-outline nodes
@@ -260,36 +278,39 @@ impl Anneal for SeqPairState<'_> {
 
 /// Insertion-order SA state (the scalable shelf engine).
 ///
-/// It keeps a checkpoint per shelf of the current packing: the shelf
-/// cursor right after the node that opened the shelf, and the region
-/// times of the shelves below it. A swap `(i, j)` leaves every shelf
-/// opened strictly before `min(i, j)` as it was, so packing resumes from
-/// the last of them. A shelf opened *at* `min(i, j)` cannot be reused:
-/// the node there is the one that closed the shelf before it. Region times
-/// are integer sums, and every node the shelf rule places lies inside the
-/// outline (for any outline that fits `i64` coordinates), so the energy
-/// is bit-identical to `Objective::energy` of the full [`shelf_pack`].
+/// The shelf rule places exactly the nodes that fit the outline and come
+/// before the first shelf that does not fit vertically, plus at most the
+/// node after that shelf, when it still fits alone. So the state keeps:
+///
+/// * a checkpoint per shelf: the shelf cursor right after the node that
+///   opened it. A swap `(i, j)` leaves every shelf opened strictly before
+///   `min(i, j)` as it was, and packing resumes from the last of them. A
+///   shelf opened *at* `min(i, j)` cannot be reused: the node there is the
+///   one that closed the shelf before it.
+/// * the fitting nodes' reductions summed by order position
+///   (`PrefixSums`), so the region times of a packing cost one prefix
+///   query, whatever its length, and a swap two updates.
+///
+/// `undo` swaps back and restores the energy and the marks the move
+/// replaced, without packing at all.
+///
+/// Region times are integer sums, and every node the shelf rule places
+/// lies inside the outline (for any outline that fits `i64` coordinates),
+/// so the energy is bit-identical to `Objective::energy` of the full
+/// [`shelf_pack`].
 #[derive(Clone)]
 pub struct OrderState<'a> {
     objective: &'a Objective<'a>,
     order: Vec<usize>,
     cached_energy: f64,
-    tally: Tally,
-    /// What the most recent `apply` replaced, for `undo`.
-    journal: Journal,
-}
-
-/// The packing of an [`OrderState`], as region times per shelf.
-#[derive(Clone, Default)]
-struct Tally {
+    /// Reductions of the nodes that fit the outline, by order position.
+    sums: PrefixSums,
     /// Shelf cursor right after each shelf's opening node, bottom to top.
     marks: Vec<ShelfCursor>,
-    /// Region times below each marked shelf: one row per mark.
-    mark_times: Vec<i64>,
-    /// Region times of the shelves closed so far.
+    /// Scratch region times.
     times: Vec<i64>,
-    /// Summed reduction of the open shelf's nodes.
-    shelf: Vec<i64>,
+    /// What the most recent `apply` replaced, for `undo`.
+    journal: Journal,
 }
 
 /// The undo record of one [`OrderState`] move.
@@ -299,35 +320,91 @@ struct Journal {
     /// Marks the move kept; the ones after it are saved below.
     keep: usize,
     marks: Vec<ShelfCursor>,
-    mark_times: Vec<i64>,
 }
 
-/// Tallies one packing run into a [`Tally`].
-struct Tallying<'t> {
-    tally: &'t mut Tally,
-    objective: &'t Objective<'t>,
+/// Per-region sums over a prefix of order positions, under swaps of two
+/// positions: a Fenwick tree whose entries are rows of region values.
+#[derive(Clone, Default)]
+struct PrefixSums {
+    regions: usize,
+    /// Row `r` (1-based) sums the `r & r.wrapping_neg()` positions ending
+    /// at position `r − 1`.
+    tree: Vec<i64>,
 }
 
-impl ShelfSink for Tallying<'_> {
-    fn joined(&mut self, k: usize, _x: i64) {
-        for (s, r) in self.tally.shelf.iter_mut().zip(self.objective.reduction(k)) {
-            *s += r;
+impl PrefixSums {
+    /// Builds the sums of `row(0), row(1), …` with `regions` values each.
+    fn new<'r>(regions: usize, rows: impl ExactSizeIterator<Item = &'r [i64]>) -> Self {
+        let n = rows.len();
+        let mut tree = vec![0i64; (n + 1) * regions];
+        for (pos, row) in rows.enumerate() {
+            let r = pos + 1;
+            tree[r * regions..(r + 1) * regions].copy_from_slice(row);
         }
-    }
-
-    fn closed(&mut self, base: Option<i64>) {
-        if base.is_some() {
-            for (t, s) in self.tally.times.iter_mut().zip(&self.tally.shelf) {
-                *t -= s;
+        for r in 1..=n {
+            let up = r + (r & r.wrapping_neg());
+            if up <= n {
+                let (low, high) = tree.split_at_mut(up * regions);
+                for (t, v) in high[..regions].iter_mut().zip(&low[r * regions..]) {
+                    *t += v;
+                }
             }
         }
+        PrefixSums { regions, tree }
     }
 
-    fn opened(&mut self, k: usize, cursor: &ShelfCursor) {
-        let tally = &mut *self.tally;
-        tally.shelf.copy_from_slice(self.objective.reduction(k));
-        tally.marks.push(*cursor);
-        tally.mark_times.extend_from_slice(&tally.times);
+    /// Replaces the row at order position `pos`, `old`, with `new`.
+    fn replace(&mut self, pos: usize, old: &[i64], new: &[i64]) {
+        let p = self.regions;
+        let mut r = pos + 1;
+        while r * p < self.tree.len() {
+            let row = self.tree[r * p..(r + 1) * p].iter_mut();
+            for ((t, o), n) in row.zip(old).zip(new) {
+                *t += n - o;
+            }
+            r += r & r.wrapping_neg();
+        }
+    }
+
+    /// Subtracts the sums of positions `0..end` from `out`.
+    fn subtract_prefix(&self, end: usize, out: &mut [i64]) {
+        let p = self.regions;
+        let mut r = end;
+        while r > 0 {
+            for (o, t) in out.iter_mut().zip(&self.tree[r * p..(r + 1) * p]) {
+                *o -= t;
+            }
+            r &= r - 1;
+        }
+    }
+}
+
+/// What one packing run places, read off the shelf closes; it also
+/// records a mark per opened shelf.
+struct Track<'t> {
+    marks: &'t mut Vec<ShelfCursor>,
+    /// Order position of the open shelf's first node.
+    open: usize,
+    /// First position of the first shelf that did not fit vertically.
+    lost: Option<usize>,
+    /// Position of the node that still landed alone after it.
+    lone: Option<usize>,
+}
+
+impl ShelfSink for Track<'_> {
+    fn joined(&mut self, _k: usize, _x: i64) {}
+
+    fn closed(&mut self, base: Option<i64>) {
+        match (base, self.lost) {
+            (None, None) => self.lost = Some(self.open),
+            (Some(_), Some(_)) => self.lone = Some(self.open),
+            _ => {}
+        }
+    }
+
+    fn opened(&mut self, _k: usize, cursor: &ShelfCursor) {
+        self.open = cursor.start();
+        self.marks.push(*cursor);
     }
 }
 
@@ -335,15 +412,17 @@ impl<'a> OrderState<'a> {
     /// Creates the state from an initial insertion order.
     pub(crate) fn new(objective: &'a Objective<'a>, order: Vec<usize>) -> Self {
         let p = objective.vsb.len();
+        let cursor = objective.cursor();
+        let rows = order
+            .iter()
+            .map(|&k| objective.fitting_reduction(&cursor, k));
         let mut s = OrderState {
             objective,
+            sums: PrefixSums::new(p, rows),
             order,
             cached_energy: 0.0,
-            tally: Tally {
-                times: vec![0; p],
-                shelf: vec![0; p],
-                ..Tally::default()
-            },
+            marks: Vec::new(),
+            times: vec![0; p],
             journal: Journal::default(),
         };
         s.cached_energy = s.repack(0);
@@ -354,32 +433,50 @@ impl<'a> OrderState<'a> {
     /// node when `keep` is 0) and returns the energy.
     fn repack(&mut self, keep: usize) -> f64 {
         let objective = self.objective;
-        let p = objective.vsb.len();
-        let tally = &mut self.tally;
-        tally.marks.truncate(keep);
-        tally.mark_times.truncate(keep * p);
-        let (mut cursor, from) = match tally.marks.last() {
-            Some(&mark) => {
-                tally
-                    .times
-                    .copy_from_slice(&tally.mark_times[(keep - 1) * p..]);
-                let opener = self.order[mark.start()];
-                tally.shelf.copy_from_slice(objective.reduction(opener));
-                (mark, mark.start() + 1)
-            }
-            None => {
-                tally.times.copy_from_slice(&objective.vsb);
-                let (w, h) = (objective.stencil_w as u64, objective.stencil_h as u64);
-                (ShelfCursor::new(w, h), 0)
-            }
+        self.marks.truncate(keep);
+        let (mut cursor, lost) = match self.marks.last() {
+            // A full mark opened the shelf after the one that did not fit.
+            Some(mark) if mark.is_full() => (*mark, Some(self.marks[keep - 2].start())),
+            Some(mark) => (*mark, None),
+            None => (objective.cursor(), None),
         };
-        cursor.run(
-            objective.nodes,
-            &self.order,
-            from,
-            &mut Tallying { tally, objective },
+        let from = self.marks.last().map_or(0, |m| m.start() + 1);
+        let mut track = Track {
+            marks: &mut self.marks,
+            open: cursor.start(),
+            lost,
+            lone: None,
+        };
+        cursor.run(objective.nodes, &self.order, from, &mut track);
+        let (lost, lone) = (track.lost, track.lone);
+        self.times.copy_from_slice(&objective.vsb);
+        self.sums
+            .subtract_prefix(lost.unwrap_or(self.order.len()), &mut self.times);
+        if let Some(pos) = lone {
+            for (t, r) in self
+                .times
+                .iter_mut()
+                .zip(objective.reduction(self.order[pos]))
+            {
+                *t -= r;
+            }
+        }
+        objective.energy_of(&self.times, 0.0)
+    }
+
+    /// Swaps order positions `i` and `j`, in the order and in the sums.
+    fn swap(&mut self, i: usize, j: usize) {
+        let cursor = self.objective.cursor();
+        let (a, b) = (self.order[i], self.order[j]);
+        let (ra, rb) = (
+            self.objective.fitting_reduction(&cursor, a),
+            self.objective.fitting_reduction(&cursor, b),
         );
-        objective.energy_of(&self.tally.times, 0.0)
+        if ra != rb {
+            self.sums.replace(i, ra, rb);
+            self.sums.replace(j, rb, ra);
+        }
+        self.order.swap(i, j);
     }
 
     /// Final positions after shelf packing.
@@ -416,30 +513,21 @@ impl Anneal for OrderState<'_> {
 
     fn apply(&mut self, &(i, j): &(usize, usize)) {
         let lo = i.min(j);
-        let p = self.objective.vsb.len();
-        let keep = self.tally.marks.partition_point(|m| m.start() < lo);
+        let keep = self.marks.partition_point(|m| m.start() < lo);
         let journal = &mut self.journal;
         journal.energy = self.cached_energy;
         journal.keep = keep;
         journal.marks.clear();
-        journal.marks.extend_from_slice(&self.tally.marks[keep..]);
-        journal.mark_times.clear();
-        journal
-            .mark_times
-            .extend_from_slice(&self.tally.mark_times[keep * p..]);
-        self.order.swap(i, j);
+        journal.marks.extend_from_slice(&self.marks[keep..]);
+        self.swap(i, j);
         self.cached_energy = self.repack(keep);
     }
 
     fn undo(&mut self, &(i, j): &(usize, usize)) {
-        self.order.swap(i, j);
-        let journal = &self.journal;
-        let p = self.objective.vsb.len();
-        self.tally.marks.truncate(journal.keep);
-        self.tally.marks.extend_from_slice(&journal.marks);
-        self.tally.mark_times.truncate(journal.keep * p);
-        self.tally.mark_times.extend_from_slice(&journal.mark_times);
-        self.cached_energy = journal.energy;
+        self.swap(i, j);
+        self.marks.truncate(self.journal.keep);
+        self.marks.extend_from_slice(&self.journal.marks);
+        self.cached_energy = self.journal.energy;
     }
 }
 
@@ -554,14 +642,14 @@ mod tests {
     }
 
     /// One move, then an accept or an `undo`, checked against the full
-    /// re-pack: same energy bits, and the same checkpoints as a state built
-    /// from scratch on the current order. A third of the moves start at a
+    /// re-pack: same energy bits, and the same checkpoints and prefix sums
+    /// as a state built from scratch on the current order. A third of the moves start at a
     /// shelf's opening position, a third lie past the break when it fired.
     fn check_move(st: &mut OrderState<'_>, rng: &mut StdRng, stencil_h: u64, cov: &mut Coverage) {
         let obj = st.objective;
         let reference =
             |order: &[usize]| obj.energy(&shelf_pack(obj.nodes, order, 100, stencil_h).positions);
-        let marks = &st.tally.marks;
+        let marks = &st.marks;
         let (n, last) = (st.order.len(), marks.last().unwrap().start());
         let start = marks[rng.random_range(0..marks.len())].start();
         let broke = break_shape(obj.nodes, &st.order, stencil_h).is_some();
@@ -574,7 +662,7 @@ mod tests {
             _ => st.propose(rng).unwrap(),
         };
         let lo = i.min(j);
-        cov.at_shelf_start += st.tally.marks.iter().any(|m| m.start() == lo) as usize;
+        cov.at_shelf_start += st.marks.iter().any(|m| m.start() == lo) as usize;
         cov.past_break += (broke && lo > last) as usize;
         st.apply(&(i, j));
         assert_eq!(st.energy().to_bits(), reference(&st.order).to_bits());
@@ -583,8 +671,8 @@ mod tests {
             assert_eq!(st.energy().to_bits(), reference(&st.order).to_bits());
         }
         let fresh = OrderState::new(obj, st.order.clone());
-        assert_eq!(st.tally.marks, fresh.tally.marks);
-        assert_eq!(st.tally.mark_times, fresh.tally.mark_times);
+        assert_eq!(st.marks, fresh.marks);
+        assert_eq!(st.sums.tree, fresh.sums.tree);
         cov.lone_closes += (break_shape(obj.nodes, &st.order, stencil_h) == Some(true)) as usize;
         cov.steps += 1;
     }

@@ -16,9 +16,9 @@
 //! node, driven over an order by [`ShelfCursor::run`], which reports every
 //! node and shelf to a [`ShelfSink`]. [`shelf_pack`] records positions and
 //! shelves (for seeding and placement extraction). The SA's `OrderState`
-//! tallies region times instead and copies the cursor at every shelf it
-//! opens: the cursor is a few words, so a move can resume packing from
-//! the shelf it touches rather than from the first node.
+//! copies the cursor at every shelf it opens and notes the first shelf
+//! that does not fit: the cursor is a few words, so a move can resume
+//! packing from the shelf it touches rather than from the first node.
 
 use super::cluster::PackNode;
 
@@ -90,6 +90,17 @@ impl ShelfCursor {
         self.start
     }
 
+    /// Whether a shelf failed to fit vertically, so that only the final
+    /// close is left.
+    pub fn is_full(&self) -> bool {
+        self.full
+    }
+
+    /// Whether `node` fits the outline at all; the rule skips any other.
+    pub fn fits(&self, node: &PackNode) -> bool {
+        node.width <= self.stencil_w && node.height <= self.stencil_h
+    }
+
     /// Feeds node `k`, found at order position `pos`. A node wider or
     /// taller than the stencil is skipped; one that fits beside the open
     /// shelf's last node joins it; any other closes the shelf and opens
@@ -97,7 +108,7 @@ impl ShelfCursor {
     #[inline]
     pub fn step<S: ShelfSink>(&mut self, nodes: &[PackNode], pos: usize, k: usize, sink: &mut S) {
         let node = &nodes[k];
-        if node.width > self.stencil_w || node.height > self.stencil_h {
+        if !self.fits(node) {
             return;
         }
         if let Some((prev, px)) = self.last {
