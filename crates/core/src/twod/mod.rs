@@ -349,8 +349,8 @@ mod tests {
         }
     }
 
-    /// An `alpha` outside (0, 1), or NaN, used to panic in
-    /// `Schedule::geometric`; it falls back to the default now.
+    /// `Schedule::geometric` panics on an `alpha` outside (0, 1), or NaN;
+    /// the planner must fall back to the default cooling factor instead.
     #[test]
     fn out_of_range_alphas_still_plan_validly() {
         let inst = eblow_gen::generate(&GenConfig::tiny_2d(17));

@@ -131,8 +131,8 @@ impl<'a> Objective<'a> {
 
     /// Node `k`'s reduction if the shelf rule can place it at all, zeros
     /// (the VSB row's length) otherwise.
-    fn fitting_reduction(&self, cursor: &ShelfCursor, k: usize) -> &[i64] {
-        if cursor.fits(&self.nodes[k]) {
+    fn fitting_reduction(&self, k: usize) -> &[i64] {
+        if self.cursor().fits(&self.nodes[k]) {
             self.reduction(k)
         } else {
             &self.zeros
@@ -412,10 +412,7 @@ impl<'a> OrderState<'a> {
     /// Creates the state from an initial insertion order.
     pub(crate) fn new(objective: &'a Objective<'a>, order: Vec<usize>) -> Self {
         let p = objective.vsb.len();
-        let cursor = objective.cursor();
-        let rows = order
-            .iter()
-            .map(|&k| objective.fitting_reduction(&cursor, k));
+        let rows = order.iter().map(|&k| objective.fitting_reduction(k));
         let mut s = OrderState {
             objective,
             sums: PrefixSums::new(p, rows),
@@ -434,13 +431,14 @@ impl<'a> OrderState<'a> {
     fn repack(&mut self, keep: usize) -> f64 {
         let objective = self.objective;
         self.marks.truncate(keep);
-        let (mut cursor, lost) = match self.marks.last() {
+        let (mut cursor, from, lost) = match self.marks.last() {
             // A full mark opened the shelf after the one that did not fit.
-            Some(mark) if mark.is_full() => (*mark, Some(self.marks[keep - 2].start())),
-            Some(mark) => (*mark, None),
-            None => (objective.cursor(), None),
+            Some(&mark) if mark.is_full() => {
+                (mark, mark.start() + 1, Some(self.marks[keep - 2].start()))
+            }
+            Some(&mark) => (mark, mark.start() + 1, None),
+            None => (objective.cursor(), 0, None),
         };
-        let from = self.marks.last().map_or(0, |m| m.start() + 1);
         let mut track = Track {
             marks: &mut self.marks,
             open: cursor.start(),
@@ -466,12 +464,8 @@ impl<'a> OrderState<'a> {
 
     /// Swaps order positions `i` and `j`, in the order and in the sums.
     fn swap(&mut self, i: usize, j: usize) {
-        let cursor = self.objective.cursor();
-        let (a, b) = (self.order[i], self.order[j]);
-        let (ra, rb) = (
-            self.objective.fitting_reduction(&cursor, a),
-            self.objective.fitting_reduction(&cursor, b),
-        );
+        let ra = self.objective.fitting_reduction(self.order[i]);
+        let rb = self.objective.fitting_reduction(self.order[j]);
         if ra != rb {
             self.sums.replace(i, ra, rb);
             self.sums.replace(j, rb, ra);
@@ -643,8 +637,9 @@ mod tests {
 
     /// One move, then an accept or an `undo`, checked against the full
     /// re-pack: same energy bits, and the same checkpoints and prefix sums
-    /// as a state built from scratch on the current order. A third of the moves start at a
-    /// shelf's opening position, a third lie past the break when it fired.
+    /// as a state built from scratch on the current order. A third of the
+    /// moves start at a shelf's opening position; a third lie past the
+    /// break when it fired.
     fn check_move(st: &mut OrderState<'_>, rng: &mut StdRng, stencil_h: u64, cov: &mut Coverage) {
         let obj = st.objective;
         let reference =

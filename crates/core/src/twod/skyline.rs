@@ -2,7 +2,7 @@
 //!
 //! The sequence-pair evaluation is `O(n²)` per SA move, which is the right
 //! fidelity for moderate node counts but too slow for the 4000-candidate
-//! MCC cases. This shelf packer is the `O(n)` alternative:
+//! MCC cases. This shelf packer is the `O(n)`-per-packing alternative:
 //! nodes are placed left-to-right on shelves (sharing horizontal blanks
 //! with their left neighbour), and a completed shelf is lowered onto the
 //! previous one by the *conservative* vertical overlap
@@ -17,8 +17,9 @@
 //! node and shelf to a [`ShelfSink`]. [`shelf_pack`] records positions and
 //! shelves (for seeding and placement extraction). The SA's `OrderState`
 //! copies the cursor at every shelf it opens and notes the first shelf
-//! that does not fit: the cursor is a few words, so a move can resume
-//! packing from the shelf it touches rather than from the first node.
+//! that does not fit: the cursor is a few words, so an SA move resumes
+//! packing from the shelf it touches rather than from the first node, and
+//! stops where the stencil is full.
 
 use super::cluster::PackNode;
 
