@@ -99,7 +99,7 @@ impl<'a> Objective<'a> {
         let mut reductions = vec![0i64; nodes.len() * p];
         for (row, node) in reductions.chunks_exact_mut(p.max(1)).zip(nodes) {
             for &(id, _, _) in &node.members {
-                for (c, r) in row.iter_mut().enumerate().take(p) {
+                for (c, r) in row.iter_mut().enumerate() {
                     *r += instance.reduction(id.index(), c) as i64;
                 }
             }
@@ -206,7 +206,6 @@ impl<'a> SeqPairState<'a> {
             undo_energy: 0.0,
         };
         s.cached_energy = s.objective.energy(&s.positions());
-        s.undo_energy = s.cached_energy;
         s
     }
 
