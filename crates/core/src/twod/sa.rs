@@ -636,7 +636,7 @@ mod tests {
 
     /// One move, then an accept or an `undo`, checked against the full
     /// re-pack: same energy bits, and the same checkpoints and prefix sums
-    /// as a state built from scratch on the current order. A third of the
+    /// as a state freshly built on the current order. A third of the
     /// moves start at a shelf's opening position; a third lie past the
     /// break when it fired.
     fn check_move(st: &mut OrderState<'_>, rng: &mut StdRng, stencil_h: u64, cov: &mut Coverage) {
