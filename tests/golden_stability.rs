@@ -4,16 +4,18 @@
 //! The 1T constants below were captured before the slab+CSR layout swap
 //! and the hot-path rewrite; the 1M-1 constants before the intra-strategy
 //! thread pool was removed; the 2D constants before the shelf engine's
-//! incremental evaluation. They pin two guarantees that production
-//! callers rely on:
+//! incremental evaluation; the \[24\] heuristic, E-BLOW-0, 1M-5 and race
+//! constants before the race shared one rounding between E-BLOW-1 and
+//! E-BLOW-0. They pin two guarantees that production callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
 //!   artifacts; a layout change must not move a single bit.
 //! * **Planner outputs** — the full `Eblow1d` pipeline (rounding, fast ILP
-//!   convergence, refinement, post stages) and the row heuristic must
-//!   produce byte-identical placements, and so must the annealed 2D
-//!   planners (`eblow2d`, `sa2d`), so the Tables 3/4 reproduction and
-//!   cached plans are unaffected.
+//!   convergence, refinement, post stages), its E-BLOW-0 ablation, the
+//!   \[24\] and row heuristics, and the default race must produce
+//!   byte-identical placements, and so must the annealed 2D planners
+//!   (`eblow2d`, `sa2d`), so the Tables 3/4 reproduction and cached plans
+//!   are unaffected.
 
 use eblow::gen::Family;
 use eblow::model::Fnv64;
@@ -180,6 +182,81 @@ fn annealed_2d_plans_are_byte_stable() {
             (sa.total_time, plan_fingerprint_2d(&sa)),
             sa_pin,
             "{name} sa2d plan changed byte-for-byte"
+        );
+    }
+}
+
+/// `(total writing time, plan fingerprint)` at unlimited budget of the
+/// \[24\] heuristic on 1M-1 and 1M-5, of the E-BLOW-0 pipeline on the same
+/// two cases, and of the row heuristic on 1M-5. Captured before the 2-opt
+/// reversal was priced incrementally, the row heuristic's top-up stopped
+/// re-measuring rows, and the race's E-BLOW member started finishing one
+/// rounding both ways.
+const GOLDEN_1M1_HEURISTIC: (u64, u64) = (3534, 0x1957d47d15770c0b);
+const GOLDEN_1M5_HEURISTIC: (u64, u64) = (13020, 0x698f2d30d0b555d6);
+const GOLDEN_1M1_EBLOW0: (u64, u64) = (2819, 0x189b4a4ffa40366b);
+const GOLDEN_1M5_EBLOW0: (u64, u64) = (11610, 0x9394d9151ef321b9);
+const GOLDEN_1M5_ROWHEUR: (u64, u64) = (12000, 0xe72c5a0104e3699b);
+
+#[test]
+fn baseline_and_ablation_plans_are_byte_stable() {
+    use eblow::planner::baselines::{heuristic_1d, row_heuristic_1d, Heuristic1dConfig};
+    use eblow::planner::oned::Eblow1dConfig;
+    let eblow0 = Eblow1d::new(Eblow1dConfig::eblow0());
+    for (k, heuristic_pin, eblow0_pin) in [
+        (1, GOLDEN_1M1_HEURISTIC, GOLDEN_1M1_EBLOW0),
+        (5, GOLDEN_1M5_HEURISTIC, GOLDEN_1M5_EBLOW0),
+    ] {
+        let inst = eblow::gen::benchmark(Family::M1(k));
+        let heuristic = heuristic_1d(&inst, &Heuristic1dConfig::default()).unwrap();
+        assert_eq!(
+            (heuristic.total_time, plan_fingerprint(&heuristic)),
+            heuristic_pin,
+            "1M-{k} heuristic1d plan changed byte-for-byte"
+        );
+        let ablation = eblow0.plan(&inst).unwrap();
+        assert_eq!(
+            (ablation.total_time, plan_fingerprint(&ablation)),
+            eblow0_pin,
+            "1M-{k} E-BLOW-0 plan changed byte-for-byte"
+        );
+    }
+    let inst = eblow::gen::benchmark(Family::M1(5));
+    let rowheur = row_heuristic_1d(&inst).unwrap();
+    assert_eq!(
+        (rowheur.total_time, plan_fingerprint(&rowheur)),
+        GOLDEN_1M5_ROWHEUR,
+        "1M-5 row-heuristic plan changed byte-for-byte"
+    );
+}
+
+/// `(seed, total writing time, plan fingerprint)` of the default race's
+/// best plan on the `tiny_1d` seeds where one member produced the best
+/// plan alone when they were captured. No deadline, so ties break by
+/// portfolio order and the race is deterministic.
+const GOLDEN_TINY1D_RACE: [(u64, u64, u64); 5] = [
+    (1, 372, 0xc540efaad58ac8e6),
+    (2, 482, 0x76eedf178a942088),
+    (7, 296, 0x91a1a4a175e4c02b),
+    (70, 585, 0xd1480e0deb2ffdca),
+    (89, 578, 0xfe9772d55c2f9c7a),
+];
+
+#[test]
+fn default_race_plans_are_byte_stable() {
+    use eblow::engine::{PlanDetail, Portfolio, PortfolioConfig};
+    let portfolio = Portfolio::all_builtin();
+    for (seed, total, fp) in GOLDEN_TINY1D_RACE {
+        let inst = eblow::gen::generate(&eblow::gen::GenConfig::tiny_1d(seed));
+        let outcome = portfolio.run(&inst, &PortfolioConfig::default());
+        let best = outcome.best.expect("the race plans");
+        let PlanDetail::OneD(plan) = &best.detail else {
+            panic!("tiny_1d({seed}) raced to a 2D plan");
+        };
+        assert_eq!(
+            (plan.total_time, plan_fingerprint(plan)),
+            (total, fp),
+            "tiny_1d({seed}) race plan changed byte-for-byte"
         );
     }
 }
