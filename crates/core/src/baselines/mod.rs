@@ -4,8 +4,9 @@
 //!   ends, no ordering optimization, no MCC balancing.
 //! * [`heuristic_1d`] — the two-step framework of \[24\]: character selection
 //!   first (knapsack-style on aggregate capacity), then per-row ordering by
-//!   a travelling-salesman-flavoured chain heuristic with improvement
-//!   passes (the expensive part that makes \[24\] ~22× slower than E-BLOW).
+//!   a travelling-salesman-flavoured chain heuristic with 2-opt passes.
+//!   The paper reports it ~22× slower than E-BLOW; here each reversal is
+//!   priced in `O(1)` and it runs in about a tenth of E-BLOW's time.
 //! * [`row_heuristic_1d`] — a deterministic row-structure approach in the
 //!   spirit of Kuang & Young \[25\]: density-sorted row fill under the exact
 //!   Lemma 1 capacity, blank-descending in-row order, and a greedy top-up.
@@ -16,7 +17,9 @@
 //!   packing **without** blank sharing.
 //! * [`sa_2d`] — the floorplanning framework of \[24\]: the same SA packing
 //!   as E-BLOW but with no pre-filter and no clustering (every candidate is
-//!   its own node), which is what makes it ~28× slower at 4000 candidates.
+//!   its own node). The paper reports it ~28× slower at 4000 candidates;
+//!   here both anneal on the shelf engine above 400 nodes, and it runs in
+//!   about 1.2× E-BLOW's time.
 
 mod greedy1d;
 mod greedy2d;

@@ -142,26 +142,36 @@ pub fn row_heuristic_1d_with_stop(
         }
     }
     // Greedy top-up at the width-minimal position (middle positions
-    // included), most valuable first.
+    // included), most valuable first. Each row's width is measured once
+    // and then kept current by the delta of every insertion it takes.
     leftovers.extend(dropped);
     leftovers.sort_by(|&a, &b| profits[b].total_cmp(&profits[a]).then(a.cmp(&b)));
+    let mut widths: Vec<u64> = rows.iter().map(|row| row.min_width(instance)).collect();
     for i in leftovers {
         if stop.is_set() {
             break;
         }
         let id = CharId::from(i);
-        'rows: for row in rows.iter_mut() {
-            let wid = row.min_width(instance);
+        // An insertion shares at most both of the character's blanks, so
+        // no position grows a row by less than its pattern width: a row
+        // without room for that is skipped unprobed.
+        let floor = instance.char(i).pattern_width();
+        for (row, wid) in rows.iter_mut().zip(widths.iter_mut()) {
+            if wid.saturating_add(floor) > w {
+                continue;
+            }
             let mut best: Option<(u64, usize)> = None;
             for pos in 0..=row.len() {
                 let delta = row.insertion_delta(instance, pos, id);
-                if wid + delta <= w && best.is_none_or(|(bd, _)| delta < bd) {
+                if wid.saturating_add(delta) <= w && best.is_none_or(|(bd, _)| delta < bd) {
                     best = Some((delta, pos));
                 }
             }
-            if let Some((_, pos)) = best {
+            if let Some((delta, pos)) = best {
                 row.insert(pos, id);
-                break 'rows;
+                *wid += delta;
+                debug_assert_eq!(*wid, row.min_width(instance));
+                break;
             }
         }
     }

@@ -76,14 +76,19 @@ impl Row {
         std::mem::replace(&mut self.order[pos], id)
     }
 
-    /// Minimum width of this row under maximal blank sharing.
+    /// Minimum width of this row under maximal blank sharing: the fold of
+    /// [`overlap::row_width_ordered`] over the order, with the same
+    /// saturating arithmetic, and no allocation.
     pub fn min_width(&self, instance: &Instance) -> u64 {
-        let chars: Vec<_> = self
-            .order
-            .iter()
-            .map(|id| instance.char(id.index()))
-            .collect();
-        overlap::row_width_ordered(&chars)
+        let Some(last) = self.order.last() else {
+            return 0;
+        };
+        let char_of = |id: &CharId| instance.char(id.index());
+        self.order
+            .windows(2)
+            .fold(char_of(last).width(), |width, pair| {
+                width.saturating_add(overlap::paired_width(char_of(&pair[0]), char_of(&pair[1])))
+            })
     }
 
     /// Width change if `id` were inserted at position `pos`, given maximal
@@ -273,6 +278,43 @@ mod tests {
         // overlaps: min(5,3)=3 between 0-1, min(8,6)=6 between 1-2
         assert_eq!(row.min_width(&inst), 120 - 3 - 6);
         assert_eq!(row.packed_positions(&inst), vec![0, 37, 71]);
+    }
+
+    #[test]
+    fn min_width_equals_the_ordered_row_width() {
+        let width_of = |inst: &Instance, order: &[CharId]| {
+            let chars: Vec<_> = order.iter().map(|id| inst.char(id.index())).collect();
+            overlap::row_width_ordered(&chars)
+        };
+        let inst = inst();
+        for order in [
+            vec![],
+            vec![CharId(1)],
+            vec![CharId(2), CharId(0)],
+            vec![CharId(0), CharId(1), CharId(2)],
+            vec![CharId(2), CharId(1), CharId(0), CharId(3)],
+        ] {
+            let row = Row::from_order(order.clone());
+            assert_eq!(row.min_width(&inst), width_of(&inst, &order), "{order:?}");
+        }
+        // Three characters past u64::MAX / 3 saturate the row width.
+        let big = u64::MAX / 3 + 10;
+        let chars = vec![
+            Character::new(big, 40, [0, 4, 0, 0], 10).unwrap(),
+            Character::new(big, 40, [3, 1, 0, 0], 10).unwrap(),
+            Character::new(big, 40, [2, 0, 0, 0], 10).unwrap(),
+        ];
+        let huge = Instance::new(
+            Stencil::with_rows(100, 40, 40).unwrap(),
+            chars,
+            vec![vec![1]; 3],
+        )
+        .unwrap();
+        let pair = [CharId(0), CharId(1)];
+        assert_eq!(Row::from_order(pair.to_vec()).min_width(&huge), 2 * big - 3);
+        let all = [CharId(0), CharId(1), CharId(2)];
+        assert_eq!(Row::from_order(all.to_vec()).min_width(&huge), u64::MAX);
+        assert_eq!(width_of(&huge, &all), u64::MAX);
     }
 
     #[test]
