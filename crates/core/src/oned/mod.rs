@@ -9,8 +9,11 @@
 //!
 //! Use [`Eblow1d`] with an [`Eblow1dConfig`]; the ablation switches
 //! (`fast_ilp`, `post_insertion`) reproduce the paper's E-BLOW-0 vs
-//! E-BLOW-1 comparison (Figs. 11/12). [`solve_exact_1d`] certifies the
-//! optimum of instances with up to [`EXACT_1D_MAX_CHARS`] candidates.
+//! E-BLOW-1 comparison (Figs. 11/12). Both variants run the same
+//! successive rounding, so the pipeline is two stages, [`Eblow1d::round`]
+//! and [`Eblow1d::finish`]: a clone of one rounding can be finished both
+//! ways. [`solve_exact_1d`] certifies the optimum of instances with up to
+//! [`EXACT_1D_MAX_CHARS`] candidates.
 
 mod convergence;
 mod exact;
@@ -135,11 +138,33 @@ impl Eblow1d {
     /// boundaries. A cancelled run skips remaining optimization (later LP
     /// rounds, Algorithm 2's residual, the post stages) and finishes the
     /// plan from whatever was committed — the result still validates.
+    ///
+    /// This is [`Eblow1d::round`] followed by [`Eblow1d::finish`].
     pub fn plan_with_stop(
         &self,
         instance: &Instance,
         stop: StopFlag<'_>,
     ) -> Result<Plan1d, ModelError> {
+        let num_rows = instance.num_rows()?;
+        let _pipeline_span = eblow_trace::span_with("eblow1d.plan", || {
+            format!("chars={} rows={num_rows}", instance.num_chars())
+        });
+        let rounded = self.round(instance, stop)?;
+        Ok(self.finish(instance, rounded, stop))
+    }
+
+    /// Stages 1–2: the simplified LP and successive rounding (Algorithm 1)
+    /// on the configured LP backend, polling `stop` before every LP
+    /// iteration.
+    ///
+    /// E-BLOW-0 and E-BLOW-1 share this stage (their configurations differ
+    /// only in the finish), so one rounding can be cloned and finished
+    /// both ways.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NotRowStructured`] for 2D instances.
+    pub fn round(&self, instance: &Instance, stop: StopFlag<'_>) -> Result<Rounded, ModelError> {
         let started = Instant::now();
         let num_rows = instance.num_rows()?;
         let row_height = instance
@@ -156,23 +181,31 @@ impl Eblow1d {
             })
             .collect();
 
-        // Stage 1+2: simplified LP + successive rounding (Algorithm 1),
-        // with the configured LP backend.
+        let _span = eblow_trace::span("eblow1d.rounding");
+        let outcome = successive_rounding(
+            instance,
+            &eligible,
+            num_rows,
+            &self.config.rounding,
+            self.config.oracle.as_ref(),
+            stop,
+        );
+        Ok(Rounded { outcome, started })
+    }
+
+    /// Stages 3–6 on a rounding of `instance` from [`Eblow1d::round`]:
+    /// fast ILP convergence (Algorithm 2) when `fast_ilp` is on, refinement
+    /// (Algorithm 3), then post-swap and post-insertion as configured.
+    /// Polls `stop` like [`Eblow1d::plan_with_stop`]; the returned
+    /// placement always validates, and its `elapsed` counts from the start
+    /// of the rounding.
+    pub fn finish(&self, instance: &Instance, rounded: Rounded, stop: StopFlag<'_>) -> Plan1d {
+        let Rounded {
+            mut outcome,
+            started,
+        } = rounded;
+        let w = instance.stencil().width();
         let oracle = self.config.oracle.as_ref();
-        let _pipeline_span = eblow_trace::span_with("eblow1d.plan", || {
-            format!("chars={} rows={num_rows}", instance.num_chars())
-        });
-        let mut outcome = {
-            let _span = eblow_trace::span("eblow1d.rounding");
-            successive_rounding(
-                instance,
-                &eligible,
-                num_rows,
-                &self.config.rounding,
-                oracle,
-                stop,
-            )
-        };
 
         // Stage 3: fast ILP convergence (Algorithm 2), E-BLOW-1 only.
         if self.config.fast_ilp && !stop.is_set() {
@@ -212,7 +245,7 @@ impl Eblow1d {
         // Stage 4: refinement (Algorithm 3) — order each row, then repair
         // any row whose true (asymmetric) width exceeds the stencil.
         let _refine_span = eblow_trace::span("eblow1d.refine");
-        let mut rows: Vec<Row> = Vec::with_capacity(num_rows);
+        let mut rows: Vec<Row> = Vec::with_capacity(outcome.rows.len());
         for rs in &outcome.rows {
             // Refinement cannot be skipped (only ordered rows of verified
             // width validate), but under a raised stop flag it runs with a
@@ -285,15 +318,24 @@ impl Eblow1d {
             &instance.writing_times(&selection)[..]
         );
         let total_time = region_times.total();
-        Ok(Plan1d {
+        Plan1d {
             placement,
             selection,
             region_times: region_times.times().to_vec(),
             total_time,
             elapsed: started.elapsed(),
             trace: Some(outcome.trace),
-        })
+        }
     }
+}
+
+/// A finished successive rounding ([`Eblow1d::round`]) waiting for its
+/// finish ([`Eblow1d::finish`]). Cloning it lets one rounding be finished
+/// by more than one configuration.
+#[derive(Debug, Clone)]
+pub struct Rounded {
+    outcome: RoundingOutcome,
+    started: Instant,
 }
 
 /// Builds a [`Plan1d`] from a finished placement (shared by baselines).
@@ -346,6 +388,34 @@ mod tests {
             }
         }
         assert!(wins >= 3, "E-BLOW-1 should usually match or beat E-BLOW-0");
+    }
+
+    /// E-BLOW-0 and E-BLOW-1 round alike, so each variant's finish of one
+    /// shared rounding is that variant's own plan, bit for bit.
+    #[test]
+    fn one_rounding_finishes_as_either_variant() {
+        let eblow0 = Eblow1d::new(Eblow1dConfig::eblow0());
+        let eblow1 = Eblow1d::new(Eblow1dConfig::eblow1());
+        let same = |a: &Plan1d, b: &Plan1d| {
+            a.placement == b.placement
+                && a.selection == b.selection
+                && a.region_times == b.region_times
+                && a.total_time == b.total_time
+        };
+        let mut differ = 0;
+        for seed in 0..100 {
+            let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
+            let rounded = eblow1.round(&inst, StopFlag::NEVER).unwrap();
+            let finished0 = eblow0.finish(&inst, rounded.clone(), StopFlag::NEVER);
+            let finished1 = eblow1.finish(&inst, rounded, StopFlag::NEVER);
+            let plan0 = eblow0.plan(&inst).unwrap();
+            let plan1 = eblow1.plan(&inst).unwrap();
+            assert!(same(&finished0, &plan0), "seed {seed}: E-BLOW-0 finish");
+            assert!(same(&finished1, &plan1), "seed {seed}: E-BLOW-1 finish");
+            differ += usize::from(!same(&plan0, &plan1));
+        }
+        // The two finishes really do differ on most seeds.
+        assert!(differ >= 50, "only {differ} seeds tell the variants apart");
     }
 
     #[test]

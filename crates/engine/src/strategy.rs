@@ -45,6 +45,13 @@ fn is_row_structured(instance: &Instance) -> bool {
     instance.stencil().row_height().is_some()
 }
 
+/// Plans of the combinatorial E-BLOW member whose E-BLOW-0 finish beat
+/// the E-BLOW-1 finish of the same rounding (counter
+/// `eblow1d.eblow0_finish_won`): in a race, the wins `eblow1d-0` would
+/// have had alone.
+static EBLOW0_FINISH_WON: eblow_trace::Counter =
+    eblow_trace::Counter::new("eblow1d.eblow0_finish_won");
+
 /// The E-BLOW 1DOSP pipeline (successive rounding + fast ILP convergence +
 /// refinement + post stages), parameterized by its LP relaxation backend.
 ///
@@ -53,21 +60,40 @@ fn is_row_structured(instance: &Instance) -> bool {
 /// fingerprints them separately. `supports` consults the backend's
 /// [`LpOracle::max_cells`](eblow_core::oned::LpOracle::max_cells), so a
 /// size-limited backend never enters a race it would have to refuse.
-/// `Default` is the full pipeline (the paper's E-BLOW-1) on the
-/// combinatorial backend.
-#[derive(Debug, Clone, Default)]
+///
+/// `Default` is the raced combinatorial member: it runs successive
+/// rounding once and finishes it both as the paper's E-BLOW-0 (refine,
+/// post-swap) and as E-BLOW-1 (Algorithm 2, refine, post-swap,
+/// post-insertion), keeping the lower `T`; a tie goes to E-BLOW-1. Both
+/// variants spend nearly all their time in the rounding they share, so
+/// the pair costs about one E-BLOW-1 run instead of two pipelines.
+#[derive(Debug, Clone)]
 pub struct Eblow1dStrategy {
     config: Eblow1dConfig,
     name: Option<&'static str>,
+    /// Also finish the rounding as E-BLOW-0 and keep the better plan.
+    eblow0_finish: bool,
+}
+
+impl Default for Eblow1dStrategy {
+    fn default() -> Self {
+        Eblow1dStrategy {
+            config: Eblow1dConfig::eblow1(),
+            name: None,
+            eblow0_finish: true,
+        }
+    }
 }
 
 impl Eblow1dStrategy {
-    /// The E-BLOW-0 ablation (no fast ILP convergence, no post-insertion) —
-    /// a cheaper, weaker portfolio member.
+    /// The E-BLOW-0 ablation alone (no fast ILP convergence, no
+    /// post-insertion), resolvable by name as `eblow1d-0`. The race gets
+    /// its plans from the combinatorial member's E-BLOW-0 finish.
     pub fn eblow0() -> Self {
         Eblow1dStrategy {
             config: Eblow1dConfig::eblow0(),
             name: Some("eblow1d-0"),
+            eblow0_finish: false,
         }
     }
 
@@ -77,6 +103,7 @@ impl Eblow1dStrategy {
         Eblow1dStrategy {
             config: Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default())),
             name: Some("eblow1d@simplex"),
+            eblow0_finish: false,
         }
     }
 }
@@ -98,8 +125,25 @@ impl Strategy for Eblow1dStrategy {
         }
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
-        let plan =
-            Eblow1d::new(self.config.clone()).plan_with_stop(instance, budget.stop_flag())?;
+        let stop = budget.stop_flag();
+        let planner = Eblow1d::new(self.config.clone());
+        if !self.eblow0_finish {
+            let plan = planner.plan_with_stop(instance, stop)?;
+            return Ok(PlanOutcome::from_1d(self.name(), plan));
+        }
+        let rounded = planner.round(instance, stop)?;
+        // Under a raised flag both finishes skip Algorithm 2 and the post
+        // stages and refine alike, so the E-BLOW-0 copy would only tie.
+        let eblow0 = (!stop.is_set())
+            .then(|| Eblow1d::new(Eblow1dConfig::eblow0()).finish(instance, rounded.clone(), stop));
+        let mut plan = planner.finish(instance, rounded, stop);
+        if let Some(eblow0) = eblow0.filter(|p| p.total_time < plan.total_time) {
+            EBLOW0_FINISH_WON.incr();
+            plan = Plan1d {
+                elapsed: plan.elapsed,
+                ..eblow0
+            };
+        }
         Ok(PlanOutcome::from_1d(self.name(), plan))
     }
 }
@@ -331,17 +375,17 @@ impl Strategy for ExactIlp2dStrategy {
 
 /// The default race, 1D then 2D, strongest first within each group.
 ///
-/// A member stays only on a measured win: each of the seven 1D members
+/// A member stays only on a measured win: each of the six 1D members
 /// produces the best plan alone on some instance or deadline, or certifies
 /// one (`exact1d`), and in 2D only `eblow2d` and `sa2d` ever do. The race is
-/// `eblow1d@combinatorial`, `eblow1d@simplex`, `eblow1d-0`, `heuristic1d`,
-/// `rowheur1d`, `greedy1d`, `exact1d`, `eblow2d`, `sa2d`.
-/// [`strategy_by_name`] also builds strategies outside the race.
+/// `eblow1d@combinatorial` (which also finishes its rounding as E-BLOW-0,
+/// see [`Eblow1dStrategy`]), `eblow1d@simplex`, `heuristic1d`, `rowheur1d`,
+/// `greedy1d`, `exact1d`, `eblow2d`, `sa2d`. [`strategy_by_name`] also
+/// builds strategies outside the race.
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
         Arc::new(Eblow1dStrategy::simplex()),
-        Arc::new(Eblow1dStrategy::eblow0()),
         Arc::new(Heuristic1dStrategy::default()),
         Arc::new(RowHeuristic1dStrategy),
         Arc::new(Greedy1dStrategy),
@@ -353,12 +397,13 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
 
 /// Looks up a strategy by registry name.
 ///
-/// The raced names resolve first. Five more names build strategies
-/// outside the race: `ilp1d` and `ilp2d` (formulations (3) and (7), kept
-/// for the paper's Table 5), `greedy2d` (Table 4's greedy baseline),
-/// `shard1d` (the sharded composite, see [`Shard1dStrategy`]) and `eblow1d`
-/// (the historical alias for `eblow1d@combinatorial`). Every other name
-/// resolves to `None`.
+/// The raced names resolve first. Six more names build strategies
+/// outside the race: `eblow1d-0` (the E-BLOW-0 ablation alone, for
+/// Figs. 11/12 and solo measurements), `ilp1d` and `ilp2d` (formulations
+/// (3) and (7), kept for the paper's Table 5), `greedy2d` (Table 4's greedy
+/// baseline), `shard1d` (the sharded composite, see [`Shard1dStrategy`])
+/// and `eblow1d` (the historical alias for `eblow1d@combinatorial`). Every
+/// other name resolves to `None`.
 ///
 /// [`Shard1dStrategy`]: crate::Shard1dStrategy
 pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
@@ -366,6 +411,7 @@ pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
         return Some(s);
     }
     match name {
+        "eblow1d-0" => Some(Arc::new(Eblow1dStrategy::eblow0())),
         "ilp1d" => Some(Arc::new(ExactIlp1dStrategy)),
         "ilp2d" => Some(Arc::new(ExactIlp2dStrategy)),
         "greedy2d" => Some(Arc::new(Greedy2dStrategy)),
@@ -378,6 +424,7 @@ pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanDetail;
     use eblow_gen::GenConfig;
 
     #[test]
@@ -430,11 +477,11 @@ mod tests {
         assert!(!strategy_by_name("eblow1d@simplex").unwrap().supports(&big));
     }
 
-    /// One table of names: the nine raced strategies; `ilp1d`, `ilp2d`,
-    /// `greedy2d` and `shard1d` outside the race (Tables 4 and 5,
-    /// perfbench's solo section and `eblow-eval shard`); and the `eblow1d`
-    /// alias. Nothing parses names, so every other spelling resolves to
-    /// `None`.
+    /// One table of names: the eight raced strategies; `eblow1d-0`,
+    /// `ilp1d`, `ilp2d`, `greedy2d` and `shard1d` outside the race
+    /// (Figs. 11/12, Tables 4 and 5, perfbench's solo section and
+    /// `eblow-eval shard`); and the `eblow1d` alias. Nothing parses names,
+    /// so every other spelling resolves to `None`.
     #[test]
     fn registry_resolves_names_from_one_table() {
         let raced: Vec<&str> = builtin_strategies().iter().map(|s| s.name()).collect();
@@ -443,7 +490,6 @@ mod tests {
             [
                 "eblow1d@combinatorial",
                 "eblow1d@simplex",
-                "eblow1d-0",
                 "heuristic1d",
                 "rowheur1d",
                 "greedy1d",
@@ -456,6 +502,7 @@ mod tests {
             ("eblow1d@combinatorial", Some("eblow1d@combinatorial"), true),
             ("eblow1d@simplex", Some("eblow1d@simplex"), true),
             ("eblow1d", Some("eblow1d@combinatorial"), false),
+            ("eblow1d-0", Some("eblow1d-0"), false),
             ("ilp1d", Some("ilp1d"), false),
             ("ilp2d", Some("ilp2d"), false),
             ("greedy2d", Some("greedy2d"), false),
@@ -477,6 +524,64 @@ mod tests {
         assert!(strategy_by_name("ilp1d").unwrap().supports(&t1));
         let t2 = eblow_gen::benchmark(eblow_gen::Family::T2(1));
         assert!(strategy_by_name("ilp2d").unwrap().supports(&t2));
+    }
+
+    /// The raced combinatorial member is the better of E-BLOW-1 and
+    /// E-BLOW-0 on one shared rounding, E-BLOW-1's plan on a tie.
+    #[test]
+    fn combinatorial_member_keeps_the_better_finish() {
+        let eblow0 = Eblow1d::new(Eblow1dConfig::eblow0());
+        let eblow1 = Eblow1d::new(Eblow1dConfig::eblow1());
+        // Seeds where E-BLOW-0 wins outright, and ties with different plans.
+        let (mut eblow0_wins, mut ties) = (0, 0);
+        for seed in 0..100 {
+            let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
+            let pair = Eblow1dStrategy::default()
+                .plan(&inst, &Budget::unlimited())
+                .unwrap();
+            pair.validate(&inst).unwrap();
+            let (p0, p1) = (eblow0.plan(&inst).unwrap(), eblow1.plan(&inst).unwrap());
+            assert_eq!(
+                pair.total_time,
+                p0.total_time.min(p1.total_time),
+                "seed {seed}"
+            );
+            let PlanDetail::OneD(plan) = &pair.detail else {
+                panic!("seed {seed}: a 1D strategy returned a 2D plan");
+            };
+            let expected = if p0.total_time < p1.total_time {
+                eblow0_wins += 1;
+                &p0
+            } else {
+                ties += usize::from(p0.total_time == p1.total_time && p0.placement != p1.placement);
+                &p1
+            };
+            assert_eq!(plan.placement, expected.placement, "seed {seed}");
+            assert_eq!(plan.region_times, expected.region_times, "seed {seed}");
+        }
+        // Both branches are exercised: E-BLOW-0 wins outright on some seeds
+        // (tiny_1d(7) among them), and on others the two tie with
+        // different placements, where the pair must return E-BLOW-1's.
+        assert!(
+            eblow0_wins >= 1 && ties >= 1,
+            "{eblow0_wins} wins, {ties} ties"
+        );
+    }
+
+    #[test]
+    fn combinatorial_member_plans_validly_when_pre_cancelled() {
+        for seed in [5, 7] {
+            let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
+            let budget = Budget::unlimited();
+            budget.cancel();
+            let plan = Eblow1dStrategy::default().plan(&inst, &budget).unwrap();
+            plan.validate(&inst).unwrap();
+            assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+            let full = Eblow1dStrategy::default()
+                .plan(&inst, &Budget::unlimited())
+                .unwrap();
+            assert!(plan.total_time >= full.total_time, "seed {seed}");
+        }
     }
 
     #[test]

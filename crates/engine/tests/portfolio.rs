@@ -49,10 +49,10 @@ fn single_strategy_portfolio_is_deterministic() {
     assert_eq!(a.best.unwrap().selection, b.best.unwrap().selection);
 }
 
-/// Every registered name: the nine raced strategies, then the by-name
-/// table (`ilp1d`, `ilp2d`, `greedy2d`, `shard1d` and the `eblow1d`
-/// alias). Listed here rather than read from the registry, so a strategy
-/// taken out of the race is still checked against it.
+/// Every registered name, raced or by name only (`eblow1d-0`, `ilp1d`,
+/// `ilp2d`, `greedy2d`, `shard1d` and the `eblow1d` alias). Listed here
+/// rather than read from the registry, so a strategy taken out of the race
+/// is still checked against it.
 const REGISTERED: [&str; 14] = [
     "eblow1d@combinatorial",
     "eblow1d@simplex",
