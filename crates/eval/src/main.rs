@@ -208,8 +208,8 @@ fn table4() {
 fn portfolio(deadline: Duration, case: Option<&str>, assert_within: Option<Duration>) {
     println!();
     println!(
-        "== Engine portfolio race (deadline {:.1}s per case) ==",
-        deadline.as_secs_f64()
+        "== Engine portfolio race (deadline {} per case) ==",
+        seconds_label(deadline)
     );
     let portfolio = Portfolio::all_builtin();
     let config = PortfolioConfig {
@@ -291,8 +291,8 @@ fn shard_cmd(
     }
     println!();
     println!(
-        "== Sharded vs monolithic planning (deadline {:.1}s per case) ==",
-        deadline.as_secs_f64()
+        "== Sharded vs monolithic planning (deadline {} per case) ==",
+        seconds_label(deadline)
     );
     println!(
         "{:6} {:>6} | {:>12} {:>6} {:>8} | {:>12} {:>6} {:>8} | {:>8}",
@@ -417,7 +417,17 @@ fn revision() -> String {
 /// the per-case counter deltas (`"counters"`), so the trajectory artifact
 /// doubles as a coarse behavioral fingerprint (cache hits, rounding
 /// iterations, early exits) across revisions.
-fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg: Option<&str>) {
+///
+/// `assert_within` turns the run into a deadline gate (used by CI): after
+/// the artifact is written, every row whose race wall exceeds
+/// `deadline + margin` is named and the process exits non-zero.
+fn bench_cmd(
+    deadline: Duration,
+    out: Option<&str>,
+    case: Option<&str>,
+    rev_arg: Option<&str>,
+    assert_within: Option<Duration>,
+) {
     let rev = rev_arg.map(String::from).unwrap_or_else(revision);
     // A single-case debug run must not clobber the full trajectory
     // artifact of the same revision: give it its own default name.
@@ -427,8 +437,8 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
     });
     println!();
     println!(
-        "== Benchmark trajectory (rev {rev}, deadline {:.1}s per case) ==",
-        deadline.as_secs_f64()
+        "== Benchmark trajectory (rev {rev}, deadline {} per case) ==",
+        seconds_label(deadline)
     );
     let families: Vec<Family> = (1..=5)
         .map(Family::T1)
@@ -448,6 +458,7 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
     };
     eblow_trace::set_level(eblow_trace::Level::Counters);
     let mut rows = Vec::new();
+    let mut walls: Vec<(String, Duration)> = Vec::new();
     let mut failed = false;
     for family in families {
         let name = family.name();
@@ -466,6 +477,7 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
         };
         best.validate(&inst)
             .unwrap_or_else(|e| panic!("{name}: winning plan invalid: {e}"));
+        walls.push((name.clone(), outcome.elapsed));
         println!(
             "{:6} | T_total {:>10}  chars {:>5}  wall {:>6.3}s  gen {:>6.3}s  winner {}{}",
             name,
@@ -518,9 +530,30 @@ fn bench_cmd(deadline: Duration, out: Option<&str>, case: Option<&str>, rev_arg:
     );
     std::fs::write(&out_path, &doc).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path} ({} cases)", rows.len());
+    if let Some(margin) = assert_within {
+        let budget = deadline + margin;
+        for (name, wall) in overrun_rows(&walls, budget) {
+            eprintln!(
+                "FAIL: {name}: race took {:.3}s, budget {:.3}s",
+                wall.as_secs_f64(),
+                budget.as_secs_f64()
+            );
+            failed = true;
+        }
+    }
     if failed {
         std::process::exit(1);
     }
+}
+
+/// The `(case, wall)` rows whose race wall exceeds `budget`, in run order.
+fn overrun_rows(walls: &[(String, Duration)], budget: Duration) -> Vec<&(String, Duration)> {
+    walls.iter().filter(|(_, wall)| *wall > budget).collect()
+}
+
+/// A duration as exact seconds for report headers (`0.05s`, `3s`).
+fn seconds_label(d: Duration) -> String {
+    format!("{}s", d.as_secs_f64())
 }
 
 /// The non-zero counter movements since `before`, rendered as the inner
@@ -566,8 +599,8 @@ fn trace_cmd(deadline: Duration, case: Option<&str>, out_dir: Option<&str>) {
     };
     println!();
     println!(
-        "== Flight-recorder trace: case {case} (deadline {:.1}s) ==",
-        deadline.as_secs_f64()
+        "== Flight-recorder trace: case {case} (deadline {}) ==",
+        seconds_label(deadline)
     );
     let inst = eblow_gen::benchmark(family);
     let portfolio = Portfolio::all_builtin();
@@ -1156,6 +1189,7 @@ fn main() {
             args.out.as_deref(),
             case,
             args.rev.as_deref(),
+            args.assert_within,
         ),
         // Same tight default deadline as `bench`: the trace artifact is a
         // smoke gate + debugging aid, not an exhaustive solve.
@@ -1226,5 +1260,38 @@ mod tests {
         assert_eq!(diff.paths, ["a.json", "b.json"]);
         assert_eq!(diff.max_regress_pct, Some(50.0));
         assert_eq!(parse("").unwrap().cmd, "all");
+    }
+
+    #[test]
+    fn bench_gate_names_every_row_over_budget() {
+        let ms = Duration::from_millis;
+        let walls: Vec<(String, Duration)> = [
+            ("1T-1", 1),
+            ("1M-5", 3_049),
+            ("1H-1", 3_051),
+            ("2H-1", 3_200),
+            ("2H-2", 3_050),
+        ]
+        .into_iter()
+        .map(|(case, wall)| (case.to_string(), ms(wall)))
+        .collect();
+        let over = |budget| -> Vec<&str> {
+            overrun_rows(&walls, budget)
+                .into_iter()
+                .map(|(case, _)| case.as_str())
+                .collect()
+        };
+        // Deadline 3 s + 50 ms: a wall equal to the budget passes.
+        assert_eq!(over(ms(3_050)), ["1H-1", "2H-1"]);
+        assert_eq!(over(ms(0)), ["1T-1", "1M-5", "1H-1", "2H-1", "2H-2"]);
+        assert!(over(ms(3_200)).is_empty());
+    }
+
+    #[test]
+    fn headers_print_the_deadline_exactly() {
+        assert_eq!(seconds_label(Duration::from_millis(50)), "0.05s");
+        assert_eq!(seconds_label(Duration::from_secs(3)), "3s");
+        let parsed = parse("bench --deadline-s 0.05").unwrap();
+        assert_eq!(seconds_label(parsed.deadline.unwrap()), "0.05s");
     }
 }
