@@ -6,7 +6,9 @@
 //! thread pool was removed; the 2D constants before the shelf engine's
 //! incremental evaluation; the \[24\] heuristic, E-BLOW-0, 1M-5 and race
 //! constants before the race shared one rounding between E-BLOW-1 and
-//! E-BLOW-0. They pin two guarantees that production callers rely on:
+//! E-BLOW-0; the 1M-5 E-BLOW constant before row admission refused by a
+//! sorted-blank bound. They pin two guarantees that production callers
+//! rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
 //!   artifacts; a layout change must not move a single bit.
@@ -106,6 +108,10 @@ fn reference_digests_and_planner_outputs_are_byte_stable() {
 /// per-candidate scoring and row-fill probes do real work.
 const GOLDEN_1M1_EBLOW: (u64, u64) = (2819, 0x189b4a4ffa40366b);
 const GOLDEN_1M1_ROWHEUR: (u64, u64) = (3976, 0x0ec78de8f5c2f02c);
+/// The full E-BLOW pipeline on 1M-5 (4000 candidates), captured before row
+/// admission refused by a sorted-blank bound and resumed its width DP from
+/// checkpointed frontiers.
+const GOLDEN_1M5_EBLOW: (u64, u64) = (11610, 0x854fa95ddf699090);
 
 #[test]
 fn mcc_scale_plans_are_byte_stable() {
@@ -121,6 +127,13 @@ fn mcc_scale_plans_are_byte_stable() {
         (rowheur.total_time, plan_fingerprint(&rowheur)),
         GOLDEN_1M1_ROWHEUR,
         "1M-1 row-heuristic plan changed byte-for-byte"
+    );
+    let inst = eblow::gen::benchmark(Family::M1(5));
+    let eblow = Eblow1d::default().plan(&inst).unwrap();
+    assert_eq!(
+        (eblow.total_time, plan_fingerprint(&eblow)),
+        GOLDEN_1M5_EBLOW,
+        "1M-5 E-BLOW plan changed byte-for-byte"
     );
 }
 
