@@ -1,12 +1,14 @@
 //! Hot-path microbenchmarks for the columnar instance core and the
 //! incremental planning loops: `RegionTimes` select/profit sweeps, the
-//! staged `RowState::admits` check, and cold vs warm-started LP oracle
-//! solves — all on a 1H-sized MCC workload (12 000 candidates, 10 CPs),
-//! the scale where these paths dominate every registry strategy.
+//! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, and
+//! cold vs warm-started LP oracle solves — all on a 1H-sized MCC workload
+//! (12 000 candidates, 10 CPs), the scale where these paths dominate every
+//! registry strategy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eblow_core::oned::{
-    successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem, RoundingConfig, RowBase,
+    successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem, ProbedRow, RoundingConfig,
+    RowBase, WidthScratch,
 };
 use eblow_core::profit::RegionTimes;
 use eblow_core::StopFlag;
@@ -63,6 +65,33 @@ fn bench_hotpaths(c: &mut Criterion) {
                 if row.admits(&inst, id, w) {
                     row.commit(&inst, id);
                     admitted += 1;
+                }
+            }
+            black_box(admitted)
+        })
+    });
+
+    // Refusal-heavy admission: all 50 rows filled first-fit from the first
+    // half of the 1H stream, then 2 000 further candidates probed against
+    // every row at beam 8 — rounding's first-fit fallback, where nearly
+    // every probe refuses on the sorted-blank bound or a resumed DP walk.
+    group.bench_function("probed_row_reject_stream", |b| {
+        let w = inst.stencil().width();
+        let mut scratch = WidthScratch::default();
+        let mut rows = vec![ProbedRow::default(); inst.num_rows().expect("1H is 1D")];
+        for id in (0..n / 2).map(CharId::from) {
+            let fits = rows
+                .iter_mut()
+                .position(|row| row.admits(&inst, id, 8, w, &mut scratch).fits());
+            if let Some(r) = fits {
+                rows[r].insert(&inst, id);
+            }
+        }
+        b.iter(|| {
+            let mut admitted = 0usize;
+            for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
+                for row in rows.iter_mut() {
+                    admitted += row.admits(&inst, id, 8, w, &mut scratch).fits() as usize;
                 }
             }
             black_box(admitted)

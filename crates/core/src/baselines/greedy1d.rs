@@ -57,7 +57,7 @@ pub fn greedy_1d_with_stop(instance: &Instance, stop: StopFlag<'_>) -> Result<Pl
         let c = instance.char(i);
         // Overlap-unaware: every character consumes its full width.
         for r in 0..num_rows {
-            if widths[r] + c.width() <= w {
+            if widths[r].checked_add(c.width()).is_some_and(|x| x <= w) {
                 rows[r].push_right(CharId::from(i));
                 widths[r] += c.width();
                 break;

@@ -82,11 +82,11 @@ pub fn heuristic_1d_with_stop(
         })
         .collect();
     cands.sort_by(|&a, &b| profits[b].total_cmp(&profits[a]).then(a.cmp(&b)));
-    let capacity = (w as u128 * num_rows as u128) as u64;
+    let capacity = u128::from(w) * num_rows as u128;
     let mut selected: Vec<usize> = Vec::new();
-    let mut used = 0u64;
+    let mut used = 0u128;
     for &i in &cands {
-        let eff = instance.char(i).effective_width();
+        let eff = u128::from(instance.char(i).effective_width());
         if used + eff <= capacity {
             selected.push(i);
             used += eff;
@@ -103,7 +103,13 @@ pub fn heuristic_1d_with_stop(
         let c = instance.char(i);
         let eff = c.effective_width();
         let s = c.symmetric_blank();
-        if let Some(r) = (0..num_rows).find(|&r| row_eff[r] + eff + row_blank[r].max(s) <= w) {
+        let fits = |r: usize| {
+            row_eff[r]
+                .checked_add(eff)
+                .and_then(|x| x.checked_add(row_blank[r].max(s)))
+                .is_some_and(|x| x <= w)
+        };
+        if let Some(r) = (0..num_rows).find(|&r| fits(r)) {
             row_sets[r].push(CharId::from(i));
             row_eff[r] += eff;
             row_blank[r] = row_blank[r].max(s);
@@ -134,7 +140,7 @@ pub fn heuristic_1d_with_stop(
     for _ in 0..config.repair_rounds {
         let mut moved = false;
         for r in 0..num_rows {
-            while rows[r].min_width(instance) > w && !rows[r].is_empty() {
+            while rows[r].checked_width(instance).is_none_or(|x| x > w) && !rows[r].is_empty() {
                 // [24]-style repair: the framework fixes the order before
                 // repairing, so eviction only looks at the row's tail.
                 let len = rows[r].len();
@@ -151,8 +157,7 @@ pub fn heuristic_1d_with_stop(
                     if r2 == r {
                         continue;
                     }
-                    let delta = rows[r2].insertion_delta(instance, rows[r2].len(), id);
-                    if rows[r2].min_width(instance) + delta <= w {
+                    if fits_after_insert(instance, &rows[r2], rows[r2].len(), id, w) {
                         rows[r2].push_right(id);
                         parked = true;
                         moved = true;
@@ -185,8 +190,7 @@ pub fn heuristic_1d_with_stop(
             break;
         }
         for r in 0..num_rows {
-            let delta = rows[r].insertion_delta(instance, rows[r].len(), CharId::from(i));
-            if rows[r].min_width(instance) + delta <= w {
+            if fits_after_insert(instance, &rows[r], rows[r].len(), CharId::from(i), w) {
                 rows[r].push_right(CharId::from(i));
                 break;
             }
@@ -199,6 +203,15 @@ pub fn heuristic_1d_with_stop(
         started,
         None,
     ))
+}
+
+/// Whether `row` with `id` inserted at `pos` fits width `w`; a width past
+/// `u64::MAX` never does.
+fn fits_after_insert(instance: &Instance, row: &Row, pos: usize, id: CharId, w: u64) -> bool {
+    let delta = row.insertion_delta(instance, pos, id);
+    row.checked_width(instance)
+        .and_then(|width| width.checked_add(delta))
+        .is_some_and(|width| width <= w)
 }
 
 /// Nearest-neighbour chain + multi-restart 2-opt on the "maximize shared

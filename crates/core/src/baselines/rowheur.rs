@@ -68,9 +68,9 @@ pub fn row_heuristic_1d_with_stop(
 
     // Fill rows under the exact Lemma 1 capacity; best-fit row choice.
     let mut sets: Vec<Vec<CharId>> = vec![Vec::new(); num_rows];
-    // Each row's members as a probe-ready key list (insertion order plus
-    // suffix floors), maintained incrementally so probes skip the per-probe
-    // sort and can reject mid-walk.
+    // Each row's members as a probe-ready row, maintained incrementally so
+    // most probes refuse on its sorted-blank bound and the rest resume the
+    // DP walk from a cached frontier.
     let mut row_keys: Vec<ProbedRow> = vec![ProbedRow::default(); num_rows];
     let mut eff: Vec<u64> = vec![0; num_rows];
     let mut blank: Vec<u64> = vec![0; num_rows];
@@ -89,23 +89,26 @@ pub fn row_heuristic_1d_with_stop(
         let id = CharId::from(i);
         // Rank rows by wasted capacity growth, then verify the best ones
         // with the exact ordering DP (the Lemma 1 estimate is optimistic
-        // for asymmetric blanks). A beam-1 insertion chain (the width of
-        // one concrete order) screens each row first: if that order
-        // already fits, the DP would too — same decisions, far fewer DPs.
+        // for asymmetric blanks). The staged probe refuses on the
+        // sorted-blank bound or admits on a beam-1 insertion chain (the
+        // width of one concrete order) before the beam-6 DP runs — same
+        // decisions, far fewer DPs. Estimates past `u64` never rank.
         ranked.clear();
         ranked.extend((0..num_rows).filter_map(|r| {
-            let new_width = eff[r] + e + blank[r].max(s);
-            (new_width <= w + 8).then(|| {
+            let new_width = u128::from(eff[r]) + u128::from(e) + u128::from(blank[r].max(s));
+            (new_width <= u128::from(w) + 8).then(|| {
                 let growth = blank[r].max(s) - blank[r];
-                (growth * 1000 + (w.saturating_sub(new_width)), r)
+                let slack = u128::from(w).saturating_sub(new_width) as u64;
+                (growth.saturating_mul(1000).saturating_add(slack), r)
             })
         }));
         ranked.sort_unstable();
         // Place into the best-ranked row the exact ordering DP admits.
-        let placed_row = ranked.iter().take(PROBE_ROWS).map(|&(_, r)| r).find(|&r| {
-            row_keys[r].admits_width(instance, (s, id), 1, w, &mut scratch)
-                || row_keys[r].admits_width(instance, (s, id), 6, w, &mut scratch)
-        });
+        let placed_row = ranked
+            .iter()
+            .take(PROBE_ROWS)
+            .map(|&(_, r)| r)
+            .find(|&r| row_keys[r].admits(instance, id, 6, w, &mut scratch).fits());
         match placed_row {
             Some(r) => {
                 sets[r].push(id);
@@ -131,7 +134,7 @@ pub fn row_heuristic_1d_with_stop(
     // Repair residual overflows by dropping the *least profitable* member.
     let mut dropped: Vec<usize> = Vec::new();
     for row in rows.iter_mut() {
-        while row.min_width(instance) > w && !row.is_empty() {
+        while row.checked_width(instance).is_none_or(|x| x > w) && !row.is_empty() {
             let (pos, _) = row
                 .order()
                 .iter()
@@ -157,13 +160,14 @@ pub fn row_heuristic_1d_with_stop(
         // without room for that is skipped unprobed.
         let floor = instance.char(i).pattern_width();
         for (row, wid) in rows.iter_mut().zip(widths.iter_mut()) {
-            if wid.saturating_add(floor) > w {
+            if wid.checked_add(floor).is_none_or(|x| x > w) {
                 continue;
             }
             let mut best: Option<(u64, usize)> = None;
             for pos in 0..=row.len() {
                 let delta = row.insertion_delta(instance, pos, id);
-                if wid.saturating_add(delta) <= w && best.is_none_or(|(bd, _)| delta < bd) {
+                let fits = wid.checked_add(delta).is_some_and(|x| x <= w);
+                if fits && best.is_none_or(|(bd, _)| delta < bd) {
                     best = Some((delta, pos));
                 }
             }

@@ -27,8 +27,9 @@
 //! Candidates that cannot lower `T` are left out before enumerating:
 //! those too tall or too wide for a row on their own, and those that save
 //! no shot in any region. Feasibility is closed under taking subsets, so
-//! dropping them keeps the optimum. Width sums saturate at `u64::MAX`
-//! instead of wrapping, so a row too wide to represent never looks narrow.
+//! dropping them keeps the optimum. A row too wide to represent never
+//! looks narrow: Lemma 1's sum is exact past `u64`, and the Held-Karp
+//! entries saturate at a value no width that fits a `u64` reaches.
 
 use super::finish_plan;
 use crate::cancel::StopFlag;
@@ -138,8 +139,10 @@ struct ExactSearch<'a> {
     /// `step[i·k + j]`: the width `j` adds right of `i`,
     /// `w_j − min(r_i, l_j)`. Empty on the symmetric path.
     step: Vec<u64>,
-    /// Held-Karp table: `order[mask·k + j]` is the narrowest order of
-    /// `mask` ending in `j ∈ mask`. Empty on the symmetric path.
+    /// Held-Karp table: `order[mask·k + j]` is the width of the narrowest
+    /// order of `mask` ending in `j ∈ mask`, minus one (every order is at
+    /// least 1 µm wide), saturating: `u64::MAX` means the width does not
+    /// fit a `u64`. Empty on the symmetric path.
     order: Vec<u64>,
     /// `rows[mask]`: the fewest rows `mask` packs into, capped at `cap`.
     rows: Vec<u8>,
@@ -192,7 +195,7 @@ impl<'a> ExactSearch<'a> {
             if mask % POLL_MASKS == 1 && stop.is_set() {
                 return (best, false);
             }
-            self.rows[mask] = if self.row_width(mask) <= self.width {
+            self.rows[mask] = if self.fits_one_row(mask) {
                 1
             } else if self.cap <= 2 {
                 self.cap
@@ -209,20 +212,24 @@ impl<'a> ExactSearch<'a> {
         (best, true)
     }
 
-    /// The minimum width of one row holding exactly `mask`, filling the
-    /// Held-Karp entries of `mask` on the asymmetric path.
-    fn row_width(&mut self, mask: usize) -> u64 {
+    /// Whether one row holds exactly `mask` within `W`, filling the
+    /// Held-Karp entries of `mask` on the asymmetric path. A width past
+    /// `u64::MAX` never fits.
+    fn fits_one_row(&mut self, mask: usize) -> bool {
         if self.symmetric {
-            return overlap::symmetric_min_length(
-                bits(mask).map(|b| (self.widths[b], self.blanks[b])),
-            );
+            // Lemma 1's closed form, exact past `u64`.
+            let (sum, max_s) = bits(mask).fold((0u128, 0u64), |(sum, max_s), b| {
+                let (w, s) = (self.widths[b], self.blanks[b].min(self.widths[b]));
+                (sum + u128::from(w - s), max_s.max(s))
+            });
+            return sum + u128::from(max_s) <= u128::from(self.width);
         }
         let k = self.cands.len();
         let mut narrowest = u64::MAX;
         for j in bits(mask) {
             let prev = mask & !(1 << j);
             let w = if prev == 0 {
-                self.widths[j]
+                self.widths[j] - 1
             } else {
                 bits(prev)
                     .map(|i| self.order[prev * k + i].saturating_add(self.step[i * k + j]))
@@ -232,7 +239,9 @@ impl<'a> ExactSearch<'a> {
             self.order[mask * k + j] = w;
             narrowest = narrowest.min(w);
         }
-        narrowest
+        // Entries hold width − 1, so `u64::MAX` only stands for a width
+        // past `u64::MAX`, and width ≤ W reads as entry < W.
+        narrowest < self.width
     }
 
     /// The fewest rows a mask that does not fit one row packs into (capped

@@ -41,20 +41,20 @@ impl Default for PostConfig {
 }
 
 /// Row width after replacing the character at `pos` with `new_id`
-/// (order otherwise unchanged).
+/// (order otherwise unchanged), or `None` past `u64::MAX`.
 fn width_with_replacement(
     instance: &Instance,
     row: &eblow_model::Row,
     pos: usize,
     new_id: CharId,
-) -> u64 {
+) -> Option<u64> {
     let chars: Vec<_> = row
         .order()
         .iter()
         .enumerate()
         .map(|(k, id)| instance.char(if k == pos { new_id.index() } else { id.index() }))
         .collect();
-    eblow_model::overlap::row_width_ordered(&chars)
+    eblow_model::overlap::checked_row_width(&chars)
 }
 
 /// Post-swap: greedy improving exchanges between unselected characters and
@@ -147,7 +147,8 @@ pub fn post_swap(
                 if delta >= 0 {
                     continue;
                 }
-                if width_with_replacement(instance, &placement.rows()[r], pos, CharId::from(u)) > w
+                if width_with_replacement(instance, &placement.rows()[r], pos, CharId::from(u))
+                    .is_none_or(|width| width > w)
                 {
                     continue;
                 }
@@ -232,16 +233,15 @@ pub fn post_insert(
                     .map(|r| {
                         let slack = w.saturating_sub(widths[r]);
                         let c = instance.char(cand);
-                        if (c.width() as i64 - (c.blanks().left + c.blanks().right) as i64)
-                            > slack as i64
-                        {
+                        if c.pattern_width() > slack {
                             return None; // cannot possibly fit
                         }
                         let row = &placement.rows()[r];
                         let mut best: Option<(u64, usize)> = None;
                         for pos in 0..=row.len() {
                             let delta = row.insertion_delta(instance, pos, CharId::from(cand));
-                            if widths[r] + delta <= w && best.is_none_or(|(bd, _)| delta < bd) {
+                            let fits = widths[r].checked_add(delta).is_some_and(|x| x <= w);
+                            if fits && best.is_none_or(|(bd, _)| delta < bd) {
                                 best = Some((delta, pos));
                             }
                         }
@@ -264,7 +264,11 @@ pub fn post_insert(
             // Re-check width: earlier insertions this round can only touch
             // other rows (one per row), so this stays valid; assert anyway.
             let delta = placement.rows()[*r].insertion_delta(instance, pos, CharId::from(cand));
-            if placement.rows()[*r].min_width(instance) + delta > w {
+            let width = placement.rows()[*r].checked_width(instance);
+            if width
+                .and_then(|x| x.checked_add(delta))
+                .is_none_or(|x| x > w)
+            {
                 continue;
             }
             placement.row_mut(*r).insert(pos, CharId::from(cand));

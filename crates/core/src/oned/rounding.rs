@@ -23,7 +23,7 @@
 
 use super::mkp_lp::{LpHint, MkpItem, MkpLpSolution, RowBase};
 use super::oracle::LpOracle;
-use super::refine::{ProbedRow, WidthScratch};
+use super::refine::{Admission, ProbedRow, WidthScratch};
 use crate::cancel::StopFlag;
 use crate::profit::RegionTimes;
 use eblow_model::{CharId, Instance};
@@ -41,11 +41,12 @@ static LP_COLD: trace::Counter = trace::Counter::new("round.lp.cold");
 static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per_call");
 /// `RowState::admits` stage tallies — how often each stage of the staged
 /// admission test decided (counters `admits.*`). Stage order: clearly
-/// overfull estimate → exact symmetric estimate → refusal memo → beam-1
-/// upper bound → exact width DP.
+/// overfull estimate → exact symmetric estimate → refusal memo →
+/// sorted-blank overlap bound → beam-1 upper bound → exact width DP.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
 static ADMITS_ESTIMATE_EXACT: trace::Counter = trace::Counter::new("admits.estimate_exact");
 static ADMITS_MEMO_REJECT: trace::Counter = trace::Counter::new("admits.memo_reject");
+static ADMITS_BOUND_REJECT: trace::Counter = trace::Counter::new("admits.bound_reject");
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 
@@ -77,10 +78,10 @@ pub struct RowState {
     /// While 0, the S-Blank estimate is *exact* (Lemma 1), so admission
     /// needs no DP at all.
     asym_members: usize,
-    /// Members as a probe-ready key list (insertion order plus suffix
-    /// floors, maintained by [`RowState::commit`]) so each admission probe
-    /// merges the candidate with one binary search and can reject without
-    /// finishing the DP walk.
+    /// Members as a probe-ready row (sorted keys, suffix floors, sorted
+    /// blanks and checkpointed DP frontiers, maintained by
+    /// [`RowState::commit`]) so most admission probes refuse on a bound and
+    /// the rest resume the DP walk near the candidate.
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
@@ -98,14 +99,19 @@ impl RowState {
         if self.members.is_empty() {
             0
         } else {
-            self.eff_used + self.max_blank
+            self.eff_used.saturating_add(self.max_blank)
         }
     }
 
     /// Whether a character with effective width `eff` and blank `s` fits
     /// under the S-Blank capacity model.
     pub fn fits(&self, eff: u64, blank: u64, stencil_w: u64) -> bool {
-        self.eff_used + eff + self.max_blank.max(blank) <= stencil_w
+        self.estimate_with(eff, blank) <= u128::from(stencil_w)
+    }
+
+    /// The S-Blank estimate with one more character, exact past `u64`.
+    fn estimate_with(&self, eff: u64, blank: u64) -> u128 {
+        u128::from(self.eff_used) + u128::from(eff) + u128::from(self.max_blank.max(blank))
     }
 
     /// Commits character `id` of `instance`.
@@ -142,44 +148,53 @@ impl RowState {
     /// 2. an all-symmetric row (plus a symmetric candidate) is decided by
     ///    the estimate alone — Lemma 1 makes every end-insertion order pack
     ///    to exactly `Σ(w−s) + max s`, so estimate = DP width;
-    /// 3. a candidate the DP already refused on this exact row state (no
-    ///    commit since) is refused again from a memo — the decision is a
-    ///    pure function of the row state;
-    /// 4. otherwise a beam-1 greedy insertion chain gives a cheap upper
+    /// 3. a candidate already refused on this exact row state (no commit
+    ///    since) is refused again from a memo — the decision is a pure
+    ///    function of the row state;
+    /// 4. a sorted-blank overlap bound refuses when no order of the members
+    ///    plus the candidate can fit (see [`ProbedRow`]);
+    /// 5. otherwise a beam-1 greedy insertion chain gives a cheap upper
     ///    bound on the DP width: if one concrete order fits, the DP fits;
-    /// 5. only in the remaining near-capacity band does the exact
-    ///    (width-only, allocation-free) DP run.
+    /// 6. only in the remaining near-capacity band does the exact
+    ///    (width-only, allocation-free) DP run, resumed from the frontier
+    ///    checkpoint nearest the candidate.
+    ///
+    /// Widths past `u64::MAX` read as "does not fit" at every stage.
     pub fn admits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
         let c = instance.char(id.index());
-        let (eff, blank) = (c.effective_width(), c.symmetric_blank());
         // Quick reject: the estimate rarely *over*states the DP width by
         // much, so a clearly overfull estimate is a safe early out.
-        let estimate = self.eff_used + eff + self.max_blank.max(blank);
-        if estimate > stencil_w + 8 {
+        let estimate = self.estimate_with(c.effective_width(), c.symmetric_blank());
+        if estimate > u128::from(stencil_w) + 8 {
             ADMITS_ESTIMATE_REJECT.incr();
             return false;
         }
         if self.asym_members == 0 && c.blanks().left == c.blanks().right {
             ADMITS_ESTIMATE_EXACT.incr();
-            return estimate <= stencil_w;
+            return estimate <= u128::from(stencil_w);
         }
         let memo = self.refused.binary_search(&(id, stencil_w));
         if memo.is_ok() {
             ADMITS_MEMO_REJECT.incr();
             return false;
         }
-        let key = (blank, id);
-        if self
+        let admitted = match self
             .probed
-            .admits_width(instance, key, 1, stencil_w, &mut self.scratch)
+            .admits(instance, id, 8, stencil_w, &mut self.scratch)
         {
-            ADMITS_BEAM.incr();
-            return true;
-        }
-        ADMITS_DP.incr();
-        let admitted = self
-            .probed
-            .admits_width(instance, key, 8, stencil_w, &mut self.scratch);
+            Admission::BoundReject => {
+                ADMITS_BOUND_REJECT.incr();
+                false
+            }
+            Admission::ChainFits => {
+                ADMITS_BEAM.incr();
+                true
+            }
+            Admission::Dp(fits) => {
+                ADMITS_DP.incr();
+                fits
+            }
+        };
         if let (false, Err(at)) = (admitted, memo) {
             self.refused.insert(at, (id, stencil_w));
         }

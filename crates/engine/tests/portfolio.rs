@@ -402,3 +402,64 @@ fn second_pass_over_a_queue_hits_the_cache() {
         assert_eq!(a.strategy, b.strategy);
     }
 }
+
+/// Six characters of width `W/2 + 1` on a stencil `W` wide (`W` near
+/// `u64::MAX`), two rows, one region. Every junction shares at least 1 µm
+/// of blank, so two characters fit a row and three never do: the optimum
+/// is 4 characters, `T = 2·5 + 4 = 14`, and `T_VSB = 30`.
+fn huge_width_instance(width: u64) -> Instance {
+    let chars = (0..6u64)
+        .map(|i| eblow_model::Character::new(width / 2 + 1, 40, [1 + i % 2, 3, 0, 0], 5).unwrap())
+        .collect();
+    let stencil = eblow_model::Stencil::with_rows(width, 80, 40).unwrap();
+    Instance::new(stencil, chars, vec![vec![1]; 6]).unwrap()
+}
+
+/// Row widths past `u64::MAX` read as "does not fit" on every admission
+/// path: each raced 1D member and `eblow1d-0` returns a plan that
+/// validates, `exact1d` certifies the optimum, and the validator refuses a
+/// row whose true width overflows instead of saturating it to `W`.
+#[test]
+fn huge_widths_plan_validly_and_overflowing_rows_fail_validation() {
+    // `greedy1d` ignores blank sharing, so it places one character a row.
+    let expected = [
+        ("eblow1d@combinatorial", 14),
+        ("eblow1d@simplex", 14),
+        ("eblow1d-0", 14),
+        ("heuristic1d", 14),
+        ("rowheur1d", 14),
+        ("greedy1d", 22),
+        ("exact1d", 14),
+    ];
+    for width in [u64::MAX, u64::MAX - 10] {
+        let inst = huge_width_instance(width);
+        assert_eq!(inst.vsb_times(), &[30]);
+        for (name, total) in expected {
+            let outcome = strategy_by_name(name)
+                .unwrap()
+                .plan(&inst, &Budget::unlimited())
+                .unwrap_or_else(|e| panic!("{name} at W = {width}: {e}"));
+            outcome
+                .validate(&inst)
+                .unwrap_or_else(|e| panic!("{name} at W = {width}: {e}"));
+            assert_eq!(outcome.total_time, total, "{name} at W = {width}");
+        }
+        let exact = strategy_by_name("exact1d")
+            .unwrap()
+            .plan(&inst, &Budget::unlimited())
+            .unwrap();
+        assert!(exact.proven_optimal, "exact1d at W = {width}");
+        let row = |ids: &[usize]| {
+            eblow_model::Row::from_order(
+                ids.iter().map(|&i| eblow_model::CharId::from(i)).collect(),
+            )
+        };
+        let fits = eblow_model::Placement1d::from_rows(vec![row(&[0, 1]), row(&[2, 3])]);
+        fits.validate(&inst).unwrap();
+        let overfull = eblow_model::Placement1d::from_rows(vec![row(&[0, 1, 2]), row(&[3])]);
+        assert!(
+            overfull.validate(&inst).is_err(),
+            "a three-character row overflows u64 at W = {width}"
+        );
+    }
+}

@@ -65,7 +65,8 @@ pub enum ModelError {
     RowOverflow {
         /// Index of the overflowing row.
         row: usize,
-        /// Minimum achievable width of the row contents.
+        /// Minimum achievable width of the row contents, saturated at
+        /// `u64::MAX`.
         width: u64,
         /// Stencil width.
         stencil_width: u64,

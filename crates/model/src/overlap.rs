@@ -60,11 +60,17 @@ pub fn paired_width(left: &Character, right: &Character) -> u64 {
 /// (`Σ paired_width + w_last`, every term non-negative) and saturates at
 /// `u64::MAX`, so a row that fits a `u64` never overflows on the way.
 pub fn row_width_ordered(chars: &[&Character]) -> u64 {
+    checked_row_width(chars).unwrap_or(u64::MAX)
+}
+
+/// [`row_width_ordered`] without saturation: `None` when the width does
+/// not fit a `u64`, so such a row fits no stencil.
+pub fn checked_row_width(chars: &[&Character]) -> Option<u64> {
     let Some(last) = chars.last() else {
-        return 0;
+        return Some(0);
     };
-    chars.windows(2).fold(last.width(), |width, pair| {
-        width.saturating_add(paired_width(pair[0], pair[1]))
+    chars.windows(2).try_fold(last.width(), |width, pair| {
+        width.checked_add(paired_width(pair[0], pair[1]))
     })
 }
 

@@ -80,14 +80,20 @@ impl Row {
     /// [`overlap::row_width_ordered`] over the order, with the same
     /// saturating arithmetic, and no allocation.
     pub fn min_width(&self, instance: &Instance) -> u64 {
+        self.checked_width(instance).unwrap_or(u64::MAX)
+    }
+
+    /// [`Row::min_width`] without saturation: `None` when the width does
+    /// not fit a `u64`, so such a row fits no stencil.
+    pub fn checked_width(&self, instance: &Instance) -> Option<u64> {
         let Some(last) = self.order.last() else {
-            return 0;
+            return Some(0);
         };
         let char_of = |id: &CharId| instance.char(id.index());
         self.order
             .windows(2)
-            .fold(char_of(last).width(), |width, pair| {
-                width.saturating_add(overlap::paired_width(char_of(&pair[0]), char_of(&pair[1])))
+            .try_fold(char_of(last).width(), |width, pair| {
+                width.checked_add(overlap::paired_width(char_of(&pair[0]), char_of(&pair[1])))
             })
     }
 
@@ -105,7 +111,9 @@ impl Row {
             (Some(l), Some(r)) => overlap::h_overlap(l, r),
             _ => 0,
         };
-        u.width() + lost - gain_left - gain_right
+        // Both gains come out of `u`'s own blanks, so the difference
+        // cannot underflow; only adding `lost` can pass `u64::MAX`.
+        (u.width() - gain_left - gain_right).saturating_add(lost)
     }
 
     /// X positions of every character when the row is packed flush-left with
@@ -197,7 +205,8 @@ impl Placement1d {
     /// * the instance is row-structured and has at least `rows.len()` rows;
     /// * every id is in range and appears at most once;
     /// * every character fits the row height;
-    /// * every row's minimum width fits the stencil width.
+    /// * every row's minimum width fits the stencil width (a width past
+    ///   `u64::MAX` never does).
     ///
     /// # Errors
     ///
@@ -237,11 +246,11 @@ impl Placement1d {
                     });
                 }
             }
-            let w = row.min_width(instance);
-            if w > instance.stencil().width() {
+            let width = row.checked_width(instance);
+            if width.is_none_or(|w| w > instance.stencil().width()) {
                 return Err(ModelError::RowOverflow {
                     row: r,
-                    width: w,
+                    width: width.unwrap_or(u64::MAX),
                     stencil_width: instance.stencil().width(),
                 });
             }
@@ -315,6 +324,11 @@ mod tests {
         let all = [CharId(0), CharId(1), CharId(2)];
         assert_eq!(Row::from_order(all.to_vec()).min_width(&huge), u64::MAX);
         assert_eq!(width_of(&huge, &all), u64::MAX);
+        // The checked width tells an overflow from a width of u64::MAX.
+        let pair_row = Row::from_order(pair.to_vec());
+        assert_eq!(pair_row.checked_width(&huge), Some(2 * big - 3));
+        assert_eq!(Row::from_order(all.to_vec()).checked_width(&huge), None);
+        assert_eq!(Row::new().checked_width(&huge), Some(0));
     }
 
     #[test]
