@@ -5,11 +5,15 @@
 //! profit per effective micrometer and rows are filled one at a time under
 //! the *exact* symmetric-blank capacity (Lemma 1), ordering each row by
 //! blank descending (provably optimal for symmetric blanks). A final
-//! insertion pass tops rows up. Everything is a sort plus linear scans —
-//! which is why this family of heuristics runs in milliseconds (the paper's
-//! Table 3 shows \[25\] at ~0.01 s), at the cost of no MCC balancing: profits
-//! are static region sums, so the bottleneck region is not re-weighted as
-//! selection proceeds.
+//! insertion pass tops rows up. The paper's Table 3 shows \[25\] at
+//! ~0.01 s. This version is slower: `eblow-eval table3` measures a
+//! Row\[25\] CPU average of about 0.03 s over the Table 3 cases on a
+//! 2-core VM (0.15–0.17 s before row admission refused on a sorted-blank
+//! bound). The cost is the per-candidate probes: the Lemma 1 estimate is
+//! optimistic for asymmetric blanks, so each character verifies up to
+//! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed.
+//! There is no MCC balancing: profits are static region sums, so the
+//! bottleneck region is not re-weighted as selection proceeds.
 
 use crate::cancel::StopFlag;
 use crate::oned::{finish_plan, ProbedRow, WidthScratch};

@@ -452,7 +452,8 @@ impl Checkpoints {
         &mut self.0[at]
     }
 
-    /// Drops every checkpoint whose prefix reaches key `pos` or beyond.
+    /// Drops every checkpoint whose prefix includes position `pos`, where
+    /// a key was just inserted.
     fn invalidate_from(&mut self, pos: usize) {
         for beam in &mut self.0 {
             beam.ends.truncate(pos / CHECKPOINT_STRIDE);
