@@ -157,7 +157,7 @@ pub fn heuristic_1d_with_stop(
                     if r2 == r {
                         continue;
                     }
-                    if fits_after_insert(instance, &rows[r2], rows[r2].len(), id, w) {
+                    if rows[r2].fits_with(instance, rows[r2].len(), id, w) {
                         rows[r2].push_right(id);
                         parked = true;
                         moved = true;
@@ -190,7 +190,7 @@ pub fn heuristic_1d_with_stop(
             break;
         }
         for r in 0..num_rows {
-            if fits_after_insert(instance, &rows[r], rows[r].len(), CharId::from(i), w) {
+            if rows[r].fits_with(instance, rows[r].len(), CharId::from(i), w) {
                 rows[r].push_right(CharId::from(i));
                 break;
             }
@@ -203,15 +203,6 @@ pub fn heuristic_1d_with_stop(
         started,
         None,
     ))
-}
-
-/// Whether `row` with `id` inserted at `pos` fits width `w`; a width past
-/// `u64::MAX` never does.
-fn fits_after_insert(instance: &Instance, row: &Row, pos: usize, id: CharId, w: u64) -> bool {
-    let delta = row.insertion_delta(instance, pos, id);
-    row.checked_width(instance)
-        .and_then(|width| width.checked_add(delta))
-        .is_some_and(|width| width <= w)
 }
 
 /// Nearest-neighbour chain + multi-restart 2-opt on the "maximize shared

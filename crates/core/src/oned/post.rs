@@ -263,12 +263,7 @@ pub fn post_insert(
             let pos = best_pos[ci][*r].expect("matched edge must have a position");
             // Re-check width: earlier insertions this round can only touch
             // other rows (one per row), so this stays valid; assert anyway.
-            let delta = placement.rows()[*r].insertion_delta(instance, pos, CharId::from(cand));
-            let width = placement.rows()[*r].checked_width(instance);
-            if width
-                .and_then(|x| x.checked_add(delta))
-                .is_none_or(|x| x > w)
-            {
+            if !placement.rows()[*r].fits_with(instance, pos, CharId::from(cand), w) {
                 continue;
             }
             placement.row_mut(*r).insert(pos, CharId::from(cand));

@@ -97,6 +97,15 @@ impl Row {
             })
     }
 
+    /// Whether this row with `id` inserted at position `pos` fits `width`;
+    /// a row width past `u64::MAX` never does.
+    pub fn fits_with(&self, instance: &Instance, pos: usize, id: CharId, width: u64) -> bool {
+        let delta = self.insertion_delta(instance, pos, id);
+        self.checked_width(instance)
+            .and_then(|w| w.checked_add(delta))
+            .is_some_and(|w| w <= width)
+    }
+
     /// Width change if `id` were inserted at position `pos`, given maximal
     /// sharing with the new neighbours. Negative deltas are impossible.
     pub fn insertion_delta(&self, instance: &Instance, pos: usize, id: CharId) -> u64 {
