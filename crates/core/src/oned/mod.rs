@@ -29,8 +29,7 @@ pub use mkp_lp::{solve_mkp_lp, solve_mkp_lp_warm, LpHint, MkpItem, MkpLpSolution
 pub use oracle::{CombinatorialOracle, LpOracle, OracleError, SimplexOracle};
 pub use post::{post_insert, post_swap, PostConfig};
 pub use refine::{
-    brute_force_min_width, refine_row, refine_row_with_stop, refine_width, width_key, Admission,
-    ProbedRow, WidthScratch,
+    brute_force_min_width, refine_row, refine_row_with_stop, Admission, ProbedRow, WidthScratch,
 };
 pub use rounding::{successive_rounding, RoundingConfig, RoundingOutcome, RoundingTrace, RowState};
 

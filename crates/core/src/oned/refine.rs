@@ -119,15 +119,25 @@ pub fn refine_row_with_stop(
     (best.order, best.width)
 }
 
-/// Reusable buffers for [`refine_width`] — callers probing admission in a
-/// loop (the rounding commit loop, Algorithm 2's threshold pass) hold one
-/// scratch per row so the DP allocates nothing per probe.
+/// Reusable buffers for [`ProbedRow`]'s DP walks — callers probing
+/// admission in a loop (the rounding commit loop, Algorithm 2's threshold
+/// pass, `rowheur1d`'s fill) hold one scratch so a probe allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct WidthScratch {
-    /// `(symmetric blank, id)` sort keys of the member set.
-    keys: Vec<(u64, CharId)>,
     frontier: Vec<WidthState>,
     next: Vec<WidthState>,
+    /// Keys the last DP walk inserted.
+    walked: usize,
+}
+
+impl WidthScratch {
+    /// Keys the last DP walk of [`ProbedRow::admits`] inserted: the member
+    /// keys from its checkpoint to the candidate, the candidate, and the
+    /// tail keys up to the insertion after which it refused (0 when the
+    /// check at the checkpoint refused).
+    pub fn keys_walked(&self) -> usize {
+        self.walked
+    }
 }
 
 /// One width-only DP state: `(width, left_blank, right_blank)`.
@@ -135,7 +145,7 @@ type WidthState = (u64, u64, u64);
 
 /// The DP insertion key of one character: `(symmetric blank, id)`, ordered
 /// by decreasing blank, ties by id — the Lemma 1 insertion sequence.
-pub fn width_key(instance: &Instance, id: CharId) -> (u64, CharId) {
+fn width_key(instance: &Instance, id: CharId) -> (u64, CharId) {
     (instance.char(id.index()).symmetric_blank(), id)
 }
 
@@ -144,16 +154,6 @@ pub fn width_key(instance: &Instance, id: CharId) -> (u64, CharId) {
 /// sorted arrangement of a key set is *the* arrangement.
 fn key_order(a: &(u64, CharId), b: &(u64, CharId)) -> std::cmp::Ordering {
     b.0.cmp(&a.0).then(a.1.cmp(&b.1))
-}
-
-/// The minimum width any end insertion of `id` can add to a partial row:
-/// `w − max(l, r)` (the junction shares at most one of the two blanks).
-/// Summed over a suffix of the insertion sequence this lower-bounds the
-/// remaining growth of *every* DP state — the early-reject certificate of
-/// the admission walk.
-fn insertion_floor(c: &Character) -> u64 {
-    c.width()
-        .saturating_sub(c.blanks().left.max(c.blanks().right))
 }
 
 /// Member keys between two cached DP frontiers of a [`ProbedRow`]: a probe
@@ -183,41 +183,55 @@ impl Admission {
 
 /// A row's member set prepared for repeated admission probes. Nearly every
 /// probe ends in a refusal, so the row keeps what makes a refusal cheap,
-/// and every decision stays the one the full width DP
-/// (`refine_width(members ∪ {id}) <= cap`) makes:
+/// and every decision stays the one the full end-insertion DP over the
+/// members plus the candidate makes.
 ///
-/// 1. **A sorted-blank bound, checked before any DP walk.** Every order of
-///    `n` characters has `n − 1` junctions; each shares `min(r_a, l_b)`
-///    and uses each blank at most once. `min` is supermodular, so pairing
-///    the `n − 1` largest left blanks with the `n − 1` largest right blanks
-///    in sorted order shares the most blank any order can: every order is
-///    at least `Σw − Σᵢ min(L₍ᵢ₎, R₍ᵢ₎)` wide. The DP (at any beam)
-///    returns the width of a concrete order, so a bound past `cap` refuses
-///    only probes the DP refuses too. The row keeps both blank lists
-///    sorted and `Σw`, so the bound is one O(n) merge with the candidate's
-///    blanks.
-/// 2. **Checkpointed DP frontiers.** The DP inserts keys in a fixed order
+/// **One bound.** A DP state is a partial row: a block `W` wide with end
+/// blanks `(L, R)`. Its completions insert the `m ≥ 1` keys still to come
+/// at its ends, so the final row is a path of the block and `m`
+/// characters, whose junctions each share `min(r_a, l_b)` and use each
+/// blank at most once. Pairing the `k` largest left blanks with the `k`
+/// largest right blanks in sorted order shares the most any `k` junctions
+/// can (`min` is supermodular): call that `P(k)`. With the block at an
+/// end, `m − 1` junctions pair the keys' own blanks and one meets `L` or
+/// `R`. With it inside, between characters `a` and `b`, the `m − 2` inner
+/// junctions and the pair `(r_a, l_b)` are `m − 1` pairs of the keys' own
+/// blanks, and `min(r_a, L) + min(R, l_b) ≤ min(r_a, l_b) + max(L, R)`.
+/// Either way every completion is at least
+/// `W + Σw − P(m−1) − max(L, R)` wide (`completion_bound`); with no key
+/// left it is `W`. The DP at any beam returns the width of one completion
+/// of one state of its current frontier, so once every state's bound
+/// exceeds `cap` the walk refuses only what the DP refuses. The bound runs
+/// at three points:
+///
+/// 1. **Before any walk,** over the members plus the candidate with an
+///    empty block, where it reads `Σw − P(n)`. The row keeps both blank
+///    lists sorted and `Σw`, so this is one O(n) merge with the
+///    candidate's blanks.
+/// 2. **At the resume checkpoint.** The DP inserts keys in a fixed order
 ///    (decreasing symmetric blank, then id), so the frontier over the
 ///    members that sort before the candidate is the same for every probe
 ///    of an unchanged row. It is cached every 8 keys (`CHECKPOINT_STRIDE`),
 ///    per beam. A probe resumes from the last checkpoint at or before its
-///    candidate, walks the few member keys up to it, and checks once that
-///    the narrowest state plus the insertion floors still owed fits `cap`:
-///    that sum never decreases along the walk, since each insertion adds
-///    at least its floor, so the one check rejects whatever the head's
-///    per-insertion checks would have. The candidate and the tail follow
-///    with a check after every insertion.
+///    candidate and checks the checkpoint's states against the `m` member
+///    keys from there on plus the candidate, before it walks the few
+///    member keys up to the candidate. Their `m` pairs share at most
+///    `P(m−1)` plus the larger of the keys' smallest pair and the
+///    candidate's larger blank (the same exchange), so this check reads
+///    the suffix sums alone, with no merge.
+/// 3. **After every insertion from the candidate on,** against the
+///    member keys still to insert.
 ///
-/// [`ProbedRow::insert`] keeps the lists current and drops the checkpoints
-/// past the new key; the next probe rebuilds them. Widths past `u64::MAX`
-/// never fit: the walk drops states whose width overflows.
+/// The data behind the last two points — per key position `j`, `Σw −
+/// P(m−1)` over `keys[j..]` and their smallest pair — is scratch like the
+/// checkpoints: [`ProbedRow::insert`] drops it, and the next probe that
+/// walks rebuilds it in one backward pass. Widths past `u64::MAX` never
+/// fit: the walk drops states whose width overflows, and the bound's sums
+/// are exact in `u128`.
 #[derive(Debug, Clone, Default)]
 pub struct ProbedRow {
     /// `(symmetric blank, id)` keys sorted by [`key_order`].
     keys: Vec<(u64, CharId)>,
-    /// `lb[i] = Σ_{k ≥ i} insertion_floor(keys[k])` (saturating), with
-    /// `lb[len] = 0`.
-    lb: Vec<u64>,
     /// Members' left blanks, largest first.
     lefts: Vec<u64>,
     /// Members' right blanks, largest first.
@@ -226,32 +240,24 @@ pub struct ProbedRow {
     width_sum: u128,
     /// Cached DP frontiers; scratch that a clone does not carry.
     checkpoints: Checkpoints,
+    /// The bound's data over every key suffix; scratch like `checkpoints`.
+    suffixes: Suffixes,
 }
 
 impl ProbedRow {
-    /// Inserts the member `id` at its key's sorted position, rebuilds the
-    /// suffix floors and drops the checkpoints past it (O(n) — once per
-    /// commit, amortized over the many probes in between).
+    /// Inserts the member `id` at its key's sorted position, and drops the
+    /// suffix data and the checkpoints past it (O(n) — once per commit,
+    /// amortized over the many probes in between).
     pub fn insert(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         let key = width_key(instance, id);
         let pos = self.keys.partition_point(|k| key_order(k, &key).is_lt());
         self.keys.insert(pos, key);
-        self.lb.resize(self.keys.len() + 1, 0);
-        self.lb[self.keys.len()] = 0;
-        for i in (0..self.keys.len()).rev() {
-            let floor = insertion_floor(instance.char(self.keys[i].1.index()));
-            self.lb[i] = self.lb[i + 1].saturating_add(floor);
-        }
-        for (list, blank) in [
-            (&mut self.lefts, c.blanks().left),
-            (&mut self.rights, c.blanks().right),
-        ] {
-            let at = list.partition_point(|&b| b > blank);
-            list.insert(at, blank);
-        }
+        insert_sorted(&mut self.lefts, c.blanks().left);
+        insert_sorted(&mut self.rights, c.blanks().right);
         self.width_sum += u128::from(c.width());
         self.checkpoints.invalidate_from(pos);
+        self.suffixes.built = false;
     }
 
     /// Number of members.
@@ -264,16 +270,12 @@ impl ProbedRow {
         self.keys.is_empty()
     }
 
-    /// `lb[i]` with the empty-row case (no floors yet) reading as zero.
-    fn floor_from(&self, i: usize) -> u64 {
-        self.lb.get(i).copied().unwrap_or(0)
-    }
-
     /// Whether the members plus `id` pack within `cap`, decided in stages:
-    /// the sorted-blank bound, then the beam-1 chain (if one concrete order
-    /// fits, the DP fits), then the beam-`beam` DP. Decision-identical to
-    /// `refine_width(members ∪ {id}, beam) <= cap`; the returned stage
-    /// says which step decided.
+    /// the sorted-blank bound over the whole row, then the beam-1 chain (if
+    /// one concrete order fits, the DP fits), then the beam-`beam` DP.
+    /// Decision-identical to the end-insertion DP over the members plus
+    /// `id` at beam `beam` fitting `cap`; the returned stage says which
+    /// step decided.
     pub fn admits(
         &mut self,
         instance: &Instance,
@@ -285,56 +287,55 @@ impl ProbedRow {
         if self.bound_exceeds(instance.char(id.index()), cap) {
             return Admission::BoundReject;
         }
-        let key = width_key(instance, id);
-        if self.dp_fits(instance, key, 1, cap, scratch) {
+        let probe = self.probe(instance, id);
+        if self.dp_fits(instance, &probe, 1, cap, scratch) {
             return Admission::ChainFits;
         }
-        Admission::Dp(beam > 1 && self.dp_fits(instance, key, beam, cap, scratch))
+        Admission::Dp(beam > 1 && self.dp_fits(instance, &probe, beam, cap, scratch))
     }
 
-    /// Whether the members plus the candidate `extra` pack within `cap` at
-    /// one beam width — decision-identical to
-    /// `refine_width(instance, &members_plus_extra, threshold, ..) <= cap`:
-    /// the sorted-blank bound, then the DP walk resumed from the
-    /// candidate's checkpoint (see the type docs).
-    pub fn admits_width(
-        &mut self,
-        instance: &Instance,
-        extra: (u64, CharId),
-        threshold: usize,
-        cap: u64,
-        scratch: &mut WidthScratch,
-    ) -> bool {
-        !self.bound_exceeds(instance.char(extra.1.index()), cap)
-            && self.dp_fits(instance, extra, threshold, cap, scratch)
-    }
-
-    /// Whether `Σw − Σᵢ min(L₍ᵢ₎, R₍ᵢ₎)` over the members plus `c` exceeds
-    /// `cap` (see the type docs): no order of them fits.
+    /// Whether the bound over the members plus `c` with an empty block
+    /// exceeds `cap` (see the type docs): no order of them fits.
     fn bound_exceeds(&self, c: &Character, cap: u64) -> bool {
         // Without any sharing the row fits: skip the merge.
         self.width_sum + u128::from(c.width()) > u128::from(cap)
             && self.width_bound(c) > u128::from(cap)
     }
 
-    /// `Σw − Σᵢ min(L₍ᵢ₎, R₍ᵢ₎)` over the members plus `c`, exact: no order
-    /// of them is narrower.
+    /// `Σw − P(n)` over the members plus `c`, exact: no order of them is
+    /// narrower. The empty block is 0 wide with no blanks.
     fn width_bound(&self, c: &Character) -> u128 {
-        // The n − 1 = len largest of each blank list, paired in order.
-        let shared: u128 = merged(&self.lefts, c.blanks().left)
-            .zip(merged(&self.rights, c.blanks().right))
-            .take(self.keys.len())
-            .map(|(l, r)| u128::from(l.min(r)))
-            .sum();
-        self.width_sum + u128::from(c.width()) - shared
+        let rest = merged_rest(&self.lefts, &self.rights, self.width_sum, c);
+        completion_bound((0, 0, 0), Some(rest))
     }
 
-    /// The beam-`beam` DP decision over the members plus `extra`, resumed
-    /// from the last checkpoint at or before the candidate's position.
+    /// Places candidate `id` in the walk, rebuilding the suffix data if a
+    /// commit dropped it.
+    fn probe<'i>(&mut self, instance: &'i Instance, id: CharId) -> Probe<'i> {
+        let key = width_key(instance, id);
+        let candidate = instance.char(id.index());
+        self.suffixes.build(instance, &self.keys);
+        let pos = self.keys.partition_point(|k| key_order(k, &key).is_lt());
+        let at = pos / CHECKPOINT_STRIDE;
+        // Before the first checkpoint there is no frontier: the bound over
+        // the whole row has already run.
+        let resume = (at > 0).then(|| self.suffixes.merged(at * CHECKPOINT_STRIDE, candidate));
+        Probe {
+            candidate,
+            pos,
+            at,
+            resume,
+        }
+    }
+
+    /// The beam-`beam` DP decision over the members plus the probe's
+    /// candidate: resumed from the last checkpoint at or before the
+    /// candidate, refused as soon as no completion of any frontier state
+    /// fits `cap` (see the type docs).
     fn dp_fits(
         &mut self,
         instance: &Instance,
-        extra: (u64, CharId),
+        probe: &Probe<'_>,
         beam: usize,
         cap: u64,
         scratch: &mut WidthScratch,
@@ -343,73 +344,103 @@ impl ProbedRow {
             .keys
             .windows(2)
             .all(|w| key_order(&w[0], &w[1]).is_lt()));
-        let pos = self.keys.partition_point(|k| key_order(k, &extra).is_lt());
-        let at = pos / CHECKPOINT_STRIDE;
-        let WidthScratch { frontier, next, .. } = scratch;
+        let WidthScratch {
+            frontier,
+            next,
+            walked,
+        } = scratch;
+        *walked = 0;
         let checkpoints = self.checkpoints.beam(beam);
-        checkpoints.build_to(instance, &self.keys, at, frontier, next);
+        checkpoints.build_to(instance, &self.keys, probe.at, frontier, next);
         frontier.clear();
-        if at > 0 {
-            frontier.extend_from_slice(checkpoints.frontier(at));
-            if frontier.is_empty() {
-                // The members before the candidate alone overflow `u64`.
+        if let Some(resume) = probe.resume {
+            frontier.extend_from_slice(checkpoints.frontier(probe.at));
+            // An empty checkpoint: the members before it alone overflow `u64`.
+            if frontier.is_empty() || beyond(frontier, Some(resume), cap) {
                 return false;
             }
         }
-        for key in &self.keys[at * CHECKPOINT_STRIDE..pos] {
+        for key in &self.keys[probe.at * CHECKPOINT_STRIDE..probe.pos] {
+            *walked += 1;
             if !dp_insert(frontier, next, instance.char(key.1.index()), beam) {
                 return false;
             }
         }
-        let candidate = instance.char(extra.1.index());
-        if let Some(&(narrowest, _, _)) = frontier.first() {
-            let owed = insertion_floor(candidate).saturating_add(self.floor_from(pos));
-            if narrowest.saturating_add(owed) > cap {
+        // From the candidate on, insertion `i` leaves `keys[pos + i..]`;
+        // the last leaves nothing, and the row fits iff a state fits.
+        let tail = self.keys[probe.pos..]
+            .iter()
+            .map(|k| instance.char(k.1.index()));
+        let rests = &self.suffixes.rests[probe.pos..];
+        for (i, c) in std::iter::once(probe.candidate).chain(tail).enumerate() {
+            *walked += 1;
+            let rest = rests.get(i).copied();
+            if !dp_insert(frontier, next, c, beam) || beyond(frontier, rest, cap) {
                 return false;
             }
         }
-        let mid = std::iter::once((candidate, self.floor_from(pos)));
-        let tail = self.keys[pos..]
-            .iter()
-            .enumerate()
-            .map(|(j, k)| (instance.char(k.1.index()), self.floor_from(pos + j + 1)));
-        dp_walk(frontier, next, mid.chain(tail), beam, cap).is_some()
+        true
     }
 }
 
-#[cfg(test)]
-impl ProbedRow {
-    /// The per-probe walk the bound and the checkpoints replace, kept as
-    /// the reference they must match: merge the candidate at its sorted
-    /// position and walk every key from the first, checking the frontier
-    /// minimum plus the remaining floors after each insertion.
-    fn admits_width_reference(
-        &self,
-        instance: &Instance,
-        extra: (u64, CharId),
-        threshold: usize,
-        cap: u64,
-        scratch: &mut WidthScratch,
-    ) -> bool {
-        let pos = self.keys.partition_point(|k| key_order(k, &extra).is_lt());
-        let x = instance.char(extra.1.index());
-        let x_floor = insertion_floor(x);
-        // Each item pairs with the floor sum of everything merged *after*
-        // it: head items still owe the candidate's floor, the candidate
-        // owes the tail, tail items owe their own suffix.
-        let head = self.keys[..pos].iter().enumerate().map(|(t, k)| {
-            let owed = self.floor_from(t + 1).saturating_add(x_floor);
-            (instance.char(k.1.index()), owed)
-        });
-        let mid = std::iter::once((x, self.floor_from(pos)));
-        let tail = self.keys[pos..]
-            .iter()
-            .enumerate()
-            .map(|(j, k)| (instance.char(k.1.index()), self.floor_from(pos + j + 1)));
-        let WidthScratch { frontier, next, .. } = scratch;
-        frontier.clear();
-        dp_walk(frontier, next, head.chain(mid).chain(tail), threshold, cap).is_some()
+/// One candidate's place in a [`ProbedRow`]'s walk, shared by the beam-1
+/// chain and the beam-`B` DP of one probe.
+struct Probe<'i> {
+    candidate: &'i Character,
+    /// The candidate's sorted position among the member keys.
+    pos: usize,
+    /// The checkpoint the walk resumes from: `pos / CHECKPOINT_STRIDE`.
+    at: usize,
+    /// The bound's sum over the keys from checkpoint `at` on plus the
+    /// candidate (see [`Suffixes::merged`]); `None` at checkpoint 0, where
+    /// the walk starts with no frontier.
+    resume: Option<u128>,
+}
+
+/// The narrowest width any completion of the partial row `state` can reach
+/// (see [`ProbedRow`]): `W + rest − max(L, R)`, where `rest` is
+/// `Σw − P(m−1)` over the `m ≥ 1` keys still to insert, or `W` when `rest`
+/// is `None` (no key left). Exact in `u128`.
+fn completion_bound(state: WidthState, rest: Option<u128>) -> u128 {
+    let (width, left, right) = state;
+    match rest {
+        None => u128::from(width),
+        Some(rest) => u128::from(width) + rest - u128::from(left.max(right)),
     }
+}
+
+/// Whether no completion of any `frontier` state against `rest` fits `cap`.
+fn beyond(frontier: &[WidthState], rest: Option<u128>, cap: u64) -> bool {
+    frontier
+        .iter()
+        .all(|&st| completion_bound(st, rest) > u128::from(cap))
+}
+
+/// `Σw − P(len−1)` over `len ≥ 1` keys `width_sum` wide whose left and
+/// right blanks, largest first, are `lefts` and `rights`.
+fn rest_of(
+    lefts: impl Iterator<Item = u64>,
+    rights: impl Iterator<Item = u64>,
+    len: usize,
+    width_sum: u128,
+) -> u128 {
+    let shared: u128 = lefts
+        .zip(rights)
+        .take(len - 1)
+        .map(|(l, r)| u128::from(l.min(r)))
+        .sum();
+    width_sum - shared
+}
+
+/// `Σw − P(len−1)` over the keys with blank lists `lefts`/`rights` (largest
+/// first, `width_sum` wide in total) plus the character `c`.
+fn merged_rest(lefts: &[u64], rights: &[u64], width_sum: u128, c: &Character) -> u128 {
+    rest_of(
+        merged(lefts, c.blanks().left),
+        merged(rights, c.blanks().right),
+        lefts.len() + 1,
+        width_sum + u128::from(c.width()),
+    )
 }
 
 /// `list` (largest first) with `blank` merged in at its sorted position.
@@ -420,6 +451,80 @@ fn merged(list: &[u64], blank: u64) -> impl Iterator<Item = u64> + '_ {
         .copied()
         .chain(std::iter::once(blank))
         .chain(list[at..].iter().copied())
+}
+
+/// Inserts `blank` into `list`, keeping it largest first.
+fn insert_sorted(list: &mut Vec<u64>, blank: u64) {
+    let at = list.partition_point(|&b| b > blank);
+    list.insert(at, blank);
+}
+
+/// The bound's data over every key suffix of a [`ProbedRow`]. Scratch: a
+/// clone starts empty, an insert drops it, and the next probe that walks
+/// rebuilds it into the same buffers.
+#[derive(Debug, Default)]
+struct Suffixes {
+    /// Whether the data describes the row's current keys.
+    built: bool,
+    /// `rests[j]`: `Σw − P(m−1)` over the `m` keys of `keys[j..]`, for `j`
+    /// in `0..n`.
+    rests: Vec<u128>,
+    /// `smallest[j]`: `P(m) − P(m−1)` over `keys[j..]`, the pair of their
+    /// smallest left and right blanks.
+    smallest: Vec<u64>,
+    /// The running suffix's sorted blank lists during a rebuild.
+    run: (Vec<u64>, Vec<u64>),
+}
+
+impl Clone for Suffixes {
+    fn clone(&self) -> Self {
+        Suffixes::default()
+    }
+}
+
+impl Suffixes {
+    /// Rebuilds the data for `keys` unless it is current: one backward
+    /// pass that inserts each key's blanks into the running suffix's sorted
+    /// lists (O(n²) per commit).
+    fn build(&mut self, instance: &Instance, keys: &[(u64, CharId)]) {
+        if self.built {
+            return;
+        }
+        let n = keys.len();
+        self.rests.resize(n, 0);
+        self.smallest.resize(n, 0);
+        let (lefts, rights) = &mut self.run;
+        lefts.clear();
+        rights.clear();
+        let mut width_sum = 0u128;
+        for (j, key) in keys.iter().enumerate().rev() {
+            let c = instance.char(key.1.index());
+            insert_sorted(lefts, c.blanks().left);
+            insert_sorted(rights, c.blanks().right);
+            width_sum += u128::from(c.width());
+            let pairs = (lefts.iter().copied(), rights.iter().copied());
+            self.rests[j] = rest_of(pairs.0, pairs.1, n - j, width_sum);
+            self.smallest[j] = lefts[n - j - 1].min(rights[n - j - 1]);
+        }
+        self.built = true;
+    }
+
+    /// A lower bound on `Σw − P(m)` over the `m` keys of `keys[j..]` plus
+    /// `candidate`. Any `m` pairs of their blanks either leave the
+    /// candidate out, sharing at most `P(m)`, or pair at least one of its
+    /// blanks `l, r`; by the exchange in the [`ProbedRow`] docs they then
+    /// share at most `P(m−1) + max(l, r)`.
+    fn merged(&self, j: usize, candidate: &Character) -> u128 {
+        let (width, blanks) = (u128::from(candidate.width()), candidate.blanks());
+        match self.rests.get(j) {
+            // No member key from `j` on: the candidate alone.
+            None => width,
+            Some(&rest) => {
+                let shared = self.smallest[j].max(blanks.left).max(blanks.right);
+                rest + width - u128::from(shared)
+            }
+        }
+    }
 }
 
 /// DP frontiers over the first `k · CHECKPOINT_STRIDE` keys of a
@@ -508,83 +613,6 @@ impl BeamCheckpoints {
             self.ends.push(self.states.len());
         }
     }
-}
-
-/// The width half of [`refine_row`], without materializing orders: runs the
-/// *same* end-insertion DP over `members ∪ extra` with the same
-/// decreasing-blank insertion sequence, the same Pareto pruning, and the
-/// same beam limit, so the returned width is identical to
-/// `refine_row(instance, &members_plus_extra, threshold).1` — but each
-/// state is three integers instead of an owned order vector, and the
-/// candidate set needs no clone-and-push. A width past `u64::MAX`
-/// saturates to `u64::MAX`.
-///
-/// `beam = 1` degenerates into a greedy end-insertion chain: the width of
-/// one concrete order, a cheap upper bound on the full DP's width (used by
-/// the admission fast path).
-pub fn refine_width(
-    instance: &Instance,
-    members: &[CharId],
-    extra: Option<CharId>,
-    threshold: usize,
-    scratch: &mut WidthScratch,
-) -> u64 {
-    let WidthScratch {
-        keys,
-        frontier,
-        next,
-    } = scratch;
-    keys.clear();
-    keys.extend(
-        members
-            .iter()
-            .chain(extra.as_ref())
-            .map(|&id| width_key(instance, id)),
-    );
-    // Decreasing symmetric blank, ties by id — the exact insertion sequence
-    // refine_row derives (its tie-break compares the CharIds themselves,
-    // which are unique, so the sequence depends only on the member set).
-    keys.sort_unstable_by(key_order);
-    frontier.clear();
-    dp_walk(
-        frontier,
-        next,
-        keys.iter().map(|k| (instance.char(k.1.index()), 0)),
-        threshold,
-        u64::MAX,
-    )
-    .unwrap_or(u64::MAX)
-}
-
-/// Runs the end-insertion width DP over `(character, remaining_floor)`
-/// pairs, which must arrive in the decreasing-blank insertion order,
-/// continuing from `frontier` (empty to start a row). Each item's
-/// `remaining_floor` lower-bounds what the items after it will still add
-/// to *any* state (pass 0 when unknown — the check never fires). After
-/// every insertion the walk compares the frontier's minimum width plus
-/// that floor against `cap` and returns `None` once the sum exceeds it,
-/// or once every state's width overflows `u64` — a certificate that the
-/// true final width is `> cap`, never an approximation, so capped and
-/// uncapped runs decide `<= cap` identically. Otherwise returns the
-/// narrowest final width.
-fn dp_walk<'c>(
-    frontier: &mut Vec<WidthState>,
-    next: &mut Vec<WidthState>,
-    items: impl Iterator<Item = (&'c Character, u64)>,
-    threshold: usize,
-    cap: u64,
-) -> Option<u64> {
-    for (c, rem) in items {
-        if !dp_insert(frontier, next, c, threshold) {
-            return None;
-        }
-        // `prune_widths` sorts by width ascending, so the minimum is at the
-        // front; every continuation adds at least `rem` to every state.
-        if frontier[0].0.saturating_add(rem) > cap {
-            return None;
-        }
-    }
-    Some(frontier.first().map_or(0, |st| st.0))
 }
 
 /// One DP insertion: starts the frontier with `c` alone when it is empty,
@@ -730,6 +758,146 @@ pub fn brute_force_min_width(instance: &Instance, set: &[CharId]) -> u64 {
         &mut best,
     );
     best
+}
+
+/// The minimum width any end insertion of `c` can add to a partial row:
+/// `w − max(l, r)` (the junction shares at most one of the two blanks).
+/// Summed over a suffix of the insertion sequence this lower-bounds the
+/// remaining growth of *every* DP state — the early-reject certificate of
+/// the reference walks.
+#[cfg(test)]
+fn insertion_floor(c: &Character) -> u64 {
+    c.width()
+        .saturating_sub(c.blanks().left.max(c.blanks().right))
+}
+
+/// The references the kernel must match.
+#[cfg(test)]
+impl ProbedRow {
+    /// The kernel at one beam width: the bound over the whole row, then the
+    /// walk resumed from the candidate's checkpoint.
+    fn admits_width(
+        &mut self,
+        instance: &Instance,
+        extra: (u64, CharId),
+        threshold: usize,
+        cap: u64,
+        scratch: &mut WidthScratch,
+    ) -> bool {
+        !self.bound_exceeds(instance.char(extra.1.index()), cap) && {
+            let probe = self.probe(instance, extra.1);
+            self.dp_fits(instance, &probe, threshold, cap, scratch)
+        }
+    }
+
+    /// The per-probe walk the bound and the checkpoints replace: merge the
+    /// candidate at its sorted position and walk every key from the first,
+    /// checking the frontier minimum plus the remaining insertion floors
+    /// after each insertion.
+    fn admits_width_reference(
+        &self,
+        instance: &Instance,
+        extra: (u64, CharId),
+        threshold: usize,
+        cap: u64,
+        scratch: &mut WidthScratch,
+    ) -> bool {
+        let pos = self.keys.partition_point(|k| key_order(k, &extra).is_lt());
+        let x = instance.char(extra.1.index());
+        let x_floor = insertion_floor(x);
+        // floors[i]: the floor sum of keys[i..] (saturating).
+        let mut floors = vec![0u64; self.keys.len() + 1];
+        for i in (0..self.keys.len()).rev() {
+            let floor = insertion_floor(instance.char(self.keys[i].1.index()));
+            floors[i] = floors[i + 1].saturating_add(floor);
+        }
+        // Each item pairs with the floor sum of everything merged *after*
+        // it: head items still owe the candidate's floor, the candidate
+        // owes the tail, tail items owe their own suffix.
+        let head = self.keys[..pos].iter().enumerate().map(|(t, k)| {
+            let owed = floors[t + 1].saturating_add(x_floor);
+            (instance.char(k.1.index()), owed)
+        });
+        let mid = std::iter::once((x, floors[pos]));
+        let tail = self.keys[pos..]
+            .iter()
+            .enumerate()
+            .map(|(j, k)| (instance.char(k.1.index()), floors[pos + j + 1]));
+        let WidthScratch { frontier, next, .. } = scratch;
+        frontier.clear();
+        dp_walk(frontier, next, head.chain(mid).chain(tail), threshold, cap).is_some()
+    }
+}
+
+/// The width half of [`refine_row`], without materializing orders: runs the
+/// *same* end-insertion DP over `members ∪ extra` with the same
+/// decreasing-blank insertion sequence, the same Pareto pruning, and the
+/// same beam limit, so the returned width is identical to
+/// `refine_row(instance, &members_plus_extra, threshold).1`. A width past
+/// `u64::MAX` saturates to `u64::MAX`. The reference every admission
+/// decision is checked against.
+///
+/// `threshold = 1` degenerates into a greedy end-insertion chain: the
+/// width of one concrete order, an upper bound on the full DP's width.
+#[cfg(test)]
+fn refine_width(
+    instance: &Instance,
+    members: &[CharId],
+    extra: Option<CharId>,
+    threshold: usize,
+    scratch: &mut WidthScratch,
+) -> u64 {
+    let mut keys: Vec<(u64, CharId)> = members
+        .iter()
+        .chain(extra.as_ref())
+        .map(|&id| width_key(instance, id))
+        .collect();
+    // Decreasing symmetric blank, ties by id — the exact insertion sequence
+    // refine_row derives (its tie-break compares the CharIds themselves,
+    // which are unique, so the sequence depends only on the member set).
+    keys.sort_unstable_by(key_order);
+    let WidthScratch { frontier, next, .. } = scratch;
+    frontier.clear();
+    dp_walk(
+        frontier,
+        next,
+        keys.iter().map(|k| (instance.char(k.1.index()), 0)),
+        threshold,
+        u64::MAX,
+    )
+    .unwrap_or(u64::MAX)
+}
+
+/// Runs the end-insertion width DP over `(character, remaining_floor)`
+/// pairs, which must arrive in the decreasing-blank insertion order,
+/// continuing from `frontier` (empty to start a row). Each item's
+/// `remaining_floor` lower-bounds what the items after it will still add
+/// to *any* state (pass 0 when unknown — the check never fires). After
+/// every insertion the walk compares the frontier's minimum width plus
+/// that floor against `cap` and returns `None` once the sum exceeds it,
+/// or once every state's width overflows `u64` — a certificate that the
+/// true final width is `> cap`, never an approximation, so capped and
+/// uncapped runs decide `<= cap` identically. Otherwise returns the
+/// narrowest final width.
+#[cfg(test)]
+fn dp_walk<'c>(
+    frontier: &mut Vec<WidthState>,
+    next: &mut Vec<WidthState>,
+    items: impl Iterator<Item = (&'c Character, u64)>,
+    threshold: usize,
+    cap: u64,
+) -> Option<u64> {
+    for (c, rem) in items {
+        if !dp_insert(frontier, next, c, threshold) {
+            return None;
+        }
+        // `prune_widths` sorts by width ascending, so the minimum is at the
+        // front; every continuation adds at least `rem` to every state.
+        if frontier[0].0.saturating_add(rem) > cap {
+            return None;
+        }
+    }
+    Some(frontier.first().map_or(0, |st| st.0))
 }
 
 #[cfg(test)]
@@ -965,6 +1133,108 @@ mod tests {
         }
     }
 
+    /// `Σw − P(m−1)` over the characters `rest` from its definition (sort
+    /// both blank lists, pair the `m − 1` largest in order), with the pair
+    /// of their smallest blanks, `P(m) − P(m−1)`; `None` when `rest` is
+    /// empty.
+    fn sums_by_definition(rest: &[&Character]) -> Option<(u128, u128)> {
+        let m = rest.len();
+        if m == 0 {
+            return None;
+        }
+        let sorted = |side: fn(&Character) -> u64| {
+            let mut list: Vec<u128> = rest.iter().map(|c| u128::from(side(c))).collect();
+            list.sort_unstable_by(|a, b| b.cmp(a));
+            list
+        };
+        let lefts = sorted(|c| c.blanks().left);
+        let rights = sorted(|c| c.blanks().right);
+        let shared: u128 = (0..m - 1).map(|i| lefts[i].min(rights[i])).sum();
+        let width_sum: u128 = rest.iter().map(|c| u128::from(c.width())).sum();
+        Some((width_sum - shared, lefts[m - 1].min(rights[m - 1])))
+    }
+
+    /// The completion bound of the partial row `state` against the
+    /// characters `rest` still to insert, from its definition:
+    /// `W + Σw − P(m−1) − max(L, R)`, or `W` when `rest` is empty.
+    fn bound_by_definition(state: WidthState, rest: &[&Character]) -> u128 {
+        let (width, end) = (u128::from(state.0), u128::from(state.1.max(state.2)));
+        sums_by_definition(rest).map_or(width, |(free, _)| width + free - end)
+    }
+
+    /// The resume check's bound from its definition: `rest` plus
+    /// `candidate`, whose pairing shares at most `P(m−1)` plus the larger
+    /// of the smallest pair and the candidate's larger blank.
+    fn resume_bound_by_definition(
+        state: WidthState,
+        rest: &[&Character],
+        candidate: &Character,
+    ) -> u128 {
+        let (width, end) = (u128::from(state.0), u128::from(state.1.max(state.2)));
+        let (w, l, r) = (
+            u128::from(candidate.width()),
+            u128::from(candidate.blanks().left),
+            u128::from(candidate.blanks().right),
+        );
+        let free = sums_by_definition(rest)
+            .map_or(w, |(free, smallest)| free + w - smallest.max(l).max(r));
+        width + free - end
+    }
+
+    /// The walk [`ProbedRow::dp_fits`] must make, rebuilt from scratch:
+    /// the frontier over the members before the candidate's checkpoint,
+    /// the resume bound there over the rest and the candidate, the head
+    /// keys unchecked, then the bound after every insertion from the
+    /// candidate on. Returns the decision and the keys walked.
+    fn walk_by_definition(
+        inst: &Instance,
+        members: &[CharId],
+        id: CharId,
+        beam: usize,
+        cap: u64,
+    ) -> (bool, usize) {
+        let mut keys: Vec<(u64, CharId)> = members.iter().map(|&m| width_key(inst, m)).collect();
+        keys.sort_unstable_by(key_order);
+        let pos = keys.partition_point(|k| key_order(k, &width_key(inst, id)).is_lt());
+        let at = pos / CHECKPOINT_STRIDE * CHECKPOINT_STRIDE;
+        let ch = |k: &(u64, CharId)| inst.char(k.1.index());
+        let candidate = inst.char(id.index());
+        let exceeds = |frontier: &[WidthState], rest: &[&Character]| {
+            frontier
+                .iter()
+                .all(|&st| bound_by_definition(st, rest) > u128::from(cap))
+        };
+        let (mut frontier, mut next) = (Vec::new(), Vec::new());
+        for k in &keys[..at] {
+            if !dp_insert(&mut frontier, &mut next, ch(k), beam) {
+                return (false, 0);
+            }
+        }
+        if at > 0 {
+            let rest: Vec<&Character> = keys[at..].iter().map(ch).collect();
+            let bound = |&st: &WidthState| resume_bound_by_definition(st, &rest, candidate);
+            if frontier.iter().all(|st| bound(st) > u128::from(cap)) {
+                return (false, 0);
+            }
+        }
+        let mut walked = 0;
+        for k in &keys[at..pos] {
+            walked += 1;
+            if !dp_insert(&mut frontier, &mut next, ch(k), beam) {
+                return (false, walked);
+            }
+        }
+        let inserts = std::iter::once(candidate).chain(keys[pos..].iter().map(ch));
+        for (i, c) in inserts.enumerate() {
+            walked += 1;
+            let rest: Vec<&Character> = keys[pos + i..].iter().map(ch).collect();
+            if !dp_insert(&mut frontier, &mut next, c, beam) || exceeds(&frontier, &rest) {
+                return (false, walked);
+            }
+        }
+        (true, walked)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
@@ -1035,6 +1305,208 @@ mod tests {
                 "bound {} above the optimum {} for {:?}", bound, brute, specs
             );
         }
+        /// The completion bound of a block — a partial row `W` wide with end
+        /// blanks `(L, R)`, here one character — against 1–6 characters is a
+        /// true lower bound: never above the narrowest of all orders of the
+        /// block and the characters, with the block at either end or
+        /// inside. The kernel's sums match the definition.
+        #[test]
+        fn completion_bound_never_exceeds_the_permutation_optimum(
+            block in (1u64..90, 0u64..90, 0u64..90),
+            shapes in proptest::collection::vec((1u64..50, 0u64..8, 0u64..50, 0u64..50), 1..7),
+        ) {
+            let (w, a, b) = block;
+            let mut specs = vec![(w, a.min(w), b.min(w - a.min(w)))];
+            // Mostly blanks on both sides, so the smallest pair of `P(m−1)`
+            // is rarely 0 and a pairing one too many shows.
+            specs.extend(shapes.iter().map(|&(w, kind, a, b)| match kind {
+                0..=2 => (w, a.min(w / 2), a.min(w / 2)),
+                3..=5 => (w, a.min(w / 2), b.min(w / 2)),
+                6 => (w, 0, 0),
+                _ if a % 2 == 0 => (w, w, 0),
+                _ => (w, 0, w),
+            }));
+            let inst = row_instance(&specs, 10_000);
+            let rest: Vec<&Character> = (1..specs.len()).map(|i| inst.char(i)).collect();
+            let sorted = |side: fn(&Character) -> u64| {
+                let mut list: Vec<u64> = rest.iter().map(|c| side(c)).collect();
+                list.sort_unstable_by(|a, b| b.cmp(a));
+                list
+            };
+            let (lefts, rights) = (sorted(|c| c.blanks().left), sorted(|c| c.blanks().right));
+            let width_sum: u128 = rest.iter().map(|c| u128::from(c.width())).sum();
+            let sums = rest_of(lefts.into_iter(), rights.into_iter(), rest.len(), width_sum);
+            let bound = completion_bound(specs[0], Some(sums));
+            proptest::prop_assert_eq!(bound, bound_by_definition(specs[0], &rest));
+            let brute = brute_force_min_width(&inst, &ids(specs.len()));
+            proptest::prop_assert!(
+                bound <= u128::from(brute),
+                "bound {} above the optimum {} for {:?}", bound, brute, specs
+            );
+            // The resume check's merge: the last character as the
+            // candidate, the others as the keys from the checkpoint on.
+            let (candidate, keys) = rest.split_last().unwrap();
+            let mut row = ProbedRow::default();
+            for i in 1..specs.len() - 1 {
+                row.insert(&inst, CharId::from(i));
+            }
+            row.suffixes.build(&inst, &row.keys);
+            let merged = completion_bound(specs[0], Some(row.suffixes.merged(0, candidate)));
+            proptest::prop_assert_eq!(merged, resume_bound_by_definition(specs[0], keys, candidate));
+            proptest::prop_assert!(
+                merged <= u128::from(brute),
+                "resume bound {} above the optimum {} for {:?}", merged, brute, specs
+            );
+        }
+
+        /// Every probe's walk stops exactly where the completion bound,
+        /// from its definition over the keys still to insert, first exceeds
+        /// the cap: at the resume checkpoint, or after an insertion from the
+        /// candidate on. Rows grow by random inserts with probes in between,
+        /// so the suffix data is rebuilt after every commit. With `scale`
+        /// set, every width and blank is multiplied by 2⁵⁶: rows of 7 to 9
+        /// keys then still fit a `u64::MAX` stencil while their suffix
+        /// width sums pass `u64::MAX`.
+        #[test]
+        fn walks_stop_where_the_completion_bound_first_exceeds_the_cap(
+            shapes in proptest::collection::vec((20u64..60, 0u64..4, 0u64..30, 0u64..30), 10..30),
+            order in proptest::collection::vec(0u64..1000, 32..33),
+            scale in 0u32..2,
+        ) {
+            let factor = 1u64 << (56 * scale);
+            let mut specs = vec![(80, 40, 40)];
+            specs.extend(shapes.iter().map(|&(w, kind, a, b)| match kind {
+                0 => (w, a.min(w / 2), a.min(w / 2)),
+                1 => (w, a.min(w / 2), b.min(w / 2)),
+                2 => (w, w, 0),
+                _ => (w, 0, w.min(b)),
+            }));
+            specs.push((30, 0, 0));
+            let scaled: Vec<(u64, u64, u64)> = specs
+                .iter()
+                .map(|&(w, l, r)| (w * factor, l * factor, r * factor))
+                .collect();
+            let n = scaled.len();
+            let inst = row_instance(&scaled, u64::MAX);
+            let mut inserts: Vec<usize> = (1..n - 1).collect();
+            inserts.sort_by_key(|&i| (order[i], i));
+            let mut row = ProbedRow::default();
+            let mut members: Vec<CharId> = Vec::new();
+            let mut scratch = WidthScratch::default();
+            for (step, &i) in inserts.iter().enumerate() {
+                for p in [0, n - 1, inserts[(step * 5 + 1) % inserts.len()]] {
+                    let id = CharId::from(p);
+                    if members.contains(&id) {
+                        continue;
+                    }
+                    for beam in [1usize, 8] {
+                        let truth = refine_width(&inst, &members, Some(id), beam, &mut scratch);
+                        for cap in [truth.saturating_sub(1), truth, truth.saturating_add(1)] {
+                            let whole = row.bound_exceeds(inst.char(p), cap);
+                            let fits = row.admits_width(&inst, width_key(&inst, id), beam, cap, &mut scratch);
+                            // `refine_width` saturates: `u64::MAX` reads as overflow.
+                            proptest::prop_assert_eq!(fits, truth < u64::MAX && truth <= cap);
+                            if !whole {
+                                proptest::prop_assert_eq!(
+                                    (fits, scratch.keys_walked()),
+                                    walk_by_definition(&inst, &members, id, beam, cap),
+                                    "members {:?}, candidate {}, beam {}, cap {}", members, p, beam, cap
+                                );
+                            }
+                        }
+                    }
+                }
+                row.insert(&inst, CharId::from(i));
+                members.push(CharId::from(i));
+            }
+        }
+
+    }
+
+    #[test]
+    fn suffix_data_matches_its_definition_past_u64() {
+        // Widths near 2⁶¹ with mixed blanks: the sums over 8 or more keys
+        // pass u64::MAX, so a sum kept in u64 shows.
+        let specs: Vec<(u64, u64, u64)> = (0..21u64)
+            .map(|i| {
+                (
+                    (1 << 61) + i,
+                    (1 << 59) + ((i * 5 % 7) << 56),
+                    (i * 3 % 5) << 57,
+                )
+            })
+            .collect();
+        let inst = row_instance(&specs, u64::MAX);
+        let chars = |keys: &[(u64, CharId)]| -> Vec<&Character> {
+            keys.iter().map(|k| inst.char(k.1.index())).collect()
+        };
+        let mut row = ProbedRow::default();
+        for i in (0..20).map(|i| i * 7 % 20) {
+            row.insert(&inst, CharId::from(i));
+            // A probe rebuilds the data the insert dropped.
+            let _ = row.probe(&inst, CharId::from(20));
+            let n = row.len();
+            assert_eq!(row.suffixes.rests.len(), n);
+            for j in 0..n {
+                let data = (row.suffixes.rests[j], u128::from(row.suffixes.smallest[j]));
+                let definition = sums_by_definition(&chars(&row.keys[j..]));
+                assert_eq!(Some(data), definition, "{n} keys, suffix {j}");
+            }
+            for c in 1..=n / CHECKPOINT_STRIDE {
+                let (candidate, j) = (inst.char(20), c * CHECKPOINT_STRIDE);
+                let definition =
+                    resume_bound_by_definition((0, 0, 0), &chars(&row.keys[j..]), candidate);
+                assert_eq!(
+                    row.suffixes.merged(j, candidate),
+                    definition,
+                    "{n} keys, checkpoint {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_sided_completions_decide_probes() {
+        // The early keys have large left and right blanks, the later ones a
+        // blank on one side only, so the narrowest rows put the early keys
+        // inside and share both of their end blanks. Probed at the DP width,
+        // each walk must keep the states whose completions go two-sided.
+        let specs = [
+            (100, 45, 45),
+            (90, 40, 38),
+            (80, 36, 36),
+            (30, 0, 24),
+            (30, 24, 0),
+            (28, 0, 20),
+            (28, 21, 0),
+            (26, 0, 16),
+            (26, 17, 0),
+            (24, 12, 1),
+            (24, 1, 12),
+            (22, 9, 0),
+            (22, 0, 9),
+            (20, 4, 4),
+        ];
+        let inst = row_instance(&specs, 100_000);
+        let mut scratch = WidthScratch::default();
+        let mut inside = 0;
+        for n in 2..=specs.len() {
+            let (members, candidate) = (ids(n - 1), CharId::from(n - 1));
+            let mut row = ProbedRow::default();
+            for &id in &members {
+                row.insert(&inst, id);
+            }
+            assert_probes_match(&inst, &mut row, &members, candidate, &mut scratch);
+            let (order, width) = refine_row(&inst, &ids(n), 8);
+            let first = order.iter().position(|&id| id == CharId::from(0)).unwrap();
+            if first > 0 && first + 1 < n {
+                inside += 1;
+                let fits =
+                    row.admits_width(&inst, width_key(&inst, candidate), 8, width, &mut scratch);
+                assert!(fits, "{n} keys: the DP width {width} must fit");
+            }
+        }
+        assert!(inside >= 8, "only {inside} rows put the first key inside");
     }
 
     #[test]

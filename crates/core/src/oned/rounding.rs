@@ -43,12 +43,14 @@ static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per
 /// admission test decided (counters `admits.*`). Stage order: clearly
 /// overfull estimate → exact symmetric estimate → refusal memo →
 /// sorted-blank overlap bound → beam-1 upper bound → exact width DP.
+/// `admits.dp_keys` adds the keys each exact-DP probe walked.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
 static ADMITS_ESTIMATE_EXACT: trace::Counter = trace::Counter::new("admits.estimate_exact");
 static ADMITS_MEMO_REJECT: trace::Counter = trace::Counter::new("admits.memo_reject");
 static ADMITS_BOUND_REJECT: trace::Counter = trace::Counter::new("admits.bound_reject");
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
+static ADMITS_DP_KEYS: trace::Counter = trace::Counter::new("admits.dp_keys");
 
 /// Observable trace of the rounding loop, powering Figs. 5 and 6.
 #[derive(Debug, Clone, Default)]
@@ -78,10 +80,11 @@ pub struct RowState {
     /// While 0, the S-Blank estimate is *exact* (Lemma 1), so admission
     /// needs no DP at all.
     asym_members: usize,
-    /// Members as a probe-ready row (sorted keys, suffix floors, sorted
-    /// blanks and checkpointed DP frontiers, maintained by
-    /// [`RowState::commit`]) so most admission probes refuse on a bound and
-    /// the rest resume the DP walk near the candidate.
+    /// Members as a probe-ready row (sorted keys and blanks, maintained by
+    /// [`RowState::commit`], plus the checkpointed DP frontiers and suffix
+    /// sums its probes rebuild) so most admission probes refuse on a bound
+    /// and the rest resume the DP walk near the candidate and stop once no
+    /// completion fits.
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
@@ -159,6 +162,11 @@ impl RowState {
     ///    (width-only, allocation-free) DP run, resumed from the frontier
     ///    checkpoint nearest the candidate.
     ///
+    /// Stages 4–6 share one refusal certificate, the same sorted-blank
+    /// bound: over the whole row before any walk, and in both walks over
+    /// each frontier state's completions, at the resume checkpoint and
+    /// after every insertion from the candidate on.
+    ///
     /// Widths past `u64::MAX` read as "does not fit" at every stage.
     pub fn admits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
         let c = instance.char(id.index());
@@ -192,6 +200,7 @@ impl RowState {
             }
             Admission::Dp(fits) => {
                 ADMITS_DP.incr();
+                ADMITS_DP_KEYS.add(self.scratch.keys_walked() as u64);
                 fits
             }
         };

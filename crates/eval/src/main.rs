@@ -699,12 +699,39 @@ struct BenchCase {
     name: String,
     t_total: f64,
     wall_s: f64,
+    /// Whether the race ended with every member finished or on a
+    /// certificate (`false` when the row predates the field).
+    complete: bool,
+    /// The core count the row ran on (schema 2), if recorded.
+    threads: Option<f64>,
 }
 
 /// A parsed bench artifact: per-case deadline + case rows.
 struct BenchArtifact {
     deadline_s: f64,
     cases: Vec<BenchCase>,
+}
+
+impl BenchArtifact {
+    /// The distinct core counts of the rows, for report headers
+    /// (`"2"`, `"1/2"`, or `"unknown"` for rows that predate the field).
+    fn cores_label(&self) -> String {
+        let mut cores: Vec<String> = self
+            .cases
+            .iter()
+            .map(|c| {
+                c.threads
+                    .map_or_else(|| "unknown".into(), |t| format!("{t}"))
+            })
+            .collect();
+        cores.sort();
+        cores.dedup();
+        if cores.is_empty() {
+            "unknown".into()
+        } else {
+            cores.join("/")
+        }
+    }
 }
 
 /// Parses an `eblow-bench/1` or `eblow-bench/2` artifact (schema 2 adds
@@ -747,6 +774,8 @@ fn parse_bench_artifact(path: &str) -> Result<BenchArtifact, String> {
                     .to_string(),
                 t_total: field("t_total")?,
                 wall_s: field("wall_s")?,
+                complete: matches!(c.get("complete"), Some(JsonValue::Bool(true))),
+                threads: c.get("threads").and_then(JsonValue::as_num),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -760,14 +789,36 @@ fn parse_bench_artifact(path: &str) -> Result<BenchArtifact, String> {
 /// it is deadline-normalized, not absolute-time-scaled.
 const BENCH_DIFF_WALL_FLOOR_S: f64 = 0.5;
 
+/// The `T` gate of one case present in both artifacts, or `None` when it
+/// passes. A race that is complete in both (every member finished, or it
+/// ended on a certificate) returns a deterministic plan, so its `T` must
+/// match exactly, in either direction; a deadline-cut row may regress by
+/// at most `max_regress_pct` percent.
+fn t_gate(old: &BenchCase, new: &BenchCase, max_regress_pct: f64) -> Option<String> {
+    if old.complete && new.complete {
+        return (new.t_total != old.t_total).then(|| {
+            format!(
+                "T changed on a race complete in both artifacts: {} -> {} (plans are \
+                 deterministic there; re-record the baseline if the change is intended)",
+                old.t_total, new.t_total
+            )
+        });
+    }
+    let dt = 100.0 * (new.t_total - old.t_total) / old.t_total.max(1.0);
+    (dt > max_regress_pct).then(|| format!("T regressed {dt:.1}% (> {max_regress_pct:.1}%)"))
+}
+
 /// Compares two `eblow-bench/1` artifacts case by case (the ROADMAP's bench
 /// differ): for every case present in both, the new artifact's system
-/// writing time `T` and wall-clock must not regress by more than
-/// `max_regress_pct` percent over the old one (wall-clock only above the
-/// [`BENCH_DIFF_WALL_FLOOR_S`] noise floor). Cases missing from the new
-/// artifact fail outright (silent coverage loss is a regression too); new
-/// cases are reported and pass. Exits non-zero on any violation, so CI can
-/// gate fresh artifacts against a committed baseline.
+/// writing time `T` must pass [`t_gate`] (exact on races complete in
+/// both, within `max_regress_pct` percent otherwise), and its wall-clock
+/// must not regress by more than `max_regress_pct` percent (only above the
+/// [`BENCH_DIFF_WALL_FLOOR_S`] noise floor). The header prints both
+/// artifacts' core counts: walls from different core counts compare only
+/// loosely, which the generous wall threshold absorbs. Cases missing from
+/// the new artifact fail outright (silent coverage loss is a regression
+/// too); new cases are reported and pass. Exits non-zero on any violation,
+/// so CI can gate fresh artifacts against a committed baseline.
 fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
     let old = parse_bench_artifact(old_path).unwrap_or_else(|e| {
         eprintln!("FAIL: {e}");
@@ -786,9 +837,13 @@ fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
         );
         std::process::exit(2);
     }
+    let cores = format!("cores {} -> {}", old.cores_label(), new.cores_label());
     let (old, new) = (&old.cases, &new.cases);
     println!();
-    println!("== Bench diff: {old_path} -> {new_path} (max regression {max_regress_pct:.1}%) ==");
+    println!(
+        "== Bench diff: {old_path} -> {new_path} (max regression {max_regress_pct:.1}%, \
+         exact T on complete races, {cores}) =="
+    );
     println!(
         "{:6} | {:>12} {:>12} {:>8} | {:>9} {:>9} {:>8}",
         "case", "T(old)", "T(new)", "ΔT%", "wall(old)", "wall(new)", "Δwall%"
@@ -802,7 +857,7 @@ fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
         };
         let dt = 100.0 * (n.t_total - o.t_total) / o.t_total.max(1.0);
         let dw = 100.0 * (n.wall_s - o.wall_s) / o.wall_s.max(1e-9);
-        let t_bad = dt > max_regress_pct;
+        let t_bad = t_gate(o, n, max_regress_pct);
         // The floor looks at *both* walls: a sub-floor baseline case that
         // balloons past the floor is exactly the cliff the gate exists
         // for; only jitter that stays below the floor is informational.
@@ -816,13 +871,14 @@ fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
             o.wall_s,
             n.wall_s,
             dw,
-            if t_bad || w_bad { "   <-- FAIL" } else { "" }
+            if t_bad.is_some() || w_bad {
+                "   <-- FAIL"
+            } else {
+                ""
+            }
         );
-        if t_bad {
-            eprintln!(
-                "FAIL: {}: T regressed {:.1}% (> {:.1}%)",
-                o.name, dt, max_regress_pct
-            );
+        if let Some(why) = t_bad {
+            eprintln!("FAIL: {}: {why}", o.name);
             failed = true;
         }
         if w_bad {
@@ -1285,6 +1341,27 @@ mod tests {
         assert_eq!(over(ms(3_050)), ["1H-1", "2H-1"]);
         assert_eq!(over(ms(0)), ["1T-1", "1M-5", "1H-1", "2H-1", "2H-2"]);
         assert!(over(ms(3_200)).is_empty());
+    }
+
+    #[test]
+    fn bench_gate_compares_t_exactly_on_complete_races() {
+        let case = |t_total: f64, complete: bool| BenchCase {
+            name: "1M-5".into(),
+            t_total,
+            wall_s: 0.3,
+            complete,
+            threads: Some(2.0),
+        };
+        // Complete in both: any change fails, better or worse.
+        assert!(t_gate(&case(11610.0, true), &case(11610.0, true), 50.0).is_none());
+        assert!(t_gate(&case(11610.0, true), &case(11611.0, true), 50.0).is_some());
+        assert!(t_gate(&case(11610.0, true), &case(11609.0, true), 50.0).is_some());
+        // Deadline-cut on either side: the percentage budget applies.
+        for (old, new) in [(true, false), (false, true), (false, false)] {
+            assert!(t_gate(&case(1000.0, old), &case(1400.0, new), 50.0).is_none());
+            assert!(t_gate(&case(1000.0, old), &case(900.0, new), 50.0).is_none());
+            assert!(t_gate(&case(1000.0, old), &case(1600.0, new), 50.0).is_some());
+        }
     }
 
     #[test]
