@@ -6,11 +6,10 @@
 //! the *exact* symmetric-blank capacity (Lemma 1), ordering each row by
 //! blank descending (provably optimal for symmetric blanks). A final
 //! insertion pass tops rows up. The paper's Table 3 shows \[25\] at
-//! ~0.01 s. This version is slower: `eblow-eval table3` measures a
-//! Row\[25\] CPU average of about 0.03 s over the Table 3 cases on a
-//! 2-core VM (0.15–0.17 s before row admission refused on a sorted-blank
-//! bound). The cost is the per-candidate probes: the Lemma 1 estimate is
-//! optimistic for asymmetric blanks, so each character verifies up to
+//! ~0.01 s, and `eblow-eval table3` measures a Row\[25\] CPU average of
+//! 0.010–0.014 s over the Table 3 cases on a 2-core VM (three runs). The
+//! cost is the per-candidate probes: the Lemma 1 estimate is optimistic
+//! for asymmetric blanks, so each character verifies up to
 //! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed.
 //! There is no MCC balancing: profits are static region sums, so the
 //! bottleneck region is not re-weighted as selection proceeds.

@@ -135,7 +135,7 @@ impl WidthScratch {
     /// keys from its checkpoint to the candidate, the candidate, and the
     /// tail keys up to the insertion after which it refused (0 when the
     /// check at the checkpoint refused).
-    pub fn keys_walked(&self) -> usize {
+    pub(crate) fn keys_walked(&self) -> usize {
         self.walked
     }
 }
@@ -305,7 +305,12 @@ impl ProbedRow {
     /// `Σw − P(n)` over the members plus `c`, exact: no order of them is
     /// narrower. The empty block is 0 wide with no blanks.
     fn width_bound(&self, c: &Character) -> u128 {
-        let rest = merged_rest(&self.lefts, &self.rights, self.width_sum, c);
+        let rest = rest_of(
+            merged(&self.lefts, c.blanks().left),
+            merged(&self.rights, c.blanks().right),
+            self.keys.len() + 1,
+            self.width_sum + u128::from(c.width()),
+        );
         completion_bound((0, 0, 0), Some(rest))
     }
 
@@ -430,17 +435,6 @@ fn rest_of(
         .map(|(l, r)| u128::from(l.min(r)))
         .sum();
     width_sum - shared
-}
-
-/// `Σw − P(len−1)` over the keys with blank lists `lefts`/`rights` (largest
-/// first, `width_sum` wide in total) plus the character `c`.
-fn merged_rest(lefts: &[u64], rights: &[u64], width_sum: u128, c: &Character) -> u128 {
-    rest_of(
-        merged(lefts, c.blanks().left),
-        merged(rights, c.blanks().right),
-        lefts.len() + 1,
-        width_sum + u128::from(c.width()),
-    )
 }
 
 /// `list` (largest first) with `blank` merged in at its sorted position.
