@@ -3,9 +3,11 @@
 //! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, and
 //! cold vs warm-started LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
-//! registry strategy.
+//! registry strategy. One 2D kernel, the \[24\] baseline's anneal on 2M-4,
+//! measures the shelf engine's SA move (`OrderState`, `ShelfCursor`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use eblow_core::baselines::{sa_2d, Sa2dConfig};
 use eblow_core::oned::{
     successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem, ProbedRow, RoundingConfig,
     RowBase, WidthScratch,
@@ -148,6 +150,18 @@ fn bench_hotpaths(c: &mut Criterion) {
         })
     });
 
+    group.finish();
+
+    // The shelf engine end to end: `sa2d` packs all 1 000 candidates of
+    // 2M-4 unclustered, so nearly all of its wall is `OrderState` moves
+    // (a swap, a re-pack from the touched shelf until it realigns with the
+    // old packing, and an undo when rejected).
+    let inst = benchmark(Family::M2(4));
+    let mut group = c.benchmark_group("hotpaths_2m");
+    group.sample_size(3);
+    group.bench_function("sa_2d_anneal_2m4", |b| {
+        b.iter(|| black_box(sa_2d(&inst, &Sa2dConfig::default()).unwrap().total_time))
+    });
     group.finish();
 }
 

@@ -9,8 +9,9 @@
 //! counts, or the scalable overlap-aware shelf engine for the large MCC
 //! cases. [`PackEngine::Auto`] picks by node count. A shelf-engine move
 //! costs what the swap can change: it re-packs from the shelf holding the
-//! earlier swapped position up to where the stencil is full, and a
-//! rejected move is undone without packing at all.
+//! earlier swapped position until its shelves realign with the packing
+//! before the move or the stencil is full, and a rejected move is undone
+//! without packing at all.
 
 mod cluster;
 mod sa;
@@ -26,8 +27,15 @@ use crate::Plan2d;
 use eblow_anneal::{Annealer, Schedule};
 use eblow_model::{Instance, ModelError, PlacedChar, Placement2d};
 use eblow_seqpair::SequencePair;
+use eblow_trace as trace;
 use sa::Objective;
 use std::time::Instant;
+
+/// SA proposals of every 2D anneal (counter `anneal.moves`).
+static ANNEAL_MOVES: trace::Counter = trace::Counter::new("anneal.moves");
+/// Nodes the shelf engine's re-packs stepped (counter `anneal.shelf_steps`);
+/// `anneal.shelf_steps ÷ anneal.moves` is the mean re-pack length.
+static ANNEAL_SHELF_STEPS: trace::Counter = trace::Counter::new("anneal.shelf_steps");
 
 /// Which packing engine the SA stage uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +217,7 @@ impl Eblow2d {
             Schedule::geometric(scale.max(1.0), alpha, (scale * 1e-5).max(1e-6), per_temp);
         let annealer = Annealer::new(schedule, self.config.seed);
 
-        if use_seqpair {
+        let (positions, stats) = if use_seqpair {
             // Seed the sequence pair from the shelf packing of the greedy
             // order: Γ⁺ = shelves top-to-bottom, Γ⁻ = bottom-to-top.
             let pack = shelf_pack(
@@ -236,13 +244,16 @@ impl Eblow2d {
             let sp = SequencePair::new(pos_seq, neg_seq);
             let geometry = NodeGeometry::new(nodes);
             let mut state = SeqPairState::new(&objective, &geometry, sp);
-            annealer.run_with_stop(&mut state, stop.as_atomic());
-            state.positions()
+            let stats = annealer.run_with_stop(&mut state, stop.as_atomic());
+            (state.positions(), stats)
         } else {
             let mut state = OrderState::new(&objective, order);
-            annealer.run_with_stop(&mut state, stop.as_atomic());
-            state.positions()
-        }
+            let stats = annealer.run_with_stop(&mut state, stop.as_atomic());
+            (state.positions(), stats)
+        };
+        ANNEAL_MOVES.add(stats.proposed as u64);
+        ANNEAL_SHELF_STEPS.add(objective.shelf_steps.get());
+        positions
     }
 }
 

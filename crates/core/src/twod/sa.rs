@@ -8,9 +8,13 @@
 //!   (Parquet-style, as in \[24\]).
 //! * [`OrderState`] — the scalable engine: SA over the shelf-packing
 //!   insertion order, for the 4000-candidate cases. A swap re-packs only
-//!   from the shelf holding the earlier swapped position to the point
-//!   where the stencil is full, at a few operations per node, and reads
-//!   the region times off prefix sums in `O(P log n)`.
+//!   from the shelf holding the earlier swapped position, at a few
+//!   operations per node, and only until its shelves realign with the
+//!   packing before the swap: a shelf opened at the same position with the
+//!   same cursor repeats the old run up to the next swapped position, so
+//!   the re-pack resumes from the last old shelf before the later swapped
+//!   position, or adopts the old tail past it. It reads the region times
+//!   off prefix sums in `O(P log n)`.
 //!
 //! In both, `undo` puts back the energy the last `apply` replaced instead
 //! of evaluating the restored state again, and the energy reads each
@@ -18,12 +22,13 @@
 //! Both expose the final node positions for placement extraction.
 
 use super::cluster::PackNode;
-use super::skyline::{shelf_pack, ShelfCursor, ShelfSink};
+use super::skyline::{shelf_pack, Flow, ShelfCursor, ShelfSink};
 use eblow_anneal::Anneal;
 use eblow_model::Instance;
 use eblow_seqpair::{ItemGeometry, SequencePair};
 use rand::rngs::StdRng;
 use rand::RngExt;
+use std::cell::Cell;
 
 /// Geometry adapter from pack nodes to the sequence-pair packer.
 #[derive(Debug, Clone)]
@@ -90,6 +95,9 @@ pub(crate) struct Objective<'a> {
     scale: f64,
     /// A row of zero reductions.
     zeros: Vec<i64>,
+    /// Nodes stepped by the re-packs of every [`OrderState`] on this
+    /// objective. It lives here because the annealer clones states.
+    pub shelf_steps: Cell<u64>,
 }
 
 impl<'a> Objective<'a> {
@@ -115,6 +123,7 @@ impl<'a> Objective<'a> {
             reductions,
             scale: *instance.vsb_times().iter().max().unwrap_or(&1) as f64,
             zeros: vec![0; p],
+            shelf_steps: Cell::new(0),
         }
     }
 
@@ -278,20 +287,34 @@ impl Anneal for SeqPairState<'_> {
 /// Insertion-order SA state (the scalable shelf engine).
 ///
 /// The shelf rule places exactly the nodes that fit the outline and come
-/// before the first shelf that does not fit vertically, plus at most the
-/// node after that shelf, when it still fits alone. So the state keeps:
+/// before the first shelf that does not fit vertically (`lost`), plus at
+/// most the node after that shelf, when it still fits alone (`lone`). So
+/// the state keeps:
 ///
 /// * a checkpoint per shelf: the shelf cursor right after the node that
-///   opened it. A swap `(i, j)` leaves every shelf opened strictly before
-///   `min(i, j)` as it was, and packing resumes from the last of them. A
-///   shelf opened *at* `min(i, j)` cannot be reused: the node there is the
-///   one that closed the shelf before it.
+///   opened it. A swap `(lo, hi)` leaves every shelf opened strictly
+///   before `lo` as it was, and packing resumes from the last of them. A
+///   shelf opened *at* `lo` cannot be reused: the node there is the one
+///   that closed the shelf before it.
+/// * the current packing's `lost` and `lone` positions.
 /// * the fitting nodes' reductions summed by order position
-///   (`PrefixSums`), so the region times of a packing cost one prefix
-///   query, whatever its length, and a swap two updates.
+///   (`PrefixSums`), so the region times of a packing are
+///   `vsb − prefix(lost) − lone`: one prefix query, whatever its length,
+///   and a swap two updates.
 ///
-/// `undo` swaps back and restores the energy and the marks the move
-/// replaced, without packing at all.
+/// **Resync.** The old checkpoints from the first re-packed shelf on are
+/// in the move's journal. A cursor taken right after a shelf opens is the
+/// whole state of the shelf rule, so when the new run opens a shelf at
+/// position `p` with a cursor equal to the old checkpoint at `p`, it
+/// repeats the old run up to the next swapped position. Between the two
+/// swapped positions the re-pack jumps to the last old checkpoint before
+/// `hi`; past `hi`, or when `hi` lies past the last position the old run
+/// examined, it adopts the old checkpoints, `lost` and `lone` and stops.
+/// Only a checkpoint that is not full is matched or jumped onto: a full
+/// one follows a lost shelf that the new run has not recorded.
+///
+/// `undo` swaps back and restores the energy, the checkpoints, `lost` and
+/// `lone` the move replaced, without packing at all.
 ///
 /// Region times are integer sums, and every node the shelf rule places
 /// lies inside the outline (for any outline that fits `i64` coordinates),
@@ -306,19 +329,41 @@ pub struct OrderState<'a> {
     sums: PrefixSums,
     /// Shelf cursor right after each shelf's opening node, bottom to top.
     marks: Vec<ShelfCursor>,
+    /// First position of the first shelf that did not fit vertically.
+    lost: Option<usize>,
+    /// Position of the node that still landed alone after it.
+    lone: Option<usize>,
     /// Scratch region times.
     times: Vec<i64>,
     /// What the most recent `apply` replaced, for `undo`.
     journal: Journal,
 }
 
-/// The undo record of one [`OrderState`] move.
+/// The undo record of one [`OrderState`] move, and the packing before it
+/// that the move's re-pack realigns with.
 #[derive(Clone, Default)]
 struct Journal {
     energy: f64,
     /// Marks the move kept; the ones after it are saved below.
     keep: usize,
     marks: Vec<ShelfCursor>,
+    lost: Option<usize>,
+    lone: Option<usize>,
+    /// The later swapped position.
+    hi: usize,
+    /// Whether the move's re-pack resumed from the last old mark before
+    /// `hi`, and why it adopted the old tail, if it did.
+    resumed: bool,
+    tail: Option<Tail>,
+}
+
+/// Why a move's re-pack adopted the old packing's tail.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tail {
+    /// It opened a shelf after `hi` with the old cursor.
+    AfterHi,
+    /// `hi` lies past the last position the old run examined.
+    PastEnd,
 }
 
 /// Per-region sums over a prefix of order positions, under swaps of two
@@ -379,7 +424,8 @@ impl PrefixSums {
 }
 
 /// What one packing run places, read off the shelf closes; it also
-/// records a mark per opened shelf.
+/// records a mark per opened shelf, and realigns the run with the old
+/// packing in the journal.
 struct Track<'t> {
     marks: &'t mut Vec<ShelfCursor>,
     /// Order position of the open shelf's first node.
@@ -388,6 +434,57 @@ struct Track<'t> {
     lost: Option<usize>,
     /// Position of the node that still landed alone after it.
     lone: Option<usize>,
+    /// The packing before the move.
+    old: &'t Journal,
+    /// Index of the first old mark not before the open shelf.
+    next: usize,
+    /// For the journal: whether the run jumped, and why it ended early.
+    resumed: bool,
+    tail: Option<Tail>,
+}
+
+impl Track<'_> {
+    /// After the new run opened a shelf with `cursor`. Where the old run
+    /// opened one at the same position with an equal cursor that is not
+    /// full, the old shelves stand until the next swapped position (see
+    /// [`OrderState`]): past `hi` the rest of the run is the old one;
+    /// before `hi` the run jumps to the last old mark before `hi`, unless
+    /// that mark is full, when the old run ended before `hi`.
+    fn realign(&mut self, cursor: &ShelfCursor) -> Flow {
+        let (old, p) = (&self.old.marks, cursor.start());
+        while old.get(self.next).is_some_and(|m| m.start() < p) {
+            self.next += 1;
+        }
+        if cursor.is_full() || old.get(self.next) != Some(cursor) {
+            return Flow::Next;
+        }
+        if p > self.old.hi {
+            return self.adopt(Tail::AfterHi);
+        }
+        // The last old mark before `hi`, at or after this one.
+        let to = old.partition_point(|m| m.start() < self.old.hi) - 1;
+        if old[to].is_full() {
+            return self.adopt(Tail::PastEnd);
+        }
+        if to == self.next {
+            return Flow::Next;
+        }
+        self.marks.extend_from_slice(&old[self.next + 1..=to]);
+        self.next = to + 1;
+        self.open = old[to].start();
+        self.resumed = true;
+        Flow::Resume(old[to])
+    }
+
+    /// Takes the old marks after the matched one, `lost` and `lone`, and
+    /// ends the run.
+    fn adopt(&mut self, why: Tail) -> Flow {
+        self.marks
+            .extend_from_slice(&self.old.marks[self.next + 1..]);
+        (self.lost, self.lone) = (self.old.lost, self.old.lone);
+        self.tail = Some(why);
+        Flow::End
+    }
 }
 
 impl ShelfSink for Track<'_> {
@@ -401,9 +498,10 @@ impl ShelfSink for Track<'_> {
         }
     }
 
-    fn opened(&mut self, _k: usize, cursor: &ShelfCursor) {
+    fn opened(&mut self, _k: usize, cursor: &ShelfCursor) -> Flow {
         self.open = cursor.start();
         self.marks.push(*cursor);
+        self.realign(cursor)
     }
 }
 
@@ -418,6 +516,8 @@ impl<'a> OrderState<'a> {
             order,
             cached_energy: 0.0,
             marks: Vec::new(),
+            lost: None,
+            lone: None,
             times: vec![0; p],
             journal: Journal::default(),
         };
@@ -426,7 +526,8 @@ impl<'a> OrderState<'a> {
     }
 
     /// Re-packs from the last of the first `keep` marks (from the first
-    /// node when `keep` is 0) and returns the energy.
+    /// node when `keep` is 0), realigning with the journal's packing, and
+    /// returns the energy.
     fn repack(&mut self, keep: usize) -> f64 {
         let objective = self.objective;
         self.marks.truncate(keep);
@@ -443,13 +544,21 @@ impl<'a> OrderState<'a> {
             open: cursor.start(),
             lost,
             lone: None,
+            old: &self.journal,
+            next: 0,
+            resumed: false,
+            tail: None,
         };
-        cursor.run(objective.nodes, &self.order, from, &mut track);
-        let (lost, lone) = (track.lost, track.lone);
+        let steps = cursor.run(objective.nodes, &self.order, from, &mut track);
+        objective
+            .shelf_steps
+            .set(objective.shelf_steps.get() + steps as u64);
+        (self.lost, self.lone) = (track.lost, track.lone);
+        (self.journal.resumed, self.journal.tail) = (track.resumed, track.tail);
         self.times.copy_from_slice(&objective.vsb);
         self.sums
-            .subtract_prefix(lost.unwrap_or(self.order.len()), &mut self.times);
-        if let Some(pos) = lone {
+            .subtract_prefix(self.lost.unwrap_or(self.order.len()), &mut self.times);
+        if let Some(pos) = self.lone {
             for (t, r) in self
                 .times
                 .iter_mut()
@@ -512,6 +621,8 @@ impl Anneal for OrderState<'_> {
         journal.keep = keep;
         journal.marks.clear();
         journal.marks.extend_from_slice(&self.marks[keep..]);
+        (journal.lost, journal.lone) = (self.lost, self.lone);
+        journal.hi = i.max(j);
         self.swap(i, j);
         self.cached_energy = self.repack(keep);
     }
@@ -520,6 +631,7 @@ impl Anneal for OrderState<'_> {
         self.swap(i, j);
         self.marks.truncate(self.journal.keep);
         self.marks.extend_from_slice(&self.journal.marks);
+        (self.lost, self.lone) = (self.journal.lost, self.journal.lone);
         self.cached_energy = self.journal.energy;
     }
 }
@@ -527,6 +639,7 @@ impl Anneal for OrderState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::twod::ShelfPacking;
     use eblow_model::{CharId, Character, Stencil};
     use rand::SeedableRng;
 
@@ -581,16 +694,21 @@ mod tests {
         }
     }
 
-    /// A random instance for the shelf engine: three regions, a few
-    /// merged nodes (multi-member reductions), and nodes wider or taller
-    /// than a `100 × stencil_h` outline, which the shelf rule skips.
-    fn shelf_instance(seed: u64, stencil_h: u64) -> (Instance, Vec<PackNode>) {
+    /// A random instance of `n` nodes for the shelf engine: three regions,
+    /// a few merged nodes (multi-member reductions), and nodes wider or
+    /// taller than the `stencil_w × stencil_h` outline, which the shelf
+    /// rule skips. Widths and heights are 12–60 otherwise.
+    fn shelf_instance(
+        seed: u64,
+        n: usize,
+        stencil_w: u64,
+        stencil_h: u64,
+    ) -> (Instance, Vec<PackNode>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = 48;
         let chars: Vec<Character> = (0..n)
             .map(|i| {
                 let (w, h) = match i % 16 {
-                    3 => (101 + rng.random_range(0..20u64), 30),
+                    3 => (stencil_w + 1 + rng.random_range(0..20u64), 30),
                     11 => (30, stencil_h + 1 + rng.random_range(0..20u64)),
                     _ => (rng.random_range(12..60u64), rng.random_range(12..60u64)),
                 };
@@ -606,7 +724,8 @@ mod tests {
         let repeats = (0..n)
             .map(|_| (0..3).map(|_| rng.random_range(0..6u64)).collect())
             .collect();
-        let inst = Instance::new(Stencil::new(100, stencil_h).unwrap(), chars, repeats).unwrap();
+        let stencil = Stencil::new(stencil_w, stencil_h).unwrap();
+        let inst = Instance::new(stencil, chars, repeats).unwrap();
         let single = |i: usize| PackNode::single(&inst, CharId::from(i), 1.0);
         let mut nodes: Vec<PackNode> = (0..n - 8).map(single).collect();
         for i in (n - 8..n).step_by(2) {
@@ -615,12 +734,18 @@ mod tests {
         (inst, nodes)
     }
 
+    /// The full shelf packing of `order` on the objective's outline.
+    fn full_pack(obj: &Objective<'_>, order: &[usize]) -> ShelfPacking {
+        shelf_pack(obj.nodes, order, obj.stencil_w as u64, obj.stencil_h as u64)
+    }
+
     /// `Some(lone)` when the vertical break fired: a node that fits the
     /// outline went unplaced. `lone`: a node after it was still placed, the
     /// one that opened the next shelf and landed alone in the final close.
-    fn break_shape(nodes: &[PackNode], order: &[usize], stencil_h: u64) -> Option<bool> {
-        let placed = shelf_pack(nodes, order, 100, stencil_h).positions;
-        let fits = |k: usize| nodes[k].width <= 100 && nodes[k].height <= stencil_h;
+    fn break_shape(obj: &Objective<'_>, order: &[usize]) -> Option<bool> {
+        let placed = full_pack(obj, order).positions;
+        let cursor = obj.cursor();
+        let fits = |k: usize| cursor.fits(&obj.nodes[k]);
         let lost = order.iter().position(|&k| fits(k) && placed[k].is_none())?;
         Some(order[lost..].iter().any(|&k| placed[k].is_some()))
     }
@@ -632,21 +757,37 @@ mod tests {
         at_shelf_start: usize,
         past_break: usize,
         lone_closes: usize,
+        /// Moves whose re-pack resumed from the last old mark before `hi`.
+        resumed: usize,
+        /// Moves whose re-pack adopted the old tail at a shelf after `hi`.
+        tail_after_hi: usize,
+        /// Moves whose re-pack adopted the old tail because `hi` lies past
+        /// the old run's end.
+        tail_past_end: usize,
     }
 
-    /// One move, then an accept or an `undo`, checked against the full
-    /// re-pack: same energy bits, and the same checkpoints and prefix sums
-    /// as a state freshly built on the current order. A third of the
-    /// moves start at a shelf's opening position; a third lie past the
-    /// break when it fired.
-    fn check_move(st: &mut OrderState<'_>, rng: &mut StdRng, stencil_h: u64, cov: &mut Coverage) {
+    /// The state equals the full re-pack of its order: the same energy
+    /// bits, and the same checkpoints, `lost`, `lone` and prefix sums as a
+    /// state freshly built on it.
+    fn assert_matches_full_repack(st: &OrderState<'_>) {
         let obj = st.objective;
-        let reference =
-            |order: &[usize]| obj.energy(&shelf_pack(obj.nodes, order, 100, stencil_h).positions);
+        let reference = obj.energy(&full_pack(obj, &st.order).positions);
+        assert_eq!(st.energy().to_bits(), reference.to_bits());
+        let fresh = OrderState::new(obj, st.order.clone());
+        assert_eq!(st.marks, fresh.marks);
+        assert_eq!((st.lost, st.lone), (fresh.lost, fresh.lone));
+        assert_eq!(st.sums.tree, fresh.sums.tree);
+    }
+
+    /// One move, then an accept or an `undo`, each checked against the
+    /// full re-pack. A third of the moves start at a shelf's opening
+    /// position; a third lie past the break when it fired.
+    fn check_move(st: &mut OrderState<'_>, rng: &mut StdRng, cov: &mut Coverage) {
+        let obj = st.objective;
         let marks = &st.marks;
         let (n, last) = (st.order.len(), marks.last().unwrap().start());
         let start = marks[rng.random_range(0..marks.len())].start();
-        let broke = break_shape(obj.nodes, &st.order, stencil_h).is_some();
+        let broke = break_shape(obj, &st.order).is_some();
         let (i, j) = match rng.random_range(0..3u8) {
             0 if start + 1 < n => (start, rng.random_range(start + 1..n)),
             1 if broke && last + 2 < n => {
@@ -659,27 +800,38 @@ mod tests {
         cov.at_shelf_start += st.marks.iter().any(|m| m.start() == lo) as usize;
         cov.past_break += (broke && lo > last) as usize;
         st.apply(&(i, j));
-        assert_eq!(st.energy().to_bits(), reference(&st.order).to_bits());
+        assert_matches_full_repack(st);
+        cov.resumed += st.journal.resumed as usize;
+        cov.tail_after_hi += (st.journal.tail == Some(Tail::AfterHi)) as usize;
+        cov.tail_past_end += (st.journal.tail == Some(Tail::PastEnd)) as usize;
         if rng.random_bool(0.5) {
             st.undo(&(i, j));
-            assert_eq!(st.energy().to_bits(), reference(&st.order).to_bits());
+            assert_matches_full_repack(st);
         }
-        let fresh = OrderState::new(obj, st.order.clone());
-        assert_eq!(st.marks, fresh.marks);
-        assert_eq!(st.sums.tree, fresh.sums.tree);
-        cov.lone_closes += (break_shape(obj.nodes, &st.order, stencil_h) == Some(true)) as usize;
+        cov.lone_closes += (break_shape(obj, &st.order) == Some(true)) as usize;
         cov.steps += 1;
     }
 
     /// The incremental shelf evaluation equals `Objective::energy` of the
     /// full `shelf_pack` bit for bit, under both objectives, with and
-    /// without the vertical break (stencil heights 140/160 vs 2 000).
+    /// without the vertical break: 48 nodes on a 100-wide outline
+    /// (heights 140/160 break, 2 000 does not), and 240 nodes on a
+    /// 1 000-wide one, about 25 to a shelf, so that moves realign with the
+    /// old packing before and after the later swapped position (height
+    /// 300 breaks, 2 000 does not).
     #[test]
     fn order_state_energy_matches_full_repack_bit_for_bit() {
         let mut cov = Coverage::default();
-        for (seed, stencil_h) in [(1, 140), (2, 160), (3, 2_000)] {
-            let (inst, nodes) = shelf_instance(seed, stencil_h);
-            assert!(nodes.iter().any(|n| n.width > 100));
+        let shapes = [
+            (1, 48, 100, 140),
+            (2, 48, 100, 160),
+            (3, 48, 100, 2_000),
+            (4, 240, 1_000, 300),
+            (5, 240, 1_000, 2_000),
+        ];
+        for (seed, n, stencil_w, stencil_h) in shapes {
+            let (inst, nodes) = shelf_instance(seed, n, stencil_w, stencil_h);
+            assert!(nodes.iter().any(|n| n.width > stencil_w));
             assert!(nodes.iter().any(|n| n.height > stencil_h));
             for sum_objective in [false, true] {
                 let mut obj = Objective::new(&inst, &nodes);
@@ -687,13 +839,17 @@ mod tests {
                 let mut st = OrderState::new(&obj, (0..nodes.len()).collect());
                 let mut rng = StdRng::seed_from_u64(seed * 2 + sum_objective as u64);
                 for _ in 0..400 {
-                    check_move(&mut st, &mut rng, stencil_h, &mut cov);
+                    check_move(&mut st, &mut rng, &mut cov);
                 }
             }
         }
-        assert!(cov.steps >= 2_000);
+        assert!(cov.steps >= 4_000);
+        let realigned = [cov.resumed, cov.tail_after_hi, cov.tail_past_end];
         assert!(
-            cov.at_shelf_start > 0 && cov.past_break > 0 && cov.lone_closes > 0,
+            cov.at_shelf_start > 0
+                && cov.past_break > 0
+                && cov.lone_closes > 0
+                && realigned.iter().all(|&c| c > 0),
             "a case went uncovered: {cov:?}"
         );
     }

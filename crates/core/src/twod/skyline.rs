@@ -18,8 +18,10 @@
 //! shelves (for seeding and placement extraction). The SA's `OrderState`
 //! copies the cursor at every shelf it opens and notes the first shelf
 //! that does not fit: the cursor is a few words, so an SA move resumes
-//! packing from the shelf it touches rather than from the first node, and
-//! stops where the stencil is full.
+//! packing from the shelf it touches rather than from the first node. It
+//! stops where its shelves realign with the packing before the move, or
+//! where the stencil is full: at each shelf it opens, the sink may move
+//! the run on to a later cursor of the same run, or end it.
 
 use super::cluster::PackNode;
 
@@ -43,8 +45,22 @@ pub(crate) trait ShelfSink {
     /// `None` discards its nodes.
     fn closed(&mut self, base: Option<i64>);
     /// Node `k` opened a new shelf at x = 0. `cursor` is the state right
-    /// after it, from which packing can resume.
-    fn opened(&mut self, k: usize, cursor: &ShelfCursor);
+    /// after it, from which packing can resume. The answer says how the
+    /// run goes on.
+    fn opened(&mut self, k: usize, cursor: &ShelfCursor) -> Flow;
+}
+
+/// How a run goes on after a shelf opened; see [`ShelfSink::opened`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Flow {
+    /// Step to the next node.
+    Next,
+    /// Go on from this cursor, taken after a later shelf opening of the
+    /// run the sink already knows; the sink has recorded the shelves in
+    /// between.
+    Resume(ShelfCursor),
+    /// The sink knows the rest of the run: end it, without the final close.
+    End,
 }
 
 /// The shelf rule's state after a prefix of the order: the open shelf and
@@ -105,12 +121,18 @@ impl ShelfCursor {
     /// Feeds node `k`, found at order position `pos`. A node wider or
     /// taller than the stencil is skipped; one that fits beside the open
     /// shelf's last node joins it; any other closes the shelf and opens
-    /// the next.
+    /// the next, and the sink's answer to the opening is returned.
     #[inline]
-    pub fn step<S: ShelfSink>(&mut self, nodes: &[PackNode], pos: usize, k: usize, sink: &mut S) {
+    fn step<S: ShelfSink>(
+        &mut self,
+        nodes: &[PackNode],
+        pos: usize,
+        k: usize,
+        sink: &mut S,
+    ) -> Flow {
         let node = &nodes[k];
         if !self.fits(node) {
-            return;
+            return Flow::Next;
         }
         if let Some((prev, px)) = self.last {
             // Tentative x with sharing against the shelf's last node.
@@ -122,7 +144,7 @@ impl ShelfCursor {
                 self.min_top = self.min_top.min(node.blanks.top);
                 self.height = self.height.max(node.height);
                 sink.joined(k, x);
-                return;
+                return Flow::Next;
             }
             let base = self.close();
             sink.closed(base);
@@ -132,7 +154,7 @@ impl ShelfCursor {
         self.min_bottom = node.blanks.bottom;
         self.min_top = node.blanks.top;
         self.height = node.height;
-        sink.opened(k, self);
+        sink.opened(k, self)
     }
 
     /// Lowers the open shelf onto the previous one. Returns its base y, or
@@ -153,27 +175,36 @@ impl ShelfCursor {
         Some(base)
     }
 
-    /// Steps through `order[from..]`, then closes the last shelf. Once a
-    /// shelf does not fit vertically nothing below fits either, so the
-    /// run stops there; the node that opened the next shelf is still
-    /// tried alone in the final close.
+    /// Steps through `order[from..]`, then closes the last shelf, and
+    /// returns the number of nodes stepped. Once a shelf does not fit
+    /// vertically nothing below fits either, so the run stops there; the
+    /// node that opened the next shelf is still tried alone in the final
+    /// close. The sink may move the run on at a shelf opening, or end it
+    /// there ([`Flow`]).
     pub fn run<S: ShelfSink>(
         &mut self,
         nodes: &[PackNode],
         order: &[usize],
         from: usize,
         sink: &mut S,
-    ) {
-        for (pos, &k) in order.iter().enumerate().skip(from) {
-            if self.full {
-                break;
+    ) -> usize {
+        let (mut pos, mut steps) = (from, 0);
+        while pos < order.len() && !self.full {
+            steps += 1;
+            match self.step(nodes, pos, order[pos], sink) {
+                Flow::Next => pos += 1,
+                Flow::Resume(cursor) => {
+                    *self = cursor;
+                    pos = cursor.start + 1;
+                }
+                Flow::End => return steps,
             }
-            self.step(nodes, pos, k, sink);
         }
         if self.last.is_some() {
             let base = self.close();
             sink.closed(base);
         }
+        steps
     }
 }
 
@@ -206,8 +237,9 @@ pub fn shelf_pack(
             }
             self.shelf.clear();
         }
-        fn opened(&mut self, k: usize, _: &ShelfCursor) {
+        fn opened(&mut self, k: usize, _: &ShelfCursor) -> Flow {
             self.shelf.push((k, 0));
+            Flow::Next
         }
     }
 

@@ -122,19 +122,22 @@ impl Character {
         if vsb_shots == 0 {
             return Err(ModelError::ZeroShots);
         }
-        if blanks.left + blanks.right > width {
-            return Err(ModelError::BlanksExceedSize {
-                axis: "horizontal",
-                blanks: blanks.left + blanks.right,
-                size: width,
-            });
-        }
-        if blanks.bottom + blanks.top > height {
-            return Err(ModelError::BlanksExceedSize {
-                axis: "vertical",
-                blanks: blanks.bottom + blanks.top,
-                size: height,
-            });
+        // A sum past `u64::MAX` exceeds any extent; it is reported
+        // saturated instead of wrapping around to a small value.
+        for (axis, a, b, size) in [
+            ("horizontal", blanks.left, blanks.right, width),
+            ("vertical", blanks.bottom, blanks.top, height),
+        ] {
+            match a.checked_add(b) {
+                Some(sum) if sum <= size => {}
+                sum => {
+                    return Err(ModelError::BlanksExceedSize {
+                        axis,
+                        blanks: sum.unwrap_or(u64::MAX),
+                        size,
+                    })
+                }
+            }
         }
         Ok(Character {
             width,
@@ -235,6 +238,36 @@ mod tests {
         assert!(Character::new(10, 10, [6, 5, 0, 0], 1).is_err());
         assert!(Character::new(10, 10, [0, 0, 6, 5], 1).is_err());
         assert!(Character::new(10, 10, [5, 5, 5, 5], 1).is_ok());
+    }
+
+    /// Blank sums past `u64::MAX` used to wrap in release builds (2^63 +
+    /// 2^63 = 0 ≤ 10) and panic in debug builds; both axes now refuse
+    /// them, reporting the sum saturated.
+    #[test]
+    fn new_refuses_blank_sums_that_overflow() {
+        let half = 1u64 << 63;
+        for (blanks, axis) in [
+            ([half, half, 0, 0], "horizontal"),
+            ([0, 0, half, half], "vertical"),
+            ([u64::MAX, 1, 0, 0], "horizontal"),
+        ] {
+            assert_eq!(
+                Character::new(10, 10, blanks, 1),
+                Err(ModelError::BlanksExceedSize {
+                    axis,
+                    blanks: u64::MAX,
+                    size: 10,
+                })
+            );
+        }
+        assert_eq!(
+            Character::new(10, 10, [6, 5, 0, 0], 1),
+            Err(ModelError::BlanksExceedSize {
+                axis: "horizontal",
+                blanks: 11,
+                size: 10,
+            })
+        );
     }
 
     #[test]

@@ -283,6 +283,32 @@ mod tests {
         assert_eq!(from_str(&text).unwrap().vsb_time(0), u64::MAX);
     }
 
+    /// Regression: blanks of 2⁶³ + 2⁶³ used to wrap to 0 and parse (in
+    /// release builds), so a 2D instance whose blanks exceed its 10 × 10
+    /// characters reached the planner and came back as an invalid
+    /// placement.
+    #[test]
+    fn blank_sums_that_overflow_are_an_error() {
+        let half = 1u64 << 63;
+        for (blanks, axis) in [
+            (format!("{half} {half} 0 0"), "horizontal"),
+            (format!("0 0 {half} {half}"), "vertical"),
+        ] {
+            let text = format!(
+                "EBLOW-INSTANCE v1\nstencil 100 100 0\nregions 1\nchars 2\n\
+                 10 10 {blanks} 1 1\n10 10 {blanks} 1 1\n"
+            );
+            assert_eq!(
+                from_str(&text),
+                Err(ModelError::BlanksExceedSize {
+                    axis,
+                    blanks: u64::MAX,
+                    size: 10,
+                })
+            );
+        }
+    }
+
     #[test]
     fn trailing_content_rejected() {
         let mut text = to_string(&sample());
