@@ -32,11 +32,15 @@ impl Default for Sa2dConfig {
 /// the pre-filter and clustering *disabled* (`prefilter_factor` set high
 /// enough to keep every candidate), so the runtime gap against
 /// [`crate::twod::Eblow2d`] isolates those two techniques. The paper
-/// reports a ~28× gap in Table 4; `eblow-eval table4` measures about 1.2×
-/// (average CPU 0.12 s vs 0.10 s on a 2-core VM). Above 400 nodes, which
-/// covers every Table 4 case, this baseline anneals on the shelf engine
-/// just as E-BLOW does, so it never pays \[24\]'s `O(n²)` sequence-pair
-/// evaluation per move, where the paper's gap comes from.
+/// reports a ~28× gap in Table 4; `eblow-eval table4` measures about 0.9×
+/// (average CPU 0.11–0.17 s vs 0.12–0.18 s over five runs on a 2-core
+/// VM), and on 2M-5..8 this baseline is the faster of the two. Above 400
+/// nodes, which covers every Table 4 case, this baseline anneals on the
+/// shelf engine just as E-BLOW does, so it never pays \[24\]'s `O(n²)`
+/// sequence-pair evaluation per move, where the paper's gap comes from;
+/// and a shelf-engine move re-packs only until it realigns with the old
+/// packing, which cuts the longer re-packs of this unclustered anneal
+/// most.
 ///
 /// # Errors
 ///
