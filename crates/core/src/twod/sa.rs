@@ -837,6 +837,7 @@ mod tests {
                 let mut obj = Objective::new(&inst, &nodes);
                 obj.sum_objective = sum_objective;
                 let mut st = OrderState::new(&obj, (0..nodes.len()).collect());
+                assert_eq!(st.lost.is_some(), stencil_h < 2_000, "break: {stencil_h}");
                 let mut rng = StdRng::seed_from_u64(seed * 2 + sum_objective as u64);
                 for _ in 0..400 {
                     check_move(&mut st, &mut rng, &mut cov);
