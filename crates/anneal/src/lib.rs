@@ -106,22 +106,6 @@ impl Schedule {
             moves_per_temp,
         }
     }
-
-    /// A schedule sized for a problem with `n` elements: starting
-    /// temperature proportional to `scale`, `~120` temperature steps, and
-    /// `moves_factor·n` proposals per plateau.
-    pub fn sized(n: usize, scale: f64, moves_factor: usize) -> Self {
-        let t_start = scale.max(1e-3);
-        let t_end = t_start * 1e-5;
-        // alpha^steps = 1e-5 → steps ≈ 115 for alpha = 0.905
-        Schedule::geometric(t_start, 0.905, t_end, moves_factor.max(1) * n.max(1))
-    }
-
-    /// Total number of proposals this schedule will make.
-    pub fn total_moves(&self) -> usize {
-        let steps = ((self.t_end / self.t_start).ln() / self.alpha.ln()).ceil() as usize + 1;
-        steps * self.moves_per_temp
-    }
 }
 
 /// Statistics of a finished annealing run.
@@ -150,11 +134,6 @@ impl Annealer {
     /// Creates a driver with a cooling schedule and RNG seed.
     pub fn new(schedule: Schedule, seed: u64) -> Self {
         Annealer { schedule, seed }
-    }
-
-    /// The configured schedule.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
     }
 
     /// Runs the annealing loop on `state`. On return, `state` holds the
@@ -307,14 +286,6 @@ mod tests {
         let stats = Annealer::new(Schedule::geometric(1.0, 0.5, 0.1, 10), 0).run(&mut s);
         assert_eq!(stats.proposed, 0);
         assert_eq!(stats.best_energy, 1.0);
-    }
-
-    #[test]
-    fn schedule_validation_and_sizing() {
-        let s = Schedule::sized(100, 50.0, 8);
-        assert!(s.t_start > 0.0 && s.t_end < s.t_start);
-        assert_eq!(s.moves_per_temp, 800);
-        assert!(s.total_moves() > 0);
     }
 
     #[test]

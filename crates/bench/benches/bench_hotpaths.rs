@@ -7,7 +7,7 @@
 //! measures the shelf engine's SA move (`OrderState`, `ShelfCursor`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eblow_core::baselines::{sa_2d, Sa2dConfig};
+use eblow_core::baselines::sa_2d;
 use eblow_core::oned::{
     successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem, ProbedRow, RoundingConfig,
     RowBase, WidthScratch,
@@ -160,7 +160,7 @@ fn bench_hotpaths(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpaths_2m");
     group.sample_size(3);
     group.bench_function("sa_2d_anneal_2m4", |b| {
-        b.iter(|| black_box(sa_2d(&inst, &Sa2dConfig::default()).unwrap().total_time))
+        b.iter(|| black_box(sa_2d(&inst).unwrap().total_time))
     });
     group.finish();
 }

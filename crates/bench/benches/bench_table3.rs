@@ -20,11 +20,7 @@ fn bench_table3(c: &mut Criterion) {
         b.iter(|| greedy_1d(black_box(&d1)).unwrap().total_time)
     });
     group.bench_function("1D-1/heur24", |b| {
-        b.iter(|| {
-            heuristic_1d(black_box(&d1), &Default::default())
-                .unwrap()
-                .total_time
-        })
+        b.iter(|| heuristic_1d(black_box(&d1)).unwrap().total_time)
     });
     group.bench_function("1D-1/row25", |b| {
         b.iter(|| row_heuristic_1d(black_box(&d1)).unwrap().total_time)

@@ -1,8 +1,9 @@
 //! Table 4 benchmark: 2DOSP planner runtimes (the CPU(s) column), plus the
 //! clustering-ablation runtime comparison. The paper attributes a ~28×
 //! SA\[24\]/E-BLOW gap to clustering; `eblow-eval table4` measures about
-//! 1.2×, because above 400 nodes both planners anneal on the shelf engine
-//! and neither pays \[24\]'s `O(n²)` sequence-pair evaluation per move.
+//! 0.9× (0.86–0.89 over three runs on a 2-core VM), because above 400
+//! nodes both planners anneal on the shelf engine and neither pays
+//! \[24\]'s `O(n²)` sequence-pair evaluation per move.
 //! Uses a reduced-size 2D workload so criterion can sample.
 
 use criterion::{criterion_group, criterion_main, Criterion};

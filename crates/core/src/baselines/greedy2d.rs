@@ -14,7 +14,9 @@ use std::time::Instant;
 ///
 /// # Errors
 ///
-/// Never fails today; the `Result` mirrors the other planners' APIs.
+/// As [`Eblow2d::plan`](crate::twod::Eblow2d::plan): a row-structured
+/// instance with a stencil side above
+/// [`Stencil::MAX_2D_SIDE`](eblow_model::Stencil::MAX_2D_SIDE) is refused.
 pub fn greedy_2d(instance: &Instance) -> Result<Plan2d, ModelError> {
     greedy_2d_with_stop(instance, StopFlag::NEVER)
 }
@@ -24,9 +26,10 @@ pub fn greedy_2d(instance: &Instance) -> Result<Plan2d, ModelError> {
 ///
 /// # Errors
 ///
-/// Never fails today; the `Result` mirrors the other planners' APIs.
+/// As [`greedy_2d`].
 pub fn greedy_2d_with_stop(instance: &Instance, stop: StopFlag<'_>) -> Result<Plan2d, ModelError> {
     let started = Instant::now();
+    instance.stencil().check_2d()?;
     let w = instance.stencil().width() as i64;
     let h = instance.stencil().height() as i64;
 

@@ -12,10 +12,10 @@
 //!
 //! The paper's Table 3 has \[24\] about 22× slower than E-BLOW. Here it is
 //! the other way round: `eblow-eval table3` measures a Heur\[24\]/E-BLOW
-//! CPU ratio of about 0.08 on a 2-core VM. A sweep prices each of its
-//! `O(k²)` candidate reversals in `O(1)` off prefix sums of the chain's
-//! overlaps, and the framework solves no LP, while E-BLOW spends nearly all
-//! its time in successive rounding, one LP per iteration.
+//! CPU ratio of 0.23–0.25 over three runs on a 2-core VM. A sweep prices
+//! each of its `O(k²)` candidate reversals in `O(1)` off prefix sums of the
+//! chain's overlaps, and the framework solves no LP, while E-BLOW spends
+//! nearly all its time in successive rounding, one LP per iteration.
 
 use crate::cancel::StopFlag;
 use crate::oned::finish_plan;
@@ -24,36 +24,22 @@ use crate::Plan1d;
 use eblow_model::{overlap, CharId, Instance, ModelError, Placement1d, Row};
 use std::time::Instant;
 
-/// Tunables for the \[24\]-style heuristic.
-#[derive(Debug, Clone, Copy)]
-pub struct Heuristic1dConfig {
-    /// 2-opt improvement sweeps per row.
-    pub two_opt_sweeps: usize,
-    /// Global selection/ordering repair rounds.
-    pub repair_rounds: usize,
-    /// Ordering restarts per row, each a nearest-neighbour chain polished
-    /// by up to `two_opt_sweeps` sweeps (the per-row solver the paper
-    /// contrasts E-BLOW's closed-form refinement against).
-    pub restarts: usize,
-}
-
-impl Default for Heuristic1dConfig {
-    fn default() -> Self {
-        Heuristic1dConfig {
-            two_opt_sweeps: 24,
-            repair_rounds: 3,
-            restarts: 8,
-        }
-    }
-}
+/// 2-opt improvement sweeps per row.
+const TWO_OPT_SWEEPS: usize = 24;
+/// Global selection/ordering repair rounds.
+const REPAIR_ROUNDS: usize = 3;
+/// Ordering restarts per row, each a nearest-neighbour chain polished by up
+/// to [`TWO_OPT_SWEEPS`] sweeps (the per-row solver the paper contrasts
+/// E-BLOW's closed-form refinement against).
+const RESTARTS: usize = 8;
 
 /// Plans a 1D stencil with the two-step framework of \[24\].
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::NotRowStructured`] for 2D instances.
-pub fn heuristic_1d(instance: &Instance, config: &Heuristic1dConfig) -> Result<Plan1d, ModelError> {
-    heuristic_1d_with_stop(instance, config, StopFlag::NEVER)
+pub fn heuristic_1d(instance: &Instance) -> Result<Plan1d, ModelError> {
+    heuristic_1d_with_stop(instance, StopFlag::NEVER)
 }
 
 /// Like [`heuristic_1d`], but polls `stop` around the expensive per-row
@@ -62,7 +48,6 @@ pub fn heuristic_1d(instance: &Instance, config: &Heuristic1dConfig) -> Result<P
 /// blank-descending order for the rest; the result still validates.
 pub fn heuristic_1d_with_stop(
     instance: &Instance,
-    config: &Heuristic1dConfig,
     stop: StopFlag<'_>,
 ) -> Result<Plan1d, ModelError> {
     let started = Instant::now();
@@ -130,14 +115,14 @@ pub fn heuristic_1d_with_stop(
         rows.push(Row::from_order(order_row(
             instance,
             set,
-            config.two_opt_sweeps,
-            config.restarts,
+            TWO_OPT_SWEEPS,
+            RESTARTS,
             stop,
         )));
     }
 
     // ---- repair: enforce true widths, then greedy top-up ----------------
-    for _ in 0..config.repair_rounds {
+    for _ in 0..REPAIR_ROUNDS {
         let mut moved = false;
         for r in 0..num_rows {
             while rows[r].checked_width(instance).is_none_or(|x| x > w) && !rows[r].is_empty() {
@@ -530,7 +515,7 @@ mod tests {
     #[test]
     fn heuristic_plan_is_valid() {
         let inst = eblow_gen::generate(&GenConfig::tiny_1d(31));
-        let plan = heuristic_1d(&inst, &Heuristic1dConfig::default()).unwrap();
+        let plan = heuristic_1d(&inst).unwrap();
         plan.placement.validate(&inst).unwrap();
         assert!(plan.selection.count() > 0);
     }
@@ -552,7 +537,7 @@ mod tests {
         let mut eblow_wins = 0;
         for seed in [41u64, 42, 43] {
             let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
-            let h = heuristic_1d(&inst, &Heuristic1dConfig::default()).unwrap();
+            let h = heuristic_1d(&inst).unwrap();
             let e = crate::oned::Eblow1d::default().plan(&inst).unwrap();
             if e.total_time <= h.total_time {
                 eblow_wins += 1;

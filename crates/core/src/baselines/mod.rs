@@ -6,7 +6,9 @@
 //!   first (knapsack-style on aggregate capacity), then per-row ordering by
 //!   a travelling-salesman-flavoured chain heuristic with 2-opt passes.
 //!   The paper reports it ~22× slower than E-BLOW; here each reversal is
-//!   priced in `O(1)` and it runs in about a tenth of E-BLOW's time.
+//!   priced in `O(1)` and it runs in about a quarter of E-BLOW's time
+//!   (`eblow-eval table3` CPU ratio 0.23–0.25 over three runs on a 2-core
+//!   VM).
 //! * [`row_heuristic_1d`] — a deterministic row-structure approach in the
 //!   spirit of Kuang & Young \[25\]: density-sorted row fill under the exact
 //!   Lemma 1 capacity, blank-descending in-row order, and a greedy top-up.
@@ -19,7 +21,8 @@
 //!   as E-BLOW but with no pre-filter and no clustering (every candidate is
 //!   its own node). The paper reports it ~28× slower at 4000 candidates;
 //!   here both anneal on the shelf engine above 400 nodes, and it runs in
-//!   about 1.2× E-BLOW's time.
+//!   about 0.9× E-BLOW's time (`eblow-eval table4` CPU ratio 0.86–0.89
+//!   over three runs on a 2-core VM).
 
 mod greedy1d;
 mod greedy2d;
@@ -29,6 +32,6 @@ mod sa2d;
 
 pub use greedy1d::{greedy_1d, greedy_1d_with_stop};
 pub use greedy2d::{greedy_2d, greedy_2d_with_stop};
-pub use heuristic1d::{heuristic_1d, heuristic_1d_with_stop, Heuristic1dConfig};
+pub use heuristic1d::{heuristic_1d, heuristic_1d_with_stop};
 pub use rowheur::{row_heuristic_1d, row_heuristic_1d_with_stop};
-pub use sa2d::{sa_2d, sa_2d_with_stop, Sa2dConfig};
+pub use sa2d::{sa_2d, sa_2d_with_stop};

@@ -2,29 +2,9 @@
 //! packing of **every** candidate, with no pre-filter and no clustering.
 
 use crate::cancel::StopFlag;
-use crate::twod::{Eblow2d, Eblow2dConfig, PackEngine};
+use crate::twod::{Eblow2d, Eblow2dConfig};
 use crate::Plan2d;
 use eblow_model::{Instance, ModelError};
-
-/// Tunables for the \[24\]-style 2D baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct Sa2dConfig {
-    /// SA proposals per temperature = `moves_factor × nodes`. \[24\] needs a
-    /// larger budget than E-BLOW because its node count is the full
-    /// candidate set.
-    pub moves_factor: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Sa2dConfig {
-    fn default() -> Self {
-        Sa2dConfig {
-            moves_factor: 4,
-            seed: 0x24,
-        }
-    }
-}
 
 /// Plans a 2D stencil with the \[24\]-style SA floorplanner.
 ///
@@ -44,24 +24,21 @@ impl Default for Sa2dConfig {
 ///
 /// # Errors
 ///
-/// Never fails today; the `Result` mirrors the other planners' APIs.
-pub fn sa_2d(instance: &Instance, config: &Sa2dConfig) -> Result<Plan2d, ModelError> {
-    sa_2d_with_stop(instance, config, StopFlag::NEVER)
+/// As [`Eblow2d::plan`].
+pub fn sa_2d(instance: &Instance) -> Result<Plan2d, ModelError> {
+    sa_2d_with_stop(instance, StopFlag::NEVER)
 }
 
 /// Like [`sa_2d`], but polls `stop` inside the SA loop (the dominant cost
 /// of this baseline) and returns the best incumbent packing on cancellation.
-pub fn sa_2d_with_stop(
-    instance: &Instance,
-    config: &Sa2dConfig,
-    stop: StopFlag<'_>,
-) -> Result<Plan2d, ModelError> {
+pub fn sa_2d_with_stop(instance: &Instance, stop: StopFlag<'_>) -> Result<Plan2d, ModelError> {
     let planner = Eblow2d::new(Eblow2dConfig {
         prefilter_factor: f64::MAX, // keep everything
         clustering: false,
-        engine: PackEngine::Auto,
-        moves_factor: config.moves_factor,
-        seed: config.seed,
+        // [24] needs a larger budget than E-BLOW because its node count is
+        // the full candidate set.
+        moves_factor: 4,
+        seed: 0x24,
         sum_objective: true, // [24] optimizes total, not maximal, time
         ..Default::default()
     });
@@ -76,7 +53,7 @@ mod tests {
     #[test]
     fn sa_2d_is_valid() {
         let inst = eblow_gen::generate(&GenConfig::tiny_2d(81));
-        let plan = sa_2d(&inst, &Sa2dConfig::default()).unwrap();
+        let plan = sa_2d(&inst).unwrap();
         plan.placement.validate(&inst).unwrap();
         assert!(plan.selection.count() > 0);
     }
@@ -86,7 +63,7 @@ mod tests {
         // E-BLOW (clustered) should produce comparable-or-better writing
         // time; runtime comparison is exercised in the benches.
         let inst = eblow_gen::generate(&GenConfig::tiny_2d(82));
-        let base = sa_2d(&inst, &Sa2dConfig::default()).unwrap();
+        let base = sa_2d(&inst).unwrap();
         let eblow = crate::twod::Eblow2d::default().plan(&inst).unwrap();
         assert!(
             (eblow.total_time as f64) <= base.total_time as f64 * 1.3 + 10.0,

@@ -196,11 +196,8 @@ pub fn solve_ilp_1d(instance: &Instance, time_limit: Duration) -> Result<IlpOutc
             v
         });
 
-    let sol = BranchBound::new(MilpConfig {
-        time_limit,
-        ..Default::default()
-    })
-    .solve_with_incumbent(&lp, &integers, seed.as_deref());
+    let solver = BranchBound::new(MilpConfig { time_limit });
+    let sol = solver.solve_with_incumbent(&lp, &integers, seed.as_deref());
 
     let mut outcome = IlpOutcome {
         status: sol.status,
@@ -417,11 +414,8 @@ pub fn solve_ilp_2d(instance: &Instance, time_limit: Duration) -> IlpOutcome {
             v
         });
 
-    let sol = BranchBound::new(MilpConfig {
-        time_limit,
-        ..Default::default()
-    })
-    .solve_with_incumbent(&lp, &integers, seed.as_deref());
+    let solver = BranchBound::new(MilpConfig { time_limit });
+    let sol = solver.solve_with_incumbent(&lp, &integers, seed.as_deref());
 
     let mut outcome = IlpOutcome {
         status: sol.status,

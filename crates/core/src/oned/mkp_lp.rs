@@ -76,13 +76,12 @@ impl MkpItem {
 /// Cross-solve warm-start state for [`solve_mkp_lp_warm`] (and the
 /// [`LpOracle::solve_lp_warm`](super::LpOracle::solve_lp_warm) seam).
 ///
-/// Carries the previous solve's density order (as `char_index` values) and
-/// its final `B_j` fixed point, plus the internal scratch buffers of the
-/// seeded sort. Successive-rounding iterations shrink the item set and
-/// re-price profits only *slightly* between solves, so the previous order
-/// is nearly sorted for the next solve — seeding the (adaptive) sort with
-/// it turns the per-iteration `O(k log k)` ordering into `O(k)` in the
-/// common case.
+/// Carries the previous solve's density order (as `char_index` values),
+/// plus the internal scratch buffers of the seeded sort. Successive-rounding
+/// iterations shrink the item set and re-price profits only *slightly*
+/// between solves, so the previous order is nearly sorted for the next
+/// solve — seeding the (adaptive) sort with it turns the per-iteration
+/// `O(k log k)` ordering into `O(k)` in the common case.
 ///
 /// A hint never changes a solution: the seeded sort uses the same strict
 /// total order (density descending, `char_index` ascending) as the cold
@@ -92,9 +91,6 @@ impl MkpItem {
 pub struct LpHint {
     /// Previous density order, as `char_index` values.
     order: Vec<usize>,
-    /// Previous solve's final `B_j` estimates (advisory: a backend may use
-    /// them only where the exact-solution invariant survives).
-    blanks: Vec<u64>,
     /// Epoch-stamped `char_index → item` map (`lut[ci] = (epoch, k)`).
     lut: Vec<(u32, u32)>,
     epoch: u32,
@@ -110,23 +106,10 @@ impl LpHint {
         &self.order
     }
 
-    /// The final `B_j` estimates of the most recent solve.
-    ///
-    /// Observability / future-backend state: the combinatorial solver
-    /// *records* its fixed point here but deliberately does not seed the
-    /// next solve from it — starting the monotone `B_j` iteration above
-    /// the cold base can land on a different fixed point, which would
-    /// break the warm ≡ cold contract. A backend may consume it only
-    /// where that exactness invariant survives.
-    pub fn blanks(&self) -> &[u64] {
-        &self.blanks
-    }
-
     /// Forgets the carried state (next solve runs cold). The scratch
     /// allocations are kept.
     pub fn clear(&mut self) {
         self.order.clear();
-        self.blanks.clear();
     }
 
     /// Fills `out` with the positive-profit item indices in density order,
@@ -177,13 +160,11 @@ impl LpHint {
         });
     }
 
-    /// Records this solve's order and blanks for the next one.
-    fn record(&mut self, items: &[MkpItem], order: &[usize], blanks: &[u64]) {
+    /// Records this solve's order for the next one.
+    fn record(&mut self, items: &[MkpItem], order: &[usize]) {
         self.order.clear();
         self.order
             .extend(order.iter().map(|&k| items[k].char_index));
-        self.blanks.clear();
-        self.blanks.extend_from_slice(blanks);
     }
 }
 
@@ -322,7 +303,7 @@ pub fn solve_mkp_lp_warm(
         }
         blanks = new_blanks;
     }
-    hint.record(items, &order, &blanks);
+    hint.record(items, &order);
     finish(items, fracs, blanks)
 }
 
@@ -541,7 +522,6 @@ mod tests {
             assert_eq!(warm.blanks, cold.blanks, "round {round}");
             assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
             assert!(!hint.order().is_empty(), "hint carries the density order");
-            assert_eq!(hint.blanks(), &warm.blanks[..]);
             // Commit every third item: shrink the set, bump a row base,
             // and jitter the survivors' profits (re-pricing).
             let mut k = 0usize;

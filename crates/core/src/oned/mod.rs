@@ -55,9 +55,8 @@ pub struct Eblow1dConfig {
     pub refine_threshold: usize,
     /// Enable Algorithm 2 (disabled in the E-BLOW-0 ablation).
     pub fast_ilp: bool,
-    /// Enable the post-swap stage.
-    pub post_swap: bool,
-    /// Enable the post-insertion stage (disabled in E-BLOW-0).
+    /// Enable the post-insertion stage (disabled in E-BLOW-0). Post-swap
+    /// always runs.
     pub post_insertion: bool,
     /// The LP relaxation backend used by Algorithms 1 and 2 (shared across
     /// racing planner threads; default: [`CombinatorialOracle`]).
@@ -72,7 +71,6 @@ impl Default for Eblow1dConfig {
             post: PostConfig::default(),
             refine_threshold: 20,
             fast_ilp: true,
-            post_swap: true,
             post_insertion: true,
             oracle: Arc::new(CombinatorialOracle),
         }
@@ -194,7 +192,7 @@ impl Eblow1d {
 
     /// Stages 3–6 on a rounding of `instance` from [`Eblow1d::round`]:
     /// fast ILP convergence (Algorithm 2) when `fast_ilp` is on, refinement
-    /// (Algorithm 3), then post-swap and post-insertion as configured.
+    /// (Algorithm 3), post-swap, then post-insertion when configured.
     /// Polls `stop` like [`Eblow1d::plan_with_stop`]; the returned
     /// placement always validates, and its `elapsed` counts from the start
     /// of the rounding.
@@ -286,7 +284,7 @@ impl Eblow1d {
         // Stage 5: post-swap (skipped when cancelled — the plan is already
         // valid at this point, the post stages only improve it; mid-stage
         // cancellation is handled inside via per-candidate polls).
-        if self.config.post_swap && !stop.is_set() {
+        if !stop.is_set() {
             let _span = eblow_trace::span("eblow1d.post_swap");
             post_swap(
                 instance,
@@ -420,7 +418,7 @@ mod tests {
     #[test]
     fn simplex_backend_plans_validly() {
         let inst = eblow_gen::generate(&GenConfig::tiny_1d(2));
-        let cfg = Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default()));
+        let cfg = Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle));
         let plan = Eblow1d::new(cfg).plan(&inst).unwrap();
         plan.placement.validate(&inst).unwrap();
         assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));

@@ -26,8 +26,8 @@
 //! [`LpHint`](super::LpHint)-carrying variant whose contract is "same
 //! solution, cheaper solve". The combinatorial backend seeds its density
 //! sort with the previous iteration's order (adaptive sorting makes the
-//! nearly-sorted case ~linear) and records its `B_j` fixed point; the
-//! simplex backend falls back to the cold solve.
+//! nearly-sorted case ~linear); the simplex backend falls back to the cold
+//! solve.
 //!
 //! ## Backend agreement
 //!
@@ -55,7 +55,7 @@ pub enum OracleError {
     TooLarge {
         /// `items.len() * base.len()` of the refused instance.
         cells: usize,
-        /// The backend's configured cutoff.
+        /// The backend's cutoff.
         limit: usize,
     },
     /// The backend ran but did not produce an optimal solution (e.g. the
@@ -111,8 +111,8 @@ pub trait LpOracle: fmt::Debug + Send + Sync {
 
     /// Warm-started [`solve_lp`](LpOracle::solve_lp): `hint` carries state
     /// from the previous solve of a shrinking sequence (successive
-    /// rounding's per-iteration LPs) — the density order and the `B_j`
-    /// fixed point for the combinatorial backend.
+    /// rounding's per-iteration LPs) — the density order for the
+    /// combinatorial backend.
     ///
     /// **Contract:** the solution must be *identical* to `solve_lp` on the
     /// same inputs; a hint may only change how fast the solve runs, never
@@ -176,21 +176,15 @@ impl LpOracle for CombinatorialOracle {
 /// [`eblow_lp::LpProblem`] with `a_ij ∈ [0, 1]` and per-row blank variables
 /// `B_j`, solved exactly by the two-phase simplex.
 ///
-/// The tableau is dense in `items × rows`, so instances above
-/// [`SimplexOracle::max_cells`] are refused with
-/// [`OracleError::TooLarge`] — use the combinatorial backend beyond that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimplexOracle {
-    /// Maximum `items × rows` cells accepted (default 2 500: ≈ milliseconds
-    /// per solve; the dense tableau grows quadratically past this).
-    pub max_cells: usize,
-}
+/// The tableau is dense in `items × rows`, so instances above 2 500 cells
+/// (≈ milliseconds per solve; the tableau grows quadratically past that)
+/// are refused with [`OracleError::TooLarge`] — use the combinatorial
+/// backend beyond that.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimplexOracle;
 
-impl Default for SimplexOracle {
-    fn default() -> Self {
-        SimplexOracle { max_cells: 2_500 }
-    }
-}
+/// The largest `items × rows` cell count [`SimplexOracle`] solves.
+const SIMPLEX_MAX_CELLS: usize = 2_500;
 
 impl LpOracle for SimplexOracle {
     fn name(&self) -> &'static str {
@@ -198,7 +192,7 @@ impl LpOracle for SimplexOracle {
     }
 
     fn max_cells(&self) -> Option<usize> {
-        Some(self.max_cells)
+        Some(SIMPLEX_MAX_CELLS)
     }
 
     fn solve_lp(
@@ -208,10 +202,10 @@ impl LpOracle for SimplexOracle {
         stencil_w: u64,
     ) -> Result<MkpLpSolution, OracleError> {
         let cells = items.len() * base.len();
-        if cells > self.max_cells {
+        if cells > SIMPLEX_MAX_CELLS {
             return Err(OracleError::TooLarge {
                 cells,
-                limit: self.max_cells,
+                limit: SIMPLEX_MAX_CELLS,
             });
         }
 
@@ -289,7 +283,6 @@ impl LpOracle for SimplexOracle {
         let pivot_cap = 12 * (lp.num_vars() + lp.num_rows()) + 500;
         let sol = Simplex::new(SimplexConfig {
             max_iters: Some(pivot_cap),
-            ..Default::default()
         })
         .solve(&lp);
         if sol.status != LpStatus::Optimal {
@@ -365,9 +358,7 @@ mod tests {
             .collect();
         let base = vec![RowBase::default(); 3];
         let comb = CombinatorialOracle.solve_lp(&items, &base, 70).unwrap();
-        let simp = SimplexOracle::default()
-            .solve_lp(&items, &base, 70)
-            .unwrap();
+        let simp = SimplexOracle.solve_lp(&items, &base, 70).unwrap();
         let scale = comb.objective.abs().max(1.0);
         assert!(
             (comb.objective - simp.objective).abs() <= 1e-6 * scale,
@@ -386,9 +377,7 @@ mod tests {
         let items = vec![item(0, 30, 20, 100.0), item(1, 30, 2, 99.0)];
         let base = vec![RowBase::default()];
         let comb = CombinatorialOracle.solve_lp(&items, &base, 62).unwrap();
-        let simp = SimplexOracle::default()
-            .solve_lp(&items, &base, 62)
-            .unwrap();
+        let simp = SimplexOracle.solve_lp(&items, &base, 62).unwrap();
         assert!(
             simp.objective >= comb.objective - 1e-9,
             "simplex {} below combinatorial {}",
@@ -401,18 +390,16 @@ mod tests {
     #[test]
     fn simplex_refuses_oversized_instances() {
         let items: Vec<MkpItem> = (0..100).map(|i| item(i, 10, 2, 1.0)).collect();
-        let base = vec![RowBase::default(); 40];
-        let err = SimplexOracle { max_cells: 1000 }
-            .solve_lp(&items, &base, 100)
-            .unwrap_err();
+        let base = vec![RowBase::default(); 26];
+        let err = SimplexOracle.solve_lp(&items, &base, 100).unwrap_err();
         assert_eq!(
             err,
             OracleError::TooLarge {
-                cells: 4000,
-                limit: 1000
+                cells: 2600,
+                limit: 2500
             }
         );
-        assert_eq!(SimplexOracle { max_cells: 1000 }.max_cells(), Some(1000));
+        assert_eq!(SimplexOracle.max_cells(), Some(2500));
     }
 
     #[test]
@@ -423,9 +410,7 @@ mod tests {
             eff_used: 70,
             max_blank: 8,
         }];
-        let sol = SimplexOracle::default()
-            .solve_lp(&items, &base, 100)
-            .unwrap();
+        let sol = SimplexOracle.solve_lp(&items, &base, 100).unwrap();
         // cap = 100 − 70 − 8 = 22 < 40 → only a fraction fits.
         assert!(sol.max_frac[0] > 0.0 && sol.max_frac[0] < 1.0);
         assert!(feasible(&items, &base, 100, &sol));
@@ -443,9 +428,7 @@ mod tests {
             },
             RowBase::default(),
         ];
-        let sol = SimplexOracle::default()
-            .solve_lp(&items, &base, 100)
-            .unwrap();
+        let sol = SimplexOracle.solve_lp(&items, &base, 100).unwrap();
         assert!(sol.fracs[0].iter().all(|&(j, _)| j == 1));
         assert!((sol.max_frac[0] - 1.0).abs() < 1e-9);
     }
@@ -453,7 +436,7 @@ mod tests {
     #[test]
     fn oracle_names_and_errors_display() {
         assert_eq!(CombinatorialOracle.name(), "combinatorial");
-        assert_eq!(SimplexOracle::default().name(), "simplex");
+        assert_eq!(SimplexOracle.name(), "simplex");
         assert!(CombinatorialOracle.max_cells().is_none());
         let msg = OracleError::TooLarge {
             cells: 10,

@@ -106,12 +106,6 @@ impl RowState {
         }
     }
 
-    /// Whether a character with effective width `eff` and blank `s` fits
-    /// under the S-Blank capacity model.
-    pub fn fits(&self, eff: u64, blank: u64, stencil_w: u64) -> bool {
-        self.estimate_with(eff, blank) <= u128::from(stencil_w)
-    }
-
     /// The S-Blank estimate with one more character, exact past `u64`.
     fn estimate_with(&self, eff: u64, blank: u64) -> u128 {
         u128::from(self.eff_used) + u128::from(eff) + u128::from(self.max_blank.max(blank))

@@ -4,10 +4,10 @@
 //! characters ──► pre-filter ──► KD-tree clustering ──► SA packing ──► 2D stencil
 //! ```
 //!
-//! The SA stage runs on one of two engines: the faithful sequence-pair
-//! floorplanner (`O(n²)` per move, as in \[24\]/Parquet) for moderate node
-//! counts, or the scalable overlap-aware shelf engine for the large MCC
-//! cases. [`PackEngine::Auto`] picks by node count. A shelf-engine move
+//! The SA stage runs on one of two engines, picked by node count: the
+//! faithful sequence-pair floorplanner (`O(n²)` per move, as in
+//! \[24\]/Parquet) up to 400 nodes, and the scalable overlap-aware shelf
+//! engine for the larger MCC cases. A shelf-engine move
 //! costs what the swap can change: it re-packs from the shelf holding the
 //! earlier swapped position until its shelves realign with the packing
 //! before the move or the stencil is full, and a rejected move is undone
@@ -37,17 +37,12 @@ static ANNEAL_MOVES: trace::Counter = trace::Counter::new("anneal.moves");
 /// `anneal.shelf_steps ÷ anneal.moves` is the mean re-pack length.
 static ANNEAL_SHELF_STEPS: trace::Counter = trace::Counter::new("anneal.shelf_steps");
 
-/// Which packing engine the SA stage uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackEngine {
-    /// Sequence pair below [`Eblow2dConfig::seqpair_threshold`] nodes,
-    /// shelf engine above.
-    Auto,
-    /// Always the sequence-pair engine.
-    SeqPair,
-    /// Always the shelf engine.
-    Skyline,
-}
+/// The largest node count annealed on the sequence-pair engine; larger
+/// node sets anneal on the shelf engine.
+const SEQPAIR_MAX_NODES: usize = 400;
+
+/// SA cooling factor per plateau.
+const COOLING: f64 = 0.8;
 
 /// Configuration of the 2D pipeline.
 #[derive(Debug, Clone)]
@@ -58,15 +53,8 @@ pub struct Eblow2dConfig {
     pub clustering: bool,
     /// Similarity tolerance of rule (8) (paper: 0.2).
     pub cluster_bound: f64,
-    /// Engine selection policy.
-    pub engine: PackEngine,
-    /// Auto-engine cutover point (node count).
-    pub seqpair_threshold: usize,
     /// SA proposals per temperature = `moves_factor × nodes`.
     pub moves_factor: usize,
-    /// SA cooling factor per plateau, in `(0, 1)`. Any other value, NaN
-    /// included, falls back to the default 0.8.
-    pub alpha: f64,
     /// RNG seed for the annealer.
     pub seed: u64,
     /// Optimize the sum of region times instead of the maximum (the \[24\]
@@ -80,10 +68,7 @@ impl Default for Eblow2dConfig {
             prefilter_factor: 1.3,
             clustering: true,
             cluster_bound: 0.2,
-            engine: PackEngine::Auto,
-            seqpair_threshold: 400,
             moves_factor: 2,
-            alpha: 0.8,
             seed: 0xEB10,
             sum_objective: false,
         }
@@ -106,9 +91,11 @@ impl Eblow2d {
     ///
     /// # Errors
     ///
-    /// Currently infallible for any well-formed instance (row-structured
-    /// instances are planned as free-form 2D); the `Result` mirrors the 1D
-    /// API.
+    /// Returns [`ModelError::StencilTooLarge`] for a row-structured
+    /// instance with a stencil side above
+    /// [`Stencil::MAX_2D_SIDE`](eblow_model::Stencil::MAX_2D_SIDE); no
+    /// free-form stencil has one. Smaller row-structured instances are
+    /// planned as free-form 2D.
     pub fn plan(&self, instance: &Instance) -> Result<Plan2d, ModelError> {
         self.plan_with_stop(instance, StopFlag::NEVER)
     }
@@ -122,54 +109,48 @@ impl Eblow2d {
         stop: StopFlag<'_>,
     ) -> Result<Plan2d, ModelError> {
         let started = Instant::now();
+        instance.stencil().check_2d()?;
+        let nodes = self.pack_nodes(instance, stop);
+        let positions = self.anneal(instance, &nodes, stop);
+        let placement = place(instance, &nodes, &positions);
+        debug_assert!(placement.validate(instance).is_ok());
+        Ok(finish_plan_2d(instance, placement, started))
+    }
 
-        // Initial dynamic profits at the all-VSB point (Eqn. 6).
-        let rt = RegionTimes::new(instance);
-        let profits = rt.profits(instance);
-
-        // Stage 1: pre-filter.
+    /// Stages 1–2: the pre-filter on the initial dynamic profits at the
+    /// all-VSB point (Eqn. 6), then clustering when enabled. Clustering
+    /// polls `stop` between merge rounds, so a deadline raised during
+    /// clustering of a huge instance is honored before SA ever starts.
+    fn pack_nodes(&self, instance: &Instance, stop: StopFlag<'_>) -> Vec<PackNode> {
+        let profits = RegionTimes::new(instance).profits(instance);
         let kept = prefilter(instance, &profits, self.config.prefilter_factor);
-
-        // Stage 2: clustering (polls `stop` between merge rounds, so a
-        // deadline raised during clustering of a huge instance is honored
-        // before SA ever starts).
-        let nodes: Vec<PackNode> = if self.config.clustering {
+        if self.config.clustering {
             cluster_with_stop(instance, &kept, &profits, self.config.cluster_bound, stop)
         } else {
             kept.iter()
                 .map(|&i| PackNode::single(instance, eblow_model::CharId::from(i), profits[i]))
                 .collect()
-        };
-
-        // Stage 3: SA packing.
-        let positions = self.anneal(instance, &nodes, stop);
-
-        // Extract in-outline nodes into a character-level placement.
-        let w = instance.stencil().width() as i64;
-        let h = instance.stencil().height() as i64;
-        let mut placement = Placement2d::new();
-        for (k, pos) in positions.iter().enumerate() {
-            let Some((x, y)) = *pos else { continue };
-            let node = &nodes[k];
-            if x < 0 || y < 0 || x + (node.width as i64) > w || y + (node.height as i64) > h {
-                continue;
-            }
-            for &(id, dx, dy) in &node.members {
-                placement.push(PlacedChar {
-                    id,
-                    x: x + dx,
-                    y: y + dy,
-                });
-            }
         }
-        debug_assert!(placement.validate(instance).is_ok());
-        Ok(finish_plan_2d(instance, placement, started))
     }
 
+    /// Stage 3 on the engine the node count picks: the sequence pair up to
+    /// [`SEQPAIR_MAX_NODES`] nodes, the shelf engine above.
     fn anneal(
         &self,
         instance: &Instance,
         nodes: &[PackNode],
+        stop: StopFlag<'_>,
+    ) -> Vec<Option<(i64, i64)>> {
+        self.anneal_on(instance, nodes, nodes.len() <= SEQPAIR_MAX_NODES, stop)
+    }
+
+    /// Anneals `nodes` on the sequence-pair engine (`seqpair`) or the shelf
+    /// engine, returning each node's final position (`None`: unplaced).
+    fn anneal_on(
+        &self,
+        instance: &Instance,
+        nodes: &[PackNode],
+        seqpair: bool,
         stop: StopFlag<'_>,
     ) -> Vec<Option<(i64, i64)>> {
         if nodes.is_empty() {
@@ -189,12 +170,6 @@ impl Eblow2d {
             db.total_cmp(&da).then(a.cmp(&b))
         });
 
-        let use_seqpair = match self.config.engine {
-            PackEngine::SeqPair => true,
-            PackEngine::Skyline => false,
-            PackEngine::Auto => nodes.len() <= self.config.seqpair_threshold,
-        };
-
         let scale = *instance.vsb_times().iter().max().unwrap_or(&1) as f64 * 0.05;
         // Cap the per-plateau budget so the largest MCC cases stay within
         // interactive runtimes (the shelf engine's O(n) evaluation already
@@ -206,18 +181,11 @@ impl Eblow2d {
             .max(1)
             .saturating_mul(nodes.len().max(1))
             .min(2000);
-        // A cooling factor outside (0, 1) would never cool (≥ 1) or would
-        // make no sense (≤ 0, NaN): `Schedule::geometric` rejects it.
-        let alpha = if self.config.alpha > 0.0 && self.config.alpha < 1.0 {
-            self.config.alpha
-        } else {
-            Eblow2dConfig::default().alpha
-        };
         let schedule =
-            Schedule::geometric(scale.max(1.0), alpha, (scale * 1e-5).max(1e-6), per_temp);
+            Schedule::geometric(scale.max(1.0), COOLING, (scale * 1e-5).max(1e-6), per_temp);
         let annealer = Annealer::new(schedule, self.config.seed);
 
-        let (positions, stats) = if use_seqpair {
+        let (positions, stats) = if seqpair {
             // Seed the sequence pair from the shelf packing of the greedy
             // order: Γ⁺ = shelves top-to-bottom, Γ⁻ = bottom-to-top.
             let pack = shelf_pack(
@@ -257,6 +225,28 @@ impl Eblow2d {
     }
 }
 
+/// The character-level placement of the annealed nodes that lie inside
+/// the outline.
+fn place(instance: &Instance, nodes: &[PackNode], positions: &[Option<(i64, i64)>]) -> Placement2d {
+    let w = instance.stencil().width() as i64;
+    let h = instance.stencil().height() as i64;
+    let mut placement = Placement2d::new();
+    for (node, pos) in nodes.iter().zip(positions) {
+        let Some((x, y)) = *pos else { continue };
+        if x < 0 || y < 0 || x + (node.width as i64) > w || y + (node.height as i64) > h {
+            continue;
+        }
+        for &(id, dx, dy) in &node.members {
+            placement.push(PlacedChar {
+                id,
+                x: x + dx,
+                y: y + dy,
+            });
+        }
+    }
+    placement
+}
+
 /// Builds a [`Plan2d`] from a finished placement (shared with baselines).
 pub(crate) fn finish_plan_2d(
     instance: &Instance,
@@ -291,18 +281,46 @@ mod tests {
         assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
     }
 
+    /// Both engines anneal the same nodes into valid placements, in the
+    /// same ballpark of writing time (they are different heuristics).
     #[test]
-    fn both_engines_produce_valid_plans() {
-        let inst = eblow_gen::generate(&GenConfig::tiny_2d(12));
-        for engine in [PackEngine::SeqPair, PackEngine::Skyline] {
-            let cfg = Eblow2dConfig {
-                engine,
-                ..Default::default()
-            };
-            let plan = Eblow2d::new(cfg).plan(&inst).unwrap();
-            plan.placement.validate(&inst).unwrap();
-            assert!(plan.selection.count() > 0, "{engine:?} placed nothing");
-        }
+    fn engines_agree_on_validity_and_rough_quality() {
+        let inst = eblow_gen::generate(&GenConfig::tiny_2d(9));
+        let planner = Eblow2d::default();
+        let nodes = planner.pack_nodes(&inst, StopFlag::NEVER);
+        let [sp, shelf] = [true, false].map(|seqpair| {
+            let positions = planner.anneal_on(&inst, &nodes, seqpair, StopFlag::NEVER);
+            let placement = place(&inst, &nodes, &positions);
+            placement.validate(&inst).unwrap();
+            assert!(!placement.is_empty(), "seqpair={seqpair} placed nothing");
+            placement.total_writing_time(&inst).max(1) as f64
+        });
+        assert!(
+            sp / shelf < 1.6 && shelf / sp < 1.6,
+            "engines diverge: {sp} vs {shelf}"
+        );
+    }
+
+    /// The node count picks the engine: the sequence pair gives every node
+    /// a position, while the shelf rule leaves what does not fit unplaced.
+    /// 100 nodes of 10 × 10 fill the 100 × 100 stencil, so the shelf
+    /// engine leaves some of 401 unplaced.
+    #[test]
+    fn sequence_pair_anneals_up_to_400_nodes() {
+        use eblow_model::{Character, Stencil};
+        use std::sync::atomic::AtomicBool;
+        let n = SEQPAIR_MAX_NODES + 1;
+        let chars = vec![Character::new(10, 10, [0; 4], 2).unwrap(); n];
+        let inst = Instance::new(Stencil::new(100, 100).unwrap(), chars, vec![vec![1]; n]).unwrap();
+        let nodes: Vec<PackNode> = (0..n)
+            .map(|i| PackNode::single(&inst, eblow_model::CharId::from(i), 1.0))
+            .collect();
+        let stop = AtomicBool::new(true);
+        let planner = Eblow2d::default();
+        let seqpair = planner.anneal(&inst, &nodes[..n - 1], StopFlag::new(&stop));
+        assert!(seqpair.iter().all(Option::is_some));
+        let shelf = planner.anneal(&inst, &nodes, StopFlag::new(&stop));
+        assert!(shelf.iter().any(Option::is_none));
     }
 
     #[test]
@@ -357,29 +375,6 @@ mod tests {
             .unwrap();
             plan.placement.validate(&inst).unwrap();
             assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
-        }
-    }
-
-    /// `Schedule::geometric` panics on an `alpha` outside (0, 1), or NaN;
-    /// the planner must fall back to the default cooling factor instead.
-    #[test]
-    fn out_of_range_alphas_still_plan_validly() {
-        let inst = eblow_gen::generate(&GenConfig::tiny_2d(17));
-        let default = Eblow2d::default().plan(&inst).unwrap();
-        for alpha in [0.0, 1.0, 1.5, -0.5, f64::NAN] {
-            let plan = Eblow2d::new(Eblow2dConfig {
-                alpha,
-                ..Default::default()
-            })
-            .plan(&inst)
-            .unwrap();
-            plan.placement.validate(&inst).unwrap();
-            assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
-            assert_eq!(
-                plan.placement.placed(),
-                default.placement.placed(),
-                "alpha {alpha}"
-            );
         }
     }
 

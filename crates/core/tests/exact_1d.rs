@@ -2,7 +2,7 @@
 //! subset brute force, the all-permutations row width, the 1D planners and
 //! the branch-and-bound ILP (3).
 
-use eblow_core::baselines::{greedy_1d, heuristic_1d, row_heuristic_1d, Heuristic1dConfig};
+use eblow_core::baselines::{greedy_1d, heuristic_1d, row_heuristic_1d};
 use eblow_core::ilp::solve_ilp_1d;
 use eblow_core::oned::{
     brute_force_min_width, solve_exact_1d, Eblow1d, Eblow1dConfig, SimplexOracle,
@@ -166,12 +166,12 @@ proptest! {
         let t = exact.plan.total_time;
         prop_assert_eq!(t, inst.total_writing_time(&exact.plan.selection));
 
-        let simplex = Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default()));
+        let simplex = Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle));
         let others = [
             ("eblow1d", Eblow1d::default().plan(&inst)),
             ("eblow1d-0", Eblow1d::new(Eblow1dConfig::eblow0()).plan(&inst)),
             ("eblow1d@simplex", Eblow1d::new(simplex).plan(&inst)),
-            ("heuristic1d", heuristic_1d(&inst, &Heuristic1dConfig::default())),
+            ("heuristic1d", heuristic_1d(&inst)),
             ("rowheur1d", row_heuristic_1d(&inst)),
             ("greedy1d", greedy_1d(&inst)),
         ];

@@ -154,7 +154,7 @@ proptest! {
         let w = inst.stencil().width();
 
         let comb = CombinatorialOracle.solve_lp(&items, &base, w).unwrap();
-        let simp = SimplexOracle::default().solve_lp(&items, &base, w).unwrap();
+        let simp = SimplexOracle.solve_lp(&items, &base, w).unwrap();
 
         let scale = comb.objective.abs().max(simp.objective.abs()).max(1.0);
         prop_assert!(

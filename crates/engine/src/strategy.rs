@@ -11,7 +11,7 @@ use crate::budget::Budget;
 use crate::outcome::{EngineError, PlanOutcome};
 use eblow_core::baselines::{
     greedy_1d_with_stop, greedy_2d_with_stop, heuristic_1d_with_stop, row_heuristic_1d_with_stop,
-    sa_2d_with_stop, Heuristic1dConfig, Sa2dConfig,
+    sa_2d_with_stop,
 };
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
 use eblow_core::oned::{solve_exact_1d, Eblow1d, Eblow1dConfig, SimplexOracle, EXACT_1D_MAX_CHARS};
@@ -101,7 +101,7 @@ impl Eblow1dStrategy {
     /// `supports`) instances beyond the simplex size cutoff.
     pub fn simplex() -> Self {
         Eblow1dStrategy {
-            config: Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default())),
+            config: Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle)),
             name: Some("eblow1d@simplex"),
             eblow0_finish: false,
         }
@@ -168,9 +168,7 @@ impl Strategy for Greedy1dStrategy {
 /// The two-step heuristic framework of \[24\] (selection + TSP-style row
 /// ordering with 2-opt improvement).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Heuristic1dStrategy {
-    config: Heuristic1dConfig,
-}
+pub struct Heuristic1dStrategy;
 
 impl Strategy for Heuristic1dStrategy {
     fn name(&self) -> &'static str {
@@ -180,7 +178,7 @@ impl Strategy for Heuristic1dStrategy {
         is_row_structured(instance)
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
-        let plan = heuristic_1d_with_stop(instance, &self.config, budget.stop_flag())?;
+        let plan = heuristic_1d_with_stop(instance, budget.stop_flag())?;
         Ok(PlanOutcome::from_1d(self.name(), plan))
     }
 }
@@ -311,9 +309,7 @@ impl Strategy for Greedy2dStrategy {
 
 /// The \[24\]-style SA floorplanner (no pre-filter, no clustering).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Sa2dStrategy {
-    config: Sa2dConfig,
-}
+pub struct Sa2dStrategy;
 
 impl Strategy for Sa2dStrategy {
     fn name(&self) -> &'static str {
@@ -323,7 +319,7 @@ impl Strategy for Sa2dStrategy {
         !is_row_structured(instance)
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
-        let plan = sa_2d_with_stop(instance, &self.config, budget.stop_flag())?;
+        let plan = sa_2d_with_stop(instance, budget.stop_flag())?;
         Ok(PlanOutcome::from_2d(self.name(), plan))
     }
 }
@@ -386,12 +382,12 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
         Arc::new(Eblow1dStrategy::simplex()),
-        Arc::new(Heuristic1dStrategy::default()),
+        Arc::new(Heuristic1dStrategy),
         Arc::new(RowHeuristic1dStrategy),
         Arc::new(Greedy1dStrategy),
         Arc::new(Exact1dStrategy),
         Arc::new(Eblow2dStrategy),
-        Arc::new(Sa2dStrategy::default()),
+        Arc::new(Sa2dStrategy),
     ]
 }
 

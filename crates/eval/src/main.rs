@@ -928,7 +928,7 @@ fn agree(tol: f64) {
         let comb_lp = CombinatorialOracle
             .solve_lp(&items, &rows, w)
             .expect("combinatorial never fails");
-        let simp_lp = SimplexOracle::default()
+        let simp_lp = SimplexOracle
             .solve_lp(&items, &rows, w)
             .expect("reference instances fit the simplex cutoff");
         let scale = comb_lp
@@ -941,10 +941,9 @@ fn agree(tol: f64) {
         let comb_plan = Eblow1d::default()
             .plan(inst)
             .expect("1D reference instance");
-        let simp_plan =
-            Eblow1d::new(Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default())))
-                .plan(inst)
-                .expect("1D reference instance");
+        let simp_plan = Eblow1d::new(Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle)))
+            .plan(inst)
+            .expect("1D reference instance");
         let mut ok = gap <= tol;
         for (backend, plan) in [("combinatorial", &comb_plan), ("simplex", &simp_plan)] {
             if let Err(e) = plan.placement.validate(inst) {

@@ -1,5 +1,5 @@
 use crate::problem::{LpProblem, LpStatus, Sense, VarId};
-use crate::simplex::{Simplex, SimplexConfig};
+use crate::simplex::Simplex;
 use std::time::{Duration, Instant};
 
 /// Configuration of the [`BranchBound`] MILP solver.
@@ -8,25 +8,21 @@ pub struct MilpConfig {
     /// Wall-clock budget. When exceeded, the best incumbent (if any) is
     /// returned with [`MilpStatus::TimedOut`] / [`MilpStatus::Feasible`].
     pub time_limit: Duration,
-    /// Maximum number of branch-and-bound nodes.
-    pub node_limit: usize,
-    /// Integrality tolerance: `x` counts as integral if within this of an
-    /// integer.
-    pub int_tol: f64,
-    /// Simplex configuration used for node relaxations.
-    pub simplex: SimplexConfig,
 }
 
 impl Default for MilpConfig {
     fn default() -> Self {
         MilpConfig {
             time_limit: Duration::from_secs(600),
-            node_limit: 10_000_000,
-            int_tol: 1e-6,
-            simplex: SimplexConfig::default(),
         }
     }
 }
+
+/// Maximum number of branch-and-bound nodes.
+const NODE_LIMIT: usize = 10_000_000;
+/// Integrality tolerance: `x` counts as integral if within this of an
+/// integer.
+const INT_TOL: f64 = 1e-6;
 
 /// Termination status of a MILP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,7 +132,7 @@ impl BranchBound {
     ) -> MilpSolution {
         let start = Instant::now();
         let minimize = problem.sense() == Sense::Minimize;
-        let simplex = Simplex::new(self.config.simplex);
+        let simplex = Simplex::default();
 
         // Internal convention: minimize `score` = objective if minimizing,
         // −objective if maximizing.
@@ -146,7 +142,7 @@ impl BranchBound {
         if let Some(seed) = initial {
             let integral = integers.iter().all(|v| {
                 let x = seed.get(v.index()).copied().unwrap_or(f64::NAN);
-                (x - x.round()).abs() <= self.config.int_tol
+                (x - x.round()).abs() <= INT_TOL
             });
             if integral && problem.is_feasible(seed, 1e-6) {
                 incumbent = Some((score(problem.objective_value(seed)), seed.to_vec()));
@@ -160,7 +156,7 @@ impl BranchBound {
 
         while let Some(node) = stack.pop() {
             if start.elapsed() > self.config.time_limit
-                || nodes >= self.config.node_limit
+                || nodes >= NODE_LIMIT
                 || stop.is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed))
             {
                 limit_hit = true;
@@ -215,7 +211,7 @@ impl BranchBound {
             for (rank, &v) in integers.iter().enumerate() {
                 let x = rel.values[v.index()];
                 let dist = (x - x.round()).abs();
-                if dist > self.config.int_tol {
+                if dist > INT_TOL {
                     let closeness = (x - x.floor() - 0.5).abs(); // 0 = most fractional
                     match branch {
                         Some((_, _, best_c)) if closeness >= best_c => {}
@@ -357,7 +353,6 @@ mod tests {
         }
         let cfg = MilpConfig {
             time_limit: Duration::from_micros(1),
-            ..Default::default()
         };
         let sol = BranchBound::new(cfg).solve(&lp, &vars);
         assert!(matches!(

@@ -1,33 +1,22 @@
 use crate::problem::{LpProblem, LpSolution, LpStatus, Relation, Sense};
 
-/// Tuning knobs for the [`Simplex`] solver.
-#[derive(Debug, Clone, Copy)]
+/// Configuration of the [`Simplex`] solver.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SimplexConfig {
-    /// Primal feasibility tolerance (phase-1 objective below this counts as
-    /// feasible).
-    pub feas_tol: f64,
-    /// Reduced-cost tolerance for optimality.
-    pub cost_tol: f64,
-    /// Minimum pivot magnitude.
-    pub pivot_tol: f64,
     /// Hard pivot limit; `None` derives `100·(m+n) + 1000` from the problem.
     pub max_iters: Option<usize>,
-    /// Switch from Dantzig to Bland's rule after this many consecutive
-    /// degenerate pivots (anti-cycling).
-    pub bland_after: usize,
 }
 
-impl Default for SimplexConfig {
-    fn default() -> Self {
-        SimplexConfig {
-            feas_tol: 1e-7,
-            cost_tol: 1e-7,
-            pivot_tol: 1e-9,
-            max_iters: None,
-            bland_after: 64,
-        }
-    }
-}
+/// Primal feasibility tolerance (a phase-1 objective below this, scaled by
+/// the row count, counts as feasible).
+const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost tolerance for optimality.
+const COST_TOL: f64 = 1e-7;
+/// Minimum pivot magnitude.
+const PIVOT_TOL: f64 = 1e-9;
+/// Switch from Dantzig to Bland's rule after this many consecutive
+/// degenerate pivots (anti-cycling).
+const BLAND_AFTER: usize = 64;
 
 /// Dense two-phase primal simplex with bounded variables.
 ///
@@ -201,7 +190,7 @@ impl Simplex {
                 .map(|j| if t.is_art[j] { 1.0 } else { 0.0 })
                 .collect();
             t.reset_reduced_costs(&phase1_cost);
-            let status = t.iterate(&phase1_cost, &self.config, max_iters, true);
+            let status = t.iterate(&phase1_cost, max_iters, true);
             if status == LpStatus::IterationLimit {
                 return self.finish(problem, &t, lb, LpStatus::IterationLimit, minimize);
             }
@@ -214,10 +203,10 @@ impl Simplex {
                     }
                 })
                 .sum();
-            if infeas > self.config.feas_tol * (1.0 + m as f64) {
+            if infeas > FEAS_TOL * (1.0 + m as f64) {
                 return self.finish(problem, &t, lb, LpStatus::Infeasible, minimize);
             }
-            t.expel_artificials(&self.config);
+            t.expel_artificials();
             // Freeze artificials at zero.
             for j in 0..total {
                 if t.is_art[j] {
@@ -229,7 +218,7 @@ impl Simplex {
         // ---- phase 2 -------------------------------------------------------
         let phase2_cost = t.cost.clone();
         t.reset_reduced_costs(&phase2_cost);
-        let status = t.iterate(&phase2_cost, &self.config, max_iters, false);
+        let status = t.iterate(&phase2_cost, max_iters, false);
         self.finish(problem, &t, lb, status, minimize)
     }
 
@@ -353,19 +342,13 @@ impl Tableau {
     /// Runs primal iterations until optimality, unboundedness or the
     /// iteration limit. In phase 1 (`phase1 = true`) unboundedness cannot
     /// occur (the objective is bounded below by zero).
-    fn iterate(
-        &mut self,
-        _c: &[f64],
-        cfg: &SimplexConfig,
-        max_iters: usize,
-        phase1: bool,
-    ) -> LpStatus {
+    fn iterate(&mut self, _c: &[f64], max_iters: usize, phase1: bool) -> LpStatus {
         let mut degenerate_streak = 0usize;
         loop {
             if self.iterations >= max_iters {
                 return LpStatus::IterationLimit;
             }
-            let bland = degenerate_streak >= cfg.bland_after;
+            let bland = degenerate_streak >= BLAND_AFTER;
 
             // ---- pricing: pick the entering column ------------------------
             let mut enter: Option<(usize, f64, f64)> = None; // (col, score, dir)
@@ -378,7 +361,7 @@ impl Tableau {
                     VarState::AtLower => (-self.dcost[j], 1.0),
                     VarState::AtUpper => (self.dcost[j], -1.0),
                 };
-                if score > cfg.cost_tol && self.ub[j] > 0.0 {
+                if score > COST_TOL && self.ub[j] > 0.0 {
                     match (&enter, bland) {
                         (None, _) => enter = Some((j, score, dir)),
                         (Some(_), true) => {} // Bland: first eligible index
@@ -404,7 +387,7 @@ impl Tableau {
             let mut best_piv = 0.0f64;
             for r in 0..self.num_rows() {
                 let a = self.tab[r][e];
-                if a.abs() <= cfg.pivot_tol {
+                if a.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let rate = dir * a; // xb[r] decreases at `rate` per unit t
@@ -495,7 +478,7 @@ impl Tableau {
 
     /// After phase 1, pivots artificial variables out of the basis where
     /// possible (they are all at value ~0).
-    fn expel_artificials(&mut self, cfg: &SimplexConfig) {
+    fn expel_artificials(&mut self) {
         for r in 0..self.num_rows() {
             if !self.is_art[self.basis[r]] {
                 continue;
@@ -504,7 +487,7 @@ impl Tableau {
             let col = (0..self.num_cols()).find(|&j| {
                 !self.is_art[j]
                     && !matches!(self.state[j], VarState::Basic(_))
-                    && self.tab[r][j].abs() > cfg.pivot_tol
+                    && self.tab[r][j].abs() > PIVOT_TOL
             });
             if let Some(j) = col {
                 let old = self.basis[r];

@@ -61,12 +61,6 @@ impl Blanks {
             top,
         }
     }
-
-    /// Symmetric blank value used by the S-Blank assumption of the simplified
-    /// 1D formulation: `ceil((left + right) / 2)` (paper §3.1).
-    pub fn symmetric_h(&self) -> u64 {
-        (self.left + self.right).div_ceil(2)
-    }
 }
 
 /// A character candidate: the unit that may be placed on a CP stencil.
@@ -145,20 +139,6 @@ impl Character {
             blanks,
             vsb_shots,
         })
-    }
-
-    /// Creates a character with identical blanks on all four sides.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Character::new`].
-    pub fn with_uniform_blank(
-        width: u64,
-        height: u64,
-        blank: u64,
-        vsb_shots: u64,
-    ) -> Result<Self, ModelError> {
-        Character::new(width, height, [blank, blank, blank, blank], vsb_shots)
     }
 
     /// Total width including blanks, in micrometers.

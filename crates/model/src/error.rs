@@ -24,6 +24,14 @@ pub enum ModelError {
     ZeroShots,
     /// The stencil outline has a zero dimension.
     EmptyStencil,
+    /// A stencil planned in 2D has a side above
+    /// [`Stencil::MAX_2D_SIDE`](crate::Stencil::MAX_2D_SIDE).
+    StencilTooLarge {
+        /// Stencil width.
+        width: u64,
+        /// Stencil height.
+        height: u64,
+    },
     /// Row height is zero or larger than the stencil height.
     BadRowHeight {
         /// Offending row height.
@@ -137,6 +145,11 @@ impl fmt::Display for ModelError {
             ModelError::ZeroDimension => write!(f, "character dimensions must be positive"),
             ModelError::ZeroShots => write!(f, "VSB shot count must be at least 1"),
             ModelError::EmptyStencil => write!(f, "stencil dimensions must be positive"),
+            ModelError::StencilTooLarge { width, height } => write!(
+                f,
+                "stencil {width}×{height} has a side above the 2D limit of {} µm",
+                crate::Stencil::MAX_2D_SIDE
+            ),
             ModelError::BadRowHeight {
                 row_height,
                 stencil_height,

@@ -13,20 +13,30 @@ pub struct Stencil {
 }
 
 impl Stencil {
+    /// The largest side of a stencil planned in 2D, 2³¹ µm (the largest
+    /// generated 2D stencil is 2 500 µm). Every 2D product the planners
+    /// form, at most `2·W·H`, then fits `u64`, and every coordinate sum
+    /// fits `i64`.
+    pub const MAX_2D_SIDE: u64 = 1 << 31;
+
     /// Creates a free-form (2D) stencil of `width × height` micrometers.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::EmptyStencil`] if either dimension is zero.
+    /// Returns [`ModelError::EmptyStencil`] if either dimension is zero and
+    /// [`ModelError::StencilTooLarge`] if either exceeds
+    /// [`Stencil::MAX_2D_SIDE`].
     pub fn new(width: u64, height: u64) -> Result<Self, ModelError> {
         if width == 0 || height == 0 {
             return Err(ModelError::EmptyStencil);
         }
-        Ok(Stencil {
+        let stencil = Stencil {
             width,
             height,
             row_height: None,
-        })
+        };
+        stencil.check_2d()?;
+        Ok(stencil)
     }
 
     /// Creates a row-structured (1D) stencil.
@@ -35,17 +45,39 @@ impl Stencil {
     ///
     /// Returns [`ModelError::EmptyStencil`] for zero dimensions and
     /// [`ModelError::BadRowHeight`] if `row_height` is zero or exceeds the
-    /// stencil height.
+    /// stencil height. Both dimensions may take the full `u64` range.
     pub fn with_rows(width: u64, height: u64, row_height: u64) -> Result<Self, ModelError> {
-        let mut s = Stencil::new(width, height)?;
+        if width == 0 || height == 0 {
+            return Err(ModelError::EmptyStencil);
+        }
         if row_height == 0 || row_height > height {
             return Err(ModelError::BadRowHeight {
                 row_height,
                 stencil_height: height,
             });
         }
-        s.row_height = Some(row_height);
-        Ok(s)
+        Ok(Stencil {
+            width,
+            height,
+            row_height: Some(row_height),
+        })
+    }
+
+    /// Checks that the stencil can be planned in 2D: no side above
+    /// [`Stencil::MAX_2D_SIDE`]. Free-form stencils always pass;
+    /// row-structured ones may be wider or taller.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::StencilTooLarge`] otherwise.
+    pub fn check_2d(&self) -> Result<(), ModelError> {
+        if self.width.max(self.height) > Self::MAX_2D_SIDE {
+            return Err(ModelError::StencilTooLarge {
+                width: self.width,
+                height: self.height,
+            });
+        }
+        Ok(())
     }
 
     /// Stencil width `W` in micrometers.

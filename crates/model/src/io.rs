@@ -309,6 +309,32 @@ mod tests {
         }
     }
 
+    /// A free-form stencil one past [`Stencil::MAX_2D_SIDE`] is refused;
+    /// at the bound it parses, and row-structured widths keep the full
+    /// `u64` range.
+    #[test]
+    fn free_form_sides_past_the_2d_bound_are_an_error() {
+        let max = Stencil::MAX_2D_SIDE;
+        let text = |w: u64, h: u64, rh: u64| {
+            format!(
+                "EBLOW-INSTANCE v1\nstencil {w} {h} {rh}\nregions 1\nchars 1\n10 10 0 0 0 0 2 1\n"
+            )
+        };
+        for (w, h) in [(max + 1, 100), (100, max + 1), (u64::MAX, u64::MAX)] {
+            assert_eq!(
+                from_str(&text(w, h, 0)),
+                Err(ModelError::StencilTooLarge {
+                    width: w,
+                    height: h
+                })
+            );
+        }
+        assert_eq!(from_str(&text(max, max, 0)).unwrap().stencil().width(), max);
+        let rows = from_str(&text(u64::MAX, u64::MAX, 10)).unwrap();
+        assert_eq!(rows.stencil().width(), u64::MAX);
+        assert!(rows.stencil().check_2d().is_err());
+    }
+
     #[test]
     fn trailing_content_rejected() {
         let mut text = to_string(&sample());

@@ -44,11 +44,6 @@ impl Row {
         self.order.push(id);
     }
 
-    /// Prepends a character at the left end.
-    pub fn push_left(&mut self, id: CharId) {
-        self.order.insert(0, id);
-    }
-
     /// Inserts a character at position `pos` (0 = leftmost).
     ///
     /// # Panics

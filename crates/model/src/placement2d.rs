@@ -75,18 +75,19 @@ impl Placement2d {
     }
 
     /// Whether the pair `(a, b)` satisfies the disjunctive separation
-    /// constraints with blank sharing.
+    /// constraints with blank sharing. Computed in `i128`, where no
+    /// coordinate plus size can wrap.
     pub fn pair_compatible(instance: &Instance, a: &PlacedChar, b: &PlacedChar) -> bool {
         let ca = instance.char(a.id.index());
         let cb = instance.char(b.id.index());
-        let oh_ab = overlap::h_overlap(ca, cb) as i64;
-        let oh_ba = overlap::h_overlap(cb, ca) as i64;
-        let ov_ab = overlap::v_overlap(ca, cb) as i64;
-        let ov_ba = overlap::v_overlap(cb, ca) as i64;
-        a.x + ca.width() as i64 - oh_ab <= b.x
-            || b.x + cb.width() as i64 - oh_ba <= a.x
-            || a.y + ca.height() as i64 - ov_ab <= b.y
-            || b.y + cb.height() as i64 - ov_ba <= a.y
+        let (ax, ay, bx, by) = (a.x.into(), a.y.into(), b.x.into(), b.y.into());
+        let ends_before = |start: i128, size: u64, overlap: u64, other: i128| {
+            start + i128::from(size) - i128::from(overlap) <= other
+        };
+        ends_before(ax, ca.width(), overlap::h_overlap(ca, cb), bx)
+            || ends_before(bx, cb.width(), overlap::h_overlap(cb, ca), ax)
+            || ends_before(ay, ca.height(), overlap::v_overlap(ca, cb), by)
+            || ends_before(by, cb.height(), overlap::v_overlap(cb, ca), ay)
     }
 
     /// Validates the placement against the instance:
@@ -98,10 +99,11 @@ impl Placement2d {
     /// # Errors
     ///
     /// The first violation found is reported as a [`ModelError`]. The
-    /// pairwise check is `O(k²)` over placed characters.
+    /// pairwise check is `O(k²)` over placed characters. Coordinate sums
+    /// are computed in `i128`, so no placement wraps into the outline.
     pub fn validate(&self, instance: &Instance) -> Result<(), ModelError> {
-        let w = instance.stencil().width() as i64;
-        let h = instance.stencil().height() as i64;
+        let w = i128::from(instance.stencil().width());
+        let h = i128::from(instance.stencil().height());
         let mut seen = vec![false; instance.num_chars()];
         for p in &self.placed {
             let i = p.id.index();
@@ -116,7 +118,11 @@ impl Placement2d {
             }
             seen[i] = true;
             let c = instance.char(i);
-            if p.x < 0 || p.y < 0 || p.x + (c.width() as i64) > w || p.y + (c.height() as i64) > h {
+            if p.x < 0
+                || p.y < 0
+                || i128::from(p.x) + i128::from(c.width()) > w
+                || i128::from(p.y) + i128::from(c.height()) > h
+            {
                 return Err(ModelError::OutsideOutline { id: i });
             }
         }
@@ -138,16 +144,18 @@ impl Placement2d {
         instance.total_writing_time(&self.selection(instance.num_chars()))
     }
 
-    /// Bounding-box area actually used by the placement, µm².
+    /// Bounding-box area actually used by the placement, µm², saturated
+    /// at `u64::MAX`.
     pub fn used_bbox(&self, instance: &Instance) -> (u64, u64) {
-        let mut max_x = 0i64;
-        let mut max_y = 0i64;
+        let mut max_x = 0i128;
+        let mut max_y = 0i128;
         for p in &self.placed {
             let c = instance.char(p.id.index());
-            max_x = max_x.max(p.x + c.width() as i64);
-            max_y = max_y.max(p.y + c.height() as i64);
+            max_x = max_x.max(i128::from(p.x) + i128::from(c.width()));
+            max_y = max_y.max(i128::from(p.y) + i128::from(c.height()));
         }
-        (max_x.max(0) as u64, max_y.max(0) as u64)
+        let saturate = |v: i128| u64::try_from(v).unwrap_or(u64::MAX);
+        (saturate(max_x), saturate(max_y))
     }
 }
 
@@ -225,6 +233,26 @@ mod tests {
         let q = Placement2d::from_placed(vec![pc(0, 0, 0), pc(2, 60, 60)]);
         assert_eq!(q.used_bbox(&inst), (90, 80));
         assert_eq!(q.selection(3).count(), 2);
+    }
+
+    /// A placement far outside the outline used to wrap `x + w` past
+    /// `i64::MAX` into the outline in release builds (and panic in debug).
+    #[test]
+    fn far_outside_placement_is_outside_the_outline() {
+        let chars = vec![Character::new(10, 10, [0; 4], 2).unwrap(); 2];
+        let inst = Instance::new(Stencil::new(100, 100).unwrap(), chars, vec![vec![1]; 2]).unwrap();
+        for (x, y) in [(i64::MAX - 5, 0), (0, i64::MAX - 5), (i64::MAX, i64::MAX)] {
+            let p = Placement2d::from_placed(vec![pc(0, x, y)]);
+            assert_eq!(p.validate(&inst), Err(ModelError::OutsideOutline { id: 0 }));
+        }
+        // Pairs far apart compare without wrapping too.
+        let far = [pc(0, i64::MAX - 5, 0), pc(1, 0, 0)];
+        assert!(Placement2d::pair_compatible(&inst, &far[0], &far[1]));
+        assert!(Placement2d::pair_compatible(&inst, &far[1], &far[0]));
+        assert_eq!(
+            Placement2d::from_placed(far.to_vec()).used_bbox(&inst),
+            (i64::MAX as u64 + 5, 10)
+        );
     }
 
     #[test]

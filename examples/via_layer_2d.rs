@@ -10,7 +10,7 @@
 
 use eblow::model::{Character, Instance, Stencil};
 use eblow::planner::baselines::greedy_2d;
-use eblow::planner::twod::{Eblow2d, Eblow2dConfig, PackEngine};
+use eblow::planner::twod::Eblow2d;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build a via/wire mix by hand: tall thin wire characters and squat
@@ -44,12 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         greedy.total_time
     );
 
-    // E-BLOW with the faithful sequence-pair engine.
-    let plan = Eblow2d::new(Eblow2dConfig {
-        engine: PackEngine::SeqPair,
-        ..Default::default()
-    })
-    .plan(&instance)?;
+    // E-BLOW: its pack nodes are few enough to anneal on the faithful
+    // sequence-pair engine.
+    let plan = Eblow2d::default().plan(&instance)?;
     plan.placement.validate(&instance)?;
     println!(
         "E-BLOW : {} placed, T = {} ({:.2}× better), {:?}",

@@ -167,7 +167,7 @@ const GOLDEN_TINY2D_SA: (u64, u64) = (323, 0xcf5642d15d0cf998);
 
 #[test]
 fn annealed_2d_plans_are_byte_stable() {
-    use eblow::planner::baselines::{sa_2d, Sa2dConfig};
+    use eblow::planner::baselines::sa_2d;
     use eblow::planner::twod::Eblow2d;
     let cases = [
         (
@@ -185,7 +185,7 @@ fn annealed_2d_plans_are_byte_stable() {
     ];
     for (name, inst, eblow_pin, sa_pin) in cases {
         let eblow = Eblow2d::default().plan(&inst).unwrap();
-        let sa = sa_2d(&inst, &Sa2dConfig::default()).unwrap();
+        let sa = sa_2d(&inst).unwrap();
         assert_eq!(
             (eblow.total_time, plan_fingerprint_2d(&eblow)),
             eblow_pin,
@@ -213,7 +213,7 @@ const GOLDEN_1M5_ROWHEUR: (u64, u64) = (12000, 0xe72c5a0104e3699b);
 
 #[test]
 fn baseline_and_ablation_plans_are_byte_stable() {
-    use eblow::planner::baselines::{heuristic_1d, row_heuristic_1d, Heuristic1dConfig};
+    use eblow::planner::baselines::{heuristic_1d, row_heuristic_1d};
     use eblow::planner::oned::Eblow1dConfig;
     let eblow0 = Eblow1d::new(Eblow1dConfig::eblow0());
     for (k, heuristic_pin, eblow0_pin) in [
@@ -221,7 +221,7 @@ fn baseline_and_ablation_plans_are_byte_stable() {
         (5, GOLDEN_1M5_HEURISTIC, GOLDEN_1M5_EBLOW0),
     ] {
         let inst = eblow::gen::benchmark(Family::M1(k));
-        let heuristic = heuristic_1d(&inst, &Heuristic1dConfig::default()).unwrap();
+        let heuristic = heuristic_1d(&inst).unwrap();
         assert_eq!(
             (heuristic.total_time, plan_fingerprint(&heuristic)),
             heuristic_pin,

@@ -17,7 +17,7 @@ fn every_planner_is_valid_on_random_instances() {
         let inst = generate(&GenConfig::tiny_1d(seed));
         let plans = vec![
             ("greedy", greedy_1d(&inst).unwrap()),
-            ("heur24", heuristic_1d(&inst, &Default::default()).unwrap()),
+            ("heur24", heuristic_1d(&inst).unwrap()),
             ("row25", row_heuristic_1d(&inst).unwrap()),
             ("eblow", Eblow1d::default().plan(&inst).unwrap()),
         ];
@@ -46,7 +46,7 @@ fn eblow_beats_or_ties_every_baseline_in_aggregate() {
         let inst = generate(&GenConfig::tiny_1d(100 + seed));
         eblow_total += Eblow1d::default().plan(&inst).unwrap().total_time;
         greedy_total += greedy_1d(&inst).unwrap().total_time;
-        heur_total += heuristic_1d(&inst, &Default::default()).unwrap().total_time;
+        heur_total += heuristic_1d(&inst).unwrap().total_time;
         row_total += row_heuristic_1d(&inst).unwrap().total_time;
     }
     assert!(eblow_total <= greedy_total, "E-BLOW worse than greedy");
@@ -98,7 +98,7 @@ fn lp_backends_agree_on_reference_instances_through_the_facade() {
         let rows = vec![RowBase::default(); inst.num_rows().unwrap()];
         let w = inst.stencil().width();
         let comb = CombinatorialOracle.solve_lp(&items, &rows, w).unwrap();
-        let simp = SimplexOracle::default().solve_lp(&items, &rows, w).unwrap();
+        let simp = SimplexOracle.solve_lp(&items, &rows, w).unwrap();
         let scale = comb.objective.abs().max(simp.objective.abs()).max(1.0);
         assert!(
             (comb.objective - simp.objective).abs() <= 0.05 * scale,
@@ -107,10 +107,9 @@ fn lp_backends_agree_on_reference_instances_through_the_facade() {
             simp.objective
         );
 
-        let simp_plan =
-            Eblow1d::new(Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle::default())))
-                .plan(&inst)
-                .unwrap();
+        let simp_plan = Eblow1d::new(Eblow1dConfig::default().with_oracle(Arc::new(SimplexOracle)))
+            .plan(&inst)
+            .unwrap();
         simp_plan.placement.validate(&inst).unwrap();
         let comb_plan = Eblow1d::default().plan(&inst).unwrap();
         comb_plan.placement.validate(&inst).unwrap();

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests for the 2D planners.
 
 use eblow::gen::{generate, GenConfig};
+use eblow::model::{Character, Instance, ModelError, Stencil};
 use eblow::planner::baselines::{greedy_2d, sa_2d};
-use eblow::planner::twod::{Eblow2d, Eblow2dConfig, PackEngine};
+use eblow::planner::twod::{Eblow2d, Eblow2dConfig};
 
 #[test]
 fn all_2d_planners_are_valid() {
@@ -10,7 +11,7 @@ fn all_2d_planners_are_valid() {
         let inst = generate(&GenConfig::tiny_2d(seed));
         let plans = vec![
             ("greedy", greedy_2d(&inst).unwrap()),
-            ("sa24", sa_2d(&inst, &Default::default()).unwrap()),
+            ("sa24", sa_2d(&inst).unwrap()),
             ("eblow", Eblow2d::default().plan(&inst).unwrap()),
         ];
         for (name, plan) in plans {
@@ -20,28 +21,6 @@ fn all_2d_planners_are_valid() {
             assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
         }
     }
-}
-
-#[test]
-fn engines_agree_on_validity_and_rough_quality() {
-    let inst = generate(&GenConfig::tiny_2d(9));
-    let sp = Eblow2d::new(Eblow2dConfig {
-        engine: PackEngine::SeqPair,
-        ..Default::default()
-    })
-    .plan(&inst)
-    .unwrap();
-    let sk = Eblow2d::new(Eblow2dConfig {
-        engine: PackEngine::Skyline,
-        ..Default::default()
-    })
-    .plan(&inst)
-    .unwrap();
-    sp.placement.validate(&inst).unwrap();
-    sk.placement.validate(&inst).unwrap();
-    // Engines are different heuristics; they should land in the same ballpark.
-    let (a, b) = (sp.total_time.max(1) as f64, sk.total_time.max(1) as f64);
-    assert!(a / b < 1.6 && b / a < 1.6, "engines diverge: {a} vs {b}");
 }
 
 #[test]
@@ -84,4 +63,53 @@ fn planner_runs_on_row_structured_instances_too() {
     let inst = generate(&GenConfig::tiny_1d(5));
     let plan = Eblow2d::default().plan(&inst).unwrap();
     plan.placement.validate(&inst).unwrap();
+}
+
+/// Six characters of `(2³⁰)²` with 1 µm blanks on a stencil of
+/// `side × side`: at `side = 2³¹` two fit a row and three never do.
+fn huge_2d_instance(stencil: Stencil) -> Instance {
+    let side = 1 << 30;
+    let chars = vec![Character::new(side, side, [1; 4], 5).unwrap(); 6];
+    Instance::new(stencil, chars, vec![vec![1]; 6]).unwrap()
+}
+
+/// At the largest 2D side every 2D planner returns a plan that validates;
+/// at most four of the six characters fit.
+#[test]
+fn planners_are_valid_at_the_2d_size_bound() {
+    let max = Stencil::MAX_2D_SIDE;
+    let inst = huge_2d_instance(Stencil::new(max, max).unwrap());
+    let plans = [
+        ("greedy", greedy_2d(&inst).unwrap()),
+        ("sa24", sa_2d(&inst).unwrap()),
+        ("eblow", Eblow2d::default().plan(&inst).unwrap()),
+    ];
+    for (name, plan) in plans {
+        plan.placement
+            .validate(&inst)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+        let placed = plan.selection.count();
+        assert!((1..=4).contains(&placed), "{name} placed {placed}");
+    }
+}
+
+/// Row-structured widths keep the full `u64` range, but the 2D planners
+/// refuse a row-structured stencil with a side above the 2D bound.
+#[test]
+fn planners_refuse_row_stencils_past_the_2d_size_bound() {
+    let max = Stencil::MAX_2D_SIDE;
+    for (w, h) in [(max + 1, max), (max, max + 1)] {
+        let inst = huge_2d_instance(Stencil::with_rows(w, h, 1 << 30).unwrap());
+        let refused = Err(ModelError::StencilTooLarge {
+            width: w,
+            height: h,
+        });
+        assert_eq!(
+            Eblow2d::default().plan(&inst).map(|p| p.total_time),
+            refused
+        );
+        assert_eq!(sa_2d(&inst).map(|p| p.total_time), refused);
+        assert_eq!(greedy_2d(&inst).map(|p| p.total_time), refused);
+    }
 }
