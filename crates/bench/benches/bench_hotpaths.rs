@@ -3,8 +3,9 @@
 //! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, and
 //! cold vs warm-started LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
-//! registry strategy. One 2D kernel, the \[24\] baseline's anneal on 2M-4,
-//! measures the shelf engine's SA move (`OrderState`, `ShelfCursor`).
+//! registry strategy. Two 2D kernels on 2M-4, the two members the 2D race
+//! runs, measure the shelf engine's SA move (`OrderState`, `ShelfCursor`):
+//! the \[24\] baseline under the sum objective, and E-BLOW under the max.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eblow_core::baselines::sa_2d;
@@ -13,6 +14,7 @@ use eblow_core::oned::{
     RowBase, WidthScratch,
 };
 use eblow_core::profit::RegionTimes;
+use eblow_core::twod::Eblow2d;
 use eblow_core::StopFlag;
 use eblow_gen::{benchmark, Family};
 use eblow_model::CharId;
@@ -161,6 +163,12 @@ fn bench_hotpaths(c: &mut Criterion) {
     group.sample_size(3);
     group.bench_function("sa_2d_anneal_2m4", |b| {
         b.iter(|| black_box(sa_2d(&inst).unwrap().total_time))
+    });
+    // E-BLOW end to end: the pre-filter and clustering, then about 600
+    // clustered nodes on the shelf engine under the max objective, which
+    // keeps a running sum per region (10 on 2M-4).
+    group.bench_function("eblow_2d_plan_2m4", |b| {
+        b.iter(|| black_box(Eblow2d::default().plan(&inst).unwrap().total_time))
     });
     group.finish();
 }

@@ -34,10 +34,11 @@ pub fn greedy_2d_with_stop(instance: &Instance, stop: StopFlag<'_>) -> Result<Pl
     let h = instance.stencil().height() as i64;
 
     let profits = static_profits(instance);
+    let stencil = instance.stencil();
     let mut order: Vec<usize> = (0..instance.num_chars())
         .filter(|&i| {
             let c = instance.char(i);
-            (c.width() as i64) <= w && (c.height() as i64) <= h && profits[i] > 0.0
+            c.width() <= stencil.width() && c.height() <= stencil.height() && profits[i] > 0.0
         })
         .collect();
     order.sort_by(|&a, &b| {

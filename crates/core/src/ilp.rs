@@ -14,6 +14,12 @@
 //! Formulation (7), 2DOSP: binaries `a_i`, `p_ij`, `q_ij`, continuous
 //! `x_i, y_i`; the four big-M constraints (7b)–(7e) activate exactly one
 //! separation direction per selected pair.
+//!
+//! A candidate that cannot fit the stencil has its assignments fixed to 0
+//! and stays out of the pair constraints and the valid cuts: with both
+//! assignments at 0, big-M = W (or H) still cannot switch off a pair whose
+//! paired width exceeds about 4W, which would make even the empty
+//! selection infeasible.
 
 use eblow_lp::{BranchBound, LpProblem, MilpConfig, MilpStatus, Relation, VarId};
 use eblow_model::{overlap, CharId, Instance, ModelError, Placement1d, Placement2d, Row};
@@ -62,6 +68,13 @@ pub fn solve_ilp_1d(instance: &Instance, time_limit: Duration) -> Result<IlpOutc
     let n = instance.num_chars();
     let w = instance.stencil().width() as f64;
     let big_w = w;
+    let row_height = instance.stencil().row_height().unwrap_or(u64::MAX);
+    let fits: Vec<bool> = (0..n)
+        .map(|i| {
+            let c = instance.char(i);
+            c.width() <= instance.stencil().width() && c.height() <= row_height
+        })
+        .collect();
 
     let mut lp = LpProblem::minimize();
     let t_total = lp.add_var(0.0, f64::INFINITY, 1.0);
@@ -98,11 +111,8 @@ pub fn solve_ilp_1d(instance: &Instance, time_limit: Duration) -> Result<IlpOutc
         lp.add_constraint(&terms, Relation::Ge, instance.vsb_time(c) as f64);
     }
     // (3c): Σ_k a_ik ≤ 1; characters too wide/tall are excluded.
-    let row_height = instance.stencil().row_height().unwrap_or(u64::MAX);
-    for (i, ai) in a.iter().enumerate() {
+    for (ai, &fits) in a.iter().zip(&fits) {
         let terms: Vec<_> = ai.iter().map(|&v| (v, 1.0)).collect();
-        let c = instance.char(i);
-        let fits = c.width() as f64 <= w && c.height() <= row_height;
         lp.add_constraint(&terms, Relation::Le, if fits { 1.0 } else { 0.0 });
     }
     // Valid capacity cuts (not in the paper's formulation, but implied by
@@ -112,6 +122,7 @@ pub fn solve_ilp_1d(instance: &Instance, time_limit: Duration) -> Result<IlpOutc
     for k in 0..m {
         for reduce_left in [true, false] {
             let terms: Vec<_> = (0..n)
+                .filter(|&i| fits[i])
                 .map(|i| {
                     let c = instance.char(i);
                     let red = if reduce_left {
@@ -125,9 +136,9 @@ pub fn solve_ilp_1d(instance: &Instance, time_limit: Duration) -> Result<IlpOutc
             lp.add_constraint(&terms, Relation::Le, w);
         }
     }
-    // (3d)/(3e) per pair and row.
-    for i in 0..n {
-        for j in (i + 1)..n {
+    // (3d)/(3e) per pair of fitting characters and row.
+    for i in (0..n).filter(|&i| fits[i]) {
+        for j in ((i + 1)..n).filter(|&j| fits[j]) {
             let pij = p[i][j].unwrap();
             let ci = instance.char(i);
             let cj = instance.char(j);
@@ -242,6 +253,12 @@ pub fn solve_ilp_2d(instance: &Instance, time_limit: Duration) -> IlpOutcome {
     let n = instance.num_chars();
     let w = instance.stencil().width() as f64;
     let h = instance.stencil().height() as f64;
+    let fits: Vec<bool> = (0..n)
+        .map(|i| {
+            let c = instance.char(i);
+            c.width() <= instance.stencil().width() && c.height() <= instance.stencil().height()
+        })
+        .collect();
 
     let mut lp = LpProblem::minimize();
     let t_total = lp.add_var(0.0, f64::INFINITY, 1.0);
@@ -271,17 +288,15 @@ pub fn solve_ilp_2d(instance: &Instance, time_limit: Duration) -> IlpOutcome {
         lp.add_constraint(&terms, Relation::Ge, instance.vsb_time(c) as f64);
     }
     // Exclusions for characters that cannot fit at all.
-    for i in 0..n {
-        let c = instance.char(i);
-        if c.width() as f64 > w || c.height() as f64 > h {
-            lp.set_bounds(a[i], 0.0, 0.0);
-        }
+    for i in (0..n).filter(|&i| !fits[i]) {
+        lp.set_bounds(a[i], 0.0, 0.0);
     }
     // Valid area cut: trimming each character's left/bottom blanks leaves
     // pairwise-disjoint regions inside the stencil, so their areas sum to
     // at most W·H. Strengthens the big-M LP bound considerably.
     {
         let terms: Vec<_> = (0..n)
+            .filter(|&i| fits[i])
             .map(|i| {
                 let c = instance.char(i);
                 let area = (c.width() - c.blanks().left) * (c.height() - c.blanks().bottom);
@@ -290,11 +305,11 @@ pub fn solve_ilp_2d(instance: &Instance, time_limit: Duration) -> IlpOutcome {
             .collect();
         lp.add_constraint(&terms, Relation::Le, w * h);
     }
-    // (7b)–(7e) per unordered pair.
+    // (7b)–(7e) per unordered pair of fitting characters.
     // audit:allow(stop-flag-coverage): bounded O(n²) model build on the Table-5-sized instances ilp2d supports; the solve itself honors time_limit
-    for i in 0..n {
+    for i in (0..n).filter(|&i| fits[i]) {
         // audit:allow(stop-flag-coverage): same bounded model build as the enclosing loop
-        for j in (i + 1)..n {
+        for j in ((i + 1)..n).filter(|&j| fits[j]) {
             let (pij, qij) = pq[i][j].unwrap();
             let ci = instance.char(i);
             let cj = instance.char(j);

@@ -13,8 +13,10 @@
 //!   packing before the swap: a shelf opened at the same position with the
 //!   same cursor repeats the old run up to the next swapped position, so
 //!   the re-pack resumes from the last old shelf before the later swapped
-//!   position, or adopts the old tail past it. It reads the region times
-//!   off prefix sums in `O(P log n)`.
+//!   position, or adopts the old tail past it. It keeps the nodes' shelf
+//!   geometry by order position, and a running per-region sum of the
+//!   placed nodes' reductions that a move updates by the rows it carries
+//!   across the break.
 //!
 //! In both, `undo` puts back the energy the last `apply` replaced instead
 //! of evaluating the restored state again, and the energy reads each
@@ -22,7 +24,7 @@
 //! Both expose the final node positions for placement extraction.
 
 use super::cluster::PackNode;
-use super::skyline::{shelf_pack, Flow, ShelfCursor, ShelfSink};
+use super::skyline::{shelf_pack, Flow, ShelfCursor, ShelfSink, Slot};
 use eblow_anneal::Anneal;
 use eblow_model::Instance;
 use eblow_seqpair::{ItemGeometry, SequencePair};
@@ -89,12 +91,11 @@ pub(crate) struct Objective<'a> {
     /// Region times with nothing on the stencil (`T_VSB` per region).
     vsb: Vec<i64>,
     /// Each node's reduction `Σ R_ic` over its members, per region: one
-    /// row of `vsb.len()` entries per node.
+    /// row of `vsb.len()` entries per node. A node wider or taller than the
+    /// outline is never inside, and its row is zero.
     reductions: Vec<i64>,
     /// Scale of the overflow term: the largest VSB region time.
     scale: f64,
-    /// A row of zero reductions.
-    zeros: Vec<i64>,
     /// Nodes stepped by the re-packs of every [`OrderState`] on this
     /// objective. It lives here because the annealer clones states.
     pub shelf_steps: Cell<u64>,
@@ -104,8 +105,12 @@ impl<'a> Objective<'a> {
     pub fn new(instance: &'a Instance, nodes: &'a [PackNode]) -> Self {
         let vsb: Vec<i64> = instance.vsb_times().iter().map(|&t| t as i64).collect();
         let p = vsb.len();
+        let (w, h) = (instance.stencil().width(), instance.stencil().height());
         let mut reductions = vec![0i64; nodes.len() * p];
         for (row, node) in reductions.chunks_exact_mut(p.max(1)).zip(nodes) {
+            if node.width > w || node.height > h {
+                continue;
+            }
             for &(id, _, _) in &node.members {
                 for (c, r) in row.iter_mut().enumerate() {
                     *r += instance.reduction(id.index(), c) as i64;
@@ -122,12 +127,12 @@ impl<'a> Objective<'a> {
             vsb,
             reductions,
             scale: *instance.vsb_times().iter().max().unwrap_or(&1) as f64,
-            zeros: vec![0; p],
             shelf_steps: Cell::new(0),
         }
     }
 
-    /// Node `k`'s writing-time reduction per region when it is inside.
+    /// Node `k`'s writing-time reduction per region when it is inside;
+    /// zeros when it does not fit the outline.
     fn reduction(&self, k: usize) -> &[i64] {
         let p = self.vsb.len();
         &self.reductions[k * p..(k + 1) * p]
@@ -136,16 +141,6 @@ impl<'a> Objective<'a> {
     /// The shelf rule's cursor on this outline, before any node.
     fn cursor(&self) -> ShelfCursor {
         ShelfCursor::new(self.stencil_w as u64, self.stencil_h as u64)
-    }
-
-    /// Node `k`'s reduction if the shelf rule can place it at all, zeros
-    /// (the VSB row's length) otherwise.
-    fn fitting_reduction(&self, k: usize) -> &[i64] {
-        if self.cursor().fits(&self.nodes[k]) {
-            self.reduction(k)
-        } else {
-            &self.zeros
-        }
     }
 
     /// Energy of a set of node positions: T_total of the in-outline nodes
@@ -296,25 +291,30 @@ impl Anneal for SeqPairState<'_> {
 ///   before `lo` as it was, and packing resumes from the last of them. A
 ///   shelf opened *at* `lo` cannot be reused: the node there is the one
 ///   that closed the shelf before it.
+/// * the nodes' slots (their shelf geometry) by order position, permuted
+///   with the order, so that a re-pack reads one contiguous record per
+///   node.
 /// * the current packing's `lost` and `lone` positions.
-/// * the fitting nodes' reductions summed by order position
-///   (`PrefixSums`), so the region times of a packing are
-///   `vsb − prefix(lost) − lone`: one prefix query, whatever its length,
-///   and a swap two updates.
+/// * `inside`: the nodes' reductions summed over the positions before
+///   `lost` (over all positions when nothing is lost), so the region times
+///   of a packing are `vsb − inside − lone`. A swap across `lost` adds one
+///   row difference; a re-pack adds or subtracts the rows between the old
+///   and the new `lost`.
 ///
-/// **Resync.** The old checkpoints from the first re-packed shelf on are
-/// in the move's journal. A cursor taken right after a shelf opens is the
-/// whole state of the shelf rule, so when the new run opens a shelf at
-/// position `p` with a cursor equal to the old checkpoint at `p`, it
-/// repeats the old run up to the next swapped position. Between the two
-/// swapped positions the re-pack jumps to the last old checkpoint before
-/// `hi`; past `hi`, or when `hi` lies past the last position the old run
-/// examined, it adopts the old checkpoints, `lost` and `lone` and stops.
+/// **Resync.** The old checkpoints are in the move's journal. A cursor
+/// taken right after a shelf opens is the whole state of the shelf rule,
+/// so when the new run opens a shelf at position `p` with a cursor equal
+/// to the old checkpoint at `p`, it repeats the old run up to the next
+/// swapped position. Between the two swapped positions the re-pack jumps
+/// to the last old checkpoint before `hi`; past `hi`, or when `hi` lies
+/// past the last position the old run examined, it adopts the old
+/// checkpoints, `lost` and `lone` and stops.
 /// Only a checkpoint that is not full is matched or jumped onto: a full
 /// one follows a lost shelf that the new run has not recorded.
 ///
-/// `undo` swaps back and restores the energy, the checkpoints, `lost` and
-/// `lone` the move replaced, without packing at all.
+/// `undo` swaps back and restores the energy, the checkpoints (by taking
+/// the journal's buffer back), `lost`, `lone` and `inside` the move
+/// replaced, without packing at all.
 ///
 /// Region times are integer sums, and every node the shelf rule places
 /// lies inside the outline (for any outline that fits `i64` coordinates),
@@ -324,9 +324,11 @@ impl Anneal for SeqPairState<'_> {
 pub struct OrderState<'a> {
     objective: &'a Objective<'a>,
     order: Vec<usize>,
+    /// The shelf rule's view of each node, by order position.
+    slots: Vec<Slot>,
     cached_energy: f64,
-    /// Reductions of the nodes that fit the outline, by order position.
-    sums: PrefixSums,
+    /// Reductions summed over the positions before `lost`, per region.
+    inside: Vec<i64>,
     /// Shelf cursor right after each shelf's opening node, bottom to top.
     marks: Vec<ShelfCursor>,
     /// First position of the first shelf that did not fit vertically.
@@ -344,11 +346,14 @@ pub struct OrderState<'a> {
 #[derive(Clone, Default)]
 struct Journal {
     energy: f64,
-    /// Marks the move kept; the ones after it are saved below.
+    /// Marks the move kept.
     keep: usize,
+    /// The marks before the move. The move and its `undo` swap this buffer
+    /// with the state's, so the two always agree on the first `keep`.
     marks: Vec<ShelfCursor>,
     lost: Option<usize>,
     lone: Option<usize>,
+    inside: Vec<i64>,
     /// The later swapped position.
     hi: usize,
     /// Whether the move's re-pack resumed from the last old mark before
@@ -364,63 +369,6 @@ enum Tail {
     AfterHi,
     /// `hi` lies past the last position the old run examined.
     PastEnd,
-}
-
-/// Per-region sums over a prefix of order positions, under swaps of two
-/// positions: a Fenwick tree whose entries are rows of region values.
-#[derive(Clone, Default)]
-struct PrefixSums {
-    regions: usize,
-    /// Row `r` (1-based) sums the `r & r.wrapping_neg()` positions ending
-    /// at position `r − 1`.
-    tree: Vec<i64>,
-}
-
-impl PrefixSums {
-    /// Builds the sums of `row(0), row(1), …` with `regions` values each.
-    fn new<'r>(regions: usize, rows: impl ExactSizeIterator<Item = &'r [i64]>) -> Self {
-        let n = rows.len();
-        let mut tree = vec![0i64; (n + 1) * regions];
-        for (pos, row) in rows.enumerate() {
-            let r = pos + 1;
-            tree[r * regions..(r + 1) * regions].copy_from_slice(row);
-        }
-        for r in 1..=n {
-            let up = r + (r & r.wrapping_neg());
-            if up <= n {
-                let (low, high) = tree.split_at_mut(up * regions);
-                for (t, v) in high[..regions].iter_mut().zip(&low[r * regions..]) {
-                    *t += v;
-                }
-            }
-        }
-        PrefixSums { regions, tree }
-    }
-
-    /// Replaces the row at order position `pos`, `old`, with `new`.
-    fn replace(&mut self, pos: usize, old: &[i64], new: &[i64]) {
-        let p = self.regions;
-        let mut r = pos + 1;
-        while r * p < self.tree.len() {
-            let row = self.tree[r * p..(r + 1) * p].iter_mut();
-            for ((t, o), n) in row.zip(old).zip(new) {
-                *t += n - o;
-            }
-            r += r & r.wrapping_neg();
-        }
-    }
-
-    /// Subtracts the sums of positions `0..end` from `out`.
-    fn subtract_prefix(&self, end: usize, out: &mut [i64]) {
-        let p = self.regions;
-        let mut r = end;
-        while r > 0 {
-            for (o, t) in out.iter_mut().zip(&self.tree[r * p..(r + 1) * p]) {
-                *o -= t;
-            }
-            r &= r - 1;
-        }
-    }
 }
 
 /// What one packing run places, read off the shelf closes; it also
@@ -498,10 +446,10 @@ impl ShelfSink for Track<'_> {
         }
     }
 
-    fn opened(&mut self, _k: usize, cursor: &ShelfCursor) -> Flow {
+    fn opened(&mut self, _k: usize, cursor: ShelfCursor) -> Flow {
         self.open = cursor.start();
-        self.marks.push(*cursor);
-        self.realign(cursor)
+        self.marks.push(cursor);
+        self.realign(&cursor)
     }
 }
 
@@ -509,14 +457,16 @@ impl<'a> OrderState<'a> {
     /// Creates the state from an initial insertion order.
     pub(crate) fn new(objective: &'a Objective<'a>, order: Vec<usize>) -> Self {
         let p = objective.vsb.len();
-        let rows = order.iter().map(|&k| objective.fitting_reduction(k));
         let mut s = OrderState {
             objective,
-            sums: PrefixSums::new(p, rows),
+            slots: Slot::of(objective.nodes, &order),
             order,
             cached_energy: 0.0,
+            // Nothing lies before position 0, so the first re-pack adds
+            // every node before its break.
+            inside: vec![0; p],
             marks: Vec::new(),
-            lost: None,
+            lost: Some(0),
             lone: None,
             times: vec![0; p],
             journal: Journal::default(),
@@ -531,7 +481,7 @@ impl<'a> OrderState<'a> {
     fn repack(&mut self, keep: usize) -> f64 {
         let objective = self.objective;
         self.marks.truncate(keep);
-        let (mut cursor, from, lost) = match self.marks.last() {
+        let (cursor, from, lost) = match self.marks.last() {
             // A full mark opened the shelf after the one that did not fit.
             Some(&mark) if mark.is_full() => {
                 (mark, mark.start() + 1, Some(self.marks[keep - 2].start()))
@@ -545,20 +495,22 @@ impl<'a> OrderState<'a> {
             lost,
             lone: None,
             old: &self.journal,
-            next: 0,
+            next: keep,
             resumed: false,
             tail: None,
         };
-        let steps = cursor.run(objective.nodes, &self.order, from, &mut track);
+        let steps = cursor.run(&self.slots, &self.order, from, &mut track);
         objective
             .shelf_steps
             .set(objective.shelf_steps.get() + steps as u64);
-        (self.lost, self.lone) = (track.lost, track.lone);
+        let (lost, lone) = (track.lost, track.lone);
         (self.journal.resumed, self.journal.tail) = (track.resumed, track.tail);
-        self.times.copy_from_slice(&objective.vsb);
-        self.sums
-            .subtract_prefix(self.lost.unwrap_or(self.order.len()), &mut self.times);
-        if let Some(pos) = self.lone {
+        self.move_break(lost);
+        self.lone = lone;
+        for ((t, v), s) in self.times.iter_mut().zip(&objective.vsb).zip(&self.inside) {
+            *t = v - s;
+        }
+        if let Some(pos) = lone {
             for (t, r) in self
                 .times
                 .iter_mut()
@@ -570,15 +522,32 @@ impl<'a> OrderState<'a> {
         objective.energy_of(&self.times, 0.0)
     }
 
-    /// Swaps order positions `i` and `j`, in the order and in the sums.
-    fn swap(&mut self, i: usize, j: usize) {
-        let ra = self.objective.fitting_reduction(self.order[i]);
-        let rb = self.objective.fitting_reduction(self.order[j]);
-        if ra != rb {
-            self.sums.replace(i, ra, rb);
-            self.sums.replace(j, rb, ra);
+    /// Sets `lost`, adding to `inside` the rows between the old and the
+    /// new break, or subtracting them when the break moved back.
+    fn move_break(&mut self, lost: Option<usize>) {
+        let n = self.order.len();
+        let (old, new) = (self.lost.unwrap_or(n), lost.unwrap_or(n));
+        let objective = self.objective;
+        if old < new {
+            for &k in &self.order[old..new] {
+                for (s, r) in self.inside.iter_mut().zip(objective.reduction(k)) {
+                    *s += r;
+                }
+            }
+        } else {
+            for &k in &self.order[new..old] {
+                for (s, r) in self.inside.iter_mut().zip(objective.reduction(k)) {
+                    *s -= r;
+                }
+            }
         }
+        self.lost = lost;
+    }
+
+    /// Swaps order positions `i` and `j`, in the order and in the slots.
+    fn swap(&mut self, i: usize, j: usize) {
         self.order.swap(i, j);
+        self.slots.swap(i, j);
     }
 
     /// Final positions after shelf packing.
@@ -614,24 +583,42 @@ impl Anneal for OrderState<'_> {
     }
 
     fn apply(&mut self, &(i, j): &(usize, usize)) {
-        let lo = i.min(j);
+        let (lo, hi) = (i.min(j), i.max(j));
         let keep = self.marks.partition_point(|m| m.start() < lo);
         let journal = &mut self.journal;
         journal.energy = self.cached_energy;
+        // The old marks go to the journal; the buffer that comes back
+        // holds the first marks the last move kept, all of them current.
+        std::mem::swap(&mut self.marks, &mut journal.marks);
+        let shared = journal.keep.min(keep);
+        self.marks.truncate(shared);
+        self.marks.extend_from_slice(&journal.marks[shared..keep]);
         journal.keep = keep;
-        journal.marks.clear();
-        journal.marks.extend_from_slice(&self.marks[keep..]);
         (journal.lost, journal.lone) = (self.lost, self.lone);
-        journal.hi = i.max(j);
+        journal.inside.clone_from(&self.inside);
+        journal.hi = hi;
+        // A swap across the break trades the row at `lo` for the one at
+        // `hi` in the sum before it.
+        let end = self.lost.unwrap_or(self.order.len());
+        if lo < end && end <= hi {
+            let objective = self.objective;
+            let (out, into) = (
+                objective.reduction(self.order[lo]),
+                objective.reduction(self.order[hi]),
+            );
+            for ((s, o), r) in self.inside.iter_mut().zip(out).zip(into) {
+                *s += r - o;
+            }
+        }
         self.swap(i, j);
         self.cached_energy = self.repack(keep);
     }
 
     fn undo(&mut self, &(i, j): &(usize, usize)) {
         self.swap(i, j);
-        self.marks.truncate(self.journal.keep);
-        self.marks.extend_from_slice(&self.journal.marks);
+        std::mem::swap(&mut self.marks, &mut self.journal.marks);
         (self.lost, self.lone) = (self.journal.lost, self.journal.lone);
+        self.inside.copy_from_slice(&self.journal.inside);
         self.cached_energy = self.journal.energy;
     }
 }
@@ -640,7 +627,7 @@ impl Anneal for OrderState<'_> {
 mod tests {
     use super::*;
     use crate::twod::ShelfPacking;
-    use eblow_model::{CharId, Character, Stencil};
+    use eblow_model::{CharId, Character, Selection, Stencil};
     use rand::SeedableRng;
 
     fn setup(n: usize) -> (Instance, Vec<PackNode>) {
@@ -745,7 +732,7 @@ mod tests {
     fn break_shape(obj: &Objective<'_>, order: &[usize]) -> Option<bool> {
         let placed = full_pack(obj, order).positions;
         let cursor = obj.cursor();
-        let fits = |k: usize| cursor.fits(&obj.nodes[k]);
+        let fits = |k: usize| cursor.fits(&Slot::from(&obj.nodes[k]));
         let lost = order.iter().position(|&k| fits(k) && placed[k].is_none())?;
         Some(order[lost..].iter().any(|&k| placed[k].is_some()))
     }
@@ -767,16 +754,17 @@ mod tests {
     }
 
     /// The state equals the full re-pack of its order: the same energy
-    /// bits, and the same checkpoints, `lost`, `lone` and prefix sums as a
-    /// state freshly built on it.
+    /// bits, and the same slots, checkpoints, `lost`, `lone` and `inside`
+    /// as a state freshly built on it.
     fn assert_matches_full_repack(st: &OrderState<'_>) {
         let obj = st.objective;
         let reference = obj.energy(&full_pack(obj, &st.order).positions);
         assert_eq!(st.energy().to_bits(), reference.to_bits());
         let fresh = OrderState::new(obj, st.order.clone());
+        assert_eq!(st.slots, fresh.slots);
         assert_eq!(st.marks, fresh.marks);
         assert_eq!((st.lost, st.lone), (fresh.lost, fresh.lone));
-        assert_eq!(st.sums.tree, fresh.sums.tree);
+        assert_eq!(st.inside, fresh.inside);
     }
 
     /// One move, then an accept or an `undo`, each checked against the
@@ -853,6 +841,110 @@ mod tests {
                 && realigned.iter().all(|&c| c > 0),
             "a case went uncovered: {cov:?}"
         );
+    }
+
+    /// An [`OrderState`] under the annealer. After every move the annealer
+    /// accepted, and on the state it restores at the end, it checks the
+    /// energy against the model: the writing times `Instance::writing_times`
+    /// gives for the characters of the nodes `positions()` places.
+    #[derive(Clone)]
+    struct ModelChecked<'a> {
+        state: OrderState<'a>,
+        /// The last move was applied and not undone, and whether it swapped
+        /// a position before the break with one at or after it.
+        applied: Option<bool>,
+        /// Checks made, and the accepted moves among them that swapped
+        /// across the break; shared by the annealer's clones.
+        counts: &'a Cell<(usize, usize)>,
+    }
+
+    impl ModelChecked<'_> {
+        fn check(&self) {
+            let st = &self.state;
+            let (obj, inst) = (st.objective, st.objective.instance);
+            let placed = st.positions().into_iter().zip(obj.nodes);
+            let chars = placed
+                .filter(|(pos, _)| pos.is_some())
+                .flat_map(|(_, node)| node.members.iter().map(|&(id, _, _)| id.index()));
+            let times = inst.writing_times(&Selection::from_indices(inst.num_chars(), chars));
+            let expected = if obj.sum_objective {
+                times.iter().sum::<u64>() as f64 / inst.num_regions() as f64
+            } else {
+                times.iter().copied().max().unwrap_or(0) as f64
+            };
+            assert_eq!(st.energy().to_bits(), expected.to_bits(), "{times:?}");
+            let (checks, across) = self.counts.get();
+            self.counts.set((checks + 1, across));
+        }
+    }
+
+    impl Anneal for ModelChecked<'_> {
+        type Move = (usize, usize);
+
+        fn energy(&self) -> f64 {
+            self.state.energy()
+        }
+
+        fn propose(&mut self, rng: &mut StdRng) -> Option<(usize, usize)> {
+            if let Some(across) = self.applied.take() {
+                self.check();
+                let (checks, n) = self.counts.get();
+                self.counts.set((checks, n + across as usize));
+            }
+            self.state.propose(rng)
+        }
+
+        fn apply(&mut self, mv: &(usize, usize)) {
+            let end = self.state.lost.unwrap_or(self.state.order.len());
+            self.applied = Some(mv.0.min(mv.1) < end && end <= mv.0.max(mv.1));
+            self.state.apply(mv);
+        }
+
+        fn undo(&mut self, mv: &(usize, usize)) {
+            self.applied = None;
+            self.state.undo(mv);
+        }
+    }
+
+    /// The shelf engine's energy is the model's writing time of what it
+    /// places, under both objectives: the maximum region time for
+    /// E-BLOW's, the region times' sum ÷ P for \[24\]'s. The nodes are
+    /// E-BLOW's clustered ones and \[24\]'s unclustered candidates, on a
+    /// `tiny_2d` instance and on 2M-1 (1 000 candidates, 10 regions), where
+    /// the stencil fills and accepted moves swap across the break.
+    #[test]
+    fn order_state_energy_is_the_models_writing_time() {
+        use crate::twod::Eblow2d;
+        use eblow_anneal::{Annealer, Schedule};
+        use eblow_gen::{benchmark, generate, Family, GenConfig};
+        let planner = Eblow2d::default();
+        for inst in [generate(&GenConfig::tiny_2d(7)), benchmark(Family::M2(1))] {
+            let singles: Vec<PackNode> = (0..inst.num_chars())
+                .map(|i| PackNode::single(&inst, CharId::from(i), 1.0))
+                .collect();
+            let clustered = planner.pack_nodes(&inst, crate::StopFlag::NEVER);
+            for (nodes, sum_objective) in [(&clustered, false), (&singles, true)] {
+                let mut obj = Objective::new(&inst, nodes);
+                obj.sum_objective = sum_objective;
+                let counts = Cell::new((0, 0));
+                let mut st = ModelChecked {
+                    state: OrderState::new(&obj, (0..nodes.len()).collect()),
+                    applied: None,
+                    counts: &counts,
+                };
+                st.check();
+                let scale = *inst.vsb_times().iter().max().unwrap() as f64 * 0.05;
+                let schedule = Schedule::geometric(scale, 0.8, scale * 1e-3, 100);
+                Annealer::new(schedule, 11).run(&mut st);
+                st.check();
+                let (checks, across) = counts.get();
+                assert!(checks > 1_000, "{checks} checks");
+                if inst.num_chars() > 60 {
+                    assert!(st.state.lost.is_some());
+                    assert!(across > 100, "{across} accepted moves across the break");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //!
 //! The rule exists once, in [`ShelfCursor`]: an allocation-free step per
 //! node, driven over an order by [`ShelfCursor::run`], which reports every
-//! node and shelf to a [`ShelfSink`]. [`shelf_pack`] records positions and
-//! shelves (for seeding and placement extraction). The SA's `OrderState`
-//! copies the cursor at every shelf it opens and notes the first shelf
-//! that does not fit: the cursor is a few words, so an SA move resumes
-//! packing from the shelf it touches rather than from the first node. It
-//! stops where its shelves realign with the packing before the move, or
-//! where the stencil is full: at each shelf it opens, the sink may move
-//! the run on to a later cursor of the same run, or end it.
+//! node and shelf to a [`ShelfSink`]. A run reads each node's outline and
+//! blanks from a [`Slot`] kept by order position, one contiguous record
+//! per step. [`shelf_pack`] records positions and shelves (for seeding and
+//! placement extraction). The SA's `OrderState` keeps its slots permuted
+//! with its order, copies the cursor at every shelf it opens and notes the
+//! first shelf that does not fit: the cursor is a few words, so an SA move
+//! resumes packing from the shelf it touches rather than from the first
+//! node. It stops where its shelves realign with the packing before the
+//! move, or where the stencil is full: at each shelf it opens, the sink
+//! may move the run on to a later cursor of the same run, or end it.
 
 use super::cluster::PackNode;
 
@@ -47,7 +49,38 @@ pub(crate) trait ShelfSink {
     /// Node `k` opened a new shelf at x = 0. `cursor` is the state right
     /// after it, from which packing can resume. The answer says how the
     /// run goes on.
-    fn opened(&mut self, k: usize, cursor: &ShelfCursor) -> Flow;
+    fn opened(&mut self, k: usize, cursor: ShelfCursor) -> Flow;
+}
+
+/// The shelf rule's view of one node: its outline and its blanks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Slot {
+    width: u64,
+    height: u64,
+    left: u64,
+    right: u64,
+    bottom: u64,
+    top: u64,
+}
+
+impl Slot {
+    /// The slots of `order`'s nodes, by order position.
+    pub fn of(nodes: &[PackNode], order: &[usize]) -> Vec<Slot> {
+        order.iter().map(|&k| Slot::from(&nodes[k])).collect()
+    }
+}
+
+impl From<&PackNode> for Slot {
+    fn from(node: &PackNode) -> Self {
+        Slot {
+            width: node.width,
+            height: node.height,
+            left: node.blanks.left,
+            right: node.blanks.right,
+            bottom: node.blanks.bottom,
+            top: node.blanks.top,
+        }
+    }
 }
 
 /// How a run goes on after a shelf opened; see [`ShelfSink::opened`].
@@ -63,6 +96,66 @@ pub(crate) enum Flow {
     End,
 }
 
+/// The open shelf: its last node, where that node ends, and the extremes
+/// of the shelf's blanks and heights.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Shelf {
+    /// The last node. A cursor carries its identity, not only its shape:
+    /// at either swapped position of a move the node differs, so the
+    /// resync never matches a cursor there with the old one.
+    last: usize,
+    /// Right edge of the last node, and its right blank.
+    right: i64,
+    right_blank: u64,
+    min_bottom: u64,
+    min_top: u64,
+    height: u64,
+}
+
+impl Shelf {
+    /// The shelf node `k` opens, at x = 0.
+    fn open(k: usize, slot: &Slot) -> Self {
+        Shelf {
+            last: k,
+            right: slot.width as i64,
+            right_blank: slot.right,
+            min_bottom: slot.bottom,
+            min_top: slot.top,
+            height: slot.height,
+        }
+    }
+
+    /// Puts node `k` beside the open shelf's last node, sharing their
+    /// facing blanks, and tells the sink its x. Returns `false`, leaving
+    /// the shelf as it is, when no shelf is open or the node would end
+    /// past `stencil_w`.
+    #[inline]
+    fn join<S: ShelfSink>(
+        open: &mut Option<Shelf>,
+        k: usize,
+        slot: &Slot,
+        stencil_w: u64,
+        sink: &mut S,
+    ) -> bool {
+        let Some(shelf) = open else {
+            return false;
+        };
+        let x = shelf.right - shelf.right_blank.min(slot.left) as i64;
+        let right = x + slot.width as i64;
+        if right > stencil_w as i64 {
+            return false;
+        }
+        shelf.last = k;
+        shelf.right = right;
+        shelf.right_blank = slot.right;
+        shelf.min_bottom = shelf.min_bottom.min(slot.bottom);
+        shelf.min_top = shelf.min_top.min(slot.top);
+        shelf.height = shelf.height.max(slot.height);
+        sink.joined(k, x);
+        true
+    }
+}
+
 /// The shelf rule's state after a prefix of the order: the open shelf and
 /// the top edge of the closed shelves below it. It is `Copy`, so a caller
 /// can checkpoint it and later resume packing from the checkpoint.
@@ -72,11 +165,8 @@ pub(crate) struct ShelfCursor {
     stencil_h: u64,
     /// Order position of the node that opened the open shelf.
     start: usize,
-    /// Last node of the open shelf and its x; `None` before the first shelf.
-    last: Option<(usize, i64)>,
-    min_bottom: u64,
-    min_top: u64,
-    height: u64,
+    /// The open shelf; `None` before the first.
+    open: Option<Shelf>,
     /// y of the previous shelf's top edge (0 = ground).
     prev_top: i64,
     /// Min top blank of the previous shelf (0 = ground).
@@ -92,10 +182,7 @@ impl ShelfCursor {
             stencil_w,
             stencil_h,
             start: 0,
-            last: None,
-            min_bottom: 0,
-            min_top: 0,
-            height: 0,
+            open: None,
             prev_top: 0,
             prev_min_top: 0,
             full: false,
@@ -113,95 +200,88 @@ impl ShelfCursor {
         self.full
     }
 
-    /// Whether `node` fits the outline at all; the rule skips any other.
-    pub fn fits(&self, node: &PackNode) -> bool {
-        node.width <= self.stencil_w && node.height <= self.stencil_h
+    /// Whether `slot` fits the outline at all; the rule skips any other.
+    pub fn fits(&self, slot: &Slot) -> bool {
+        slot.width <= self.stencil_w && slot.height <= self.stencil_h
     }
 
-    /// Feeds node `k`, found at order position `pos`. A node wider or
-    /// taller than the stencil is skipped; one that fits beside the open
-    /// shelf's last node joins it; any other closes the shelf and opens
-    /// the next, and the sink's answer to the opening is returned.
-    #[inline]
-    fn step<S: ShelfSink>(
+    /// Closes `open`, if any, and opens the next shelf with node `k`,
+    /// found at order position `pos` with `slot`; returns the sink's
+    /// answer to the opening.
+    fn reopen<S: ShelfSink>(
         &mut self,
-        nodes: &[PackNode],
+        open: Option<Shelf>,
         pos: usize,
         k: usize,
+        slot: &Slot,
         sink: &mut S,
     ) -> Flow {
-        let node = &nodes[k];
-        if !self.fits(node) {
-            return Flow::Next;
-        }
-        if let Some((prev, px)) = self.last {
-            // Tentative x with sharing against the shelf's last node.
-            let ov = nodes[prev].blanks.right.min(node.blanks.left) as i64;
-            let x = px + nodes[prev].width as i64 - ov;
-            if x + (node.width as i64) <= self.stencil_w as i64 {
-                self.last = Some((k, x));
-                self.min_bottom = self.min_bottom.min(node.blanks.bottom);
-                self.min_top = self.min_top.min(node.blanks.top);
-                self.height = self.height.max(node.height);
-                sink.joined(k, x);
-                return Flow::Next;
-            }
-            let base = self.close();
+        if let Some(shelf) = &open {
+            let base = self.close(shelf);
             sink.closed(base);
         }
         self.start = pos;
-        self.last = Some((k, 0));
-        self.min_bottom = node.blanks.bottom;
-        self.min_top = node.blanks.top;
-        self.height = node.height;
-        sink.opened(k, self)
+        self.open = Some(Shelf::open(k, slot));
+        sink.opened(k, *self)
     }
 
-    /// Lowers the open shelf onto the previous one. Returns its base y, or
-    /// `None` (and marks the stencil full) when it does not fit vertically.
-    fn close(&mut self) -> Option<i64> {
+    /// Lowers `shelf` onto the previous one. Returns its base y, or `None`
+    /// (and marks the stencil full) when it does not fit vertically.
+    fn close(&mut self, shelf: &Shelf) -> Option<i64> {
         let overlap = if self.prev_top == 0 {
             0
         } else {
-            self.prev_min_top.min(self.min_bottom) as i64
+            self.prev_min_top.min(shelf.min_bottom) as i64
         };
         let base = self.prev_top - overlap;
-        if base + self.height as i64 > self.stencil_h as i64 {
+        if base + shelf.height as i64 > self.stencil_h as i64 {
             self.full = true;
             return None;
         }
-        self.prev_top = base + self.height as i64;
-        self.prev_min_top = self.min_top;
+        self.prev_top = base + shelf.height as i64;
+        self.prev_min_top = shelf.min_top;
         Some(base)
     }
 
-    /// Steps through `order[from..]`, then closes the last shelf, and
-    /// returns the number of nodes stepped. Once a shelf does not fit
-    /// vertically nothing below fits either, so the run stops there; the
-    /// node that opened the next shelf is still tried alone in the final
-    /// close. The sink may move the run on at a shelf opening, or end it
-    /// there ([`Flow`]).
+    /// Steps through positions `from..` of an order, given its nodes
+    /// (`order`) and their `slots`, then closes the last shelf, and
+    /// returns the number of nodes stepped. A node wider or taller than
+    /// the stencil is skipped; one that fits beside the open shelf's last
+    /// node joins it; any other closes the shelf and opens the next. Once
+    /// a shelf does not fit vertically nothing below fits either, so the
+    /// run stops there; the node that opened the next shelf is still tried
+    /// alone in the final close. The sink may move the run on at a shelf
+    /// opening, or end it there ([`Flow`]).
+    ///
+    /// The open shelf is stepped in a local of its own, apart from the
+    /// cursor that the sink receives at each opening, so that it stays in
+    /// registers while nodes join it.
     pub fn run<S: ShelfSink>(
-        &mut self,
-        nodes: &[PackNode],
+        mut self,
+        slots: &[Slot],
         order: &[usize],
         from: usize,
         sink: &mut S,
     ) -> usize {
+        let order = &order[..slots.len()];
+        let mut open = self.open;
         let (mut pos, mut steps) = (from, 0);
-        while pos < order.len() && !self.full {
+        while pos < slots.len() && !self.full {
             steps += 1;
-            match self.step(nodes, pos, order[pos], sink) {
+            let (slot, k) = (&slots[pos], order[pos]);
+            if !self.fits(slot) || Shelf::join(&mut open, k, slot, self.stencil_w, sink) {
+                pos += 1;
+                continue;
+            }
+            match self.reopen(open, pos, k, slot, sink) {
                 Flow::Next => pos += 1,
-                Flow::Resume(cursor) => {
-                    *self = cursor;
-                    pos = cursor.start + 1;
-                }
+                Flow::Resume(cursor) => (self, pos) = (cursor, cursor.start + 1),
                 Flow::End => return steps,
             }
+            open = self.open;
         }
-        if self.last.is_some() {
-            let base = self.close();
+        if let Some(shelf) = &open {
+            let base = self.close(shelf);
             sink.closed(base);
         }
         steps
@@ -237,7 +317,7 @@ pub fn shelf_pack(
             }
             self.shelf.clear();
         }
-        fn opened(&mut self, k: usize, _: &ShelfCursor) -> Flow {
+        fn opened(&mut self, k: usize, _: ShelfCursor) -> Flow {
             self.shelf.push((k, 0));
             Flow::Next
         }
@@ -251,7 +331,8 @@ pub fn shelf_pack(
         },
         shelf: Vec::new(),
     };
-    ShelfCursor::new(stencil_w, stencil_h).run(nodes, order, 0, &mut record);
+    let slots = Slot::of(nodes, order);
+    ShelfCursor::new(stencil_w, stencil_h).run(&slots, order, 0, &mut record);
     record.packing
 }
 

@@ -3,9 +3,12 @@
 //! the paper's Table 3 must hold in aggregate.
 
 use eblow::gen::{benchmark, generate, Family, GenConfig};
-use eblow::model::Selection;
+use eblow::lp::MilpStatus;
+use eblow::model::{Character, Instance, Selection, Stencil};
 use eblow::planner::baselines::{greedy_1d, heuristic_1d, row_heuristic_1d};
+use eblow::planner::ilp::solve_ilp_1d;
 use eblow::planner::oned::{Eblow1d, Eblow1dConfig};
+use std::time::Duration;
 
 fn seeds() -> impl Iterator<Item = u64> {
     1..=6u64
@@ -196,4 +199,20 @@ fn eblow1_never_loses_to_eblow0_on_table3_cases() {
             family.name()
         );
     }
+}
+
+/// `ilp1d` leaves a candidate wider than the rows out and proves the
+/// optimum: the four 40 × 40 characters, T = 25 − 16. Big-M = W in
+/// (3d)/(3e) cannot switch off a pair with the 1 000-wide character, which
+/// made even the empty selection infeasible.
+#[test]
+fn ilp1d_leaves_out_candidates_wider_than_the_rows() {
+    let mut chars = vec![Character::new(40, 40, [5, 5, 0, 0], 5).unwrap(); 4];
+    chars.push(Character::new(1_000, 40, [5, 5, 0, 0], 5).unwrap());
+    let stencil = Stencil::with_rows(200, 80, 40).unwrap();
+    let inst = Instance::new(stencil, chars, vec![vec![1]; 5]).unwrap();
+    let out = solve_ilp_1d(&inst, Duration::from_secs(30)).unwrap();
+    assert_eq!(out.status, MilpStatus::Optimal);
+    assert_eq!(out.total_time, Some(9));
+    out.placement_1d.unwrap().validate(&inst).unwrap();
 }

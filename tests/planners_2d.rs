@@ -1,9 +1,12 @@
 //! Cross-crate integration tests for the 2D planners.
 
 use eblow::gen::{generate, GenConfig};
+use eblow::lp::MilpStatus;
 use eblow::model::{Character, Instance, ModelError, Stencil};
 use eblow::planner::baselines::{greedy_2d, sa_2d};
+use eblow::planner::ilp::solve_ilp_2d;
 use eblow::planner::twod::{Eblow2d, Eblow2dConfig};
+use std::time::Duration;
 
 #[test]
 fn all_2d_planners_are_valid() {
@@ -111,5 +114,38 @@ fn planners_refuse_row_stencils_past_the_2d_size_bound() {
         );
         assert_eq!(sa_2d(&inst).map(|p| p.total_time), refused);
         assert_eq!(greedy_2d(&inst).map(|p| p.total_time), refused);
+    }
+}
+
+/// Four 40 × 40 characters with 5 µm blanks and one `width × 10` one on a
+/// 100 × 100 stencil, one region. The four fit in two shelves; the wide
+/// one never fits.
+fn instance_with_one_char_of_width(width: u64) -> Instance {
+    let mut chars = vec![Character::new(40, 40, [5; 4], 5).unwrap(); 4];
+    chars.push(Character::new(width, 10, [5; 4], 5).unwrap());
+    Instance::new(Stencil::new(100, 100).unwrap(), chars, vec![vec![1]; 5]).unwrap()
+}
+
+/// The by-name 2D planners leave a candidate wider than the stencil out.
+/// `ilp2d` proves the optimum, all four 40 × 40 characters: T = 25 − 16.
+/// Big-M = W in (7b)–(7e) cannot switch off a pair with a 1 000-wide
+/// character, which made even the empty selection infeasible, and at
+/// 2⁶³ the area cut's `u64` product overflowed. `greedy2d` compared the
+/// width as `i64`, so a 2⁶³-wide character passed its fit filter.
+#[test]
+fn by_name_planners_leave_out_candidates_wider_than_the_stencil() {
+    for width in [1_000, 1 << 63] {
+        let inst = instance_with_one_char_of_width(width);
+        let ilp = solve_ilp_2d(&inst, Duration::from_secs(30));
+        assert_eq!(ilp.status, MilpStatus::Optimal, "width {width}");
+        assert_eq!(ilp.total_time, Some(9), "width {width}");
+        ilp.placement_2d.unwrap().validate(&inst).unwrap();
+        let greedy = greedy_2d(&inst).unwrap();
+        greedy.placement.validate(&inst).unwrap();
+        assert_eq!(
+            greedy.total_time,
+            inst.total_writing_time(&greedy.selection)
+        );
+        assert!(!greedy.selection.contains(4), "width {width}");
     }
 }
