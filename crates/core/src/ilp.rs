@@ -298,9 +298,12 @@ pub fn solve_ilp_2d(instance: &Instance, time_limit: Duration) -> IlpOutcome {
         let terms: Vec<_> = (0..n)
             .filter(|&i| fits[i])
             .map(|i| {
+                // In f64: the rounded product is the same wherever the
+                // `u64` one fits, and a row-structured stencil's sides
+                // may reach 2⁶⁴.
                 let c = instance.char(i);
-                let area = (c.width() - c.blanks().left) * (c.height() - c.blanks().bottom);
-                (a[i], area as f64)
+                let width = (c.width() - c.blanks().left) as f64;
+                (a[i], width * (c.height() - c.blanks().bottom) as f64)
             })
             .collect();
         lp.add_constraint(&terms, Relation::Le, w * h);

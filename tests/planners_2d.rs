@@ -149,3 +149,19 @@ fn by_name_planners_leave_out_candidates_wider_than_the_stencil() {
         assert!(!greedy.selection.contains(4), "width {width}");
     }
 }
+
+/// `ilp2d`'s area cut multiplies the pattern sides in `f64`. On a
+/// row-structured stencil of 2⁴⁰ µm a side, two characters of 2⁴⁰ µm a
+/// side overflowed the `u64` product (a debug-build panic). One fits:
+/// T = 10 − 4.
+#[test]
+fn ilp2d_area_cut_survives_row_stencils_past_the_2d_bound() {
+    let side = 1 << 40;
+    let chars = vec![Character::new(side, side, [0; 4], 5).unwrap(); 2];
+    let stencil = Stencil::with_rows(side, side, side).unwrap();
+    let inst = Instance::new(stencil, chars, vec![vec![1]; 2]).unwrap();
+    let out = solve_ilp_2d(&inst, Duration::from_secs(30));
+    assert_eq!(out.status, MilpStatus::Optimal);
+    assert_eq!(out.total_time, Some(6));
+    out.placement_2d.unwrap().validate(&inst).unwrap();
+}
