@@ -527,18 +527,14 @@ impl<'a> OrderState<'a> {
     fn move_break(&mut self, lost: Option<usize>) {
         let n = self.order.len();
         let (old, new) = (self.lost.unwrap_or(n), lost.unwrap_or(n));
-        let objective = self.objective;
-        if old < new {
-            for &k in &self.order[old..new] {
-                for (s, r) in self.inside.iter_mut().zip(objective.reduction(k)) {
-                    *s += r;
-                }
-            }
+        let (rows, sign) = if old < new {
+            (old..new, 1)
         } else {
-            for &k in &self.order[new..old] {
-                for (s, r) in self.inside.iter_mut().zip(objective.reduction(k)) {
-                    *s -= r;
-                }
+            (new..old, -1)
+        };
+        for &k in &self.order[rows] {
+            for (s, r) in self.inside.iter_mut().zip(self.objective.reduction(k)) {
+                *s += sign * r;
             }
         }
         self.lost = lost;
