@@ -446,6 +446,9 @@ impl ShelfSink for Track<'_> {
         }
     }
 
+    // Inlined into the run, so a shelf opening does not go through a
+    // call that copies the cursor once more before the push.
+    #[inline]
     fn opened(&mut self, _k: usize, cursor: ShelfCursor) -> Flow {
         self.open = cursor.start();
         self.marks.push(cursor);
