@@ -1,7 +1,7 @@
 //! Table 4 benchmark: 2DOSP planner runtimes (the CPU(s) column), plus the
 //! clustering-ablation runtime comparison. The paper attributes a ~28×
 //! SA\[24\]/E-BLOW gap to clustering; `eblow-eval table4` measures about
-//! 0.75× (0.72–0.83 over three runs on a 2-core VM), because above 400
+//! 0.8× (0.76–0.81 over three runs on a 2-core VM), because above 400
 //! nodes both planners anneal on the shelf engine and neither pays
 //! \[24\]'s `O(n²)` sequence-pair evaluation per move.
 //! Uses a reduced-size 2D workload so criterion can sample.

@@ -21,7 +21,7 @@
 //!   as E-BLOW but with no pre-filter and no clustering (every candidate is
 //!   its own node). The paper reports it ~28× slower at 4000 candidates;
 //!   here both anneal on the shelf engine above 400 nodes, and it runs in
-//!   about 0.75× E-BLOW's time (`eblow-eval table4` CPU ratio 0.72–0.83
+//!   about 0.8× E-BLOW's time (`eblow-eval table4` CPU ratio 0.76–0.81
 //!   over three runs on a 2-core VM).
 
 mod greedy1d;

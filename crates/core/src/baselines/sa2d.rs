@@ -12,8 +12,8 @@ use eblow_model::{Instance, ModelError};
 /// the pre-filter and clustering *disabled* (`prefilter_factor` set high
 /// enough to keep every candidate), so the runtime gap against
 /// [`crate::twod::Eblow2d`] isolates those two techniques. The paper
-/// reports a ~28× gap in Table 4; `eblow-eval table4` measures about 0.75×
-/// (average CPU 0.07–0.09 s vs 0.10–0.12 s over three runs on a 2-core
+/// reports a ~28× gap in Table 4; `eblow-eval table4` measures about 0.8×
+/// (average CPU 0.06–0.08 s vs 0.08–0.11 s over three runs on a 2-core
 /// VM), and on 2M-5..8 this baseline is the faster of the two. Above 400
 /// nodes, which covers every Table 4 case, this baseline anneals on the
 /// shelf engine just as E-BLOW does, so it never pays \[24\]'s `O(n²)`
