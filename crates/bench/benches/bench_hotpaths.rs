@@ -3,21 +3,25 @@
 //! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, and
 //! cold vs warm-started LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
-//! registry strategy. Two 2D kernels on 2M-4, the two members the 2D race
-//! runs, measure the shelf engine's SA move (`OrderState`, `ShelfCursor`):
-//! the \[24\] baseline under the sum objective, and E-BLOW under the max.
+//! registry strategy. Two more 1H kernels measure what the 1D race pays
+//! besides E-BLOW's rounding: the \[25\] row heuristic, whose leftovers
+//! probe their best-ranked rows with the width DP, and post-swap on
+//! E-BLOW's refined rows. Two 2D kernels on 2M-4, the two members the 2D
+//! race runs, measure the shelf engine's SA move (`OrderState`,
+//! `ShelfCursor`): the \[24\] baseline under the sum objective, and E-BLOW
+//! under the max.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eblow_core::baselines::sa_2d;
+use eblow_core::baselines::{row_heuristic_1d, sa_2d};
 use eblow_core::oned::{
-    successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem, ProbedRow, RoundingConfig,
-    RowBase, WidthScratch,
+    post_swap, refine_row, successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem,
+    PostConfig, ProbedRow, RoundingConfig, RowBase, WidthScratch,
 };
 use eblow_core::profit::RegionTimes;
 use eblow_core::twod::Eblow2d;
 use eblow_core::StopFlag;
 use eblow_gen::{benchmark, Family};
-use eblow_model::CharId;
+use eblow_model::{CharId, Placement1d, Row};
 use std::hint::black_box;
 
 fn bench_hotpaths(c: &mut Criterion) {
@@ -149,6 +153,55 @@ fn bench_hotpaths(c: &mut Criterion) {
                 StopFlag::NEVER,
             );
             black_box(out.unsolved.len())
+        })
+    });
+
+    // The [25] baseline end to end: nearly all of its wall is the fill's
+    // admission probes, most of them by candidates that end as leftovers
+    // after probing every ranked row.
+    group.bench_function("row_heuristic_1h1", |b| {
+        b.iter(|| black_box(row_heuristic_1d(&inst).unwrap().total_time))
+    });
+
+    // Post-swap on E-BLOW's rows: the rounding's rows ordered by
+    // refinement at beam 20 (members dropped until a row fits, which the
+    // rounding's exact admission makes rare), each iteration swapping into
+    // a fresh copy.
+    group.bench_function("post_swap_1h1", |b| {
+        let w = inst.stencil().width();
+        let eligible: Vec<usize> = (0..n).collect();
+        let rows = inst.num_rows().expect("1H is 1D");
+        let config = RoundingConfig::default();
+        let out = successive_rounding(
+            &inst,
+            &eligible,
+            rows,
+            &config,
+            &CombinatorialOracle,
+            StopFlag::NEVER,
+        );
+        let refined = out.rows.iter().map(|rs| {
+            let (mut order, mut width) = refine_row(&inst, &rs.members, 20);
+            while width > w {
+                order.pop();
+                (order, width) = refine_row(&inst, &order, 20);
+            }
+            Row::from_order(order)
+        });
+        let placement = Placement1d::from_rows(refined.collect());
+        let selection = placement.selection(n);
+        let region_times = RegionTimes::from_selection(&inst, &selection);
+        b.iter(|| {
+            let (mut placement, mut selection) = (placement.clone(), selection.clone());
+            let mut region_times = region_times.clone();
+            black_box(post_swap(
+                &inst,
+                &mut placement,
+                &mut selection,
+                &mut region_times,
+                &PostConfig::default(),
+                StopFlag::NEVER,
+            ))
         })
     });
 

@@ -12,8 +12,10 @@
 //! E-BLOW-1 comparison (Figs. 11/12). Both variants run the same
 //! successive rounding, so the pipeline is two stages, [`Eblow1d::round`]
 //! and [`Eblow1d::finish`]: a clone of one rounding can be finished both
-//! ways. [`solve_exact_1d`] certifies the optimum of instances with up to
-//! [`EXACT_1D_MAX_CHARS`] candidates.
+//! ways. [`Eblow1d::converge`] runs the finish's first stage, Algorithm 2,
+//! on its own, so a caller learns whether it committed anything before it
+//! pays for a second finish. [`solve_exact_1d`] certifies the optimum of
+//! instances with up to [`EXACT_1D_MAX_CHARS`] candidates.
 
 mod convergence;
 mod exact;
@@ -187,55 +189,75 @@ impl Eblow1d {
             self.config.oracle.as_ref(),
             stop,
         );
-        Ok(Rounded { outcome, started })
+        Ok(Rounded {
+            outcome,
+            started,
+            converged: false,
+        })
+    }
+
+    /// Stage 3 on a rounding from [`Eblow1d::round`]: fast ILP convergence
+    /// (Algorithm 2) when `fast_ilp` is on and `stop` is not raised.
+    /// Returns the characters it committed. It runs once per rounding:
+    /// [`Eblow1d::finish`] skips it for a rounding already converged here,
+    /// and a second call commits nothing. A rounding Algorithm 2 committed
+    /// nothing to is unchanged in everything the later stages read.
+    pub fn converge(
+        &self,
+        instance: &Instance,
+        rounded: &mut Rounded,
+        stop: StopFlag<'_>,
+    ) -> usize {
+        if !self.config.fast_ilp || rounded.converged || stop.is_set() {
+            return 0;
+        }
+        rounded.converged = true;
+        let outcome = &mut rounded.outcome;
+        let _span = eblow_trace::span("eblow1d.convergence");
+        let lp = outcome.last_lp.take();
+        let items = if lp.is_some() {
+            std::mem::take(&mut outcome.last_items)
+        } else {
+            // Rounding ended without an LP (its backend refused or failed
+            // on the very first iteration): price the unsolved set fresh
+            // and let Algorithm 2 ask the oracle itself — a backend that
+            // fails transiently still gets one more shot, and a
+            // deterministic failure degrades gracefully inside
+            // `fast_ilp_convergence`.
+            outcome
+                .unsolved
+                .iter()
+                .map(|&i| MkpItem::of_char(instance, &outcome.region_times, i))
+                .collect()
+        };
+        if items.is_empty() {
+            return 0;
+        }
+        let (_leftover, stats) = fast_ilp_convergence(
+            instance,
+            &mut outcome.rows,
+            &mut outcome.region_times,
+            &items,
+            lp.as_ref(),
+            &self.config.convergence,
+            self.config.oracle.as_ref(),
+            stop,
+        );
+        stats.committed_by_threshold + stats.committed_by_ilp
     }
 
     /// Stages 3–6 on a rounding of `instance` from [`Eblow1d::round`]:
-    /// fast ILP convergence (Algorithm 2) when `fast_ilp` is on, refinement
-    /// (Algorithm 3), post-swap, then post-insertion when configured.
-    /// Polls `stop` like [`Eblow1d::plan_with_stop`]; the returned
-    /// placement always validates, and its `elapsed` counts from the start
-    /// of the rounding.
-    pub fn finish(&self, instance: &Instance, rounded: Rounded, stop: StopFlag<'_>) -> Plan1d {
+    /// fast ILP convergence (Algorithm 2, [`Eblow1d::converge`]) when
+    /// `fast_ilp` is on, refinement (Algorithm 3), post-swap, then
+    /// post-insertion when configured. Polls `stop` like
+    /// [`Eblow1d::plan_with_stop`]; the returned placement always
+    /// validates, and its `elapsed` counts from the start of the rounding.
+    pub fn finish(&self, instance: &Instance, mut rounded: Rounded, stop: StopFlag<'_>) -> Plan1d {
+        self.converge(instance, &mut rounded, stop);
         let Rounded {
-            mut outcome,
-            started,
+            outcome, started, ..
         } = rounded;
         let w = instance.stencil().width();
-        let oracle = self.config.oracle.as_ref();
-
-        // Stage 3: fast ILP convergence (Algorithm 2), E-BLOW-1 only.
-        if self.config.fast_ilp && !stop.is_set() {
-            let _span = eblow_trace::span("eblow1d.convergence");
-            let lp = outcome.last_lp.take();
-            let items = if lp.is_some() {
-                std::mem::take(&mut outcome.last_items)
-            } else {
-                // Rounding ended without an LP (its backend refused or
-                // failed on the very first iteration): price the unsolved
-                // set fresh and let Algorithm 2 ask the oracle itself — a
-                // backend that fails transiently still gets one more shot,
-                // and a deterministic failure degrades gracefully inside
-                // `fast_ilp_convergence`.
-                outcome
-                    .unsolved
-                    .iter()
-                    .map(|&i| MkpItem::of_char(instance, &outcome.region_times, i))
-                    .collect()
-            };
-            if !items.is_empty() {
-                let (_leftover, _stats) = fast_ilp_convergence(
-                    instance,
-                    &mut outcome.rows,
-                    &mut outcome.region_times,
-                    &items,
-                    lp.as_ref(),
-                    &self.config.convergence,
-                    oracle,
-                    stop,
-                );
-            }
-        }
 
         let mut region_times = outcome.region_times;
 
@@ -333,6 +355,8 @@ impl Eblow1d {
 pub struct Rounded {
     outcome: RoundingOutcome,
     started: Instant,
+    /// Whether [`Eblow1d::converge`] has run Algorithm 2 on it.
+    converged: bool,
 }
 
 /// Builds a [`Plan1d`] from a finished placement (shared by baselines).
@@ -413,6 +437,38 @@ mod tests {
         }
         // The two finishes really do differ on most seeds.
         assert!(differ >= 50, "only {differ} seeds tell the variants apart");
+    }
+
+    /// Running Algorithm 2 through `converge` first finishes to the same
+    /// plan, Algorithm 2 runs once per rounding, and a rounding it
+    /// committed nothing to still finishes as E-BLOW-0's own plan.
+    #[test]
+    fn converging_first_changes_no_finish() {
+        let eblow0 = Eblow1d::new(Eblow1dConfig::eblow0());
+        let eblow1 = Eblow1d::new(Eblow1dConfig::eblow1());
+        let (mut committed_some, mut committed_none) = (0, 0);
+        for seed in 0..60 {
+            let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
+            let mut rounded = eblow1.round(&inst, StopFlag::NEVER).unwrap();
+            assert_eq!(eblow0.converge(&inst, &mut rounded, StopFlag::NEVER), 0);
+            let committed = eblow1.converge(&inst, &mut rounded, StopFlag::NEVER);
+            assert_eq!(eblow1.converge(&inst, &mut rounded, StopFlag::NEVER), 0);
+            if committed == 0 {
+                committed_none += 1;
+                let plan0 = eblow0.finish(&inst, rounded.clone(), StopFlag::NEVER);
+                assert_eq!(plan0.placement, eblow0.plan(&inst).unwrap().placement);
+            } else {
+                committed_some += 1;
+            }
+            let plan1 = eblow1.plan(&inst).unwrap();
+            let finished = eblow1.finish(&inst, rounded, StopFlag::NEVER);
+            assert_eq!(finished.placement, plan1.placement, "seed {seed}");
+            assert_eq!(finished.region_times, plan1.region_times, "seed {seed}");
+        }
+        assert!(
+            committed_some >= 1 && committed_none >= 1,
+            "{committed_some} seeds with commits, {committed_none} without"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::cancel::StopFlag;
 use crate::profit::RegionTimes;
 use eblow_matching::max_weight_matching;
-use eblow_model::{CharId, Instance, Placement1d, Selection};
+use eblow_model::{overlap, CharId, Instance, Placement1d, Row, Selection};
 
 /// Tunables for the post stages.
 #[derive(Debug, Clone, Copy)]
@@ -40,21 +40,107 @@ impl Default for PostConfig {
     }
 }
 
-/// Row width after replacing the character at `pos` with `new_id`
-/// (order otherwise unchanged), or `None` past `u64::MAX`.
+/// `row`'s width, exact in `u128`: the sum [`Row::checked_width`] folds,
+/// without its `u64` bound.
+fn exact_width(instance: &Instance, row: &Row) -> u128 {
+    let char_of = |id: &CharId| instance.char(id.index());
+    let Some(last) = row.order().last() else {
+        return 0;
+    };
+    let paired: u128 = row
+        .order()
+        .windows(2)
+        .map(|pair| u128::from(overlap::paired_width(char_of(&pair[0]), char_of(&pair[1]))))
+        .sum();
+    paired + u128::from(char_of(last).width())
+}
+
+/// Width of `row`, exactly `width` wide, after replacing the character at
+/// `pos` with `new_id` (order otherwise unchanged), or `None` past
+/// `u64::MAX`. Only the replaced character's own width and its two
+/// junctions change, so this is O(1) and allocates nothing.
 fn width_with_replacement(
     instance: &Instance,
-    row: &eblow_model::Row,
+    row: &Row,
+    width: u128,
     pos: usize,
     new_id: CharId,
 ) -> Option<u64> {
-    let chars: Vec<_> = row
-        .order()
-        .iter()
-        .enumerate()
-        .map(|(k, id)| instance.char(if k == pos { new_id.index() } else { id.index() }))
-        .collect();
-    eblow_model::overlap::checked_row_width(&chars)
+    let order = row.order();
+    let (old, new) = (
+        instance.char(order[pos].index()),
+        instance.char(new_id.index()),
+    );
+    // The row grows by the new character's width and the blanks the old
+    // one shared at its junctions, and shrinks by the old width and the
+    // blanks the new one shares there. Exact in `u128`; the difference is
+    // the new row's width, so it never goes below 0.
+    let mut grows = u128::from(new.width());
+    let mut shrinks = u128::from(old.width());
+    if let Some(prev) = pos.checked_sub(1).map(|p| instance.char(order[p].index())) {
+        grows += u128::from(overlap::h_overlap(prev, old));
+        shrinks += u128::from(overlap::h_overlap(prev, new));
+    }
+    if let Some(next) = order.get(pos + 1).map(|id| instance.char(id.index())) {
+        grows += u128::from(overlap::h_overlap(old, next));
+        shrinks += u128::from(overlap::h_overlap(new, next));
+    }
+    u64::try_from(width + grows - shrinks).ok()
+}
+
+/// The placed characters in post-swap's scan order, least valuable first,
+/// keyed by `(profit, row, pos)`: a strict total order, and the order a
+/// stable sort by profit gives the row-major list. A commit changes the
+/// profits, so the list is re-keyed after each one, and the next scan
+/// often commits again early. So the list is sorted only as far as the
+/// scan reads: the smallest keys are selected and sorted in a prefix that
+/// doubles each time the scan passes its end.
+#[derive(Debug, Default)]
+struct ScanOrder {
+    entries: Vec<(f64, usize, usize)>,
+    /// `entries[..sorted]` holds the smallest keys, in order.
+    sorted: usize,
+}
+
+/// The prefix the first read after a re-key sorts.
+const FIRST_SORTED: usize = 256;
+
+/// The scan key order: profit, then row, then position.
+fn scan_order(a: &(f64, usize, usize), b: &(f64, usize, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+}
+
+impl ScanOrder {
+    /// Keys every placed character by its profit under `rt`; nothing is
+    /// sorted yet.
+    fn rekey(&mut self, instance: &Instance, placement: &Placement1d, rt: &RegionTimes) {
+        self.entries.clear();
+        for (r, row) in placement.rows().iter().enumerate() {
+            for (pos, id) in row.order().iter().enumerate() {
+                self.entries.push((rt.profit(instance, id.index()), r, pos));
+            }
+        }
+        self.sorted = 0;
+    }
+
+    /// The `(row, pos)` at scan position `i`, or `None` past the last.
+    /// Reads run from 0 up; one at the end of the sorted prefix sorts the
+    /// next stretch first.
+    fn get(&mut self, i: usize) -> Option<(usize, usize)> {
+        if i == self.sorted {
+            let rest = &mut self.entries[self.sorted..];
+            let take = self.sorted.max(FIRST_SORTED).min(rest.len());
+            if take == 0 {
+                return None;
+            }
+            if take < rest.len() {
+                rest.select_nth_unstable_by(take - 1, scan_order);
+            }
+            rest[..take].sort_unstable_by(scan_order);
+            self.sorted += take;
+        }
+        self.entries.get(i).map(|&(_, r, pos)| (r, pos))
+    }
 }
 
 /// Post-swap: greedy improving exchanges between unselected characters and
@@ -77,31 +163,19 @@ pub fn post_swap(
         None => return 0,
     };
     let mut swaps = 0usize;
-    // Buffers reused across passes and rebuilds (this loop is in the
-    // hot-path manifest): the candidate ranking, the sorted scan list of
-    // placed positions, and the scratch tracker probed per candidate.
+    // Buffers reused across passes and commits (this loop is in the
+    // hot-path manifest): the candidate ranking, the scan order of placed
+    // positions, and the scratch tracker probed per candidate.
     let mut ranked: Vec<(f64, usize)> = Vec::new();
     let mut outsiders: Vec<usize> = Vec::new();
-    let mut placed: Vec<(f64, usize, usize)> = Vec::new();
+    let mut scan = ScanOrder::default();
     let mut with_u = region_times.clone();
-    // Scan placed characters, least valuable first. Positions and
-    // profits only change when a swap commits, so the sorted scan list
-    // is built once per pass and rebuilt after each commit instead of
-    // once per outsider (the commit rate is tiny compared to the
-    // candidate count). Profits are cached in the entries so the stable
-    // sort compares floats instead of recomputing two sparse profits per
-    // comparison — same ordering, stability and all.
-    let build_placed =
-        |placed: &mut Vec<(f64, usize, usize)>, placement: &Placement1d, rt: &RegionTimes| {
-            placed.clear();
-            for (r, row) in placement.rows().iter().enumerate() {
-                for pos in 0..row.len() {
-                    let p = rt.profit(instance, row.order()[pos].index());
-                    placed.push((p, r, pos));
-                }
-            }
-            placed.sort_by(|a, b| a.0.total_cmp(&b.0));
-        };
+    // Each row's exact width, kept current across commits.
+    let mut widths: Vec<u128> = placement
+        .rows()
+        .iter()
+        .map(|row| exact_width(instance, row))
+        .collect();
     for _pass in 0..config.swap_passes {
         // Unselected, most valuable first (only characters that fit a row).
         ranked.clear();
@@ -118,7 +192,12 @@ pub fn post_swap(
         outsiders.clear();
         outsiders.extend(ranked.iter().map(|&(_, i)| i));
 
-        build_placed(&mut placed, placement, region_times);
+        // Scan placed characters, least valuable first. Positions and
+        // profits only change when a swap commits, so the scan order is
+        // keyed once per pass and again after each commit instead of once
+        // per outsider (the commit rate is tiny compared to the candidate
+        // count).
+        scan.rekey(instance, placement, region_times);
 
         let mut any = false;
         for &u in &outsiders {
@@ -140,31 +219,32 @@ pub fn post_swap(
             with_u.clone_from(region_times);
             with_u.select(instance, u);
             let base = region_times.total() as i64;
-            let mut committed = false;
-            for &(_, r, pos) in &placed {
+            let mut at = 0;
+            while let Some((r, pos)) = scan.get(at) {
+                at += 1;
                 let v = placement.rows()[r].order()[pos];
                 let delta = with_u.removed_total(instance, v.index()) as i64 - base;
                 if delta >= 0 {
                     continue;
                 }
-                if width_with_replacement(instance, &placement.rows()[r], pos, CharId::from(u))
-                    .is_none_or(|width| width > w)
-                {
+                let row = &placement.rows()[r];
+                let Some(width) =
+                    width_with_replacement(instance, row, widths[r], pos, CharId::from(u))
+                        .filter(|&width| width <= w)
+                else {
                     continue;
-                }
+                };
                 // Commit the swap.
                 placement.row_mut(r).replace(pos, CharId::from(u));
+                widths[r] = u128::from(width);
                 region_times.deselect(instance, v.index());
                 region_times.select(instance, u);
                 selection.remove(v.index());
                 selection.insert(u);
                 swaps += 1;
                 any = true;
-                committed = true;
+                scan.rekey(instance, placement, region_times);
                 break;
-            }
-            if committed {
-                build_placed(&mut placed, placement, region_times);
             }
         }
         if !any {
@@ -282,7 +362,7 @@ pub fn post_insert(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eblow_model::{Character, Row, Stencil};
+    use eblow_model::{Character, Stencil};
 
     fn instance() -> Instance {
         let chars = vec![
@@ -324,6 +404,75 @@ mod tests {
         );
         assert!(placement.validate(&inst).is_ok());
         assert_eq!(rt.times(), &inst.writing_times(&selection)[..]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The O(1) replacement width equals the width of the substituted
+        /// order folded from scratch, at every position of rows of 1 to 9
+        /// characters. With `scale` set, widths and blanks are multiplied
+        /// by 2⁶¹, so some rows and replacements pass `u64::MAX` (`None`)
+        /// and some come back under it.
+        #[test]
+        fn replacement_width_matches_the_substituted_row(
+            shapes in proptest::collection::vec((1u64..8, 0u64..8, 0u64..8), 2..11),
+            scale in 0u32..2,
+        ) {
+            let factor = if scale == 1 { 1u64 << 61 } else { 1 };
+            let chars: Vec<Character> = shapes
+                .iter()
+                .map(|&(w, l, r)| {
+                    let (l, r) = (l.min(w), r.min(w - l.min(w)));
+                    Character::new(w * factor, 40, [l * factor, r * factor, 0, 0], 2).unwrap()
+                })
+                .collect();
+            let n = chars.len();
+            let inst = Instance::new(
+                Stencil::with_rows(u64::MAX, 40, 40).unwrap(),
+                chars,
+                vec![vec![1]; n],
+            )
+            .unwrap();
+            // The last character replaces each member of the others' row.
+            let row = Row::from_order((0..n - 1).map(CharId::from).collect());
+            let width = exact_width(&inst, &row);
+            for pos in 0..row.len() {
+                let mut order: Vec<&Character> =
+                    row.order().iter().map(|id| inst.char(id.index())).collect();
+                order[pos] = inst.char(n - 1);
+                proptest::prop_assert_eq!(
+                    width_with_replacement(&inst, &row, width, pos, CharId::from(n - 1)),
+                    overlap::checked_row_width(&order),
+                    "pos {}", pos
+                );
+            }
+        }
+
+        /// Reading the scan order from the start gives the stable sort by
+        /// profit of the row-major list, however far a read goes and with
+        /// profits tied often.
+        #[test]
+        fn scan_order_reads_the_stable_profit_order(
+            profits in proptest::collection::vec(0u64..12, 0..400),
+            stop_at in 0usize..400,
+        ) {
+            let entries: Vec<(f64, usize, usize)> = profits
+                .iter()
+                .enumerate()
+                .map(|(k, &p)| (p as f64 / 4.0, k / 7, k % 7))
+                .collect();
+            let mut stable = entries.clone();
+            stable.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut scan = ScanOrder { entries, sorted: 0 };
+            let read = stop_at.min(stable.len());
+            for (i, &(_, r, pos)) in stable[..read].iter().enumerate() {
+                proptest::prop_assert_eq!(scan.get(i), Some((r, pos)), "read {}", i);
+            }
+            if read == stable.len() {
+                proptest::prop_assert_eq!(scan.get(read), None);
+            }
+        }
     }
 
     #[test]

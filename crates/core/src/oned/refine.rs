@@ -609,10 +609,27 @@ impl BeamCheckpoints {
     }
 }
 
+/// The order the DP prunes in: width ascending, then left blank and right
+/// blank descending. A full key tie means identical states.
+fn prune_key(st: &WidthState) -> (u64, Reverse<u64>, Reverse<u64>) {
+    (st.0, Reverse(st.1), Reverse(st.2))
+}
+
 /// One DP insertion: starts the frontier with `c` alone when it is empty,
 /// otherwise inserts `c` at both ends of every state and prunes to
 /// `threshold` states. A state whose width would overflow `u64` fits no
 /// stencil and is dropped; returns `false` when no state is left.
+///
+/// The prune is `prune_widths` over all `2k` inserts: the same states in
+/// the same order under the same beam cut, without sorting the inserts
+/// together or scanning dominance pairwise. Every left insert ends in
+/// `c`'s left blank and every right insert in its right blank, so each
+/// group varies in its width and one free blank only. Each group arrives
+/// in its frontier's width order, shifted by at most one of `c`'s blanks,
+/// and is put in prune order by insertion. The two are then merged in
+/// prune order, and whether an earlier insert dominates the next one
+/// reads off the largest free blank merged so far in each group (see
+/// [`merge_pareto`]).
 fn dp_insert(
     frontier: &mut Vec<WidthState>,
     next: &mut Vec<WidthState>,
@@ -625,22 +642,7 @@ fn dp_insert(
         frontier.push((wk, blk, brk));
         return true;
     };
-    if widest.checked_add(wk).is_none() {
-        // Near `u64::MAX` only: check every insertion.
-        next.clear();
-        for &(width, left_blank, right_blank) in frontier.iter() {
-            if let Some(w) = width.checked_add(wk - brk.min(left_blank)) {
-                next.push((w, blk, right_blank));
-            }
-            if let Some(w) = width.checked_add(wk - blk.min(right_blank)) {
-                next.push((w, left_blank, brk));
-            }
-        }
-        prune_widths(next, threshold);
-        std::mem::swap(frontier, next);
-        return !frontier.is_empty();
-    }
-    if threshold <= 1 {
+    if threshold <= 1 && widest.checked_add(wk).is_some() {
         // Beam-1 chain, specialized: with a frontier of one, pruning keeps
         // exactly the `(width ↑, left_blank ↓, right_blank ↓)`-smallest of
         // the two inserts (a full key tie means identical triples, so the
@@ -649,32 +651,118 @@ fn dp_insert(
         let st = frontier[0];
         let left = (st.0 + wk - brk.min(st.1), blk, st.2);
         let right = (st.0 + wk - blk.min(st.2), st.1, brk);
-        frontier[0] = if (left.0, Reverse(left.1), Reverse(left.2))
-            <= (right.0, Reverse(right.1), Reverse(right.2))
-        {
+        frontier[0] = if prune_key(&left) <= prune_key(&right) {
             left
         } else {
             right
         };
         return true;
     }
-    // Expansion as an indexed fill over a pre-sized buffer: every frontier
-    // state expands to exactly two successors at fixed slots, a regular
-    // access pattern the compiler can keep in lanes (the push-based loop
-    // re-checked capacity per state).
+    // The left inserts, then the right inserts.
     next.clear();
-    next.resize(2 * frontier.len(), (0, 0, 0));
-    for (i, &(width, left_blank, right_blank)) in frontier.iter().enumerate() {
-        next[2 * i] = (width + wk - brk.min(left_blank), blk, right_blank);
-        next[2 * i + 1] = (width + wk - blk.min(right_blank), left_blank, brk);
+    let split = if widest.checked_add(wk).is_some() {
+        next.extend(
+            frontier
+                .iter()
+                .map(|&(width, l, r)| (width + wk - brk.min(l), blk, r)),
+        );
+        let split = next.len();
+        next.extend(
+            frontier
+                .iter()
+                .map(|&(width, l, r)| (width + wk - blk.min(r), l, brk)),
+        );
+        split
+    } else {
+        // Near `u64::MAX` only: drop the inserts whose width overflows.
+        let left =
+            |&(width, l, r): &WidthState| Some((width.checked_add(wk - brk.min(l))?, blk, r));
+        let right =
+            |&(width, l, r): &WidthState| Some((width.checked_add(wk - blk.min(r))?, l, brk));
+        next.extend(frontier.iter().filter_map(left));
+        let split = next.len();
+        next.extend(frontier.iter().filter_map(right));
+        split
+    };
+    let (lefts, rights) = next.split_at_mut(split);
+    // Within a group prune order is width ascending, then the free blank
+    // descending.
+    sort_group(lefts, |st| st.2);
+    sort_group(rights, |st| st.1);
+    merge_pareto(lefts, rights, (blk, brk), threshold, frontier);
+    !frontier.is_empty()
+}
+
+/// Sorts one insert group by width ascending, then its `free` blank
+/// descending, by insertion: it arrives nearly sorted, so few states move.
+fn sort_group(states: &mut [WidthState], free: impl Fn(&WidthState) -> u64) {
+    let key = |st: &WidthState| (st.0, Reverse(free(st)));
+    for i in 1..states.len() {
+        let st = states[i];
+        let mut j = i;
+        while j > 0 && key(&states[j - 1]) > key(&st) {
+            states[j] = states[j - 1];
+            j -= 1;
+        }
+        states[j] = st;
     }
-    prune_widths(next, threshold);
-    std::mem::swap(frontier, next);
-    true
+}
+
+/// Merges the left inserts `lefts` (all ending in `c`'s left blank `blk`)
+/// and the right inserts `rights` (all ending in its right blank `brk`),
+/// each in prune order, into `out` in prune order: each state no earlier
+/// one dominates, until `threshold` are kept. This is `prune_widths`
+/// over both groups.
+///
+/// Every earlier state is at most as wide, so an earlier state dominates
+/// when both its blanks are at least as large. Within the left group that
+/// reads `r' ≥ r`, across from the right group `l' ≥ blk` and `brk ≥ r`;
+/// symmetrically for a right insert. So the largest right blank among the
+/// left inserts merged so far and the largest left blank among the right
+/// inserts decide it in O(1). Checking every earlier state, not only the
+/// kept ones, decides alike: a dropped state has a kept dominator, and
+/// dominance is transitive.
+// audit:allow(stop-flag-reachability): at most one step per insert, 2·threshold per DP insertion; the callers poll between probes and rows
+fn merge_pareto(
+    lefts: &[WidthState],
+    rights: &[WidthState],
+    (blk, brk): (u64, u64),
+    threshold: usize,
+    out: &mut Vec<WidthState>,
+) {
+    out.clear();
+    // `None` until the group's first state is merged.
+    let (mut lefts_right, mut rights_left) = (None, None);
+    let (mut i, mut j) = (0, 0);
+    while out.len() < threshold.max(1) {
+        let take_left = match (lefts.get(i), rights.get(j)) {
+            (Some(a), Some(b)) => prune_key(a) <= prune_key(b),
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let (st, dominated) = if take_left {
+            let st = lefts[i];
+            i += 1;
+            let dominated = lefts_right >= Some(st.2) || (rights_left >= Some(blk) && brk >= st.2);
+            lefts_right = lefts_right.max(Some(st.2));
+            (st, dominated)
+        } else {
+            let st = rights[j];
+            j += 1;
+            let dominated = rights_left >= Some(st.1) || (lefts_right >= Some(brk) && blk >= st.1);
+            rights_left = rights_left.max(Some(st.1));
+            (st, dominated)
+        };
+        if !dominated {
+            out.push(st);
+        }
+    }
 }
 
 /// [`prune`] on width-only states: same sort, same dominance rule, same
-/// beam limit.
+/// beam limit. The reference [`merge_pareto`] is checked against.
+#[cfg(test)]
 fn prune_widths(states: &mut Vec<WidthState>, threshold: usize) {
     states.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)).then(b.2.cmp(&a.2)));
     let mut kept = 0usize;
@@ -885,8 +973,9 @@ fn dp_walk<'c>(
         if !dp_insert(frontier, next, c, threshold) {
             return None;
         }
-        // `prune_widths` sorts by width ascending, so the minimum is at the
-        // front; every continuation adds at least `rem` to every state.
+        // The frontier is in prune order, width ascending, so the minimum
+        // is at the front; every continuation adds at least `rem` to every
+        // state.
         if frontier[0].0.saturating_add(rem) > cap {
             return None;
         }
@@ -1229,8 +1318,72 @@ mod tests {
         (true, walked)
     }
 
+    /// The insertion step [`dp_insert`] replaces: `c` inserted at both ends
+    /// of every state, inserts past `u64::MAX` dropped, then
+    /// [`prune_widths`] over all of them.
+    fn dp_insert_by_prune(
+        frontier: &[WidthState],
+        c: &Character,
+        threshold: usize,
+    ) -> Vec<WidthState> {
+        let (wk, blk, brk) = (c.width(), c.blanks().left, c.blanks().right);
+        if frontier.is_empty() {
+            return vec![(wk, blk, brk)];
+        }
+        let mut next = Vec::new();
+        for &(width, left_blank, right_blank) in frontier {
+            if let Some(w) = width.checked_add(wk - brk.min(left_blank)) {
+                next.push((w, blk, right_blank));
+            }
+            if let Some(w) = width.checked_add(wk - blk.min(right_blank)) {
+                next.push((w, left_blank, brk));
+            }
+        }
+        prune_widths(&mut next, threshold);
+        next
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The merge keeps exactly the states the reference prune keeps, in
+        /// its order, and agrees on whether any is left. Frontiers are
+        /// random width-sorted Pareto sets cut to the beam, with blanks in
+        /// 0..=20 and narrow width ranges, so inserts tie on width within
+        /// and across the two groups, and two states often insert to the
+        /// same triple. Each blank of about a third of the states is the
+        /// candidate's own, so inserts of the two groups tie on all three
+        /// values. With `high` set the widths lie within twice the
+        /// candidate's width of `u64::MAX`, where some inserts overflow
+        /// and some do not.
+        #[test]
+        fn merged_insert_matches_the_reference_prune(
+            candidate in (40u64..61, 0u64..21, 0u64..21),
+            states in proptest::collection::vec((0u64..80, 0u64..21, 0u64..21, 0u64..9), 0..40),
+            high in 0u32..2,
+        ) {
+            let (wk, blk, brk) = candidate;
+            let c = Character::new(wk, 40, [blk, brk, 0, 0], 5).unwrap();
+            let mut pareto: Vec<WidthState> = states
+                .iter()
+                .map(|&(offset, l, r, pick)| {
+                    let width = if high == 1 { u64::MAX - offset * 2 * wk / 80 } else { offset };
+                    let l = if pick % 3 == 0 { blk } else { l };
+                    let r = if pick / 3 == 0 { brk } else { r };
+                    (width, l, r)
+                })
+                .collect();
+            prune_widths(&mut pareto, usize::MAX);
+            let mut next = Vec::new();
+            for beam in [1usize, 6, 8, 20] {
+                let input = &pareto[..pareto.len().min(beam)];
+                let expected = dp_insert_by_prune(input, &c, beam);
+                let mut frontier = input.to_vec();
+                let any = dp_insert(&mut frontier, &mut next, &c, beam);
+                proptest::prop_assert_eq!(&frontier, &expected, "beam {}, frontier {:?}", beam, input);
+                proptest::prop_assert_eq!(any, !expected.is_empty());
+            }
+        }
 
         /// The bound and the checkpointed walk decide every probe like
         /// the reference walk, while inserts land before, on and after

@@ -16,9 +16,9 @@ use eblow_core::baselines::{
 use eblow_core::ilp::{solve_ilp_1d, solve_ilp_2d};
 use eblow_core::oned::{solve_exact_1d, Eblow1d, Eblow1dConfig, SimplexOracle, EXACT_1D_MAX_CHARS};
 use eblow_core::twod::Eblow2d;
-use eblow_core::Plan1d;
+use eblow_core::{Plan1d, StopFlag};
 use eblow_lp::MilpStatus;
-use eblow_model::Instance;
+use eblow_model::{Instance, ModelError};
 use std::sync::Arc;
 
 /// An object-safe planning strategy.
@@ -52,6 +52,11 @@ fn is_row_structured(instance: &Instance) -> bool {
 static EBLOW0_FINISH_WON: eblow_trace::Counter =
     eblow_trace::Counter::new("eblow1d.eblow0_finish_won");
 
+/// Plans of the combinatorial E-BLOW member where Algorithm 2 committed
+/// nothing, so its E-BLOW-1 finish served both variants (counter
+/// `eblow1d.finish_shared`).
+static FINISH_SHARED: eblow_trace::Counter = eblow_trace::Counter::new("eblow1d.finish_shared");
+
 /// The E-BLOW 1DOSP pipeline (successive rounding + fast ILP convergence +
 /// refinement + post stages), parameterized by its LP relaxation backend.
 ///
@@ -67,6 +72,12 @@ static EBLOW0_FINISH_WON: eblow_trace::Counter =
 /// post-insertion), keeping the lower `T`; a tie goes to E-BLOW-1. Both
 /// variants spend nearly all their time in the rounding they share, so
 /// the pair costs about one E-BLOW-1 run instead of two pipelines.
+///
+/// Algorithm 2 runs first, and the E-BLOW-0 finish only when it committed
+/// a character. Otherwise both finishes would refine the same rows and
+/// post-swap the same placement, E-BLOW-1 would then only post-insert,
+/// which never raises `T`, and a tie goes to E-BLOW-1: its finish alone
+/// is the pair's plan.
 #[derive(Debug, Clone)]
 pub struct Eblow1dStrategy {
     config: Eblow1dConfig,
@@ -126,16 +137,37 @@ impl Strategy for Eblow1dStrategy {
     }
     fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
         let stop = budget.stop_flag();
+        let plan = if self.eblow0_finish {
+            self.plan_both(instance, stop)?.0
+        } else {
+            Eblow1d::new(self.config.clone()).plan_with_stop(instance, stop)?
+        };
+        Ok(PlanOutcome::from_1d(self.name(), plan))
+    }
+}
+
+impl Eblow1dStrategy {
+    /// The combinatorial member's plan: the better of the E-BLOW-0 and
+    /// E-BLOW-1 finishes of one rounding, E-BLOW-1's on a tie, with
+    /// whether the E-BLOW-0 finish ran.
+    fn plan_both(
+        &self,
+        instance: &Instance,
+        stop: StopFlag<'_>,
+    ) -> Result<(Plan1d, bool), ModelError> {
         let planner = Eblow1d::new(self.config.clone());
-        if !self.eblow0_finish {
-            let plan = planner.plan_with_stop(instance, stop)?;
-            return Ok(PlanOutcome::from_1d(self.name(), plan));
-        }
-        let rounded = planner.round(instance, stop)?;
+        let mut rounded = planner.round(instance, stop)?;
         // Under a raised flag both finishes skip Algorithm 2 and the post
         // stages and refine alike, so the E-BLOW-0 copy would only tie.
-        let eblow0 = (!stop.is_set())
-            .then(|| Eblow1d::new(Eblow1dConfig::eblow0()).finish(instance, rounded.clone(), stop));
+        let before = (!stop.is_set()).then(|| rounded.clone());
+        let committed = planner.converge(instance, &mut rounded, stop);
+        if before.is_some() && committed == 0 {
+            FINISH_SHARED.incr();
+        }
+        let eblow0 = before
+            .filter(|_| committed > 0 && !stop.is_set())
+            .map(|before| Eblow1d::new(Eblow1dConfig::eblow0()).finish(instance, before, stop));
+        let ran_both = eblow0.is_some();
         let mut plan = planner.finish(instance, rounded, stop);
         if let Some(eblow0) = eblow0.filter(|p| p.total_time < plan.total_time) {
             EBLOW0_FINISH_WON.incr();
@@ -144,7 +176,7 @@ impl Strategy for Eblow1dStrategy {
                 ..eblow0
             };
         }
-        Ok(PlanOutcome::from_1d(self.name(), plan))
+        Ok((plan, ran_both))
     }
 }
 
@@ -420,7 +452,6 @@ pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PlanDetail;
     use eblow_gen::GenConfig;
 
     #[test]
@@ -523,28 +554,29 @@ mod tests {
     }
 
     /// The raced combinatorial member is the better of E-BLOW-1 and
-    /// E-BLOW-0 on one shared rounding, E-BLOW-1's plan on a tie.
+    /// E-BLOW-0 on one shared rounding, E-BLOW-1's plan on a tie, whether
+    /// one finish served both (Algorithm 2 committed nothing) or both ran.
     #[test]
     fn combinatorial_member_keeps_the_better_finish() {
+        use eblow_gen::Family;
         let eblow0 = Eblow1d::new(Eblow1dConfig::eblow0());
         let eblow1 = Eblow1d::new(Eblow1dConfig::eblow1());
+        let member = Eblow1dStrategy::default();
+        let tiny = (0..100).map(|seed| {
+            let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
+            (format!("tiny_1d({seed})"), inst)
+        });
+        let paper = (1..=8)
+            .map(Family::M1)
+            .chain((1..=4).map(Family::D1))
+            .map(|family| (family.name(), eblow_gen::benchmark(family)));
         // Seeds where E-BLOW-0 wins outright, and ties with different plans.
         let (mut eblow0_wins, mut ties) = (0, 0);
-        for seed in 0..100 {
-            let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
-            let pair = Eblow1dStrategy::default()
-                .plan(&inst, &Budget::unlimited())
-                .unwrap();
-            pair.validate(&inst).unwrap();
+        let mut ran_both = Vec::new();
+        for (name, inst) in tiny.chain(paper) {
+            let (plan, both) = member.plan_both(&inst, StopFlag::NEVER).unwrap();
+            plan.placement.validate(&inst).unwrap();
             let (p0, p1) = (eblow0.plan(&inst).unwrap(), eblow1.plan(&inst).unwrap());
-            assert_eq!(
-                pair.total_time,
-                p0.total_time.min(p1.total_time),
-                "seed {seed}"
-            );
-            let PlanDetail::OneD(plan) = &pair.detail else {
-                panic!("seed {seed}: a 1D strategy returned a 2D plan");
-            };
             let expected = if p0.total_time < p1.total_time {
                 eblow0_wins += 1;
                 &p0
@@ -552,8 +584,10 @@ mod tests {
                 ties += usize::from(p0.total_time == p1.total_time && p0.placement != p1.placement);
                 &p1
             };
-            assert_eq!(plan.placement, expected.placement, "seed {seed}");
-            assert_eq!(plan.region_times, expected.region_times, "seed {seed}");
+            assert_eq!(plan.total_time, expected.total_time, "{name}");
+            assert_eq!(plan.placement, expected.placement, "{name}");
+            assert_eq!(plan.region_times, expected.region_times, "{name}");
+            ran_both.push((name, both));
         }
         // Both branches are exercised: E-BLOW-0 wins outright on some seeds
         // (tiny_1d(7) among them), and on others the two tie with
@@ -562,6 +596,15 @@ mod tests {
             eblow0_wins >= 1 && ties >= 1,
             "{eblow0_wins} wins, {ties} ties"
         );
+        // Algorithm 2 commits on 1M-4 and 1D-3, so both finishes run
+        // there; on 1M-5..8 it commits nothing and one finish serves both.
+        let both = |name: &str| ran_both.iter().find(|(n, _)| n == name).unwrap().1;
+        for name in ["1M-4", "1D-3"] {
+            assert!(both(name), "{name} took the shared branch");
+        }
+        for name in ["1M-5", "1M-6", "1M-7", "1M-8"] {
+            assert!(!both(name), "{name} ran both finishes");
+        }
     }
 
     #[test]
