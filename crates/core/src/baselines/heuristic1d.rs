@@ -12,7 +12,7 @@
 //!
 //! The paper's Table 3 has \[24\] about 22× slower than E-BLOW. Here it is
 //! the other way round: `eblow-eval table3` measures a Heur\[24\]/E-BLOW
-//! CPU ratio of 0.23–0.25 over three runs on a 2-core VM. A sweep prices
+//! CPU ratio of 0.37–0.48 over three runs on a 2-core VM. A sweep prices
 //! each of its `O(k²)` candidate reversals in `O(1)` off prefix sums of the
 //! chain's overlaps, and the framework solves no LP, while E-BLOW spends
 //! nearly all its time in successive rounding, one LP per iteration.

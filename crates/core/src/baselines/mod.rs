@@ -6,8 +6,8 @@
 //!   first (knapsack-style on aggregate capacity), then per-row ordering by
 //!   a travelling-salesman-flavoured chain heuristic with 2-opt passes.
 //!   The paper reports it ~22× slower than E-BLOW; here each reversal is
-//!   priced in `O(1)` and it runs in about a quarter of E-BLOW's time
-//!   (`eblow-eval table3` CPU ratio 0.23–0.25 over three runs on a 2-core
+//!   priced in `O(1)` and it runs in about 0.4 of E-BLOW's time
+//!   (`eblow-eval table3` CPU ratio 0.37–0.48 over three runs on a 2-core
 //!   VM).
 //! * [`row_heuristic_1d`] — a deterministic row-structure approach in the
 //!   spirit of Kuang & Young \[25\]: density-sorted row fill under the exact
