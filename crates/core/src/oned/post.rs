@@ -127,6 +127,7 @@ impl ScanOrder {
     /// Reads run from 0 up; one at the end of the sorted prefix sorts the
     /// next stretch first.
     fn get(&mut self, i: usize) -> Option<(usize, usize)> {
+        debug_assert!(i <= self.sorted, "scan read {i} skips the sorted prefix");
         if i == self.sorted {
             let rest = &mut self.entries[self.sorted..];
             let take = self.sorted.max(FIRST_SORTED).min(rest.len());
