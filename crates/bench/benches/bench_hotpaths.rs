@@ -3,13 +3,13 @@
 //! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, and
 //! cold vs warm-started LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
-//! registry strategy. Two more 1H kernels measure what the 1D race pays
+//! registry strategy. Three more 1H kernels measure what the 1D race pays
 //! besides E-BLOW's rounding: the \[25\] row heuristic, whose leftovers
-//! probe their best-ranked rows with the width DP, and post-swap on
-//! E-BLOW's refined rows. Two 2D kernels on 2M-4, the two members the 2D
-//! race runs, measure the shelf engine's SA move (`OrderState`,
-//! `ShelfCursor`): the \[24\] baseline under the sum objective, and E-BLOW
-//! under the max.
+//! probe their best-ranked rows with the width DP, refinement of E-BLOW's
+//! rounding rows, and post-swap on the refined rows. Two 2D kernels on
+//! 2M-4, the two members the 2D race runs, measure the shelf engine's SA
+//! move (`OrderState`, `ShelfCursor`): the \[24\] baseline under the sum
+//! objective, and E-BLOW under the max.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eblow_core::baselines::{row_heuristic_1d, sa_2d};
@@ -163,24 +163,34 @@ fn bench_hotpaths(c: &mut Criterion) {
         b.iter(|| black_box(row_heuristic_1d(&inst).unwrap().total_time))
     });
 
+    // E-BLOW's rounding of 1H-1, the rows the next two kernels start from.
+    let rounded = successive_rounding(
+        &inst,
+        &(0..n).collect::<Vec<usize>>(),
+        inst.num_rows().expect("1H is 1D"),
+        &RoundingConfig::default(),
+        &CombinatorialOracle,
+        StopFlag::NEVER,
+    );
+
+    // Refinement (Algorithm 3) at beam 20 on every rounding row: the
+    // end-insertion width DP over each row, then the walk back through its
+    // frontiers for the order.
+    group.bench_function("refine_rows_1h1", |b| {
+        b.iter(|| {
+            for rs in &rounded.rows {
+                black_box(refine_row(&inst, &rs.members, 20));
+            }
+        })
+    });
+
     // Post-swap on E-BLOW's rows: the rounding's rows ordered by
     // refinement at beam 20 (members dropped until a row fits, which the
     // rounding's exact admission makes rare), each iteration swapping into
     // a fresh copy.
     group.bench_function("post_swap_1h1", |b| {
         let w = inst.stencil().width();
-        let eligible: Vec<usize> = (0..n).collect();
-        let rows = inst.num_rows().expect("1H is 1D");
-        let config = RoundingConfig::default();
-        let out = successive_rounding(
-            &inst,
-            &eligible,
-            rows,
-            &config,
-            &CombinatorialOracle,
-            StopFlag::NEVER,
-        );
-        let refined = out.rows.iter().map(|rs| {
+        let refined = rounded.rows.iter().map(|rs| {
             let (mut order, mut width) = refine_row(&inst, &rs.members, 20);
             while width > w {
                 order.pop();

@@ -271,14 +271,12 @@ impl Eblow1d {
             // minimal DP beam: same feasibility guarantee — the width is
             // checked and repaired below either way — at a fraction of the
             // cost, so a deadline doesn't stall on full rows. The flag is
-            // also threaded *into* the DP, which polls per insertion: a
-            // cancellation arriving mid-row collapses the beam right there
-            // instead of waiting for the next row boundary.
-            let beam = if stop.is_set() {
-                2
-            } else {
-                self.config.refine_threshold
-            };
+            // threaded *into* the DP, which polls per insertion and runs
+            // beam 1 from there on: a flag raised before the row runs all
+            // of it at beam 1, and a cancellation arriving mid-row
+            // collapses the beam right there instead of waiting for the
+            // next row boundary.
+            let beam = self.config.refine_threshold;
             let (mut order, mut width) = refine_row_with_stop(instance, &rs.members, beam, stop);
             while width > w && !order.is_empty() {
                 // Drop the member with the lowest dynamic profit.

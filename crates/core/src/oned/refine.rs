@@ -7,22 +7,17 @@
 //! right end of the partial row), which is optimal for symmetric blanks
 //! (Lemma 1) and near-optimal in practice for asymmetric ones.
 //!
-//! The DP state is `(width, left_end_blank, right_end_blank, order)`;
-//! dominated states (wider and with smaller end blanks) are pruned, and the
-//! frontier is beam-limited to `threshold` states (paper uses 20).
+//! The DP state is `(width, left_end_blank, right_end_blank)`; it does not
+//! carry its order. Dominated states (wider and with smaller end blanks)
+//! are pruned, and the frontier is beam-limited to `threshold` states
+//! (paper uses 20). One DP step serves both users: row admission
+//! ([`ProbedRow`]) keeps only the current frontier, and [`refine_row`]
+//! keeps every step's frontier and walks the narrowest final state's
+//! parents back for its order.
 
 use crate::cancel::StopFlag;
 use eblow_model::{overlap, CharId, Character, Instance};
 use std::cmp::Reverse;
-
-/// One partial-order state of the refinement DP.
-#[derive(Debug, Clone)]
-struct OrderState {
-    width: u64,
-    left_blank: u64,
-    right_blank: u64,
-    order: Vec<CharId>,
-}
 
 /// Finds a near-minimum-width order for `set` on a single row.
 ///
@@ -42,81 +37,87 @@ pub fn refine_row(instance: &Instance, set: &[CharId], threshold: usize) -> (Vec
 /// but the walk degrades to the greedy `threshold == 1` chain from the
 /// poll onward, so one huge row cannot stall a deadline mid-call (the
 /// caller's per-row poll in `Strategy::plan` cannot see inside this DP).
+///
+/// When every DP state overflows `u64` there is no state to walk back
+/// from: the members come back in the DP's insertion order (decreasing
+/// symmetric blank, then id), at that order's own saturating width.
 pub fn refine_row_with_stop(
     instance: &Instance,
     set: &[CharId],
     threshold: usize,
     stop: StopFlag,
 ) -> (Vec<CharId>, u64) {
-    let chars: Vec<&Character> = set.iter().map(|id| instance.char(id.index())).collect();
-    if set.is_empty() {
-        return (Vec::new(), 0);
-    }
     // Decreasing symmetric blank, the order Lemma 1 proves optimal.
-    let mut idx: Vec<usize> = (0..set.len()).collect();
-    idx.sort_by(|&a, &b| {
-        chars[b]
-            .symmetric_blank()
-            .cmp(&chars[a].symmetric_blank())
-            .then(set[a].cmp(&set[b]))
-    });
-
-    let first = idx[0];
-    let mut frontier = vec![OrderState {
-        width: chars[first].width(),
-        left_blank: chars[first].blanks().left,
-        right_blank: chars[first].blanks().right,
-        order: vec![set[first]],
-    }];
-
-    for &k in &idx[1..] {
+    let mut keys: Vec<(u64, CharId)> = set.iter().map(|&id| width_key(instance, id)).collect();
+    keys.sort_unstable_by(key_order);
+    let (mut frontier, mut next) = (Vec::new(), Vec::new());
+    // Every step's frontier, back to back: step `i`'s ends at `ends[i]`.
+    let mut states: Vec<WidthState> = Vec::new();
+    let mut ends = Vec::with_capacity(keys.len());
+    for key in &keys {
         // Polled every insertion: once raised, the beam narrows to 1 and
         // the rest of the walk is exactly the greedy threshold-1 chain.
         let beam = if stop.is_set() { 1 } else { threshold };
-        let ck = chars[k];
-        let (wk, blk, brk) = (ck.width(), ck.blanks().left, ck.blanks().right);
-        let mut next: Vec<OrderState> = Vec::with_capacity(frontier.len() * 2);
-        for st in &frontier {
-            // Insert at the left end: ck's right blank meets the current
-            // left end's left blank.
-            let mut left_order = Vec::with_capacity(st.order.len() + 1);
-            left_order.push(set[k]);
-            left_order.extend_from_slice(&st.order);
-            next.push(OrderState {
-                width: st.width.saturating_add(wk - brk.min(st.left_blank)),
-                left_blank: blk,
-                right_blank: st.right_blank,
-                order: left_order,
-            });
-            // Insert at the right end.
-            let mut right_order = st.order.clone();
-            right_order.push(set[k]);
-            next.push(OrderState {
-                width: st.width.saturating_add(wk - blk.min(st.right_blank)),
-                left_blank: st.left_blank,
-                right_blank: brk,
-                order: right_order,
-            });
+        if !dp_insert(&mut frontier, &mut next, instance.char(key.1.index()), beam) {
+            break;
         }
-        frontier = prune(next, beam);
+        states.extend_from_slice(&frontier);
+        ends.push(states.len());
     }
-
-    let best = frontier
-        .into_iter()
-        .min_by_key(|st| st.width)
-        .expect("non-empty frontier");
+    let chars = |order: &[CharId]| -> Vec<&Character> {
+        order.iter().map(|id| instance.char(id.index())).collect()
+    };
+    let Some(&(width, ..)) = frontier.first() else {
+        // No state to walk back from: the set is empty, or every state
+        // overflows `u64`.
+        let order: Vec<CharId> = keys.iter().map(|k| k.1).collect();
+        let width = overlap::row_width_ordered(&chars(&order));
+        return (order, width);
+    };
+    let order = walk_back(instance, &keys, &states, &ends);
     debug_assert_eq!(
-        best.width,
-        overlap::row_width_ordered(
-            &best
-                .order
-                .iter()
-                .map(|id| instance.char(id.index()))
-                .collect::<Vec<_>>()
-        ),
+        Some(width),
+        overlap::checked_row_width(&chars(&order)),
         "DP width must agree with the geometric width"
     );
-    (best.order, best.width)
+    (order, width)
+}
+
+/// The order of the narrowest state of the last frontier, walked back
+/// through every step's frontier (`states` back to back, step `i` ending at
+/// `ends[i]`). Each step's parent is the first state of the frontier before
+/// it whose insert of that step's key gives the state, its left insert
+/// tried before its right: of the inserts with equal triples, the one the
+/// DP generated first.
+fn walk_back(
+    instance: &Instance,
+    keys: &[(u64, CharId)],
+    states: &[WidthState],
+    ends: &[usize],
+) -> Vec<CharId> {
+    let frontier = |i: usize| &states[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+    let n = keys.len();
+    // Left inserts fill the order from the front and right inserts from
+    // the back, the latest outermost, so the first key ends between them.
+    // With `front` left inserts placed before step `i`, the right inserts
+    // placed are `n − 1 − i − front`, and the next one goes at `i + front`.
+    let (mut order, mut front) = (vec![keys[0].1; n], 0);
+    let mut state = frontier(n - 1)[0];
+    for i in (1..n).rev() {
+        let c = instance.char(keys[i].1.index());
+        let (wk, blk, brk) = (c.width(), c.blanks().left, c.blanks().right);
+        let left = |&(w, l, r): &WidthState| Some((w.checked_add(wk - brk.min(l))?, blk, r));
+        let right = |&(w, l, r): &WidthState| Some((w.checked_add(wk - blk.min(r))?, l, brk));
+        let (_, parent, at_left) = frontier(i - 1)
+            .iter()
+            .flat_map(|p| [(left(p), *p, true), (right(p), *p, false)])
+            .find(|&(insert, ..)| insert == Some(state))
+            .expect("every kept state is an insert of the frontier before it");
+        order[if at_left { front } else { i + front }] = keys[i].1;
+        front += usize::from(at_left);
+        state = parent;
+    }
+    order
 }
 
 /// Reusable buffers for [`ProbedRow`]'s DP walks — callers probing
@@ -760,8 +761,10 @@ fn merge_pareto(
     }
 }
 
-/// [`prune`] on width-only states: same sort, same dominance rule, same
-/// beam limit. The reference [`merge_pareto`] is checked against.
+/// The reference prune of width-only states: sorted by width ascending,
+/// then left and right blank descending, each state kept that no kept one
+/// dominates, until `threshold` are kept. The reference [`merge_pareto`]
+/// is checked against.
 #[cfg(test)]
 fn prune_widths(states: &mut Vec<WidthState>, threshold: usize) {
     states.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)).then(b.2.cmp(&a.2)));
@@ -780,30 +783,6 @@ fn prune_widths(states: &mut Vec<WidthState>, threshold: usize) {
         }
     }
     states.truncate(kept);
-}
-
-/// Keeps the Pareto frontier of `(width ↓, left_blank ↑, right_blank ↑)`,
-/// beam-limited to `threshold` states (smallest widths kept).
-fn prune(mut states: Vec<OrderState>, threshold: usize) -> Vec<OrderState> {
-    states.sort_by(|a, b| {
-        a.width
-            .cmp(&b.width)
-            .then(b.left_blank.cmp(&a.left_blank))
-            .then(b.right_blank.cmp(&a.right_blank))
-    });
-    let mut kept: Vec<OrderState> = Vec::new();
-    for st in states {
-        let dominated = kept.iter().any(|k| {
-            k.width <= st.width && k.left_blank >= st.left_blank && k.right_blank >= st.right_blank
-        });
-        if !dominated {
-            kept.push(st);
-            if kept.len() >= threshold.max(1) {
-                break;
-            }
-        }
-    }
-    kept
 }
 
 /// Exhaustive minimum over all `n!` orders — test oracle only (`n ≤ 8`).
@@ -911,45 +890,6 @@ impl ProbedRow {
     }
 }
 
-/// The width half of [`refine_row`], without materializing orders: runs the
-/// *same* end-insertion DP over `members ∪ extra` with the same
-/// decreasing-blank insertion sequence, the same Pareto pruning, and the
-/// same beam limit, so the returned width is identical to
-/// `refine_row(instance, &members_plus_extra, threshold).1`. A width past
-/// `u64::MAX` saturates to `u64::MAX`. The reference every admission
-/// decision is checked against.
-///
-/// `threshold = 1` degenerates into a greedy end-insertion chain: the
-/// width of one concrete order, an upper bound on the full DP's width.
-#[cfg(test)]
-fn refine_width(
-    instance: &Instance,
-    members: &[CharId],
-    extra: Option<CharId>,
-    threshold: usize,
-    scratch: &mut WidthScratch,
-) -> u64 {
-    let mut keys: Vec<(u64, CharId)> = members
-        .iter()
-        .chain(extra.as_ref())
-        .map(|&id| width_key(instance, id))
-        .collect();
-    // Decreasing symmetric blank, ties by id — the exact insertion sequence
-    // refine_row derives (its tie-break compares the CharIds themselves,
-    // which are unique, so the sequence depends only on the member set).
-    keys.sort_unstable_by(key_order);
-    let WidthScratch { frontier, next, .. } = scratch;
-    frontier.clear();
-    dp_walk(
-        frontier,
-        next,
-        keys.iter().map(|k| (instance.char(k.1.index()), 0)),
-        threshold,
-        u64::MAX,
-    )
-    .unwrap_or(u64::MAX)
-}
-
 /// Runs the end-insertion width DP over `(character, remaining_floor)`
 /// pairs, which must arrive in the decreasing-blank insertion order,
 /// continuing from `frontier` (empty to start a row). Each item's
@@ -1005,6 +945,102 @@ mod tests {
 
     fn ids(n: usize) -> Vec<CharId> {
         (0..n).map(CharId::from).collect()
+    }
+
+    /// One partial-order state of [`refine_row_reference`].
+    #[derive(Debug, Clone)]
+    struct OrderState {
+        width: u64,
+        left_blank: u64,
+        right_blank: u64,
+        order: Vec<CharId>,
+    }
+
+    /// Algorithm 3 as a cloning DP, the reference [`refine_row_with_stop`]
+    /// must match: every state carries its own order and clones it into
+    /// both of its inserts, a stable sort orders the inserts for [`prune`],
+    /// and a width past `u64::MAX` saturates instead of dropping the state.
+    fn refine_row_reference(
+        instance: &Instance,
+        set: &[CharId],
+        threshold: usize,
+        stop: StopFlag,
+    ) -> (Vec<CharId>, u64) {
+        let chars: Vec<&Character> = set.iter().map(|id| instance.char(id.index())).collect();
+        if set.is_empty() {
+            return (Vec::new(), 0);
+        }
+        let mut idx: Vec<usize> = (0..set.len()).collect();
+        idx.sort_by(|&a, &b| {
+            chars[b]
+                .symmetric_blank()
+                .cmp(&chars[a].symmetric_blank())
+                .then(set[a].cmp(&set[b]))
+        });
+        let first = idx[0];
+        let mut frontier = vec![OrderState {
+            width: chars[first].width(),
+            left_blank: chars[first].blanks().left,
+            right_blank: chars[first].blanks().right,
+            order: vec![set[first]],
+        }];
+        for &k in &idx[1..] {
+            let beam = if stop.is_set() { 1 } else { threshold };
+            let ck = chars[k];
+            let (wk, blk, brk) = (ck.width(), ck.blanks().left, ck.blanks().right);
+            let mut next: Vec<OrderState> = Vec::with_capacity(frontier.len() * 2);
+            for st in &frontier {
+                let mut left_order = Vec::with_capacity(st.order.len() + 1);
+                left_order.push(set[k]);
+                left_order.extend_from_slice(&st.order);
+                next.push(OrderState {
+                    width: st.width.saturating_add(wk - brk.min(st.left_blank)),
+                    left_blank: blk,
+                    right_blank: st.right_blank,
+                    order: left_order,
+                });
+                let mut right_order = st.order.clone();
+                right_order.push(set[k]);
+                next.push(OrderState {
+                    width: st.width.saturating_add(wk - blk.min(st.right_blank)),
+                    left_blank: st.left_blank,
+                    right_blank: brk,
+                    order: right_order,
+                });
+            }
+            frontier = prune(next, beam);
+        }
+        let best = frontier
+            .into_iter()
+            .min_by_key(|st| st.width)
+            .expect("non-empty frontier");
+        (best.order, best.width)
+    }
+
+    /// Keeps the Pareto frontier of `(width ↓, left_blank ↑, right_blank ↑)`,
+    /// beam-limited to `threshold` states (smallest widths kept).
+    fn prune(mut states: Vec<OrderState>, threshold: usize) -> Vec<OrderState> {
+        states.sort_by(|a, b| {
+            a.width
+                .cmp(&b.width)
+                .then(b.left_blank.cmp(&a.left_blank))
+                .then(b.right_blank.cmp(&a.right_blank))
+        });
+        let mut kept: Vec<OrderState> = Vec::new();
+        for st in states {
+            let dominated = kept.iter().any(|k| {
+                k.width <= st.width
+                    && k.left_blank >= st.left_blank
+                    && k.right_blank >= st.right_blank
+            });
+            if !dominated {
+                kept.push(st);
+                if kept.len() >= threshold.max(1) {
+                    break;
+                }
+            }
+        }
+        kept
     }
 
     #[test]
@@ -1086,39 +1122,10 @@ mod tests {
     }
 
     #[test]
-    fn width_dp_agrees_with_refine_row_exactly() {
-        let specs = vec![
-            (40, 2, 9),
-            (35, 8, 3),
-            (42, 5, 5),
-            (30, 1, 7),
-            (33, 6, 2),
-            (44, 9, 9),
-            (28, 4, 1),
-        ];
-        let inst = make_instance(&specs);
-        let mut scratch = WidthScratch::default();
-        for threshold in [1usize, 2, 8, 20] {
-            for upto in 1..=specs.len() {
-                let set = ids(upto);
-                let (_, full) = refine_row(&inst, &set, threshold);
-                let w = refine_width(&inst, &set, None, threshold, &mut scratch);
-                assert_eq!(w, full, "threshold {threshold}, set size {upto}");
-                // Probing the last member as `extra` must match including it.
-                let (head, tail) = set.split_at(upto - 1);
-                let probed = refine_width(&inst, head, Some(tail[0]), threshold, &mut scratch);
-                assert_eq!(probed, full, "extra-probe, threshold {threshold}");
-            }
-        }
-        assert_eq!(refine_width(&inst, &[], None, 8, &mut scratch), 0);
-    }
-
-    #[test]
     fn beam_one_chain_upper_bounds_the_dp() {
         let specs = vec![(40, 2, 9), (35, 8, 3), (42, 5, 5), (30, 1, 7), (33, 6, 2)];
         let inst = make_instance(&specs);
-        let mut scratch = WidthScratch::default();
-        let chain = refine_width(&inst, &ids(5), None, 1, &mut scratch);
+        let (_, chain) = refine_row(&inst, &ids(5), 1);
         let (_, dp) = refine_row(&inst, &ids(5), 8);
         assert!(
             chain >= dp,
@@ -1127,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn admits_width_is_decision_identical_to_refine_width() {
+    fn admits_width_is_decision_identical_to_refine_row() {
         // Deliberately asymmetric shapes so the insertion floors are loose
         // for some characters and tight for others, and caps spanning
         // always-fits through never-fits so both the early-reject and the
@@ -1152,8 +1159,7 @@ mod tests {
             let extra = CharId::from(upto - 1);
             let key = width_key(&inst, extra);
             for threshold in [1usize, 6, 8] {
-                let truth =
-                    refine_width(&inst, &ids(upto - 1), Some(extra), threshold, &mut scratch);
+                let (_, truth) = refine_row(&inst, &ids(upto), threshold);
                 for cap in [0, truth.saturating_sub(1), truth, truth + 1, truth + 100] {
                     assert_eq!(
                         row.admits_width(&inst, key, threshold, cap, &mut scratch),
@@ -1183,7 +1189,7 @@ mod tests {
 
     /// Probes `id` against `row` at beams 1, 6 and 8 with caps at the DP
     /// width − 1, the width and the width + 1: the bound plus the resumed
-    /// walk, the reference walk, the staged entry and `refine_width` all
+    /// walk, the reference walk, the staged entry and [`refine_row`] all
     /// decide alike.
     fn assert_probes_match(
         inst: &Instance,
@@ -1193,9 +1199,10 @@ mod tests {
         scratch: &mut WidthScratch,
     ) {
         let key = width_key(inst, id);
-        let chain = refine_width(inst, members, Some(id), 1, scratch);
+        let set: Vec<CharId> = members.iter().copied().chain([id]).collect();
+        let (_, chain) = refine_row(inst, &set, 1);
         for beam in [1usize, 6, 8] {
-            let truth = refine_width(inst, members, Some(id), beam, scratch);
+            let (_, truth) = refine_row(inst, &set, beam);
             for cap in [truth.saturating_sub(1), truth, truth.saturating_add(1)] {
                 let context = format!(
                     "members {members:?}, candidate {id:?}, beam {beam}, cap {cap}, truth {truth}"
@@ -1345,6 +1352,56 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Algorithm 3 on the width DP, its order walked back through
+        /// parents, returns the order and width of the cloning DP. Rows hold
+        /// 1–60 characters with widths in 20..24 and blanks in 0..4, so keys
+        /// tie on their blank and different parents insert to the same
+        /// triple; the set arrives shuffled. Every beam runs with a lowered
+        /// and a pre-raised flag. With `high` set every width is raised by
+        /// one base, chosen so that an order whose junctions share `S` ends
+        /// about `d − S` past `u64::MAX`: some orders fit and some
+        /// overflow. Where the reference's row fits (its width is below
+        /// `u64::MAX`) the results agree; otherwise the result is a
+        /// permutation of the set at its order's own width.
+        #[test]
+        fn refine_row_matches_the_cloning_reference(
+            shapes in proptest::collection::vec((20u64..24, 0u64..4, 0u64..4), 1..61),
+            order in proptest::collection::vec(0u64..1000, 60..61),
+            high in 0u32..2,
+            slack in 0u64..1000,
+        ) {
+            use std::sync::atomic::AtomicBool;
+            let n = shapes.len() as u64;
+            let d = slack % (3 * (n - 1) + 1);
+            let base = if high == 1 {
+                (u64::MAX - shapes.iter().map(|s| s.0).sum::<u64>() + d) / n
+            } else {
+                0
+            };
+            let specs: Vec<(u64, u64, u64)> =
+                shapes.iter().map(|&(w, l, r)| (base + w, l, r)).collect();
+            let inst = row_instance(&specs, u64::MAX);
+            let mut set = ids(specs.len());
+            set.sort_by_key(|id| (order[id.index()], *id));
+            for beam in [1usize, 2, 6, 8, 20, 64] {
+                for raised in [false, true] {
+                    let flag = AtomicBool::new(raised);
+                    let stop = StopFlag::new(&flag);
+                    let got = refine_row_with_stop(&inst, &set, beam, stop);
+                    let want = refine_row_reference(&inst, &set, beam, stop);
+                    if want.1 < u64::MAX {
+                        proptest::prop_assert_eq!(&got, &want, "beam {}, raised {}, {:?}", beam, raised, specs);
+                        continue;
+                    }
+                    let mut members = got.0.clone();
+                    members.sort_unstable();
+                    proptest::prop_assert_eq!(members, ids(specs.len()));
+                    let chars: Vec<&Character> = got.0.iter().map(|id| inst.char(id.index())).collect();
+                    proptest::prop_assert_eq!(got.1, overlap::row_width_ordered(&chars));
+                }
+            }
+        }
 
         /// The merge keeps exactly the states the reference prune keeps, in
         /// its order, and agrees on whether any is left. Frontiers are
@@ -1546,12 +1603,13 @@ mod tests {
                     if members.contains(&id) {
                         continue;
                     }
+                    let set: Vec<CharId> = members.iter().copied().chain([id]).collect();
                     for beam in [1usize, 8] {
-                        let truth = refine_width(&inst, &members, Some(id), beam, &mut scratch);
+                        let (_, truth) = refine_row_reference(&inst, &set, beam, StopFlag::NEVER);
                         for cap in [truth.saturating_sub(1), truth, truth.saturating_add(1)] {
                             let whole = row.bound_exceeds(inst.char(p), cap);
                             let fits = row.admits_width(&inst, width_key(&inst, id), beam, cap, &mut scratch);
-                            // `refine_width` saturates: `u64::MAX` reads as overflow.
+                            // The reference saturates: `u64::MAX` reads as overflow.
                             proptest::prop_assert_eq!(fits, truth < u64::MAX && truth <= cap);
                             if !whole {
                                 proptest::prop_assert_eq!(
@@ -1708,10 +1766,6 @@ mod tests {
                 }
                 assert_eq!(row.admits(&inst, id, 8, cap, &mut scratch).fits(), fits);
             }
-            assert_eq!(
-                refine_width(&inst, &ids(3), None, 8, &mut scratch),
-                u64::MAX
-            );
             assert_eq!(refine_row(&inst, &ids(3), 8).1, u64::MAX);
             assert_eq!(refine_row(&inst, &ids(2), 8).1, big + (big - 2));
         }
