@@ -18,7 +18,7 @@
 
 use super::mkp_lp::{MkpItem, MkpLpSolution, RowBase};
 use super::oracle::LpOracle;
-use super::rounding::RowState;
+use super::rounding::{commit_lp_row_first, RowState};
 use crate::cancel::StopFlag;
 use crate::profit::RegionTimes;
 use eblow_model::{CharId, Instance};
@@ -117,21 +117,13 @@ pub fn fast_ilp_convergence<O: LpOracle + ?Sized>(
 
     // Pass 1: commit every a_kj > Uth (lines 5-8 of Algorithm 2).
     for k in 0..items.len() {
-        if lp.max_frac[k] > config.uth {
-            let it = items[k];
-            let id = CharId::from(it.char_index);
-            let j = lp.argmax_row[k];
-            let target = if rows[j].admits(instance, id, w) {
-                Some(j)
-            } else {
-                (0..rows.len()).find(|&r| rows[r].admits(instance, id, w))
-            };
-            if let Some(r) = target {
-                rows[r].commit(instance, id);
-                region_times.select(instance, it.char_index);
-                placed[k] = true;
-                stats.committed_by_threshold += 1;
-            }
+        let i = items[k].char_index;
+        if lp.max_frac[k] > config.uth
+            && commit_lp_row_first(rows, instance, CharId::from(i), lp.argmax_row[k], w)
+        {
+            region_times.select(instance, i);
+            placed[k] = true;
+            stats.committed_by_threshold += 1;
         }
     }
 

@@ -205,6 +205,28 @@ impl RowState {
     }
 }
 
+/// Commits `id` to row `lp_row` if that row admits it, else to the first
+/// other row that does, and returns whether it committed. The fallback
+/// skips `lp_row`: admission is a pure function of the row state, so a
+/// second probe there would refuse again.
+pub(super) fn commit_lp_row_first(
+    rows: &mut [RowState],
+    instance: &Instance,
+    id: CharId,
+    lp_row: usize,
+    stencil_w: u64,
+) -> bool {
+    let target = if rows[lp_row].admits(instance, id, stencil_w) {
+        Some(lp_row)
+    } else {
+        (0..rows.len()).find(|&r| r != lp_row && rows[r].admits(instance, id, stencil_w))
+    };
+    if let Some(r) = target {
+        rows[r].commit(instance, id);
+    }
+    target.is_some()
+}
+
 /// Tunables of the rounding loop (defaults follow the paper where stated).
 #[derive(Debug, Clone, Copy)]
 pub struct RoundingConfig {
@@ -353,15 +375,7 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
             }
             let item = items[k];
             let id = CharId::from(item.char_index);
-            let j = lp.argmax_row[k];
-            // Try the LP's row first, then any other row.
-            let target = if rows[j].admits(instance, id, w) {
-                Some(j)
-            } else {
-                (0..num_rows).find(|&r| rows[r].admits(instance, id, w))
-            };
-            if let Some(r) = target {
-                rows[r].commit(instance, id);
+            if commit_lp_row_first(&mut rows, instance, id, lp.argmax_row[k], w) {
                 region_times.select(instance, item.char_index);
                 committed[k] = true;
                 committed_count += 1;

@@ -248,7 +248,7 @@ impl RegionTimes {
         if t_max == 0 {
             return 0.0;
         }
-        let saving = instance.shot_saving(i) as f64;
+        let saving = instance.char(i).shot_saving() as f64;
         let mut p = 0.0;
         for e in instance.sparse_row(i) {
             p += (self.times[e.region as usize] as f64 / t_max as f64) * saving * e.repeats as f64;
@@ -287,7 +287,7 @@ impl RegionTimes {
             .map(|&t| t as f64 / t_max as f64)
             .collect();
         out.extend((0..instance.num_chars()).map(|i| {
-            let saving = instance.shot_saving(i) as f64;
+            let saving = instance.char(i).shot_saving() as f64;
             let mut p = 0.0;
             for e in instance.sparse_row(i) {
                 p += weights[e.region as usize] * saving * e.repeats as f64;

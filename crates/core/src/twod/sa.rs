@@ -112,8 +112,8 @@ impl<'a> Objective<'a> {
                 continue;
             }
             for &(id, _, _) in &node.members {
-                for (c, r) in row.iter_mut().enumerate() {
-                    *r += instance.reduction(id.index(), c) as i64;
+                for e in instance.sparse_row(id.index()) {
+                    row[e.region as usize] += e.reduction as i64;
                 }
             }
         }

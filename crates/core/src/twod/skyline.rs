@@ -445,7 +445,7 @@ mod tests {
             Stencil::new(100, 120).unwrap(),
             inst.chars().to_vec(),
             (0..inst.num_chars())
-                .map(|i| inst.repeat_row(i).to_vec())
+                .map(|i| inst.repeat_row(i).collect())
                 .collect(),
         )
         .unwrap();

@@ -89,7 +89,7 @@ impl InstanceDigest {
             d.write_u64(ch.vsb_shots());
         }
         for i in 0..instance.num_chars() {
-            for &t in instance.repeat_row(i) {
+            for t in instance.repeat_row(i) {
                 d.write_u64(t);
             }
         }

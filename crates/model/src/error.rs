@@ -50,6 +50,12 @@ pub enum ModelError {
     },
     /// An instance must have at least one region.
     NoRegions,
+    /// An instance may have at most
+    /// [`Instance::MAX_REGIONS`](crate::Instance::MAX_REGIONS) regions.
+    TooManyRegions {
+        /// The region count asked for.
+        regions: usize,
+    },
     /// A character id is out of range for the instance.
     UnknownChar {
         /// The offending id.
@@ -166,6 +172,11 @@ impl fmt::Display for ModelError {
                 "repeat row {char_index} has {got} regions, expected {expected}"
             ),
             ModelError::NoRegions => write!(f, "an instance needs at least one region"),
+            ModelError::TooManyRegions { regions } => write!(
+                f,
+                "{regions} regions exceed the limit of {}",
+                crate::Instance::MAX_REGIONS
+            ),
             ModelError::UnknownChar { id, num_chars } => {
                 write!(
                     f,

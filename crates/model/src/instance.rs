@@ -135,34 +135,29 @@ pub struct SparseRepeat {
 ///
 /// # Storage layout
 ///
-/// The repeat matrix is stored twice, in the two shapes the planners need:
+/// The CSR rows are the matrix; dense views are derived. Per candidate, the
+/// row holds only the regions with `t_ic > 0`, as [`SparseRepeat`] entries
+/// carrying the *precomputed* reduction `R_ic = t_ic·(n_i − 1)`. MCC repeat
+/// matrices are sparse (most candidates live in a few "home" regions), so
+/// the inner loops of profit/writing-time accounting iterate only the
+/// nonzero columns and never multiply. The dense views
+/// ([`repeats`](Instance::repeats), [`reduction`](Instance::reduction),
+/// [`repeat_row`](Instance::repeat_row)) read the same rows and return 0
+/// for the columns they leave out.
 ///
-/// * **Row-major slab** — one flat `Vec<u64>` of `n × P` entries
-///   (`repeats[i·P + c] = t_ic`), serving O(1) dense lookups
-///   ([`repeats`](Instance::repeats), [`repeat_row`](Instance::repeat_row))
-///   without the pointer chase and heap fragmentation of a `Vec<Vec<u64>>`.
-/// * **CSR sparse view** — per candidate, the list of regions with
-///   `t_ic > 0` as [`SparseRepeat`] entries carrying the *precomputed*
-///   reduction `R_ic = t_ic·(n_i − 1)`. MCC repeat matrices are sparse
-///   (most candidates live in a few "home" regions), so the inner loops of
-///   profit/writing-time accounting iterate only the nonzero columns and
-///   never multiply.
-///
-/// Derived per-candidate caches: `shot_saving` (`n_i − 1`) and the total
-/// reduction `Σ_c R_ic`.
+/// Derived sums: `T_VSB_c` per region and `Σ_c R_ic` per candidate.
 ///
 /// Invariants (established by the constructors, relied on by
 /// `eblow-core`'s accounting):
 ///
 /// * `sparse` entries of a row are in strictly increasing region order and
 ///   contain exactly the columns with `t_ic > 0`;
-/// * `entry.reduction == entry.repeats · shot_saving(i)` exactly (u64);
+/// * `entry.reduction == entry.repeats · (n_i − 1)` exactly (u64);
 /// * `total_reduction(i) == Σ` of the row's `reduction` entries;
 /// * `vsb_time(c) == Σ_i t_ic · n_i`.
 ///
-/// All dense accessors return values identical to the pre-slab
-/// `Vec<Vec<u64>>` layout, and [`InstanceDigest`](crate::InstanceDigest) is
-/// bit-exactly unchanged by the layout — cache keys survive the swap.
+/// [`InstanceDigest`](crate::InstanceDigest) hashes the dense matrix, so
+/// it does not depend on the layout.
 ///
 /// Every `T_VSB_c` and every `Σ_c R_ic` fits in a `u64` (construction
 /// fails with [`ModelError::Overflow`] otherwise), and `R_ic ≤ t_ic·n_i`,
@@ -171,8 +166,6 @@ pub struct SparseRepeat {
 pub struct Instance {
     stencil: Stencil,
     chars: Vec<Character>,
-    /// Row-major slab: `repeats[i * num_regions + c] = t_ic`.
-    repeats: Vec<u64>,
     num_regions: usize,
     /// Cached `T_VSB_c` per region.
     vsb_times: Vec<u64>,
@@ -180,13 +173,17 @@ pub struct Instance {
     offsets: Vec<u32>,
     /// Nonzero repeat columns with precomputed reductions, row-major.
     sparse: Vec<SparseRepeat>,
-    /// Cached `n_i − 1` per candidate.
-    shot_savings: Vec<u64>,
     /// Cached `Σ_c R_ic` per candidate.
     total_reductions: Vec<u64>,
 }
 
 impl Instance {
+    /// The most regions an instance may have, 2¹⁶: far above the CP counts
+    /// of MCC systems (the paper's instances have 10). It keeps region
+    /// indices within the CSR rows' `u32`, and the per-region sums a parsed
+    /// header asks for small enough to allocate before any row is read.
+    pub const MAX_REGIONS: usize = 1 << 16;
+
     /// Creates an instance from a stencil, candidates, and the repeat matrix.
     ///
     /// `repeats` must have one row per character, each of the same length
@@ -194,8 +191,10 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoRegions`] or [`ModelError::RaggedRepeats`] on
-    /// malformed repeat matrices.
+    /// Returns [`ModelError::NoRegions`], [`ModelError::TooManyRegions`] or
+    /// [`ModelError::RaggedRepeats`] on malformed repeat matrices, and
+    /// [`ModelError::Overflow`] when a writing time or a candidate's total
+    /// reduction exceeds `u64`.
     pub fn new(
         stencil: Stencil,
         chars: Vec<Character>,
@@ -209,7 +208,8 @@ impl Instance {
             });
         }
         let num_regions = repeats.first().map(|r| r.len()).unwrap_or(1);
-        for (i, row) in repeats.iter().enumerate() {
+        let mut instance = Instance::empty(stencil, num_regions, chars.len())?;
+        for (i, (ch, row)) in chars.into_iter().zip(&repeats).enumerate() {
             if row.len() != num_regions {
                 return Err(ModelError::RaggedRepeats {
                     char_index: i,
@@ -217,22 +217,20 @@ impl Instance {
                     expected: num_regions,
                 });
             }
+            instance.push(ch, row.iter().copied().enumerate())?;
         }
-        let mut flat = Vec::with_capacity(chars.len() * num_regions);
-        for row in &repeats {
-            flat.extend_from_slice(row);
-        }
-        Self::from_flat(stencil, chars, flat, num_regions)
+        Ok(instance)
     }
 
-    /// Creates an instance from an already-flat row-major repeat slab
-    /// (`flat[i·num_regions + c] = t_ic`) — the allocation-free path for
-    /// generators and shard extraction, which otherwise would build a
-    /// nested `Vec<Vec<u64>>` only for [`Instance::new`] to flatten again.
+    /// Creates an instance from a flat row-major repeat matrix
+    /// (`flat[i·num_regions + c] = t_ic`), for generators that would
+    /// otherwise build a nested `Vec<Vec<u64>>` only for
+    /// [`Instance::new`]. The instance keeps the CSR rows and drops `flat`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::NoRegions`] when `num_regions == 0`,
+    /// [`ModelError::TooManyRegions`] above [`Instance::MAX_REGIONS`],
     /// [`ModelError::RaggedRepeats`] when `flat.len()` is not exactly
     /// `chars.len() · num_regions`, and [`ModelError::Overflow`] when a
     /// writing time or a candidate's total reduction exceeds `u64`.
@@ -242,10 +240,8 @@ impl Instance {
         flat: Vec<u64>,
         num_regions: usize,
     ) -> Result<Self, ModelError> {
-        if num_regions == 0 {
-            return Err(ModelError::NoRegions);
-        }
-        if flat.len() != chars.len() * num_regions {
+        let mut instance = Instance::empty(stencil, num_regions, chars.len())?;
+        if chars.len().checked_mul(num_regions) != Some(flat.len()) {
             let rows = flat.len() / num_regions;
             let remainder = flat.len() % num_regions;
             return Err(if remainder != 0 {
@@ -265,55 +261,76 @@ impl Instance {
                 }
             });
         }
-        let n = chars.len();
-        let mut vsb_times = vec![0u64; num_regions];
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut sparse = Vec::new();
-        let mut shot_savings = Vec::with_capacity(n);
-        let mut total_reductions = Vec::with_capacity(n);
-        offsets.push(0u32);
-        for (i, ch) in chars.iter().enumerate() {
-            let saving = ch.shot_saving();
-            shot_savings.push(saving);
-            let mut total = 0u64;
-            for (c, &t) in flat[i * num_regions..(i + 1) * num_regions]
-                .iter()
-                .enumerate()
-            {
-                let overflow = || ModelError::Overflow {
-                    char_index: i,
-                    region: c,
-                };
-                vsb_times[c] = t
-                    .checked_mul(ch.vsb_shots())
-                    .and_then(|vsb| vsb_times[c].checked_add(vsb))
-                    .ok_or_else(overflow)?;
-                if t > 0 {
-                    // `saving < vsb_shots`, so this product cannot overflow
-                    // once the one above did not.
-                    let reduction = t * saving;
-                    total = total.checked_add(reduction).ok_or_else(overflow)?;
-                    sparse.push(SparseRepeat {
-                        region: c as u32,
-                        repeats: t,
-                        reduction,
-                    });
-                }
-            }
-            total_reductions.push(total);
-            offsets.push(sparse.len() as u32);
+        for (ch, row) in chars.into_iter().zip(flat.chunks_exact(num_regions)) {
+            instance.push(ch, row.iter().copied().enumerate())?;
         }
+        Ok(instance)
+    }
+
+    /// An instance of `num_regions` regions with no candidates yet and
+    /// room for `capacity`, which [`Instance::push`] appends. Fails with
+    /// [`ModelError::NoRegions`] or [`ModelError::TooManyRegions`].
+    pub(crate) fn empty(
+        stencil: Stencil,
+        num_regions: usize,
+        capacity: usize,
+    ) -> Result<Self, ModelError> {
+        if num_regions == 0 {
+            return Err(ModelError::NoRegions);
+        }
+        if num_regions > Instance::MAX_REGIONS {
+            return Err(ModelError::TooManyRegions {
+                regions: num_regions,
+            });
+        }
+        let mut offsets = Vec::with_capacity(capacity + 1);
+        offsets.push(0);
         Ok(Instance {
             stencil,
-            chars,
-            repeats: flat,
+            chars: Vec::with_capacity(capacity),
             num_regions,
-            vsb_times,
+            vsb_times: vec![0; num_regions],
             offsets,
-            sparse,
-            shot_savings,
-            total_reductions,
+            sparse: Vec::new(),
+            total_reductions: Vec::with_capacity(capacity),
         })
+    }
+
+    /// Appends candidate `ch` with its repeats as `(c, t_ic)` in increasing
+    /// region order; zero counts may be left out or included. Fails with
+    /// [`ModelError::Overflow`] when `T_VSB_c` or `Σ_c R_ic` passes `u64`,
+    /// leaving the instance part-built for the caller to drop.
+    pub(crate) fn push(
+        &mut self,
+        ch: Character,
+        repeats: impl IntoIterator<Item = (usize, u64)>,
+    ) -> Result<(), ModelError> {
+        let i = self.chars.len();
+        let saving = ch.shot_saving();
+        let mut total = 0u64;
+        for (c, t) in repeats.into_iter().filter(|&(_, t)| t > 0) {
+            let overflow = || ModelError::Overflow {
+                char_index: i,
+                region: c,
+            };
+            self.vsb_times[c] = t
+                .checked_mul(ch.vsb_shots())
+                .and_then(|vsb| self.vsb_times[c].checked_add(vsb))
+                .ok_or_else(overflow)?;
+            // `saving < vsb_shots`, so this product cannot overflow once
+            // the one above did not.
+            let reduction = t * saving;
+            total = total.checked_add(reduction).ok_or_else(overflow)?;
+            self.sparse.push(SparseRepeat {
+                region: c as u32,
+                repeats: t,
+                reduction,
+            });
+        }
+        self.chars.push(ch);
+        self.total_reductions.push(total);
+        self.offsets.push(self.sparse.len() as u32);
+        Ok(())
     }
 
     /// The stencil of this instance.
@@ -357,21 +374,25 @@ impl Instance {
         self.num_regions
     }
 
-    /// Repeat count `t_ic` of character `i` in region `c`.
+    /// Repeat count `t_ic` of character `i` in region `c`, 0 where the CSR
+    /// row leaves the region out.
     ///
     /// # Panics
     ///
     /// Panics if `i` or `c` is out of range.
-    #[inline]
     pub fn repeats(&self, i: usize, c: usize) -> u64 {
-        debug_assert!(c < self.num_regions);
-        self.repeats[i * self.num_regions + c]
+        self.repeat_row(i).nth(c).expect("region out of range")
     }
 
-    /// The full repeat row of character `i` across all regions.
-    #[inline]
-    pub fn repeat_row(&self, i: usize) -> &[u64] {
-        &self.repeats[i * self.num_regions..(i + 1) * self.num_regions]
+    /// The full repeat row of character `i` across all `P` regions, zeros
+    /// filled in between the CSR row's entries.
+    pub fn repeat_row(&self, i: usize) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let mut nonzero = self.sparse_row(i).iter().peekable();
+        (0..self.num_regions).map(move |c| {
+            nonzero
+                .next_if(|e| e.region as usize == c)
+                .map_or(0, |e| e.repeats)
+        })
     }
 
     /// The nonzero repeat columns of character `i` with precomputed
@@ -380,12 +401,6 @@ impl Instance {
     #[inline]
     pub fn sparse_row(&self, i: usize) -> &[SparseRepeat] {
         &self.sparse[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Cached per-use shot saving `n_i − 1` of character `i`.
-    #[inline]
-    pub fn shot_saving(&self, i: usize) -> u64 {
-        self.shot_savings[i]
     }
 
     /// Pure-VSB writing time `T_VSB_c` of region `c`.
@@ -402,9 +417,12 @@ impl Instance {
 
     /// Writing-time reduction `R_ic = t_ic·(n_i − 1)` contributed by putting
     /// character `i` on the stencil, for region `c`.
-    #[inline]
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `c` is out of range.
     pub fn reduction(&self, i: usize, c: usize) -> u64 {
-        self.repeats(i, c) * self.shot_savings[i]
+        self.repeats(i, c) * self.chars[i].shot_saving()
     }
 
     /// Per-region writing times `T_c` for a given selection.
@@ -520,25 +538,23 @@ mod tests {
     #[test]
     fn sparse_view_matches_dense_rows() {
         let inst = inst();
-        for i in 0..inst.num_chars() {
-            let mut dense_nonzeros = Vec::new();
-            for (c, &t) in inst.repeat_row(i).iter().enumerate() {
-                if t > 0 {
-                    dense_nonzeros.push(SparseRepeat {
-                        region: c as u32,
-                        repeats: t,
-                        reduction: t * inst.char(i).shot_saving(),
-                    });
-                }
+        for (i, row) in [[3, 0], [1, 5], [2, 2]].iter().enumerate() {
+            let saving = inst.char(i).shot_saving();
+            assert_eq!(inst.repeat_row(i).collect::<Vec<_>>(), row);
+            let nonzeros: Vec<SparseRepeat> = (0..2)
+                .filter(|&c| row[c] > 0)
+                .map(|c| SparseRepeat {
+                    region: c as u32,
+                    repeats: row[c],
+                    reduction: row[c] * saving,
+                })
+                .collect();
+            assert_eq!(inst.sparse_row(i), &nonzeros[..]);
+            for (c, &t) in row.iter().enumerate() {
+                assert_eq!(inst.repeats(i, c), t);
+                assert_eq!(inst.reduction(i, c), t * saving);
             }
-            assert_eq!(inst.sparse_row(i), &dense_nonzeros[..]);
-            assert_eq!(
-                inst.total_reduction(i),
-                (0..inst.num_regions())
-                    .map(|c| inst.reduction(i, c))
-                    .sum::<u64>()
-            );
-            assert_eq!(inst.shot_saving(i), inst.char(i).shot_saving());
+            assert_eq!(inst.total_reduction(i), row.iter().sum::<u64>() * saving);
         }
     }
 
@@ -573,8 +589,29 @@ mod tests {
             Err(ModelError::NoRegions)
         ));
         assert!(matches!(
-            Instance::from_flat(Stencil::new(100, 100).unwrap(), chars, vec![1, 2, 3], 2),
+            Instance::from_flat(
+                Stencil::new(100, 100).unwrap(),
+                chars.clone(),
+                vec![1, 2, 3],
+                2
+            ),
             Err(ModelError::RaggedRepeats { .. })
         ));
+    }
+
+    /// Regression: `chars.len() · num_regions` overflowed (a panic in
+    /// debug builds) before the region count was checked.
+    #[test]
+    fn region_counts_past_the_limit_are_an_error() {
+        let stencil = Stencil::new(100, 100).unwrap();
+        let chars = vec![Character::new(40, 40, [5, 5, 5, 5], 10).unwrap(); 2];
+        for regions in [Instance::MAX_REGIONS + 1, usize::MAX] {
+            assert_eq!(
+                Instance::from_flat(stencil, chars.clone(), vec![], regions),
+                Err(ModelError::TooManyRegions { regions })
+            );
+        }
+        let widest = Instance::from_flat(stencil, vec![], vec![], Instance::MAX_REGIONS).unwrap();
+        assert_eq!(widest.num_regions(), Instance::MAX_REGIONS);
     }
 }

@@ -65,7 +65,7 @@ pub fn to_string(instance: &Instance) -> String {
             b.top,
             c.vsb_shots()
         );
-        for &t in instance.repeat_row(i) {
+        for t in instance.repeat_row(i) {
             let _ = write!(out, " {t}");
         }
         out.push('\n');
@@ -91,7 +91,8 @@ fn parse_u64(tok: &str, line: usize, what: &str) -> Result<u64, ModelError> {
 ///
 /// Returns [`ModelError::Parse`] with a 1-based line number on any syntax
 /// problem, and the underlying model error if the parsed data violates model
-/// invariants (e.g. blanks exceeding a character's size).
+/// invariants (e.g. blanks exceeding a character's size, or more than
+/// [`Instance::MAX_REGIONS`] regions).
 pub fn from_str(text: &str) -> Result<Instance, ModelError> {
     let mut lines = text
         .lines()
@@ -127,7 +128,10 @@ pub fn from_str(text: &str) -> Result<Instance, ModelError> {
     if toks.len() != 2 || toks[0] != "regions" {
         return Err(parse_err(ln, "expected `regions <P>`"));
     }
-    let num_regions = parse_u64(toks[1], ln, "region count")? as usize;
+    // Counts past `usize` saturate; both are checked before they size
+    // anything.
+    let num_regions =
+        usize::try_from(parse_u64(toks[1], ln, "region count")?).unwrap_or(usize::MAX);
 
     let (ln, chars_line) = lines
         .next()
@@ -136,44 +140,45 @@ pub fn from_str(text: &str) -> Result<Instance, ModelError> {
     if toks.len() != 2 || toks[0] != "chars" {
         return Err(parse_err(ln, "expected `chars <N>`"));
     }
-    let num_chars = parse_u64(toks[1], ln, "char count")? as usize;
+    let num_chars = usize::try_from(parse_u64(toks[1], ln, "char count")?).unwrap_or(usize::MAX);
 
-    let mut chars = Vec::with_capacity(num_chars);
-    let mut repeats = Vec::with_capacity(num_chars);
+    // A character line holds `fields` tokens of at least one byte each, so
+    // the text holds at most `capacity` of them.
+    let fields = num_regions.saturating_add(7);
+    let capacity = num_chars.min(text.len() / fields);
+    let mut instance = Instance::empty(stencil, num_regions, capacity)?;
+    let mut vals = Vec::new();
     let mut last_ln = ln;
     for _ in 0..num_chars {
         let (ln, line) = lines
             .next()
             .ok_or_else(|| parse_err(last_ln, "missing character line"))?;
         last_ln = ln;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.len() != 7 + num_regions {
+        vals.clear();
+        for tok in line.split_whitespace() {
+            vals.push(parse_u64(tok, ln, "character field")?);
+        }
+        if vals.len() != fields {
             return Err(parse_err(
                 ln,
                 format!(
-                    "expected {} fields (7 + {num_regions} repeats), found {}",
-                    7 + num_regions,
-                    toks.len()
+                    "expected {fields} fields (7 + {num_regions} repeats), found {}",
+                    vals.len()
                 ),
             ));
         }
-        let vals: Result<Vec<u64>, _> = toks
-            .iter()
-            .map(|t| parse_u64(t, ln, "character field"))
-            .collect();
-        let vals = vals?;
-        chars.push(Character::new(
+        let ch = Character::new(
             vals[0],
             vals[1],
             [vals[2], vals[3], vals[4], vals[5]],
             vals[6],
-        )?);
-        repeats.push(vals[7..].to_vec());
+        )?;
+        instance.push(ch, vals[7..].iter().copied().enumerate())?;
     }
     if let Some((ln, _)) = lines.next() {
         return Err(parse_err(ln, "trailing content after character table"));
     }
-    Instance::new(stencil, chars, repeats)
+    Ok(instance)
 }
 
 /// Writes an instance to a file at `path`.
@@ -333,6 +338,60 @@ mod tests {
         let rows = from_str(&text(u64::MAX, u64::MAX, 10)).unwrap();
         assert_eq!(rows.stencil().width(), u64::MAX);
         assert!(rows.stencil().check_2d().is_err());
+    }
+
+    /// A text with the given header counts over a 1D stencil.
+    fn with_counts(
+        regions: impl std::fmt::Display,
+        chars: impl std::fmt::Display,
+        body: &str,
+    ) -> String {
+        format!("EBLOW-INSTANCE v1\nstencil 100 100 40\nregions {regions}\nchars {chars}\n{body}")
+    }
+
+    /// Regression: `chars u64::MAX` panicked with a capacity overflow, as
+    /// the character table was pre-sized by the header's count; a count
+    /// below the overflow line asked for terabytes up front.
+    #[test]
+    fn a_char_count_past_the_text_is_an_error() {
+        for count in [u64::MAX, 1_000_000_000_000] {
+            let e = from_str(&with_counts(1, count, "40 40 5 5 5 5 10 1\n")).unwrap_err();
+            assert!(matches!(e, ModelError::Parse { line: 5, .. }), "{e}");
+        }
+    }
+
+    /// Regression: `regions u64::MAX` wrapped the field count `7 + P` to 6
+    /// in release builds, so a six-field character line passed the check
+    /// and reading its seventh field panicked.
+    #[test]
+    fn a_region_count_that_wraps_the_field_count_is_an_error() {
+        assert_eq!(
+            from_str(&with_counts(u64::MAX, 1, "40 40 5 5 5 5\n")),
+            Err(ModelError::TooManyRegions {
+                regions: usize::MAX
+            })
+        );
+    }
+
+    /// Regression: `regions u64::MAX − 6` overflowed `7 + P` (a panic in
+    /// debug builds, "expected 0 fields" in release). Region counts are
+    /// checked against [`Instance::MAX_REGIONS`] first.
+    #[test]
+    fn a_region_count_that_overflows_the_field_count_is_an_error() {
+        let regions = u64::MAX - 6;
+        assert_eq!(
+            from_str(&with_counts(regions, 1, "40 40 5 5 5 5 10 1\n")),
+            Err(ModelError::TooManyRegions {
+                regions: regions as usize
+            })
+        );
+        let max = Instance::MAX_REGIONS;
+        assert_eq!(
+            from_str(&with_counts(max, 0, "")).unwrap().num_regions(),
+            max
+        );
+        assert!(from_str(&with_counts(max + 1, 0, "")).is_err());
+        assert_eq!(from_str(&with_counts(0, 0, "")), Err(ModelError::NoRegions));
     }
 
     #[test]

@@ -72,10 +72,8 @@ impl SubInstance {
             band_rows as u64 * row_height,
             row_height,
         )?;
-        let regions = original.num_regions();
+        let mut instance = Instance::empty(stencil, original.num_regions(), chars.len())?;
         let mut seen = vec![false; original.num_chars()];
-        let mut sub_chars = Vec::with_capacity(chars.len());
-        let mut sub_repeats = Vec::with_capacity(chars.len() * regions);
         for &i in chars {
             if i >= original.num_chars() {
                 return Err(ModelError::UnknownChar {
@@ -87,11 +85,10 @@ impl SubInstance {
                 return Err(ModelError::DuplicateChar { id: i });
             }
             seen[i] = true;
-            sub_chars.push(*original.char(i));
-            sub_repeats.extend_from_slice(original.repeat_row(i));
+            instance.push(*original.char(i), original.repeat_row(i).enumerate())?;
         }
         Ok(SubInstance {
-            instance: Instance::from_flat(stencil, sub_chars, sub_repeats, regions)?,
+            instance,
             char_map: chars.to_vec(),
             row_offset: start_row,
         })
@@ -221,7 +218,7 @@ mod tests {
         assert_eq!(sub.row_offset(), 2);
         // Local 0 is original 4: width 34, repeats [4, 2].
         assert_eq!(sub.instance().char(0).width(), 34);
-        assert_eq!(sub.instance().repeat_row(0), &[4, 2]);
+        assert_eq!(sub.instance().repeat_row(0).collect::<Vec<_>>(), [4, 2]);
         assert_eq!(sub.to_original(1).unwrap(), 1);
         assert!(sub.to_original(2).is_err());
     }

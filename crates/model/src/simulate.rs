@@ -17,7 +17,7 @@
 use crate::{Instance, Selection};
 
 /// Per-region outcome of a simulated write.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnReport {
     /// Shots fired through the character projection path.
     pub cp_shots: u64,
@@ -65,28 +65,22 @@ pub fn simulate_writing(instance: &Instance, selection: &Selection) -> WriteRepo
         instance.num_chars(),
         "selection must cover every candidate"
     );
-    let mut columns = Vec::with_capacity(instance.num_regions());
-    for c in 0..instance.num_regions() {
-        let mut cp_shots = 0u64;
-        let mut vsb_shots = 0u64;
-        for i in 0..instance.num_chars() {
-            let reps = instance.repeats(i, c);
-            if reps == 0 {
-                continue;
-            }
-            if selection.contains(i) {
+    let mut columns = vec![ColumnReport::default(); instance.num_regions()];
+    for i in 0..instance.num_chars() {
+        let on_stencil = selection.contains(i);
+        for e in instance.sparse_row(i) {
+            let column = &mut columns[e.region as usize];
+            if on_stencil {
                 // Each repetition prints in a single CP flash.
-                cp_shots += reps;
+                column.cp_shots += e.repeats;
             } else {
                 // Each repetition is fractured into n_i VSB rectangles.
-                vsb_shots += reps * instance.char(i).vsb_shots();
+                column.vsb_shots += e.repeats * instance.char(i).vsb_shots();
             }
         }
-        columns.push(ColumnReport {
-            cp_shots,
-            vsb_shots,
-            total: cp_shots + vsb_shots,
-        });
+    }
+    for column in &mut columns {
+        column.total = column.cp_shots + column.vsb_shots;
     }
     WriteReport { columns }
 }
