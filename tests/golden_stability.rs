@@ -7,8 +7,9 @@
 //! incremental evaluation; the \[24\] heuristic, E-BLOW-0, 1M-5 and race
 //! constants before the race shared one rounding between E-BLOW-1 and
 //! E-BLOW-0; the 1M-5 E-BLOW constant before row admission refused by a
-//! sorted-blank bound. They pin two guarantees that production callers
-//! rely on:
+//! sorted-blank bound; the 1H-1 row and \[24\] heuristic constants before
+//! row admission remembered its refusals by shape. They pin two guarantees
+//! that production callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
 //!   artifacts; a layout change must not move a single bit.
@@ -240,6 +241,32 @@ fn baseline_and_ablation_plans_are_byte_stable() {
         (rowheur.total_time, plan_fingerprint(&rowheur)),
         GOLDEN_1M5_ROWHEUR,
         "1M-5 row-heuristic plan changed byte-for-byte"
+    );
+}
+
+/// `(total writing time, plan fingerprint)` at unlimited budget of the row
+/// heuristic and the \[24\] heuristic on 1H-1 (12 000 candidates), where
+/// nearly every row-admission probe refuses. Captured before row admission
+/// remembered its refusals by shape and before `heuristic1d`'s top-up kept
+/// each row's width.
+const GOLDEN_1H1_ROWHEUR: (u64, u64) = (52174, 0x1ad0e7c1008d162b);
+const GOLDEN_1H1_HEURISTIC: (u64, u64) = (54287, 0x75f78b95cc718a33);
+
+#[test]
+fn huge_scale_baseline_plans_are_byte_stable() {
+    use eblow::planner::baselines::{heuristic_1d, row_heuristic_1d};
+    let inst = eblow::gen::benchmark(Family::H1(1));
+    let rowheur = row_heuristic_1d(&inst).unwrap();
+    assert_eq!(
+        (rowheur.total_time, plan_fingerprint(&rowheur)),
+        GOLDEN_1H1_ROWHEUR,
+        "1H-1 row-heuristic plan changed byte-for-byte"
+    );
+    let heuristic = heuristic_1d(&inst).unwrap();
+    assert_eq!(
+        (heuristic.total_time, plan_fingerprint(&heuristic)),
+        GOLDEN_1H1_HEURISTIC,
+        "1H-1 heuristic1d plan changed byte-for-byte"
     );
 }
 
