@@ -82,7 +82,10 @@ fn bench_hotpaths(c: &mut Criterion) {
     // Refusal-heavy admission: all 50 rows filled first-fit from the first
     // half of the 1H stream, then 2 000 further candidates probed against
     // every row at beam 8 — rounding's first-fit fallback, where nearly
-    // every probe refuses on the sorted-blank bound or a resumed DP walk.
+    // every probe refuses from the row's refusal memo (a candidate of a
+    // shape the row refused at most as wide; every pass after the first
+    // re-probes unchanged rows), on the sorted-blank bound or in a resumed
+    // DP walk.
     group.bench_function("probed_row_reject_stream", |b| {
         let w = inst.stencil().width();
         let mut scratch = WidthScratch::default();

@@ -7,19 +7,29 @@
 //! blank descending (provably optimal for symmetric blanks). A final
 //! insertion pass tops rows up. The paper's Table 3 shows \[25\] at
 //! ~0.01 s, and `eblow-eval table3` measures a Row\[25\] CPU average of
-//! 0.010–0.014 s over the Table 3 cases on a 2-core VM (three runs). The
-//! cost is the per-candidate probes: the Lemma 1 estimate is optimistic
-//! for asymmetric blanks, so each character verifies up to
-//! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed.
-//! There is no MCC balancing: profits are static region sums, so the
-//! bottleneck region is not re-weighted as selection proceeds.
+//! 0.011 s over the Table 3 cases on a 2-core VM (three runs). The cost is
+//! the per-candidate probes: the Lemma 1 estimate is optimistic for
+//! asymmetric blanks, so each character verifies up to [`PROBE_ROWS`]
+//! rows with the exact ordering DP before it is placed. A row changes
+//! only when it takes a character, so its refusal memo answers most
+//! probes by shape: on 1H-1, 99 881 of 131 388, and the plan takes
+//! 0.10–0.13 s (`bench_hotpaths` `row_heuristic_1h1`, three runs). There
+//! is no MCC balancing: profits are static region sums, so the bottleneck
+//! region is not re-weighted as selection proceeds.
 
 use crate::cancel::StopFlag;
-use crate::oned::{finish_plan, ProbedRow, WidthScratch};
+use crate::oned::{finish_plan, Admission, ProbedRow, WidthScratch};
 use crate::profit::static_profits;
 use crate::Plan1d;
 use eblow_model::{CharId, Instance, ModelError, Placement1d, Row};
+use eblow_trace as trace;
 use std::time::Instant;
+
+/// Row-admission probes of the fill (counter `rowheur.probes`).
+static PROBES: trace::Counter = trace::Counter::new("rowheur.probes");
+/// Fill probes the rows' refusal memos answered (counter
+/// `rowheur.memo_reject`).
+static MEMO_REJECT: trace::Counter = trace::Counter::new("rowheur.memo_reject");
 
 /// How many of the best-ranked rows each character probes with the exact
 /// ordering DP before being declared a leftover.
@@ -81,6 +91,7 @@ pub fn row_heuristic_1d_with_stop(
     let mut ranked: Vec<(u64, usize)> = Vec::with_capacity(num_rows);
     // Width-DP buffers shared by every probe, allocation-free after warm-up.
     let mut scratch = WidthScratch::default();
+    let (mut probes, mut memo_rejects) = (0u64, 0u64);
     for &i in &order {
         if stop.is_set() {
             // Deadline: whatever is not yet placed stays off the stencil.
@@ -92,10 +103,11 @@ pub fn row_heuristic_1d_with_stop(
         let id = CharId::from(i);
         // Rank rows by wasted capacity growth, then verify the best ones
         // with the exact ordering DP (the Lemma 1 estimate is optimistic
-        // for asymmetric blanks). The staged probe refuses on the
-        // sorted-blank bound or admits on a beam-1 insertion chain (the
-        // width of one concrete order) before the beam-6 DP runs — same
-        // decisions, far fewer DPs. Estimates past `u64` never rank.
+        // for asymmetric blanks). The staged probe refuses from the row's
+        // memo of refused shapes or on the sorted-blank bound, or admits on
+        // a beam-1 insertion chain (the width of one concrete order),
+        // before the beam-6 DP runs — same decisions, far fewer DPs.
+        // Estimates past `u64` never rank.
         ranked.clear();
         ranked.extend((0..num_rows).filter_map(|r| {
             let new_width = u128::from(eff[r]) + u128::from(e) + u128::from(blank[r].max(s));
@@ -107,11 +119,12 @@ pub fn row_heuristic_1d_with_stop(
         }));
         ranked.sort_unstable();
         // Place into the best-ranked row the exact ordering DP admits.
-        let placed_row = ranked
-            .iter()
-            .take(PROBE_ROWS)
-            .map(|&(_, r)| r)
-            .find(|&r| row_keys[r].admits(instance, id, 6, w, &mut scratch).fits());
+        let placed_row = ranked.iter().take(PROBE_ROWS).map(|&(_, r)| r).find(|&r| {
+            probes += 1;
+            let admission = row_keys[r].admits(instance, id, 6, w, &mut scratch);
+            memo_rejects += u64::from(admission == Admission::MemoReject);
+            admission.fits()
+        });
         match placed_row {
             Some(r) => {
                 sets[r].push(id);
@@ -122,6 +135,8 @@ pub fn row_heuristic_1d_with_stop(
             None => leftovers.push(i),
         }
     }
+    PROBES.add(probes);
+    MEMO_REJECT.add(memo_rejects);
 
     // In-row order: the insertion-order DP (optimal under symmetric
     // blanks, near-optimal otherwise) with a small beam — still linear-ish

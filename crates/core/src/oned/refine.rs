@@ -167,6 +167,9 @@ const CHECKPOINT_STRIDE: usize = 8;
 /// Which stage of [`ProbedRow::admits`] decided a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
+    /// The refusal memo holds a refusal of the candidate's class at most
+    /// as wide: no bound, chain or DP ran.
+    MemoReject,
     /// The sorted-blank overlap bound exceeds the cap: no DP ran.
     BoundReject,
     /// The beam-1 chain, one concrete order, fits.
@@ -229,6 +232,36 @@ impl Admission {
 /// walks rebuilds it in one backward pass. Widths past `u64::MAX` never
 /// fit: the walk drops states whose width overflows, and the bound's sums
 /// are exact in `u128`.
+///
+/// **One refusal memo.** Between two inserts thousands of candidates of a
+/// few shapes probe the row, and nearly all are refused. A candidate's
+/// class is its left blank `l`, its right blank `r` and its sorted
+/// position `pos` among the member keys: keys of equal symmetric blank
+/// insert in id order, so two candidates of one shape can enter the DP at
+/// different steps. At one beam and cap, the decision is monotone in the
+/// width `w` within a class:
+///
+/// - Up to the candidate the walk is the same for every `w`.
+/// - The candidate's insertion adds `w` to both inserts of every state, so
+///   a candidate `δ` wider makes every state `δ` wider. Pruning and the
+///   beam cut compare states of one step by their width differences and
+///   blanks, and every later insertion adds the same to both, so every
+///   later frontier keeps the same states in the same order, `δ` wider.
+/// - A state that overflows `u64` only at the wider width is among the
+///   widest of its step, and so is every state it would dominate: dropping
+///   it neither lets a narrower state through the prune nor moves the beam
+///   cut among the states that stay, and all its inserts overflow too. The
+///   wider walk's frontiers are the narrower walk's, `δ` wider, less their
+///   widest states.
+/// - So the beam-1 chain and the beam-`B` DP end at least `δ` wider or
+///   with no state; the bound before them only refuses what they refuse.
+///
+/// A refusal at `w` therefore decides every candidate of its class at
+/// least `w` wide. The memo keeps, per class, the narrowest width the
+/// kernel refused, and answers before the bound, the chain or the DP. It
+/// records refusals only (every admit is followed by an insert), and it
+/// is scratch like the checkpoints: [`ProbedRow::insert`] drops it, so
+/// does a probe under another beam or cap, and a clone starts without it.
 #[derive(Debug, Clone, Default)]
 pub struct ProbedRow {
     /// `(symmetric blank, id)` keys sorted by [`key_order`].
@@ -243,22 +276,31 @@ pub struct ProbedRow {
     checkpoints: Checkpoints,
     /// The bound's data over every key suffix; scratch like `checkpoints`.
     suffixes: Suffixes,
+    /// The narrowest refused width per candidate class; scratch like
+    /// `checkpoints`.
+    refusals: Refusals,
 }
 
 impl ProbedRow {
     /// Inserts the member `id` at its key's sorted position, and drops the
-    /// suffix data and the checkpoints past it (O(n) — once per commit,
-    /// amortized over the many probes in between).
+    /// suffix data, the refusal memo and the checkpoints past it (O(n) —
+    /// once per commit, amortized over the many probes in between).
     pub fn insert(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         let key = width_key(instance, id);
-        let pos = self.keys.partition_point(|k| key_order(k, &key).is_lt());
+        let pos = self.position(&key);
         self.keys.insert(pos, key);
         insert_sorted(&mut self.lefts, c.blanks().left);
         insert_sorted(&mut self.rights, c.blanks().right);
         self.width_sum += u128::from(c.width());
         self.checkpoints.invalidate_from(pos);
         self.suffixes.built = false;
+        self.refusals.entries.clear();
+    }
+
+    /// The sorted position of `key` among the member keys.
+    fn position(&self, key: &(u64, CharId)) -> usize {
+        self.keys.partition_point(|k| key_order(k, key).is_lt())
     }
 
     /// Number of members.
@@ -272,11 +314,11 @@ impl ProbedRow {
     }
 
     /// Whether the members plus `id` pack within `cap`, decided in stages:
-    /// the sorted-blank bound over the whole row, then the beam-1 chain (if
-    /// one concrete order fits, the DP fits), then the beam-`beam` DP.
-    /// Decision-identical to the end-insertion DP over the members plus
-    /// `id` at beam `beam` fitting `cap`; the returned stage says which
-    /// step decided.
+    /// the refusal memo, the sorted-blank bound over the whole row, then
+    /// the beam-1 chain (if one concrete order fits, the DP fits), then the
+    /// beam-`beam` DP. Decision-identical to the end-insertion DP over the
+    /// members plus `id` at beam `beam` fitting `cap`; the returned stage
+    /// says which step decided.
     pub fn admits(
         &mut self,
         instance: &Instance,
@@ -285,10 +327,34 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> Admission {
-        if self.bound_exceeds(instance.char(id.index()), cap) {
+        let candidate = instance.char(id.index());
+        let pos = self.position(&width_key(instance, id));
+        let class = shape_class(candidate, pos);
+        let refused = class.and_then(|class| self.refusals.narrowest(beam, cap, class));
+        if refused.is_some_and(|narrowest| candidate.width() >= narrowest) {
+            return Admission::MemoReject;
+        }
+        let admission = self.decide(instance, candidate, pos, beam, cap, scratch);
+        if let (Some(class), false) = (class, admission.fits()) {
+            self.refusals.record(class, candidate.width());
+        }
+        admission
+    }
+
+    /// The kernel behind the memo: the bound, the chain, then the DP.
+    fn decide(
+        &mut self,
+        instance: &Instance,
+        candidate: &Character,
+        pos: usize,
+        beam: usize,
+        cap: u64,
+        scratch: &mut WidthScratch,
+    ) -> Admission {
+        if self.bound_exceeds(candidate, cap) {
             return Admission::BoundReject;
         }
-        let probe = self.probe(instance, id);
+        let probe = self.probe(instance, candidate, pos);
         if self.dp_fits(instance, &probe, 1, cap, scratch) {
             return Admission::ChainFits;
         }
@@ -315,13 +381,15 @@ impl ProbedRow {
         completion_bound((0, 0, 0), Some(rest))
     }
 
-    /// Places candidate `id` in the walk, rebuilding the suffix data if a
-    /// commit dropped it.
-    fn probe<'i>(&mut self, instance: &'i Instance, id: CharId) -> Probe<'i> {
-        let key = width_key(instance, id);
-        let candidate = instance.char(id.index());
+    /// Places `candidate` at its sorted position `pos` in the walk,
+    /// rebuilding the suffix data if a commit dropped it.
+    fn probe<'c>(
+        &mut self,
+        instance: &Instance,
+        candidate: &'c Character,
+        pos: usize,
+    ) -> Probe<'c> {
         self.suffixes.build(instance, &self.keys);
-        let pos = self.keys.partition_point(|k| key_order(k, &key).is_lt());
         let at = pos / CHECKPOINT_STRIDE;
         // Before the first checkpoint there is no frontier: the bound over
         // the whole row has already run.
@@ -452,6 +520,61 @@ fn merged(list: &[u64], blank: u64) -> impl Iterator<Item = u64> + '_ {
 fn insert_sorted(list: &mut Vec<u64>, blank: u64) {
     let at = list.partition_point(|&b| b > blank);
     list.insert(at, blank);
+}
+
+/// A candidate's class in a [`ProbedRow`]'s refusal memo: its left blank,
+/// its right blank and its sorted position `pos`, packed into 24, 24 and
+/// 16 bits. A class that does not pack is never memoized: its probes all
+/// run the kernel.
+fn shape_class(candidate: &Character, pos: usize) -> Option<u64> {
+    let (left, right) = (candidate.blanks().left, candidate.blanks().right);
+    (left < 1 << 24 && right < 1 << 24 && pos < 1 << 16)
+        .then_some(left << 40 | right << 16 | pos as u64)
+}
+
+/// The refusal memo of a [`ProbedRow`] (see its docs): per candidate
+/// class, the narrowest width the kernel refused since the last insert,
+/// all under one beam and cap. Scratch: a clone starts empty.
+#[derive(Debug, Default)]
+struct Refusals {
+    /// The beam and cap every entry was refused under.
+    under: (usize, u64),
+    /// `(class, narrowest refused width)`, sorted by class.
+    entries: Vec<(u64, u64)>,
+}
+
+impl Clone for Refusals {
+    fn clone(&self) -> Self {
+        Refusals::default()
+    }
+}
+
+impl Refusals {
+    /// The narrowest refused width of `class` under `beam` and `cap`,
+    /// dropping every entry first when they were refused under another
+    /// beam or cap.
+    fn narrowest(&mut self, beam: usize, cap: u64, class: u64) -> Option<u64> {
+        if self.under != (beam, cap) {
+            self.under = (beam, cap);
+            self.entries.clear();
+        }
+        self.held(class)
+    }
+
+    /// The narrowest refused width of `class` held.
+    fn held(&self, class: u64) -> Option<u64> {
+        let at = self.entries.binary_search_by_key(&class, |e| e.0).ok()?;
+        Some(self.entries[at].1)
+    }
+
+    /// Records a refusal of `class` at `width`, narrower than any refusal
+    /// of it held (a wider one is answered from the memo).
+    fn record(&mut self, class: u64, width: u64) {
+        match self.entries.binary_search_by_key(&class, |e| e.0) {
+            Ok(at) => self.entries[at].1 = width,
+            Err(at) => self.entries.insert(at, (class, width)),
+        }
+    }
 }
 
 /// The bound's data over every key suffix of a [`ProbedRow`]. Scratch: a
@@ -835,6 +958,39 @@ fn insertion_floor(c: &Character) -> u64 {
 /// The references the kernel must match.
 #[cfg(test)]
 impl ProbedRow {
+    /// Whether the refusal memo alone refuses `id` under `beam` and `cap`,
+    /// without probing.
+    pub(crate) fn memo_refuses(
+        &self,
+        instance: &Instance,
+        id: CharId,
+        beam: usize,
+        cap: u64,
+    ) -> bool {
+        let candidate = instance.char(id.index());
+        let class = shape_class(candidate, self.position(&width_key(instance, id)));
+        let memo = &self.refusals;
+        class.is_some_and(|class| {
+            memo.under == (beam, cap) && memo.held(class).is_some_and(|n| candidate.width() >= n)
+        })
+    }
+
+    /// [`ProbedRow::admits`] without the memo: the kernel alone, which
+    /// neither reads nor records a refusal.
+    fn admits_without_memo(
+        &mut self,
+        instance: &Instance,
+        id: CharId,
+        beam: usize,
+        cap: u64,
+        scratch: &mut WidthScratch,
+    ) -> bool {
+        let candidate = instance.char(id.index());
+        let pos = self.position(&width_key(instance, id));
+        self.decide(instance, candidate, pos, beam, cap, scratch)
+            .fits()
+    }
+
     /// The kernel at one beam width: the bound over the whole row, then the
     /// walk resumed from the candidate's checkpoint.
     fn admits_width(
@@ -845,8 +1001,9 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> bool {
-        !self.bound_exceeds(instance.char(extra.1.index()), cap) && {
-            let probe = self.probe(instance, extra.1);
+        let candidate = instance.char(extra.1.index());
+        !self.bound_exceeds(candidate, cap) && {
+            let probe = self.probe(instance, candidate, self.position(&extra));
             self.dp_fits(instance, &probe, threshold, cap, scratch)
         }
     }
@@ -1626,6 +1783,108 @@ mod tests {
             }
         }
 
+        /// The refusal memo never changes a decision. Rows grow by random
+        /// inserts; between inserts, streams of candidates probe the row,
+        /// each of 1–3 `(l, r)` shapes at 3–5 widths, two candidates per
+        /// width, every stream twice, the second time reversed. Ids are
+        /// shuffled across members and candidates, and members draw their
+        /// blanks from the candidates' range, so candidates of one shape
+        /// sort between members of equal symmetric blank at several
+        /// positions. The row is probed at beams 1, 6 and 8 in turn, each
+        /// under six caps in turn: a candidate's chain and beam-8 widths
+        /// and each ±1. With `high` set the members' and the candidates'
+        /// widths are raised by two bases, chosen so that the fullest rows
+        /// probed centre on `u64::MAX`: there some candidates fit and some
+        /// overflow, and some states overflow only at the wider widths.
+        /// Every answer must be the kernel's without the memo, an insert
+        /// must leave no refusal behind, and the memo must answer some
+        /// probes.
+        #[test]
+        fn refusal_memo_never_changes_a_decision(
+            members in proptest::collection::vec((20u64..48, 0u64..11, 0u64..11), 6..22),
+            shapes in proptest::collection::vec((0u64..11, 0u64..11), 1..4),
+            widths in proptest::collection::vec(20u64..48, 3..6),
+            order in proptest::collection::vec(0u64..1000, 64..65),
+            high in 0u32..2,
+            slack in 0u64..16,
+        ) {
+            let mut specs = members.clone();
+            for &(l, r) in &shapes {
+                for &w in &widths {
+                    specs.extend([(w, l, r), (w, l, r)]);
+                }
+            }
+            let n = members.len();
+            // Spec `k` gets id `ids[k]`: members and candidates interleave.
+            let mut ids: Vec<usize> = (0..specs.len()).collect();
+            ids.sort_by_key(|&k| (order[k], k));
+            // Members are `base.0` wider and candidates `base.1`.
+            let instance = |base: (u64, u64)| {
+                let mut placed = vec![(0, 0, 0); specs.len()];
+                for (k, &(w, l, r)) in specs.iter().enumerate() {
+                    let raise = if k < n { base.0 } else { base.1 };
+                    placed[ids[k]] = (raise + w, l, r);
+                }
+                row_instance(&placed, u64::MAX)
+            };
+            let stream: Vec<CharId> = {
+                let once: Vec<CharId> = ids[n..].iter().map(|&i| CharId::from(i)).collect();
+                once.iter().chain(once.iter().rev()).copied().collect()
+            };
+            let mut inst = instance((0, 0));
+            if high == 1 {
+                // The fullest rows probed hold every member but the last
+                // and one candidate, so the bases make each of them
+                // `(n − 1)·base.0 + base.1` wider: centre them on `u64::MAX`.
+                let rest: Vec<CharId> = ids[..n - 1].iter().map(|&i| CharId::from(i)).collect();
+                let fullest: Vec<u64> = stream
+                    .iter()
+                    .map(|&c| refine_row(&inst, &[&rest[..], &[c]].concat(), 8).1)
+                    .collect();
+                let mid = (fullest.iter().min().unwrap() + fullest.iter().max().unwrap()) / 2;
+                let member = u64::MAX / (2 * n as u64);
+                inst = instance((member, u64::MAX - (n as u64 - 1) * member - mid - 8 + slack));
+            }
+            let mut row = ProbedRow::default();
+            let mut scratch = WidthScratch::default();
+            let mut inserted: Vec<CharId> = Vec::new();
+            let mut answered = 0usize;
+            for &member in &ids[..n] {
+                let set: Vec<CharId> = inserted.iter().copied().chain([stream[0]]).collect();
+                let caps: Vec<u64> = [1usize, 8]
+                    .iter()
+                    .map(|&beam| refine_row(&inst, &set, beam).1)
+                    .flat_map(|t| [t.saturating_sub(1), t, t.saturating_add(1)])
+                    .collect();
+                // Beams in turn, and the caps in turn within each, snaking
+                // back and forth: consecutive streams differ in the beam
+                // alone or in the cap alone.
+                let turns = [1usize, 6, 8].into_iter().enumerate().flat_map(|(k, beam)| {
+                    let caps: Vec<u64> = if k % 2 == 0 { caps.clone() } else { caps.iter().rev().copied().collect() };
+                    caps.into_iter().map(move |cap| (beam, cap))
+                });
+                let mut fresh = row.clone();
+                let mut last = (0, 0);
+                for (beam, cap) in turns {
+                    for &id in &stream {
+                        let want = fresh.admits_without_memo(&inst, id, beam, cap, &mut scratch);
+                        let got = row.admits(&inst, id, beam, cap, &mut scratch);
+                        answered += usize::from(got == Admission::MemoReject);
+                        proptest::prop_assert_eq!(
+                            got.fits(), want,
+                            "members {:?}, candidate {:?}, beam {}, cap {}", inserted, id, beam, cap
+                        );
+                    }
+                    last = (beam, cap);
+                }
+                row.insert(&inst, CharId::from(member));
+                inserted.push(CharId::from(member));
+                // The insert dropped every refusal.
+                let held = stream.iter().filter(|&&id| row.memo_refuses(&inst, id, last.0, last.1));
+                proptest::prop_assert_eq!(held.count(), 0, "members {:?}", inserted);
+            }
+            proptest::prop_assert!(answered > 0, "the memo answered no probe");
+        }
     }
 
     #[test]
@@ -1649,7 +1908,8 @@ mod tests {
         for i in (0..20).map(|i| i * 7 % 20) {
             row.insert(&inst, CharId::from(i));
             // A probe rebuilds the data the insert dropped.
-            let _ = row.probe(&inst, CharId::from(20));
+            let pos = row.position(&width_key(&inst, CharId::from(20)));
+            let _ = row.probe(&inst, inst.char(20), pos);
             let n = row.len();
             assert_eq!(row.suffixes.rests.len(), n);
             for j in 0..n {
@@ -1740,6 +2000,51 @@ mod tests {
             members.push(CharId::from(p));
         }
         probe_all(&mut row, &members);
+    }
+
+    #[test]
+    fn an_insert_drops_the_refusal_memo() {
+        // Before the insert of M, X (8, 10) sorts after B and C and the
+        // row refuses it at beam 8; after it, Y of the same shape and width
+        // sorts between B and C, at X's old position, and the larger row
+        // fits: the DP's decisions are not monotone in the member set, so
+        // a refusal cannot outlive an insert.
+        let (m, x, y) = (CharId::from(0), CharId::from(4), CharId::from(2));
+        let specs = [
+            (18, 18, 0), // M
+            (17, 0, 17), // B
+            (26, 8, 10), // Y
+            (18, 0, 18), // C
+            (26, 8, 10), // X
+            (21, 0, 21),
+            (20, 12, 2),
+            (11, 11, 0),
+            (10, 0, 10),
+            (24, 7, 2),
+            (16, 2, 3),
+        ];
+        let inst = row_instance(&specs, 100_000);
+        let members: Vec<CharId> = [1, 3, 5, 6, 7, 8, 9, 10].map(CharId::from).to_vec();
+        let with = |id: CharId, extra: &[CharId]| -> Vec<CharId> {
+            members.iter().chain(extra).copied().chain([id]).collect()
+        };
+        let cap = refine_row(&inst, &with(x, &[]), 8).1 - 1;
+        assert!(refine_row(&inst, &with(x, &[]), 1).1 > cap);
+        assert!(refine_row(&inst, &with(y, &[m]), 8).1 <= cap);
+        let mut row = ProbedRow::default();
+        for &id in &members {
+            row.insert(&inst, id);
+        }
+        let mut scratch = WidthScratch::default();
+        assert_eq!(row.position(&width_key(&inst, x)), 3);
+        assert!(!row.admits(&inst, x, 8, cap, &mut scratch).fits());
+        assert!(row.memo_refuses(&inst, x, 8, cap));
+        row.insert(&inst, m);
+        assert_eq!(row.position(&width_key(&inst, y)), 3);
+        assert_eq!(
+            row.admits(&inst, y, 8, cap, &mut scratch),
+            Admission::Dp(true)
+        );
     }
 
     #[test]

@@ -81,19 +81,13 @@ pub struct RowState {
     /// needs no DP at all.
     asym_members: usize,
     /// Members as a probe-ready row (sorted keys and blanks, maintained by
-    /// [`RowState::commit`], plus the checkpointed DP frontiers and suffix
-    /// sums its probes rebuild) so most admission probes refuse on a bound
-    /// and the rest resume the DP walk near the candidate and stop once no
-    /// completion fits.
+    /// [`RowState::commit`], plus the refusal memo, the checkpointed DP
+    /// frontiers and the suffix sums its probes rebuild) so most admission
+    /// probes refuse from the memo or on a bound and the rest resume the DP
+    /// walk near the candidate and stop once no completion fits.
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
-    /// Candidates the width DP refused since the last commit, keyed with
-    /// the probe's stencil width and kept sorted. Admission is a pure
-    /// function of the row state, so a repeated probe of an unchanged row
-    /// (every rounding iteration and Algorithm 2's threshold pass re-probe
-    /// the candidates that did not fit) answers from here.
-    refused: Vec<(CharId, u64)>,
 }
 
 impl RowState {
@@ -115,7 +109,6 @@ impl RowState {
     pub fn commit(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         self.members.push(id);
-        self.refused.clear();
         self.probed.insert(instance, id);
         self.eff_used += c.effective_width();
         self.max_blank = self.max_blank.max(c.symmetric_blank());
@@ -145,9 +138,12 @@ impl RowState {
     /// 2. an all-symmetric row (plus a symmetric candidate) is decided by
     ///    the estimate alone — Lemma 1 makes every end-insertion order pack
     ///    to exactly `Σ(w−s) + max s`, so estimate = DP width;
-    /// 3. a candidate already refused on this exact row state (no commit
-    ///    since) is refused again from a memo — the decision is a pure
-    ///    function of the row state;
+    /// 3. a candidate whose class (left blank, right blank, sorted
+    ///    position) the row refused at most as wide since the last commit
+    ///    is refused from the memo: within a class the decision is monotone
+    ///    in width (see [`ProbedRow`]), and every rounding iteration and
+    ///    Algorithm 2's threshold pass re-probe the candidates that did not
+    ///    fit;
     /// 4. a sorted-blank overlap bound refuses when no order of the members
     ///    plus the candidate can fit (see [`ProbedRow`]);
     /// 5. otherwise a beam-1 greedy insertion chain gives a cheap upper
@@ -175,15 +171,14 @@ impl RowState {
             ADMITS_ESTIMATE_EXACT.incr();
             return estimate <= u128::from(stencil_w);
         }
-        let memo = self.refused.binary_search(&(id, stencil_w));
-        if memo.is_ok() {
-            ADMITS_MEMO_REJECT.incr();
-            return false;
-        }
-        let admitted = match self
+        match self
             .probed
             .admits(instance, id, 8, stencil_w, &mut self.scratch)
         {
+            Admission::MemoReject => {
+                ADMITS_MEMO_REJECT.incr();
+                false
+            }
             Admission::BoundReject => {
                 ADMITS_BOUND_REJECT.incr();
                 false
@@ -197,11 +192,7 @@ impl RowState {
                 ADMITS_DP_KEYS.add(self.scratch.keys_walked() as u64);
                 fits
             }
-        };
-        if let (false, Err(at)) = (admitted, memo) {
-            self.refused.insert(at, (id, stencil_w));
         }
-        admitted
     }
 }
 
@@ -723,7 +714,8 @@ mod tests {
 
         // Grow rows greedily in several interleavings; probe every
         // candidate against every intermediate row state. A refused probe
-        // leaves the row unchanged, so the next step re-probes it from the
+        // leaves the row unchanged, so the next step re-probes it, and
+        // every candidate of its shape at least as wide, from the kernel's
         // refusal memo.
         let mut memo_hits = 0;
         for stride in 1..=3usize {
@@ -735,7 +727,7 @@ mod tests {
                     if row.members.contains(&id) {
                         continue;
                     }
-                    memo_hits += row.refused.binary_search(&(id, w)).is_ok() as usize;
+                    memo_hits += row.probed.memo_refuses(&inst, id, 8, w) as usize;
                     assert_eq!(
                         row.admits(&inst, id, w),
                         reference(&row, id),
@@ -745,7 +737,8 @@ mod tests {
                 }
                 if !row.members.contains(&probe) && row.admits(&inst, probe, w) {
                     row.commit(&inst, probe);
-                    assert!(row.refused.is_empty(), "a commit changes the row");
+                    let memo = |c: usize| row.probed.memo_refuses(&inst, CharId::from(c), 8, w);
+                    assert!(!(0..n).any(memo), "a commit drops the memo");
                 }
             }
         }
