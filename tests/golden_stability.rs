@@ -270,6 +270,23 @@ fn huge_scale_baseline_plans_are_byte_stable() {
     );
 }
 
+/// `(total writing time, plan fingerprint)` at unlimited budget of the full
+/// E-BLOW pipeline on 1H-1, where row admission decides the most probes
+/// per plan. The E-BLOW-0 pipeline places the same plan there. Captured
+/// before row admission refused on the exact end-insertion completion.
+const GOLDEN_1H1_EBLOW: (u64, u64) = (45144, 0x59834fd80d743b16);
+
+#[test]
+fn huge_scale_eblow_plan_is_byte_stable() {
+    let inst = eblow::gen::benchmark(Family::H1(1));
+    let eblow = Eblow1d::default().plan(&inst).unwrap();
+    assert_eq!(
+        (eblow.total_time, plan_fingerprint(&eblow)),
+        GOLDEN_1H1_EBLOW,
+        "1H-1 E-BLOW plan changed byte-for-byte"
+    );
+}
+
 /// `(seed, total writing time, plan fingerprint)` of the default race's
 /// best plan on the `tiny_1d` seeds where one member produced the best
 /// plan alone when they were captured. No deadline, so ties break by
