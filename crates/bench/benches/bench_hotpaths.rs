@@ -1,7 +1,8 @@
 //! Hot-path microbenchmarks for the columnar instance core and the
 //! incremental planning loops: `RegionTimes` select/profit sweeps, the
-//! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, and
-//! cold vs warm-started LP oracle solves — all on a 1H-sized MCC workload
+//! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, the
+//! first probe of each candidate class after every insert, and cold vs
+//! warm-started LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
 //! registry strategy. Three more 1H kernels measure what the 1D race pays
 //! besides E-BLOW's rounding: the \[25\] row heuristic, whose leftovers
@@ -79,25 +80,31 @@ fn bench_hotpaths(c: &mut Criterion) {
         })
     });
 
-    // Refusal-heavy admission: all 50 rows filled first-fit from the first
-    // half of the 1H stream, then 2 000 further candidates probed against
-    // every row at beam 8 — rounding's first-fit fallback, where nearly
-    // every probe refuses from the row's refusal memo (a candidate of a
-    // shape the row refused at most as wide; every pass after the first
-    // re-probes unchanged rows), on the sorted-blank bound or in a resumed
-    // DP walk.
-    group.bench_function("probed_row_reject_stream", |b| {
-        let w = inst.stencil().width();
-        let mut scratch = WidthScratch::default();
-        let mut rows = vec![ProbedRow::default(); inst.num_rows().expect("1H is 1D")];
-        for id in (0..n / 2).map(CharId::from) {
-            let fits = rows
-                .iter_mut()
-                .position(|row| row.admits(&inst, id, 8, w, &mut scratch).fits());
-            if let Some(r) = fits {
-                rows[r].insert(&inst, id);
-            }
+    // All 50 rows filled first-fit from the first half of the 1H stream,
+    // each row's members kept in insertion order: the rows of the next two
+    // kernels.
+    let w = inst.stencil().width();
+    let mut scratch = WidthScratch::default();
+    let mut rows = vec![ProbedRow::default(); inst.num_rows().expect("1H is 1D")];
+    let mut fill: Vec<Vec<CharId>> = vec![Vec::new(); rows.len()];
+    for id in (0..n / 2).map(CharId::from) {
+        let fits = rows
+            .iter_mut()
+            .position(|row| row.admits(&inst, id, 8, w, &mut scratch).fits());
+        if let Some(r) = fits {
+            rows[r].insert(&inst, id);
+            fill[r].push(id);
         }
+    }
+
+    // Refusal-heavy admission: 2 000 further candidates probed against
+    // every filled row at beam 8 — rounding's first-fit fallback, where
+    // nearly every probe refuses from the row's refusal memo (a candidate
+    // of a shape the row refused at most as wide; every pass after the
+    // first re-probes unchanged rows), so this measures mostly memo
+    // answers.
+    group.bench_function("probed_row_reject_stream", |b| {
+        let mut rows = rows.clone();
         b.iter(|| {
             let mut admitted = 0usize;
             for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
@@ -109,12 +116,43 @@ fn bench_hotpaths(c: &mut Criterion) {
         })
     });
 
+    // The admission kernel itself: each filled row rebuilt insert by
+    // insert, and after every insert one probe at beam 8 per candidate
+    // shape (left and right blank) among the next 2 000 candidates. Each is
+    // the first probe of its class since the insert, so the memo answers
+    // none: it runs the whole-row bound, and past it extends the row's
+    // completion table and walks the chain and the DP from the
+    // candidate's checkpoint — the path of rounding's first probe of a
+    // candidate after each commit.
+    group.bench_function("probed_row_first_probes", |b| {
+        let mut shapes: Vec<CharId> = Vec::new();
+        for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
+            let blanks = |id: CharId| inst.char(id.index()).blanks();
+            let (l, r) = (blanks(id).left, blanks(id).right);
+            if !shapes.iter().any(|&s| (blanks(s).left, blanks(s).right) == (l, r)) {
+                shapes.push(id);
+            }
+        }
+        b.iter(|| {
+            let mut admitted = 0usize;
+            for members in &fill {
+                let mut row = ProbedRow::default();
+                for &member in members {
+                    row.insert(&inst, member);
+                    for &id in &shapes {
+                        admitted += row.admits(&inst, id, 8, w, &mut scratch).fits() as usize;
+                    }
+                }
+            }
+            black_box(admitted)
+        })
+    });
+
     // Cold vs warm-started LP: the same shrinking item sequence solved
     // with a fresh hint every time (cold) and with one carried hint
     // (warm). Solutions are identical by contract; only the cost differs.
     let items_full = MkpItem::initial_set(&inst);
     let bases = vec![RowBase::default(); inst.num_rows().expect("1H is 1D")];
-    let w = inst.stencil().width();
     group.bench_function("oracle_solve_lp_cold", |b| {
         b.iter(|| {
             let mut items = items_full.clone();

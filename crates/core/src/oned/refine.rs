@@ -129,6 +129,9 @@ pub struct WidthScratch {
     next: Vec<WidthState>,
     /// Keys the last DP walk inserted.
     walked: usize,
+    /// Suffix lengths the row's completion table computed for the last
+    /// probe.
+    table_steps: usize,
 }
 
 impl WidthScratch {
@@ -138,6 +141,13 @@ impl WidthScratch {
     /// check at the checkpoint refused).
     pub(crate) fn keys_walked(&self) -> usize {
         self.walked
+    }
+
+    /// Suffix lengths the row's completion table computed for the last
+    /// probe of [`ProbedRow::admits`] (0 when the memo or the whole-row
+    /// bound decided it, or the table already held every length).
+    pub(crate) fn table_steps(&self) -> usize {
+        self.table_steps
     }
 }
 
@@ -170,7 +180,8 @@ pub enum Admission {
     /// The refusal memo holds a refusal of the candidate's class at most
     /// as wide: no bound, chain or DP ran.
     MemoReject,
-    /// The sorted-blank overlap bound exceeds the cap: no DP ran.
+    /// The sorted-blank overlap bound over the whole row exceeds the cap:
+    /// no DP ran.
     BoundReject,
     /// The beam-1 chain, one concrete order, fits.
     ChainFits,
@@ -191,47 +202,72 @@ impl Admission {
 /// members plus the candidate makes.
 ///
 /// **One bound.** A DP state is a partial row: a block `W` wide with end
-/// blanks `(L, R)`. Its completions insert the `m ≥ 1` keys still to come
-/// at its ends, so the final row is a path of the block and `m`
-/// characters, whose junctions each share `min(r_a, l_b)` and use each
-/// blank at most once. Pairing the `k` largest left blanks with the `k`
-/// largest right blanks in sorted order shares the most any `k` junctions
-/// can (`min` is supermodular): call that `P(k)`. With the block at an
-/// end, `m − 1` junctions pair the keys' own blanks and one meets `L` or
-/// `R`. With it inside, between characters `a` and `b`, the `m − 2` inner
-/// junctions and the pair `(r_a, l_b)` are `m − 1` pairs of the keys' own
-/// blanks, and `min(r_a, L) + min(R, l_b) ≤ min(r_a, l_b) + max(L, R)`.
-/// Either way every completion is at least
-/// `W + Σw − P(m−1) − max(L, R)` wide (`completion_bound`); with no key
-/// left it is `W`. The DP at any beam returns the width of one completion
-/// of one state of its current frontier, so once every state's bound
-/// exceeds `cap` the walk refuses only what the DP refuses. The bound runs
-/// at three points:
+/// blanks `(L, R)`. The DP completes it by inserting the keys still to
+/// come in key order (decreasing symmetric blank, then id), each at the
+/// left or the right end. With the last `m` member keys still to insert,
+/// the narrowest of those completions adds `f_m(L, R)`, where `f_0 = 0`
+/// and, for the key `(w, l, r)` that is `m`-th from the end,
 ///
-/// 1. **Before any walk,** over the members plus the candidate with an
-///    empty block, where it reads `Σw − P(n)`. The row keeps both blank
+/// `f_m(L, R) = min(w − min(r, L) + f_{m−1}(l, R), w − min(l, R) + f_{m−1}(L, r))`:
+///
+/// at the left end the key's right blank meets `L` and its left blank
+/// becomes the block's end, at the right end the other way round. (In
+/// shares, `f_m = Σw − h_m`, where `h_m(L, R)` is the most blank the `m`
+/// junctions can share.) The DP at any beam returns the width of one such
+/// completion of one state of its current frontier, so once
+/// `W + f_m(L, R)` exceeds `cap` for every state the walk refuses only
+/// what the DP refuses. A probe checks at three points:
+///
+/// 1. **Before any walk,** the sorted-blank bound, which needs no table.
+///    Pairing the `k` largest left blanks with the `k` largest right
+///    blanks in sorted order shares the most any `k` junctions can (`min`
+///    is supermodular): call that `P(k)`. No order of the members and the
+///    candidate is narrower than `Σw − P(n)`. The row keeps both blank
 ///    lists sorted and `Σw`, so this is one O(n) merge with the
 ///    candidate's blanks.
-/// 2. **At the resume checkpoint.** The DP inserts keys in a fixed order
-///    (decreasing symmetric blank, then id), so the frontier over the
-///    members that sort before the candidate is the same for every probe
-///    of an unchanged row. It is cached every 8 keys (`CHECKPOINT_STRIDE`),
-///    per beam. A probe resumes from the last checkpoint at or before its
-///    candidate and checks the checkpoint's states against the `m` member
-///    keys from there on plus the candidate, before it walks the few
-///    member keys up to the candidate. Their `m` pairs share at most
-///    `P(m−1)` plus the larger of the keys' smallest pair and the
-///    candidate's larger blank (the same exchange), so this check reads
-///    the suffix sums alone, with no merge.
-/// 3. **After every insertion from the candidate on,** against the
-///    member keys still to insert.
+/// 2. **At the resume checkpoint.** The frontier over the members that
+///    sort before the candidate is the same for every probe of an
+///    unchanged row. It is cached every 8 keys (`CHECKPOINT_STRIDE`), per
+///    beam. A probe resumes from the last checkpoint at or before its
+///    candidate, where the `m` member keys from there on and the candidate
+///    `(w, l, r)` are still to insert. Deleting the candidate from such a
+///    completion leaves a completion of the `m` keys: each keeps its end
+///    and its place. Where the candidate sat between blanks `ρ` and `λ`,
+///    the row loses `w − min(ρ, l) − min(r, λ) + min(ρ, λ) ≥ w − l − r`
+///    (at the row's end, `w − min(ρ, l)` or `w − min(r, λ)`). So no
+///    completion is narrower than `W + f_m(L, R) + w − l − r`. The
+///    checkpoint's states are checked against that before the walk
+///    inserts the few member keys up to the candidate. The charge grows
+///    with the candidate's width like the DP's widths do, so the refusal
+///    memo below stays exact.
+/// 3. **After every insertion from the candidate on,** against
+///    `W + f_m(L, R)` over the `m` member keys still to insert.
 ///
-/// The data behind the last two points — per key position `j`, `Σw −
-/// P(m−1)` over `keys[j..]` and their smallest pair — is scratch like the
-/// checkpoints: [`ProbedRow::insert`] drops it, and the next probe that
-/// walks rebuilds it in one backward pass. Widths past `u64::MAX` never
-/// fit: the walk drops states whose width overflows, and the bound's sums
-/// are exact in `u128`.
+/// **The completion table.** The row keeps `f_m` for each suffix length
+/// `m` of its sorted keys, on a grid of blank values. It is scratch like
+/// the checkpoints: a clone starts without it, and a probe extends it to
+/// the longest suffix its walk reads. Inserting a key at sorted position
+/// `p` among `n` keys keeps every suffix of up to `n − p` keys, so those
+/// lengths stay. The grid is the row's distinct member blanks, left and
+/// right, and a blank new to the row that moves it drops every length. A
+/// row with more than `GRID_MAX` distinct blanks keeps that many of them,
+/// spread evenly with the largest included, and rounds its members'
+/// blanks up onto them. A query rounds `L` and `R` up to the next grid
+/// value and clamps at the top. Every rounding is sound:
+///
+/// - `f` never increases in either argument, since a larger end blank
+///   shares at least as much;
+/// - `L` and `R` only meet member blanks through `min`, so `f` is constant
+///   above the largest member blank;
+/// - a member blank rounded up over-states what its junctions share.
+///
+/// Each length stores `f_m` at the top grid pair, its least value,
+/// saturating at `u64::MAX`, and one `u8` offset from it per grid pair,
+/// saturating at 255. Both round widths down, and longer lengths built on
+/// rounded cells stay below the exact `f` too. So a stored `f_m` never
+/// exceeds the narrowest completion, and with an exact grid and no
+/// saturated cell it equals it. Widths past `u64::MAX` never fit: the walk
+/// drops states whose width overflows, and the checks add in `u128`.
 ///
 /// **One refusal memo.** Between two inserts thousands of candidates of a
 /// few shapes probe the row, and nearly all are refused. A candidate's
@@ -254,7 +290,7 @@ impl Admission {
 ///   wider walk's frontiers are the narrower walk's, `δ` wider, less their
 ///   widest states.
 /// - So the beam-1 chain and the beam-`B` DP end at least `δ` wider or
-///   with no state; the bound before them only refuses what they refuse.
+///   with no state; the checks before them only refuse what they refuse.
 ///
 /// A refusal at `w` therefore decides every candidate of its class at
 /// least `w` wide. The memo keeps, per class, the narrowest width the
@@ -274,8 +310,8 @@ pub struct ProbedRow {
     width_sum: u128,
     /// Cached DP frontiers; scratch that a clone does not carry.
     checkpoints: Checkpoints,
-    /// The bound's data over every key suffix; scratch like `checkpoints`.
-    suffixes: Suffixes,
+    /// `f_m` over the suffix lengths built; scratch like `checkpoints`.
+    table: CompletionTable,
     /// The narrowest refused width per candidate class; scratch like
     /// `checkpoints`.
     refusals: Refusals,
@@ -283,18 +319,19 @@ pub struct ProbedRow {
 
 impl ProbedRow {
     /// Inserts the member `id` at its key's sorted position, and drops the
-    /// suffix data, the refusal memo and the checkpoints past it (O(n) —
-    /// once per commit, amortized over the many probes in between).
+    /// refusal memo, the checkpoints past it and the table lengths that
+    /// hold it (O(n) — once per commit, amortized over the many probes in
+    /// between).
     pub fn insert(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         let key = width_key(instance, id);
         let pos = self.position(&key);
+        self.table.insert(pos, self.keys.len(), c);
         self.keys.insert(pos, key);
         insert_sorted(&mut self.lefts, c.blanks().left);
         insert_sorted(&mut self.rights, c.blanks().right);
         self.width_sum += u128::from(c.width());
         self.checkpoints.invalidate_from(pos);
-        self.suffixes.built = false;
         self.refusals.entries.clear();
     }
 
@@ -327,6 +364,7 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> Admission {
+        scratch.table_steps = 0;
         let candidate = instance.char(id.index());
         let pos = self.position(&width_key(instance, id));
         let class = shape_class(candidate, pos);
@@ -354,15 +392,15 @@ impl ProbedRow {
         if self.bound_exceeds(candidate, cap) {
             return Admission::BoundReject;
         }
-        let probe = self.probe(instance, candidate, pos);
+        let probe = self.probe(instance, candidate, pos, scratch);
         if self.dp_fits(instance, &probe, 1, cap, scratch) {
             return Admission::ChainFits;
         }
         Admission::Dp(beam > 1 && self.dp_fits(instance, &probe, beam, cap, scratch))
     }
 
-    /// Whether the bound over the members plus `c` with an empty block
-    /// exceeds `cap` (see the type docs): no order of them fits.
+    /// Whether the sorted-blank bound over the members plus `c` exceeds
+    /// `cap` (see the type docs): no order of them fits.
     fn bound_exceeds(&self, c: &Character, cap: u64) -> bool {
         // Without any sharing the row fits: skip the merge.
         self.width_sum + u128::from(c.width()) > u128::from(cap)
@@ -370,36 +408,32 @@ impl ProbedRow {
     }
 
     /// `Σw − P(n)` over the members plus `c`, exact: no order of them is
-    /// narrower. The empty block is 0 wide with no blanks.
+    /// narrower.
     fn width_bound(&self, c: &Character) -> u128 {
-        let rest = rest_of(
+        rest_of(
             merged(&self.lefts, c.blanks().left),
             merged(&self.rights, c.blanks().right),
             self.keys.len() + 1,
             self.width_sum + u128::from(c.width()),
-        );
-        completion_bound((0, 0, 0), Some(rest))
+        )
     }
 
-    /// Places `candidate` at its sorted position `pos` in the walk,
-    /// rebuilding the suffix data if a commit dropped it.
+    /// Places `candidate` at its sorted position `pos` in the walk, and
+    /// extends the completion table to the longest suffix the walk reads:
+    /// the member keys from the resume checkpoint on, or from `pos` on
+    /// when the walk starts before the first checkpoint.
     fn probe<'c>(
         &mut self,
         instance: &Instance,
         candidate: &'c Character,
         pos: usize,
+        scratch: &mut WidthScratch,
     ) -> Probe<'c> {
-        self.suffixes.build(instance, &self.keys);
         let at = pos / CHECKPOINT_STRIDE;
-        // Before the first checkpoint there is no frontier: the bound over
-        // the whole row has already run.
-        let resume = (at > 0).then(|| self.suffixes.merged(at * CHECKPOINT_STRIDE, candidate));
-        Probe {
-            candidate,
-            pos,
-            at,
-            resume,
-        }
+        let from = if at > 0 { at * CHECKPOINT_STRIDE } else { pos };
+        let len = self.keys.len() - from;
+        scratch.table_steps = self.table.extend_to(instance, &self.keys, len);
+        Probe { candidate, pos, at }
     }
 
     /// The beam-`beam` DP decision over the members plus the probe's
@@ -422,34 +456,40 @@ impl ProbedRow {
             frontier,
             next,
             walked,
+            ..
         } = scratch;
         *walked = 0;
+        let (n, from) = (self.keys.len(), probe.at * CHECKPOINT_STRIDE);
         let checkpoints = self.checkpoints.beam(beam);
         checkpoints.build_to(instance, &self.keys, probe.at, frontier, next);
         frontier.clear();
-        if let Some(resume) = probe.resume {
+        let table = &self.table;
+        if probe.at > 0 {
             frontier.extend_from_slice(checkpoints.frontier(probe.at));
-            // An empty checkpoint: the members before it alone overflow `u64`.
-            if frontier.is_empty() || beyond(frontier, Some(resume), cap) {
+            // An empty checkpoint: the members before it alone overflow
+            // `u64`. Otherwise the candidate is still to come: charge it
+            // `w − l − r` on top of the members' completion.
+            let charge = u128::from(probe.candidate.pattern_width());
+            if frontier.is_empty() || table.beyond(frontier, n - from, charge, cap) {
                 return false;
             }
         }
-        for key in &self.keys[probe.at * CHECKPOINT_STRIDE..probe.pos] {
+        for key in &self.keys[from..probe.pos] {
             *walked += 1;
             if !dp_insert(frontier, next, instance.char(key.1.index()), beam) {
                 return false;
             }
         }
-        // From the candidate on, insertion `i` leaves `keys[pos + i..]`;
-        // the last leaves nothing, and the row fits iff a state fits.
+        // From the candidate on, insertion `i` leaves the last
+        // `n − pos − i` keys; the last leaves none, and the row fits iff a
+        // state fits.
         let tail = self.keys[probe.pos..]
             .iter()
             .map(|k| instance.char(k.1.index()));
-        let rests = &self.suffixes.rests[probe.pos..];
         for (i, c) in std::iter::once(probe.candidate).chain(tail).enumerate() {
             *walked += 1;
-            let rest = rests.get(i).copied();
-            if !dp_insert(frontier, next, c, beam) || beyond(frontier, rest, cap) {
+            let left = n - probe.pos - i;
+            if !dp_insert(frontier, next, c, beam) || table.beyond(frontier, left, 0, cap) {
                 return false;
             }
         }
@@ -465,33 +505,10 @@ struct Probe<'i> {
     pos: usize,
     /// The checkpoint the walk resumes from: `pos / CHECKPOINT_STRIDE`.
     at: usize,
-    /// The bound's sum over the keys from checkpoint `at` on plus the
-    /// candidate (see [`Suffixes::merged`]); `None` at checkpoint 0, where
-    /// the walk starts with no frontier.
-    resume: Option<u128>,
 }
 
-/// The narrowest width any completion of the partial row `state` can reach
-/// (see [`ProbedRow`]): `W + rest − max(L, R)`, where `rest` is
-/// `Σw − P(m−1)` over the `m ≥ 1` keys still to insert, or `W` when `rest`
-/// is `None` (no key left). Exact in `u128`.
-fn completion_bound(state: WidthState, rest: Option<u128>) -> u128 {
-    let (width, left, right) = state;
-    match rest {
-        None => u128::from(width),
-        Some(rest) => u128::from(width) + rest - u128::from(left.max(right)),
-    }
-}
-
-/// Whether no completion of any `frontier` state against `rest` fits `cap`.
-fn beyond(frontier: &[WidthState], rest: Option<u128>, cap: u64) -> bool {
-    frontier
-        .iter()
-        .all(|&st| completion_bound(st, rest) > u128::from(cap))
-}
-
-/// `Σw − P(len−1)` over `len ≥ 1` keys `width_sum` wide whose left and
-/// right blanks, largest first, are `lefts` and `rights`.
+/// `Σw − P(len−1)` over `len ≥ 1` characters `width_sum` wide whose left
+/// and right blanks, largest first, are `lefts` and `rights`.
 fn rest_of(
     lefts: impl Iterator<Item = u64>,
     rights: impl Iterator<Item = u64>,
@@ -577,71 +594,206 @@ impl Refusals {
     }
 }
 
-/// The bound's data over every key suffix of a [`ProbedRow`]. Scratch: a
-/// clone starts empty, an insert drops it, and the next probe that walks
-/// rebuilds it into the same buffers.
+/// Most grid values a [`CompletionTable`] keeps. A row with more distinct
+/// member blanks rounds them up onto this many, so one length holds at
+/// most 256 offsets. MCC rows hold at most 9 distinct blanks.
+const GRID_MAX: usize = 16;
+
+/// A [`CompletionTable`] whose top grid value is below this reads a
+/// query's grid index from a list instead of searching the grid: the walk
+/// reads two per frontier state after every insertion.
+const INDEXED_BELOW: u64 = 256;
+
+/// The completion table of a [`ProbedRow`] (see its docs): `f_m` on every
+/// grid pair for each suffix length `m` built. Scratch: a clone starts
+/// empty, an insert keeps the lengths it leaves intact, and a probe
+/// extends it in place.
 #[derive(Debug, Default)]
-struct Suffixes {
-    /// Whether the data describes the row's current keys.
-    built: bool,
-    /// `rests[j]`: `Σw − P(m−1)` over the `m` keys of `keys[j..]`, for `j`
-    /// in `0..n`.
-    rests: Vec<u128>,
-    /// `smallest[j]`: `P(m) − P(m−1)` over `keys[j..]`, the pair of their
-    /// smallest left and right blanks.
-    smallest: Vec<u64>,
-    /// The running suffix's sorted blank lists during a rebuild.
-    run: (Vec<u64>, Vec<u64>),
+struct CompletionTable {
+    /// Whether `values` holds the row's distinct member blanks: `false`
+    /// until the first probe after a clone.
+    synced: bool,
+    /// The members' distinct blanks, left and right, ascending.
+    values: Vec<u64>,
+    /// The grid: `values`, or `GRID_MAX` of them spread evenly with the
+    /// largest included.
+    grid: Vec<u64>,
+    /// `bases[m − 1]`: `f_m` at the top grid pair, its least value.
+    bases: Vec<u64>,
+    /// `f_m(grid[i], grid[j]) − bases[m − 1]` at `offsets[(m − 1)·g² +
+    /// i·g + j]`, for a grid of `g` values.
+    offsets: Vec<u8>,
+    /// `indices[v]`: the grid index blank `v` rounds up to, for every `v`
+    /// up to the top grid value when that is below `INDEXED_BELOW`;
+    /// empty otherwise, where a query searches the grid.
+    indices: Vec<u8>,
 }
 
-impl Clone for Suffixes {
+impl Clone for CompletionTable {
     fn clone(&self) -> Self {
-        Suffixes::default()
+        CompletionTable::default()
     }
 }
 
-impl Suffixes {
-    /// Rebuilds the data for `keys` unless it is current: one backward
-    /// pass that inserts each key's blanks into the running suffix's sorted
-    /// lists (O(n²) per commit).
-    fn build(&mut self, instance: &Instance, keys: &[(u64, CharId)]) {
-        if self.built {
+impl CompletionTable {
+    /// Keeps what an insert of `c` at sorted position `pos` among `n` keys
+    /// leaves intact: every suffix of up to `n − pos` keys, unless a blank
+    /// new to the row moves the grid.
+    fn insert(&mut self, pos: usize, n: usize, c: &Character) {
+        self.truncate(n - pos);
+        if !self.synced {
             return;
         }
-        let n = keys.len();
-        self.rests.resize(n, 0);
-        self.smallest.resize(n, 0);
-        let (lefts, rights) = &mut self.run;
-        lefts.clear();
-        rights.clear();
-        let mut width_sum = 0u128;
-        for (j, key) in keys.iter().enumerate().rev() {
-            let c = instance.char(key.1.index());
-            insert_sorted(lefts, c.blanks().left);
-            insert_sorted(rights, c.blanks().right);
-            width_sum += u128::from(c.width());
-            let pairs = (lefts.iter().copied(), rights.iter().copied());
-            self.rests[j] = rest_of(pairs.0, pairs.1, n - j, width_sum);
-            self.smallest[j] = lefts[n - j - 1].min(rights[n - j - 1]);
-        }
-        self.built = true;
-    }
-
-    /// A lower bound on `Σw − P(m)` over the `m` keys of `keys[j..]` plus
-    /// `candidate`. Any `m` pairs of their blanks either leave the
-    /// candidate out, sharing at most `P(m)`, or pair at least one of its
-    /// blanks `l, r`; by the exchange in the [`ProbedRow`] docs they then
-    /// share at most `P(m−1) + max(l, r)`.
-    fn merged(&self, j: usize, candidate: &Character) -> u128 {
-        let (width, blanks) = (u128::from(candidate.width()), candidate.blanks());
-        match self.rests.get(j) {
-            // No member key from `j` on: the candidate alone.
-            None => width,
-            Some(&rest) => {
-                let shared = self.smallest[j].max(blanks.left).max(blanks.right);
-                rest + width - u128::from(shared)
+        let mut grown = false;
+        for blank in [c.blanks().left, c.blanks().right] {
+            if let Err(at) = self.values.binary_search(&blank) {
+                self.values.insert(at, blank);
+                grown = true;
             }
         }
+        if grown && self.regrid() {
+            self.truncate(0);
+        }
+    }
+
+    /// Keeps the first `len` lengths.
+    fn truncate(&mut self, len: usize) {
+        let cells = self.grid.len() * self.grid.len();
+        self.bases.truncate(len);
+        self.offsets.truncate(len * cells);
+    }
+
+    /// Collects the members' distinct blanks, after a clone, and builds no
+    /// length yet.
+    fn sync(&mut self, instance: &Instance, keys: &[(u64, CharId)]) {
+        self.values.clear();
+        for key in keys {
+            let blanks = instance.char(key.1.index()).blanks();
+            self.values.extend([blanks.left, blanks.right]);
+        }
+        self.values.sort_unstable();
+        self.values.dedup();
+        self.regrid();
+        self.truncate(0);
+        self.synced = true;
+    }
+
+    /// Derives the grid from `values`, and returns whether it moved.
+    fn regrid(&mut self) -> bool {
+        let d = self.values.len();
+        let g = d.min(GRID_MAX);
+        let value = |i: usize| self.values[((i + 1) * d).div_ceil(g) - 1];
+        if self.grid.len() == g && (0..g).all(|i| self.grid[i] == value(i)) {
+            return false;
+        }
+        self.grid.clear();
+        self.grid.extend((0..g).map(value));
+        self.indices.clear();
+        if let Some(&top) = self.grid.last().filter(|&&top| top < INDEXED_BELOW) {
+            let grid = &self.grid;
+            let index = |v: u64| grid.partition_point(|&x| x < v) as u8;
+            self.indices.extend((0..=top).map(index));
+        }
+        true
+    }
+
+    /// The grid index of `blank` rounded up to the next grid value,
+    /// clamped at the top.
+    fn index(&self, blank: u64) -> usize {
+        let top = self.grid.len() - 1;
+        match usize::try_from(blank).map(|v| self.indices.get(v)) {
+            Ok(Some(&i)) => usize::from(i),
+            // Above the top grid value.
+            _ if !self.indices.is_empty() => top,
+            _ => self.grid.partition_point(|&v| v < blank).min(top),
+        }
+    }
+
+    /// Builds the lengths up to `len` of the suffixes of `keys` not yet
+    /// built, and returns how many it built.
+    fn extend_to(&mut self, instance: &Instance, keys: &[(u64, CharId)], len: usize) -> usize {
+        if !self.synced {
+            self.sync(instance, keys);
+        }
+        let built = self.bases.len();
+        if built >= len {
+            return 0;
+        }
+        self.offsets.resize(len * self.grid.len() * self.grid.len(), 0);
+        for m in built + 1..=len {
+            self.step(m, instance.char(keys[keys.len() - m].1.index()));
+        }
+        len - built
+    }
+
+    /// Builds length `m` from length `m − 1` for `c`, the key `m`-th from
+    /// the end: at each grid pair `(L, R)` the narrower of `c` at the left
+    /// end and at the right end (see [`ProbedRow`]). Each insert is a part
+    /// that reads one end blank plus a part that reads the other, so the
+    /// step precomputes both parts per grid value and the cells cost a
+    /// minimum of two sums each.
+    fn step(&mut self, m: usize, c: &Character) {
+        let g = self.grid.len();
+        let (a, b) = (self.index(c.blanks().left), self.index(c.blanks().right));
+        let (grid, w) = (&self.grid, c.width());
+        let (built, cells) = self.offsets.split_at_mut((m - 1) * g * g);
+        // At the left end `w − min(r, L) + f_{m−1}(l, R)`, at the right end
+        // `w − min(l, R) + f_{m−1}(L, r)`, with `f_0 = 0` and every stored
+        // cell rounded down.
+        let (mut joins_l, mut rests_r) = ([0u64; GRID_MAX], [0u64; GRID_MAX]);
+        let (mut joins_r, mut rests_l) = ([0u64; GRID_MAX], [0u64; GRID_MAX]);
+        for x in 0..g {
+            joins_l[x] = w.saturating_sub(grid[b].min(grid[x]));
+            joins_r[x] = w.saturating_sub(grid[a].min(grid[x]));
+        }
+        if let Some(k) = m.checked_sub(2) {
+            let (least, shorter) = (self.bases[k], &built[k * g * g..]);
+            for x in 0..g {
+                rests_r[x] = least.saturating_add(u64::from(shorter[a * g + x]));
+                rests_l[x] = least.saturating_add(u64::from(shorter[x * g + b]));
+            }
+        }
+        let cell = |i: usize, j: usize| {
+            let at_left = joins_l[i].saturating_add(rests_r[j]);
+            at_left.min(joins_r[j].saturating_add(rests_l[i]))
+        };
+        let least = cell(g - 1, g - 1);
+        for (i, row) in cells[..g * g].chunks_exact_mut(g).enumerate() {
+            for (j, offset) in row.iter_mut().enumerate() {
+                // Never below `least`: `f` never increases in either
+                // argument.
+                let above = cell(i, j).saturating_sub(least);
+                *offset = u8::try_from(above).unwrap_or(u8::MAX);
+            }
+        }
+        self.bases.push(least);
+    }
+
+    /// `f_m(left, right)` as stored, at most the narrowest width
+    /// end-inserting the last `m` member keys can add to a block with end
+    /// blanks `(left, right)`; 0 for `m = 0`.
+    fn floor(&self, m: usize, left: u64, right: u64) -> u128 {
+        let Some(k) = m.checked_sub(1) else {
+            return 0;
+        };
+        let g = self.grid.len();
+        let offset = self.offsets[k * g * g + self.index(left) * g + self.index(right)];
+        u128::from(self.bases[k]) + u128::from(offset)
+    }
+
+    /// Whether no completion of any `frontier` state by the last `m` member
+    /// keys, `charge` wider, fits `cap`.
+    fn beyond(&self, frontier: &[WidthState], m: usize, charge: u128, cap: u64) -> bool {
+        let cap = u128::from(cap);
+        let least = m.checked_sub(1).map_or(0, |k| u128::from(self.bases[k])) + charge;
+        frontier.iter().all(|&(width, left, right)| {
+            // Offsets are at most 255: the length's least value settles most
+            // states without reading the grid.
+            let low = u128::from(width) + least;
+            low > cap
+                || (low + u128::from(u8::MAX) > cap
+                    && u128::from(width) + self.floor(m, left, right) + charge > cap)
+        })
     }
 }
 
@@ -1003,7 +1155,7 @@ impl ProbedRow {
     ) -> bool {
         let candidate = instance.char(extra.1.index());
         !self.bound_exceeds(candidate, cap) && {
-            let probe = self.probe(instance, candidate, self.position(&extra));
+            let probe = self.probe(instance, candidate, self.position(&extra), scratch);
             self.dp_fits(instance, &probe, threshold, cap, scratch)
         }
     }
@@ -1380,59 +1532,84 @@ mod tests {
         }
     }
 
-    /// `Σw − P(m−1)` over the characters `rest` from its definition (sort
-    /// both blank lists, pair the `m − 1` largest in order), with the pair
-    /// of their smallest blanks, `P(m) − P(m−1)`; `None` when `rest` is
-    /// empty.
-    fn sums_by_definition(rest: &[&Character]) -> Option<(u128, u128)> {
-        let m = rest.len();
-        if m == 0 {
-            return None;
-        }
-        let sorted = |side: fn(&Character) -> u64| {
-            let mut list: Vec<u128> = rest.iter().map(|c| u128::from(side(c))).collect();
-            list.sort_unstable_by(|a, b| b.cmp(a));
-            list
+    /// The narrowest width end-inserting `chars` in order can add to a block
+    /// with end blanks `(left, right)`, over all `2^m` completions: each
+    /// character's right blank meets the left end, or its left blank the
+    /// right end. Exact in `u128`.
+    fn narrowest_completion(chars: &[&Character], left: u64, right: u64) -> u128 {
+        let Some((c, rest)) = chars.split_first() else {
+            return 0;
         };
-        let lefts = sorted(|c| c.blanks().left);
-        let rights = sorted(|c| c.blanks().right);
-        let shared: u128 = (0..m - 1).map(|i| lefts[i].min(rights[i])).sum();
-        let width_sum: u128 = rest.iter().map(|c| u128::from(c.width())).sum();
-        Some((width_sum - shared, lefts[m - 1].min(rights[m - 1])))
+        let (w, l, r) = (u128::from(c.width()), c.blanks().left, c.blanks().right);
+        let at_left = w - u128::from(r.min(left)) + narrowest_completion(rest, l, right);
+        let at_right = w - u128::from(l.min(right)) + narrowest_completion(rest, left, r);
+        at_left.min(at_right)
     }
 
-    /// The completion bound of the partial row `state` against the
-    /// characters `rest` still to insert, from its definition:
-    /// `W + Σw − P(m−1) − max(L, R)`, or `W` when `rest` is empty.
-    fn bound_by_definition(state: WidthState, rest: &[&Character]) -> u128 {
-        let (width, end) = (u128::from(state.0), u128::from(state.1.max(state.2)));
-        sums_by_definition(rest).map_or(width, |(free, _)| width + free - end)
+    /// The completion table's grid for a row of `members`, from its
+    /// definition: their distinct blanks, left and right, or `GRID_MAX` of
+    /// them spread evenly with the largest included.
+    fn grid_by_definition(members: &[&Character]) -> Vec<u64> {
+        let mut values: Vec<u64> = members
+            .iter()
+            .flat_map(|c| [c.blanks().left, c.blanks().right])
+            .collect();
+        values.sort_unstable();
+        values.dedup();
+        let (d, g) = (values.len(), values.len().min(GRID_MAX));
+        (1..=g).map(|i| values[(i * d).div_ceil(g) - 1]).collect()
     }
 
-    /// The resume check's bound from its definition: `rest` plus
-    /// `candidate`, whose pairing shares at most `P(m−1)` plus the larger
-    /// of the smallest pair and the candidate's larger blank.
-    fn resume_bound_by_definition(
-        state: WidthState,
-        rest: &[&Character],
-        candidate: &Character,
+    /// `f_m` as the completion table stores it, for every suffix of
+    /// `chars` (index `m`), from the recurrence in the [`ProbedRow`] docs
+    /// and without the table: member blanks and queries rounded up onto
+    /// `grid` and clamped at its top, each length's cells kept as its value
+    /// at the top grid pair plus an excess of at most 255, and every sum
+    /// saturating at `u64::MAX`. [`floor_by_definition`] reads it.
+    fn floors_by_definition(chars: &[&Character], grid: &[u64]) -> Vec<Vec<Vec<(u64, u64)>>> {
+        let g = grid.len();
+        let up = |blank: u64| grid.iter().position(|&v| v >= blank).unwrap_or(g - 1);
+        let mut floors = vec![vec![vec![(0u64, 0u64); g]; g]];
+        for c in chars.iter().rev() {
+            let shorter = floors.last().unwrap();
+            let read = |i: usize, j: usize| shorter[i][j].0.saturating_add(shorter[i][j].1);
+            let (a, b) = (up(c.blanks().left), up(c.blanks().right));
+            let cell = |i: usize, j: usize| {
+                let at_left = c.width().saturating_sub(grid[b].min(grid[i])) .saturating_add(read(a, j));
+                let at_right = c.width().saturating_sub(grid[a].min(grid[j])).saturating_add(read(i, b));
+                at_left.min(at_right)
+            };
+            let least = cell(g - 1, g - 1);
+            let length: Vec<Vec<(u64, u64)>> = (0..g)
+                .map(|i| (0..g).map(|j| (least, (cell(i, j) - least).min(255))).collect())
+                .collect();
+            floors.push(length);
+        }
+        floors
+    }
+
+    /// The stored `f_m(left, right)` of [`floors_by_definition`]: 0 for
+    /// `m = 0`, else the cell at the rounded-up query.
+    fn floor_by_definition(
+        floors: &[Vec<Vec<(u64, u64)>>],
+        grid: &[u64],
+        m: usize,
+        (left, right): (u64, u64),
     ) -> u128 {
-        let (width, end) = (u128::from(state.0), u128::from(state.1.max(state.2)));
-        let (w, l, r) = (
-            u128::from(candidate.width()),
-            u128::from(candidate.blanks().left),
-            u128::from(candidate.blanks().right),
-        );
-        let free = sums_by_definition(rest)
-            .map_or(w, |(free, smallest)| free + w - smallest.max(l).max(r));
-        width + free - end
+        if m == 0 {
+            return 0;
+        }
+        let up = |blank: u64| grid.iter().position(|&v| v >= blank).unwrap_or(grid.len() - 1);
+        let (least, offset) = floors[m][up(left)][up(right)];
+        u128::from(least) + u128::from(offset)
     }
 
     /// The walk [`ProbedRow::dp_fits`] must make, rebuilt from scratch:
     /// the frontier over the members before the candidate's checkpoint,
-    /// the resume bound there over the rest and the candidate, the head
-    /// keys unchecked, then the bound after every insertion from the
-    /// candidate on. Returns the decision and the keys walked.
+    /// the check there over the rest with the candidate charged
+    /// `w − l − r`, the head keys unchecked, then the check after every
+    /// insertion from the candidate on, each reading the completion table
+    /// from its definition. Returns the decision and the keys walked.
     fn walk_by_definition(
         inst: &Instance,
         members: &[CharId],
@@ -1444,38 +1621,37 @@ mod tests {
         keys.sort_unstable_by(key_order);
         let pos = keys.partition_point(|k| key_order(k, &width_key(inst, id)).is_lt());
         let at = pos / CHECKPOINT_STRIDE * CHECKPOINT_STRIDE;
-        let ch = |k: &(u64, CharId)| inst.char(k.1.index());
+        let chars: Vec<&Character> = keys.iter().map(|k| inst.char(k.1.index())).collect();
         let candidate = inst.char(id.index());
-        let exceeds = |frontier: &[WidthState], rest: &[&Character]| {
-            frontier
-                .iter()
-                .all(|&st| bound_by_definition(st, rest) > u128::from(cap))
+        let grid = grid_by_definition(&chars);
+        let floors = floors_by_definition(&chars, &grid);
+        let n = chars.len();
+        let exceeds = |frontier: &[WidthState], m: usize, charge: u128| {
+            frontier.iter().all(|&(w, l, r)| {
+                u128::from(w) + floor_by_definition(&floors, &grid, m, (l, r)) + charge
+                    > u128::from(cap)
+            })
         };
         let (mut frontier, mut next) = (Vec::new(), Vec::new());
-        for k in &keys[..at] {
-            if !dp_insert(&mut frontier, &mut next, ch(k), beam) {
+        for &c in &chars[..at] {
+            if !dp_insert(&mut frontier, &mut next, c, beam) {
                 return (false, 0);
             }
         }
-        if at > 0 {
-            let rest: Vec<&Character> = keys[at..].iter().map(ch).collect();
-            let bound = |&st: &WidthState| resume_bound_by_definition(st, &rest, candidate);
-            if frontier.iter().all(|st| bound(st) > u128::from(cap)) {
-                return (false, 0);
-            }
+        if at > 0 && exceeds(&frontier, n - at, u128::from(candidate.pattern_width())) {
+            return (false, 0);
         }
         let mut walked = 0;
-        for k in &keys[at..pos] {
+        for &c in &chars[at..pos] {
             walked += 1;
-            if !dp_insert(&mut frontier, &mut next, ch(k), beam) {
+            if !dp_insert(&mut frontier, &mut next, c, beam) {
                 return (false, walked);
             }
         }
-        let inserts = std::iter::once(candidate).chain(keys[pos..].iter().map(ch));
+        let inserts = std::iter::once(candidate).chain(chars[pos..].iter().copied());
         for (i, c) in inserts.enumerate() {
             walked += 1;
-            let rest: Vec<&Character> = keys[pos + i..].iter().map(ch).collect();
-            if !dp_insert(&mut frontier, &mut next, c, beam) || exceeds(&frontier, &rest) {
+            if !dp_insert(&mut frontier, &mut next, c, beam) || exceeds(&frontier, n - pos - i, 0) {
                 return (false, walked);
             }
         }
@@ -1666,68 +1842,184 @@ mod tests {
                 "bound {} above the optimum {} for {:?}", bound, brute, specs
             );
         }
-        /// The completion bound of a block — a partial row `W` wide with end
-        /// blanks `(L, R)`, here one character — against 1–6 characters is a
-        /// true lower bound: never above the narrowest of all orders of the
-        /// block and the characters, with the block at either end or
-        /// inside. The kernel's sums match the definition.
+        /// The completion table never exceeds the narrowest end-insertion
+        /// completion of a block by any suffix of the row, whatever the
+        /// block's end blanks, and equals it at the rounded-up query when
+        /// the grid holds every member blank and no cell saturates. Rows of
+        /// 1–10 characters grow by random inserts. Queries take member
+        /// blanks, blanks off the grid like a candidate's, and one above
+        /// every member blank. With `wide` set blanks come from 0..64, so
+        /// many rows hold more distinct blanks than the grid. With `high` 1
+        /// every width and blank is multiplied by 2⁵⁷, and with `high` 2
+        /// every width is raised to within 128 of `u64::MAX`, so cells
+        /// saturate.
         #[test]
-        fn completion_bound_never_exceeds_the_permutation_optimum(
-            block in (1u64..90, 0u64..90, 0u64..90),
-            shapes in proptest::collection::vec((1u64..50, 0u64..8, 0u64..50, 0u64..50), 1..7),
+        fn completion_table_never_exceeds_the_enumerated_completions(
+            shapes in proptest::collection::vec((1u64..64, 0u64..64, 0u64..64), 1..11),
+            order in proptest::collection::vec(0u64..1000, 10..11),
+            queries in proptest::collection::vec(0u64..70, 3..4),
+            wide in 0u32..2,
+            high in 0u32..3,
         ) {
-            let (w, a, b) = block;
-            let mut specs = vec![(w, a.min(w), b.min(w - a.min(w)))];
-            // Mostly blanks on both sides, so the smallest pair of `P(m−1)`
-            // is rarely 0 and a pairing one too many shows.
-            specs.extend(shapes.iter().map(|&(w, kind, a, b)| match kind {
-                0..=2 => (w, a.min(w / 2), a.min(w / 2)),
-                3..=5 => (w, a.min(w / 2), b.min(w / 2)),
-                6 => (w, 0, 0),
-                _ if a % 2 == 0 => (w, w, 0),
-                _ => (w, 0, w),
-            }));
-            let inst = row_instance(&specs, 10_000);
-            let rest: Vec<&Character> = (1..specs.len()).map(|i| inst.char(i)).collect();
-            let sorted = |side: fn(&Character) -> u64| {
-                let mut list: Vec<u64> = rest.iter().map(|c| side(c)).collect();
-                list.sort_unstable_by(|a, b| b.cmp(a));
-                list
-            };
-            let (lefts, rights) = (sorted(|c| c.blanks().left), sorted(|c| c.blanks().right));
-            let width_sum: u128 = rest.iter().map(|c| u128::from(c.width())).sum();
-            let sums = rest_of(lefts.into_iter(), rights.into_iter(), rest.len(), width_sum);
-            let bound = completion_bound(specs[0], Some(sums));
-            proptest::prop_assert_eq!(bound, bound_by_definition(specs[0], &rest));
-            let brute = brute_force_min_width(&inst, &ids(specs.len()));
-            proptest::prop_assert!(
-                bound <= u128::from(brute),
-                "bound {} above the optimum {} for {:?}", bound, brute, specs
-            );
-            // The resume check's merge: the last character as the
-            // candidate, the others as the keys from the checkpoint on.
-            let (candidate, keys) = rest.split_last().unwrap();
+            let span = if wide == 1 { 64 } else { 8 };
+            let scale = if high == 1 { 1u64 << 57 } else { 1 };
+            let specs: Vec<(u64, u64, u64)> = shapes
+                .iter()
+                .map(|&(w, a, b)| {
+                    let (l, r) = (a % span, b % span);
+                    let w = w.max(l + r);
+                    let w = if high == 2 { u64::MAX - 128 + w } else { w * scale };
+                    (w, l * scale, r * scale)
+                })
+                .collect();
+            let inst = row_instance(&specs, u64::MAX);
+            let mut inserts: Vec<usize> = (0..specs.len()).collect();
+            inserts.sort_by_key(|&i| (order[i], i));
             let mut row = ProbedRow::default();
-            for i in 1..specs.len() - 1 {
+            for &i in &inserts {
                 row.insert(&inst, CharId::from(i));
+                let n = row.len();
+                row.table.extend_to(&inst, &row.keys, n);
+                let chars: Vec<&Character> = row.keys.iter().map(|k| inst.char(k.1.index())).collect();
+                let mut blanks: Vec<u64> =
+                    chars.iter().flat_map(|c| [c.blanks().left, c.blanks().right]).collect();
+                blanks.sort_unstable();
+                blanks.dedup();
+                let top = *blanks.last().unwrap();
+                let exact = blanks.len() <= GRID_MAX && high == 0;
+                let up = |b: u64| *blanks.iter().find(|&&v| v >= b).unwrap_or(&top);
+                let mut probes: Vec<u64> = blanks.iter().step_by(3).copied().collect();
+                probes.extend(queries.iter().map(|&q| q * scale));
+                probes.push(top + 1);
+                for m in 0..=n {
+                    let suffix = &chars[n - m..];
+                    for (&left, &right) in probes.iter().flat_map(|l| probes.iter().map(move |r| (l, r))) {
+                        let stored = row.table.floor(m, left, right);
+                        let narrowest = narrowest_completion(suffix, left, right);
+                        proptest::prop_assert!(
+                            stored <= narrowest,
+                            "suffix {} of {:?}, ends ({}, {}): stored {} above {}", m, specs, left, right, stored, narrowest
+                        );
+                        if exact {
+                            proptest::prop_assert_eq!(
+                                stored, narrowest_completion(suffix, up(left), up(right)),
+                                "suffix {} of {:?}, ends ({}, {})", m, specs, left, right
+                            );
+                        }
+                    }
+                }
             }
-            row.suffixes.build(&inst, &row.keys);
-            let merged = completion_bound(specs[0], Some(row.suffixes.merged(0, candidate)));
-            proptest::prop_assert_eq!(merged, resume_bound_by_definition(specs[0], keys, candidate));
-            proptest::prop_assert!(
-                merged <= u128::from(brute),
-                "resume bound {} above the optimum {} for {:?}", merged, brute, specs
-            );
+        }
+
+        /// An insert keeps exactly the table lengths it leaves intact, the
+        /// suffixes of up to `n − pos` keys unless the grid moves, and every
+        /// kept length equals a fresh build over the row's keys, as does the
+        /// table extended again. Before each insert the table is built to a
+        /// random length, so inserts land before, inside and past the
+        /// lengths built. Blanks come from 0..6, so the grid settles after a
+        /// few inserts and later inserts keep lengths, or from 0..40 with
+        /// `wide` set, so rows pass `GRID_MAX` distinct blanks and new ones
+        /// may or may not move the grid.
+        #[test]
+        fn an_insert_keeps_exactly_the_table_lengths_past_it(
+            shapes in proptest::collection::vec((40u64..60, 0u64..40, 0u64..40), 12..40),
+            order in proptest::collection::vec(0u64..1000, 40..41),
+            lengths in proptest::collection::vec(0usize..1000, 40..41),
+            wide in 0u32..2,
+        ) {
+            let span = if wide == 1 { 40 } else { 6 };
+            let specs: Vec<(u64, u64, u64)> =
+                shapes.iter().map(|&(w, a, b)| (w.max(a % span + b % span), a % span, b % span)).collect();
+            let inst = row_instance(&specs, 100_000);
+            let mut inserts: Vec<usize> = (0..specs.len()).collect();
+            inserts.sort_by_key(|&i| (order[i], i));
+            let mut row = ProbedRow::default();
+            let mut kept_inside = 0;
+            for (step, &i) in inserts.iter().enumerate() {
+                let n = row.len();
+                row.table.extend_to(&inst, &row.keys, lengths[step] % (n + 1));
+                let (built, grid) = (row.table.bases.len(), row.table.grid.clone());
+                let pos = row.position(&width_key(&inst, CharId::from(i)));
+                row.insert(&inst, CharId::from(i));
+                let kept = row.table.bases.len();
+                if row.table.grid == grid {
+                    proptest::prop_assert_eq!(kept, built.min(n - pos), "insert at {} of {}", pos, n);
+                } else {
+                    proptest::prop_assert_eq!(kept, 0);
+                }
+                kept_inside += usize::from(kept > 0 && pos < n);
+                let mut fresh = CompletionTable::default();
+                for len in [kept, n + 1] {
+                    fresh.extend_to(&inst, &row.keys, len);
+                    row.table.extend_to(&inst, &row.keys, len);
+                    proptest::prop_assert_eq!(&row.table.grid, &fresh.grid);
+                    proptest::prop_assert_eq!(&row.table.bases, &fresh.bases, "{} lengths", len);
+                    proptest::prop_assert_eq!(&row.table.offsets, &fresh.offsets, "{} lengths", len);
+                }
+            }
+            if wide == 0 {
+                proptest::prop_assert!(kept_inside > 0, "no insert inside the row kept a length");
+            }
+        }
+
+        /// At the resume checkpoint the candidate is still to come. No
+        /// completion of a block with random end blanks by the member keys
+        /// from the checkpoint on, with the candidate at its sorted
+        /// position among them, adds less than the members' table value
+        /// plus the candidate's `w − l − r`, for every checkpoint position
+        /// up to the candidate. The enumeration covers every end-insertion completion.
+        /// Members and candidate mix symmetric, asymmetric, one-sided and
+        /// zero blanks.
+        #[test]
+        fn checkpoint_charge_never_exceeds_the_enumerated_completions(
+            ends in (0u64..40, 0u64..40),
+            shapes in proptest::collection::vec((1u64..50, 0u64..8, 0u64..30, 0u64..30), 1..10),
+        ) {
+            let specs: Vec<(u64, u64, u64)> = shapes
+                .iter()
+                .map(|&(w, kind, a, b)| match kind {
+                    0..=2 => (w, a.min(w / 2), a.min(w / 2)),
+                    3..=5 => (w, a.min(w / 2), b.min(w / 2)),
+                    6 => (w, 0, 0),
+                    _ if a % 2 == 0 => (w, w, 0),
+                    _ => (w, 0, w),
+                })
+                .collect();
+            let inst = row_instance(&specs, 100_000);
+            let all = ids(specs.len());
+            let (&candidate, members) = all.split_last().unwrap();
+            let mut row = ProbedRow::default();
+            for &id in members {
+                row.insert(&inst, id);
+            }
+            let n = row.len();
+            row.table.extend_to(&inst, &row.keys, n);
+            let pos = row.position(&width_key(&inst, candidate));
+            let c = inst.char(candidate.index());
+            let chars: Vec<&Character> = row.keys.iter().map(|k| inst.char(k.1.index())).collect();
+            let (left, right) = ends;
+            for from in 0..=pos {
+                let with: Vec<&Character> =
+                    chars[from..pos].iter().copied().chain([c]).chain(chars[pos..].iter().copied()).collect();
+                let narrowest = narrowest_completion(&with, left, right);
+                let charged = row.table.floor(n - from, left, right) + u128::from(c.pattern_width());
+                proptest::prop_assert!(
+                    charged <= narrowest,
+                    "checkpoint {} of {:?}, ends {:?}: charged {} above {}", from, specs, ends, charged, narrowest
+                );
+            }
         }
 
         /// Every probe's walk stops exactly where the completion bound,
-        /// from its definition over the keys still to insert, first exceeds
-        /// the cap: at the resume checkpoint, or after an insertion from the
-        /// candidate on. Rows grow by random inserts with probes in between,
-        /// so the suffix data is rebuilt after every commit. With `scale`
-        /// set, every width and blank is multiplied by 2⁵⁶: rows of 7 to 9
-        /// keys then still fit a `u64::MAX` stencil while their suffix
-        /// width sums pass `u64::MAX`.
+        /// from the table's definition over the keys still to insert, first
+        /// exceeds the cap: at the resume checkpoint, or after an insertion
+        /// from the candidate on. Rows grow by random inserts with probes in
+        /// between, so the table keeps some lengths across each commit and
+        /// extends the rest, and most rows hold more distinct blanks than
+        /// its grid. With `scale` set, every width and blank is multiplied
+        /// by 2⁵⁶: rows of 7 to 9 keys then still fit a `u64::MAX` stencil
+        /// while the table's sums saturate at `u64::MAX` and its offsets at
+        /// 255.
         #[test]
         fn walks_stop_where_the_completion_bound_first_exceeds_the_cap(
             shapes in proptest::collection::vec((20u64..60, 0u64..4, 0u64..30, 0u64..30), 10..30),
@@ -1888,9 +2180,10 @@ mod tests {
     }
 
     #[test]
-    fn suffix_data_matches_its_definition_past_u64() {
+    fn completion_table_matches_its_definition_past_u64() {
         // Widths near 2⁶¹ with mixed blanks: the sums over 8 or more keys
-        // pass u64::MAX, so a sum kept in u64 shows.
+        // pass u64::MAX, so the bases saturate, and blanks 2⁵⁶ apart pass
+        // the offsets' 255.
         let specs: Vec<(u64, u64, u64)> = (0..21u64)
             .map(|i| {
                 (
@@ -1901,33 +2194,37 @@ mod tests {
             })
             .collect();
         let inst = row_instance(&specs, u64::MAX);
-        let chars = |keys: &[(u64, CharId)]| -> Vec<&Character> {
-            keys.iter().map(|k| inst.char(k.1.index())).collect()
-        };
+        let candidate = inst.char(20);
+        let ends = [0, 1, candidate.blanks().left, candidate.blanks().right, u64::MAX];
         let mut row = ProbedRow::default();
+        let mut scratch = WidthScratch::default();
+        let mut saturated = 0;
         for i in (0..20).map(|i| i * 7 % 20) {
             row.insert(&inst, CharId::from(i));
-            // A probe rebuilds the data the insert dropped.
-            let pos = row.position(&width_key(&inst, CharId::from(20)));
-            let _ = row.probe(&inst, inst.char(20), pos);
             let n = row.len();
-            assert_eq!(row.suffixes.rests.len(), n);
-            for j in 0..n {
-                let data = (row.suffixes.rests[j], u128::from(row.suffixes.smallest[j]));
-                let definition = sums_by_definition(&chars(&row.keys[j..]));
-                assert_eq!(Some(data), definition, "{n} keys, suffix {j}");
+            // A probe of a candidate that sorts first extends the table
+            // over the whole row.
+            let _ = row.probe(&inst, candidate, 0, &mut scratch);
+            assert_eq!(row.table.bases.len(), n);
+            let chars: Vec<&Character> = row.keys.iter().map(|k| inst.char(k.1.index())).collect();
+            let grid = grid_by_definition(&chars);
+            assert_eq!(row.table.grid, grid);
+            let floors = floors_by_definition(&chars, &grid);
+            let queries = grid.iter().chain(&ends).flat_map(|&l| grid.iter().chain(&ends).map(move |&r| (l, r)));
+            for (left, right) in queries {
+                for m in 0..=n {
+                    let stored = row.table.floor(m, left, right);
+                    let context = format!("{n} keys, suffix {m}, ends ({left}, {right})");
+                    assert_eq!(stored, floor_by_definition(&floors, &grid, m, (left, right)), "{context}");
+                    if m <= 10 {
+                        let narrowest = narrowest_completion(&chars[n - m..], left, right);
+                        assert!(stored <= narrowest, "{context}: {stored} above {narrowest}");
+                    }
+                }
             }
-            for c in 1..=n / CHECKPOINT_STRIDE {
-                let (candidate, j) = (inst.char(20), c * CHECKPOINT_STRIDE);
-                let definition =
-                    resume_bound_by_definition((0, 0, 0), &chars(&row.keys[j..]), candidate);
-                assert_eq!(
-                    row.suffixes.merged(j, candidate),
-                    definition,
-                    "{n} keys, checkpoint {c}"
-                );
-            }
+            saturated += row.table.bases.iter().filter(|&&b| b == u64::MAX).count();
         }
+        assert!(saturated > 0, "no length saturated");
     }
 
     #[test]

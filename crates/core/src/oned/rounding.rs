@@ -43,7 +43,9 @@ static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per
 /// admission test decided (counters `admits.*`). Stage order: clearly
 /// overfull estimate → exact symmetric estimate → refusal memo →
 /// sorted-blank overlap bound → beam-1 upper bound → exact width DP.
-/// `admits.dp_keys` adds the keys each exact-DP probe walked.
+/// `admits.dp_keys` adds the keys each exact-DP probe walked, and
+/// `admits.table_steps` the suffix lengths the rows' completion tables
+/// computed for the probes.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
 static ADMITS_ESTIMATE_EXACT: trace::Counter = trace::Counter::new("admits.estimate_exact");
 static ADMITS_MEMO_REJECT: trace::Counter = trace::Counter::new("admits.memo_reject");
@@ -51,6 +53,7 @@ static ADMITS_BOUND_REJECT: trace::Counter = trace::Counter::new("admits.bound_r
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 static ADMITS_DP_KEYS: trace::Counter = trace::Counter::new("admits.dp_keys");
+static ADMITS_TABLE_STEPS: trace::Counter = trace::Counter::new("admits.table_steps");
 
 /// Observable trace of the rounding loop, powering Figs. 5 and 6.
 #[derive(Debug, Clone, Default)]
@@ -82,9 +85,10 @@ pub struct RowState {
     asym_members: usize,
     /// Members as a probe-ready row (sorted keys and blanks, maintained by
     /// [`RowState::commit`], plus the refusal memo, the checkpointed DP
-    /// frontiers and the suffix sums its probes rebuild) so most admission
-    /// probes refuse from the memo or on a bound and the rest resume the DP
-    /// walk near the candidate and stop once no completion fits.
+    /// frontiers and the completion table its probes extend) so most
+    /// admission probes refuse from the memo or on a bound and the rest
+    /// resume the DP walk near the candidate and stop once no completion
+    /// fits.
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
@@ -152,10 +156,11 @@ impl RowState {
     ///    (width-only, allocation-free) DP run, resumed from the frontier
     ///    checkpoint nearest the candidate.
     ///
-    /// Stages 4–6 share one refusal certificate, the same sorted-blank
-    /// bound: over the whole row before any walk, and in both walks over
-    /// each frontier state's completions, at the resume checkpoint and
-    /// after every insertion from the candidate on.
+    /// Stage 4 needs no walk. In stages 5–6 both walks refuse once no
+    /// frontier state has an end-insertion completion that fits, read off
+    /// the row's completion table: at the resume checkpoint, with the
+    /// candidate still to come charged `w − l − r`, and after every
+    /// insertion from the candidate on.
     ///
     /// Widths past `u64::MAX` read as "does not fit" at every stage.
     pub fn admits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
@@ -171,10 +176,11 @@ impl RowState {
             ADMITS_ESTIMATE_EXACT.incr();
             return estimate <= u128::from(stencil_w);
         }
-        match self
+        let admission = self
             .probed
-            .admits(instance, id, 8, stencil_w, &mut self.scratch)
-        {
+            .admits(instance, id, 8, stencil_w, &mut self.scratch);
+        ADMITS_TABLE_STEPS.add(self.scratch.table_steps() as u64);
+        match admission {
             Admission::MemoReject => {
                 ADMITS_MEMO_REJECT.incr();
                 false
