@@ -129,7 +129,10 @@ fn bench_hotpaths(c: &mut Criterion) {
         for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
             let blanks = |id: CharId| inst.char(id.index()).blanks();
             let (l, r) = (blanks(id).left, blanks(id).right);
-            if !shapes.iter().any(|&s| (blanks(s).left, blanks(s).right) == (l, r)) {
+            if !shapes
+                .iter()
+                .any(|&s| (blanks(s).left, blanks(s).right) == (l, r))
+            {
                 shapes.push(id);
             }
         }

@@ -599,11 +599,6 @@ impl Refusals {
 /// most 256 offsets. MCC rows hold at most 9 distinct blanks.
 const GRID_MAX: usize = 16;
 
-/// A [`CompletionTable`] whose top grid value is below this reads a
-/// query's grid index from a list instead of searching the grid: the walk
-/// reads two per frontier state after every insertion.
-const INDEXED_BELOW: u64 = 256;
-
 /// The completion table of a [`ProbedRow`] (see its docs): `f_m` on every
 /// grid pair for each suffix length `m` built. Scratch: a clone starts
 /// empty, an insert keeps the lengths it leaves intact, and a probe
@@ -623,10 +618,6 @@ struct CompletionTable {
     /// `f_m(grid[i], grid[j]) − bases[m − 1]` at `offsets[(m − 1)·g² +
     /// i·g + j]`, for a grid of `g` values.
     offsets: Vec<u8>,
-    /// `indices[v]`: the grid index blank `v` rounds up to, for every `v`
-    /// up to the top grid value when that is below `INDEXED_BELOW`;
-    /// empty otherwise, where a query searches the grid.
-    indices: Vec<u8>,
 }
 
 impl Clone for CompletionTable {
@@ -688,25 +679,15 @@ impl CompletionTable {
         }
         self.grid.clear();
         self.grid.extend((0..g).map(value));
-        self.indices.clear();
-        if let Some(&top) = self.grid.last().filter(|&&top| top < INDEXED_BELOW) {
-            let grid = &self.grid;
-            let index = |v: u64| grid.partition_point(|&x| x < v) as u8;
-            self.indices.extend((0..=top).map(index));
-        }
         true
     }
 
     /// The grid index of `blank` rounded up to the next grid value,
     /// clamped at the top.
     fn index(&self, blank: u64) -> usize {
-        let top = self.grid.len() - 1;
-        match usize::try_from(blank).map(|v| self.indices.get(v)) {
-            Ok(Some(&i)) => usize::from(i),
-            // Above the top grid value.
-            _ if !self.indices.is_empty() => top,
-            _ => self.grid.partition_point(|&v| v < blank).min(top),
-        }
+        self.grid
+            .partition_point(|&v| v < blank)
+            .min(self.grid.len() - 1)
     }
 
     /// Builds the lengths up to `len` of the suffixes of `keys` not yet
@@ -719,7 +700,8 @@ impl CompletionTable {
         if built >= len {
             return 0;
         }
-        self.offsets.resize(len * self.grid.len() * self.grid.len(), 0);
+        self.offsets
+            .resize(len * self.grid.len() * self.grid.len(), 0);
         for m in built + 1..=len {
             self.step(m, instance.char(keys[keys.len() - m].1.index()));
         }
@@ -753,17 +735,20 @@ impl CompletionTable {
                 rests_l[x] = least.saturating_add(u64::from(shorter[x * g + b]));
             }
         }
-        let cell = |i: usize, j: usize| {
-            let at_left = joins_l[i].saturating_add(rests_r[j]);
-            at_left.min(joins_r[j].saturating_add(rests_l[i]))
-        };
-        let least = cell(g - 1, g - 1);
+        let top = g - 1;
+        let least = joins_l[top]
+            .saturating_add(rests_r[top])
+            .min(joins_r[top].saturating_add(rests_l[top]));
+        let (rests_r, joins_r) = (&rests_r[..g], &joins_r[..g]);
         for (i, row) in cells[..g * g].chunks_exact_mut(g).enumerate() {
-            for (j, offset) in row.iter_mut().enumerate() {
+            let (join_l, rest_l) = (joins_l[i], rests_l[i]);
+            for ((offset, &rest_r), &join_r) in row.iter_mut().zip(rests_r).zip(joins_r) {
+                let cell = join_l
+                    .saturating_add(rest_r)
+                    .min(join_r.saturating_add(rest_l));
                 // Never below `least`: `f` never increases in either
                 // argument.
-                let above = cell(i, j).saturating_sub(least);
-                *offset = u8::try_from(above).unwrap_or(u8::MAX);
+                *offset = u8::try_from(cell.saturating_sub(least)).unwrap_or(u8::MAX);
             }
         }
         self.bases.push(least);
@@ -1575,13 +1560,23 @@ mod tests {
             let read = |i: usize, j: usize| shorter[i][j].0.saturating_add(shorter[i][j].1);
             let (a, b) = (up(c.blanks().left), up(c.blanks().right));
             let cell = |i: usize, j: usize| {
-                let at_left = c.width().saturating_sub(grid[b].min(grid[i])) .saturating_add(read(a, j));
-                let at_right = c.width().saturating_sub(grid[a].min(grid[j])).saturating_add(read(i, b));
+                let at_left = c
+                    .width()
+                    .saturating_sub(grid[b].min(grid[i]))
+                    .saturating_add(read(a, j));
+                let at_right = c
+                    .width()
+                    .saturating_sub(grid[a].min(grid[j]))
+                    .saturating_add(read(i, b));
                 at_left.min(at_right)
             };
             let least = cell(g - 1, g - 1);
             let length: Vec<Vec<(u64, u64)>> = (0..g)
-                .map(|i| (0..g).map(|j| (least, (cell(i, j) - least).min(255))).collect())
+                .map(|i| {
+                    (0..g)
+                        .map(|j| (least, (cell(i, j) - least).min(255)))
+                        .collect()
+                })
                 .collect();
             floors.push(length);
         }
@@ -1599,7 +1594,11 @@ mod tests {
         if m == 0 {
             return 0;
         }
-        let up = |blank: u64| grid.iter().position(|&v| v >= blank).unwrap_or(grid.len() - 1);
+        let up = |blank: u64| {
+            grid.iter()
+                .position(|&v| v >= blank)
+                .unwrap_or(grid.len() - 1)
+        };
         let (least, offset) = floors[m][up(left)][up(right)];
         u128::from(least) + u128::from(offset)
     }
@@ -2195,7 +2194,13 @@ mod tests {
             .collect();
         let inst = row_instance(&specs, u64::MAX);
         let candidate = inst.char(20);
-        let ends = [0, 1, candidate.blanks().left, candidate.blanks().right, u64::MAX];
+        let ends = [
+            0,
+            1,
+            candidate.blanks().left,
+            candidate.blanks().right,
+            u64::MAX,
+        ];
         let mut row = ProbedRow::default();
         let mut scratch = WidthScratch::default();
         let mut saturated = 0;
@@ -2210,12 +2215,19 @@ mod tests {
             let grid = grid_by_definition(&chars);
             assert_eq!(row.table.grid, grid);
             let floors = floors_by_definition(&chars, &grid);
-            let queries = grid.iter().chain(&ends).flat_map(|&l| grid.iter().chain(&ends).map(move |&r| (l, r)));
+            let queries = grid
+                .iter()
+                .chain(&ends)
+                .flat_map(|&l| grid.iter().chain(&ends).map(move |&r| (l, r)));
             for (left, right) in queries {
                 for m in 0..=n {
                     let stored = row.table.floor(m, left, right);
                     let context = format!("{n} keys, suffix {m}, ends ({left}, {right})");
-                    assert_eq!(stored, floor_by_definition(&floors, &grid, m, (left, right)), "{context}");
+                    assert_eq!(
+                        stored,
+                        floor_by_definition(&floors, &grid, m, (left, right)),
+                        "{context}"
+                    );
                     if m <= 10 {
                         let narrowest = narrowest_completion(&chars[n - m..], left, right);
                         assert!(stored <= narrowest, "{context}: {stored} above {narrowest}");
