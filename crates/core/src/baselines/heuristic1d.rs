@@ -12,13 +12,13 @@
 //!
 //! The paper's Table 3 has \[24\] about 22× slower than E-BLOW. Here it is
 //! the other way round: `eblow-eval table3` measures a Heur\[24\]/E-BLOW
-//! CPU ratio of 0.33–0.38 over three runs on a 2-core VM (averages
-//! 0.008–0.009 s against 0.024–0.026 s). A sweep prices each of its
+//! CPU ratio of 0.51–0.56 over three runs on a 2-core VM (averages
+//! 0.009 s against 0.016–0.018 s). A sweep prices each of its
 //! `O(k²)` candidate reversals in `O(1)` off prefix sums of the chain's
 //! overlaps, the top-up keeps each row's width instead of re-measuring the
 //! row for every candidate, and the framework solves no LP, while E-BLOW
-//! spends nearly all its time in successive rounding, one LP per
-//! iteration.
+//! spends most of its time in successive rounding, one LP per iteration
+//! and a row-admission probe per candidate it places.
 
 use crate::cancel::StopFlag;
 use crate::oned::finish_plan;

@@ -7,15 +7,17 @@
 //! blank descending (provably optimal for symmetric blanks). A final
 //! insertion pass tops rows up. The paper's Table 3 shows \[25\] at
 //! ~0.01 s, and `eblow-eval table3` measures a Row\[25\] CPU average of
-//! 0.011 s over the Table 3 cases on a 2-core VM (three runs). The cost is
-//! the per-candidate probes: the Lemma 1 estimate is optimistic for
-//! asymmetric blanks, so each character verifies up to [`PROBE_ROWS`]
-//! rows with the exact ordering DP before it is placed. A row changes
-//! only when it takes a character, so its refusal memo answers most
-//! probes by shape: on 1H-1, 99 881 of 131 388, and the plan takes
-//! 0.10–0.13 s (`bench_hotpaths` `row_heuristic_1h1`, three runs). There
-//! is no MCC balancing: profits are static region sums, so the bottleneck
-//! region is not re-weighted as selection proceeds.
+//! 0.009 s over the Table 3 cases on a 2-core VM (three runs). The
+//! cost is the per-candidate probes: the Lemma 1 estimate is optimistic
+//! for asymmetric blanks, so each character verifies up to
+//! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed. A
+//! row changes only when it takes a character, so its refusal memo
+//! answers most probes by shape: on 1H-1, 99 881 of 131 388. The rest run
+//! the kernel, whose walks stop once the row's completion table shows
+//! that no completion fits, and the plan takes 0.052–0.066 s
+//! (`bench_hotpaths` `row_heuristic_1h1`, three runs). There is no MCC
+//! balancing: profits are static region sums, so the bottleneck region is
+//! not re-weighted as selection proceeds.
 
 use crate::cancel::StopFlag;
 use crate::oned::{finish_plan, Admission, ProbedRow, WidthScratch};
