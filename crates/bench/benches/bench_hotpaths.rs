@@ -120,10 +120,9 @@ fn bench_hotpaths(c: &mut Criterion) {
     // insert, and after every insert one probe at beam 8 per candidate
     // shape (left and right blank) among the next 2 000 candidates. Each is
     // the first probe of its class since the insert, so the memo answers
-    // none: it runs the whole-row bound, and past it extends the row's
-    // completion table and walks the chain and the DP from the
-    // candidate's checkpoint — the path of rounding's first probe of a
-    // candidate after each commit.
+    // none: it extends the row's completion table and walks the chain and
+    // the DP from the candidate's checkpoint — the path of rounding's first
+    // probe of a candidate after each commit.
     group.bench_function("probed_row_first_probes", |b| {
         let mut shapes: Vec<CharId> = Vec::new();
         for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {

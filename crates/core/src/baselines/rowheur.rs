@@ -7,14 +7,14 @@
 //! blank descending (provably optimal for symmetric blanks). A final
 //! insertion pass tops rows up. The paper's Table 3 shows \[25\] at
 //! ~0.01 s, and `eblow-eval table3` measures a Row\[25\] CPU average of
-//! 0.009 s over the Table 3 cases on a 2-core VM (three runs). The
+//! 0.007–0.010 s over the Table 3 cases on a 2-core VM (three runs). The
 //! cost is the per-candidate probes: the Lemma 1 estimate is optimistic
 //! for asymmetric blanks, so each character verifies up to
 //! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed. A
 //! row changes only when it takes a character, so its refusal memo
 //! answers most probes by shape: on 1H-1, 99 881 of 131 388. The rest run
 //! the kernel, whose walks stop once the row's completion table shows
-//! that no completion fits, and the plan takes 0.052–0.066 s
+//! that no completion fits, and the plan takes 0.050–0.057 s
 //! (`bench_hotpaths` `row_heuristic_1h1`, three runs). There is no MCC
 //! balancing: profits are static region sums, so the bottleneck region is
 //! not re-weighted as selection proceeds.
@@ -84,8 +84,8 @@ pub fn row_heuristic_1d_with_stop(
     // Fill rows under the exact Lemma 1 capacity; best-fit row choice.
     let mut sets: Vec<Vec<CharId>> = vec![Vec::new(); num_rows];
     // Each row's members as a probe-ready row, maintained incrementally so
-    // most probes refuse on its sorted-blank bound and the rest resume the
-    // DP walk from a cached frontier.
+    // most probes refuse from its memo of refused shapes and the rest resume
+    // the DP walk from a cached frontier.
     let mut row_keys: Vec<ProbedRow> = vec![ProbedRow::default(); num_rows];
     let mut eff: Vec<u64> = vec![0; num_rows];
     let mut blank: Vec<u64> = vec![0; num_rows];
@@ -106,9 +106,9 @@ pub fn row_heuristic_1d_with_stop(
         // Rank rows by wasted capacity growth, then verify the best ones
         // with the exact ordering DP (the Lemma 1 estimate is optimistic
         // for asymmetric blanks). The staged probe refuses from the row's
-        // memo of refused shapes or on the sorted-blank bound, or admits on
-        // a beam-1 insertion chain (the width of one concrete order),
-        // before the beam-6 DP runs — same decisions, far fewer DPs.
+        // memo of refused shapes, or admits on a beam-1 insertion chain (the
+        // width of one concrete order), before the beam-6 DP runs — same
+        // decisions, far fewer DPs.
         // Estimates past `u64` never rank.
         ranked.clear();
         ranked.extend((0..num_rows).filter_map(|r| {

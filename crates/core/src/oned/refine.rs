@@ -144,8 +144,8 @@ impl WidthScratch {
     }
 
     /// Suffix lengths the row's completion table computed for the last
-    /// probe of [`ProbedRow::admits`] (0 when the memo or the whole-row
-    /// bound decided it, or the table already held every length).
+    /// probe of [`ProbedRow::admits`] (0 when the memo decided it, or the
+    /// table already held every length).
     pub(crate) fn table_steps(&self) -> usize {
         self.table_steps
     }
@@ -178,11 +178,8 @@ const CHECKPOINT_STRIDE: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// The refusal memo holds a refusal of the candidate's class at most
-    /// as wide: no bound, chain or DP ran.
+    /// as wide: no chain or DP ran.
     MemoReject,
-    /// The sorted-blank overlap bound over the whole row exceeds the cap:
-    /// no DP ran.
-    BoundReject,
     /// The beam-1 chain, one concrete order, fits.
     ChainFits,
     /// The beam-`B` DP decided; `true` when the row fits.
@@ -216,16 +213,9 @@ impl Admission {
 /// junctions can share.) The DP at any beam returns the width of one such
 /// completion of one state of its current frontier, so once
 /// `W + f_m(L, R)` exceeds `cap` for every state the walk refuses only
-/// what the DP refuses. A probe checks at three points:
+/// what the DP refuses. A probe checks at two points:
 ///
-/// 1. **Before any walk,** the sorted-blank bound, which needs no table.
-///    Pairing the `k` largest left blanks with the `k` largest right
-///    blanks in sorted order shares the most any `k` junctions can (`min`
-///    is supermodular): call that `P(k)`. No order of the members and the
-///    candidate is narrower than `Σw − P(n)`. The row keeps both blank
-///    lists sorted and `Σw`, so this is one O(n) merge with the
-///    candidate's blanks.
-/// 2. **At the resume checkpoint.** The frontier over the members that
+/// 1. **At the resume checkpoint.** The frontier over the members that
 ///    sort before the candidate is the same for every probe of an
 ///    unchanged row. It is cached every 8 keys (`CHECKPOINT_STRIDE`), per
 ///    beam. A probe resumes from the last checkpoint at or before its
@@ -240,7 +230,7 @@ impl Admission {
 ///    inserts the few member keys up to the candidate. The charge grows
 ///    with the candidate's width like the DP's widths do, so the refusal
 ///    memo below stays exact.
-/// 3. **After every insertion from the candidate on,** against
+/// 2. **After every insertion from the candidate on,** against
 ///    `W + f_m(L, R)` over the `m` member keys still to insert.
 ///
 /// **The completion table.** The row keeps `f_m` for each suffix length
@@ -290,24 +280,19 @@ impl Admission {
 ///   wider walk's frontiers are the narrower walk's, `δ` wider, less their
 ///   widest states.
 /// - So the beam-1 chain and the beam-`B` DP end at least `δ` wider or
-///   with no state; the checks before them only refuse what they refuse.
+///   with no state; the checks inside their walks refuse only what they
+///   refuse.
 ///
 /// A refusal at `w` therefore decides every candidate of its class at
 /// least `w` wide. The memo keeps, per class, the narrowest width the
-/// kernel refused, and answers before the bound, the chain or the DP. It
-/// records refusals only (every admit is followed by an insert), and it
-/// is scratch like the checkpoints: [`ProbedRow::insert`] drops it, so
-/// does a probe under another beam or cap, and a clone starts without it.
+/// kernel refused, and answers before the chain or the DP. It records
+/// refusals only (every admit is followed by an insert), and it is scratch
+/// like the checkpoints: [`ProbedRow::insert`] drops it, so does a probe
+/// under another beam or cap, and a clone starts without it.
 #[derive(Debug, Clone, Default)]
 pub struct ProbedRow {
     /// `(symmetric blank, id)` keys sorted by [`key_order`].
     keys: Vec<(u64, CharId)>,
-    /// Members' left blanks, largest first.
-    lefts: Vec<u64>,
-    /// Members' right blanks, largest first.
-    rights: Vec<u64>,
-    /// `Σw` over the members.
-    width_sum: u128,
     /// Cached DP frontiers; scratch that a clone does not carry.
     checkpoints: Checkpoints,
     /// `f_m` over the suffix lengths built; scratch like `checkpoints`.
@@ -328,9 +313,6 @@ impl ProbedRow {
         let pos = self.position(&key);
         self.table.insert(pos, self.keys.len(), c);
         self.keys.insert(pos, key);
-        insert_sorted(&mut self.lefts, c.blanks().left);
-        insert_sorted(&mut self.rights, c.blanks().right);
-        self.width_sum += u128::from(c.width());
         self.checkpoints.invalidate_from(pos);
         self.refusals.entries.clear();
     }
@@ -351,11 +333,10 @@ impl ProbedRow {
     }
 
     /// Whether the members plus `id` pack within `cap`, decided in stages:
-    /// the refusal memo, the sorted-blank bound over the whole row, then
-    /// the beam-1 chain (if one concrete order fits, the DP fits), then the
-    /// beam-`beam` DP. Decision-identical to the end-insertion DP over the
-    /// members plus `id` at beam `beam` fitting `cap`; the returned stage
-    /// says which step decided.
+    /// the refusal memo, then the beam-1 chain (if one concrete order fits,
+    /// the DP fits), then the beam-`beam` DP. Decision-identical to the
+    /// end-insertion DP over the members plus `id` at beam `beam` fitting
+    /// `cap`; the returned stage says which step decided.
     pub fn admits(
         &mut self,
         instance: &Instance,
@@ -379,7 +360,7 @@ impl ProbedRow {
         admission
     }
 
-    /// The kernel behind the memo: the bound, the chain, then the DP.
+    /// The kernel behind the memo: the chain, then the DP.
     fn decide(
         &mut self,
         instance: &Instance,
@@ -389,33 +370,11 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> Admission {
-        if self.bound_exceeds(candidate, cap) {
-            return Admission::BoundReject;
-        }
         let probe = self.probe(instance, candidate, pos, scratch);
         if self.dp_fits(instance, &probe, 1, cap, scratch) {
             return Admission::ChainFits;
         }
         Admission::Dp(beam > 1 && self.dp_fits(instance, &probe, beam, cap, scratch))
-    }
-
-    /// Whether the sorted-blank bound over the members plus `c` exceeds
-    /// `cap` (see the type docs): no order of them fits.
-    fn bound_exceeds(&self, c: &Character, cap: u64) -> bool {
-        // Without any sharing the row fits: skip the merge.
-        self.width_sum + u128::from(c.width()) > u128::from(cap)
-            && self.width_bound(c) > u128::from(cap)
-    }
-
-    /// `Σw − P(n)` over the members plus `c`, exact: no order of them is
-    /// narrower.
-    fn width_bound(&self, c: &Character) -> u128 {
-        rest_of(
-            merged(&self.lefts, c.blanks().left),
-            merged(&self.rights, c.blanks().right),
-            self.keys.len() + 1,
-            self.width_sum + u128::from(c.width()),
-        )
     }
 
     /// Places `candidate` at its sorted position `pos` in the walk, and
@@ -505,38 +464,6 @@ struct Probe<'i> {
     pos: usize,
     /// The checkpoint the walk resumes from: `pos / CHECKPOINT_STRIDE`.
     at: usize,
-}
-
-/// `Σw − P(len−1)` over `len ≥ 1` characters `width_sum` wide whose left
-/// and right blanks, largest first, are `lefts` and `rights`.
-fn rest_of(
-    lefts: impl Iterator<Item = u64>,
-    rights: impl Iterator<Item = u64>,
-    len: usize,
-    width_sum: u128,
-) -> u128 {
-    let shared: u128 = lefts
-        .zip(rights)
-        .take(len - 1)
-        .map(|(l, r)| u128::from(l.min(r)))
-        .sum();
-    width_sum - shared
-}
-
-/// `list` (largest first) with `blank` merged in at its sorted position.
-fn merged(list: &[u64], blank: u64) -> impl Iterator<Item = u64> + '_ {
-    let at = list.partition_point(|&b| b > blank);
-    list[..at]
-        .iter()
-        .copied()
-        .chain(std::iter::once(blank))
-        .chain(list[at..].iter().copied())
-}
-
-/// Inserts `blank` into `list`, keeping it largest first.
-fn insert_sorted(list: &mut Vec<u64>, blank: u64) {
-    let at = list.partition_point(|&b| b > blank);
-    list.insert(at, blank);
 }
 
 /// A candidate's class in a [`ProbedRow`]'s refusal memo: its left blank,
@@ -1128,8 +1055,8 @@ impl ProbedRow {
             .fits()
     }
 
-    /// The kernel at one beam width: the bound over the whole row, then the
-    /// walk resumed from the candidate's checkpoint.
+    /// The kernel at one beam width: the walk resumed from the candidate's
+    /// checkpoint.
     fn admits_width(
         &mut self,
         instance: &Instance,
@@ -1139,16 +1066,14 @@ impl ProbedRow {
         scratch: &mut WidthScratch,
     ) -> bool {
         let candidate = instance.char(extra.1.index());
-        !self.bound_exceeds(candidate, cap) && {
-            let probe = self.probe(instance, candidate, self.position(&extra), scratch);
-            self.dp_fits(instance, &probe, threshold, cap, scratch)
-        }
+        let probe = self.probe(instance, candidate, self.position(&extra), scratch);
+        self.dp_fits(instance, &probe, threshold, cap, scratch)
     }
 
-    /// The per-probe walk the bound and the checkpoints replace: merge the
-    /// candidate at its sorted position and walk every key from the first,
-    /// checking the frontier minimum plus the remaining insertion floors
-    /// after each insertion.
+    /// The per-probe walk the checkpoints and the completion table replace:
+    /// merge the candidate at its sorted position and walk every key from
+    /// the first, checking the frontier minimum plus the remaining
+    /// insertion floors after each insertion.
     fn admits_width_reference(
         &self,
         instance: &Instance,
@@ -1482,9 +1407,9 @@ mod tests {
     }
 
     /// Probes `id` against `row` at beams 1, 6 and 8 with caps at the DP
-    /// width − 1, the width and the width + 1: the bound plus the resumed
-    /// walk, the reference walk, the staged entry and [`refine_row`] all
-    /// decide alike.
+    /// width − 1, the width and the width + 1: the resumed walk, the
+    /// reference walk, the staged entry and [`refine_row`] all decide
+    /// alike.
     fn assert_probes_match(
         inst: &Instance,
         row: &mut ProbedRow,
@@ -1774,9 +1699,8 @@ mod tests {
             }
         }
 
-        /// The bound and the checkpointed walk decide every probe like
-        /// the reference walk, while inserts land before, on and after
-        /// checkpoints. Character 0 has the largest blank and sorts first;
+        /// The checkpointed walk decides every probe like the reference
+        /// walk, while inserts land before, on and after checkpoints. Character 0 has the largest blank and sorts first;
         /// the last has no blank and sorts last; the rest mix symmetric
         /// and asymmetric blanks, including blanks equal to the width.
         #[test]
@@ -1812,35 +1736,6 @@ mod tests {
             }
         }
 
-        /// The sorted-blank bound is a true lower bound: never above the
-        /// narrowest of all `n!` orders.
-        #[test]
-        fn width_bound_never_exceeds_the_permutation_optimum(
-            shapes in proptest::collection::vec((1u64..50, 0u64..4, 0u64..50, 0u64..50), 1..8),
-        ) {
-            let specs: Vec<(u64, u64, u64)> = shapes
-                .iter()
-                .map(|&(w, kind, a, b)| match kind {
-                    0 => (w, a.min(w / 2), a.min(w / 2)),
-                    1 => (w, a.min(w), b.min(w - a.min(w))),
-                    2 => (w, w, 0),
-                    _ => (w, 0, w),
-                })
-                .collect();
-            let inst = row_instance(&specs, 10_000);
-            let all = ids(specs.len());
-            let (candidate, members) = all.split_last().unwrap();
-            let mut row = ProbedRow::default();
-            for &id in members {
-                row.insert(&inst, id);
-            }
-            let bound = row.width_bound(inst.char(candidate.index()));
-            let brute = brute_force_min_width(&inst, &all);
-            proptest::prop_assert!(
-                bound <= u128::from(brute),
-                "bound {} above the optimum {} for {:?}", bound, brute, specs
-            );
-        }
         /// The completion table never exceeds the narrowest end-insertion
         /// completion of a block by any suffix of the row, whatever the
         /// block's end blanks, and equals it at the rounded-up query when
@@ -2055,17 +1950,14 @@ mod tests {
                     for beam in [1usize, 8] {
                         let (_, truth) = refine_row_reference(&inst, &set, beam, StopFlag::NEVER);
                         for cap in [truth.saturating_sub(1), truth, truth.saturating_add(1)] {
-                            let whole = row.bound_exceeds(inst.char(p), cap);
                             let fits = row.admits_width(&inst, width_key(&inst, id), beam, cap, &mut scratch);
                             // The reference saturates: `u64::MAX` reads as overflow.
                             proptest::prop_assert_eq!(fits, truth < u64::MAX && truth <= cap);
-                            if !whole {
-                                proptest::prop_assert_eq!(
-                                    (fits, scratch.keys_walked()),
-                                    walk_by_definition(&inst, &members, id, beam, cap),
-                                    "members {:?}, candidate {}, beam {}, cap {}", members, p, beam, cap
-                                );
-                            }
+                            proptest::prop_assert_eq!(
+                                (fits, scratch.keys_walked()),
+                                walk_by_definition(&inst, &members, id, beam, cap),
+                                "members {:?}, candidate {}, beam {}, cap {}", members, p, beam, cap
+                            );
                         }
                     }
                 }

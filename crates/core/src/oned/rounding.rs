@@ -41,15 +41,12 @@ static LP_COLD: trace::Counter = trace::Counter::new("round.lp.cold");
 static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per_call");
 /// `RowState::admits` stage tallies — how often each stage of the staged
 /// admission test decided (counters `admits.*`). Stage order: clearly
-/// overfull estimate → exact symmetric estimate → refusal memo →
-/// sorted-blank overlap bound → beam-1 upper bound → exact width DP.
+/// overfull estimate → refusal memo → beam-1 upper bound → exact width DP.
 /// `admits.dp_keys` adds the keys each exact-DP probe walked, and
 /// `admits.table_steps` the suffix lengths the rows' completion tables
 /// computed for the probes.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
-static ADMITS_ESTIMATE_EXACT: trace::Counter = trace::Counter::new("admits.estimate_exact");
 static ADMITS_MEMO_REJECT: trace::Counter = trace::Counter::new("admits.memo_reject");
-static ADMITS_BOUND_REJECT: trace::Counter = trace::Counter::new("admits.bound_reject");
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 static ADMITS_DP_KEYS: trace::Counter = trace::Counter::new("admits.dp_keys");
@@ -79,16 +76,11 @@ pub struct RowState {
     pub eff_used: u64,
     /// `max s_i` over members.
     pub max_blank: u64,
-    /// Members whose horizontal blanks are asymmetric (left ≠ right).
-    /// While 0, the S-Blank estimate is *exact* (Lemma 1), so admission
-    /// needs no DP at all.
-    asym_members: usize,
-    /// Members as a probe-ready row (sorted keys and blanks, maintained by
+    /// Members as a probe-ready row (sorted keys, maintained by
     /// [`RowState::commit`], plus the refusal memo, the checkpointed DP
     /// frontiers and the completion table its probes extend) so most
-    /// admission probes refuse from the memo or on a bound and the rest
-    /// resume the DP walk near the candidate and stop once no completion
-    /// fits.
+    /// admission probes refuse from the memo and the rest resume the DP
+    /// walk near the candidate and stop once no completion fits.
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
@@ -116,9 +108,6 @@ impl RowState {
         self.probed.insert(instance, id);
         self.eff_used += c.effective_width();
         self.max_blank = self.max_blank.max(c.symmetric_blank());
-        if c.blanks().left != c.blanks().right {
-            self.asym_members += 1;
-        }
     }
 
     /// As [`RowBase`] for the LP oracle.
@@ -139,28 +128,26 @@ impl RowState {
     ///
     /// 1. clearly-overfull estimates are rejected outright (same quick
     ///    reject as before);
-    /// 2. an all-symmetric row (plus a symmetric candidate) is decided by
-    ///    the estimate alone — Lemma 1 makes every end-insertion order pack
-    ///    to exactly `Σ(w−s) + max s`, so estimate = DP width;
-    /// 3. a candidate whose class (left blank, right blank, sorted
+    /// 2. a candidate whose class (left blank, right blank, sorted
     ///    position) the row refused at most as wide since the last commit
     ///    is refused from the memo: within a class the decision is monotone
     ///    in width (see [`ProbedRow`]), and every rounding iteration and
     ///    Algorithm 2's threshold pass re-probe the candidates that did not
     ///    fit;
-    /// 4. a sorted-blank overlap bound refuses when no order of the members
-    ///    plus the candidate can fit (see [`ProbedRow`]);
-    /// 5. otherwise a beam-1 greedy insertion chain gives a cheap upper
+    /// 3. otherwise a beam-1 greedy insertion chain gives a cheap upper
     ///    bound on the DP width: if one concrete order fits, the DP fits;
-    /// 6. only in the remaining near-capacity band does the exact
+    /// 4. only in the remaining near-capacity band does the exact
     ///    (width-only, allocation-free) DP run, resumed from the frontier
     ///    checkpoint nearest the candidate.
     ///
-    /// Stage 4 needs no walk. In stages 5–6 both walks refuse once no
-    /// frontier state has an end-insertion completion that fits, read off
-    /// the row's completion table: at the resume checkpoint, with the
-    /// candidate still to come charged `w − l − r`, and after every
-    /// insertion from the candidate on.
+    /// In stages 3–4 both walks refuse once no frontier state has an
+    /// end-insertion completion that fits, read off the row's completion
+    /// table: at the resume checkpoint, with the candidate still to come
+    /// charged `w − l − r`, and after every insertion from the candidate
+    /// on. On an all-symmetric row plus a symmetric candidate every
+    /// end-insertion order packs to exactly `Σ(w−s) + max s` (Lemma 1), so
+    /// the chain admits exactly when the estimate fits, and otherwise the
+    /// row refuses.
     ///
     /// Widths past `u64::MAX` read as "does not fit" at every stage.
     pub fn admits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
@@ -172,10 +159,6 @@ impl RowState {
             ADMITS_ESTIMATE_REJECT.incr();
             return false;
         }
-        if self.asym_members == 0 && c.blanks().left == c.blanks().right {
-            ADMITS_ESTIMATE_EXACT.incr();
-            return estimate <= u128::from(stencil_w);
-        }
         let admission = self
             .probed
             .admits(instance, id, 8, stencil_w, &mut self.scratch);
@@ -183,10 +166,6 @@ impl RowState {
         match admission {
             Admission::MemoReject => {
                 ADMITS_MEMO_REJECT.incr();
-                false
-            }
-            Admission::BoundReject => {
-                ADMITS_BOUND_REJECT.incr();
                 false
             }
             Admission::ChainFits => {
@@ -682,10 +661,10 @@ mod tests {
 
     #[test]
     fn admits_is_decision_identical_to_the_cloning_dp() {
-        // The staged admission test (estimate fast path, beam-1 chain
-        // bound, exact-DP band) must decide exactly like the original
-        // clone-members-and-run-refine_row implementation, on a mix of
-        // symmetric and asymmetric characters near capacity.
+        // The staged admission test (estimate quick reject, refusal memo,
+        // beam-1 chain bound, exact-DP band) must decide exactly like the
+        // original clone-members-and-run-refine_row implementation, on a
+        // mix of symmetric and asymmetric characters near capacity.
         let mut chars = Vec::new();
         for i in 0..14u64 {
             let (l, r) = if i % 3 == 0 {
@@ -749,5 +728,99 @@ mod tests {
             }
         }
         assert!(memo_hits > 0, "the refusal memo was never exercised");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Lemma 1 through the kernel: on an all-symmetric row every
+        /// end-insertion order packs to exactly `Σ(w−s) + max s`, so a
+        /// symmetric candidate fits exactly when that estimate does. Rows
+        /// grow member by member in a shuffled order; before each commit
+        /// every candidate is probed at stencil widths of its estimate − 1,
+        /// the estimate and the estimate + 1 (clamped to `u64::MAX`), so
+        /// the refusal memo sees the cap change between probes. Members and
+        /// candidates interleave by id and share blanks, so candidates sort
+        /// among members of equal blank, before and past the checkpoints.
+        /// With `high` set every candidate is raised by one base, chosen so
+        /// that the first candidate's estimate over the full row is
+        /// `u64::MAX + 1 + slack`, inside the quick reject's 8 µm margin:
+        /// every stencil width probed is then within 2¹⁰ of `u64::MAX`, the
+        /// kernel sees rows that overflow `u64`, and the full row overflows
+        /// with some candidates and not with others.
+        #[test]
+        fn all_symmetric_rows_admit_exactly_by_the_estimate(
+            shapes in proptest::collection::vec((1u64..32, 0u64..16, 0u32..2), 8..40),
+            order in proptest::collection::vec(0u64..1000, 40..41),
+            high in 0u32..2,
+            slack in 0u64..8,
+        ) {
+            let (mut members, candidates): (Vec<usize>, Vec<usize>) =
+                (0..shapes.len()).partition(|&i| shapes[i].2 == 0);
+            members.sort_by_key(|&i| (order[i], i));
+            // Character `i` as `(width, blank)`, a candidate `base` wider.
+            let shape = |i: usize, base: u64| {
+                let (w, s, candidate) = shapes[i];
+                let raise = if candidate == 1 { base } else { 0 };
+                (raise + w, s.min(w / 2))
+            };
+            // Estimates in `u128`: `Σ(w−s)` over the set, plus its largest
+            // blank.
+            let estimate_of = |set: &[usize], base: u64| -> u128 {
+                let eff: u128 = set
+                    .iter()
+                    .map(|&i| {
+                        let (w, s) = shape(i, base);
+                        u128::from(w - s)
+                    })
+                    .sum();
+                eff + u128::from(set.iter().map(|&i| shape(i, base).1).max().unwrap_or(0))
+            };
+            let base = match candidates.first() {
+                Some(&first) if high == 1 => {
+                    let full = estimate_of(&[&members[..], &[first]].concat(), 0);
+                    // Candidates are at most 31 wide: keep their widths in
+                    // `u64` when the full row is narrower than the slack.
+                    let base = (u128::from(u64::MAX) + 1 + u128::from(slack)).saturating_sub(full);
+                    u64::try_from(base.min(u128::from(u64::MAX - 31))).unwrap()
+                }
+                _ => 0,
+            };
+            let chars: Vec<Character> = (0..shapes.len())
+                .map(|i| {
+                    let (w, s) = shape(i, base);
+                    Character::new(w, 40, [s, s, 0, 0], 5).unwrap()
+                })
+                .collect();
+            let n = chars.len();
+            let inst = Instance::new(
+                Stencil::with_rows(u64::MAX, 40, 40).unwrap(),
+                chars,
+                vec![vec![1]; n],
+            )
+            .unwrap();
+            let mut row = RowState::default();
+            let mut admitted = 0usize;
+            for step in 0..=members.len() {
+                let committed = &members[..step];
+                for &c in &candidates {
+                    let estimate = estimate_of(&[committed, &[c]].concat(), base);
+                    for stencil in [estimate - 1, estimate, estimate + 1] {
+                        let stencil = u64::try_from(stencil).unwrap_or(u64::MAX);
+                        let fits = row.admits(&inst, CharId::from(c), stencil);
+                        admitted += usize::from(fits);
+                        proptest::prop_assert_eq!(
+                            fits,
+                            estimate <= u128::from(stencil),
+                            "members {:?}, candidate {}, W {}, estimate {}", committed, c, stencil, estimate
+                        );
+                    }
+                }
+                if let Some(&m) = members.get(step) {
+                    row.commit(&inst, CharId::from(m));
+                }
+            }
+            proptest::prop_assert!(candidates.is_empty() || admitted > 0, "no probe fitted");
+        }
     }
 }
