@@ -12,8 +12,8 @@
 //!
 //! The paper's Table 3 has \[24\] about 22× slower than E-BLOW. Here it is
 //! the other way round: `eblow-eval table3` measures a Heur\[24\]/E-BLOW
-//! CPU ratio of 0.51–0.56 over three runs on a 2-core VM (averages
-//! 0.009 s against 0.016–0.018 s). A sweep prices each of its
+//! CPU ratio of 0.58–0.61 over three runs on a 2-core VM (averages
+//! 0.007–0.011 s against 0.013–0.019 s). A sweep prices each of its
 //! `O(k²)` candidate reversals in `O(1)` off prefix sums of the chain's
 //! overlaps, the top-up keeps each row's width instead of re-measuring the
 //! row for every candidate, and the framework solves no LP, while E-BLOW
