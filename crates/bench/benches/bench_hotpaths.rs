@@ -1,8 +1,8 @@
 //! Hot-path microbenchmarks for the columnar instance core and the
 //! incremental planning loops: `RegionTimes` select/profit sweeps, the
 //! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, the
-//! first probe of each candidate class after every insert, and cold vs
-//! warm-started LP oracle solves — all on a 1H-sized MCC workload
+//! first probe of each candidate class after every insert, and a shrinking
+//! sequence of LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
 //! registry strategy. Three more 1H kernels measure what the 1D race pays
 //! besides E-BLOW's rounding: the \[25\] row heuristic, whose leftovers
@@ -15,8 +15,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use eblow_core::baselines::{row_heuristic_1d, sa_2d};
 use eblow_core::oned::{
-    post_swap, refine_row, successive_rounding, CombinatorialOracle, LpHint, LpOracle, MkpItem,
-    PostConfig, ProbedRow, RoundingConfig, RowBase, WidthScratch,
+    post_swap, refine_row, successive_rounding, CombinatorialOracle, LpOracle, MkpItem, PostConfig,
+    ProbedRow, RoundingConfig, RowBase, WidthScratch,
 };
 use eblow_core::profit::RegionTimes;
 use eblow_core::twod::Eblow2d;
@@ -47,19 +47,14 @@ fn bench_hotpaths(c: &mut Criterion) {
     });
 
     // Full dynamic-profit sweep (Eqn. 6) under a partial selection, via
-    // the buffer-reusing all-candidate entry point (the 2D pipeline's
-    // pricing pass; the 1D rounding loop prices its shrinking unsolved
-    // set per item instead).
+    // the all-candidate entry point (the 2D pipeline's pricing pass; the 1D
+    // rounding loop prices its shrinking unsolved set per item instead).
     group.bench_function("region_times_profits_sweep", |b| {
         let mut rt = RegionTimes::new(&inst);
         for i in (0..n).step_by(5) {
             rt.select(&inst, i);
         }
-        let mut buf = Vec::new();
-        b.iter(|| {
-            rt.profits_into(&inst, &mut buf);
-            black_box(buf.len())
-        })
+        b.iter(|| black_box(rt.profits(&inst).len()))
     });
 
     // Admission probing: fill one row with a greedy stream of candidates,
@@ -150,30 +145,16 @@ fn bench_hotpaths(c: &mut Criterion) {
         })
     });
 
-    // Cold vs warm-started LP: the same shrinking item sequence solved
-    // with a fresh hint every time (cold) and with one carried hint
-    // (warm). Solutions are identical by contract; only the cost differs.
+    // The LP oracle over a shrinking item sequence: six solves, each on 90 %
+    // of the previous items, as successive rounding solves one per
+    // iteration.
     let items_full = MkpItem::initial_set(&inst);
     let bases = vec![RowBase::default(); inst.num_rows().expect("1H is 1D")];
-    group.bench_function("oracle_solve_lp_cold", |b| {
+    group.bench_function("oracle_solve_lp", |b| {
         b.iter(|| {
             let mut items = items_full.clone();
             for _ in 0..6 {
                 let sol = CombinatorialOracle.solve_lp(&items, &bases, w).unwrap();
-                black_box(sol.objective);
-                let keep = items.len() * 9 / 10;
-                items.truncate(keep);
-            }
-        })
-    });
-    group.bench_function("oracle_solve_lp_warm", |b| {
-        b.iter(|| {
-            let mut items = items_full.clone();
-            let mut hint = LpHint::default();
-            for _ in 0..6 {
-                let sol = CombinatorialOracle
-                    .solve_lp_warm(&items, &bases, w, &mut hint)
-                    .unwrap();
                 black_box(sol.objective);
                 let keep = items.len() * 9 / 10;
                 items.truncate(keep);

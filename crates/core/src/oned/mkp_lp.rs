@@ -20,6 +20,12 @@
 //! a fixed-point loop on `B_j` (which only grows, so it converges in a few
 //! passes). The result has the vertex shape the paper reports in Fig. 6 —
 //! almost all `a_ij ∈ {0, 1}`, a few fractional at row boundaries.
+//!
+//! Every solve stands alone: it computes each item's density once and
+//! sorts, whatever the previous solve of successive rounding's shrinking
+//! sequence returned. Seeding the sort with that solve's order moved no
+//! plan and no end-to-end wall (README, *Performance*), so no state is
+//! carried between solves.
 
 use crate::profit::RegionTimes;
 use eblow_model::Instance;
@@ -73,117 +79,26 @@ impl MkpItem {
     }
 }
 
-/// Cross-solve warm-start state for [`solve_mkp_lp_warm`] (and the
-/// [`LpOracle::solve_lp_warm`](super::LpOracle::solve_lp_warm) seam).
-///
-/// Carries the previous solve's density order (as `char_index` values),
-/// plus the internal scratch buffers of the seeded sort. Successive-rounding
-/// iterations shrink the item set and re-price profits only *slightly*
-/// between solves, so the previous order is nearly sorted for the next
-/// solve — seeding the (adaptive) sort with it turns the per-iteration
-/// `O(k log k)` ordering into `O(k)` in the common case.
-///
-/// A hint never changes a solution: the seeded sort uses the same strict
-/// total order (density descending, `char_index` ascending) as the cold
-/// sort, which has exactly one sorted output for a given item set. An
-/// empty/default hint is the cold start.
-#[derive(Debug, Clone, Default)]
-pub struct LpHint {
-    /// Previous density order, as `char_index` values.
-    order: Vec<usize>,
-    /// Epoch-stamped `char_index → item` map (`lut[ci] = (epoch, k)`).
-    lut: Vec<(u32, u32)>,
-    epoch: u32,
-    /// Cached per-item densities for the comparator.
-    densities: Vec<f64>,
-    /// Seed/consumption mark per item of the current solve.
-    taken: Vec<bool>,
-}
-
-impl LpHint {
-    /// The density order of the most recent solve, as `char_index` values.
-    pub fn order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Forgets the carried state (next solve runs cold). The scratch
-    /// allocations are kept.
-    pub fn clear(&mut self) {
-        self.order.clear();
-    }
-
-    /// Fills `out` with the positive-profit item indices in density order,
-    /// seeding the sort with the carried order. Output is identical to the
-    /// cold [`density_order`]; only the sorting cost changes.
-    fn seeded_density_order(&mut self, items: &[MkpItem], out: &mut Vec<usize>) {
-        self.densities.clear();
-        self.densities.extend(
-            items
-                .iter()
-                .map(|it| it.profit / it.eff_width.max(1) as f64),
-        );
-        out.clear();
-        if self.order.is_empty() {
-            out.extend((0..items.len()).filter(|&k| items[k].profit > 0.0));
-        } else {
-            // Replay the previous order first (survivors keep their old
-            // relative positions — a nearly sorted prefix), then append
-            // the items the hint does not cover.
-            self.epoch = self.epoch.wrapping_add(1);
-            let max_ci = items.iter().map(|it| it.char_index).max().unwrap_or(0);
-            if self.lut.len() <= max_ci {
-                self.lut.resize(max_ci + 1, (0, 0));
-            }
-            self.taken.clear();
-            self.taken.resize(items.len(), false);
-            for (k, it) in items.iter().enumerate() {
-                if it.profit > 0.0 {
-                    self.lut[it.char_index] = (self.epoch, k as u32);
-                }
-            }
-            for &ci in &self.order {
-                if let Some(&(e, k)) = self.lut.get(ci) {
-                    let k = k as usize;
-                    if e == self.epoch && !self.taken[k] {
-                        self.taken[k] = true;
-                        out.push(k);
-                    }
-                }
-            }
-            out.extend((0..items.len()).filter(|&k| items[k].profit > 0.0 && !self.taken[k]));
-        }
-        let densities = &self.densities;
-        out.sort_by(|&a, &b| {
-            densities[b]
-                .total_cmp(&densities[a])
-                .then(items[a].char_index.cmp(&items[b].char_index))
-        });
-    }
-
-    /// Records this solve's order for the next one.
-    fn record(&mut self, items: &[MkpItem], order: &[usize]) {
-        self.order.clear();
-        self.order
-            .extend(order.iter().map(|&k| items[k].char_index));
-    }
-}
-
 /// Positive-profit item indices in density order (profit per effective µm,
-/// descending; ties break by `char_index`) — the cold fill order of the
-/// greedy vertex, which the seeded sort must reproduce exactly.
+/// descending; ties break by `char_index`): the fill order of the greedy
+/// vertex. Each density is computed once, before the sort, and
+/// (density, `char_index`) is a strict total order, so the sorted output
+/// is unique.
 ///
 /// `total_cmp` (not `partial_cmp().unwrap()`) keeps the sort panic-free
 /// even for hostile non-finite profits; NaN profits fail the `> 0.0`
 /// filter and never enter the order at all.
-#[cfg(test)]
 fn density_order(items: &[MkpItem]) -> Vec<usize> {
+    let densities: Vec<f64> = items
+        .iter()
+        .map(|it| it.profit / it.eff_width.max(1) as f64)
+        .collect();
     let mut order: Vec<usize> = (0..items.len())
         .filter(|&k| items[k].profit > 0.0)
         .collect();
     order.sort_by(|&a, &b| {
-        let da = items[a].profit / items[a].eff_width.max(1) as f64;
-        let db = items[b].profit / items[b].eff_width.max(1) as f64;
-        db.total_cmp(&da)
+        densities[b]
+            .total_cmp(&densities[a])
             .then(items[a].char_index.cmp(&items[b].char_index))
     });
     order
@@ -217,25 +132,8 @@ pub struct MkpLpSolution {
 /// against rows with capacity `W`, respecting committed content.
 ///
 /// Deterministic: ties in density order break by `char_index`.
-pub fn solve_mkp_lp(items: &[MkpItem], base: &[RowBase], stencil_w: u64) -> MkpLpSolution {
-    solve_mkp_lp_warm(items, base, stencil_w, &mut LpHint::default())
-}
-
-/// [`solve_mkp_lp`] with a cross-solve warm-start hint: the density sort is
-/// seeded with the previous solve's order, and the hint is updated with
-/// this solve's order and `B_j` fixed point on the way out.
-///
-/// **Invariant:** the returned solution is identical to the cold
-/// [`solve_mkp_lp`] on the same inputs — the hint changes only the cost
-/// (property-tested in `tests/proptest_core.rs`). The cold solver *is*
-/// this function with an empty hint, so the two cannot drift apart.
 // audit:allow(stop-flag-reachability): fixed four-pass fixed point, O(items) per pass; the rounding loop around the oracle polls the flag
-pub fn solve_mkp_lp_warm(
-    items: &[MkpItem],
-    base: &[RowBase],
-    stencil_w: u64,
-    hint: &mut LpHint,
-) -> MkpLpSolution {
+pub fn solve_mkp_lp(items: &[MkpItem], base: &[RowBase], stencil_w: u64) -> MkpLpSolution {
     let n = items.len();
     let m = base.len();
     let mut fracs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
@@ -252,10 +150,8 @@ pub fn solve_mkp_lp_warm(
         return finish(items, fracs, blanks);
     }
 
-    // Density order (profit per effective µm), positive-profit items only;
-    // the seeded sort produces exactly the cold `density_order(items)`.
-    let mut order = Vec::new();
-    hint.seeded_density_order(items, &mut order);
+    // Density order (profit per effective µm), positive-profit items only.
+    let order = density_order(items);
 
     // B_j fixed point: capacities shrink as blank estimates grow.
     // audit:allow(stop-flag-coverage): fixed four-pass fixed point, O(items) per pass; the rounding loop around the oracle polls the flag
@@ -303,7 +199,6 @@ pub fn solve_mkp_lp_warm(
         }
         blanks = new_blanks;
     }
-    hint.record(items, &order);
     finish(items, fracs, blanks)
 }
 
@@ -496,45 +391,6 @@ mod tests {
         assert!((sol.max_frac[1] - 1.0).abs() < 1e-9);
         assert!(sol.objective.is_finite());
         assert_eq!(density_order(&items), vec![2, 1]);
-    }
-
-    #[test]
-    fn warm_start_returns_bitwise_identical_solutions() {
-        // Simulated rounding trajectory: solve, drop some items, re-price,
-        // solve again with the carried hint. Every warm solution must be
-        // bitwise identical to the cold one on the same inputs.
-        let mut items: Vec<MkpItem> = (0..60)
-            .map(|i| {
-                item(
-                    i,
-                    8 + (i as u64 * 7) % 30,
-                    1 + (i as u64) % 6,
-                    1.0 + (i as f64 * 13.0) % 40.0,
-                )
-            })
-            .collect();
-        let mut base = vec![RowBase::default(); 4];
-        let mut hint = LpHint::default();
-        for round in 0..6 {
-            let warm = solve_mkp_lp_warm(&items, &base, 150, &mut hint);
-            let cold = solve_mkp_lp(&items, &base, 150);
-            assert_eq!(warm.fracs, cold.fracs, "round {round}");
-            assert_eq!(warm.blanks, cold.blanks, "round {round}");
-            assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-            assert!(!hint.order().is_empty(), "hint carries the density order");
-            // Commit every third item: shrink the set, bump a row base,
-            // and jitter the survivors' profits (re-pricing).
-            let mut k = 0usize;
-            items.retain(|_| {
-                k += 1;
-                !k.is_multiple_of(3)
-            });
-            for it in items.iter_mut() {
-                it.profit += ((it.char_index % 5) as f64) * 0.25 - 0.5;
-            }
-            base[round % 4].eff_used += 9;
-            base[round % 4].max_blank = base[round % 4].max_blank.max(2 + round as u64);
-        }
     }
 
     #[test]

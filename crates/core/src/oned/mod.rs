@@ -27,7 +27,7 @@ mod rounding;
 
 pub use convergence::{fast_ilp_convergence, ConvergenceConfig, ConvergenceStats};
 pub use exact::{solve_exact_1d, Exact1dOutcome, EXACT_1D_MAX_CHARS};
-pub use mkp_lp::{solve_mkp_lp, solve_mkp_lp_warm, LpHint, MkpItem, MkpLpSolution, RowBase};
+pub use mkp_lp::{solve_mkp_lp, MkpItem, MkpLpSolution, RowBase};
 pub use oracle::{CombinatorialOracle, LpOracle, OracleError, SimplexOracle};
 pub use post::{post_insert, post_swap, PostConfig};
 pub use refine::{

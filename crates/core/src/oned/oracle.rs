@@ -21,13 +21,9 @@
 //!   `items × rows`, so it refuses instances above a cell cutoff with an
 //!   explicit [`OracleError::TooLarge`].
 //!
-//! Successive rounding solves a *shrinking sequence* of LPs, so the trait
-//! also exposes [`LpOracle::solve_lp_warm`]: an
-//! [`LpHint`](super::LpHint)-carrying variant whose contract is "same
-//! solution, cheaper solve". The combinatorial backend seeds its density
-//! sort with the previous iteration's order (adaptive sorting makes the
-//! nearly-sorted case ~linear); the simplex backend falls back to the cold
-//! solve.
+//! Successive rounding solves a *shrinking sequence* of LPs, each through
+//! the one method [`LpOracle::solve_lp`]: no backend carries state from one
+//! solve to the next, so a solution depends only on its inputs.
 //!
 //! ## Backend agreement
 //!
@@ -42,7 +38,7 @@
 //! above the combinatorial one; on the reference instances the gap is a few
 //! percent (checked by `eblow-eval agree`).
 
-use super::mkp_lp::{solve_mkp_lp, solve_mkp_lp_warm, LpHint, MkpItem, MkpLpSolution, RowBase};
+use super::mkp_lp::{solve_mkp_lp, MkpItem, MkpLpSolution, RowBase};
 use eblow_lp::{LpProblem, LpStatus, Simplex, SimplexConfig};
 use std::fmt;
 
@@ -108,27 +104,6 @@ pub trait LpOracle: fmt::Debug + Send + Sync {
         base: &[RowBase],
         stencil_w: u64,
     ) -> Result<MkpLpSolution, OracleError>;
-
-    /// Warm-started [`solve_lp`](LpOracle::solve_lp): `hint` carries state
-    /// from the previous solve of a shrinking sequence (successive
-    /// rounding's per-iteration LPs) — the density order for the
-    /// combinatorial backend.
-    ///
-    /// **Contract:** the solution must be *identical* to `solve_lp` on the
-    /// same inputs; a hint may only change how fast the solve runs, never
-    /// what it returns (so warm-started rounding stays bit-reproducible
-    /// against cold-started rounding). Backends without warm-start support
-    /// use this default, which ignores the hint.
-    fn solve_lp_warm(
-        &self,
-        items: &[MkpItem],
-        base: &[RowBase],
-        stencil_w: u64,
-        hint: &mut LpHint,
-    ) -> Result<MkpLpSolution, OracleError> {
-        let _ = hint;
-        self.solve_lp(items, base, stencil_w)
-    }
 }
 
 /// Builds the all-zero solution over `items` (nothing assigned).
@@ -159,16 +134,6 @@ impl LpOracle for CombinatorialOracle {
         stencil_w: u64,
     ) -> Result<MkpLpSolution, OracleError> {
         Ok(solve_mkp_lp(items, base, stencil_w))
-    }
-
-    fn solve_lp_warm(
-        &self,
-        items: &[MkpItem],
-        base: &[RowBase],
-        stencil_w: u64,
-        hint: &mut LpHint,
-    ) -> Result<MkpLpSolution, OracleError> {
-        Ok(solve_mkp_lp_warm(items, base, stencil_w, hint))
     }
 }
 

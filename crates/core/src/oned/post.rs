@@ -205,18 +205,17 @@ pub fn post_swap(
             if stop.is_set() {
                 return swaps;
             }
-            // Screen: removing `v` can only raise times, so any swap's
-            // delta is at least the pure-insert delta of `u`. Unless
-            // inserting `u` alone lowers the bottleneck, no placed `v`
-            // can yield an improving swap — skip the whole scan.
-            if region_times.swap_delta(instance, None, Some(u)) >= 0 {
+            // Screen: removing `v` can only raise times, so no swap ends
+            // below the system time with `u` inserted alone. Unless that
+            // insertion lowers the bottleneck, no placed `v` can yield an
+            // improving swap — skip the whole scan.
+            if region_times.inserted_total(instance, u) >= region_times.total() {
                 continue;
             }
             // Insert `u` once into a scratch tracker: every probe against a
             // placed `v` then reduces to `removed_total` — O(nnz_v), exact
             // (a removal only raises times), instead of a dense sweep per
-            // (u, v) pair. Same integer system time, so identical swap
-            // decisions to probing with `swap_delta`.
+            // (u, v) pair.
             with_u.clone_from(region_times);
             with_u.select(instance, u);
             let base = region_times.total() as i64;

@@ -16,12 +16,12 @@
 //!
 //! The loop is engineered as a zero-rebuild hot path: the item, row-base,
 //! candidate, and commit-mask buffers are allocated once and reused across
-//! iterations; the LP is solved through [`LpOracle::solve_lp_warm`] with an
-//! [`LpHint`] carrying the previous iteration's density order and `B_j`
-//! fixed point; and the surviving LP columns are filtered *in place*
-//! instead of cloned.
+//! iterations, and the surviving LP columns are filtered *in place*
+//! instead of cloned. Each iteration's LP is one cold
+//! [`LpOracle::solve_lp`] call: the relaxation is solved from the
+//! iteration's items and row bases alone.
 
-use super::mkp_lp::{LpHint, MkpItem, MkpLpSolution, RowBase};
+use super::mkp_lp::{MkpItem, MkpLpSolution, RowBase};
 use super::oracle::LpOracle;
 use super::refine::{Admission, ProbedRow, WidthScratch};
 use crate::cancel::StopFlag;
@@ -33,10 +33,6 @@ use eblow_trace as trace;
 static ROUND_ITERS: trace::Counter = trace::Counter::new("round.iters");
 /// Characters committed by rounding (counter `round.committed`).
 static ROUND_COMMITTED: trace::Counter = trace::Counter::new("round.committed");
-/// LP solves seeded by a carried hint (counter `round.lp.warm`).
-static LP_WARM: trace::Counter = trace::Counter::new("round.lp.warm");
-/// LP solves from a cold start (counter `round.lp.cold`).
-static LP_COLD: trace::Counter = trace::Counter::new("round.lp.cold");
 /// LP iterations per rounding call (histogram `round.iters_per_call`).
 static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per_call");
 /// `RowState::admits` stage tallies — how often each stage of the staged
@@ -275,7 +271,6 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
     let mut last_items: Vec<MkpItem> = Vec::new();
 
     // Iteration-reused buffers: no per-iteration rebuilds on the hot path.
-    let mut hint = LpHint::default();
     let mut items: Vec<MkpItem> = Vec::with_capacity(unsolved.len());
     let mut bases: Vec<RowBase> = Vec::with_capacity(num_rows);
     let mut candidates: Vec<usize> = Vec::new();
@@ -298,14 +293,9 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
             );
         }
         ROUND_ITERS.incr();
-        if hint.order().is_empty() {
-            LP_COLD.incr();
-        } else {
-            LP_WARM.incr();
-        }
         bases.clear();
         bases.extend(rows.iter().map(RowState::base));
-        let lp = match oracle.solve_lp_warm(&items, &bases, w, &mut hint) {
+        let lp = match oracle.solve_lp(&items, &bases, w) {
             Ok(lp) => lp,
             Err(_) => {
                 // The previous iteration's `last_lp`/`last_items` stay

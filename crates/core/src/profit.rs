@@ -17,7 +17,11 @@
 //! alongside (value + count of regions attaining it) instead of re-scanned,
 //! so [`RegionTimes::total`] is O(1) and [`RegionTimes::profit`] is
 //! O(nnz_i). A full O(P) re-scan only happens when a select drains the last
-//! region at the maximum.
+//! region at the maximum. [`RegionTimes::removed_total`] and
+//! [`RegionTimes::inserted_total`] answer what one removal or one insertion
+//! would make the system time without changing the tracker, in O(nnz) unless
+//! an insertion lowers every bottleneck region. The O(P) scans are plain
+//! `max`/`count` loops: P ≤ 10 on every benchmark family.
 
 use eblow_model::Instance;
 
@@ -38,40 +42,10 @@ pub struct RegionTimes {
     at_max: usize,
 }
 
-/// Fixed lane width of the dense sweeps below: 8×u64 fills a cache line,
-/// and a fixed-size accumulator array is what lets the compiler keep the
-/// whole reduction in vector lanes instead of a serial cmp chain.
-const LANES: usize = 8;
-
-/// Maximum of a dense time slice, swept in [`LANES`]-wide chunks.
-fn slice_max(times: &[u64]) -> u64 {
-    let mut lanes = [0u64; LANES];
-    let mut chunks = times.chunks_exact(LANES);
-    for ch in chunks.by_ref() {
-        for l in 0..LANES {
-            lanes[l] = lanes[l].max(ch[l]);
-        }
-    }
-    let tail = chunks.remainder().iter().copied().fold(0u64, u64::max);
-    lanes.into_iter().fold(tail, u64::max)
-}
-
-/// `(max, #regions at max)` of a dense time slice — the bottleneck re-scan,
-/// as two [`LANES`]-chunked passes (a lane-wide max, then a lane-wide
-/// equality count) instead of one branchy combined scan.
+/// `(max, #regions at max)` of a dense time slice — the bottleneck re-scan.
 fn max_and_count(times: &[u64]) -> (u64, usize) {
-    let max = slice_max(times);
-    let mut count = 0usize;
-    let mut chunks = times.chunks_exact(LANES);
-    for ch in chunks.by_ref() {
-        let mut c = 0usize;
-        for l in 0..LANES {
-            c += usize::from(ch[l] == max);
-        }
-        count += c;
-    }
-    count += chunks.remainder().iter().filter(|&&t| t == max).count();
-    (max, count)
+    let max = times.iter().copied().max().unwrap_or(0);
+    (max, times.iter().filter(|&&t| t == max).count())
 }
 
 impl RegionTimes {
@@ -148,82 +122,6 @@ impl RegionTimes {
         self.max
     }
 
-    /// Change in the system writing time if `out` were replaced by `in_`
-    /// (negative = improvement). Either may be `None` for pure
-    /// insert/remove deltas.
-    ///
-    /// Sparse in the common case: the system time is a *max*, so the
-    /// untouched regions' contribution is exactly `self.max` whenever at
-    /// least one region attaining the max is untouched — and `at_max` is
-    /// already maintained. The fast path therefore walks only the two
-    /// candidates' sparse entries, counting how many of them sit on at-max
-    /// regions; unless the swap touches *every* bottleneck region (rare —
-    /// it forces the dense sweep below), the delta is
-    /// `max(self.max, adjusted entries) − self.max` with no dense scan at
-    /// all.
-    // audit:allow(stop-flag-reachability): O(nnz) sparse merge (O(P) dense fallback) — this IS the hot path; a poll here would cost more than it saves
-    pub fn swap_delta(&self, instance: &Instance, out: Option<usize>, in_: Option<usize>) -> i64 {
-        let empty: &[eblow_model::SparseRepeat] = &[];
-        let out_row = out.map_or(empty, |o| instance.sparse_row(o));
-        let in_row = in_.map_or(empty, |i| instance.sparse_row(i));
-        let len = self.times.len();
-        {
-            let mut oi = 0usize;
-            let mut ii = 0usize;
-            let mut adj_max = i64::MIN;
-            let mut max_hits = 0usize;
-            while oi < out_row.len() || ii < in_row.len() {
-                let next_o = out_row.get(oi).map_or(len, |e| e.region as usize);
-                let next_i = in_row.get(ii).map_or(len, |e| e.region as usize);
-                let c = next_o.min(next_i);
-                let mut t = self.times[c] as i64;
-                if next_o == c {
-                    t += out_row[oi].reduction as i64;
-                    oi += 1;
-                }
-                if next_i == c {
-                    t -= in_row[ii].reduction as i64;
-                    ii += 1;
-                }
-                max_hits += usize::from(self.times[c] == self.max);
-                adj_max = adj_max.max(t);
-            }
-            if max_hits < self.at_max {
-                // Some untouched region still carries the max: the new
-                // system time is exactly max(old max, adjusted regions).
-                return (self.max as i64).max(adj_max) - self.max as i64;
-            }
-        }
-        let mut oi = 0usize;
-        let mut ii = 0usize;
-        let mut new_max = 0i64;
-        let mut c = 0usize;
-        while c < len {
-            let next_o = out_row.get(oi).map_or(len, |e| e.region as usize);
-            let next_i = in_row.get(ii).map_or(len, |e| e.region as usize);
-            let next = next_o.min(next_i).min(len);
-            if next > c {
-                // Untouched run: a pure dense max.
-                new_max = new_max.max(slice_max(&self.times[c..next]) as i64);
-                c = next;
-                continue;
-            }
-            // An adjusted region (one or both rows have an entry here).
-            let mut t = self.times[c] as i64;
-            if next_o == c {
-                t += out_row[oi].reduction as i64;
-                oi += 1;
-            }
-            if next_i == c {
-                t -= in_row[ii].reduction as i64;
-                ii += 1;
-            }
-            new_max = new_max.max(t);
-            c += 1;
-        }
-        new_max - self.max as i64
-    }
-
     /// The system writing time if selected character `v` were removed —
     /// O(nnz_v) and always exact: a removal only *raises* region times, so
     /// the new maximum is `max(current max, raised entries)` with no dense
@@ -233,6 +131,34 @@ impl RegionTimes {
         let mut m = self.max;
         for e in instance.sparse_row(v) {
             m = m.max(self.times[e.region as usize] + e.reduction);
+        }
+        m
+    }
+
+    /// The system writing time if unselected character `u` were put on the
+    /// stencil — the mirror of [`RegionTimes::removed_total`]. An insertion
+    /// only *lowers* region times, so while some region at the maximum is
+    /// not among those `u` lowers, the maximum stands and the answer is
+    /// O(nnz_u). Only when `u` lowers every bottleneck region does the new
+    /// maximum take one O(P) scan, with `u`'s lowered entries merged in.
+    pub fn inserted_total(&self, instance: &Instance, u: usize) -> u64 {
+        let row = instance.sparse_row(u);
+        let lowered = row
+            .iter()
+            .filter(|e| e.reduction > 0 && self.times[e.region as usize] == self.max)
+            .count();
+        if lowered < self.at_max {
+            return self.max;
+        }
+        // The row lists its regions in increasing order.
+        let mut entries = row.iter().peekable();
+        let mut m = 0;
+        for (c, &t) in self.times.iter().enumerate() {
+            let t = match entries.next_if(|e| e.region as usize == c) {
+                Some(e) => t - e.reduction,
+                None => t,
+            };
+            m = m.max(t);
         }
         m
     }
@@ -256,44 +182,14 @@ impl RegionTimes {
         p
     }
 
-    /// Dynamic profits for every candidate (Eqn. (6)), in one pass.
+    /// Dynamic profits for every candidate (Eqn. (6)), one
+    /// [`RegionTimes::profit`] each: the all-candidate sweep of the 2D
+    /// pipeline's pricing pass. The 1D rounding loop prices only its
+    /// shrinking unsolved set, per item.
     pub fn profits(&self, instance: &Instance) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.profits_into(instance, &mut out);
-        out
-    }
-
-    /// Fills `out` with the dynamic profits of every candidate, reusing its
-    /// allocation. The per-region weights `t_c / t_max` are computed once,
-    /// so the whole sweep is O(P + Σ_i nnz_i) with `P` divisions total.
-    ///
-    /// This is the all-candidate sweep (the 2D pipeline's pricing pass and
-    /// anything else needing every profit at once). The 1D rounding loop
-    /// deliberately does *not* use it: its unsolved set shrinks every
-    /// iteration, so per-item [`RegionTimes::profit`] over the survivors
-    /// is the cheaper shape there.
-    pub fn profits_into(&self, instance: &Instance, out: &mut Vec<f64>) {
-        out.clear();
-        let t_max = self.max;
-        if t_max == 0 {
-            out.resize(instance.num_chars(), 0.0);
-            return;
-        }
-        // Hoisting the weight is bit-exact: the division result is
-        // identical whether computed per term or once per region.
-        let weights: Vec<f64> = self
-            .times
-            .iter()
-            .map(|&t| t as f64 / t_max as f64)
-            .collect();
-        out.extend((0..instance.num_chars()).map(|i| {
-            let saving = instance.char(i).shot_saving() as f64;
-            let mut p = 0.0;
-            for e in instance.sparse_row(i) {
-                p += weights[e.region as usize] * saving * e.repeats as f64;
-            }
-            p
-        }));
+        (0..instance.num_chars())
+            .map(|i| self.profit(instance, i))
+            .collect()
     }
 }
 
@@ -405,29 +301,92 @@ mod tests {
     }
 
     #[test]
-    fn profits_into_matches_per_candidate_profit_bitwise() {
+    fn profits_match_per_candidate_profit_bitwise() {
         let inst = inst();
         let mut rt = RegionTimes::new(&inst);
         rt.select(&inst, 0);
-        let mut buf = vec![1.0, 2.0, 3.0]; // stale content must be cleared
-        rt.profits_into(&inst, &mut buf);
-        assert_eq!(buf.len(), 2);
+        let profits = rt.profits(&inst);
+        assert_eq!(profits.len(), 2);
         for i in 0..2 {
-            assert_eq!(buf[i].to_bits(), rt.profit(&inst, i).to_bits());
+            assert_eq!(profits[i].to_bits(), rt.profit(&inst, i).to_bits());
         }
-        assert_eq!(rt.profits(&inst), buf);
+    }
+
+    /// Walks a select/deselect trajectory of `steps` toggles among the
+    /// first 100 characters of `inst` and, before each toggle, checks
+    /// `inserted_total(i)` for every unselected `i` against the maximum of
+    /// `Instance::writing_times` with `i` added. Returns how many checks
+    /// left a bottleneck region untouched and how many lowered every one —
+    /// the two branches of `inserted_total`.
+    fn check_inserted_totals(inst: &Instance, seed: u64, steps: usize) -> (usize, usize) {
+        let n = inst.num_chars();
+        let mut rt = RegionTimes::new(inst);
+        let mut sel = Selection::none(n);
+        let mut state = seed | 1;
+        let (mut untouched, mut lowered) = (0, 0);
+        for step in 0..steps {
+            let bottleneck: Vec<usize> = (0..inst.num_regions())
+                .filter(|&c| rt.times()[c] == rt.total())
+                .collect();
+            for i in 0..n {
+                if sel.contains(i) {
+                    continue;
+                }
+                sel.insert(i);
+                let expect = inst.writing_times(&sel).into_iter().max().unwrap_or(0);
+                sel.remove(i);
+                assert_eq!(
+                    rt.inserted_total(inst, i),
+                    expect,
+                    "seed {seed}, step {step}, candidate {i}"
+                );
+                if bottleneck.iter().all(|&c| inst.reduction(i, c) > 0) {
+                    lowered += 1;
+                } else {
+                    untouched += 1;
+                }
+            }
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let i = (state % n.min(100) as u64) as usize;
+            if sel.contains(i) {
+                sel.remove(i);
+                rt.deselect(inst, i);
+            } else {
+                sel.insert(i);
+                rt.select(inst, i);
+            }
+        }
+        (untouched, lowered)
     }
 
     #[test]
-    fn swap_delta_matches_recompute() {
-        let inst = inst();
-        let mut rt = RegionTimes::new(&inst);
-        rt.select(&inst, 0);
-        let delta = rt.swap_delta(&inst, Some(0), Some(1));
-        let before = rt.total() as i64;
-        rt.deselect(&inst, 0);
-        rt.select(&inst, 1);
-        assert_eq!(rt.total() as i64 - before, delta);
+    fn inserted_total_matches_writing_times_on_mcc_instances() {
+        // 1M-1..4: 1 000 candidates over P = 10 regions.
+        let (mut untouched, mut lowered) = (0, 0);
+        for k in 1..=4 {
+            let inst = eblow_gen::benchmark(eblow_gen::Family::M1(k));
+            let (u, l) = check_inserted_totals(&inst, u64::from(k), 40);
+            untouched += u;
+            lowered += l;
+        }
+        assert!(untouched > 0, "no check left a bottleneck region untouched");
+        assert!(lowered > 0, "no check lowered every bottleneck region");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The same check on `tiny_1d` instances (60 candidates over three
+        /// regions), where ties at the maximum are common; both branches
+        /// must answer along every trajectory.
+        #[test]
+        fn inserted_total_matches_writing_times_on_tiny_instances(seed in 1u64..2000) {
+            let inst = eblow_gen::generate(&eblow_gen::GenConfig::tiny_1d(seed));
+            let (untouched, lowered) = check_inserted_totals(&inst, seed, 60);
+            proptest::prop_assert!(untouched > 0 && lowered > 0, "untouched {untouched}, lowered {lowered}");
+        }
     }
 
     #[test]

@@ -165,46 +165,7 @@ proptest! {
         );
     }
 
-    /// `solve_lp_warm` is bitwise identical to `solve_lp` along a simulated
-    /// rounding trajectory (items drop out, profits re-price, committed
-    /// rows grow) — the warm-start contract of the `LpOracle` trait.
-    #[test]
-    fn warm_started_lp_equals_cold_lp(seed in 1u64..2000) {
-        let inst = eblow_gen::generate(&GenConfig::tiny_1d(seed));
-        let mut items = MkpItem::initial_set(&inst);
-        let mut base = vec![RowBase::default(); inst.num_rows().unwrap()];
-        let mut hint = eblow_core::oned::LpHint::default();
-        let w = inst.stencil().width();
-        let mut state = seed | 1;
-        for _round in 0..5 {
-            let warm = CombinatorialOracle
-                .solve_lp_warm(&items, &base, w, &mut hint)
-                .unwrap();
-            let cold = solve_mkp_lp(&items, &base, w);
-            prop_assert_eq!(&warm.fracs, &cold.fracs);
-            prop_assert_eq!(&warm.max_frac, &cold.max_frac);
-            prop_assert_eq!(&warm.argmax_row, &cold.argmax_row);
-            prop_assert_eq!(&warm.blanks, &cold.blanks);
-            prop_assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-            // Shrink + re-price, pseudo-randomly but deterministically.
-            let mut k = 0usize;
-            items.retain(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                k += 1;
-                state % 4 != 0 || k.is_multiple_of(7)
-            });
-            for it in items.iter_mut() {
-                it.profit *= 0.75 + ((it.char_index % 8) as f64) * 0.0625;
-            }
-            let j = (state % base.len().max(1) as u64) as usize;
-            base[j].eff_used += 7;
-            base[j].max_blank = base[j].max_blank.max(state % 9);
-        }
-    }
-
-    /// The sparse profit accounting (`RegionTimes::profit`/`profits_into`)
+    /// The sparse profit accounting (`RegionTimes::profit`/`profits`)
     /// is bit-identical to a dense recompute of Eqn. (6) from the public
     /// dense accessors, across a random select trajectory.
     #[test]
@@ -214,7 +175,6 @@ proptest! {
         let n = inst.num_chars();
         let mut rt = RegionTimes::new(&inst);
         let mut state = seed | 1;
-        let mut profits = Vec::new();
         let mut selected = vec![false; n];
         for _step in 0..12 {
             // Dense reference: Eqn. (6) exactly as the pre-CSR code wrote it.
@@ -234,7 +194,7 @@ proptest! {
                 };
                 prop_assert_eq!(rt.profit(&inst, i).to_bits(), expect.to_bits());
             }
-            rt.profits_into(&inst, &mut profits);
+            let profits = rt.profits(&inst);
             for i in 0..n {
                 prop_assert_eq!(profits[i].to_bits(), rt.profit(&inst, i).to_bits());
             }

@@ -89,11 +89,6 @@ impl Budget {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_some_and(|r| r.is_zero())
-    }
-
     /// The stop flag in the form the `eblow-core` planners accept.
     pub fn stop_flag(&self) -> StopFlag<'_> {
         StopFlag::new(&self.stop)
@@ -121,7 +116,6 @@ mod tests {
         assert!(b.remaining().unwrap() <= Duration::from_millis(50));
         assert!(b.ilp_time_limit() <= Duration::from_millis(50));
         std::thread::sleep(Duration::from_millis(60));
-        assert!(b.expired());
         assert_eq!(b.remaining(), Some(Duration::ZERO));
     }
 
@@ -129,7 +123,6 @@ mod tests {
     fn unlimited_never_expires() {
         let b = Budget::unlimited();
         assert_eq!(b.remaining(), None);
-        assert!(!b.expired());
         assert_eq!(b.ilp_time_limit(), Duration::from_secs(10));
     }
 }

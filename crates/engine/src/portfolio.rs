@@ -147,15 +147,6 @@ impl PortfolioOutcome {
     pub fn complete(&self) -> bool {
         self.early_exit || self.reports.iter().all(|r| !r.cancelled)
     }
-
-    /// Whether *no* strategy in the portfolio supported the instance at
-    /// all. Distinct from a race that ran and produced no plan: here
-    /// nothing was spawned, so retrying with the same portfolio can never
-    /// succeed — the caller needs a different strategy line-up (or a
-    /// reshaped instance).
-    pub fn no_strategy_supports(&self) -> bool {
-        self.supported == 0
-    }
 }
 
 /// A set of strategies raced against each other per instance.
@@ -455,7 +446,6 @@ mod tests {
         let big = eblow_gen::benchmark(eblow_gen::Family::M1(1));
         let portfolio = Portfolio::of_names(["eblow1d@simplex"]).unwrap();
         let outcome = portfolio.run(&big, &PortfolioConfig::default());
-        assert!(outcome.no_strategy_supports());
         assert_eq!(outcome.supported, 0);
         assert!(outcome.best.is_none());
         assert_eq!(outcome.reports.len(), 1);
@@ -465,7 +455,6 @@ mod tests {
         let ran = Portfolio::of_names(["greedy1d"])
             .unwrap()
             .run(&tiny, &PortfolioConfig::default());
-        assert!(!ran.no_strategy_supports());
         assert_eq!(ran.supported, 1);
     }
 

@@ -59,17 +59,6 @@ impl Digits {
         self.digits.is_empty()
     }
 
-    /// Digit at position `k` counted from the most significant digit of a
-    /// number padded to `width` digits.
-    pub fn digit_at(&self, k: usize, width: usize) -> u8 {
-        let pad = width.saturating_sub(self.digits.len());
-        if k < pad {
-            0
-        } else {
-            self.digits[k - pad]
-        }
-    }
-
     /// Sum of two numbers.
     pub fn add(&self, other: &Digits) -> Digits {
         let mut a: Vec<u8> = self.digits.iter().rev().copied().collect();
@@ -151,15 +140,6 @@ mod tests {
             Digits::from_u64(42).cmp(&Digits::from_u64(42)),
             Ordering::Equal
         );
-    }
-
-    #[test]
-    fn digit_at_pads_left() {
-        let d = Digits::from_u64(305);
-        assert_eq!(d.digit_at(0, 5), 0);
-        assert_eq!(d.digit_at(2, 5), 3);
-        assert_eq!(d.digit_at(3, 5), 0);
-        assert_eq!(d.digit_at(4, 5), 5);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! A k-dimensional tree (k-d tree) for multidimensional range and
-//! nearest-neighbour queries.
+//! A k-dimensional tree (k-d tree) for multidimensional range queries.
 //!
 //! E-BLOW's 2DOSP clustering (paper §4.2, Algorithm 4) repeatedly asks "find
 //! an unclustered character whose width, height, blanks and profit are all
 //! within 20% of mine". A linear scan makes the clustering `O(n²)`; the
 //! paper's KD-Tree reduces it to `O(n log n)`. This crate provides that
 //! structure: a static bulk-built balanced tree (median splits) with lazy
-//! deletion (tombstones), axis-aligned **range queries** and **nearest
-//! neighbour** search, generic over the dimension `K` and a payload type.
+//! deletion (tombstones) and axis-aligned **range queries**, generic over
+//! the dimension `K` and a payload type.
 //!
 //! # Example
 //!
@@ -15,13 +14,17 @@
 //! use eblow_kdtree::KdTree;
 //!
 //! let pts = vec![([0.0, 0.0], "a"), ([5.0, 5.0], "b"), ([9.0, 1.0], "c")];
-//! let tree = KdTree::build(pts);
-//! let mut found: Vec<&str> = Vec::new();
-//! tree.range_query(&[4.0, 4.0], &[10.0, 6.0], |_, &name, _| found.push(name));
-//! assert_eq!(found, vec!["b"]);
-//! let (point, name, _handle) = tree.nearest(&[8.0, 0.0]).unwrap();
-//! assert_eq!(*name, "c");
-//! assert_eq!(point, &[9.0, 1.0]);
+//! let mut tree = KdTree::build(pts);
+//! let mut found = Vec::new();
+//! tree.range_query(&[4.0, 0.0], &[10.0, 6.0], |_, &name, id| found.push((name, id)));
+//! found.sort_by_key(|&(name, _)| name);
+//! assert_eq!(found.iter().map(|&(name, _)| name).collect::<Vec<_>>(), ["b", "c"]);
+//! // A deactivated entry drops out of every later query.
+//! tree.deactivate(found[0].1);
+//! let mut left: Vec<&str> = Vec::new();
+//! tree.range_query(&[4.0, 0.0], &[10.0, 6.0], |_, &name, _| left.push(name));
+//! assert_eq!(left, ["c"]);
+//! assert_eq!(tree.point(found[1].1), &[9.0, 1.0]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -147,11 +150,6 @@ impl<const K: usize, T> KdTree<K, T> {
         self.nodes.is_empty()
     }
 
-    /// Number of active (non-deactivated) entries.
-    pub fn active_len(&self) -> usize {
-        self.root.map_or(0, |r| self.nodes[r].active_count)
-    }
-
     /// Lazily removes an entry; it will no longer be reported by queries.
     ///
     /// Counters along the root-to-node path are decremented in `O(log n)`;
@@ -186,11 +184,6 @@ impl<const K: usize, T> KdTree<K, T> {
         if let Some(r) = self.root {
             self.recount(r);
         }
-    }
-
-    /// Whether the entry is still active.
-    pub fn is_active(&self, id: EntryId) -> bool {
-        self.nodes[id.0].active
     }
 
     /// Visits every active entry with `lo[d] ≤ point[d] ≤ hi[d]` for all
@@ -229,86 +222,6 @@ impl<const K: usize, T> KdTree<K, T> {
         if let Some(r) = node.right {
             if hi[axis] >= node.point[axis] {
                 self.range_rec(r, lo, hi, visit);
-            }
-        }
-    }
-
-    /// Finds the first active entry in the box `[lo, hi]`, if any.
-    ///
-    /// This is the primitive Algorithm 4 needs: "is there *some* similar
-    /// unclustered character?" — it stops at the first hit rather than
-    /// enumerating the whole box.
-    pub fn find_in_range(&self, lo: &[f64; K], hi: &[f64; K]) -> Option<(&[f64; K], &T, EntryId)> {
-        self.root.and_then(|r| self.find_rec(r, lo, hi))
-    }
-
-    // The (&point, &value, id) hit triple is the query's natural return;
-    // naming it would add a type for one private helper — hence the allow.
-    #[allow(clippy::type_complexity)]
-    fn find_rec(
-        &self,
-        idx: usize,
-        lo: &[f64; K],
-        hi: &[f64; K],
-    ) -> Option<(&[f64; K], &T, EntryId)> {
-        let node = &self.nodes[idx];
-        if node.active_count == 0 {
-            return None;
-        }
-        if node.active && (0..K).all(|d| lo[d] <= node.point[d] && node.point[d] <= hi[d]) {
-            return Some((&node.point, &node.data, EntryId(idx)));
-        }
-        let axis = node.axis;
-        if let Some(l) = node.left {
-            if lo[axis] <= node.point[axis] {
-                if let Some(hit) = self.find_rec(l, lo, hi) {
-                    return Some(hit);
-                }
-            }
-        }
-        if let Some(r) = node.right {
-            if hi[axis] >= node.point[axis] {
-                if let Some(hit) = self.find_rec(r, lo, hi) {
-                    return Some(hit);
-                }
-            }
-        }
-        None
-    }
-
-    /// Nearest active entry to `query` under squared Euclidean distance.
-    pub fn nearest(&self, query: &[f64; K]) -> Option<(&[f64; K], &T, EntryId)> {
-        let mut best: Option<(usize, f64)> = None;
-        if let Some(root) = self.root {
-            self.nearest_rec(root, query, &mut best);
-        }
-        best.map(|(i, _)| (&self.nodes[i].point, &self.nodes[i].data, EntryId(i)))
-    }
-
-    fn nearest_rec(&self, idx: usize, q: &[f64; K], best: &mut Option<(usize, f64)>) {
-        let node = &self.nodes[idx];
-        if node.active_count == 0 {
-            return;
-        }
-        if node.active {
-            let d2: f64 = (0..K).map(|d| (node.point[d] - q[d]).powi(2)).sum();
-            if best.is_none_or(|(_, bd)| d2 < bd) {
-                *best = Some((idx, d2));
-            }
-        }
-        let axis = node.axis;
-        let diff = q[axis] - node.point[axis];
-        let (first, second) = if diff < 0.0 {
-            (node.left, node.right)
-        } else {
-            (node.right, node.left)
-        };
-        if let Some(f) = first {
-            self.nearest_rec(f, q, best);
-        }
-        if let Some(s) = second {
-            if best.is_none_or(|(_, bd)| diff * diff < bd) {
-                self.nearest_rec(s, q, best);
             }
         }
     }
@@ -356,48 +269,44 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn nearest_matches_linear_scan() {
-        let pts = grid5();
-        let tree = KdTree::build(pts.clone());
-        for q in [[0.2, 3.7], [4.9, 4.9], [-1.0, 2.0], [2.5, 2.5]] {
-            let (bp, _, _) = tree.nearest(&q).unwrap();
-            let dg: f64 = (0..2).map(|d| (bp[d] - q[d]).powi(2)).sum();
-            let dw: f64 = pts
-                .iter()
-                .map(|(p, _)| (0..2).map(|d| (p[d] - q[d]).powi(2)).sum::<f64>())
-                .fold(f64::INFINITY, f64::min);
-            assert!((dg - dw).abs() < 1e-12);
-        }
+    /// Payloads of the active entries in the box `[lo, hi]`, sorted.
+    fn in_box<const K: usize, T: Copy + Ord>(
+        tree: &KdTree<K, T>,
+        lo: &[f64; K],
+        hi: &[f64; K],
+    ) -> Vec<T> {
+        let mut got = Vec::new();
+        tree.range_query(lo, hi, |_, &v, _| got.push(v));
+        got.sort_unstable();
+        got
     }
 
     #[test]
     fn deactivation_hides_entries() {
         let tree_data = vec![([1.0, 1.0], 'a'), ([2.0, 2.0], 'b'), ([3.0, 3.0], 'c')];
         let mut tree = KdTree::build(tree_data);
-        let (_, _, id_b) = tree.find_in_range(&[2.0, 2.0], &[2.0, 2.0]).unwrap();
+        let mut hits = Vec::new();
+        tree.range_query(&[2.0, 2.0], &[2.0, 2.0], |_, _, id| hits.push(id));
+        let [id_b] = hits[..] else {
+            panic!("one entry at (2, 2), got {hits:?}")
+        };
         tree.deactivate(id_b);
-        assert!(!tree.is_active(id_b));
-        assert_eq!(tree.active_len(), 2);
-        assert!(tree.find_in_range(&[2.0, 2.0], &[2.0, 2.0]).is_none());
-        let (_, &c, _) = tree.nearest(&[2.1, 2.1]).unwrap();
-        assert!(c == 'a' || c == 'c');
+        assert!(in_box(&tree, &[2.0, 2.0], &[2.0, 2.0]).is_empty());
+        assert_eq!(in_box(&tree, &[0.0, 0.0], &[4.0, 4.0]), vec!['a', 'c']);
         // Deactivating twice is a no-op.
         tree.deactivate(id_b);
-        assert_eq!(tree.active_len(), 2);
+        assert_eq!(in_box(&tree, &[0.0, 0.0], &[4.0, 4.0]), vec!['a', 'c']);
     }
 
     #[test]
     fn empty_and_single() {
-        let tree: KdTree<3, ()> = KdTree::new();
+        let tree: KdTree<3, u8> = KdTree::new();
         assert!(tree.is_empty());
-        assert!(tree.nearest(&[0.0; 3]).is_none());
-        assert!(tree.find_in_range(&[0.0; 3], &[1.0; 3]).is_none());
+        assert!(in_box(&tree, &[0.0; 3], &[1.0; 3]).is_empty());
 
         let tree = KdTree::build(vec![([1.0, 2.0, 3.0], 42)]);
-        assert_eq!(tree.active_len(), 1);
-        let (_, &v, _) = tree.nearest(&[0.0; 3]).unwrap();
-        assert_eq!(v, 42);
+        assert_eq!(in_box(&tree, &[0.0; 3], &[3.0; 3]), vec![42]);
+        assert!(in_box(&tree, &[0.0; 3], &[1.0; 3]).is_empty());
         assert_eq!(tree.len(), 1);
     }
 
@@ -409,18 +318,16 @@ mod tests {
         assert_eq!(ids.len(), 3);
         tree.deactivate(ids[0]);
         tree.deactivate(ids[1]);
-        assert_eq!(tree.active_len(), 1);
-        let mut left = Vec::new();
-        tree.range_query(&[0.0, 0.0], &[2.0, 2.0], |_, &v, _| left.push(v));
-        assert_eq!(left.len(), 1);
+        assert_eq!(in_box(&tree, &[0.0, 0.0], &[2.0, 2.0]).len(), 1);
     }
 
     #[test]
     fn handles_give_access_to_data_and_points() {
         let tree = KdTree::build(vec![([7.0, 8.0], "x")]);
-        let (_, _, id) = tree.nearest(&[7.0, 8.0]).unwrap();
-        assert_eq!(*tree.data(id), "x");
-        assert_eq!(tree.point(id), &[7.0, 8.0]);
+        let mut ids = Vec::new();
+        tree.range_query(&[7.0, 8.0], &[7.0, 8.0], |_, _, id| ids.push(id));
+        assert_eq!(*tree.data(ids[0]), "x");
+        assert_eq!(tree.point(ids[0]), &[7.0, 8.0]);
     }
 
     #[test]

@@ -52,17 +52,6 @@ impl Matching {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Inverse view: for each right vertex, the matched left vertex.
-    pub fn right_pairs(&self, num_right: usize) -> Vec<Option<usize>> {
-        let mut inv = vec![None; num_right];
-        for (l, r) in self.pairs.iter().enumerate() {
-            if let Some(r) = r {
-                inv[*r] = Some(l);
-            }
-        }
-        inv
-    }
 }
 
 /// Computes a maximum-weight (not necessarily perfect) matching.
@@ -228,7 +217,7 @@ mod tests {
         let m = max_weight_matching(&w);
         check_valid(&w, &m);
         assert!((m.total - 14.0).abs() < 1e-9);
-        assert_eq!(m.right_pairs(2), vec![Some(0), Some(2)]);
+        assert_eq!(m.pairs, vec![Some(0), None, Some(1)]);
     }
 
     #[test]

@@ -108,13 +108,6 @@ pub enum ModelError {
         /// Second character id.
         b: usize,
     },
-    /// A selection mask has the wrong length.
-    SelectionLength {
-        /// Mask length.
-        got: usize,
-        /// Expected length (number of characters).
-        expected: usize,
-    },
     /// A shard's row band lies outside (or degenerately inside) its
     /// parent instance's stencil.
     ShardBand {
@@ -219,9 +212,6 @@ impl fmt::Display for ModelError {
                     f,
                     "characters {a} and {b} overlap beyond their shared blanks"
                 )
-            }
-            ModelError::SelectionLength { got, expected } => {
-                write!(f, "selection mask has length {got}, expected {expected}")
             }
             ModelError::ShardBand {
                 start,

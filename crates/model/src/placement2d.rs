@@ -41,11 +41,6 @@ impl Placement2d {
         Placement2d::default()
     }
 
-    /// Builds a placement from placed characters.
-    pub fn from_placed(placed: Vec<PlacedChar>) -> Self {
-        Placement2d { placed }
-    }
-
     /// The placed characters, in insertion order.
     #[inline]
     pub fn placed(&self) -> &[PlacedChar] {
@@ -182,18 +177,27 @@ mod tests {
         }
     }
 
+    /// A placement of `placed`, in order, built with `new` and `push`.
+    fn placement(placed: impl IntoIterator<Item = PlacedChar>) -> Placement2d {
+        let mut p = Placement2d::new();
+        for pc in placed {
+            p.push(pc);
+        }
+        p
+    }
+
     #[test]
     fn adjacent_with_shared_blank_is_legal() {
         let inst = inst();
         // chars 0,1 both have blanks 5 → may overlap outlines by 5.
-        let p = Placement2d::from_placed(vec![pc(0, 0, 0), pc(1, 35, 0)]);
+        let p = placement([pc(0, 0, 0), pc(1, 35, 0)]);
         assert!(p.validate(&inst).is_ok());
     }
 
     #[test]
     fn overlapping_past_shared_blank_is_illegal() {
         let inst = inst();
-        let p = Placement2d::from_placed(vec![pc(0, 0, 0), pc(1, 34, 0)]);
+        let p = placement([pc(0, 0, 0), pc(1, 34, 0)]);
         assert!(matches!(
             p.validate(&inst),
             Err(ModelError::IllegalOverlap { a: 0, b: 1 })
@@ -203,19 +207,19 @@ mod tests {
     #[test]
     fn vertical_sharing_is_legal() {
         let inst = inst();
-        let p = Placement2d::from_placed(vec![pc(0, 0, 0), pc(1, 0, 35)]);
+        let p = placement([pc(0, 0, 0), pc(1, 0, 35)]);
         assert!(p.validate(&inst).is_ok());
     }
 
     #[test]
     fn outline_enforced() {
         let inst = inst();
-        let p = Placement2d::from_placed(vec![pc(0, 61, 0)]);
+        let p = placement([pc(0, 61, 0)]);
         assert!(matches!(
             p.validate(&inst),
             Err(ModelError::OutsideOutline { id: 0 })
         ));
-        let q = Placement2d::from_placed(vec![pc(0, -1, 0)]);
+        let q = placement([pc(0, -1, 0)]);
         assert!(matches!(
             q.validate(&inst),
             Err(ModelError::OutsideOutline { id: 0 })
@@ -225,12 +229,12 @@ mod tests {
     #[test]
     fn duplicate_rejected_and_bbox_computed() {
         let inst = inst();
-        let p = Placement2d::from_placed(vec![pc(0, 0, 0), pc(0, 50, 50)]);
+        let p = placement([pc(0, 0, 0), pc(0, 50, 50)]);
         assert!(matches!(
             p.validate(&inst),
             Err(ModelError::DuplicateChar { id: 0 })
         ));
-        let q = Placement2d::from_placed(vec![pc(0, 0, 0), pc(2, 60, 60)]);
+        let q = placement([pc(0, 0, 0), pc(2, 60, 60)]);
         assert_eq!(q.used_bbox(&inst), (90, 80));
         assert_eq!(q.selection(3).count(), 2);
     }
@@ -242,23 +246,20 @@ mod tests {
         let chars = vec![Character::new(10, 10, [0; 4], 2).unwrap(); 2];
         let inst = Instance::new(Stencil::new(100, 100).unwrap(), chars, vec![vec![1]; 2]).unwrap();
         for (x, y) in [(i64::MAX - 5, 0), (0, i64::MAX - 5), (i64::MAX, i64::MAX)] {
-            let p = Placement2d::from_placed(vec![pc(0, x, y)]);
+            let p = placement([pc(0, x, y)]);
             assert_eq!(p.validate(&inst), Err(ModelError::OutsideOutline { id: 0 }));
         }
         // Pairs far apart compare without wrapping too.
         let far = [pc(0, i64::MAX - 5, 0), pc(1, 0, 0)];
         assert!(Placement2d::pair_compatible(&inst, &far[0], &far[1]));
         assert!(Placement2d::pair_compatible(&inst, &far[1], &far[0]));
-        assert_eq!(
-            Placement2d::from_placed(far.to_vec()).used_bbox(&inst),
-            (i64::MAX as u64 + 5, 10)
-        );
+        assert_eq!(placement(far).used_bbox(&inst), (i64::MAX as u64 + 5, 10));
     }
 
     #[test]
     fn diagonal_placement_is_legal() {
         let inst = inst();
-        let p = Placement2d::from_placed(vec![pc(0, 0, 0), pc(1, 36, 36)]);
+        let p = placement([pc(0, 0, 0), pc(1, 36, 36)]);
         assert!(p.validate(&inst).is_ok());
     }
 }

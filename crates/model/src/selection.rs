@@ -1,5 +1,3 @@
-use crate::ModelError;
-
 /// The set of character candidates selected onto the stencil
 /// (the `a_i` variables of the paper).
 ///
@@ -54,21 +52,6 @@ impl Selection {
     /// Builds a selection from a boolean mask.
     pub fn from_mask(mask: Vec<bool>) -> Self {
         Selection { mask }
-    }
-
-    /// Checks the mask length against an expected candidate count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::SelectionLength`] on mismatch.
-    pub fn check_len(&self, expected: usize) -> Result<(), ModelError> {
-        if self.mask.len() != expected {
-            return Err(ModelError::SelectionLength {
-                got: self.mask.len(),
-                expected,
-            });
-        }
-        Ok(())
     }
 
     /// Number of candidates covered by the mask (selected or not).
@@ -177,19 +160,6 @@ mod tests {
         let s = Selection::from_indices(5, [1, 4]);
         assert_eq!(s.iter_selected().collect::<Vec<_>>(), vec![1, 4]);
         assert_eq!(s.iter_unselected().collect::<Vec<_>>(), vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn check_len_reports_mismatch() {
-        let s = Selection::none(3);
-        assert!(s.check_len(3).is_ok());
-        assert!(matches!(
-            s.check_len(4),
-            Err(ModelError::SelectionLength {
-                got: 3,
-                expected: 4
-            })
-        ));
     }
 
     #[test]

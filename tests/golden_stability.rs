@@ -1,5 +1,5 @@
 //! Golden plan-stability gates for the columnar instance layout, the
-//! warm-started rounding loop, and the single-threaded planners.
+//! successive-rounding loop, and the single-threaded planners.
 //!
 //! The 1T constants below were captured before the slab+CSR layout swap
 //! and the hot-path rewrite; the 1M-1 constants before the intra-strategy
