@@ -175,23 +175,8 @@ pub fn row_heuristic_1d_with_stop(
             break;
         }
         let id = CharId::from(i);
-        // An insertion shares at most both of the character's blanks, so
-        // no position grows a row by less than its pattern width: a row
-        // without room for that is skipped unprobed.
-        let floor = instance.char(i).pattern_width();
         for (row, wid) in rows.iter_mut().zip(widths.iter_mut()) {
-            if wid.checked_add(floor).is_none_or(|x| x > w) {
-                continue;
-            }
-            let mut best: Option<(u64, usize)> = None;
-            for pos in 0..=row.len() {
-                let delta = row.insertion_delta(instance, pos, id);
-                let fits = wid.checked_add(delta).is_some_and(|x| x <= w);
-                if fits && best.is_none_or(|(bd, _)| delta < bd) {
-                    best = Some((delta, pos));
-                }
-            }
-            if let Some((delta, pos)) = best {
+            if let Some((pos, delta)) = row.best_insertion(instance, id, *wid, w) {
                 row.insert(pos, id);
                 *wid += delta;
                 debug_assert_eq!(*wid, row.min_width(instance));

@@ -295,7 +295,9 @@ pub fn post_insert(
             break;
         }
 
-        // Skip rows with almost no slack (speed heuristic from §3.5).
+        // Row widths, measured once per round: a row without room for a
+        // candidate's pattern width is skipped unprobed (speed heuristic
+        // from §3.5).
         let widths: Vec<u64> = placement
             .rows()
             .iter()
@@ -311,21 +313,9 @@ pub fn post_insert(
             .map(|(ci, &cand)| {
                 (0..placement.num_rows())
                     .map(|r| {
-                        let slack = w.saturating_sub(widths[r]);
-                        let c = instance.char(cand);
-                        if c.pattern_width() > slack {
-                            return None; // cannot possibly fit
-                        }
                         let row = &placement.rows()[r];
-                        let mut best: Option<(u64, usize)> = None;
-                        for pos in 0..=row.len() {
-                            let delta = row.insertion_delta(instance, pos, CharId::from(cand));
-                            let fits = widths[r].checked_add(delta).is_some_and(|x| x <= w);
-                            if fits && best.is_none_or(|(bd, _)| delta < bd) {
-                                best = Some((delta, pos));
-                            }
-                        }
-                        best.map(|(delta, pos)| {
+                        let best = row.best_insertion(instance, CharId::from(cand), widths[r], w);
+                        best.map(|(pos, delta)| {
                             best_pos[ci][r] = Some(pos);
                             // Prefer tight fits among equal profits.
                             region_times.profit(instance, cand) - 1e-9 * delta as f64

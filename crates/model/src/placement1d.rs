@@ -120,6 +120,36 @@ impl Row {
         (u.width() - gain_left - gain_right).saturating_add(lost)
     }
 
+    /// The insertion of `id` that grows this row the least while keeping
+    /// it within `cap`, as `(position, width delta)`, the lowest position
+    /// on ties; `None` when no position fits. `width` is the row's current
+    /// width ([`Row::min_width`]), which callers keep up to date; a width
+    /// past `u64::MAX` never fits.
+    pub fn best_insertion(
+        &self,
+        instance: &Instance,
+        id: CharId,
+        width: u64,
+        cap: u64,
+    ) -> Option<(usize, u64)> {
+        // An insertion shares at most both of the character's blanks, so
+        // no position grows the row by less than its pattern width: a row
+        // without room for that is refused unprobed.
+        let floor = instance.char(id.index()).pattern_width();
+        if width.checked_add(floor).is_none_or(|x| x > cap) {
+            return None;
+        }
+        let mut best: Option<(usize, u64)> = None;
+        for pos in 0..=self.len() {
+            let delta = self.insertion_delta(instance, pos, id);
+            let fits = width.checked_add(delta).is_some_and(|x| x <= cap);
+            if fits && best.is_none_or(|(_, bd)| delta < bd) {
+                best = Some((pos, delta));
+            }
+        }
+        best
+    }
+
     /// X positions of every character when the row is packed flush-left with
     /// maximal sharing. Returned in row order.
     pub fn packed_positions(&self, instance: &Instance) -> Vec<u64> {
@@ -346,6 +376,42 @@ mod tests {
         assert_eq!(row.insertion_delta(&inst, 2, CharId(1)), 40 - 2);
         // inserting 1 at left end: gains min(8,5)=5
         assert_eq!(row.insertion_delta(&inst, 0, CharId(1)), 40 - 5);
+    }
+
+    #[test]
+    fn best_insertion_takes_the_lowest_narrowest_fit() {
+        let chars = vec![
+            Character::new(40, 40, [5, 5, 0, 0], 10).unwrap(),
+            Character::new(40, 40, [2, 2, 0, 0], 10).unwrap(),
+            Character::new(40, 40, [5, 5, 0, 0], 10).unwrap(),
+            Character::new(u64::MAX - 35, 40, [0, 5, 0, 0], 10).unwrap(),
+            Character::new(u64::MAX - 34, 40, [0, 5, 0, 0], 10).unwrap(),
+        ];
+        let inst = Instance::new(
+            Stencil::with_rows(200, 40, 40).unwrap(),
+            chars,
+            vec![vec![1]; 5],
+        )
+        .unwrap();
+        let best = |order: Vec<CharId>, cap: u64| {
+            let row = Row::from_order(order);
+            let width = row.checked_width(&inst).unwrap();
+            row.best_insertion(&inst, CharId(2), width, cap)
+        };
+        // [5|5][2|2] (width 78): positions 0 and 1 both add 35, position
+        // 2 adds 38; the lower of the tied positions wins.
+        assert_eq!(best(vec![CharId(0), CharId(1)], 200), Some((0, 35)));
+        // Mirrored, positions 1 and 2 tie.
+        assert_eq!(best(vec![CharId(1), CharId(0)], 200), Some((1, 35)));
+        // 78 + 35 = 113 is the narrowest fit: a cap one below refuses,
+        // although the pattern-width floor (78 + 30) still passes.
+        assert_eq!(best(vec![CharId(0), CharId(1)], 113), Some((0, 35)));
+        assert_eq!(best(vec![CharId(0), CharId(1)], 112), None);
+        // A row of width u64::MAX - 35 takes the 35 exactly; one unit
+        // wider, the floor still passes but width + delta passes u64::MAX
+        // at every position, and the row refuses instead of wrapping.
+        assert_eq!(best(vec![CharId(3)], u64::MAX), Some((1, 35)));
+        assert_eq!(best(vec![CharId(4)], u64::MAX), None);
     }
 
     #[test]
