@@ -16,8 +16,8 @@
 //! edges can only make the stop-flag analysis *more* demanding, never
 //! silently blind.
 
-use crate::baseline::quote;
 use crate::model::{CallKind, FileModel, FnModel, TraceKind, TraceSite};
+use crate::report::quote;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema tags for the two generated artifacts.

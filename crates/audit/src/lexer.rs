@@ -62,6 +62,40 @@ impl Lexed {
     }
 }
 
+/// The identifier at `toks[k]`, if that token is one.
+pub(crate) fn ident_at(toks: &[Token], k: usize) -> Option<&str> {
+    match toks.get(k).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// The punctuation character at `toks[k]`, if that token is one.
+pub(crate) fn punct_at(toks: &[Token], k: usize) -> Option<char> {
+    match toks.get(k).map(|t| &t.tok) {
+        Some(Tok::Punct(c)) => Some(*c),
+        _ => None,
+    }
+}
+
+/// Index of the matching close delimiter for the open delimiter at `open`.
+pub(crate) fn matching(toks: &[Token], open: usize, oc: char, cc: char) -> Option<usize> {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.tok {
+            Tok::Punct(c) if c == oc => depth += 1,
+            Tok::Punct(c) if c == cc => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(k);
+                }
+            }
+            _ => (),
+        }
+    }
+    None
+}
+
 /// Lexes Rust source. Never fails: unterminated constructs consume to EOF,
 /// which is the forgiving behaviour a linter wants (rustc reports the real
 /// error; the audit still sees every token before the breakage).

@@ -1,5 +1,5 @@
 //! **eblow-audit** — repo-specific static analysis for the E-BLOW
-//! workspace, with a ratcheted findings baseline.
+//! workspace. `check` fails on any unsuppressed finding.
 //!
 //! The generic toolchain (`clippy -D warnings`, `rustfmt`) already runs in
 //! CI, but the invariants that have actually bitten this repository are
@@ -15,7 +15,7 @@
 //!
 //! * [`lexer`] — a minimal Rust lexer that strips comments and literal
 //!   contents, so rules match token structure, never text inside strings
-//!   or docs.
+//!   or docs; also the token lookups the rules and the model share.
 //! * [`rules`] — the token-local rule passes; the catalogue is
 //!   [`rules::RULES`]. Suppression: `// audit:allow(<rule>): <reason>` on
 //!   the finding's line or the line directly above.
@@ -27,24 +27,22 @@
 //! * [`interproc`] — the four interprocedural rules over that graph:
 //!   stop-flag-reachability, trace-name-registry, hot-loop-allocation,
 //!   span-guard-binding.
-//! * [`baseline`] — the ratchet. `AUDIT_baseline.json` pins accepted debt
-//!   as `(rule, file)` counts; `--deny-new` fails CI only when a bucket
-//!   grows, so existing debt can be burned down without blocking merges.
+//! * [`report`] — the `check --report` findings JSON and the string
+//!   quoting the `graph`/`glossary` serializers share.
 //!
-//! CLI (`cargo run -p eblow-audit -- help`): `check [--deny-new]
-//! [--update-baseline] [--self] [--report PATH]`, `graph [--out PATH]`,
-//! `glossary [--write | --check]`, and `rules`.
+//! CLI (`cargo run -p eblow-audit -- help`): `check [--self] [--root DIR]
+//! [--report PATH]`, `graph [--out PATH]`, `glossary [--write | --check]`,
+//! and `rules`.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod graph;
 pub mod interproc;
 pub mod lexer;
 pub mod model;
+pub mod report;
 pub mod rules;
 
-pub use baseline::Baseline;
 pub use interproc::AuditContext;
 pub use rules::{scan_file, FileScan, Finding, RULES};
 
@@ -67,7 +65,7 @@ pub struct WorkspaceScan {
 
 /// Scans every `.rs` file under `root`, except the skip-listed subtrees (`target/`, `.git/`, …).
 /// Paths in findings are `root`-relative with `/` separators regardless
-/// of platform, so baselines are portable. The full-workspace scan runs
+/// of platform, so reports are portable. The full-workspace scan runs
 /// both the token-local and the interprocedural rules, with the README
 /// and hot-path manifest loaded from `root`.
 ///

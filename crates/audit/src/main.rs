@@ -1,22 +1,20 @@
 //! `eblow-audit` — the CLI over the audit library.
 //!
 //! ```text
-//! eblow-audit check [--deny-new] [--update-baseline] [--self]
-//!                   [--root DIR] [--baseline PATH] [--report PATH]
+//! eblow-audit check [--self] [--root DIR] [--report PATH]
 //! eblow-audit graph [--root DIR] [--out PATH]
 //! eblow-audit glossary [--root DIR] [--out PATH] [--write | --check]
 //! eblow-audit rules
 //! ```
 //!
-//! Exit codes: 0 clean (or debt fully covered by the baseline), 1 policy
-//! failure (`--deny-new` regression, any finding/suppression in `--self`
-//! mode, or a stale glossary under `glossary --check`), 2 usage or I/O
-//! error.
+//! Exit codes: 0 clean, 1 policy failure (any unsuppressed finding, any
+//! suppression marker in `--self` mode, or a stale glossary under
+//! `glossary --check`), 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use eblow_audit::baseline::{read_schema, report_json, Baseline, SCHEMA, SCHEMA_V1};
 use eblow_audit::graph::{glossary_json, graph_json};
+use eblow_audit::report::report_json;
 use eblow_audit::{find_root, rules::RULES, scan_subtree, scan_workspace, workspace_graph};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,19 +42,15 @@ fn main() -> ExitCode {
 
 fn print_help() {
     println!(
-        "eblow-audit — repo-specific static analysis with a ratcheted baseline\n\n\
-         USAGE:\n  eblow-audit check [--deny-new] [--update-baseline] [--self]\n\
-         \x20                   [--root DIR] [--baseline PATH] [--report PATH]\n\
+        "eblow-audit — repo-specific static analysis; any unsuppressed finding fails\n\n\
+         USAGE:\n  eblow-audit check [--self] [--root DIR] [--report PATH]\n\
          \x20 eblow-audit graph [--root DIR] [--out PATH]\n\
          \x20 eblow-audit glossary [--root DIR] [--out PATH] [--write | --check]\n\
          \x20 eblow-audit rules\n\n\
-         FLAGS:\n\
-         \x20 --deny-new          exit 1 if any (rule, file) bucket exceeds the baseline\n\
-         \x20 --update-baseline   rewrite the baseline to the current findings\n\
+         CHECK (exit 1 on any unsuppressed finding):\n\
          \x20 --self              audit only crates/audit; any finding or\n\
          \x20                     audit:allow marker is a failure\n\
          \x20 --root DIR          workspace root (default: nearest ancestor with Cargo.lock)\n\
-         \x20 --baseline PATH     baseline file (default: <root>/AUDIT_baseline.json)\n\
          \x20 --report PATH       also write the full findings report as JSON\n\n\
          GRAPH/GLOSSARY:\n\
          \x20 graph               print the workspace symbol table + call graph as JSON\n\
@@ -64,7 +58,9 @@ fn print_help() {
          \x20 --out PATH          write the JSON to PATH instead of stdout (for\n\
          \x20                     --write/--check the default is <root>/TRACE_GLOSSARY.json)\n\
          \x20 --write             glossary: write <root>/TRACE_GLOSSARY.json\n\
-         \x20 --check             glossary: exit 1 if <root>/TRACE_GLOSSARY.json is stale"
+         \x20 --check             glossary: exit 1 if <root>/TRACE_GLOSSARY.json is stale\n\n\
+         EXIT CODES: 0 clean, 1 any finding (or marker under --self, or a stale\n\
+         glossary under glossary --check), 2 usage or I/O error"
     );
 }
 
@@ -82,31 +78,22 @@ fn print_rules() {
 }
 
 struct Opts {
-    deny_new: bool,
-    update_baseline: bool,
     self_mode: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     report: Option<PathBuf>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
-        deny_new: false,
-        update_baseline: false,
         self_mode: false,
         root: None,
-        baseline: None,
         report: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--deny-new" => o.deny_new = true,
-            "--update-baseline" => o.update_baseline = true,
             "--self" => o.self_mode = true,
             "--root" => o.root = Some(take(&mut it, "--root")?),
-            "--baseline" => o.baseline = Some(take(&mut it, "--baseline")?),
             "--report" => o.report = Some(take(&mut it, "--report")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -313,72 +300,13 @@ fn check(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("AUDIT_baseline.json"));
-    let current = Baseline::from_findings(&scan.findings);
-
-    if opts.update_baseline {
-        if let Err(e) = std::fs::write(&baseline_path, current.to_json()) {
-            eprintln!("error: writing baseline {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "audit: baseline updated ({} bucket(s)) at {}",
-            current.counts.len(),
-            baseline_path.display()
+    if !scan.findings.is_empty() {
+        eprintln!(
+            "audit: every finding fails — fix it or suppress it with \
+             `// audit:allow(<rule>): <reason>`"
         );
-        return ExitCode::SUCCESS;
+        return ExitCode::FAILURE;
     }
-
-    if opts.deny_new {
-        let committed = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => match Baseline::from_json(&s) {
-                Ok(b) => {
-                    if read_schema(&s).as_deref() == Some(SCHEMA_V1) {
-                        println!(
-                            "audit: baseline is schema {SCHEMA_V1} — read transparently; the \
-                             next `check --update-baseline` rewrites it as {SCHEMA}"
-                        );
-                    }
-                    b
-                }
-                Err(e) => {
-                    eprintln!("error: {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!(
-                    "error: reading baseline {}: {e} (run `check --update-baseline` once)",
-                    baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        };
-        let regs = committed.regressions(&current);
-        for r in &regs {
-            eprintln!(
-                "NEW: [{}] {} — {} finding(s), baseline admits {}",
-                r.rule, r.file, r.current, r.baseline
-            );
-        }
-        let wins = committed.improvements(&current);
-        for w in &wins {
-            println!(
-                "ratchet: [{}] {} improved {} -> {} — run `check --update-baseline` to lock it in",
-                w.rule, w.file, w.baseline, w.current
-            );
-        }
-        if !regs.is_empty() {
-            eprintln!(
-                "audit: {} new finding bucket(s) vs baseline — fix them or suppress with \
-                 `// audit:allow(<rule>): <reason>`",
-                regs.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("audit: no new findings vs baseline");
-    }
+    println!("audit: clean");
     ExitCode::SUCCESS
 }

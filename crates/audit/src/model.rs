@@ -13,7 +13,7 @@
 //! never silently miss a call chain — and suppression markers absorb the
 //! rare deliberate exception.
 
-use crate::lexer::{lex, Lexed, Tok, Token};
+use crate::lexer::{ident_at, lex, matching, punct_at, Lexed, Tok, Token};
 
 /// What kind of call site produced an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,43 +208,11 @@ fn ident_is(toks: &[Token], k: usize, s: &str) -> bool {
     matches!(toks.get(k).map(|t| &t.tok), Some(Tok::Ident(i)) if i == s)
 }
 
-fn ident_at(toks: &[Token], k: usize) -> Option<&str> {
-    match toks.get(k).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Token], k: usize) -> Option<char> {
-    match toks.get(k).map(|t| &t.tok) {
-        Some(Tok::Punct(c)) => Some(*c),
-        _ => None,
-    }
-}
-
 fn str_at(toks: &[Token], k: usize) -> Option<&str> {
     match toks.get(k).map(|t| &t.tok) {
         Some(Tok::Str(s)) => Some(s.as_str()),
         _ => None,
     }
-}
-
-/// Index of the matching close delimiter for the open delimiter at `open`.
-fn matching(toks: &[Token], open: usize, oc: char, cc: char) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.tok {
-            Tok::Punct(c) if c == oc => depth += 1,
-            Tok::Punct(c) if c == cc => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => (),
-        }
-    }
-    None
 }
 
 /// Skips a balanced `<...>` generics list starting at `k` (which must be

@@ -2,7 +2,7 @@
 //! has actually shipped and fixed (see CHANGES.md, PRs 1–5); the catalogue
 //! in [`RULES`] is the single source of truth for ids and rationale.
 
-use crate::lexer::{lex, Lexed, Tok};
+use crate::lexer::{ident_at, lex, matching, punct_at, Lexed, Tok};
 
 /// Machine-readable description of one audit rule.
 pub struct RuleInfo {
@@ -12,8 +12,8 @@ pub struct RuleInfo {
     pub rationale: &'static str,
 }
 
-/// The rule catalogue. Ids are stable: they key baseline entries and
-/// `audit:allow(<id>)` suppression markers.
+/// The rule catalogue. Ids are stable: they name findings in `check`'s
+/// output and report, and key `audit:allow(<id>)` suppression markers.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "nan-unsafe-sort",
@@ -217,54 +217,23 @@ pub(crate) fn parse_markers(lexed: &Lexed) -> Vec<Marker> {
     out
 }
 
-/// Index of the matching close delimiter for the open delimiter at `open`.
-fn matching(toks: &[crate::lexer::Token], open: usize, oc: char, cc: char) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.tok {
-            Tok::Punct(c) if c == oc => depth += 1,
-            Tok::Punct(c) if c == cc => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => (),
-        }
-    }
-    None
-}
-
-fn ident_at(lexed: &Lexed, k: usize) -> Option<&str> {
-    match &lexed.tokens.get(k)?.tok {
-        Tok::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(lexed: &Lexed, k: usize) -> Option<char> {
-    match lexed.tokens.get(k)?.tok {
-        Tok::Punct(c) => Some(c),
-        _ => None,
-    }
-}
-
 /// nan-unsafe-sort: `partial_cmp(` ... `)` followed by `.unwrap` / `.expect`.
 fn nan_unsafe_sort(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    for k in 0..lexed.tokens.len() {
-        if ident_at(lexed, k) != Some("partial_cmp") || punct_at(lexed, k + 1) != Some('(') {
+    let toks = &lexed.tokens;
+    for k in 0..toks.len() {
+        if ident_at(toks, k) != Some("partial_cmp") || punct_at(toks, k + 1) != Some('(') {
             continue;
         }
-        let Some(close) = matching(&lexed.tokens, k + 1, '(', ')') else {
+        let Some(close) = matching(toks, k + 1, '(', ')') else {
             continue;
         };
-        if punct_at(lexed, close + 1) == Some('.') {
-            if let Some(m) = ident_at(lexed, close + 2) {
+        if punct_at(toks, close + 1) == Some('.') {
+            if let Some(m) = ident_at(toks, close + 2) {
                 if m == "unwrap" || m == "expect" {
                     out.push(Finding {
                         rule: "nan-unsafe-sort",
                         file: rel.to_string(),
-                        line: lexed.tokens[k].line,
+                        line: toks[k].line,
                         message: format!(
                             "`partial_cmp(..).{m}()` panics on NaN input; use `total_cmp` \
                              (or handle the None)"
@@ -284,8 +253,9 @@ fn stop_flag_coverage(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     if !scoped {
         return;
     }
-    for k in 0..lexed.tokens.len() {
-        let Some(kw) = ident_at(lexed, k) else {
+    let toks = &lexed.tokens;
+    for k in 0..toks.len() {
+        let Some(kw) = ident_at(toks, k) else {
             continue;
         };
         if !matches!(kw, "for" | "while" | "loop") {
@@ -294,24 +264,22 @@ fn stop_flag_coverage(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
         // `for` in generics/trait bounds (`impl Trait for T`, `for<'a>`):
         // skip when the preceding token is an ident or the next is `<`.
         if kw == "for" {
-            if let Some(Tok::Ident(_)) = lexed.tokens.get(k.wrapping_sub(1)).map(|t| &t.tok) {
+            if let Some(Tok::Ident(_)) = toks.get(k.wrapping_sub(1)).map(|t| &t.tok) {
                 continue;
             }
-            if punct_at(lexed, k + 1) == Some('<') {
+            if punct_at(toks, k + 1) == Some('<') {
                 continue;
             }
         }
         // The loop body is the first `{` after the keyword (Rust forbids
         // bare struct literals in loop headers, so this is the body).
-        let Some(open) = (k..lexed.tokens.len()).find(|&j| punct_at(lexed, j) == Some('{')) else {
+        let Some(open) = (k..toks.len()).find(|&j| punct_at(toks, j) == Some('{')) else {
             continue;
         };
-        let Some(close) = matching(&lexed.tokens, open, '{', '}') else {
+        let Some(close) = matching(toks, open, '{', '}') else {
             continue;
         };
-        let span = lexed.tokens[close]
-            .line
-            .saturating_sub(lexed.tokens[open].line);
+        let span = toks[close].line.saturating_sub(toks[open].line);
         if span < LONG_LOOP_LINES {
             continue;
         }
@@ -327,7 +295,7 @@ fn stop_flag_coverage(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
         out.push(Finding {
             rule: "stop-flag-coverage",
             file: rel.to_string(),
-            line: lexed.tokens[k].line,
+            line: toks[k].line,
             message: format!(
                 "`{kw}` loop spans {span} lines without polling a stop flag; thread a \
                  `StopFlag` through it (deadline overruns, see PR 2)"
@@ -353,9 +321,9 @@ fn unsafe_confinement(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
     if is_crate_root(rel) {
         let has_forbid = (0..lexed.tokens.len()).any(|k| {
-            ident_at(lexed, k) == Some("forbid")
-                && punct_at(lexed, k + 1) == Some('(')
-                && ident_at(lexed, k + 2) == Some("unsafe_code")
+            ident_at(&lexed.tokens, k) == Some("forbid")
+                && punct_at(&lexed.tokens, k + 1) == Some('(')
+                && ident_at(&lexed.tokens, k + 2) == Some("unsafe_code")
         });
         if !has_forbid {
             out.push(Finding {
@@ -403,7 +371,7 @@ fn determinism(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
         let clockish = NONDET_IDENTS.contains(&s.as_str());
         let hashed = NONDET_CONTAINERS.contains(&s.as_str());
         // `rand` only as a path head (`rand::...`), not as a substring.
-        let rand_path = s == "rand" && punct_at(lexed, k + 1) == Some(':');
+        let rand_path = s == "rand" && punct_at(&lexed.tokens, k + 1) == Some(':');
         if clockish || hashed || rand_path {
             out.push(Finding {
                 rule: "determinism",
@@ -427,18 +395,19 @@ fn determinism(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
 /// trailing comment on the same line or a plain `//` comment directly
 /// above; every `audit:allow` marker needs a known rule and a reason.
 fn allow_justification(rel: &str, lexed: &Lexed, markers: &[Marker], out: &mut Vec<Finding>) {
-    for k in 0..lexed.tokens.len() {
-        if punct_at(lexed, k) != Some('#') {
+    let toks = &lexed.tokens;
+    for k in 0..toks.len() {
+        if punct_at(toks, k) != Some('#') {
             continue;
         }
         let mut j = k + 1;
-        if punct_at(lexed, j) == Some('!') {
+        if punct_at(toks, j) == Some('!') {
             j += 1;
         }
-        if punct_at(lexed, j) != Some('[') || ident_at(lexed, j + 1) != Some("allow") {
+        if punct_at(toks, j) != Some('[') || ident_at(toks, j + 1) != Some("allow") {
             continue;
         }
-        let line = lexed.tokens[k].line;
+        let line = toks[k].line;
         let justified = lexed.comments.iter().any(|c| {
             // Trailing comment on the attribute's line, or a comment on
             // the line directly above. Doc comments above describe the

@@ -1,21 +1,21 @@
 //! Acceptance scenarios for the interprocedural rules: each test builds a
-//! small "shipped" workspace that scans clean (its baseline is empty, like
-//! the committed one), applies the regression the rule exists to catch,
-//! and asserts the `--deny-new` ratchet would trip — i.e.
-//! `Baseline::regressions` vs the empty baseline names the new bucket.
+//! small "shipped" workspace that scans clean, applies the regression the
+//! rule exists to catch, and asserts the scan now reports it — a finding
+//! of that rule in that file, which `check` fails on.
 
-use eblow_audit::{scan_sources, AuditContext, Baseline};
+use eblow_audit::{scan_sources, AuditContext, Finding};
 
-fn scan(files: &[(&str, &str)], ctx: &AuditContext) -> Baseline {
+fn scan(files: &[(&str, &str)], ctx: &AuditContext) -> Vec<Finding> {
     let sources: Vec<(String, String)> = files
         .iter()
         .map(|(rel, src)| (rel.to_string(), src.to_string()))
         .collect();
-    Baseline::from_findings(&scan_sources(&sources, ctx).findings)
+    scan_sources(&sources, ctx).findings
 }
 
-fn empty_baseline() -> Baseline {
-    Baseline::from_json(r#"{"schema": "eblow-audit/2", "counts": []}"#).unwrap()
+/// Whether `findings` holds one of `rule` in `file`.
+fn reports(findings: &[Finding], rule: &str, file: &str) -> bool {
+    findings.iter().any(|f| f.rule == rule && f.file == file)
 }
 
 const SWEEP_LOOP: &str = "        let mut acc = 0u64;
@@ -38,7 +38,7 @@ const SWEEP_LOOP: &str = "        let mut acc = 0u64;
         acc";
 
 #[test]
-fn deleting_a_stop_flag_param_trips_deny_new() {
+fn deleting_a_stop_flag_param_fails_check() {
     let ctx = AuditContext::default();
     let entry_before = "pub fn plan_with_stop(stop: StopFlag, n: u64) -> u64 {
     deep_sweep(stop, n)
@@ -59,9 +59,8 @@ fn deleting_a_stop_flag_param_trips_deny_new() {
         &ctx,
     );
     assert!(
-        before.counts.is_empty(),
-        "shipped tree must scan clean: {:?}",
-        before.counts
+        before.is_empty(),
+        "shipped tree must scan clean: {before:?}"
     );
 
     // Regression: someone "simplifies" the callee by dropping the StopFlag
@@ -84,16 +83,14 @@ fn deleting_a_stop_flag_param_trips_deny_new() {
         ],
         &ctx,
     );
-    let regs = empty_baseline().regressions(&after);
     assert!(
-        regs.iter()
-            .any(|r| r.rule == "stop-flag-reachability" && r.file == "crates/core/src/sweep.rs"),
-        "expected a stop-flag-reachability regression, got {regs:?}"
+        reports(&after, "stop-flag-reachability", "crates/core/src/sweep.rs"),
+        "expected a stop-flag-reachability finding, got {after:?}"
     );
 }
 
 #[test]
-fn renaming_a_trace_counter_trips_deny_new() {
+fn renaming_a_trace_counter_fails_check() {
     let ctx = AuditContext {
         readme: Some("Counters: `planner.cache.hit` tracks plan-cache hits.".to_string()),
         ..AuditContext::default()
@@ -103,9 +100,8 @@ fn renaming_a_trace_counter_trips_deny_new() {
 ";
     let before = scan(&[("crates/engine/src/planner.rs", before_src)], &ctx);
     assert!(
-        before.counts.is_empty(),
-        "shipped tree must scan clean: {:?}",
-        before.counts
+        before.is_empty(),
+        "shipped tree must scan clean: {before:?}"
     );
 
     // Regression: the counter is renamed but the README table is not —
@@ -114,16 +110,18 @@ fn renaming_a_trace_counter_trips_deny_new() {
     eblow_trace::Counter::new(\"planner.cache.hit_total\");
 ";
     let after = scan(&[("crates/engine/src/planner.rs", after_src)], &ctx);
-    let regs = empty_baseline().regressions(&after);
     assert!(
-        regs.iter()
-            .any(|r| r.rule == "trace-name-registry" && r.file == "crates/engine/src/planner.rs"),
-        "expected a trace-name-registry regression, got {regs:?}"
+        reports(
+            &after,
+            "trace-name-registry",
+            "crates/engine/src/planner.rs"
+        ),
+        "expected a trace-name-registry finding, got {after:?}"
     );
 }
 
 #[test]
-fn allocating_in_a_manifest_hot_loop_trips_deny_new() {
+fn allocating_in_a_manifest_hot_loop_fails_check() {
     let ctx = AuditContext {
         hotpaths: vec!["hot_kernel".to_string()],
         ..AuditContext::default()
@@ -138,9 +136,8 @@ fn allocating_in_a_manifest_hot_loop_trips_deny_new() {
 ";
     let before = scan(&[("crates/core/src/kernel.rs", before_src)], &ctx);
     assert!(
-        before.counts.is_empty(),
-        "shipped tree must scan clean: {:?}",
-        before.counts
+        before.is_empty(),
+        "shipped tree must scan clean: {before:?}"
     );
 
     // Regression: a per-iteration clone sneaks into the manifest hot path.
@@ -154,10 +151,8 @@ fn allocating_in_a_manifest_hot_loop_trips_deny_new() {
 }
 ";
     let after = scan(&[("crates/core/src/kernel.rs", after_src)], &ctx);
-    let regs = empty_baseline().regressions(&after);
     assert!(
-        regs.iter()
-            .any(|r| r.rule == "hot-loop-allocation" && r.file == "crates/core/src/kernel.rs"),
-        "expected a hot-loop-allocation regression, got {regs:?}"
+        reports(&after, "hot-loop-allocation", "crates/core/src/kernel.rs"),
+        "expected a hot-loop-allocation finding, got {after:?}"
     );
 }

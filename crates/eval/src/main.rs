@@ -40,8 +40,11 @@
 //!                                   compares two bench artifacts
 //!                                   and fails on any per-case writing-time
 //!                                   or wall-clock regression beyond N
-//!                                   percent (default 25); cases missing
-//!                                   from NEW fail, extra cases inform
+//!                                   percent (default 25), and on any
+//!                                   counter change on a race complete in
+//!                                   both without an early exit; cases
+//!                                   missing from NEW fail, extra cases
+//!                                   inform
 //! eblow-eval trace [--case NAME] [--deadline-s S] [--out-dir DIR]
 //!                                   races the full portfolio on one case
 //!                                   (default 1H-1) with the flight
@@ -77,6 +80,7 @@ use eblow_gen::{table3_suite, table4_suite, Family, GenConfig};
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
 use eblow_trace::json::{self, Value as JsonValue};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -700,10 +704,15 @@ struct BenchCase {
     t_total: f64,
     wall_s: f64,
     /// Whether the race ended with every member finished or on a
-    /// certificate (`false` when the row predates the field).
+    /// certificate.
     complete: bool,
-    /// The core count the row ran on (schema 2), if recorded.
-    threads: Option<f64>,
+    /// Whether a certificate ended the race, cancelling the members
+    /// still running.
+    early_exit: bool,
+    /// The core count the row ran on.
+    threads: f64,
+    /// The row's counter deltas, by name.
+    counters: Vec<(String, f64)>,
 }
 
 /// A parsed bench artifact: per-case deadline + case rows.
@@ -713,39 +722,25 @@ struct BenchArtifact {
 }
 
 impl BenchArtifact {
-    /// The distinct core counts of the rows, for report headers
-    /// (`"2"`, `"1/2"`, or `"unknown"` for rows that predate the field).
+    /// The distinct core counts of the rows, for report headers (`"2"`,
+    /// `"1/2"`).
     fn cores_label(&self) -> String {
-        let mut cores: Vec<String> = self
-            .cases
-            .iter()
-            .map(|c| {
-                c.threads
-                    .map_or_else(|| "unknown".into(), |t| format!("{t}"))
-            })
-            .collect();
+        let mut cores: Vec<String> = self.cases.iter().map(|c| c.threads.to_string()).collect();
         cores.sort();
         cores.dedup();
-        if cores.is_empty() {
-            "unknown".into()
-        } else {
-            cores.join("/")
-        }
+        cores.join("/")
     }
 }
 
-/// Parses an `eblow-bench/1` or `eblow-bench/2` artifact (schema 2 adds
-/// the per-row `"threads"` field; everything the differ reads is common to
-/// both, so old baselines stay comparable).
+/// Parses an `eblow-bench/2` artifact.
 fn parse_bench_artifact(path: &str) -> Result<BenchArtifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let root = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     match root.get("schema").and_then(JsonValue::as_str) {
-        Some("eblow-bench/1" | "eblow-bench/2") => {}
+        Some("eblow-bench/2") => {}
         other => {
             return Err(format!(
-                "{path}: unsupported schema {other:?} (expected \"eblow-bench/1\" or \
-                 \"eblow-bench/2\")"
+                "{path}: unsupported schema {other:?} (expected \"eblow-bench/2\")"
             ))
         }
     }
@@ -766,6 +761,21 @@ fn parse_bench_artifact(path: &str) -> Result<BenchArtifact, String> {
                     .and_then(JsonValue::as_num)
                     .ok_or_else(|| format!("{path}: case {i} missing numeric {key:?}"))
             };
+            let flag = |key: &str| match c.get(key) {
+                Some(JsonValue::Bool(b)) => Ok(*b),
+                _ => Err(format!("{path}: case {i} missing boolean {key:?}")),
+            };
+            let counters = c
+                .get("counters")
+                .and_then(JsonValue::as_obj)
+                .ok_or_else(|| format!("{path}: case {i} missing \"counters\" object"))?
+                .iter()
+                .map(|(name, v)| {
+                    v.as_num()
+                        .map(|n| (name.clone(), n))
+                        .ok_or_else(|| format!("{path}: case {i} counter {name:?} not numeric"))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
             Ok(BenchCase {
                 name: c
                     .get("case")
@@ -774,8 +784,10 @@ fn parse_bench_artifact(path: &str) -> Result<BenchArtifact, String> {
                     .to_string(),
                 t_total: field("t_total")?,
                 wall_s: field("wall_s")?,
-                complete: matches!(c.get("complete"), Some(JsonValue::Bool(true))),
-                threads: c.get("threads").and_then(JsonValue::as_num),
+                complete: flag("complete")?,
+                early_exit: flag("early_exit")?,
+                threads: field("threads")?,
+                counters,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -808,12 +820,46 @@ fn t_gate(old: &BenchCase, new: &BenchCase, max_regress_pct: f64) -> Option<Stri
     (dt > max_regress_pct).then(|| format!("T regressed {dt:.1}% (> {max_regress_pct:.1}%)"))
 }
 
-/// Compares two `eblow-bench/1` artifacts case by case (the ROADMAP's bench
+/// The counter gate of one case present in both artifacts, or `None` when
+/// it passes. A race that completes in both without an early exit runs
+/// every member to its end, so its counters repeat: each counter must be
+/// present on both sides with an equal value. A certificate cancels the
+/// members still running at a moment the race's timing sets, and a
+/// deadline cuts them mid-run, so such rows are not compared.
+fn counter_gate(old: &BenchCase, new: &BenchCase) -> Option<String> {
+    let ran_to_end = |c: &BenchCase| c.complete && !c.early_exit;
+    if !ran_to_end(old) || !ran_to_end(new) {
+        return None;
+    }
+    let mut sides: BTreeMap<&str, [Option<f64>; 2]> = BTreeMap::new();
+    for (side, case) in [old, new].into_iter().enumerate() {
+        for (name, value) in &case.counters {
+            sides.entry(name.as_str()).or_default()[side] = Some(*value);
+        }
+    }
+    let show = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |n| n.to_string());
+    let changed: Vec<String> = sides
+        .iter()
+        .filter(|(_, [o, n])| o != n)
+        .map(|(name, [o, n])| format!("{name} {} -> {}", show(*o), show(*n)))
+        .collect();
+    (!changed.is_empty()).then(|| {
+        format!(
+            "counters changed on a race complete in both artifacts without an early exit: {} \
+             (re-record the baseline if the change is intended)",
+            changed.join(", ")
+        )
+    })
+}
+
+/// Compares two `eblow-bench/2` artifacts case by case (the ROADMAP's bench
 /// differ): for every case present in both, the new artifact's system
 /// writing time `T` must pass [`t_gate`] (exact on races complete in
-/// both, within `max_regress_pct` percent otherwise), and its wall-clock
-/// must not regress by more than `max_regress_pct` percent (only above the
-/// [`BENCH_DIFF_WALL_FLOOR_S`] noise floor). The header prints both
+/// both, within `max_regress_pct` percent otherwise), its counters must
+/// pass [`counter_gate`] (exact on races complete in both without an
+/// early exit), and its wall-clock must not regress by more than
+/// `max_regress_pct` percent (only above the [`BENCH_DIFF_WALL_FLOOR_S`]
+/// noise floor). The header prints both
 /// artifacts' core counts: walls from different core counts compare only
 /// loosely, which the generous wall threshold absorbs. Cases missing from
 /// the new artifact fail outright (silent coverage loss is a regression
@@ -842,7 +888,7 @@ fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
     println!();
     println!(
         "== Bench diff: {old_path} -> {new_path} (max regression {max_regress_pct:.1}%, \
-         exact T on complete races, {cores}) =="
+         exact T on complete races, exact counters on those without an early exit, {cores}) =="
     );
     println!(
         "{:6} | {:>12} {:>12} {:>8} | {:>9} {:>9} {:>8}",
@@ -858,6 +904,7 @@ fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
         let dt = 100.0 * (n.t_total - o.t_total) / o.t_total.max(1.0);
         let dw = 100.0 * (n.wall_s - o.wall_s) / o.wall_s.max(1e-9);
         let t_bad = t_gate(o, n, max_regress_pct);
+        let c_bad = counter_gate(o, n);
         // The floor looks at *both* walls: a sub-floor baseline case that
         // balloons past the floor is exactly the cliff the gate exists
         // for; only jitter that stays below the floor is informational.
@@ -871,13 +918,13 @@ fn bench_diff(old_path: &str, new_path: &str, max_regress_pct: f64) {
             o.wall_s,
             n.wall_s,
             dw,
-            if t_bad.is_some() || w_bad {
+            if t_bad.is_some() || c_bad.is_some() || w_bad {
                 "   <-- FAIL"
             } else {
                 ""
             }
         );
-        if let Some(why) = t_bad {
+        for why in t_bad.iter().chain(&c_bad) {
             eprintln!("FAIL: {}: {why}", o.name);
             failed = true;
         }
@@ -1349,7 +1396,9 @@ mod tests {
             t_total,
             wall_s: 0.3,
             complete,
-            threads: Some(2.0),
+            early_exit: false,
+            threads: 2.0,
+            counters: Vec::new(),
         };
         // Complete in both: any change fails, better or worse.
         assert!(t_gate(&case(11610.0, true), &case(11610.0, true), 50.0).is_none());
@@ -1361,6 +1410,40 @@ mod tests {
             assert!(t_gate(&case(1000.0, old), &case(900.0, new), 50.0).is_none());
             assert!(t_gate(&case(1000.0, old), &case(1600.0, new), 50.0).is_some());
         }
+    }
+
+    #[test]
+    fn bench_gate_compares_counters_where_races_run_to_the_end() {
+        let case = |counters: &[(&str, f64)], early_exit: bool| BenchCase {
+            name: "1M-5".into(),
+            t_total: 11610.0,
+            wall_s: 0.3,
+            complete: true,
+            early_exit,
+            threads: 2.0,
+            counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+        };
+        let base = [("admits.dp", 383.0), ("round.iters", 17.0)];
+        let changed = [("admits.dp", 384.0), ("round.iters", 17.0)];
+        let missing = [("round.iters", 17.0)];
+        let added = [("admits.dp", 383.0), ("round.iters", 17.0), ("x.y", 1.0)];
+        assert!(counter_gate(&case(&base, false), &case(&base, false)).is_none());
+        for other in [&changed[..], &missing, &added] {
+            // Complete without an early exit on both sides: any
+            // difference fails, either way round.
+            let why = counter_gate(&case(&base, false), &case(other, false));
+            assert!(why.is_some(), "{other:?}");
+            assert!(counter_gate(&case(other, false), &case(&base, false)).is_some());
+            // An early exit on either side: counters are not compared.
+            assert!(counter_gate(&case(&base, true), &case(other, true)).is_none());
+            assert!(counter_gate(&case(&base, false), &case(other, true)).is_none());
+        }
+        let why = counter_gate(&case(&base, false), &case(&missing, false)).unwrap();
+        assert!(why.contains("admits.dp 383 -> absent"), "{why}");
+        // A deadline-cut race is not compared either.
+        let mut cut = case(&changed, false);
+        cut.complete = false;
+        assert!(counter_gate(&case(&base, false), &cut).is_none());
     }
 
     #[test]

@@ -123,8 +123,8 @@ impl Row {
     /// The insertion of `id` that grows this row the least while keeping
     /// it within `cap`, as `(position, width delta)`, the lowest position
     /// on ties; `None` when no position fits. `width` is the row's current
-    /// width ([`Row::min_width`]), which callers keep up to date; a width
-    /// past `u64::MAX` never fits.
+    /// width ([`Row::min_width`]), which callers keep up to date; a sum
+    /// `width + delta` past `u64::MAX` never fits.
     pub fn best_insertion(
         &self,
         instance: &Instance,
