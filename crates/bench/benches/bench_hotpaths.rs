@@ -94,10 +94,9 @@ fn bench_hotpaths(c: &mut Criterion) {
 
     // Refusal-heavy admission: 2 000 further candidates probed against
     // every filled row at beam 8 — rounding's first-fit fallback, where
-    // nearly every probe refuses from the row's refusal memo (a candidate
-    // of a shape the row refused at most as wide; every pass after the
-    // first re-probes unchanged rows), so this measures mostly memo
-    // answers.
+    // nearly every probe is refused. The rows never change, so once the
+    // first probes have built their checkpoints and completion tables this
+    // measures mostly refusals at or just past the resume checkpoint.
     group.bench_function("probed_row_reject_stream", |b| {
         let mut rows = rows.clone();
         b.iter(|| {
@@ -113,11 +112,10 @@ fn bench_hotpaths(c: &mut Criterion) {
 
     // The admission kernel itself: each filled row rebuilt insert by
     // insert, and after every insert one probe at beam 8 per candidate
-    // shape (left and right blank) among the next 2 000 candidates. Each is
-    // the first probe of its class since the insert, so the memo answers
-    // none: it extends the row's completion table and walks the chain and
-    // the DP from the candidate's checkpoint — the path of rounding's first
-    // probe of a candidate after each commit.
+    // shape (left and right blank) among the next 2 000 candidates. The
+    // probes extend the row's completion table past the insert and walk
+    // the chain and the DP from each candidate's checkpoint — the path of
+    // rounding's first probe of a candidate after each commit.
     group.bench_function("probed_row_first_probes", |b| {
         let mut shapes: Vec<CharId> = Vec::new();
         for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {

@@ -10,17 +10,17 @@
 //! 0.007–0.010 s over the Table 3 cases on a 2-core VM (three runs). The
 //! cost is the per-candidate probes: the Lemma 1 estimate is optimistic
 //! for asymmetric blanks, so each character verifies up to
-//! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed. A
-//! row changes only when it takes a character, so its refusal memo
-//! answers most probes by shape: on 1H-1, 99 881 of 131 388. The rest run
-//! the kernel, whose walks stop once the row's completion table shows
-//! that no completion fits, and the plan takes 0.050–0.057 s
-//! (`bench_hotpaths` `row_heuristic_1h1`, three runs). There is no MCC
-//! balancing: profits are static region sums, so the bottleneck region is
-//! not re-weighted as selection proceeds.
+//! [`PROBE_ROWS`] rows with the exact ordering DP before it is placed:
+//! 131 388 probes on 1H-1 (`rowheur.probes`). Each resumes the row's
+//! cached DP frontier near the candidate and stops once the row's
+//! completion table shows that no completion fits, and the plan takes
+//! 28–60 ms, median 39 ms (`bench_hotpaths` `row_heuristic_1h1`, 20 runs
+//! on a 2-core VM). There is no MCC balancing: profits are static region
+//! sums, so the bottleneck region is not re-weighted as selection
+//! proceeds.
 
 use crate::cancel::StopFlag;
-use crate::oned::{finish_plan, Admission, ProbedRow, WidthScratch};
+use crate::oned::{finish_plan, ProbedRow, WidthScratch};
 use crate::profit::static_profits;
 use crate::Plan1d;
 use eblow_model::{CharId, Instance, ModelError, Placement1d, Row};
@@ -29,9 +29,6 @@ use std::time::Instant;
 
 /// Row-admission probes of the fill (counter `rowheur.probes`).
 static PROBES: trace::Counter = trace::Counter::new("rowheur.probes");
-/// Fill probes the rows' refusal memos answered (counter
-/// `rowheur.memo_reject`).
-static MEMO_REJECT: trace::Counter = trace::Counter::new("rowheur.memo_reject");
 
 /// How many of the best-ranked rows each character probes with the exact
 /// ordering DP before being declared a leftover.
@@ -84,8 +81,7 @@ pub fn row_heuristic_1d_with_stop(
     // Fill rows under the exact Lemma 1 capacity; best-fit row choice.
     let mut sets: Vec<Vec<CharId>> = vec![Vec::new(); num_rows];
     // Each row's members as a probe-ready row, maintained incrementally so
-    // most probes refuse from its memo of refused shapes and the rest resume
-    // the DP walk from a cached frontier.
+    // probes resume the DP walk from a cached frontier.
     let mut row_keys: Vec<ProbedRow> = vec![ProbedRow::default(); num_rows];
     let mut eff: Vec<u64> = vec![0; num_rows];
     let mut blank: Vec<u64> = vec![0; num_rows];
@@ -93,7 +89,7 @@ pub fn row_heuristic_1d_with_stop(
     let mut ranked: Vec<(u64, usize)> = Vec::with_capacity(num_rows);
     // Width-DP buffers shared by every probe, allocation-free after warm-up.
     let mut scratch = WidthScratch::default();
-    let (mut probes, mut memo_rejects) = (0u64, 0u64);
+    let mut probes = 0u64;
     for &i in &order {
         if stop.is_set() {
             // Deadline: whatever is not yet placed stays off the stencil.
@@ -105,10 +101,9 @@ pub fn row_heuristic_1d_with_stop(
         let id = CharId::from(i);
         // Rank rows by wasted capacity growth, then verify the best ones
         // with the exact ordering DP (the Lemma 1 estimate is optimistic
-        // for asymmetric blanks). The staged probe refuses from the row's
-        // memo of refused shapes, or admits on a beam-1 insertion chain (the
-        // width of one concrete order), before the beam-6 DP runs — same
-        // decisions, far fewer DPs.
+        // for asymmetric blanks). The staged probe admits on a beam-1
+        // insertion chain (the width of one concrete order) before the
+        // beam-6 DP runs — same decisions, far fewer DPs.
         // Estimates past `u64` never rank.
         ranked.clear();
         ranked.extend((0..num_rows).filter_map(|r| {
@@ -123,9 +118,7 @@ pub fn row_heuristic_1d_with_stop(
         // Place into the best-ranked row the exact ordering DP admits.
         let placed_row = ranked.iter().take(PROBE_ROWS).map(|&(_, r)| r).find(|&r| {
             probes += 1;
-            let admission = row_keys[r].admits(instance, id, 6, w, &mut scratch);
-            memo_rejects += u64::from(admission == Admission::MemoReject);
-            admission.fits()
+            row_keys[r].admits(instance, id, 6, w, &mut scratch).fits()
         });
         match placed_row {
             Some(r) => {
@@ -138,7 +131,6 @@ pub fn row_heuristic_1d_with_stop(
         }
     }
     PROBES.add(probes);
-    MEMO_REJECT.add(memo_rejects);
 
     // In-row order: the insertion-order DP (optimal under symmetric
     // blanks, near-optimal otherwise) with a small beam — still linear-ish

@@ -144,8 +144,8 @@ impl WidthScratch {
     }
 
     /// Suffix lengths the row's completion table computed for the last
-    /// probe of [`ProbedRow::admits`] (0 when the memo decided it, or the
-    /// table already held every length).
+    /// probe of [`ProbedRow::admits`] (0 when the table already held every
+    /// length).
     pub(crate) fn table_steps(&self) -> usize {
         self.table_steps
     }
@@ -177,9 +177,6 @@ const CHECKPOINT_STRIDE: usize = 8;
 /// Which stage of [`ProbedRow::admits`] decided a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// The refusal memo holds a refusal of the candidate's class at most
-    /// as wide: no chain or DP ran.
-    MemoReject,
     /// The beam-1 chain, one concrete order, fits.
     ChainFits,
     /// The beam-`B` DP decided; `true` when the row fits.
@@ -227,9 +224,7 @@ impl Admission {
 ///    (at the row's end, `w − min(ρ, l)` or `w − min(r, λ)`). So no
 ///    completion is narrower than `W + f_m(L, R) + w − l − r`. The
 ///    checkpoint's states are checked against that before the walk
-///    inserts the few member keys up to the candidate. The charge grows
-///    with the candidate's width like the DP's widths do, so the refusal
-///    memo below stays exact.
+///    inserts the few member keys up to the candidate.
 /// 2. **After every insertion from the candidate on,** against
 ///    `W + f_m(L, R)` over the `m` member keys still to insert.
 ///
@@ -258,37 +253,6 @@ impl Admission {
 /// exceeds the narrowest completion, and with an exact grid and no
 /// saturated cell it equals it. Widths past `u64::MAX` never fit: the walk
 /// drops states whose width overflows, and the checks add in `u128`.
-///
-/// **One refusal memo.** Between two inserts thousands of candidates of a
-/// few shapes probe the row, and nearly all are refused. A candidate's
-/// class is its left blank `l`, its right blank `r` and its sorted
-/// position `pos` among the member keys: keys of equal symmetric blank
-/// insert in id order, so two candidates of one shape can enter the DP at
-/// different steps. At one beam and cap, the decision is monotone in the
-/// width `w` within a class:
-///
-/// - Up to the candidate the walk is the same for every `w`.
-/// - The candidate's insertion adds `w` to both inserts of every state, so
-///   a candidate `δ` wider makes every state `δ` wider. Pruning and the
-///   beam cut compare states of one step by their width differences and
-///   blanks, and every later insertion adds the same to both, so every
-///   later frontier keeps the same states in the same order, `δ` wider.
-/// - A state that overflows `u64` only at the wider width is among the
-///   widest of its step, and so is every state it would dominate: dropping
-///   it neither lets a narrower state through the prune nor moves the beam
-///   cut among the states that stay, and all its inserts overflow too. The
-///   wider walk's frontiers are the narrower walk's, `δ` wider, less their
-///   widest states.
-/// - So the beam-1 chain and the beam-`B` DP end at least `δ` wider or
-///   with no state; the checks inside their walks refuse only what they
-///   refuse.
-///
-/// A refusal at `w` therefore decides every candidate of its class at
-/// least `w` wide. The memo keeps, per class, the narrowest width the
-/// kernel refused, and answers before the chain or the DP. It records
-/// refusals only (every admit is followed by an insert), and it is scratch
-/// like the checkpoints: [`ProbedRow::insert`] drops it, so does a probe
-/// under another beam or cap, and a clone starts without it.
 #[derive(Debug, Clone, Default)]
 pub struct ProbedRow {
     /// `(symmetric blank, id)` keys sorted by [`key_order`].
@@ -297,16 +261,12 @@ pub struct ProbedRow {
     checkpoints: Checkpoints,
     /// `f_m` over the suffix lengths built; scratch like `checkpoints`.
     table: CompletionTable,
-    /// The narrowest refused width per candidate class; scratch like
-    /// `checkpoints`.
-    refusals: Refusals,
 }
 
 impl ProbedRow {
     /// Inserts the member `id` at its key's sorted position, and drops the
-    /// refusal memo, the checkpoints past it and the table lengths that
-    /// hold it (O(n) — once per commit, amortized over the many probes in
-    /// between).
+    /// checkpoints past it and the table lengths that hold it (O(n) — once
+    /// per commit, amortized over the many probes in between).
     pub fn insert(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         let key = width_key(instance, id);
@@ -314,7 +274,6 @@ impl ProbedRow {
         self.table.insert(pos, self.keys.len(), c);
         self.keys.insert(pos, key);
         self.checkpoints.invalidate_from(pos);
-        self.refusals.entries.clear();
     }
 
     /// The sorted position of `key` among the member keys.
@@ -333,10 +292,10 @@ impl ProbedRow {
     }
 
     /// Whether the members plus `id` pack within `cap`, decided in stages:
-    /// the refusal memo, then the beam-1 chain (if one concrete order fits,
-    /// the DP fits), then the beam-`beam` DP. Decision-identical to the
-    /// end-insertion DP over the members plus `id` at beam `beam` fitting
-    /// `cap`; the returned stage says which step decided.
+    /// the beam-1 chain (if one concrete order fits, the DP fits), then the
+    /// beam-`beam` DP. Decision-identical to the end-insertion DP over the
+    /// members plus `id` at beam `beam` fitting `cap`; the returned stage
+    /// says which step decided.
     pub fn admits(
         &mut self,
         instance: &Instance,
@@ -345,31 +304,8 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> Admission {
-        scratch.table_steps = 0;
         let candidate = instance.char(id.index());
         let pos = self.position(&width_key(instance, id));
-        let class = shape_class(candidate, pos);
-        let refused = class.and_then(|class| self.refusals.narrowest(beam, cap, class));
-        if refused.is_some_and(|narrowest| candidate.width() >= narrowest) {
-            return Admission::MemoReject;
-        }
-        let admission = self.decide(instance, candidate, pos, beam, cap, scratch);
-        if let (Some(class), false) = (class, admission.fits()) {
-            self.refusals.record(class, candidate.width());
-        }
-        admission
-    }
-
-    /// The kernel behind the memo: the chain, then the DP.
-    fn decide(
-        &mut self,
-        instance: &Instance,
-        candidate: &Character,
-        pos: usize,
-        beam: usize,
-        cap: u64,
-        scratch: &mut WidthScratch,
-    ) -> Admission {
         let probe = self.probe(instance, candidate, pos, scratch);
         if self.dp_fits(instance, &probe, 1, cap, scratch) {
             return Admission::ChainFits;
@@ -464,61 +400,6 @@ struct Probe<'i> {
     pos: usize,
     /// The checkpoint the walk resumes from: `pos / CHECKPOINT_STRIDE`.
     at: usize,
-}
-
-/// A candidate's class in a [`ProbedRow`]'s refusal memo: its left blank,
-/// its right blank and its sorted position `pos`, packed into 24, 24 and
-/// 16 bits. A class that does not pack is never memoized: its probes all
-/// run the kernel.
-fn shape_class(candidate: &Character, pos: usize) -> Option<u64> {
-    let (left, right) = (candidate.blanks().left, candidate.blanks().right);
-    (left < 1 << 24 && right < 1 << 24 && pos < 1 << 16)
-        .then_some(left << 40 | right << 16 | pos as u64)
-}
-
-/// The refusal memo of a [`ProbedRow`] (see its docs): per candidate
-/// class, the narrowest width the kernel refused since the last insert,
-/// all under one beam and cap. Scratch: a clone starts empty.
-#[derive(Debug, Default)]
-struct Refusals {
-    /// The beam and cap every entry was refused under.
-    under: (usize, u64),
-    /// `(class, narrowest refused width)`, sorted by class.
-    entries: Vec<(u64, u64)>,
-}
-
-impl Clone for Refusals {
-    fn clone(&self) -> Self {
-        Refusals::default()
-    }
-}
-
-impl Refusals {
-    /// The narrowest refused width of `class` under `beam` and `cap`,
-    /// dropping every entry first when they were refused under another
-    /// beam or cap.
-    fn narrowest(&mut self, beam: usize, cap: u64, class: u64) -> Option<u64> {
-        if self.under != (beam, cap) {
-            self.under = (beam, cap);
-            self.entries.clear();
-        }
-        self.held(class)
-    }
-
-    /// The narrowest refused width of `class` held.
-    fn held(&self, class: u64) -> Option<u64> {
-        let at = self.entries.binary_search_by_key(&class, |e| e.0).ok()?;
-        Some(self.entries[at].1)
-    }
-
-    /// Records a refusal of `class` at `width`, narrower than any refusal
-    /// of it held (a wider one is answered from the memo).
-    fn record(&mut self, class: u64, width: u64) {
-        match self.entries.binary_search_by_key(&class, |e| e.0) {
-            Ok(at) => self.entries[at].1 = width,
-            Err(at) => self.entries.insert(at, (class, width)),
-        }
-    }
 }
 
 /// Most grid values a [`CompletionTable`] keeps. A row with more distinct
@@ -1022,39 +903,6 @@ fn insertion_floor(c: &Character) -> u64 {
 /// The references the kernel must match.
 #[cfg(test)]
 impl ProbedRow {
-    /// Whether the refusal memo alone refuses `id` under `beam` and `cap`,
-    /// without probing.
-    pub(crate) fn memo_refuses(
-        &self,
-        instance: &Instance,
-        id: CharId,
-        beam: usize,
-        cap: u64,
-    ) -> bool {
-        let candidate = instance.char(id.index());
-        let class = shape_class(candidate, self.position(&width_key(instance, id)));
-        let memo = &self.refusals;
-        class.is_some_and(|class| {
-            memo.under == (beam, cap) && memo.held(class).is_some_and(|n| candidate.width() >= n)
-        })
-    }
-
-    /// [`ProbedRow::admits`] without the memo: the kernel alone, which
-    /// neither reads nor records a refusal.
-    fn admits_without_memo(
-        &mut self,
-        instance: &Instance,
-        id: CharId,
-        beam: usize,
-        cap: u64,
-        scratch: &mut WidthScratch,
-    ) -> bool {
-        let candidate = instance.char(id.index());
-        let pos = self.position(&width_key(instance, id));
-        self.decide(instance, candidate, pos, beam, cap, scratch)
-            .fits()
-    }
-
     /// The kernel at one beam width: the walk resumed from the candidate's
     /// checkpoint.
     fn admits_width(
@@ -1966,24 +1814,27 @@ mod tests {
             }
         }
 
-        /// The refusal memo never changes a decision. Rows grow by random
-        /// inserts; between inserts, streams of candidates probe the row,
-        /// each of 1–3 `(l, r)` shapes at 3–5 widths, two candidates per
-        /// width, every stream twice, the second time reversed. Ids are
-        /// shuffled across members and candidates, and members draw their
-        /// blanks from the candidates' range, so candidates of one shape
-        /// sort between members of equal symmetric blank at several
-        /// positions. The row is probed at beams 1, 6 and 8 in turn, each
-        /// under six caps in turn: a candidate's chain and beam-8 widths
-        /// and each ±1. With `high` set the members' and the candidates'
-        /// widths are raised by two bases, chosen so that the fullest rows
-        /// probed centre on `u64::MAX`: there some candidates fit and some
-        /// overflow, and some states overflow only at the wider widths.
-        /// Every answer must be the kernel's without the memo, an insert
-        /// must leave no refusal behind, and the memo must answer some
-        /// probes.
+        /// A row warmed by many probes decides like a fresh clone of it and
+        /// like [`refine_row`]. Rows grow by random inserts; between
+        /// inserts, streams of candidates probe the row, each of 1–3
+        /// `(l, r)` shapes at 3–5 widths, two candidates per width, every
+        /// stream twice, the second time reversed. Ids are shuffled across
+        /// members and candidates, and members draw their blanks from the
+        /// candidates' range, so candidates of one shape sort between
+        /// members of equal symmetric blank at several positions. The row is
+        /// probed at beams 1, 6 and 8 in turn, each under six caps in turn:
+        /// a candidate's chain and beam-8 widths and each ±1, so its
+        /// checkpoints and completion table serve probes under every beam
+        /// and cap. With `high` set the members' and the candidates' widths
+        /// are raised by two bases, chosen so that the fullest rows probed
+        /// centre on `u64::MAX`: there some candidates fit and some
+        /// overflow. Every answer must be that of a clone made at the start
+        /// of its turn, which starts without the row's checkpoints and
+        /// table, and `fits == (chain <= cap || truth <= cap)` wherever
+        /// `refine_row`'s saturated widths decide it; both verdicts must
+        /// occur.
         #[test]
-        fn refusal_memo_never_changes_a_decision(
+        fn warm_rows_decide_like_fresh_clones_and_refine_row(
             members in proptest::collection::vec((20u64..48, 0u64..11, 0u64..11), 6..22),
             shapes in proptest::collection::vec((0u64..11, 0u64..11), 1..4),
             widths in proptest::collection::vec(20u64..48, 3..6),
@@ -2010,17 +1861,14 @@ mod tests {
                 }
                 row_instance(&placed, u64::MAX)
             };
-            let stream: Vec<CharId> = {
-                let once: Vec<CharId> = ids[n..].iter().map(|&i| CharId::from(i)).collect();
-                once.iter().chain(once.iter().rev()).copied().collect()
-            };
+            let candidates: Vec<CharId> = ids[n..].iter().map(|&i| CharId::from(i)).collect();
             let mut inst = instance((0, 0));
             if high == 1 {
                 // The fullest rows probed hold every member but the last
                 // and one candidate, so the bases make each of them
                 // `(n − 1)·base.0 + base.1` wider: centre them on `u64::MAX`.
                 let rest: Vec<CharId> = ids[..n - 1].iter().map(|&i| CharId::from(i)).collect();
-                let fullest: Vec<u64> = stream
+                let fullest: Vec<u64> = candidates
                     .iter()
                     .map(|&c| refine_row(&inst, &[&rest[..], &[c]].concat(), 8).1)
                     .collect();
@@ -2028,15 +1876,21 @@ mod tests {
                 let member = u64::MAX / (2 * n as u64);
                 inst = instance((member, u64::MAX - (n as u64 - 1) * member - mid - 8 + slack));
             }
+            // `refine_row`'s widths of the members plus `c` at beams 1, 6, 8.
+            let dp_widths = |members: &[CharId], c: CharId| {
+                let set: Vec<CharId> = members.iter().copied().chain([c]).collect();
+                [1, 6, 8].map(|beam| refine_row(&inst, &set, beam).1)
+            };
+            // Candidate indices: every candidate, then again in reverse.
+            let stream: Vec<usize> = (0..candidates.len()).chain((0..candidates.len()).rev()).collect();
             let mut row = ProbedRow::default();
             let mut scratch = WidthScratch::default();
             let mut inserted: Vec<CharId> = Vec::new();
-            let mut answered = 0usize;
+            let (mut admitted, mut refused) = (0usize, 0usize);
             for &member in &ids[..n] {
-                let set: Vec<CharId> = inserted.iter().copied().chain([stream[0]]).collect();
-                let caps: Vec<u64> = [1usize, 8]
-                    .iter()
-                    .map(|&beam| refine_row(&inst, &set, beam).1)
+                let widths: Vec<[u64; 3]> = candidates.iter().map(|&c| dp_widths(&inserted, c)).collect();
+                let caps: Vec<u64> = [widths[0][0], widths[0][2]]
+                    .into_iter()
                     .flat_map(|t| [t.saturating_sub(1), t, t.saturating_add(1)])
                     .collect();
                 // Beams in turn, and the caps in turn within each, snaking
@@ -2044,29 +1898,31 @@ mod tests {
                 // alone or in the cap alone.
                 let turns = [1usize, 6, 8].into_iter().enumerate().flat_map(|(k, beam)| {
                     let caps: Vec<u64> = if k % 2 == 0 { caps.clone() } else { caps.iter().rev().copied().collect() };
-                    caps.into_iter().map(move |cap| (beam, cap))
+                    caps.into_iter().map(move |cap| (k, beam, cap))
                 });
-                let mut fresh = row.clone();
-                let mut last = (0, 0);
-                for (beam, cap) in turns {
-                    for &id in &stream {
-                        let want = fresh.admits_without_memo(&inst, id, beam, cap, &mut scratch);
-                        let got = row.admits(&inst, id, beam, cap, &mut scratch);
-                        answered += usize::from(got == Admission::MemoReject);
-                        proptest::prop_assert_eq!(
-                            got.fits(), want,
-                            "members {:?}, candidate {:?}, beam {}, cap {}", inserted, id, beam, cap
+                for (k, beam, cap) in turns {
+                    // The clone starts without the row's checkpoints and table.
+                    let mut fresh = row.clone();
+                    for &c in &stream {
+                        let (id, chain, truth) = (candidates[c], widths[c][0], widths[c][k]);
+                        let fits = row.admits(&inst, id, beam, cap, &mut scratch).fits();
+                        let fresh_fits = fresh.admits(&inst, id, beam, cap, &mut scratch).fits();
+                        // At a cap of `u64::MAX` a saturated width does not
+                        // tell a row that wide from one that overflows.
+                        let decided = cap < u64::MAX || chain.max(truth) < u64::MAX;
+                        proptest::prop_assert!(
+                            fits == fresh_fits && (!decided || fits == (chain <= cap || truth <= cap)),
+                            "members {:?}, candidate {:?}, beam {}, cap {}: warm {}, fresh {}, chain {}, truth {}",
+                            inserted, id, beam, cap, fits, fresh_fits, chain, truth
                         );
+                        admitted += usize::from(fits);
+                        refused += usize::from(!fits);
                     }
-                    last = (beam, cap);
                 }
                 row.insert(&inst, CharId::from(member));
                 inserted.push(CharId::from(member));
-                // The insert dropped every refusal.
-                let held = stream.iter().filter(|&&id| row.memo_refuses(&inst, id, last.0, last.1));
-                proptest::prop_assert_eq!(held.count(), 0, "members {:?}", inserted);
             }
-            proptest::prop_assert!(answered > 0, "the memo answered no probe");
+            proptest::prop_assert!(admitted > 0 && refused > 0, "{} admitted, {} refused", admitted, refused);
         }
     }
 
@@ -2201,51 +2057,6 @@ mod tests {
             members.push(CharId::from(p));
         }
         probe_all(&mut row, &members);
-    }
-
-    #[test]
-    fn an_insert_drops_the_refusal_memo() {
-        // Before the insert of M, X (8, 10) sorts after B and C and the
-        // row refuses it at beam 8; after it, Y of the same shape and width
-        // sorts between B and C, at X's old position, and the larger row
-        // fits: the DP's decisions are not monotone in the member set, so
-        // a refusal cannot outlive an insert.
-        let (m, x, y) = (CharId::from(0), CharId::from(4), CharId::from(2));
-        let specs = [
-            (18, 18, 0), // M
-            (17, 0, 17), // B
-            (26, 8, 10), // Y
-            (18, 0, 18), // C
-            (26, 8, 10), // X
-            (21, 0, 21),
-            (20, 12, 2),
-            (11, 11, 0),
-            (10, 0, 10),
-            (24, 7, 2),
-            (16, 2, 3),
-        ];
-        let inst = row_instance(&specs, 100_000);
-        let members: Vec<CharId> = [1, 3, 5, 6, 7, 8, 9, 10].map(CharId::from).to_vec();
-        let with = |id: CharId, extra: &[CharId]| -> Vec<CharId> {
-            members.iter().chain(extra).copied().chain([id]).collect()
-        };
-        let cap = refine_row(&inst, &with(x, &[]), 8).1 - 1;
-        assert!(refine_row(&inst, &with(x, &[]), 1).1 > cap);
-        assert!(refine_row(&inst, &with(y, &[m]), 8).1 <= cap);
-        let mut row = ProbedRow::default();
-        for &id in &members {
-            row.insert(&inst, id);
-        }
-        let mut scratch = WidthScratch::default();
-        assert_eq!(row.position(&width_key(&inst, x)), 3);
-        assert!(!row.admits(&inst, x, 8, cap, &mut scratch).fits());
-        assert!(row.memo_refuses(&inst, x, 8, cap));
-        row.insert(&inst, m);
-        assert_eq!(row.position(&width_key(&inst, y)), 3);
-        assert_eq!(
-            row.admits(&inst, y, 8, cap, &mut scratch),
-            Admission::Dp(true)
-        );
     }
 
     #[test]

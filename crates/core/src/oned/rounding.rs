@@ -37,12 +37,11 @@ static ROUND_COMMITTED: trace::Counter = trace::Counter::new("round.committed");
 static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per_call");
 /// `RowState::admits` stage tallies — how often each stage of the staged
 /// admission test decided (counters `admits.*`). Stage order: clearly
-/// overfull estimate → refusal memo → beam-1 upper bound → exact width DP.
+/// overfull estimate → beam-1 upper bound → exact width DP.
 /// `admits.dp_keys` adds the keys each exact-DP probe walked, and
 /// `admits.table_steps` the suffix lengths the rows' completion tables
 /// computed for the probes.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
-static ADMITS_MEMO_REJECT: trace::Counter = trace::Counter::new("admits.memo_reject");
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 static ADMITS_DP_KEYS: trace::Counter = trace::Counter::new("admits.dp_keys");
@@ -73,10 +72,9 @@ pub struct RowState {
     /// `max s_i` over members.
     pub max_blank: u64,
     /// Members as a probe-ready row (sorted keys, maintained by
-    /// [`RowState::commit`], plus the refusal memo, the checkpointed DP
-    /// frontiers and the completion table its probes extend) so most
-    /// admission probes refuse from the memo and the rest resume the DP
-    /// walk near the candidate and stop once no completion fits.
+    /// [`RowState::commit`], plus the checkpointed DP frontiers and the
+    /// completion table its probes extend) so admission probes resume the
+    /// DP walk near the candidate and stop once no completion fits.
     probed: ProbedRow,
     /// Reusable width-DP buffers for [`RowState::admits`].
     scratch: WidthScratch,
@@ -120,23 +118,17 @@ impl RowState {
     /// stage would have to evict members, leaking value.
     ///
     /// Decision-identical to running the full DP on a cloned member list,
-    /// but staged so the DP almost never runs:
+    /// but staged:
     ///
     /// 1. clearly-overfull estimates are rejected outright (same quick
     ///    reject as before);
-    /// 2. a candidate whose class (left blank, right blank, sorted
-    ///    position) the row refused at most as wide since the last commit
-    ///    is refused from the memo: within a class the decision is monotone
-    ///    in width (see [`ProbedRow`]), and every rounding iteration and
-    ///    Algorithm 2's threshold pass re-probe the candidates that did not
-    ///    fit;
-    /// 3. otherwise a beam-1 greedy insertion chain gives a cheap upper
+    /// 2. otherwise a beam-1 greedy insertion chain gives a cheap upper
     ///    bound on the DP width: if one concrete order fits, the DP fits;
-    /// 4. only in the remaining near-capacity band does the exact
+    /// 3. only in the remaining near-capacity band does the exact
     ///    (width-only, allocation-free) DP run, resumed from the frontier
     ///    checkpoint nearest the candidate.
     ///
-    /// In stages 3–4 both walks refuse once no frontier state has an
+    /// In stages 2–3 both walks refuse once no frontier state has an
     /// end-insertion completion that fits, read off the row's completion
     /// table: at the resume checkpoint, with the candidate still to come
     /// charged `w − l − r`, and after every insertion from the candidate
@@ -160,10 +152,6 @@ impl RowState {
             .admits(instance, id, 8, stencil_w, &mut self.scratch);
         ADMITS_TABLE_STEPS.add(self.scratch.table_steps() as u64);
         match admission {
-            Admission::MemoReject => {
-                ADMITS_MEMO_REJECT.incr();
-                false
-            }
             Admission::ChainFits => {
                 ADMITS_BEAM.incr();
                 true
@@ -651,8 +639,8 @@ mod tests {
 
     #[test]
     fn admits_is_decision_identical_to_the_cloning_dp() {
-        // The staged admission test (estimate quick reject, refusal memo,
-        // beam-1 chain bound, exact-DP band) must decide exactly like the
+        // The staged admission test (estimate quick reject, beam-1 chain
+        // bound, exact-DP band) must decide exactly like the
         // original clone-members-and-run-refine_row implementation, on a
         // mix of symmetric and asymmetric characters near capacity.
         let mut chars = Vec::new();
@@ -674,11 +662,16 @@ mod tests {
         .unwrap();
         let w = inst.stencil().width();
 
-        // Reference: the pre-refactor implementation, verbatim.
-        let reference = |row: &RowState, id: CharId| -> bool {
+        // The estimate's quick reject, as in the pre-refactor
+        // implementation.
+        let estimate_refuses = |row: &RowState, id: CharId| -> bool {
             let c = inst.char(id.index());
             let (eff, blank) = (c.effective_width(), c.symmetric_blank());
-            if row.eff_used + eff + row.max_blank.max(blank) > w + 8 {
+            row.eff_used + eff + row.max_blank.max(blank) > w + 8
+        };
+        // Reference: the pre-refactor implementation, verbatim.
+        let reference = |row: &RowState, id: CharId| -> bool {
+            if estimate_refuses(row, id) {
                 return false;
             }
             let mut members = row.members.clone();
@@ -689,10 +682,9 @@ mod tests {
 
         // Grow rows greedily in several interleavings; probe every
         // candidate against every intermediate row state. A refused probe
-        // leaves the row unchanged, so the next step re-probes it, and
-        // every candidate of its shape at least as wide, from the kernel's
-        // refusal memo.
-        let mut memo_hits = 0;
+        // leaves the row unchanged, so the next step re-probes it from the
+        // row's checkpoints and completion table.
+        let (mut admitted, mut refused, mut past_estimate) = (0, 0, 0);
         for stride in 1..=3usize {
             let mut row = RowState::default();
             for step in 0..n {
@@ -702,22 +694,27 @@ mod tests {
                     if row.members.contains(&id) {
                         continue;
                     }
-                    memo_hits += row.probed.memo_refuses(&inst, id, 8, w) as usize;
+                    let fits = row.admits(&inst, id, w);
                     assert_eq!(
-                        row.admits(&inst, id, w),
+                        fits,
                         reference(&row, id),
                         "stride {stride}, step {step}, candidate {cand}, members {:?}",
                         row.members
                     );
+                    admitted += usize::from(fits);
+                    refused += usize::from(!fits);
+                    past_estimate += usize::from(!fits && !estimate_refuses(&row, id));
                 }
                 if !row.members.contains(&probe) && row.admits(&inst, probe, w) {
                     row.commit(&inst, probe);
-                    let memo = |c: usize| row.probed.memo_refuses(&inst, CharId::from(c), 8, w);
-                    assert!(!(0..n).any(memo), "a commit drops the memo");
                 }
             }
         }
-        assert!(memo_hits > 0, "the refusal memo was never exercised");
+        assert!(
+            admitted > 0 && refused > 0,
+            "{admitted} admitted, {refused} refused"
+        );
+        assert!(past_estimate > 0, "every refusal came from the estimate");
     }
 
     proptest::proptest! {
@@ -729,7 +726,8 @@ mod tests {
         /// grow member by member in a shuffled order; before each commit
         /// every candidate is probed at stencil widths of its estimate − 1,
         /// the estimate and the estimate + 1 (clamped to `u64::MAX`), so
-        /// the refusal memo sees the cap change between probes. Members and
+        /// the row's checkpoints and completion table serve probes under
+        /// three caps between commits. Members and
         /// candidates interleave by id and share blanks, so candidates sort
         /// among members of equal blank, before and past the checkpoints.
         /// With `high` set every candidate is raised by one base, chosen so
