@@ -8,7 +8,8 @@
 //! constants before the race shared one rounding between E-BLOW-1 and
 //! E-BLOW-0; the 1M-5 E-BLOW constant before row admission refused by a
 //! sorted-blank bound; the 1H-1 row and \[24\] heuristic constants before
-//! row admission remembered its refusals by shape. They pin two guarantees
+//! row admission remembered its refusals by shape; the 2T constants before
+//! the sequence-pair move packed in one pass. They pin two guarantees
 //! that production callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
@@ -165,25 +166,45 @@ const GOLDEN_2M4_EBLOW: (u64, u64) = (3632, 0xe8f23983abfe46a3);
 const GOLDEN_2M4_SA: (u64, u64) = (4923, 0x59a4c94a5df07145);
 const GOLDEN_TINY2D_EBLOW: (u64, u64) = (323, 0x41691aa953bd159b);
 const GOLDEN_TINY2D_SA: (u64, u64) = (323, 0xcf5642d15d0cf998);
+/// The same for 2T-1..4 (6–12 candidates on one region), which both
+/// planners anneal on the sequence-pair engine: `eblow2d` on 6–8 clustered
+/// nodes, `sa2d` on every candidate. Captured before the sequence-pair
+/// move evaluated its packing in one allocation-free pass.
+const GOLDEN_2T_EBLOW: [(u64, u64); 4] = [
+    (6, 0x48f4c927d5b39081),
+    (23, 0xcddf72747a8ac958),
+    (25, 0xce9ac0f446f1d050),
+    (45, 0x43edf66fdde50f1b),
+];
+const GOLDEN_2T_SA: [(u64, u64); 4] = [
+    (6, 0x48f4c927d5b39081),
+    (13, 0x97b42302708bba64),
+    (20, 0xaa49ad2b2d8cff76),
+    (34, 0x87d8ae82729aabe4),
+];
 
 #[test]
 fn annealed_2d_plans_are_byte_stable() {
     use eblow::planner::baselines::sa_2d;
     use eblow::planner::twod::Eblow2d;
-    let cases = [
+    let mut cases = vec![
         (
-            "2M-4",
+            "2M-4".to_string(),
             eblow::gen::benchmark(Family::M2(4)),
             GOLDEN_2M4_EBLOW,
             GOLDEN_2M4_SA,
         ),
         (
-            "tiny_2d(1)",
+            "tiny_2d(1)".to_string(),
             eblow::gen::generate(&eblow::gen::GenConfig::tiny_2d(1)),
             GOLDEN_TINY2D_EBLOW,
             GOLDEN_TINY2D_SA,
         ),
     ];
+    for (k, (eblow_pin, sa_pin)) in (1..).zip(GOLDEN_2T_EBLOW.into_iter().zip(GOLDEN_2T_SA)) {
+        let (name, inst) = (Family::T2(k).name(), eblow::gen::benchmark(Family::T2(k)));
+        cases.push((name, inst, eblow_pin, sa_pin));
+    }
     for (name, inst, eblow_pin, sa_pin) in cases {
         let eblow = Eblow2d::default().plan(&inst).unwrap();
         let sa = sa_2d(&inst).unwrap();
