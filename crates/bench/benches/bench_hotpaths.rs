@@ -10,7 +10,9 @@
 //! rounding rows, and post-swap on the refined rows. Two 2D kernels on
 //! 2M-4, the two members the 2D race runs, measure the shelf engine's SA
 //! move (`OrderState`, `ShelfCursor`): the \[24\] baseline under the sum
-//! objective, and E-BLOW under the max.
+//! objective, and E-BLOW under the max. A third runs the \[24\] baseline
+//! on 2T-4, whose 12 candidates anneal on the sequence-pair engine
+//! (`SeqPairState`, `SequencePair::pack_into`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eblow_core::baselines::{row_heuristic_1d, sa_2d};
@@ -248,6 +250,13 @@ fn bench_hotpaths(c: &mut Criterion) {
     group.sample_size(3);
     group.bench_function("sa_2d_anneal_2m4", |b| {
         b.iter(|| black_box(sa_2d(&inst).unwrap().total_time))
+    });
+    // The sequence-pair engine end to end: `sa2d` anneals all 12
+    // candidates of 2T-4 unclustered, about 2 500 moves of one
+    // longest-path pass each.
+    let tiny = benchmark(Family::T2(4));
+    group.bench_function("sa_2d_anneal_2t4", |b| {
+        b.iter(|| black_box(sa_2d(&tiny).unwrap().total_time))
     });
     // E-BLOW end to end: the pre-filter and clustering, then about 600
     // clustered nodes on the shelf engine under the max objective, which

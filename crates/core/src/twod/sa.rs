@@ -5,7 +5,8 @@
 //!
 //! * [`SeqPairState`] — the faithful engine: a sequence pair over all pack
 //!   nodes, `O(n²)` overlap-aware longest-path evaluation per move
-//!   (Parquet-style, as in \[24\]).
+//!   (Parquet-style, as in \[24\]), one pass over `Γ⁻` that places both
+//!   axes into buffers the state keeps, so a move allocates nothing.
 //! * [`OrderState`] — the scalable engine: SA over the shelf-packing
 //!   insertion order, for the 4000-candidate cases. A swap re-packs only
 //!   from the shelf holding the earlier swapped position, at a few
@@ -27,7 +28,7 @@ use super::cluster::PackNode;
 use super::skyline::{shelf_pack, Flow, ShelfCursor, ShelfSink, Slot};
 use eblow_anneal::Anneal;
 use eblow_model::Instance;
-use eblow_seqpair::{ItemGeometry, SequencePair};
+use eblow_seqpair::{ItemGeometry, Packing, SequencePair};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::cell::Cell;
@@ -145,8 +146,10 @@ impl<'a> Objective<'a> {
 
     /// Energy of a set of node positions: T_total of the in-outline nodes
     /// plus a gentle overflow pressure term (guides SA toward arrangements
-    /// that pull more nodes inside).
-    // audit:allow(stop-flag-reachability): one energy evaluation, O(nodes·regions); the SA move loop around it polls the flag
+    /// that pull more nodes inside). The reference the engines' energies
+    /// are checked against, bit for bit.
+    #[cfg(test)]
+    // audit:allow(stop-flag-reachability): test-only reference energy; method calls resolve by name, so every `energy()` call reaches it
     pub fn energy(&self, positions: &[Option<(i64, i64)>]) -> f64 {
         let mut times = self.vsb.clone();
         let mut overflow = 0.0f64;
@@ -185,11 +188,24 @@ impl<'a> Objective<'a> {
 }
 
 /// Sequence-pair SA state (the faithful Parquet-style engine).
+///
+/// A move swaps in the pair and packs it with
+/// [`SequencePair::pack_into`], one longest-path pass over `Γ⁻` into the
+/// coordinate buffers the state keeps, then reads the energy off those
+/// coordinates in node order into a region-time scratch: no allocation per
+/// move. The overflow term is summed in node order, as
+/// `Objective::energy` sums it, so the energy is bit-identical to it.
+/// `undo` swaps back and restores the energy the move replaced, without
+/// packing.
 #[derive(Clone)]
 pub struct SeqPairState<'a> {
     objective: &'a Objective<'a>,
     geometry: &'a NodeGeometry,
     sp: SequencePair,
+    /// The packing of the last pair evaluated (not restored by `undo`).
+    packing: Packing,
+    /// Scratch region times.
+    times: Vec<i64>,
     cached_energy: f64,
     /// Energy before the most recent `apply`, for `undo`.
     undo_energy: f64,
@@ -206,11 +222,38 @@ impl<'a> SeqPairState<'a> {
             objective,
             geometry,
             sp,
+            packing: Packing::default(),
+            times: objective.vsb.clone(),
             cached_energy: 0.0,
             undo_energy: 0.0,
         };
-        s.cached_energy = s.objective.energy(&s.positions());
+        s.cached_energy = s.evaluate();
         s
+    }
+
+    /// Packs the current pair into the state's buffers and returns its
+    /// energy: the region times of the nodes inside the outline, plus the
+    /// overflow of the others summed in node order.
+    fn evaluate(&mut self) -> f64 {
+        let (objective, geometry) = (self.objective, self.geometry);
+        self.sp.pack_into(geometry, &mut self.packing);
+        self.times.copy_from_slice(&objective.vsb);
+        let (w, h) = (objective.stencil_w, objective.stencil_h);
+        let mut overflow = 0.0f64;
+        let Packing { xs, ys, .. } = &self.packing;
+        for (k, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+            let (nw, nh) = (geometry.width(k), geometry.height(k));
+            if x >= 0 && y >= 0 && x + nw <= w && y + nh <= h {
+                for (t, r) in self.times.iter_mut().zip(objective.reduction(k)) {
+                    *t -= r;
+                }
+            } else {
+                let over_x = ((x + nw - w).max(0) as f64) / w as f64;
+                let over_y = ((y + nh - h).max(0) as f64) / h as f64;
+                overflow += over_x + over_y;
+            }
+        }
+        objective.energy_of(&self.times, overflow)
     }
 
     /// Final positions (all nodes; caller filters by outline).
@@ -270,7 +313,7 @@ impl Anneal for SeqPairState<'_> {
     fn apply(&mut self, mv: &SpMove) {
         self.swap(mv);
         self.undo_energy = self.cached_energy;
-        self.cached_energy = self.objective.energy(&self.positions());
+        self.cached_energy = self.evaluate();
     }
 
     fn undo(&mut self, mv: &SpMove) {
@@ -655,38 +698,94 @@ mod tests {
         assert!((none - t_vsb).abs() < 1e-9);
     }
 
-    #[test]
-    fn seqpair_state_moves_are_reversible() {
-        let (inst, nodes) = setup(4);
-        let obj = Objective::new(&inst, &nodes);
-        let geo = NodeGeometry::new(&nodes);
-        let mut st = SeqPairState::new(&obj, &geo, SequencePair::identity(4));
-        let e0 = st.energy();
-        let mv = SpMove::Both(1, 3);
-        st.apply(&mv);
-        st.undo(&mv);
-        assert_eq!(st.energy(), e0);
-        assert_eq!(st.sp, SequencePair::identity(4));
-        // The restored energy is the evaluated one, after accepted moves too.
-        let mut rng = StdRng::seed_from_u64(5);
-        for step in 0..200 {
-            let mv = st.propose(&mut rng).unwrap();
-            st.apply(&mv);
-            assert_eq!(st.energy().to_bits(), obj.energy(&st.positions()).to_bits());
-            if step % 3 == 0 {
-                st.undo(&mv);
-            }
-            assert_eq!(st.energy().to_bits(), obj.energy(&st.positions()).to_bits());
-        }
+    /// How often the sequence-pair check saw each branch of the energy.
+    #[derive(Debug, Default)]
+    struct SpCoverage {
+        checks: usize,
+        /// Nodes inside the outline, over all checks.
+        inside: usize,
+        /// Nodes past the outline (the overflow term), over all checks.
+        overflow: usize,
+        /// Nodes wider or taller than the outline, over all instances.
+        oversized: usize,
     }
 
-    /// A random instance of `n` nodes for the shelf engine: three regions,
-    /// a few merged nodes (multi-member reductions), and nodes wider or
-    /// taller than the `stencil_w × stencil_h` outline, which the shelf
-    /// rule skips. Widths and heights are 12–60 otherwise.
-    fn shelf_instance(
+    /// The state's energy is `Objective::energy` of its packing, bit for
+    /// bit; counts the nodes of each branch.
+    fn check_seqpair_energy(st: &SeqPairState<'_>, cov: &mut SpCoverage) {
+        let obj = st.objective;
+        let positions = st.positions();
+        assert_eq!(st.energy().to_bits(), obj.energy(&positions).to_bits());
+        for (node, pos) in obj.nodes.iter().zip(&positions) {
+            let (x, y) = pos.expect("a packing places every node");
+            let inside =
+                x + node.width as i64 <= obj.stencil_w && y + node.height as i64 <= obj.stencil_h;
+            cov.inside += inside as usize;
+            cov.overflow += !inside as usize;
+        }
+        cov.checks += 1;
+    }
+
+    /// After every `apply` and every `undo`, the sequence-pair state's
+    /// energy is `Objective::energy` of its packing bit for bit, and an
+    /// `undo` restores the pair: random sets of 2–60 nodes (a few merged)
+    /// on 1 and on 10 regions, under both objectives, from random pairs, on
+    /// outlines of 60–300 per side, small enough that packings overflow,
+    /// with nodes wider or taller than the outline.
+    #[test]
+    fn seqpair_state_moves_are_reversible() {
+        let mut cov = SpCoverage::default();
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for regions in [1, 10] {
+                let chars = rng.random_range(3..=64usize);
+                let (w, h) = (rng.random_range(60..=300u64), rng.random_range(60..=300u64));
+                let (inst, nodes) = random_instance(seed + 100, chars, regions, w, h);
+                assert!((2..=60).contains(&nodes.len()));
+                cov.oversized += nodes.iter().filter(|n| n.width > w || n.height > h).count();
+                let geo = NodeGeometry::new(&nodes);
+                for sum_objective in [false, true] {
+                    let mut obj = Objective::new(&inst, &nodes);
+                    obj.sum_objective = sum_objective;
+                    let shuffled = |rng: &mut StdRng| {
+                        let mut seq: Vec<usize> = (0..nodes.len()).collect();
+                        for k in (1..seq.len()).rev() {
+                            seq.swap(k, rng.random_range(0..=k));
+                        }
+                        seq
+                    };
+                    let sp = SequencePair::new(shuffled(&mut rng), shuffled(&mut rng));
+                    let mut st = SeqPairState::new(&obj, &geo, sp);
+                    check_seqpair_energy(&st, &mut cov);
+                    for _ in 0..150 {
+                        let mv = st.propose(&mut rng).unwrap();
+                        let before = st.sp.clone();
+                        st.apply(&mv);
+                        check_seqpair_energy(&st, &mut cov);
+                        if rng.random_bool(0.5) {
+                            st.undo(&mv);
+                            assert_eq!(st.sp, before);
+                            check_seqpair_energy(&st, &mut cov);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            cov.checks > 4_000 && cov.inside > 0 && cov.overflow > 0 && cov.oversized > 0,
+            "a case went uncovered: {cov:?}"
+        );
+    }
+
+    /// A random instance of `n` characters on `regions` regions: the last
+    /// eight (fewer when `n < 8`) merged in pairs (multi-member
+    /// reductions), and nodes wider or taller than the
+    /// `stencil_w × stencil_h` outline, which never lie inside it. Widths
+    /// and heights are 12–60 otherwise.
+    fn random_instance(
         seed: u64,
         n: usize,
+        regions: usize,
         stencil_w: u64,
         stencil_h: u64,
     ) -> (Instance, Vec<PackNode>) {
@@ -708,13 +807,14 @@ mod tests {
             })
             .collect();
         let repeats = (0..n)
-            .map(|_| (0..3).map(|_| rng.random_range(0..6u64)).collect())
+            .map(|_| (0..regions).map(|_| rng.random_range(0..6u64)).collect())
             .collect();
         let stencil = Stencil::new(stencil_w, stencil_h).unwrap();
         let inst = Instance::new(stencil, chars, repeats).unwrap();
         let single = |i: usize| PackNode::single(&inst, CharId::from(i), 1.0);
-        let mut nodes: Vec<PackNode> = (0..n - 8).map(single).collect();
-        for i in (n - 8..n).step_by(2) {
+        let merged = n.min(8) & !1;
+        let mut nodes: Vec<PackNode> = (0..n - merged).map(single).collect();
+        for i in (n - merged..n).step_by(2) {
             nodes.push(single(i).merge(&single(i + 1)));
         }
         (inst, nodes)
@@ -817,7 +917,7 @@ mod tests {
             (5, 240, 1_000, 2_000),
         ];
         for (seed, n, stencil_w, stencil_h) in shapes {
-            let (inst, nodes) = shelf_instance(seed, n, stencil_w, stencil_h);
+            let (inst, nodes) = random_instance(seed, n, 3, stencil_w, stencil_h);
             assert!(nodes.iter().any(|n| n.width > stencil_w));
             assert!(nodes.iter().any(|n| n.height > stencil_h));
             for sum_objective in [false, true] {

@@ -78,7 +78,7 @@ pub enum PairRelation {
 }
 
 /// The result of packing a sequence pair: coordinates and bounding box.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Packing {
     /// X of each block's lower-left corner (indexed by block).
     pub xs: Vec<i64>,
@@ -198,7 +198,8 @@ impl SequencePair {
     }
 
     /// Packs the blocks: longest-path in the horizontal/vertical constraint
-    /// graphs with overlap-aware edge weights. `O(n²)`.
+    /// graphs with overlap-aware edge weights. `O(n²)`. Allocates the
+    /// returned coordinates; [`SequencePair::pack_into`] reuses them.
     ///
     /// Every pair of blocks is constrained (exactly one of the four
     /// relations holds), so the returned coordinates satisfy the disjunctive
@@ -208,46 +209,68 @@ impl SequencePair {
     ///
     /// Panics if `items.len() != self.len()`.
     pub fn pack<G: ItemGeometry>(&self, items: &G) -> Packing {
+        let mut out = Packing::default();
+        self.pack_into(items, &mut out);
+        out
+    }
+
+    /// [`SequencePair::pack`] into `out`, whose coordinate buffers are
+    /// resized to the block count and overwritten: no allocation once they
+    /// have held `n` blocks.
+    ///
+    /// One pass over `Γ⁻` places both axes. Every block before `b` in `Γ⁻`
+    /// is left of `b` (before it in `Γ⁺` too) or below it (after it in
+    /// `Γ⁺`), and was placed before `b`, so each pair is visited once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items.len() != self.len()`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use eblow_seqpair::{ItemGeometry, Packing, SequencePair};
+    ///
+    /// struct Squares(usize);
+    /// impl ItemGeometry for Squares {
+    ///     fn len(&self) -> usize { self.0 }
+    ///     fn width(&self, _: usize) -> i64 { 10 }
+    ///     fn height(&self, _: usize) -> i64 { 10 }
+    ///     fn h_overlap(&self, _: usize, _: usize) -> i64 { 2 }
+    ///     fn v_overlap(&self, _: usize, _: usize) -> i64 { 0 }
+    /// }
+    ///
+    /// let mut out = Packing::default();
+    /// SequencePair::identity(3).pack_into(&Squares(3), &mut out);
+    /// assert_eq!(out.xs, [0, 8, 16]);
+    /// assert_eq!(out.width, 26);
+    /// // 1 above 0 (after it in Γ⁻, before it in Γ⁺); the buffers shrink.
+    /// SequencePair::new(vec![1, 0], vec![0, 1]).pack_into(&Squares(2), &mut out);
+    /// assert_eq!(out.ys, [0, 10]);
+    /// assert_eq!(out.height, 20);
+    /// ```
+    pub fn pack_into<G: ItemGeometry>(&self, items: &G, out: &mut Packing) {
         let n = self.len();
         assert_eq!(items.len(), n, "geometry size mismatch");
-        let mut xs = vec![0i64; n];
-        let mut ys = vec![0i64; n];
-
-        // X: process blocks in Γ⁻ order; for b, max over a "left-of" b.
-        // a left-of b ⇔ a before b in both sequences. Scanning in Γ⁻ order
-        // guarantees every left-of predecessor is already placed.
+        let Packing { xs, ys, .. } = out;
+        xs.resize(n, 0);
+        ys.resize(n, 0);
+        let (mut width, mut height) = (0, 0);
         for (k, &b) in self.neg.iter().enumerate() {
-            let mut x = 0i64;
+            let (mut x, mut y) = (0i64, 0i64);
+            let rank = self.inv_pos[b];
             for &a in &self.neg[..k] {
-                if self.inv_pos[a] < self.inv_pos[b] {
+                if self.inv_pos[a] < rank {
                     x = x.max(xs[a] + items.width(a) - items.h_overlap(a, b));
-                }
-            }
-            xs[b] = x;
-        }
-        // Y: a below b ⇔ a after b in Γ⁺, before b in Γ⁻. Scan Γ⁻ order.
-        for (k, &b) in self.neg.iter().enumerate() {
-            let mut y = 0i64;
-            for &a in &self.neg[..k] {
-                if self.inv_pos[a] > self.inv_pos[b] {
+                } else {
                     y = y.max(ys[a] + items.height(a) - items.v_overlap(a, b));
                 }
             }
-            ys[b] = y;
+            (xs[b], ys[b]) = (x, y);
+            width = width.max(x + items.width(b));
+            height = height.max(y + items.height(b));
         }
-
-        let mut width = 0;
-        let mut height = 0;
-        for i in 0..n {
-            width = width.max(xs[i] + items.width(i));
-            height = height.max(ys[i] + items.height(i));
-        }
-        Packing {
-            xs,
-            ys,
-            width,
-            height,
-        }
+        (out.width, out.height) = (width, height);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests for sequence-pair packing: legality of every
-//! packing, relation/packing consistency, and move reversibility.
+//! packing, relation/packing consistency, move reversibility, and the
+//! one-pass packer against the two-pass reference.
 
-use eblow_seqpair::{ItemGeometry, PairRelation, SequencePair};
+use eblow_seqpair::{ItemGeometry, Packing, PairRelation, SequencePair};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -38,6 +39,51 @@ fn blocks(n: usize) -> impl Strategy<Value = Blocks> {
 
 fn permutation(n: usize) -> impl Strategy<Value = Vec<usize>> {
     Just((0..n).collect::<Vec<usize>>()).prop_shuffle()
+}
+
+/// The reference packer: longest paths over `Γ⁻`, one scan per axis, into
+/// fresh buffers.
+fn two_pass_pack<G: ItemGeometry>(sp: &SequencePair, items: &G) -> Packing {
+    let n = sp.len();
+    let mut rank = vec![0; n];
+    for (k, &b) in sp.pos().iter().enumerate() {
+        rank[b] = k;
+    }
+    let neg = sp.neg();
+    let mut xs = vec![0i64; n];
+    let mut ys = vec![0i64; n];
+    // a left of b: before b in both sequences.
+    for (k, &b) in neg.iter().enumerate() {
+        let mut x = 0i64;
+        for &a in &neg[..k] {
+            if rank[a] < rank[b] {
+                x = x.max(xs[a] + items.width(a) - items.h_overlap(a, b));
+            }
+        }
+        xs[b] = x;
+    }
+    // a below b: after b in Γ⁺, before b in Γ⁻.
+    for (k, &b) in neg.iter().enumerate() {
+        let mut y = 0i64;
+        for &a in &neg[..k] {
+            if rank[a] > rank[b] {
+                y = y.max(ys[a] + items.height(a) - items.v_overlap(a, b));
+            }
+        }
+        ys[b] = y;
+    }
+    let mut width = 0;
+    let mut height = 0;
+    for i in 0..n {
+        width = width.max(xs[i] + items.width(i));
+        height = height.max(ys[i] + items.height(i));
+    }
+    Packing {
+        xs,
+        ys,
+        width,
+        height,
+    }
 }
 
 proptest! {
@@ -111,6 +157,30 @@ proptest! {
         sp.swap_blocks(i, j);
         sp.swap_blocks(i, j);
         prop_assert_eq!(&sp, &original);
+    }
+
+    /// `pack_into` gives the reference's coordinates and bounding box, into
+    /// one buffer reused over pairs of 0–40 blocks in random order, so that
+    /// it grows and shrinks. Each pair takes the first `n` blocks, in the
+    /// order the 40-block permutations list them.
+    #[test]
+    fn one_pass_packing_matches_the_two_pass_reference(
+        items in blocks(40),
+        pos in permutation(40),
+        neg in permutation(40),
+        sizes in prop::collection::vec(0usize..=40, 2..10),
+    ) {
+        let mut out = Packing::default();
+        for n in sizes {
+            let first = Blocks {
+                dims: items.dims[..n].to_vec(),
+                blanks: items.blanks[..n].to_vec(),
+            };
+            let pick = |perm: &[usize]| perm.iter().copied().filter(|&b| b < n).collect();
+            let sp = SequencePair::new(pick(&pos), pick(&neg));
+            sp.pack_into(&first, &mut out);
+            prop_assert_eq!(&out, &two_pass_pack(&sp, &first));
+        }
     }
 
     /// Zero overlaps give packings at least as wide as overlap-aware ones.
