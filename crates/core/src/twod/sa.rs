@@ -189,9 +189,9 @@ impl<'a> Objective<'a> {
 
 /// Sequence-pair SA state (the faithful Parquet-style engine).
 ///
-/// A move swaps in the pair and packs it with
-/// [`SequencePair::pack_into`], one longest-path pass over `Γ⁻` into the
-/// coordinate buffers the state keeps, then reads the energy off those
+/// A move swaps two entries of the pair, packs it with
+/// [`SequencePair::pack_into`] (one longest-path pass over `Γ⁻` into the
+/// coordinate buffers the state keeps), and reads the energy off those
 /// coordinates in node order into a region-time scratch: no allocation per
 /// move. The overflow term is summed in node order, as
 /// `Objective::energy` sums it, so the energy is bit-identical to it.
