@@ -9,7 +9,8 @@
 //! E-BLOW-0; the 1M-5 E-BLOW constant before row admission refused by a
 //! sorted-blank bound; the 1H-1 row and \[24\] heuristic constants before
 //! row admission remembered its refusals by shape; the 2T constants before
-//! the sequence-pair move packed in one pass. They pin two guarantees
+//! the sequence-pair move packed in one pass; the 1H race constants while
+//! the three 1D baselines still raced at that size. They pin two guarantees
 //! that production callers rely on:
 //!
 //! * **Digests** — `InstanceDigest` keys plan caches and persisted
@@ -320,21 +321,33 @@ const GOLDEN_TINY1D_RACE: [(u64, u64, u64); 5] = [
     (89, 578, 0xfe9772d55c2f9c7a),
 ];
 
+/// `(total writing time, plan fingerprint)` of the default race's best plan
+/// on 1H-1 and 1H-2 (12 000 candidates) with no deadline. Captured while
+/// `heuristic1d`, `rowheur1d` and `greedy1d` still raced at that size.
+const GOLDEN_1H_RACE: [(u64, u64); 2] = [(45144, 0x59834fd80d743b16), (79404, 0x044e30e00e20f735)];
+
 #[test]
 fn default_race_plans_are_byte_stable() {
     use eblow::engine::{PlanDetail, Portfolio, PortfolioConfig};
     let portfolio = Portfolio::all_builtin();
-    for (seed, total, fp) in GOLDEN_TINY1D_RACE {
+    let tiny = GOLDEN_TINY1D_RACE.into_iter().map(|(seed, total, fp)| {
         let inst = eblow::gen::generate(&eblow::gen::GenConfig::tiny_1d(seed));
+        (format!("tiny_1d({seed})"), inst, (total, fp))
+    });
+    let huge = (1..).zip(GOLDEN_1H_RACE).map(|(k, pin)| {
+        let family = Family::H1(k);
+        (family.name(), eblow::gen::benchmark(family), pin)
+    });
+    for (name, inst, pin) in tiny.chain(huge) {
         let outcome = portfolio.run(&inst, &PortfolioConfig::default());
         let best = outcome.best.expect("the race plans");
         let PlanDetail::OneD(plan) = &best.detail else {
-            panic!("tiny_1d({seed}) raced to a 2D plan");
+            panic!("{name} raced to a 2D plan");
         };
         assert_eq!(
             (plan.total_time, plan_fingerprint(plan)),
-            (total, fp),
-            "tiny_1d({seed}) race plan changed byte-for-byte"
+            pin,
+            "{name} race plan changed byte-for-byte"
         );
     }
 }
