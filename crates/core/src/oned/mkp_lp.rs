@@ -88,7 +88,7 @@ impl MkpItem {
 /// `total_cmp` (not `partial_cmp().unwrap()`) keeps the sort panic-free
 /// even for hostile non-finite profits; NaN profits fail the `> 0.0`
 /// filter and never enter the order at all.
-fn density_order(items: &[MkpItem]) -> Vec<usize> {
+pub(super) fn density_order(items: &[MkpItem]) -> Vec<usize> {
     let densities: Vec<f64> = items
         .iter()
         .map(|it| it.profit / it.eff_width.max(1) as f64)

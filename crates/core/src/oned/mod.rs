@@ -38,6 +38,7 @@ pub use rounding::{successive_rounding, RoundingConfig, RoundingOutcome, Roundin
 use crate::cancel::StopFlag;
 use crate::Plan1d;
 use eblow_model::{Instance, ModelError, Placement1d, Row, Selection};
+use rounding::ADMISSION_BEAM;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -135,8 +136,10 @@ impl Eblow1d {
 
     /// Like [`Eblow1d::plan`], but polls `stop` at stage and iteration
     /// boundaries. A cancelled run skips remaining optimization (later LP
-    /// rounds, Algorithm 2's residual, the post stages) and finishes the
-    /// plan from whatever was committed — the result still validates.
+    /// rounds, Algorithm 2's residual, the post stages), fills the rows'
+    /// remaining room first-fit (the anytime fill of
+    /// [`successive_rounding`]) and finishes the plan from what was
+    /// committed — the result still validates.
     ///
     /// This is [`Eblow1d::round`] followed by [`Eblow1d::finish`].
     pub fn plan_with_stop(
@@ -278,6 +281,13 @@ impl Eblow1d {
             // next row boundary.
             let beam = self.config.refine_threshold;
             let (mut order, mut width) = refine_row_with_stop(instance, &rs.members, beam, stop);
+            if width > w && stop.is_set() {
+                // Every row fits its beam-1 chain (the anytime fill admits
+                // by it) or the admission DP's beam, so a row the chain
+                // overfills is refined once at that beam, still bounded,
+                // before any member is dropped.
+                (order, width) = refine_row(instance, &rs.members, ADMISSION_BEAM);
+            }
             while width > w && !order.is_empty() {
                 // Drop the member with the lowest dynamic profit.
                 let (drop_pos, _) = order
@@ -505,8 +515,11 @@ mod tests {
         let trace = plan.trace.expect("E-BLOW produces a trace");
         assert!(!trace.unsolved_per_iter.is_empty());
         assert!(trace.unsolved_per_iter.windows(2).all(|w| w[1] <= w[0]));
+        assert_eq!(trace.filled, 0, "an uncut run never fills");
     }
 
+    /// With the flag up before the first LP, the anytime fill places
+    /// characters in Eqn. (6) density order, and the plan still validates.
     #[test]
     fn pre_cancelled_plan_is_still_valid() {
         use std::sync::atomic::AtomicBool;
@@ -517,9 +530,90 @@ mod tests {
             .unwrap();
         plan.placement.validate(&inst).unwrap();
         assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+        let trace = plan.trace.as_ref().expect("E-BLOW produces a trace");
+        assert!(trace.unsolved_per_iter.is_empty(), "no LP ran");
+        assert!(trace.filled > 0 && plan.selection.count() == trace.filled);
         // A cancelled run can never beat the uncancelled one.
         let full = Eblow1d::default().plan(&inst).unwrap();
         assert!(plan.total_time >= full.total_time);
+    }
+
+    /// The combinatorial backend, raising the stop flag on its second
+    /// solve: rounding is cut right after its first LP iteration.
+    #[derive(Debug)]
+    struct CutAfterFirstLp {
+        stop: Arc<std::sync::atomic::AtomicBool>,
+        solves: std::sync::atomic::AtomicUsize,
+    }
+
+    impl LpOracle for CutAfterFirstLp {
+        fn name(&self) -> &'static str {
+            "cut-after-first-lp"
+        }
+        fn solve_lp(
+            &self,
+            items: &[MkpItem],
+            base: &[RowBase],
+            stencil_w: u64,
+        ) -> Result<MkpLpSolution, OracleError> {
+            use std::sync::atomic::Ordering;
+            if self.solves.fetch_add(1, Ordering::Relaxed) == 1 {
+                self.stop.store(true, Ordering::Relaxed);
+            }
+            CombinatorialOracle.solve_lp(items, base, stencil_w)
+        }
+    }
+
+    /// A rounding cut after its first LP iteration keeps every character
+    /// that iteration committed, and the anytime fill places more on the
+    /// rows' remaining room; the beam-1 finish keeps all of them.
+    #[test]
+    fn cut_rounding_keeps_its_commits_and_fills_the_rows() {
+        use eblow_gen::Family;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        let first_iteration = Eblow1d::new(Eblow1dConfig {
+            rounding: RoundingConfig {
+                max_iters: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        for family in [Family::M1(5), Family::H1(1)] {
+            let name = family.name();
+            let inst = eblow_gen::benchmark(family);
+            let stop = Arc::new(AtomicBool::new(false));
+            let oracle = CutAfterFirstLp {
+                stop: Arc::clone(&stop),
+                solves: AtomicUsize::new(0),
+            };
+            let cut = Eblow1d::new(Eblow1dConfig::default().with_oracle(Arc::new(oracle)));
+            let plan = cut.plan_with_stop(&inst, StopFlag::new(&stop)).unwrap();
+            plan.placement.validate(&inst).unwrap();
+            assert_eq!(plan.total_time, inst.total_writing_time(&plan.selection));
+            let trace = plan.trace.as_ref().expect("E-BLOW produces a trace");
+            // The second iteration solved its LP and committed nothing.
+            assert_eq!(trace.committed_per_iter.len(), 2, "{name}");
+            assert_eq!(trace.committed_per_iter[1], 0, "{name}");
+            // The first iteration alone, uncut, commits the same characters.
+            let rounded = first_iteration.round(&inst, StopFlag::NEVER).unwrap();
+            assert_eq!(rounded.outcome.trace.filled, 0, "{name}");
+            let committed: Vec<usize> = rounded
+                .outcome
+                .rows
+                .iter()
+                .flat_map(|r| r.members.iter().map(|id| id.index()))
+                .collect();
+            assert_eq!(committed.len(), trace.committed_per_iter[0], "{name}");
+            for &i in &committed {
+                assert!(plan.selection.contains(i), "{name}: lost character {i}");
+            }
+            assert!(trace.filled > 0, "{name}: the fill placed nothing");
+            assert_eq!(
+                plan.selection.count(),
+                committed.len() + trace.filled,
+                "{name}: the finish dropped a character"
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,16 @@
 //! instead of cloned. Each iteration's LP is one cold
 //! [`LpOracle::solve_lp`] call: the relaxation is solved from the
 //! iteration's items and row bases alone.
+//!
+//! The loop is anytime: when the stop flag cuts it, the rows still have
+//! room that the remaining LP rounds would have filled. A bounded
+//! first-fit fill offers them the unsolved characters in the last LP's
+//! order before the loop returns (see [`successive_rounding`]), so a cut
+//! E-BLOW run keeps a full stencil instead of the few batches it
+//! committed. An uncut run never reaches the fill, so its plan is
+//! unchanged.
 
-use super::mkp_lp::{MkpItem, MkpLpSolution, RowBase};
+use super::mkp_lp::{density_order, MkpItem, MkpLpSolution, RowBase};
 use super::oracle::LpOracle;
 use super::refine::{Admission, ProbedRow, WidthScratch};
 use crate::cancel::StopFlag;
@@ -46,6 +54,9 @@ static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 static ADMITS_DP_KEYS: trace::Counter = trace::Counter::new("admits.dp_keys");
 static ADMITS_TABLE_STEPS: trace::Counter = trace::Counter::new("admits.table_steps");
+/// Characters the anytime fill committed after the stop flag cut the loop
+/// (counter `round.fill_committed`); it never moves on an uncut run.
+static FILL_COMMITTED: trace::Counter = trace::Counter::new("round.fill_committed");
 
 /// Observable trace of the rounding loop, powering Figs. 5 and 6.
 #[derive(Debug, Clone, Default)]
@@ -60,7 +71,14 @@ pub struct RoundingTrace {
     /// LP oracle refusals/failures that ended the loop early (0 for the
     /// default combinatorial backend, which never fails).
     pub oracle_errors: usize,
+    /// Characters the anytime fill committed after the stop flag cut the
+    /// loop (0 on an uncut run).
+    pub filled: usize,
 }
+
+/// The DP beam [`RowState::admits`] certifies a row at: every row it
+/// admits to fits its beam-1 chain or this beam's DP.
+pub(super) const ADMISSION_BEAM: usize = 8;
 
 /// Mutable state of one stencil row during planning.
 #[derive(Debug, Clone, Default)]
@@ -90,9 +108,24 @@ impl RowState {
         }
     }
 
-    /// The S-Blank estimate with one more character, exact past `u64`.
-    fn estimate_with(&self, eff: u64, blank: u64) -> u128 {
-        u128::from(self.eff_used) + u128::from(eff) + u128::from(self.max_blank.max(blank))
+    /// Stage 1 of [`RowState::admits`], the quick reject: whether the
+    /// S-Blank estimate with `id` (exact past `u64`) clearly overfills the
+    /// row. The estimate rarely *over*states the DP width by much, so a
+    /// clearly overfull estimate is a safe early out.
+    fn estimate_refuses(&self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
+        let c = instance.char(id.index());
+        let estimate = u128::from(self.eff_used)
+            + u128::from(c.effective_width())
+            + u128::from(self.max_blank.max(c.symmetric_blank()));
+        estimate > u128::from(stencil_w) + 8
+    }
+
+    /// Stage 2 of [`RowState::admits`] alone: whether the beam-1 chain, one
+    /// concrete order of the members plus `id`, fits. Never runs the DP.
+    fn chain_fits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
+        self.probed
+            .admits(instance, id, 1, stencil_w, &mut self.scratch)
+            .fits()
     }
 
     /// Commits character `id` of `instance`.
@@ -139,17 +172,13 @@ impl RowState {
     ///
     /// Widths past `u64::MAX` read as "does not fit" at every stage.
     pub fn admits(&mut self, instance: &Instance, id: CharId, stencil_w: u64) -> bool {
-        let c = instance.char(id.index());
-        // Quick reject: the estimate rarely *over*states the DP width by
-        // much, so a clearly overfull estimate is a safe early out.
-        let estimate = self.estimate_with(c.effective_width(), c.symmetric_blank());
-        if estimate > u128::from(stencil_w) + 8 {
+        if self.estimate_refuses(instance, id, stencil_w) {
             ADMITS_ESTIMATE_REJECT.incr();
             return false;
         }
-        let admission = self
-            .probed
-            .admits(instance, id, 8, stencil_w, &mut self.scratch);
+        let admission =
+            self.probed
+                .admits(instance, id, ADMISSION_BEAM, stencil_w, &mut self.scratch);
         ADMITS_TABLE_STEPS.add(self.scratch.table_steps() as u64);
         match admission {
             Admission::ChainFits => {
@@ -237,10 +266,19 @@ pub struct RoundingOutcome {
 /// `eligible` are candidate indices that physically fit a row (callers
 /// exclude too-tall/too-wide characters up front).
 ///
-/// The loop polls `stop` before every LP iteration; on cancellation it
-/// returns the commitments made so far (still a consistent
-/// [`RoundingOutcome`], just with a larger unsolved set). An oracle
-/// refusal/failure ends the loop the same graceful way, recorded in
+/// The loop polls `stop` before every LP iteration and before every
+/// commit. Once the flag is up it keeps the commitments made so far and
+/// fills the rows' remaining room first-fit (the anytime fill): the
+/// unsolved characters are offered in the last LP's order (largest
+/// `max_j a_ij` first, then Eqn. (6) density, the whole set in density
+/// order when no LP has run), each to the first row that admits it by the
+/// estimate's quick reject and then the beam-1 chain, never the beam-`B`
+/// DP. A row closes at its first chain refusal, so the fill probes the
+/// chain at most once per commit plus once per row, and the finish's
+/// beam-1 refinement, which orders each row as the chain does, keeps what
+/// the fill committed. [`RoundingTrace::filled`] counts those characters.
+/// The outcome stays consistent: `unsolved` and the last LP drop them. An
+/// oracle refusal/failure ends the loop the graceful way too, recorded in
 /// [`RoundingTrace::oracle_errors`].
 pub fn successive_rounding<O: LpOracle + ?Sized>(
     instance: &Instance,
@@ -349,12 +387,7 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
         let before = unsolved.len();
         // `unsolved` and `items` are index-aligned; drop committed entries
         // from both (and from the LP columns) in place.
-        let mut k = 0;
-        unsolved.retain(|_| {
-            let keep = !committed[k];
-            k += 1;
-            keep
-        });
+        drop_committed(&mut unsolved, &committed);
         last_items.clear();
         last_items.extend(
             items
@@ -378,6 +411,20 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
         }
     }
 
+    if stop.is_set() {
+        let _fill = trace::span("round.fill");
+        trace.filled = fill_after_cut(
+            instance,
+            &mut rows,
+            &mut region_times,
+            &mut unsolved,
+            &mut last_items,
+            last_lp.as_mut(),
+            w,
+        );
+        FILL_COMMITTED.add(trace.filled as u64);
+    }
+
     if let Some(lp) = &last_lp {
         for &f in &lp.max_frac {
             let bucket = ((f * 10.0).floor() as usize).min(9);
@@ -396,28 +443,87 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
     }
 }
 
+/// The anytime fill of a cut rounding (see [`successive_rounding`]):
+/// commits unsolved characters first-fit and returns how many. `unsolved`
+/// is aligned with `last_lp` and `last_items` when an LP has run, and all
+/// three drop the committed characters.
+// audit:allow(stop-flag-reachability): runs once the flag is up, bounded by design: O(candidates · rows) estimate checks and at most one chain probe per commit plus one per row
+fn fill_after_cut(
+    instance: &Instance,
+    rows: &mut [RowState],
+    region_times: &mut RegionTimes,
+    unsolved: &mut Vec<usize>,
+    last_items: &mut Vec<MkpItem>,
+    last_lp: Option<&mut MkpLpSolution>,
+    w: u64,
+) -> usize {
+    let priced: Vec<MkpItem>;
+    let items = if last_lp.is_some() {
+        &last_items[..]
+    } else {
+        priced = unsolved
+            .iter()
+            .map(|&i| MkpItem::of_char(instance, region_times, i))
+            .collect();
+        &priced[..]
+    };
+    // Density order, then (stably) the LP's value, largest first.
+    let mut order = density_order(items);
+    if let Some(lp) = &last_lp {
+        order.sort_by(|&a, &b| lp.max_frac[b].total_cmp(&lp.max_frac[a]));
+    }
+    let mut open = vec![true; rows.len()];
+    let mut open_rows = rows.len();
+    let mut committed = vec![false; items.len()];
+    let mut filled = 0;
+    for &k in &order {
+        if open_rows == 0 {
+            break;
+        }
+        let id = CharId::from(items[k].char_index);
+        for (row, open) in rows.iter_mut().zip(&mut open) {
+            if !*open || row.estimate_refuses(instance, id, w) {
+                continue;
+            }
+            if row.chain_fits(instance, id, w) {
+                row.commit(instance, id);
+                region_times.select(instance, id.index());
+                committed[k] = true;
+                filled += 1;
+                break;
+            }
+            *open = false;
+            open_rows -= 1;
+        }
+    }
+    if filled > 0 {
+        drop_committed(unsolved, &committed);
+        if let Some(lp) = last_lp {
+            drop_committed(last_items, &committed);
+            filter_lp_in_place(lp, &committed);
+        }
+    }
+    filled
+}
+
+/// Drops the entries of `v` whose `committed` flag is set, in place; `v`
+/// and `committed` are index-aligned.
+fn drop_committed<T>(v: &mut Vec<T>, committed: &[bool]) {
+    let mut k = 0;
+    v.retain(|_| {
+        let keep = !committed[k];
+        k += 1;
+        keep
+    });
+}
+
 /// Drops the LP columns of committed items in place — no clone of the
 /// fraction lists and, crucially, none of the per-iteration `blanks` clone
 /// the out-of-place filter used to pay.
 fn filter_lp_in_place(lp: &mut MkpLpSolution, committed: &[bool]) {
-    let mut k = 0;
-    lp.fracs.retain_mut(|_| {
-        let keep = !committed[k];
-        k += 1;
-        keep
-    });
-    let mut k = 0;
-    lp.max_frac.retain(|_| {
-        let keep = !committed[k];
-        k += 1;
-        keep
-    });
-    let mut k = 0;
-    lp.argmax_row.retain(|_| {
-        let keep = !committed[k];
-        k += 1;
-        keep
-    });
+    drop_committed(&mut lp.fracs, committed);
+    drop_committed(&mut lp.max_frac, committed);
+    drop_committed(&mut lp.argmax_row, committed);
 }
 
 #[cfg(test)]

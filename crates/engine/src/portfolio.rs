@@ -52,13 +52,25 @@ pub enum StrategyStatus {
     /// normally despite the label. Treat `Cancelled` as "result possibly
     /// degraded by the deadline", not "partial work".
     Cancelled,
-    /// Does not support this instance shape (not spawned at all).
+    /// Not raced: its [`Strategy::supports`] refused the instance, so no
+    /// worker was spawned. A member that supports the instance but sat
+    /// out reports [`StrategyStatus::SatOut`] instead.
     Unsupported,
+    /// Not raced although it supports the instance: the line-up leaves it
+    /// out at this size ([`Strategy::sits_out`]; in the default race, the
+    /// 1D baselines at [`BASELINE_RACE_GATE`](crate::BASELINE_RACE_GATE)
+    /// candidates or more). No worker was spawned.
+    SatOut,
     /// Returned an error or an invalid plan.
     Failed(String),
 }
 
 impl StrategyStatus {
+    /// Whether the strategy raced (a worker ran it), whatever the result.
+    pub fn raced(&self) -> bool {
+        !matches!(self, StrategyStatus::Unsupported | StrategyStatus::SatOut)
+    }
+
     /// Whether this run contributed a valid plan.
     pub fn has_plan(&self) -> bool {
         matches!(
@@ -97,6 +109,7 @@ impl fmt::Display for StrategyReport {
             StrategyStatus::Completed => "completed".to_string(),
             StrategyStatus::Cancelled => "cancelled".to_string(),
             StrategyStatus::Unsupported => "unsupported".to_string(),
+            StrategyStatus::SatOut => "sat out".to_string(),
             StrategyStatus::Failed(e) => format!("failed: {e}"),
         };
         write!(
@@ -119,10 +132,11 @@ pub struct PortfolioOutcome {
     pub reports: Vec<StrategyReport>,
     /// Wall-clock time of the whole race.
     pub elapsed: Duration,
-    /// Number of strategies whose `supports()` accepted the instance (and
-    /// so actually raced). `0` is the distinct "no strategy supports this
-    /// instance" outcome — nothing ran, so `best: None` means *unplannable
-    /// with this portfolio*, not *planned and failed*.
+    /// Number of strategies that raced: their `supports()` accepted the
+    /// instance and they did not sit out ([`StrategyStatus::SatOut`]), so
+    /// a supporting member is not always a raced one. `0` is the distinct
+    /// "nothing raced" outcome — nothing ran, so `best: None` means
+    /// *unplannable with this portfolio*, not *planned and failed*.
     pub supported: usize,
     /// Whether the race ended early because a strategy delivered a
     /// *proven-optimal* plan ([`PlanOutcome::proven_optimal`]). Sibling
@@ -192,9 +206,10 @@ impl Portfolio {
         self.strategies.iter().map(|s| s.name()).collect()
     }
 
-    /// Races the supporting strategies on `instance` under `config`.
+    /// Races the supporting strategies on `instance` under `config`, less
+    /// those that sit out ([`Strategy::sits_out`]).
     ///
-    /// One OS thread per strategy; when the deadline passes, the shared
+    /// One OS thread per raced strategy; when the deadline passes, the shared
     /// stop flag is raised and every planner returns its best valid plan so
     /// far (cooperative cancellation — see `eblow_core::cancel`). Every
     /// returned plan is re-validated against the model before it may win;
@@ -228,8 +243,9 @@ impl Portfolio {
             )
         });
 
-        // Reports start out Unsupported / Failed placeholders and are
-        // overwritten as results arrive.
+        // Reports start out Unsupported placeholders; members that sit out
+        // are marked so below, and raced ones are overwritten as results
+        // arrive.
         let mut reports: Vec<StrategyReport> = self
             .strategies
             .iter()
@@ -242,9 +258,17 @@ impl Portfolio {
             })
             .collect();
 
-        let runnable: Vec<usize> = (0..self.strategies.len())
-            .filter(|&i| self.strategies[i].supports(instance))
-            .collect();
+        let mut runnable: Vec<usize> = Vec::with_capacity(self.strategies.len());
+        for (i, strategy) in self.strategies.iter().enumerate() {
+            if !strategy.supports(instance) {
+                continue;
+            }
+            if strategy.sits_out(instance) {
+                reports[i].status = StrategyStatus::SatOut;
+            } else {
+                runnable.push(i);
+            }
+        }
 
         type WorkerMsg = (usize, Result<PlanOutcome, EngineError>, bool, Duration);
         let (tx, rx) = mpsc::channel::<WorkerMsg>();
@@ -517,5 +541,31 @@ mod tests {
                 report.name
             );
         }
+    }
+
+    /// At 1H scale (12 000 candidates) the default race is E-BLOW alone: a
+    /// 1 ms deadline cuts it, its anytime fill still returns a valid,
+    /// non-empty plan, and the three 1D baselines sit out.
+    #[test]
+    fn tight_deadline_at_1h_scale_races_eblow_alone() {
+        let inst = eblow_gen::benchmark(eblow_gen::Family::H1(1));
+        let config = PortfolioConfig {
+            deadline: Some(Duration::from_millis(1)),
+            ..Default::default()
+        };
+        let outcome = Portfolio::all_builtin().run(&inst, &config);
+        let best = outcome.best.as_ref().expect("a 1 ms race still plans");
+        best.validate(&inst).unwrap();
+        assert!(best.selection.count() > 0, "the cut run filled nothing");
+        let report = |name: &str| outcome.reports.iter().find(|r| r.name == name).unwrap();
+        let eblow = report("eblow1d@combinatorial");
+        assert_eq!(eblow.status, StrategyStatus::Won);
+        assert!(eblow.cancelled, "the deadline did not cut E-BLOW: {eblow}");
+        for name in ["heuristic1d", "rowheur1d", "greedy1d"] {
+            assert_eq!(report(name).status, StrategyStatus::SatOut, "{name}");
+            assert!(!report(name).status.raced());
+        }
+        assert_eq!(outcome.supported, 1);
+        assert!(!outcome.complete());
     }
 }

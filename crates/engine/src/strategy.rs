@@ -35,6 +35,18 @@ pub trait Strategy: Send + Sync {
     /// count they will attempt).
     fn supports(&self, instance: &Instance) -> bool;
 
+    /// Whether a race leaves this strategy out on `instance` although it
+    /// [`supports`](Strategy::supports) it. The portfolio then spawns no
+    /// worker for it and reports it
+    /// [`SatOut`](crate::StrategyStatus::SatOut). `false` unless
+    /// overridden: only the three 1D baselines of
+    /// [`builtin_strategies`] sit out, at [`BASELINE_RACE_GATE`]
+    /// candidates or more, and a strategy resolved by name races wherever
+    /// it is supported.
+    fn sits_out(&self, _instance: &Instance) -> bool {
+        false
+    }
+
     /// Plans the stencil under `budget`. Implementations poll the budget's
     /// stop flag so a portfolio deadline turns into a fast, *valid* early
     /// return rather than an abort.
@@ -401,22 +413,65 @@ impl Strategy for ExactIlp2dStrategy {
     }
 }
 
+/// Candidate count at and above which the default race leaves out the 1D
+/// baselines `heuristic1d`, `rowheur1d` and `greedy1d`
+/// ([`Strategy::sits_out`]), so such a race is E-BLOW alone.
+///
+/// Set by a no-deadline census of every 1D member alone on 300 seeds per
+/// size: a baseline gave the best plan on some seeds at 250, 1 000 and
+/// 4 000 candidates, and on none at 6 000, 8 000, 10 000 or 12 000, so the
+/// gate is the smallest tested size above the last baseline win.
+pub const BASELINE_RACE_GATE: usize = 6_000;
+
+/// A 1D baseline of the default race: the strategy itself, sitting out
+/// races of [`BASELINE_RACE_GATE`] candidates or more.
+struct BelowBaselineGate<S>(S);
+
+impl<S: Strategy> Strategy for BelowBaselineGate<S> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn supports(&self, instance: &Instance) -> bool {
+        self.0.supports(instance)
+    }
+    fn sits_out(&self, instance: &Instance) -> bool {
+        instance.num_chars() >= BASELINE_RACE_GATE
+    }
+    fn plan(&self, instance: &Instance, budget: &Budget) -> Result<PlanOutcome, EngineError> {
+        self.0.plan(instance, budget)
+    }
+}
+
 /// The default race, 1D then 2D, strongest first within each group.
 ///
-/// A member stays only on a measured win: each of the six 1D members
+/// A member races only where it can win: each of the six 1D members
 /// produces the best plan alone on some instance or deadline, or certifies
 /// one (`exact1d`), and in 2D only `eblow2d` and `sa2d` ever do. The race is
 /// `eblow1d@combinatorial` (which also finishes its rounding as E-BLOW-0,
 /// see [`Eblow1dStrategy`]), `eblow1d@simplex`, `heuristic1d`, `rowheur1d`,
-/// `greedy1d`, `exact1d`, `eblow2d`, `sa2d`. [`strategy_by_name`] also
-/// builds strategies outside the race.
+/// `greedy1d`, `exact1d`, `eblow2d`, `sa2d`.
+///
+/// The three 1D baselines race only below [`BASELINE_RACE_GATE`]
+/// candidates; at or above it they sit out ([`Strategy::sits_out`]) and the
+/// race is `eblow1d@combinatorial` alone on one thread. The gate comes from
+/// a no-deadline census (see the constant): from 6 000 candidates on, no
+/// baseline beat E-BLOW on any seed, and under a deadline a cut E-BLOW run
+/// fills its stencil first-fit instead of returning the few batches it
+/// committed (`eblow_core::oned::successive_rounding`). Below the gate the
+/// baselines keep their rare no-deadline wins and their wins under tight
+/// deadlines.
+///
+/// [`strategy_by_name`] builds every member without the gate, so a
+/// portfolio of names (Table 3, `eblow-eval shard`'s monolithic side)
+/// races the baselines at every size, and it also builds strategies
+/// outside the race.
 pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
     vec![
         Arc::new(Eblow1dStrategy::default()),
         Arc::new(Eblow1dStrategy::simplex()),
-        Arc::new(Heuristic1dStrategy),
-        Arc::new(RowHeuristic1dStrategy),
-        Arc::new(Greedy1dStrategy),
+        Arc::new(BelowBaselineGate(Heuristic1dStrategy)),
+        Arc::new(BelowBaselineGate(RowHeuristic1dStrategy)),
+        Arc::new(BelowBaselineGate(Greedy1dStrategy)),
         Arc::new(Exact1dStrategy),
         Arc::new(Eblow2dStrategy),
         Arc::new(Sa2dStrategy),
@@ -425,28 +480,34 @@ pub fn builtin_strategies() -> Vec<Arc<dyn Strategy>> {
 
 /// Looks up a strategy by registry name.
 ///
-/// The raced names resolve first. Six more names build strategies
-/// outside the race: `eblow1d-0` (the E-BLOW-0 ablation alone, for
-/// Figs. 11/12 and solo measurements), `ilp1d` and `ilp2d` (formulations
-/// (3) and (7), kept for the paper's Table 5), `greedy2d` (Table 4's greedy
-/// baseline), `shard1d` (the sharded composite, see [`Shard1dStrategy`])
-/// and `eblow1d` (the historical alias for `eblow1d@combinatorial`). Every
-/// other name resolves to `None`.
+/// The eight raced names build their strategies without the default
+/// race's gate (see [`builtin_strategies`]). Six more names build
+/// strategies outside the race: `eblow1d-0` (the E-BLOW-0 ablation alone,
+/// for Figs. 11/12 and solo measurements), `ilp1d` and `ilp2d`
+/// (formulations (3) and (7), kept for the paper's Table 5), `greedy2d`
+/// (Table 4's greedy baseline), `shard1d` (the sharded composite, see
+/// [`Shard1dStrategy`]) and `eblow1d` (the historical alias for
+/// `eblow1d@combinatorial`). Every other name resolves to `None`.
 ///
 /// [`Shard1dStrategy`]: crate::Shard1dStrategy
 pub fn strategy_by_name(name: &str) -> Option<Arc<dyn Strategy>> {
-    if let Some(s) = builtin_strategies().into_iter().find(|s| s.name() == name) {
-        return Some(s);
-    }
-    match name {
-        "eblow1d-0" => Some(Arc::new(Eblow1dStrategy::eblow0())),
-        "ilp1d" => Some(Arc::new(ExactIlp1dStrategy)),
-        "ilp2d" => Some(Arc::new(ExactIlp2dStrategy)),
-        "greedy2d" => Some(Arc::new(Greedy2dStrategy)),
-        "shard1d" => Some(Arc::new(crate::shard::Shard1dStrategy::new())),
-        "eblow1d" => Some(Arc::new(Eblow1dStrategy::default())),
-        _ => None,
-    }
+    let strategy: Arc<dyn Strategy> = match name {
+        "eblow1d@combinatorial" | "eblow1d" => Arc::new(Eblow1dStrategy::default()),
+        "eblow1d@simplex" => Arc::new(Eblow1dStrategy::simplex()),
+        "heuristic1d" => Arc::new(Heuristic1dStrategy),
+        "rowheur1d" => Arc::new(RowHeuristic1dStrategy),
+        "greedy1d" => Arc::new(Greedy1dStrategy),
+        "exact1d" => Arc::new(Exact1dStrategy),
+        "eblow2d" => Arc::new(Eblow2dStrategy),
+        "sa2d" => Arc::new(Sa2dStrategy),
+        "eblow1d-0" => Arc::new(Eblow1dStrategy::eblow0()),
+        "ilp1d" => Arc::new(ExactIlp1dStrategy),
+        "ilp2d" => Arc::new(ExactIlp2dStrategy),
+        "greedy2d" => Arc::new(Greedy2dStrategy),
+        "shard1d" => Arc::new(crate::shard::Shard1dStrategy::new()),
+        _ => return None,
+    };
+    Some(strategy)
 }
 
 #[cfg(test)]
@@ -491,6 +552,36 @@ mod tests {
         assert!(!strategy_by_name("ilp2d").unwrap().supports(&d2));
         let t1 = eblow_gen::benchmark(eblow_gen::Family::T1(5));
         assert!(raced_on(&t1).contains(&"exact1d"));
+    }
+
+    /// The default race's three 1D baselines sit out from
+    /// `BASELINE_RACE_GATE` candidates on; the same names resolved one by
+    /// one race at every size, and no member's `supports()` moves.
+    #[test]
+    fn baselines_sit_out_of_the_default_race_from_the_gate() {
+        let sized = |n_chars| {
+            eblow_gen::generate(&GenConfig {
+                n_chars,
+                ..GenConfig::tiny_1d(1)
+            })
+        };
+        let (below, at) = (sized(BASELINE_RACE_GATE - 1), sized(BASELINE_RACE_GATE));
+        let sitting_out = |instance: &Instance| -> Vec<&'static str> {
+            builtin_strategies()
+                .iter()
+                .filter(|s| s.supports(instance) && s.sits_out(instance))
+                .map(|s| s.name())
+                .collect()
+        };
+        assert!(sitting_out(&below).is_empty());
+        assert_eq!(sitting_out(&at), ["heuristic1d", "rowheur1d", "greedy1d"]);
+        for raced in builtin_strategies() {
+            let by_name = strategy_by_name(raced.name()).unwrap();
+            for instance in [&below, &at] {
+                assert!(!by_name.sits_out(instance), "{}", raced.name());
+                assert_eq!(by_name.supports(instance), raced.supports(instance));
+            }
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ use eblow_core::oned::{
     CombinatorialOracle, Eblow1d, Eblow1dConfig, LpOracle, MkpItem, RowBase, SimplexOracle,
 };
 use eblow_core::twod::Eblow2d;
-use eblow_engine::{strategy_by_name, Budget, Portfolio, PortfolioConfig, StrategyStatus};
+use eblow_engine::{strategy_by_name, Budget, Portfolio, PortfolioConfig};
 use eblow_gen::{table3_suite, table4_suite, Family, GenConfig};
 use eblow_lp::MilpStatus;
 use eblow_model::Instance;
@@ -665,12 +665,12 @@ fn trace_cmd(deadline: Duration, case: Option<&str>, out_dir: Option<&str>) {
         eprintln!("FAIL: {}: empty trace", chrome_path.display());
         std::process::exit(1);
     }
-    // Unsupported strategies never spawn a worker, so only the ones that
-    // actually raced owe the artifact a swim-lane.
+    // Unsupported strategies and those that sit out never spawn a worker,
+    // so only the ones that actually raced owe the artifact a swim-lane.
     let raced: Vec<&str> = outcome
         .reports
         .iter()
-        .filter(|r| r.status != StrategyStatus::Unsupported)
+        .filter(|r| r.status.raced())
         .map(|r| r.name)
         .collect();
     let mut failed = false;
