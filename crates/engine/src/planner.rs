@@ -35,8 +35,9 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner racing every built-in strategy, with an unbounded deadline
-    /// and a 1024-entry plan cache.
+    /// A planner racing the built-in line-up
+    /// ([`Portfolio::all_builtin`]), with an unbounded deadline and a
+    /// 1024-entry plan cache.
     pub fn portfolio() -> Self {
         Planner::with_portfolio(Portfolio::all_builtin())
     }

@@ -175,7 +175,8 @@ impl Portfolio {
     }
 
     /// A portfolio over every built-in strategy; per instance, only the
-    /// supporting subset races.
+    /// supporting members that do not sit out race (see
+    /// [`builtin_strategies`](crate::builtin_strategies)).
     pub fn all_builtin() -> Self {
         Portfolio::new(crate::strategy::builtin_strategies())
     }

@@ -452,14 +452,11 @@ impl<S: Strategy> Strategy for BelowBaselineGate<S> {
 /// `greedy1d`, `exact1d`, `eblow2d`, `sa2d`.
 ///
 /// The three 1D baselines race only below [`BASELINE_RACE_GATE`]
-/// candidates; at or above it they sit out ([`Strategy::sits_out`]) and the
-/// race is `eblow1d@combinatorial` alone on one thread. The gate comes from
-/// a no-deadline census (see the constant): from 6 000 candidates on, no
-/// baseline beat E-BLOW on any seed, and under a deadline a cut E-BLOW run
-/// fills its stencil first-fit instead of returning the few batches it
-/// committed (`eblow_core::oned::successive_rounding`). Below the gate the
-/// baselines keep their rare no-deadline wins and their wins under tight
-/// deadlines.
+/// candidates, where a census found their last no-deadline wins and where
+/// they still win tight deadlines; at or above it they sit out
+/// ([`Strategy::sits_out`]) and the race is `eblow1d@combinatorial` alone
+/// on one thread, whose cut runs fill their stencil first-fit
+/// (`eblow_core::oned::successive_rounding`).
 ///
 /// [`strategy_by_name`] builds every member without the gate, so a
 /// portfolio of names (Table 3, `eblow-eval shard`'s monolithic side)
