@@ -1,7 +1,8 @@
 //! Hot-path microbenchmarks for the columnar instance core and the
 //! incremental planning loops: `RegionTimes` select/profit sweeps, the
 //! staged `RowState::admits` check, refusal-heavy `ProbedRow` probes, the
-//! first probe of each candidate class after every insert, and a shrinking
+//! first probe of each candidate class after every insert, every class
+//! probed against full rows between commits, and a shrinking
 //! sequence of LP oracle solves — all on a 1H-sized MCC workload
 //! (12 000 candidates, 10 CPs), the scale where these paths dominate every
 //! registry strategy. Three more 1H kernels measure what the 1D race pays
@@ -96,9 +97,9 @@ fn bench_hotpaths(c: &mut Criterion) {
 
     // Refusal-heavy admission: 2 000 further candidates probed against
     // every filled row at beam 8 — rounding's first-fit fallback, where
-    // nearly every probe is refused. The rows never change, so once the
-    // first probes have built their checkpoints and completion tables this
-    // measures mostly refusals at or just past the resume checkpoint.
+    // nearly every probe is refused. The rows never change, so from each
+    // row's first refusal on its floor refuses most probes in O(1), and
+    // the DP refuses the rest at or just past the resume checkpoint.
     group.bench_function("probed_row_reject_stream", |b| {
         let mut rows = rows.clone();
         b.iter(|| {
@@ -112,24 +113,27 @@ fn bench_hotpaths(c: &mut Criterion) {
         })
     });
 
+    // One candidate per shape (left and right blank) among the next 2 000
+    // candidates: the probes of the next two kernels.
+    let mut shapes: Vec<CharId> = Vec::new();
+    for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
+        let blanks = |id: CharId| inst.char(id.index()).blanks();
+        let (l, r) = (blanks(id).left, blanks(id).right);
+        if !shapes
+            .iter()
+            .any(|&s| (blanks(s).left, blanks(s).right) == (l, r))
+        {
+            shapes.push(id);
+        }
+    }
+
     // The admission kernel itself: each filled row rebuilt insert by
     // insert, and after every insert one probe at beam 8 per candidate
-    // shape (left and right blank) among the next 2 000 candidates. The
-    // probes extend the row's completion table past the insert and walk
-    // the chain and the DP from each candidate's checkpoint — the path of
-    // rounding's first probe of a candidate after each commit.
+    // shape. The probes walk the chain and the DP from each candidate's
+    // checkpoint, extending the row's completion table past the insert,
+    // and the first refusal computes the row's floor — the path of
+    // rounding's first probes after each commit.
     group.bench_function("probed_row_first_probes", |b| {
-        let mut shapes: Vec<CharId> = Vec::new();
-        for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
-            let blanks = |id: CharId| inst.char(id.index()).blanks();
-            let (l, r) = (blanks(id).left, blanks(id).right);
-            if !shapes
-                .iter()
-                .any(|&s| (blanks(s).left, blanks(s).right) == (l, r))
-            {
-                shapes.push(id);
-            }
-        }
         b.iter(|| {
             let mut admitted = 0usize;
             for members in &fill {
@@ -138,6 +142,33 @@ fn bench_hotpaths(c: &mut Criterion) {
                     row.insert(&inst, member);
                     for &id in &shapes {
                         admitted += row.admits(&inst, id, 8, w, &mut scratch).fits() as usize;
+                    }
+                }
+            }
+            black_box(admitted)
+        })
+    });
+
+    // Full rows between commits: the next 2 000 candidates go first-fit
+    // into copies of the 50 filled rows at beam 8, and after each commit
+    // every shape probes every row — rounding's fallback over rows that
+    // are nearly all full, where a row refuses in O(1) by its floor from
+    // its second refusal after a commit on.
+    group.bench_function("probed_row_full_rows", |b| {
+        b.iter(|| {
+            let mut rows = rows.clone();
+            let mut admitted = 0usize;
+            for id in (n / 2..(n / 2 + 2_000).min(n)).map(CharId::from) {
+                let Some(r) = rows
+                    .iter_mut()
+                    .position(|row| row.admits(&inst, id, 8, w, &mut scratch).fits())
+                else {
+                    continue;
+                };
+                rows[r].insert(&inst, id);
+                for &shape in &shapes {
+                    for row in rows.iter_mut() {
+                        admitted += row.admits(&inst, shape, 8, w, &mut scratch).fits() as usize;
                     }
                 }
             }

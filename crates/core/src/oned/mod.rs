@@ -39,8 +39,22 @@ use crate::cancel::StopFlag;
 use crate::Plan1d;
 use eblow_model::{Instance, ModelError, Placement1d, Row, Selection};
 use rounding::ADMISSION_BEAM;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Keeps the `k` least entries of `v` under `order`, sorted, and drops the
+/// rest. Under a strict total order that is the list a full sort truncated
+/// to `k` keeps, at the cost of a selection plus a sort of `k` entries.
+fn keep_least<T>(v: &mut Vec<T>, k: usize, mut order: impl FnMut(&T, &T) -> Ordering) {
+    if k == 0 {
+        v.clear();
+    } else if k < v.len() {
+        v.select_nth_unstable_by(k - 1, &mut order);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(order);
+}
 
 /// Configuration of the full 1D pipeline.
 ///

@@ -127,7 +127,7 @@ fn walk_back(
 pub struct WidthScratch {
     frontier: Vec<WidthState>,
     next: Vec<WidthState>,
-    /// Keys the last DP walk inserted.
+    /// Keys the last walk inserted.
     walked: usize,
     /// Suffix lengths the row's completion table computed for the last
     /// probe.
@@ -135,17 +135,17 @@ pub struct WidthScratch {
 }
 
 impl WidthScratch {
-    /// Keys the last DP walk of [`ProbedRow::admits`] inserted: the member
-    /// keys from its checkpoint to the candidate, the candidate, and the
-    /// tail keys up to the insertion after which it refused (0 when the
-    /// check at the checkpoint refused).
+    /// Keys the last walk of [`ProbedRow::admits`] inserted (the DP's when
+    /// it ran): the member keys from its checkpoint to the candidate, the
+    /// candidate, and the tail keys up to the insertion after which it
+    /// refused (0 when the check at the checkpoint or the floor refused).
     pub(crate) fn keys_walked(&self) -> usize {
         self.walked
     }
 
     /// Suffix lengths the row's completion table computed for the last
-    /// probe of [`ProbedRow::admits`] (0 when the table already held every
-    /// length).
+    /// probe of [`ProbedRow::admits`], for its DP walk and its floor (0
+    /// when the table already held every length read, or no walk ran).
     pub(crate) fn table_steps(&self) -> usize {
         self.table_steps
     }
@@ -177,6 +177,9 @@ const CHECKPOINT_STRIDE: usize = 8;
 /// Which stage of [`ProbedRow::admits`] decided a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
+    /// The row's completion floor plus the candidate's pattern width
+    /// exceeds the cap: refused without a walk.
+    Floor,
     /// The beam-1 chain, one concrete order, fits.
     ChainFits,
     /// The beam-`B` DP decided; `true` when the row fits.
@@ -210,7 +213,7 @@ impl Admission {
 /// junctions can share.) The DP at any beam returns the width of one such
 /// completion of one state of its current frontier, so once
 /// `W + f_m(L, R)` exceeds `cap` for every state the walk refuses only
-/// what the DP refuses. A probe checks at two points:
+/// what the DP refuses. The beam-`B` DP checks at two points:
 ///
 /// 1. **At the resume checkpoint.** The frontier over the members that
 ///    sort before the candidate is the same for every probe of an
@@ -228,10 +231,29 @@ impl Admission {
 /// 2. **After every insertion from the candidate on,** against
 ///    `W + f_m(L, R)` over the `m` member keys still to insert.
 ///
+/// The beam-1 chain, which runs first, walks without the table: its one
+/// state only widens as keys are inserted (no blank exceeds its width), so
+/// it refuses once that state passes `cap`.
+///
+/// **The floor.** The same deletion argument, applied to the whole row,
+/// refuses most probes of a full row without a walk. Every end-insertion
+/// order of the members starts from the first key `(w₀, l₀, r₀)` alone,
+/// so none is narrower than the floor `w₀ + f_{n−1}(l₀, r₀)`. Read left to
+/// right, an end-insertion order falls in insertion order to its first
+/// key and rises after it; deleting the candidate keeps that shape, so it
+/// leaves an end-insertion order of the members, and the row loses at
+/// least `w − l − r`. So at every beam no order of the members plus the
+/// candidate is narrower than floor + `w − l − r`. A row computes its
+/// floor at its first refusal after an insert, and from then on refuses in
+/// O(1) each candidate whose floor + `w − l − r` exceeds `cap`. The floor
+/// is a function of the member set, so a clone keeps it and an insert
+/// drops it.
+///
 /// **The completion table.** The row keeps `f_m` for each suffix length
 /// `m` of its sorted keys, on a grid of blank values. It is scratch like
-/// the checkpoints: a clone starts without it, and a probe extends it to
-/// the longest suffix its walk reads. Inserting a key at sorted position
+/// the checkpoints: a clone starts without it, and a DP probe extends it
+/// to the longest suffix its walk reads, the floor to `n − 1` keys.
+/// Inserting a key at sorted position
 /// `p` among `n` keys keeps every suffix of up to `n − p` keys, so those
 /// lengths stay. The grid is the row's distinct member blanks, left and
 /// right, and a blank new to the row that moves it drops every length. A
@@ -261,12 +283,16 @@ pub struct ProbedRow {
     checkpoints: Checkpoints,
     /// `f_m` over the suffix lengths built; scratch like `checkpoints`.
     table: CompletionTable,
+    /// The completion floor, once a refusal since the last insert has
+    /// computed it.
+    floor: Option<u128>,
 }
 
 impl ProbedRow {
     /// Inserts the member `id` at its key's sorted position, and drops the
-    /// checkpoints past it and the table lengths that hold it (O(n) — once
-    /// per commit, amortized over the many probes in between).
+    /// checkpoints past it, the table lengths that hold it and the floor
+    /// (O(n) — once per commit, amortized over the many probes in
+    /// between).
     pub fn insert(&mut self, instance: &Instance, id: CharId) {
         let c = instance.char(id.index());
         let key = width_key(instance, id);
@@ -274,6 +300,7 @@ impl ProbedRow {
         self.table.insert(pos, self.keys.len(), c);
         self.keys.insert(pos, key);
         self.checkpoints.invalidate_from(pos);
+        self.floor = None;
     }
 
     /// The sorted position of `key` among the member keys.
@@ -292,10 +319,11 @@ impl ProbedRow {
     }
 
     /// Whether the members plus `id` pack within `cap`, decided in stages:
-    /// the beam-1 chain (if one concrete order fits, the DP fits), then the
-    /// beam-`beam` DP. Decision-identical to the end-insertion DP over the
-    /// members plus `id` at beam `beam` fitting `cap`; the returned stage
-    /// says which step decided.
+    /// the row's floor when a refusal has computed it, the beam-1 chain (if
+    /// one concrete order fits, the DP fits), then the beam-`beam` DP.
+    /// Decision-identical to the end-insertion DP over the members plus
+    /// `id` at beam `beam` fitting `cap`; the returned stage says which
+    /// step decided.
     pub fn admits(
         &mut self,
         instance: &Instance,
@@ -304,38 +332,57 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> Admission {
-        let candidate = instance.char(id.index());
-        let pos = self.position(&width_key(instance, id));
-        let probe = self.probe(instance, candidate, pos, scratch);
-        if self.dp_fits(instance, &probe, 1, cap, scratch) {
+        scratch.walked = 0;
+        scratch.table_steps = 0;
+        let charge = u128::from(instance.char(id.index()).pattern_width());
+        if self
+            .floor
+            .is_some_and(|floor| floor + charge > u128::from(cap))
+        {
+            return Admission::Floor;
+        }
+        let probe = self.probe(instance, id);
+        if self.walk_fits(instance, &probe, 1, cap, scratch) {
             return Admission::ChainFits;
         }
-        Admission::Dp(beam > 1 && self.dp_fits(instance, &probe, beam, cap, scratch))
+        let fits = beam > 1 && self.walk_fits(instance, &probe, beam, cap, scratch);
+        if !fits && self.floor.is_none() {
+            self.floor = Some(self.completion_floor(instance, scratch));
+        }
+        Admission::Dp(fits)
     }
 
-    /// Places `candidate` at its sorted position `pos` in the walk, and
-    /// extends the completion table to the longest suffix the walk reads:
-    /// the member keys from the resume checkpoint on, or from `pos` on
-    /// when the walk starts before the first checkpoint.
-    fn probe<'c>(
-        &mut self,
-        instance: &Instance,
-        candidate: &'c Character,
-        pos: usize,
-        scratch: &mut WidthScratch,
-    ) -> Probe<'c> {
-        let at = pos / CHECKPOINT_STRIDE;
-        let from = if at > 0 { at * CHECKPOINT_STRIDE } else { pos };
-        let len = self.keys.len() - from;
-        scratch.table_steps = self.table.extend_to(instance, &self.keys, len);
-        Probe { candidate, pos, at }
+    /// Places the candidate `id` at its key's sorted position in the walk.
+    fn probe<'i>(&self, instance: &'i Instance, id: CharId) -> Probe<'i> {
+        let pos = self.position(&width_key(instance, id));
+        Probe {
+            candidate: instance.char(id.index()),
+            pos,
+            at: pos / CHECKPOINT_STRIDE,
+        }
     }
 
-    /// The beam-`beam` DP decision over the members plus the probe's
-    /// candidate: resumed from the last checkpoint at or before the
-    /// candidate, refused as soon as no completion of any frontier state
-    /// fits `cap` (see the type docs).
-    fn dp_fits(
+    /// The floor of the type docs, `w₀ + f_{n−1}(l₀, r₀)` (0 for an empty
+    /// row), extending the table to `n − 1` keys.
+    fn completion_floor(&mut self, instance: &Instance, scratch: &mut WidthScratch) -> u128 {
+        let Some(&(_, first)) = self.keys.first() else {
+            return 0;
+        };
+        let m = self.keys.len() - 1;
+        scratch.table_steps += self.table.extend_to(instance, &self.keys, m);
+        let c = instance.char(first.index());
+        u128::from(c.width()) + self.table.floor(m, c.blanks().left, c.blanks().right)
+    }
+
+    /// The beam-`beam` walk's decision over the members plus the probe's
+    /// candidate, resumed from the last checkpoint at or before the
+    /// candidate. The DP (`beam > 1`) first extends the completion table
+    /// to the longest suffix it reads (the member keys from the resume
+    /// checkpoint on, or from the candidate on when the walk starts before
+    /// the first checkpoint) and refuses as soon as no completion of any
+    /// frontier state fits `cap`; the beam-1 chain refuses once its state
+    /// is wider than `cap` (see the type docs).
+    fn walk_fits(
         &mut self,
         instance: &Instance,
         probe: &Probe<'_>,
@@ -347,6 +394,14 @@ impl ProbedRow {
             .keys
             .windows(2)
             .all(|w| key_order(&w[0], &w[1]).is_lt()));
+        let (n, from) = (self.keys.len(), probe.at * CHECKPOINT_STRIDE);
+        let table = if beam > 1 {
+            let len = n - if probe.at > 0 { from } else { probe.pos };
+            scratch.table_steps += self.table.extend_to(instance, &self.keys, len);
+            Some(&self.table)
+        } else {
+            None
+        };
         let WidthScratch {
             frontier,
             next,
@@ -354,18 +409,18 @@ impl ProbedRow {
             ..
         } = scratch;
         *walked = 0;
-        let (n, from) = (self.keys.len(), probe.at * CHECKPOINT_STRIDE);
         let checkpoints = self.checkpoints.beam(beam);
         checkpoints.build_to(instance, &self.keys, probe.at, frontier, next);
         frontier.clear();
-        let table = &self.table;
         if probe.at > 0 {
             frontier.extend_from_slice(checkpoints.frontier(probe.at));
             // An empty checkpoint: the members before it alone overflow
             // `u64`. Otherwise the candidate is still to come: charge it
             // `w − l − r` on top of the members' completion.
             let charge = u128::from(probe.candidate.pattern_width());
-            if frontier.is_empty() || table.beyond(frontier, n - from, charge, cap) {
+            if frontier.is_empty()
+                || table.is_some_and(|t| t.beyond(frontier, n - from, charge, cap))
+            {
                 return false;
             }
         }
@@ -384,7 +439,9 @@ impl ProbedRow {
         for (i, c) in std::iter::once(probe.candidate).chain(tail).enumerate() {
             *walked += 1;
             let left = n - probe.pos - i;
-            if !dp_insert(frontier, next, c, beam) || table.beyond(frontier, left, 0, cap) {
+            if !dp_insert(frontier, next, c, beam)
+                || table.map_or(frontier[0].0 > cap, |t| t.beyond(frontier, left, 0, cap))
+            {
                 return false;
             }
         }
@@ -904,7 +961,7 @@ fn insertion_floor(c: &Character) -> u64 {
 #[cfg(test)]
 impl ProbedRow {
     /// The kernel at one beam width: the walk resumed from the candidate's
-    /// checkpoint.
+    /// checkpoint, without the floor.
     fn admits_width(
         &mut self,
         instance: &Instance,
@@ -913,9 +970,8 @@ impl ProbedRow {
         cap: u64,
         scratch: &mut WidthScratch,
     ) -> bool {
-        let candidate = instance.char(extra.1.index());
-        let probe = self.probe(instance, candidate, self.position(&extra), scratch);
-        self.dp_fits(instance, &probe, threshold, cap, scratch)
+        let probe = self.probe(instance, extra.1);
+        self.walk_fits(instance, &probe, threshold, cap, scratch)
     }
 
     /// The per-probe walk the checkpoints and the completion table replace:
@@ -1304,6 +1360,26 @@ mod tests {
         at_left.min(at_right)
     }
 
+    /// The narrowest end-insertion order of `chars`, sorted by key: the
+    /// first key alone, then the narrowest of its `2^(n−1)` completions.
+    /// Exact in `u128`; 0 for no characters.
+    fn narrowest_order(chars: &[&Character]) -> u128 {
+        let Some((first, rest)) = chars.split_first() else {
+            return 0;
+        };
+        let (l, r) = (first.blanks().left, first.blanks().right);
+        u128::from(first.width()) + narrowest_completion(rest, l, r)
+    }
+
+    /// A row of `members`, inserted in turn, that no probe has warmed.
+    fn row_of(inst: &Instance, members: &[CharId]) -> ProbedRow {
+        let mut row = ProbedRow::default();
+        for &id in members {
+            row.insert(inst, id);
+        }
+        row
+    }
+
     /// The completion table's grid for a row of `members`, from its
     /// definition: their distinct blanks, left and right, or `GRID_MAX` of
     /// them spread evenly with the largest included.
@@ -1376,12 +1452,14 @@ mod tests {
         u128::from(least) + u128::from(offset)
     }
 
-    /// The walk [`ProbedRow::dp_fits`] must make, rebuilt from scratch:
+    /// The walk [`ProbedRow::walk_fits`] must make, rebuilt from scratch:
     /// the frontier over the members before the candidate's checkpoint,
     /// the check there over the rest with the candidate charged
     /// `w − l − r`, the head keys unchecked, then the check after every
     /// insertion from the candidate on, each reading the completion table
-    /// from its definition. Returns the decision and the keys walked.
+    /// from its definition. The beam-1 chain checks only its state's width
+    /// against the cap, from the candidate on. Returns the decision and
+    /// the keys walked.
     fn walk_by_definition(
         inst: &Instance,
         members: &[CharId],
@@ -1400,8 +1478,12 @@ mod tests {
         let n = chars.len();
         let exceeds = |frontier: &[WidthState], m: usize, charge: u128| {
             frontier.iter().all(|&(w, l, r)| {
-                u128::from(w) + floor_by_definition(&floors, &grid, m, (l, r)) + charge
-                    > u128::from(cap)
+                let completion = if beam > 1 {
+                    floor_by_definition(&floors, &grid, m, (l, r))
+                } else {
+                    0
+                };
+                u128::from(w) + completion + charge > u128::from(cap)
             })
         };
         let (mut frontier, mut next) = (Vec::new(), Vec::new());
@@ -1410,7 +1492,7 @@ mod tests {
                 return (false, 0);
             }
         }
-        if at > 0 && exceeds(&frontier, n - at, u128::from(candidate.pattern_width())) {
+        if at > 0 && beam > 1 && exceeds(&frontier, n - at, u128::from(candidate.pattern_width())) {
             return (false, 0);
         }
         let mut walked = 0;
@@ -1587,7 +1669,9 @@ mod tests {
         /// The completion table never exceeds the narrowest end-insertion
         /// completion of a block by any suffix of the row, whatever the
         /// block's end blanks, and equals it at the rounded-up query when
-        /// the grid holds every member blank and no cell saturates. Rows of
+        /// the grid holds every member blank and no cell saturates; the
+        /// row's floor likewise never exceeds its narrowest end-insertion
+        /// order, and equals it on such a grid. Rows of
         /// 1–10 characters grow by random inserts. Queries take member
         /// blanks, blanks off the grid like a candidate's, and one above
         /// every member blank. With `wide` set blanks come from 0..64, so
@@ -1618,6 +1702,7 @@ mod tests {
             let mut inserts: Vec<usize> = (0..specs.len()).collect();
             inserts.sort_by_key(|&i| (order[i], i));
             let mut row = ProbedRow::default();
+            let mut scratch = WidthScratch::default();
             for &i in &inserts {
                 row.insert(&inst, CharId::from(i));
                 let n = row.len();
@@ -1650,6 +1735,9 @@ mod tests {
                         }
                     }
                 }
+                let (floor, narrowest) = (row.completion_floor(&inst, &mut scratch), narrowest_order(&chars));
+                proptest::prop_assert!(floor <= narrowest, "{:?}: floor {} above {}", specs, floor, narrowest);
+                proptest::prop_assert!(!exact || floor == narrowest, "{:?}: floor {} below {}", specs, floor, narrowest);
             }
         }
 
@@ -1814,25 +1902,90 @@ mod tests {
             }
         }
 
-        /// A row warmed by many probes decides like a fresh clone of it and
-        /// like [`refine_row`]. Rows grow by random inserts; between
+        /// A floor refusal is a refusal at every beam: whenever `admits`
+        /// answers [`Admission::Floor`], [`refine_row`] over the members
+        /// plus the candidate is wider than the cap at beams 1, 8 and 20,
+        /// and every probe decides like the chain and the beam-8 DP. The
+        /// first half of the characters joins the row in a random order,
+        /// and after every insert each of the rest probes it twice at beam
+        /// 8, so the second stream meets the floor the first one's
+        /// refusals computed. The cap is 50–99 % of the full row's floor,
+        /// so the row passes it as it grows and every probe of the full
+        /// row after the first is a floor refusal. Members and candidates
+        /// mix symmetric, asymmetric, one-sided and zero blanks. With
+        /// `high` set every width, blank and the cap are multiplied by
+        /// 2⁵⁴, so the fullest rows pass `u64::MAX`.
+        #[test]
+        fn floor_refusals_are_refusals_at_every_beam(
+            shapes in proptest::collection::vec((20u64..60, 0u64..4, 0u64..30, 0u64..30), 12..30),
+            order in proptest::collection::vec(0u64..1000, 30..31),
+            percent in 50u64..100,
+            high in 0u32..2,
+        ) {
+            let factor = if high == 1 { 1u64 << 54 } else { 1 };
+            let specs: Vec<(u64, u64, u64)> = shapes
+                .iter()
+                .map(|&(w, kind, a, b)| match kind {
+                    0 => (w, a.min(w / 2), a.min(w / 2)),
+                    1 => (w, a.min(w / 2), b.min(w / 2)),
+                    2 => (w, w, 0),
+                    _ => (w, 0, w.min(b)),
+                })
+                .map(|(w, l, r)| (w * factor, l * factor, r * factor))
+                .collect();
+            let inst = row_instance(&specs, u64::MAX);
+            let half = specs.len() / 2;
+            let mut members: Vec<CharId> = (0..half).map(CharId::from).collect();
+            members.sort_by_key(|id| (order[id.index()], *id));
+            let candidates: Vec<CharId> = (half..specs.len()).map(CharId::from).collect();
+            let mut scratch = WidthScratch::default();
+            let floor = row_of(&inst, &members).completion_floor(&inst, &mut scratch);
+            let cap = u64::try_from(floor * u128::from(percent) / 100).map_or(u64::MAX - 1, |cap| cap.min(u64::MAX - 1));
+            let mut row = ProbedRow::default();
+            let mut floored = 0usize;
+            for (step, &member) in members.iter().enumerate() {
+                row.insert(&inst, member);
+                let inserted = &members[..=step];
+                for &id in candidates.iter().chain(&candidates) {
+                    let set: Vec<CharId> = inserted.iter().copied().chain([id]).collect();
+                    let widths = [1, 8, 20].map(|beam| refine_row(&inst, &set, beam).1);
+                    let admission = row.admits(&inst, id, 8, cap, &mut scratch);
+                    let context = format!("members {inserted:?}, candidate {id:?}, cap {cap}, widths {widths:?}");
+                    proptest::prop_assert_eq!(admission.fits(), widths[0] <= cap || widths[1] <= cap, "{}", context);
+                    if admission == Admission::Floor {
+                        floored += 1;
+                        proptest::prop_assert!(widths.iter().all(|&w| w > cap), "{}", context);
+                        proptest::prop_assert_eq!((scratch.keys_walked(), scratch.table_steps()), (0, 0));
+                    }
+                }
+            }
+            proptest::prop_assert!(floored > 0, "no floor refusal");
+        }
+
+        /// A row warmed by many probes, its refusals among them, decides
+        /// like a clone of it, like the row rebuilt from its members, like
+        /// the reference walks and like [`refine_row`]. Rows grow by
+        /// random inserts; between
         /// inserts, streams of candidates probe the row, each of 1–3
         /// `(l, r)` shapes at 3–5 widths, two candidates per width, every
         /// stream twice, the second time reversed. Ids are shuffled across
         /// members and candidates, and members draw their blanks from the
         /// candidates' range, so candidates of one shape sort between
         /// members of equal symmetric blank at several positions. The row is
-        /// probed at beams 1, 6 and 8 in turn, each under six caps in turn:
-        /// a candidate's chain and beam-8 widths and each ±1, so its
-        /// checkpoints and completion table serve probes under every beam
-        /// and cap. With `high` set the members' and the candidates' widths
-        /// are raised by two bases, chosen so that the fullest rows probed
-        /// centre on `u64::MAX`: there some candidates fit and some
+        /// probed at beams 1, 6 and 8 in turn, each under seven caps in
+        /// turn: a candidate's chain and beam-8 widths and each ±1, and its
+        /// chain width − 24, so its
+        /// checkpoints, completion table and floor serve probes under every
+        /// beam and cap. With `high` set the members' and the candidates'
+        /// widths are raised by two bases, chosen so that the fullest rows
+        /// probed centre on `u64::MAX`: there some candidates fit and some
         /// overflow. Every answer must be that of a clone made at the start
         /// of its turn, which starts without the row's checkpoints and
-        /// table, and `fits == (chain <= cap || truth <= cap)` wherever
-        /// `refine_row`'s saturated widths decide it; both verdicts must
-        /// occur.
+        /// table but with its floor, of the row rebuilt from its members,
+        /// which starts without all three, and of the reference walks at
+        /// beam 1 and the turn's beam, and `fits == (chain <= cap || truth
+        /// <= cap)` wherever `refine_row`'s saturated widths decide it.
+        /// Admissions, refusals and floor refusals must all occur.
         #[test]
         fn warm_rows_decide_like_fresh_clones_and_refine_row(
             members in proptest::collection::vec((20u64..48, 0u64..11, 0u64..11), 6..22),
@@ -1883,46 +2036,64 @@ mod tests {
             };
             // Candidate indices: every candidate, then again in reverse.
             let stream: Vec<usize> = (0..candidates.len()).chain((0..candidates.len()).rev()).collect();
-            let mut row = ProbedRow::default();
-            let mut scratch = WidthScratch::default();
-            let mut inserted: Vec<CharId> = Vec::new();
-            let (mut admitted, mut refused) = (0usize, 0usize);
-            for &member in &ids[..n] {
-                let widths: Vec<[u64; 3]> = candidates.iter().map(|&c| dp_widths(&inserted, c)).collect();
+            // The `(k, beam, cap)` turns over the candidates' widths: beams
+            // in turn, and the caps in turn within each, snaking back and
+            // forth, so consecutive streams differ in the beam alone or in
+            // the cap alone. The last cap is 24 below the chain width,
+            // where most refusals after the first are the floor's.
+            let turns_of = |widths: &[[u64; 3]]| -> Vec<(usize, usize, u64)> {
                 let caps: Vec<u64> = [widths[0][0], widths[0][2]]
                     .into_iter()
                     .flat_map(|t| [t.saturating_sub(1), t, t.saturating_add(1)])
+                    .chain([widths[0][0].saturating_sub(24)])
                     .collect();
-                // Beams in turn, and the caps in turn within each, snaking
-                // back and forth: consecutive streams differ in the beam
-                // alone or in the cap alone.
                 let turns = [1usize, 6, 8].into_iter().enumerate().flat_map(|(k, beam)| {
                     let caps: Vec<u64> = if k % 2 == 0 { caps.clone() } else { caps.iter().rev().copied().collect() };
                     caps.into_iter().map(move |cap| (k, beam, cap))
                 });
-                for (k, beam, cap) in turns {
-                    // The clone starts without the row's checkpoints and table.
-                    let mut fresh = row.clone();
+                turns.collect()
+            };
+            let mut row = ProbedRow::default();
+            let mut scratch = WidthScratch::default();
+            let mut inserted: Vec<CharId> = Vec::new();
+            let (mut admitted, mut refused, mut floored) = (0usize, 0usize, 0usize);
+            for &member in &ids[..n] {
+                let widths: Vec<[u64; 3]> = candidates.iter().map(|&c| dp_widths(&inserted, c)).collect();
+                for (k, beam, cap) in turns_of(&widths) {
+                    // The clone starts without the row's checkpoints and
+                    // table but keeps its floor; the rebuilt row starts
+                    // with none of the three.
+                    let (mut clone, mut fresh) = (row.clone(), row_of(&inst, &inserted));
                     for &c in &stream {
                         let (id, chain, truth) = (candidates[c], widths[c][0], widths[c][k]);
-                        let fits = row.admits(&inst, id, beam, cap, &mut scratch).fits();
+                        let admission = row.admits(&inst, id, beam, cap, &mut scratch);
+                        let fits = admission.fits();
+                        let clone_fits = clone.admits(&inst, id, beam, cap, &mut scratch).fits();
                         let fresh_fits = fresh.admits(&inst, id, beam, cap, &mut scratch).fits();
+                        let key = width_key(&inst, id);
+                        let reference = fresh.admits_width_reference(&inst, key, 1, cap, &mut scratch)
+                            || fresh.admits_width_reference(&inst, key, beam, cap, &mut scratch);
                         // At a cap of `u64::MAX` a saturated width does not
                         // tell a row that wide from one that overflows.
                         let decided = cap < u64::MAX || chain.max(truth) < u64::MAX;
                         proptest::prop_assert!(
-                            fits == fresh_fits && (!decided || fits == (chain <= cap || truth <= cap)),
-                            "members {:?}, candidate {:?}, beam {}, cap {}: warm {}, fresh {}, chain {}, truth {}",
-                            inserted, id, beam, cap, fits, fresh_fits, chain, truth
+                            fits == clone_fits && fits == fresh_fits && fits == reference
+                                && (!decided || fits == (chain <= cap || truth <= cap)),
+                            "members {:?}, candidate {:?}, beam {}, cap {}: warm {}, clone {}, fresh {}, reference {}, chain {}, truth {}",
+                            inserted, id, beam, cap, fits, clone_fits, fresh_fits, reference, chain, truth
                         );
                         admitted += usize::from(fits);
                         refused += usize::from(!fits);
+                        floored += usize::from(admission == Admission::Floor);
                     }
                 }
                 row.insert(&inst, CharId::from(member));
                 inserted.push(CharId::from(member));
             }
-            proptest::prop_assert!(admitted > 0 && refused > 0, "{} admitted, {} refused", admitted, refused);
+            proptest::prop_assert!(
+                admitted > 0 && refused > 0 && floored > 0,
+                "{} admitted, {} refused, {} by the floor", admitted, refused, floored
+            );
         }
     }
 
@@ -1950,14 +2121,11 @@ mod tests {
             u64::MAX,
         ];
         let mut row = ProbedRow::default();
-        let mut scratch = WidthScratch::default();
         let mut saturated = 0;
         for i in (0..20).map(|i| i * 7 % 20) {
             row.insert(&inst, CharId::from(i));
             let n = row.len();
-            // A probe of a candidate that sorts first extends the table
-            // over the whole row.
-            let _ = row.probe(&inst, candidate, 0, &mut scratch);
+            row.table.extend_to(&inst, &row.keys, n);
             assert_eq!(row.table.bases.len(), n);
             let chars: Vec<&Character> = row.keys.iter().map(|k| inst.char(k.1.index())).collect();
             let grid = grid_by_definition(&chars);

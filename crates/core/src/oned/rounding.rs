@@ -29,6 +29,7 @@
 //! committed. An uncut run never reaches the fill, so its plan is
 //! unchanged.
 
+use super::keep_least;
 use super::mkp_lp::{density_order, MkpItem, MkpLpSolution, RowBase};
 use super::oracle::LpOracle;
 use super::refine::{Admission, ProbedRow, WidthScratch};
@@ -44,12 +45,14 @@ static ROUND_COMMITTED: trace::Counter = trace::Counter::new("round.committed");
 /// LP iterations per rounding call (histogram `round.iters_per_call`).
 static ITERS_PER_CALL: trace::Histogram = trace::Histogram::new("round.iters_per_call");
 /// `RowState::admits` stage tallies — how often each stage of the staged
-/// admission test decided (counters `admits.*`). Stage order: clearly
-/// overfull estimate → beam-1 upper bound → exact width DP.
-/// `admits.dp_keys` adds the keys each exact-DP probe walked, and
-/// `admits.table_steps` the suffix lengths the rows' completion tables
-/// computed for the probes.
+/// admission test decided (counters `admits.*`), each probe counted once.
+/// Stage order: clearly overfull estimate → the row's completion floor →
+/// beam-1 upper bound → exact width DP. `admits.dp_keys` adds the keys
+/// each exact-DP probe walked, and `admits.table_steps` the suffix lengths
+/// the rows' completion tables computed for the probes' DP walks and
+/// floors.
 static ADMITS_ESTIMATE_REJECT: trace::Counter = trace::Counter::new("admits.estimate_reject");
+static ADMITS_FLOOR_REJECT: trace::Counter = trace::Counter::new("admits.floor_reject");
 static ADMITS_BEAM: trace::Counter = trace::Counter::new("admits.beam");
 static ADMITS_DP: trace::Counter = trace::Counter::new("admits.dp");
 static ADMITS_DP_KEYS: trace::Counter = trace::Counter::new("admits.dp_keys");
@@ -155,17 +158,22 @@ impl RowState {
     ///
     /// 1. clearly-overfull estimates are rejected outright (same quick
     ///    reject as before);
-    /// 2. otherwise a beam-1 greedy insertion chain gives a cheap upper
+    /// 2. a row that has refused since its last commit knows its floor, a
+    ///    lower bound on every end-insertion order of its members, and
+    ///    refuses in O(1) a candidate whose `w − l − r` on top of it
+    ///    overfills the row;
+    /// 3. otherwise a beam-1 greedy insertion chain gives a cheap upper
     ///    bound on the DP width: if one concrete order fits, the DP fits;
-    /// 3. only in the remaining near-capacity band does the exact
+    /// 4. only in the remaining near-capacity band does the exact
     ///    (width-only, allocation-free) DP run, resumed from the frontier
     ///    checkpoint nearest the candidate.
     ///
-    /// In stages 2–3 both walks refuse once no frontier state has an
-    /// end-insertion completion that fits, read off the row's completion
-    /// table: at the resume checkpoint, with the candidate still to come
-    /// charged `w − l − r`, and after every insertion from the candidate
-    /// on. On an all-symmetric row plus a symmetric candidate every
+    /// The chain refuses once its one order overfills the row. The DP
+    /// refuses once no frontier state has an end-insertion completion that
+    /// fits, read off the row's completion table: at the resume
+    /// checkpoint, with the candidate still to come charged `w − l − r`,
+    /// and after every insertion from the candidate on. On an
+    /// all-symmetric row plus a symmetric candidate every
     /// end-insertion order packs to exactly `Σ(w−s) + max s` (Lemma 1), so
     /// the chain admits exactly when the estimate fits, and otherwise the
     /// row refuses.
@@ -181,6 +189,10 @@ impl RowState {
                 .admits(instance, id, ADMISSION_BEAM, stencil_w, &mut self.scratch);
         ADMITS_TABLE_STEPS.add(self.scratch.table_steps() as u64);
         match admission {
+            Admission::Floor => {
+                ADMITS_FLOOR_REJECT.incr();
+                false
+            }
             Admission::ChainFits => {
                 ADMITS_BEAM.incr();
                 true
@@ -343,7 +355,10 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
         let threshold = apq * config.thinv;
         candidates.clear();
         candidates.extend((0..items.len()).filter(|&k| lp.max_frac[k] >= threshold));
-        candidates.sort_by(|&a, &b| {
+        // Batch cap restoring the paper's gradual schedule; only the batch
+        // is sorted.
+        let cap = ((unsolved.len() as f64 * config.batch_fraction).ceil() as usize).max(16);
+        keep_least(&mut candidates, cap, |&a, &b| {
             lp.max_frac[b].total_cmp(&lp.max_frac[a]).then_with(|| {
                 items[b]
                     .profit
@@ -351,9 +366,6 @@ pub fn successive_rounding<O: LpOracle + ?Sized>(
                     .then(items[a].char_index.cmp(&items[b].char_index))
             })
         });
-        // Batch cap restoring the paper's gradual schedule.
-        let cap = ((unsolved.len() as f64 * config.batch_fraction).ceil() as usize).max(16);
-        candidates.truncate(cap);
 
         committed.clear();
         committed.resize(items.len(), false);
